@@ -16,13 +16,17 @@ inverses there, and the uniform-weight quadrature
 is exact for products of two resolved modes (such a product extends to an
 even trigonometric polynomial sampled over a full period, and all of the
 integrands used in this package vanish on the boundary).
+
+The Newton solver evaluates the same grid sums through GridTables instead:
+per-axis sine and cosine tables, contracted one axis at a time, which give
+the values, the mode pairings and the Galerkin matrix of a multiplication
+operator without a transform call or a dense evaluation matrix.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import product
 
 import numpy as np
@@ -61,8 +65,9 @@ class SineBasis:
     """The first n Dirichlet eigenpairs of a box, sorted by eigenvalue.
 
     Ties are broken lexicographically in the multi-index, so enumeration is
-    deterministic.  Instances are immutable; equality and hashing go through
-    the (lengths, multi-index) content so equal bases share cached grid data.
+    deterministic.  Equality and hashing go through the (lengths,
+    multi-index) content.  The grid tables of the solver are built on first
+    use and kept on the instance, so they live exactly as long as the basis.
     """
 
     def __init__(self, domain: BoxDomain, pairs: tuple[EigenPair, ...]):
@@ -75,10 +80,19 @@ class SineBasis:
         # largest mode index used along each axis; sets the minimal grid
         self.max_index = tuple(int(m) for m in self.indices.max(axis=0))
         self._key = (domain.lengths, tuple(p.index for p in pairs))
+        self._tables: dict[int, GridTables] = {}
 
     @property
     def size(self) -> int:
         return len(self.pairs)
+
+    def grid_tables(self, oversample: int) -> "GridTables":
+        """Separable evaluation tables on the grid of this oversampling."""
+        tables = self._tables.get(oversample)
+        if tables is None:
+            tables = GridTables(self, grid_shape(self, oversample))
+            self._tables[oversample] = tables
+        return tables
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, SineBasis) and self._key == other._key
@@ -278,25 +292,94 @@ def _check_resolves(basis: SineBasis, shape: tuple[int, ...]) -> None:
             )
 
 
-@lru_cache(maxsize=32)
-def grid_matrix(basis: SineBasis, shape: tuple[int, ...]) -> np.ndarray:
-    """Dense evaluation matrix S with S[j, k] = phi_k(x_j), grid flattened.
+class GridTables:
+    """Separable per-axis tables of one basis on one collocation grid.
 
-    Used by the solver for Jacobian assembly; an independent (non-DST) path
-    to the same pairings.  Cached per basis and grid shape.
+    Along axis i with grid size G and largest mode M, the sine table holds
+    sqrt(2/L) sin(pi j m/(G+1)) for j = 1..G, m = 1..M (G x M), and the
+    cosine table cos(pi m j/(G+1)) for m = 0..2M (2M+1 x G).  Coefficients
+    are packed into a tensor of the per-axis mode counts and contracted with
+    the sine tables one axis at a time, which never forms the G^d x n
+    evaluation matrix.  Since (2/L) sin(a t) sin(b t) = (1/L)[cos((a-b) t) -
+    cos((a+b) t)] on each axis, the quadrature Galerkin matrix of a
+    multiplication operator is a signed sum of 2^d gathers, at |a-b| and a+b
+    per axis, from the cosine moments of the multiplier: Toeplitz minus
+    Hankel in 1-D.  The gather indices are built once per basis and grid.
     """
-    _check_resolves(basis, shape)
-    domain = basis.domain
-    tables = []
-    for axis, (L, G) in enumerate(zip(domain.lengths, shape)):
-        j = np.arange(1, G + 1)[:, None]
-        m = basis.indices[:, axis][None, :]
-        tables.append(math.sqrt(2.0 / L) * np.sin(math.pi * j * m / (G + 1)))
-    if domain.dim == 1:
-        S = tables[0]
-    elif domain.dim == 2:
-        S = (tables[0][:, None, :] * tables[1][None, :, :]).reshape(-1, basis.size)
-    else:
-        S = np.einsum("ak,bk,ck->abck", *tables).reshape(-1, basis.size)
-    S.setflags(write=False)
-    return S
+
+    def __init__(self, basis: SineBasis, shape: tuple[int, ...]):
+        _check_resolves(basis, shape)
+        lengths = basis.domain.lengths
+        modes = basis.max_index
+        self.modes = modes
+        self.weight = math.prod(L / (G + 1) for L, G in zip(lengths, shape))
+        # weight times the 1/L_i of each axis's product-to-sum identity
+        self.block_scale = 1.0 / math.prod(G + 1 for G in shape)
+        self.sines = []
+        self.cosines = []
+        for L, G, M in zip(lengths, shape, modes):
+            j = np.arange(1, G + 1)[:, None]
+            m = np.arange(1, M + 1)[None, :]
+            self.sines.append(math.sqrt(2.0 / L) * np.sin(math.pi * j * m / (G + 1)))
+            k = np.arange(2 * M + 1)[:, None]
+            self.cosines.append(np.cos(math.pi * k * j.T / (G + 1)))
+        idx = basis.indices
+        # position of each basis mode in the packed tensor; in 1-D the basis
+        # is modes 1..n in order and the packed tensor is the vector itself
+        self.slots = (
+            None if basis.domain.dim == 1
+            else np.ravel_multi_index(tuple(idx.T - 1), modes)
+        )
+        # C-order strides of the moment tensor, (2M_1+1) x ... x (2M_d+1)
+        strides = [math.prod(2 * M + 1 for M in modes[i + 1:]) for i in range(len(modes))]
+        per_axis = [
+            (stride * np.abs(a[:, None] - a[None, :]), stride * (a[:, None] + a[None, :]))
+            for a, stride in zip(idx.T, strides)
+        ]
+        # one gather per choice of |a-b| or a+b on each axis; each a+b
+        # choice flips the sign, and the all-|a-b| gather comes first
+        self.gathers = [
+            (sum(choice) % 2 == 0, sum(pair[c] for pair, c in zip(per_axis, choice)))
+            for choice in product((0, 1), repeat=len(modes))
+        ]
+
+    def evaluate(self, coeffs: np.ndarray) -> np.ndarray:
+        """Grid values of the field with these coefficients."""
+        if self.slots is None:
+            return self.sines[0] @ coeffs
+        values = np.zeros(self.modes)
+        values.ravel()[self.slots] = coeffs
+        for table in self.sines:
+            values = np.tensordot(values, table, axes=(0, 1))
+        return values
+
+    def pairings(self, values: np.ndarray) -> np.ndarray:
+        """Quadrature pairings weight * sum_j values_j phi_k(x_j), every mode k."""
+        if self.slots is None:
+            return self.weight * (self.sines[0].T @ values)
+        for table in self.sines:
+            values = np.tensordot(values, table, axes=(0, 0))
+        return self.weight * values.ravel()[self.slots]
+
+    def galerkin(self, values: np.ndarray) -> np.ndarray:
+        """Quadrature Galerkin matrix weight * sum_j values_j phi_a(x_j) phi_b(x_j).
+
+        Exactly symmetric: the gathers read the same moment at (a, b) and
+        (b, a) and add them in the same order.
+        """
+        if self.slots is None:
+            moments = self.cosines[0] @ values
+        else:
+            moments = values
+            for table in self.cosines:
+                moments = np.tensordot(moments, table, axes=(0, 1))
+            moments = moments.ravel()
+        (_, first), *rest = self.gathers
+        block = moments[first]
+        for positive, index in rest:
+            if positive:
+                block += moments[index]
+            else:
+                block -= moments[index]
+        block *= self.block_scale
+        return block

@@ -26,10 +26,9 @@ import numpy as np
 
 from . import region, suite
 from .basis import BoxDomain
-from .energy import CutoffConfig, ProblemSpec, modified_energy
+from .energy import CutoffConfig, ProblemSpec
 from .solve import (
     NewtonConfig,
-    continuation,
     estimate_levels,
     find_branch,
     newton_solve,
@@ -224,16 +223,21 @@ def parse_config(text: str) -> RunConfig:
         unknown = set(lev) - _LEVELS_FIELDS
         if unknown:
             errors.append(f"unknown fields {sorted(unknown)} in levels section")
-        cfg.levels_k_max = int(lev.get("k_max", 5))
-        cfg.levels_samples = int(lev.get("samples", 200))
+        cfg.levels_k_max = _expect(lev, "k_max", int, errors, default=5)
+        cfg.levels_samples = _expect(lev, "samples", int, errors, default=200)
         if cfg.levels_k_max < 1:
             errors.append("levels field 'k_max' must be at least 1")
+        elif cfg.problem is not None and cfg.levels_k_max > cfg.problem.n:
+            errors.append(
+                f"levels field 'k_max' must be at most the truncation n = "
+                f"{cfg.problem.n}, got {cfg.levels_k_max}"
+            )
     if "branch" in raw:
         br = _expect(raw, "branch", dict, errors, default={})
         unknown = set(br) - _BRANCH_FIELDS
         if unknown:
             errors.append(f"unknown fields {sorted(unknown)} in branch section")
-        cfg.branch_count = int(br.get("count", 3))
+        cfg.branch_count = _expect(br, "count", int, errors, default=3)
         if cfg.branch_count < 1:
             errors.append("branch field 'count' must be at least 1")
     if "solve" in raw:
@@ -418,9 +422,7 @@ def _run_solve(cfg: RunConfig) -> dict:
 def _run_branch(cfg: RunConfig) -> dict:
     spec = cfg.problem
     cutoff = _cutoff_for(cfg)
-    branch = find_branch(
-        spec, count=cfg.branch_count, config=cfg.solver, workers=cfg.threads
-    )
+    branch = find_branch(spec, count=cfg.branch_count, config=cfg.solver)
     solutions = []
     for rec in branch.records:
         entry = _solution_entry(rec.z, spec, cutoff)
@@ -470,7 +472,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--out", help="output path prefix (overrides config)")
     parser.add_argument("--format", choices=["csv", "json"], help="override format")
     parser.add_argument("--seed", type=int, help="override the config seed")
-    parser.add_argument("--threads", type=int, default=1)
+    parser.add_argument("--threads", type=int, default=1,
+                        help="worker threads for the region scan")
     args = parser.parse_args(argv)
 
     try:

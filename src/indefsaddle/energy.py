@@ -53,6 +53,9 @@ class ProblemSpec:
     oversample: int = 4
 
     def __post_init__(self) -> None:
+        for name in ("p", "q", "r"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite (got {getattr(self, name)})")
         if self.p <= 1.0:
             raise ValueError(f"p must exceed 1 (got {self.p})")
         if self.q <= 1.0:

@@ -21,6 +21,8 @@ class PQPoint:
     N: int
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.p) and math.isfinite(self.q)):
+            raise ValueError(f"exponents must be finite, got p={self.p}, q={self.q}")
         if not (self.p > 1.0 and self.q > 1.0):
             raise ValueError(f"exponents must exceed 1, got p={self.p}, q={self.q}")
         if self.N < 1:
@@ -177,14 +179,21 @@ def optimal_r(pt: PQPoint) -> OptimalR | None:
     q1 increases and p1 decreases in r, so the maximum sits at the balance
     point, clipped to the window; feasible records whether the strict
     comparison min(2 q1, 2 p1) > max((q+1)/q, (p+1)/p) holds there.  Returns
-    None when no admissible r exists (supercritical point).
+    None when no admissible r exists (supercritical point), or when no float
+    lies strictly inside the window (a point within roundoff of the dividing
+    hyperbola).
     """
     window = formula_r_window(pt)
     if window is None:
         return None
+    lo, hi = window
     balanced = r_thresholds(pt).balanced
-    eps = 1e-12 * (window[1] - window[0])
-    r_star = min(max(balanced, window[0] + eps), window[1] - eps)
+    eps = 1e-12 * (hi - lo)
+    r_star = min(max(balanced, lo + eps), hi - eps)
+    # eps rounds away on a window a few ulps wide; step one ulp inside then
+    r_star = min(max(r_star, math.nextafter(lo, hi)), math.nextafter(hi, lo))
+    if not lo < r_star < hi:
+        return None
     q1, p1, _ = growth_exponents(pt, r_star)
     feasible = 2.0 * min(q1, p1) > max(defect_rates(pt))
     return OptimalR(r_star=r_star, feasible=feasible)
@@ -267,14 +276,24 @@ def region_scan(
     q_grid: list[float],
     band: float = 1e-9,
 ) -> list[RegionRow]:
-    """Classify every grid point; rows come out in (p outer, q inner) order."""
+    """Classify every grid point; rows come out in (p outer, q inner) order.
+
+    A point whose hyperbola gap lies within band of zero is classified
+    "boundary" with no r_star: its admissible window is at most N * band
+    wide, down to no float at all.  A subcritical point whose multiplicity
+    margin lies within band of zero is "boundary" too, with its r_star.
+    """
     rows = []
     for p in p_grid:
         for q in q_grid:
             pt = PQPoint(p=p, q=q, N=N)
             gap = hyperbola_gap(pt)
             subcritical = gap > 0.0
-            if not subcritical:
+            if abs(gap) < band:
+                status = "boundary"
+                r_best = None
+                feasible = None
+            elif not subcritical:
                 status = "outside"
                 r_best = None
                 feasible = None

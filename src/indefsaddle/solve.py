@@ -1,9 +1,12 @@
 """Critical-point computation: Newton, deflation, continuation, level brackets.
 
 The residual is the coefficient-space gradient of the energy (its zeros are
-the Galerkin solutions of the system), assembled here through the dense
-grid-evaluation matrix; agreement with the transform-based energy gradient
-is a cross-check between two independent code paths.  Deflation multiplies
+the Galerkin solutions of the system).  It and its Jacobian are assembled
+from the separable grid tables of the basis (basis.GridTables): values and
+pairings by per-axis sine contractions, each diagonal Jacobian block as the
+Galerkin matrix of the power derivative, read from its cosine moments.
+Agreement of the residual with the transform-based energy gradient is a
+cross-check between two independent code paths.  Deflation multiplies
 the residual by prod_i (dist_i^-2 + 1) over known solutions so Newton runs
 land on new ones.  Level brackets combine a sampled upper bound over nested
 saddle-geometry balls with a closed-form lower growth curve whose constant
@@ -22,8 +25,6 @@ from .basis import (
     SpectralField,
     eigenvalue_growth_constant,
     from_grid,
-    grid_matrix,
-    grid_shape,
     grid_quadrature,
     sobolev_norm,
     to_grid,
@@ -74,47 +75,37 @@ def _unpack(vec: np.ndarray, spec: ProblemSpec) -> FieldPair:
     return FieldPair(u, v, spec.r)
 
 
-def _grid_data(spec: ProblemSpec):
-    shape = grid_shape(spec.basis, spec.oversample)
-    S = grid_matrix(spec.basis, shape)
-    weight = math.prod(
-        L / (G + 1) for L, G in zip(spec.domain.lengths, shape)
-    )
-    return S, weight
-
-
 def residual(z: FieldPair, spec: ProblemSpec) -> DualGradient:
     """System residual in coefficient coordinates.
 
     Row k of du is the v-equation, lambda_k eta_k - <|u|^(q-1)u + k, phi_k>;
-    row k of dv the u-equation with p and h.  Identical in value to
-    energy_gradient but assembled through the dense evaluation matrix.
+    row k of dv the u-equation with p and h.  Equal in value to
+    energy_gradient but assembled from the separable grid tables.
     """
     if z.basis != spec.basis or z.r != spec.r:
         raise ValueError("point incompatible with the problem spec")
-    S, w = _grid_data(spec)
+    tables = spec.basis.grid_tables(spec.oversample)
     lam = spec.basis.eigenvalues
-    u_vals = S @ z.u.coeffs
-    v_vals = S @ z.v.coeffs
-    pu = w * (S.T @ (np.abs(u_vals) ** (spec.q - 1.0) * u_vals))
-    pv = w * (S.T @ (np.abs(v_vals) ** (spec.p - 1.0) * v_vals))
+    u_vals = tables.evaluate(z.u.coeffs)
+    v_vals = tables.evaluate(z.v.coeffs)
+    pu = tables.pairings(np.abs(u_vals) ** (spec.q - 1.0) * u_vals)
+    pv = tables.pairings(np.abs(v_vals) ** (spec.p - 1.0) * v_vals)
     du = lam * z.v.coeffs - pu - spec.k.coeffs
     dv = lam * z.u.coeffs - pv - spec.h.coeffs
     return DualGradient(du=du, dv=dv)
 
 
 def jacobian(z: FieldPair, spec: ProblemSpec) -> np.ndarray:
-    """Dense Jacobian of the residual: diagonal coupling plus projected powers."""
-    S, w = _grid_data(spec)
+    """Jacobian of the residual: coupling off the diagonal, and on it the
+    (exactly symmetric) Galerkin matrices of the power derivatives."""
+    tables = spec.basis.grid_tables(spec.oversample)
     lam = spec.basis.eigenvalues
     n = spec.n
-    u_vals = S @ z.u.coeffs
-    v_vals = S @ z.v.coeffs
-    du_weights = spec.q * np.abs(u_vals) ** (spec.q - 1.0)
-    dv_weights = spec.p * np.abs(v_vals) ** (spec.p - 1.0)
+    u_vals = tables.evaluate(z.u.coeffs)
+    v_vals = tables.evaluate(z.v.coeffs)
     J = np.zeros((2 * n, 2 * n))
-    J[:n, :n] = -w * (S.T * du_weights) @ S
-    J[n:, n:] = -w * (S.T * dv_weights) @ S
+    J[:n, :n] = -tables.galerkin(spec.q * np.abs(u_vals) ** (spec.q - 1.0))
+    J[n:, n:] = -tables.galerkin(spec.p * np.abs(v_vals) ** (spec.p - 1.0))
     diag = np.arange(n)
     J[diag, n + diag] = lam
     J[n + diag, diag] = lam
@@ -330,12 +321,11 @@ def find_branch(
     seeds: list[FieldPair] | None = None,
     count: int = 3,
     config: NewtonConfig | None = None,
-    workers: int = 1,
 ) -> Branch:
     """Collect `count` distinct critical points (one record per mirror pair).
 
-    A plain Newton sweep over the seed schedule runs first (order-independent
-    merge, so it can be fanned out); deflation fills in afterwards.  For a
+    A plain Newton sweep over the seed schedule runs first (its results are
+    merged in a fixed order); deflation fills in afterwards.  For a
     symmetric problem each record's mirror is verified to solve as well and
     both are deflated against.
     """
@@ -345,17 +335,7 @@ def find_branch(
     seeds = seeds if seeds is not None else default_seeds(spec)
     symmetric = spec.is_symmetric()
 
-    def sweep(seed: FieldPair) -> SolveResult:
-        return newton_solve(seed, spec, config)
-
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(sweep, seeds))
-    else:
-        results = [sweep(s) for s in seeds]
-
+    results = [newton_solve(seed, spec, config) for seed in seeds]
     candidates = [
         (res.z, energy(res.z, spec), res.residual_norm)
         for res in results

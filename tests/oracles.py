@@ -1,5 +1,9 @@
 """Independent oracles for the test suite.
 
+The dense oracle builds the full evaluation matrix S[j, k] = phi_k(x_j) on
+the flattened collocation grid and assembles the solver's residual and
+Jacobian from it directly, with no separable tables and no transforms.
+
 The shooting oracle solves the scalar two-point problem -u'' = u^3 with
 u(0) = u(L) = 0 by integrating the initial value problem and root-finding on
 the initial slope; it never touches the spectral solver.  Solutions with j
@@ -15,6 +19,63 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
+
+from indefsaddle.basis import grid_shape
+from indefsaddle.energy import DualGradient
+
+
+def grid_matrix(basis, shape: tuple[int, ...]) -> np.ndarray:
+    """Dense evaluation matrix S with S[j, k] = phi_k(x_j), grid flattened."""
+    domain = basis.domain
+    tables = []
+    for axis, (L, G) in enumerate(zip(domain.lengths, shape)):
+        j = np.arange(1, G + 1)[:, None]
+        m = basis.indices[:, axis][None, :]
+        tables.append(math.sqrt(2.0 / L) * np.sin(math.pi * j * m / (G + 1)))
+    if domain.dim == 1:
+        return tables[0]
+    if domain.dim == 2:
+        return (tables[0][:, None, :] * tables[1][None, :, :]).reshape(-1, basis.size)
+    return np.einsum("ak,bk,ck->abck", *tables).reshape(-1, basis.size)
+
+
+def grid_data(spec):
+    """The dense evaluation matrix of the spec's grid and its quadrature weight."""
+    shape = grid_shape(spec.basis, spec.oversample)
+    S = grid_matrix(spec.basis, shape)
+    weight = math.prod(L / (G + 1) for L, G in zip(spec.domain.lengths, shape))
+    return S, weight
+
+
+def dense_residual(z, spec) -> DualGradient:
+    """The system residual assembled through the dense evaluation matrix."""
+    S, w = grid_data(spec)
+    lam = spec.basis.eigenvalues
+    u_vals = S @ z.u.coeffs
+    v_vals = S @ z.v.coeffs
+    pu = w * (S.T @ (np.abs(u_vals) ** (spec.q - 1.0) * u_vals))
+    pv = w * (S.T @ (np.abs(v_vals) ** (spec.p - 1.0) * v_vals))
+    du = lam * z.v.coeffs - pu - spec.k.coeffs
+    dv = lam * z.u.coeffs - pv - spec.h.coeffs
+    return DualGradient(du=du, dv=dv)
+
+
+def dense_jacobian(z, spec) -> np.ndarray:
+    """The residual's Jacobian with blocks -w (S.T * weights) @ S."""
+    S, w = grid_data(spec)
+    lam = spec.basis.eigenvalues
+    n = spec.n
+    u_vals = S @ z.u.coeffs
+    v_vals = S @ z.v.coeffs
+    du_weights = spec.q * np.abs(u_vals) ** (spec.q - 1.0)
+    dv_weights = spec.p * np.abs(v_vals) ** (spec.p - 1.0)
+    J = np.zeros((2 * n, 2 * n))
+    J[:n, :n] = -w * (S.T * du_weights) @ S
+    J[n:, n:] = -w * (S.T * dv_weights) @ S
+    diag = np.arange(n)
+    J[diag, n + diag] = lam
+    J[n + diag, diag] = lam
+    return J
 
 
 def _integrate(slope: float, span: float):

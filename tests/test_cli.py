@@ -187,6 +187,30 @@ class TestCommands:
         path.write_text("{not json")
         assert main(["check", "--config", str(path)]) == 1
 
+    @pytest.mark.parametrize(
+        "command, problem, section, message",
+        [
+            ("solve", {"p": math.nan}, {}, "p must be finite"),
+            ("branch", {"q": math.inf}, {}, "q must be finite"),
+            ("solve", {"r": math.nan}, {}, "r must be finite"),
+            ("levels", {"n": 8}, {"levels": {"k_max": 9}}, "at most the truncation"),
+            ("levels", {}, {"levels": {"k_max": "abc"}}, "'k_max' has wrong type str"),
+            ("branch", {}, {"branch": {"count": "abc"}}, "'count' has wrong type str"),
+        ],
+    )
+    def test_bad_values_exit_one_without_traceback(
+        self, tmp_path, capsys, command, problem, section, message
+    ):
+        config = {
+            "command": command,
+            "problem": dict(BRANCH_CONFIG["problem"], **problem),
+            **section,
+        }
+        cfg = write_config(tmp_path, "bad.json", config)
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+        errors = capsys.readouterr().err.splitlines()
+        assert any(line.startswith("config error:") and message in line for line in errors)
+
 
 class TestDeterminism:
     def test_region_byte_identical(self, tmp_path):

@@ -205,6 +205,41 @@ def test_region_scan_properties():
     ]
 
 
+def test_readme_grid_scans_within_roundoff_of_the_hyperbola():
+    # the README grid holds points whose hyperbola gap is a rounding error,
+    # such as p = 4.0, q = 1.5 at N = 5 and p = 1.5, q = 2.75 at N = 6
+    grid = [1.05 + i * 0.05 for i in range(100)]
+    for N in range(3, 13):
+        for row in region_scan(N, grid, grid):
+            if abs(row.hyperbola_gap) < 1e-9:
+                assert row.status == "boundary" and row.r_star is None
+            if row.r_star is None:
+                continue
+            pt = PQPoint(row.p, row.q, N)
+            lo, hi = admissible_r_interval(pt)
+            assert lo < row.r_star < hi
+            growth_exponents(pt, row.r_star)
+    near = region_scan(6, [1.5], [2.75])[0]
+    assert 0.0 < near.hyperbola_gap < 1e-15
+    assert near.status == "boundary" and near.r_star is None and near.feasible is None
+
+
+def test_optimal_r_strictly_inside_narrow_windows():
+    # q a few ulps to a few thousand ulps below the hyperbola: the window is
+    # that narrow, and r_star must still lie strictly inside it (or be None)
+    for N in range(3, 13):
+        for p in np.linspace(1.1, 5.0, 40):
+            q_edge = hyperbola_boundary_p(p, N)  # the hyperbola is symmetric in p, q
+            if not 1.0 < q_edge < math.inf:
+                continue
+            for ulps in (1, 3, 10, 100, 1000):
+                pt = PQPoint(p, q_edge * (1.0 - ulps * 1e-16), N)
+                window = admissible_r_interval(pt)
+                best = optimal_r(pt)
+                if best is not None:
+                    assert window[0] < best.r_star < window[1]
+
+
 def test_region_report_fields():
     report = region_report(PQPoint(1.2, 1.2, 3))
     assert report.in_region
@@ -219,5 +254,9 @@ def test_region_report_fields():
 def test_pqpoint_validation():
     with pytest.raises(ValueError):
         PQPoint(1.0, 2.0, 3)
+    with pytest.raises(ValueError, match="finite"):
+        PQPoint(math.nan, 2.0, 3)
+    with pytest.raises(ValueError, match="finite"):
+        PQPoint(2.0, math.inf, 3)
     with pytest.raises(ValueError):
         PQPoint(2.0, 2.0, 0)

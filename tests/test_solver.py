@@ -24,7 +24,7 @@ from indefsaddle import (
 )
 from indefsaddle.basis import BoxDomain, grid_points, synthesize
 
-from oracles import shooting_solution
+from oracles import dense_jacobian, dense_residual, shooting_solution
 
 # golden energy of the single-arch solution, cross-checked against the ODE
 # oracle on first verified run; higher arches scale exactly as k^4
@@ -86,6 +86,38 @@ class TestResidual:
             [r_plus.du - r_minus.du, r_plus.dv - r_minus.dv]
         ) / (2 * eps)
         assert np.abs(fd - J @ direction).max() < 1e-6
+
+
+def _relative_gap(new, dense):
+    return np.abs(new - dense).max() / np.abs(dense).max()
+
+
+@pytest.mark.parametrize("oversample", [1, 2, 4])
+@pytest.mark.parametrize("lengths", [(2.0,), (1.0, 2.5), (1.0, 1.3, 2.0)])
+def test_tables_match_dense_oracle(lengths, oversample):
+    """Separable tables against the dense evaluation matrix of the oracle."""
+    rng = np.random.default_rng(len(lengths) * 10 + oversample)
+    spec = ProblemSpec.create(
+        BoxDomain(lengths), n=24, r=1.0, p=3.0, q=2.5,
+        h=rng.standard_normal(3), k=rng.standard_normal(2), oversample=oversample,
+    )
+    lam = spec.basis.eigenvalues
+    for _ in range(3):
+        z = FieldPair(
+            SpectralField(spec.basis, lam**-0.5 * rng.standard_normal(spec.n)),
+            SpectralField(spec.basis, lam**-0.5 * rng.standard_normal(spec.n)),
+            spec.r,
+        )
+        res, dense = residual(z, spec), dense_residual(z, spec)
+        assert _relative_gap(res.du, dense.du) <= 1e-13
+        assert _relative_gap(res.dv, dense.dv) <= 1e-13
+        J, J_dense = jacobian(z, spec), dense_jacobian(z, spec)
+        n = spec.n
+        for block in (np.s_[:n, :n], np.s_[n:, n:]):
+            assert _relative_gap(J[block], J_dense[block]) <= 1e-13
+        assert np.array_equal(J[:n, n:], J_dense[:n, n:])
+        assert np.array_equal(J[n:, :n], J_dense[n:, :n])
+        assert np.array_equal(J, J.T)
 
 
 class TestNewton:
