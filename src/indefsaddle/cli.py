@@ -7,7 +7,9 @@ Commands
     levels   minimax-level brackets                   -> CSV rows
     check    module invariant suite                   -> CSV rows
 
-Exit codes: 0 success, 1 config error, 2 IO error, 3 check-suite failure.
+Exit codes: 0 success, 1 config error or a ValueError raised by the run (one
+`error:` line on stderr, e.g. when the powers overflow), 2 IO error, 3
+check-suite failure.
 Output files are byte-identical for identical (config, seed); wall time goes
 to stdout only.  Floats are written with repr (shortest round-trip form).
 """
@@ -56,7 +58,6 @@ class RunConfig:
     seed: int = 0
     output: str = "indefsaddle_out"
     format: str | None = None  # default depends on the command
-    threads: int = 1
     problem: ProblemSpec | None = None
     solver: NewtonConfig = field(default_factory=NewtonConfig)
     cutoff_constant: float | None = None
@@ -68,7 +69,6 @@ class RunConfig:
     branch_count: int = 3
     initial_u: list[float] | None = None
     initial_v: list[float] | None = None
-    continuation_steps: int = 5
 
 
 _TOP_FIELDS = {
@@ -79,7 +79,7 @@ _PROBLEM_FIELDS = {"lengths", "n", "r", "p", "q", "h", "k", "oversample"}
 _SOLVER_FIELDS = {"tol", "max_iter", "damping", "min_step", "separation"}
 _LEVELS_FIELDS = {"k_max", "samples"}
 _BRANCH_FIELDS = {"count"}
-_SOLVE_FIELDS = {"initial_u", "initial_v", "continuation_steps"}
+_SOLVE_FIELDS = {"initial_u", "initial_v"}
 
 
 def _expect(obj, name, types, errors, default=None, required=False):
@@ -94,16 +94,25 @@ def _expect(obj, name, types, errors, default=None, required=False):
     return value
 
 
+def _numbers(items: list, name, errors) -> list[float] | None:
+    """The entries of a JSON list as floats, if every one is a finite number."""
+    out = []
+    for item in items:
+        if isinstance(item, bool) or not isinstance(item, (int, float)):
+            errors.append(f"'{name}' entries must be numbers")
+            return None
+        if not math.isfinite(item):
+            errors.append(f"'{name}' entries must be finite")
+            return None
+        out.append(float(item))
+    return out
+
+
 def _number_list(value, name, errors) -> list[float] | None:
     """Either an explicit list of numbers or {start, stop, step}."""
     if isinstance(value, list):
-        out = []
-        for item in value:
-            if isinstance(item, bool) or not isinstance(item, (int, float)):
-                errors.append(f"'{name}' entries must be numbers")
-                return None
-            out.append(float(item))
-        if not out:
+        out = _numbers(value, name, errors)
+        if out == []:
             errors.append(f"'{name}' must not be empty")
             return None
         return out
@@ -225,6 +234,8 @@ def parse_config(text: str) -> RunConfig:
             errors.append(f"unknown fields {sorted(unknown)} in levels section")
         cfg.levels_k_max = _expect(lev, "k_max", int, errors, default=5)
         cfg.levels_samples = _expect(lev, "samples", int, errors, default=200)
+        if cfg.levels_samples < 0:
+            errors.append("levels field 'samples' must be at least 0")
         if cfg.levels_k_max < 1:
             errors.append("levels field 'k_max' must be at least 1")
         elif cfg.problem is not None and cfg.levels_k_max > cfg.problem.n:
@@ -245,9 +256,20 @@ def parse_config(text: str) -> RunConfig:
         unknown = set(sv) - _SOLVE_FIELDS
         if unknown:
             errors.append(f"unknown fields {sorted(unknown)} in solve section")
-        cfg.initial_u = sv.get("initial_u")
-        cfg.initial_v = sv.get("initial_v")
-        cfg.continuation_steps = int(sv.get("continuation_steps", 5))
+        for name in ("initial_u", "initial_v"):
+            value = sv.get(name)
+            if value is None:
+                continue
+            if not isinstance(value, list):
+                errors.append(f"solve field '{name}' must be a list of numbers")
+                continue
+            coeffs = _numbers(value, name, errors)
+            if coeffs is not None and cfg.problem is not None and len(coeffs) > cfg.problem.n:
+                errors.append(
+                    f"solve field '{name}' has {len(coeffs)} entries, more than "
+                    f"the truncation n = {cfg.problem.n}"
+                )
+            setattr(cfg, name, coeffs)
 
     # command-specific requirements
     if command == "region":
@@ -349,33 +371,22 @@ def _run_region(cfg: RunConfig) -> tuple[list[str], list[list]]:
         "r_star", "feasible", "r_balanced", "growth_u", "growth_v", "alpha",
     ]
 
-    def one_p(p: float) -> list[list]:
-        rows = []
-        for row in region.region_scan(cfg.region_N, [p], cfg.q_grid):
-            extra: list = [None, None, None]
-            if row.subcritical and row.r_star is not None:
-                pt = region.PQPoint(p=row.p, q=row.q, N=cfg.region_N)
-                q1, p1, alpha = region.growth_exponents(pt, row.r_star)
-                extra = [q1, p1, alpha]
-            rows.append([
-                row.p, row.q,
-                row.hyperbola_gap if math.isfinite(row.hyperbola_gap) else math.inf,
-                row.subcritical, row.status, row.r_star, row.feasible,
-                region.r_thresholds(
-                    region.PQPoint(p=row.p, q=row.q, N=cfg.region_N)
-                ).balanced,
-                *extra,
-            ])
-        return rows
-
-    if cfg.threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            chunks = list(pool.map(one_p, cfg.p_grid))
-    else:
-        chunks = [one_p(p) for p in cfg.p_grid]
-    rows = [row for chunk in chunks for row in chunk]
+    rows = []
+    for row in region.region_scan(cfg.region_N, cfg.p_grid, cfg.q_grid):
+        extra: list = [None, None, None]
+        if row.subcritical and row.r_star is not None:
+            pt = region.PQPoint(p=row.p, q=row.q, N=cfg.region_N)
+            q1, p1, alpha = region.growth_exponents(pt, row.r_star)
+            extra = [q1, p1, alpha]
+        rows.append([
+            row.p, row.q,
+            row.hyperbola_gap if math.isfinite(row.hyperbola_gap) else math.inf,
+            row.subcritical, row.status, row.r_star, row.feasible,
+            region.r_thresholds(
+                region.PQPoint(p=row.p, q=row.q, N=cfg.region_N)
+            ).balanced,
+            *extra,
+        ])
     return header, rows
 
 
@@ -472,8 +483,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--out", help="output path prefix (overrides config)")
     parser.add_argument("--format", choices=["csv", "json"], help="override format")
     parser.add_argument("--seed", type=int, help="override the config seed")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker threads for the region scan")
     args = parser.parse_args(argv)
 
     try:
@@ -501,7 +510,6 @@ def main(argv: list[str] | None = None) -> int:
         cfg.format = args.format
     if args.seed is not None:
         cfg.seed = args.seed
-    cfg.threads = max(1, args.threads)
 
     started = time.perf_counter()
     status = 0
@@ -538,6 +546,10 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"IO error: {exc}", file=sys.stderr)
         return 2
+    except ValueError as exc:
+        # inputs the config checks cannot foresee, such as powers that overflow
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     elapsed = time.perf_counter() - started
     print(f"{cfg.command}: {items} items, {elapsed:.3f}s, output {cfg.output}")
     return status

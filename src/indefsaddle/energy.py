@@ -16,6 +16,10 @@ Large critical values of the modified energy are then critical values of E.
 All integrals are uniform-grid quadratures on the oversampled collocation
 grid, and the gradients returned are the exact derivatives of those discrete
 values, so finite differences close to machine precision.
+
+Every quantity at a point is read from one Evaluation, which synthesizes u
+and v once: both energies and gradients, the cutoff terms, and the modified
+energy at -z that the deviation check needs.
 """
 
 from __future__ import annotations
@@ -207,13 +211,6 @@ def nonlinear_integral(f: SpectralField, s: float, oversample: int = 4) -> float
     return grid_quadrature(np.abs(values) ** (s + 1.0), f.basis.domain)
 
 
-def _check_point(z: FieldPair, spec: ProblemSpec) -> None:
-    if z.basis != spec.basis:
-        raise ValueError("point lives on a different basis than the problem")
-    if z.r != spec.r:
-        raise ValueError(f"point split parameter {z.r} differs from problem r {spec.r}")
-
-
 def forcing_pairing(z: FieldPair, spec: ProblemSpec) -> float:
     """The forcing term int k u + int h v, exact by Parseval."""
     return float(
@@ -221,31 +218,51 @@ def forcing_pairing(z: FieldPair, spec: ProblemSpec) -> float:
     )
 
 
-def _nonlinear_parts(z: FieldPair, spec: ProblemSpec) -> tuple[float, float]:
-    iq = nonlinear_integral(z.u, spec.q, spec.oversample)
-    ip = nonlinear_integral(z.v, spec.p, spec.oversample)
-    return iq, ip
+class Evaluation:
+    """One point's grid values, synthesized once, and the scalars read from them.
+
+    The power pairings (two DST analyses) are computed only when a gradient
+    asks.  Only the forcing pairing is odd in z, and the rest even, so the
+    evaluation of z also gives the values at -z.
+    """
+
+    def __init__(self, z: FieldPair, spec: ProblemSpec):
+        if z.basis != spec.basis:
+            raise ValueError("point lives on a different basis than the problem")
+        if z.r != spec.r:
+            raise ValueError(f"point split parameter {z.r} differs from problem r {spec.r}")
+        self.spec = spec
+        self.u_vals = to_grid(z.u, spec.oversample)
+        self.v_vals = to_grid(z.v, spec.oversample)
+        iq = grid_quadrature(np.abs(self.u_vals) ** (spec.q + 1.0), z.basis.domain)
+        ip = grid_quadrature(np.abs(self.v_vals) ** (spec.p + 1.0), z.basis.domain)
+        self.nonlinear = iq / (spec.q + 1.0) + ip / (spec.p + 1.0)
+        self.symmetric = coupling_form(z) - iq / (spec.q + 1.0) - ip / (spec.p + 1.0)
+        self.forcing = forcing_pairing(z, spec)
+        self.energy = self.symmetric - self.forcing
+
+    def pairings(self) -> tuple[np.ndarray, np.ndarray]:
+        """Quadrature pairings of |u|^(q-1)u and |v|^(p-1)v against every mode."""
+        spec, u, v = self.spec, self.u_vals, self.v_vals
+        gu = from_grid(np.abs(u) ** (spec.q - 1.0) * u, spec.basis)
+        gv = from_grid(np.abs(v) ** (spec.p - 1.0) * v, spec.basis)
+        return gu.coeffs, gv.coeffs
+
+    def cutoff_terms(self, cutoff: CutoffConfig, mirrored: bool = False):
+        """Forcing pairing, energy, cutoff scale and cutoff argument, at z or at -z."""
+        g = -self.forcing if mirrored else self.forcing
+        e = self.symmetric - g
+        scale = 2.0 * cutoff.bound_constant * math.sqrt(e * e + 1.0)
+        return g, e, scale, self.nonlinear / scale
+
+    def modified_energy(self, cutoff: CutoffConfig, mirrored: bool = False) -> float:
+        g, _, _, theta = self.cutoff_terms(cutoff, mirrored)
+        return self.symmetric - bump(theta) * g
 
 
 def energy(z: FieldPair, spec: ProblemSpec) -> float:
     """The unmodified energy; even in z whenever the forcing vanishes."""
-    _check_point(z, spec)
-    iq, ip = _nonlinear_parts(z, spec)
-    return (
-        coupling_form(z)
-        - iq / (spec.q + 1.0)
-        - ip / (spec.p + 1.0)
-        - forcing_pairing(z, spec)
-    )
-
-
-def _power_pairings(z: FieldPair, spec: ProblemSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Quadrature pairings of |u|^(q-1)u and |v|^(p-1)v against every mode."""
-    u_vals = to_grid(z.u, spec.oversample)
-    v_vals = to_grid(z.v, spec.oversample)
-    gu = from_grid(np.abs(u_vals) ** (spec.q - 1.0) * u_vals, spec.basis)
-    gv = from_grid(np.abs(v_vals) ** (spec.p - 1.0) * v_vals, spec.basis)
-    return gu.coeffs, gv.coeffs
+    return Evaluation(z, spec).energy
 
 
 def energy_gradient(z: FieldPair, spec: ProblemSpec) -> DualGradient:
@@ -254,9 +271,8 @@ def energy_gradient(z: FieldPair, spec: ProblemSpec) -> DualGradient:
     du_k = lambda_k eta_k - <|u|^(q-1)u + k, phi_k>,
     dv_k = lambda_k xi_k  - <|v|^(p-1)v + h, phi_k>.
     """
-    _check_point(z, spec)
     lam = spec.basis.eigenvalues
-    pu, pv = _power_pairings(z, spec)
+    pu, pv = Evaluation(z, spec).pairings()
     du = lam * z.v.coeffs - pu - spec.k.coeffs
     dv = lam * z.u.coeffs - pv - spec.h.coeffs
     return DualGradient(du=du, dv=dv)
@@ -272,15 +288,12 @@ def riesz_representative(g: DualGradient, basis: SineBasis, r: float) -> FieldPa
 
 def cutoff_scale(z: FieldPair, spec: ProblemSpec, cutoff: CutoffConfig) -> float:
     """Normalization 2A sqrt(E^2 + 1); always at least 2A."""
-    e = energy(z, spec)
-    return 2.0 * cutoff.bound_constant * math.sqrt(e * e + 1.0)
+    return Evaluation(z, spec).cutoff_terms(cutoff)[2]
 
 
 def cutoff_argument(z: FieldPair, spec: ProblemSpec, cutoff: CutoffConfig) -> float:
     """Scale-normalized size of the nonlinear part (the bump argument)."""
-    _check_point(z, spec)
-    iq, ip = _nonlinear_parts(z, spec)
-    return (iq / (spec.q + 1.0) + ip / (spec.p + 1.0)) / cutoff_scale(z, spec, cutoff)
+    return Evaluation(z, spec).cutoff_terms(cutoff)[3]
 
 
 def cutoff_weight(z: FieldPair, spec: ProblemSpec, cutoff: CutoffConfig) -> float:
@@ -294,14 +307,7 @@ def modified_energy(z: FieldPair, spec: ProblemSpec, cutoff: CutoffConfig) -> fl
     Coincides with the unmodified energy wherever the weight is 1, and with
     the symmetric (forcing-free) energy wherever the weight is 0.
     """
-    _check_point(z, spec)
-    iq, ip = _nonlinear_parts(z, spec)
-    e_sym = coupling_form(z) - iq / (spec.q + 1.0) - ip / (spec.p + 1.0)
-    g = forcing_pairing(z, spec)
-    e = e_sym - g
-    q_scale = 2.0 * cutoff.bound_constant * math.sqrt(e * e + 1.0)
-    theta = (iq / (spec.q + 1.0) + ip / (spec.p + 1.0)) / q_scale
-    return e_sym - bump(theta) * g
+    return Evaluation(z, spec).modified_energy(cutoff)
 
 
 @dataclass
@@ -325,24 +331,15 @@ def modified_energy_gradient(
     z: FieldPair, spec: ProblemSpec, cutoff: CutoffConfig
 ) -> ModifiedGradient:
     """Exact gradient of the discrete modified energy."""
-    _check_point(z, spec)
     lam = spec.basis.eigenvalues
-    iq, ip = _nonlinear_parts(z, spec)
-    g = forcing_pairing(z, spec)
-    e = (
-        coupling_form(z)
-        - iq / (spec.q + 1.0)
-        - ip / (spec.p + 1.0)
-        - g
-    )
-    q_scale = 2.0 * cutoff.bound_constant * math.sqrt(e * e + 1.0)
-    theta = (iq / (spec.q + 1.0) + ip / (spec.p + 1.0)) / q_scale
+    ev = Evaluation(z, spec)
+    g, e, q_scale, theta = ev.cutoff_terms(cutoff)
     psi = bump(theta)
     dchi = bump_derivative(theta)
     two_a_sq = (2.0 * cutoff.bound_constant) ** 2
     t1 = dchi * two_a_sq * theta * e * g / (q_scale * q_scale)
     t2 = t1 + dchi * g / q_scale
-    pu, pv = _power_pairings(z, spec)
+    pu, pv = ev.pairings()
     du = (1.0 + t1) * lam * z.v.coeffs - (1.0 + t2) * pu - (psi + t1) * spec.k.coeffs
     dv = (1.0 + t1) * lam * z.u.coeffs - (1.0 + t2) * pv - (psi + t1) * spec.h.coeffs
     return ModifiedGradient(
@@ -368,8 +365,9 @@ def deviation_check(
     """Evaluate |J(z) - J(-z)| against beta (|J|^(1/(q+1)) + |J|^(1/(p+1)) + 1)."""
     if beta <= 0.0:
         raise ValueError(f"beta must be positive, got {beta}")
-    j_plus = modified_energy(z, spec, cutoff)
-    j_minus = modified_energy(-z, spec, cutoff)
+    ev = Evaluation(z, spec)
+    j_plus = ev.modified_energy(cutoff)
+    j_minus = ev.modified_energy(cutoff, mirrored=True)
     asymmetry = abs(j_plus - j_minus)
     size = abs(j_plus)
     bound = beta * (

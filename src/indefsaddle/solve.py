@@ -6,11 +6,14 @@ from the separable grid tables of the basis (basis.GridTables): values and
 pairings by per-axis sine contractions, each diagonal Jacobian block as the
 Galerkin matrix of the power derivative, read from its cosine moments.
 Agreement of the residual with the transform-based energy gradient is a
-cross-check between two independent code paths.  Deflation multiplies
-the residual by prod_i (dist_i^-2 + 1) over known solutions so Newton runs
-land on new ones.  Level brackets combine a sampled upper bound over nested
-saddle-geometry balls with a closed-form lower growth curve whose constant
-is assembled from computed embedding data.
+cross-check between two independent code paths.  There is one Newton
+loop; deflation is an option of it, which multiplies the residual by
+prod_i (dist_i^-2 + 1) over known solutions so Newton runs land on new ones,
+and with nothing to deflate against it is plain Newton.  Level brackets
+combine a sampled upper bound over nested saddle-geometry balls with a
+closed-form lower growth curve whose constant is assembled from computed
+embedding data; both extremal problems behind them run through one
+projected-ascent routine.
 """
 
 from __future__ import annotations
@@ -32,11 +35,10 @@ from .basis import (
 from .energy import (
     CutoffConfig,
     DualGradient,
+    Evaluation,
     ProblemSpec,
-    cutoff_argument,
-    cutoff_weight,
+    bump,
     energy,
-    energy_gradient,
     modified_energy,
 )
 from .space import (
@@ -123,44 +125,74 @@ class SolveResult:
     message: str = ""
 
 
-def newton_solve(z0: FieldPair, spec: ProblemSpec, config: NewtonConfig | None = None) -> SolveResult:
-    """Damped Newton on the system residual.
+def newton_solve(
+    z0: FieldPair,
+    spec: ProblemSpec,
+    config: NewtonConfig | None = None,
+    known: list[FieldPair] | None = None,
+) -> SolveResult:
+    """Damped Newton on the system residual, deflated against `known`.
 
-    Backtracking halves the step until the residual norm decreases, so every
-    accepted step is monotone; stalling below min_step or exhausting max_iter
-    returns the best iterate with a diagnostic (a bad seed, not an error).
+    Deflation (Farrell, Birkisson & Funke) multiplies the residual by
+    prod_i (d_i^-2 + 1), d_i the distance to known solution i, which adds a
+    rank-one term to the Jacobian; convergence is still judged on the
+    undeflated residual, and a point within `separation` of a known solution
+    is not accepted.  known=None is plain Newton; a list, even an empty one,
+    marks the failure messages as deflated.  Backtracking halves the step
+    until the (deflated) residual norm decreases, so every accepted step is
+    monotone; stalling below min_step or exhausting max_iter returns the
+    best iterate with a diagnostic (a bad seed, not an error).
     """
     config = config or NewtonConfig()
+    deflated = known is not None
+    known = known or []
+    lam = spec.basis.eigenvalues
+    metric = np.concatenate([lam**spec.r, lam ** (2.0 - spec.r)])
+    known_vecs = [_pack(zi) for zi in known]
     z = z0
-    rn = residual(z, spec).norm()
-    if rn <= config.tol:
+    vec = _pack(z)
+    res = residual(z, spec)
+    rn = res.norm()
+    fn = _deflation(vec, known_vecs, metric)[0] * rn
+    if rn <= config.tol and _min_distance(z, known, spec) > config.separation:
         return SolveResult(z=z, residual_norm=rn, iterations=0, converged=True)
     for it in range(1, config.max_iter + 1):
-        res = residual(z, spec)
-        vec = np.concatenate([res.du, res.dv])
+        rvec = np.concatenate([res.du, res.dv])
+        m, mgrad = _deflation(vec, known_vecs, metric)
+        if not math.isfinite(m):
+            return SolveResult(
+                z=z, residual_norm=rn, iterations=it - 1, converged=False,
+                message="seed coincides with a known solution",
+            )
+        J = jacobian(z, spec)
+        if known:
+            J = m * J + np.outer(rvec, mgrad)
         try:
-            delta = np.linalg.solve(jacobian(z, spec), -vec)
+            delta = np.linalg.solve(J, -m * rvec)
         except np.linalg.LinAlgError:
             return SolveResult(
                 z=z, residual_norm=rn, iterations=it - 1, converged=False,
-                message="singular Jacobian",
+                message="singular deflated Jacobian" if deflated else "singular Jacobian",
             )
+        del J  # so that the next iteration's Jacobian does not coexist with it
         step = 1.0
-        accepted = False
         while step >= config.min_step:
-            candidate = _unpack(_pack(z) + step * delta, spec)
-            rn_new = residual(candidate, spec).norm()
-            if rn_new < rn:
-                z, rn = candidate, rn_new
-                accepted = True
+            cand = vec + step * delta
+            cand_z = _unpack(cand, spec)
+            cand_res = residual(cand_z, spec)
+            cand_rn = cand_res.norm()
+            cand_fn = _deflation(cand, known_vecs, metric)[0] * cand_rn
+            if cand_fn < fn:
+                vec, z, res, rn, fn = cand, cand_z, cand_res, cand_rn, cand_fn
                 break
             step *= config.damping
-        if not accepted:
+        else:
             return SolveResult(
                 z=z, residual_norm=rn, iterations=it, converged=False,
-                message="line search stalled below min_step",
+                message="deflated line search stalled" if deflated
+                else "line search stalled below min_step",
             )
-        if rn <= config.tol:
+        if rn <= config.tol and _min_distance(z, known, spec) > config.separation:
             return SolveResult(z=z, residual_norm=rn, iterations=it, converged=True)
     return SolveResult(
         z=z, residual_norm=rn, iterations=config.max_iter, converged=False,
@@ -168,15 +200,12 @@ def newton_solve(z0: FieldPair, spec: ProblemSpec, config: NewtonConfig | None =
     )
 
 
-def _deflation(z_vec: np.ndarray, known: list[FieldPair], spec: ProblemSpec):
+def _deflation(z_vec: np.ndarray, known_vecs: list[np.ndarray], metric: np.ndarray):
     """Deflation factor prod_i (d_i^-2 + 1) and its coefficient-space gradient."""
-    lam = spec.basis.eigenvalues
-    n = spec.n
-    metric = np.concatenate([lam**spec.r, lam ** (2.0 - spec.r)])
     m = 1.0
-    grad = np.zeros(2 * n)
-    for zi in known:
-        diff = z_vec - _pack(zi)
+    grad = np.zeros(z_vec.size)
+    for known_vec in known_vecs:
+        diff = z_vec - known_vec
         d2 = float(np.dot(metric * diff, diff))
         if d2 <= 1e-28:
             return math.inf, grad
@@ -185,68 +214,6 @@ def _deflation(z_vec: np.ndarray, known: list[FieldPair], spec: ProblemSpec):
         # d/dz of (d^-2 + 1), with d^2 the metric distance squared
         grad += (-1.0 / (d2 * d2) / factor) * (2.0 * metric * diff)
     return m, m * grad
-
-
-def _newton_deflated(
-    z0: FieldPair,
-    spec: ProblemSpec,
-    config: NewtonConfig,
-    known: list[FieldPair],
-) -> SolveResult:
-    """Newton on the deflated residual; accepts on the *undeflated* tolerance."""
-    z = z0
-    vec = _pack(z)
-
-    def deflated_norm(v: np.ndarray) -> tuple[float, float]:
-        res = residual(_unpack(v, spec), spec)
-        raw = math.sqrt(np.dot(res.du, res.du) + np.dot(res.dv, res.dv))
-        m, _ = _deflation(v, known, spec)
-        return m * raw, raw
-
-    fn, rn = deflated_norm(vec)
-    if rn <= config.tol and _min_distance(z, known, spec) > config.separation:
-        return SolveResult(z=z, residual_norm=rn, iterations=0, converged=True)
-    for it in range(1, config.max_iter + 1):
-        zp = _unpack(vec, spec)
-        res = residual(zp, spec)
-        rvec = np.concatenate([res.du, res.dv])
-        m, mgrad = _deflation(vec, known, spec)
-        if not math.isfinite(m):
-            return SolveResult(
-                z=zp, residual_norm=float(np.linalg.norm(rvec)), iterations=it - 1,
-                converged=False, message="seed coincides with a known solution",
-            )
-        J = m * jacobian(zp, spec) + np.outer(rvec, mgrad)
-        try:
-            delta = np.linalg.solve(J, -m * rvec)
-        except np.linalg.LinAlgError:
-            return SolveResult(
-                z=zp, residual_norm=float(np.linalg.norm(rvec)), iterations=it - 1,
-                converged=False, message="singular deflated Jacobian",
-            )
-        step = 1.0
-        accepted = False
-        while step >= config.min_step:
-            cand = vec + step * delta
-            fn_new, rn_new = deflated_norm(cand)
-            if fn_new < fn:
-                vec, fn, rn = cand, fn_new, rn_new
-                accepted = True
-                break
-            step *= config.damping
-        if not accepted:
-            return SolveResult(
-                z=_unpack(vec, spec), residual_norm=rn, iterations=it,
-                converged=False, message="deflated line search stalled",
-            )
-        if rn <= config.tol:
-            z_new = _unpack(vec, spec)
-            if _min_distance(z_new, known, spec) > config.separation:
-                return SolveResult(z=z_new, residual_norm=rn, iterations=it, converged=True)
-    return SolveResult(
-        z=_unpack(vec, spec), residual_norm=rn, iterations=config.max_iter,
-        converged=False, message="max_iter reached",
-    )
 
 
 def _min_distance(z: FieldPair, others: list[FieldPair], spec: ProblemSpec) -> float:
@@ -279,7 +246,7 @@ def deflated_solve(
     seeds = seeds if seeds is not None else default_seeds(spec)
     best: SolveResult | None = None
     for seed in seeds:
-        result = _newton_deflated(seed, spec, config, known)
+        result = newton_solve(seed, spec, config, known)
         if result.converged:
             return result
         if best is None or result.residual_norm < best.residual_norm:
@@ -434,117 +401,101 @@ def continuation(
 # ---------------------------------------------------------------------------
 
 
-def _sphere_extremal(
-    spec: ProblemSpec,
-    active: int,
-    exponent: float,
-    order: float,
-    maximize: bool,
-    seed: int,
-    restarts: int = 10,
-    iters: int = 300,
-    warm_start: np.ndarray | None = None,
-) -> tuple[float, np.ndarray]:
-    """Extremize int |w|^(exponent+1) over the unit order-norm sphere of the
-    first `active` modes, by projected gradient with retraction."""
-    lam = spec.basis.eigenvalues[:active]
-    weights = lam**order
-    sign = -1.0 if maximize else 1.0
-    rng = np.random.default_rng(seed)
+def _projected_ascent(value_grad, starts: list[np.ndarray], weights: np.ndarray, iters: int):
+    """Maximize a value over the unit weighted sphere sum_k weights_k c_k^2 = 1.
+
+    From each start in turn: a step along the gradient, retracted onto the
+    sphere, is accepted when it raises the value; the step (first 0.5) then
+    grows by 1.3 up to 10, and is halved otherwise, down to 1e-12.
+    value_grad(c) returns the value and its ascent direction at c.  Returns
+    the best value and the point that reached it.
+    """
 
     def normalize(c: np.ndarray) -> np.ndarray:
         return c / math.sqrt(float(np.dot(weights * c, c)))
 
-    def value_grad(c: np.ndarray) -> tuple[float, np.ndarray]:
-        coeffs = np.zeros(spec.n)
-        coeffs[:active] = c
-        f = SpectralField(spec.basis, coeffs)
-        vals = to_grid(f, spec.oversample)
-        val = grid_quadrature(np.abs(vals) ** (exponent + 1.0), spec.domain)
-        pair = from_grid(
-            (exponent + 1.0) * np.abs(vals) ** (exponent - 1.0) * vals, spec.basis
-        )
-        return val, pair.coeffs[:active]
-
-    best_val = math.inf
+    best_val = -math.inf
     best_c = None
-    starts = []
-    if warm_start is not None:
-        starts.append(np.array(warm_start, dtype=float))
-    while len(starts) < restarts:
-        starts.append(rng.standard_normal(active))
     for c0 in starts:
         c = normalize(c0)
         val, grad = value_grad(c)
         step = 0.5
         for _ in range(iters):
-            cand = normalize(c - step * sign * grad)
+            cand = normalize(c + step * grad)
             cand_val, cand_grad = value_grad(cand)
-            if sign * cand_val < sign * val - 1e-16:
+            if cand_val > val + 1e-16:
                 c, val, grad = cand, cand_val, cand_grad
                 step = min(step * 1.3, 10.0)
             else:
                 step *= 0.5
                 if step < 1e-12:
                     break
-        if sign * val < best_val:
-            best_val = sign * val
+        if val > best_val:
+            best_val = val
             best_c = c
-    return sign * best_val, np.asarray(best_c)
+    return best_val, best_c
+
+
+def _power_moment(spec: ProblemSpec, coeffs: np.ndarray, exponent: float):
+    """int |w|^(exponent+1) and its gradient in the coefficients of w."""
+    vals = to_grid(SpectralField(spec.basis, coeffs), spec.oversample)
+    val = grid_quadrature(np.abs(vals) ** (exponent + 1.0), spec.domain)
+    pair = from_grid(
+        (exponent + 1.0) * np.abs(vals) ** (exponent - 1.0) * vals, spec.basis
+    )
+    return val, pair.coeffs
+
+
+def _sphere_extremal(
+    spec: ProblemSpec,
+    active: int,
+    exponent: float,
+    order: float,
+    seed: int,
+    restarts: int = 10,
+    iters: int = 300,
+    warm_start: np.ndarray | None = None,
+) -> tuple[float, np.ndarray]:
+    """Minimize int |w|^(exponent+1) over the unit order-norm sphere of the
+    first `active` modes, by projected ascent on its negative."""
+    rng = np.random.default_rng(seed)
+
+    def value_grad(c: np.ndarray) -> tuple[float, np.ndarray]:
+        coeffs = np.zeros(spec.n)
+        coeffs[:active] = c
+        val, pair = _power_moment(spec, coeffs, exponent)
+        return -val, -pair[:active]
+
+    starts = [] if warm_start is None else [np.array(warm_start, dtype=float)]
+    while len(starts) < restarts:
+        starts.append(rng.standard_normal(active))
+    weights = spec.basis.eigenvalues[:active] ** order
+    best_val, best_c = _projected_ascent(value_grad, starts, weights, iters)
+    return -best_val, np.asarray(best_c)
 
 
 def _gn_constant(spec: ProblemSpec, exponent: float, order: float, theta: float, seed: int) -> float:
     """Best constant of |w|_{exponent+1} <= S |w|_2^theta |w|_order^(1-theta)
     over the truncated span, by gradient ascent of the scale-invariant ratio."""
-    lam = spec.basis.eigenvalues
-    weights = lam**order
+    weights = spec.basis.eigenvalues**order
     rng = np.random.default_rng(seed)
 
-    def ratio(c: np.ndarray) -> float:
-        f = SpectralField(spec.basis, c)
-        vals = to_grid(f, spec.oversample)
-        num = grid_quadrature(np.abs(vals) ** (exponent + 1.0), spec.domain) ** (
-            1.0 / (exponent + 1.0)
-        )
-        l2 = math.sqrt(float(np.dot(c, c)))
-        sob = math.sqrt(float(np.dot(weights * c, c)))
-        return num / (l2**theta * sob ** (1.0 - theta))
-
-    def ratio_grad(c: np.ndarray) -> np.ndarray:
-        f = SpectralField(spec.basis, c)
-        vals = to_grid(f, spec.oversample)
-        num_int = grid_quadrature(np.abs(vals) ** (exponent + 1.0), spec.domain)
-        pair = from_grid(
-            (exponent + 1.0) * np.abs(vals) ** (exponent - 1.0) * vals, spec.basis
-        ).coeffs
+    def value_grad(c: np.ndarray) -> tuple[float, np.ndarray]:
+        num_int, pair = _power_moment(spec, c, exponent)
         l2sq = float(np.dot(c, c))
         sobsq = float(np.dot(weights * c, c))
-        # gradient of log ratio
-        return (
+        ratio = num_int ** (1.0 / (exponent + 1.0)) / (
+            math.sqrt(l2sq) ** theta * math.sqrt(sobsq) ** (1.0 - theta)
+        )
+        # ascend along the gradient of log ratio
+        return ratio, (
             pair / ((exponent + 1.0) * num_int)
             - theta * c / l2sq
             - (1.0 - theta) * weights * c / sobsq
         )
 
-    best = 0.0
-    for _ in range(10):
-        c = rng.standard_normal(spec.n)
-        c /= math.sqrt(float(np.dot(weights * c, c)))
-        val = ratio(c)
-        step = 0.5
-        for _ in range(200):
-            cand = c + step * ratio_grad(c)
-            cand /= math.sqrt(float(np.dot(weights * cand, cand)))
-            cand_val = ratio(cand)
-            if cand_val > val + 1e-16:
-                c, val = cand, cand_val
-                step = min(step * 1.3, 10.0)
-            else:
-                step *= 0.5
-                if step < 1e-12:
-                    break
-        best = max(best, val)
-    return best
+    starts = [rng.standard_normal(spec.n) for _ in range(10)]
+    return max(0.0, _projected_ascent(value_grad, starts, weights, 200)[0])
 
 
 def lower_growth_constant(spec: ProblemSpec, seed: int = 0) -> float:
@@ -632,6 +583,8 @@ def estimate_levels(
     cutoff = cutoff or CutoffConfig.default_for(spec)
     if k_max > spec.n:
         raise ValueError(f"k_max={k_max} exceeds the truncation {spec.n}")
+    if samples < 0:
+        raise ValueError(f"samples must be at least 0, got {samples}")
     pt = region.PQPoint(p=spec.p, q=spec.q, N=spec.domain.dim)
     _, _, alpha = region.growth_exponents(pt, spec.r)
     gamma = lower_growth_constant(spec, seed=seed)
@@ -647,11 +600,11 @@ def estimate_levels(
     prev_upper = -math.inf
     for k in range(1, k_max + 1):
         cq, warm_q = _sphere_extremal(
-            spec, k, spec.q, spec.r, maximize=False, seed=seed + 17 * k,
+            spec, k, spec.q, spec.r, seed=seed + 17 * k,
             warm_start=_padded(warm_q, k),
         )
         cp, warm_p = _sphere_extremal(
-            spec, k, spec.p, 2.0 - spec.r, maximize=False, seed=seed + 17 * k + 1,
+            spec, k, spec.p, 2.0 - spec.r, seed=seed + 17 * k + 1,
             warm_start=_padded(warm_p, k),
         )
         c_k = min(cq / (spec.q + 1.0), cp / (spec.p + 1.0))
@@ -736,10 +689,10 @@ def verify_critical(
     """
     cutoff = cutoff or CutoffConfig.default_for(spec)
     rn = residual(z, spec).norm()
-    e = energy(z, spec)
-    j = modified_energy(z, spec, cutoff)
-    theta = cutoff_argument(z, spec, cutoff)
-    psi = cutoff_weight(z, spec, cutoff)
+    ev = Evaluation(z, spec)
+    _, e, _, theta = ev.cutoff_terms(cutoff)
+    j = ev.modified_energy(cutoff)
+    psi = bump(theta)
     nonlinear = theta * 2.0 * cutoff.bound_constant * math.sqrt(e * e + 1.0)
     min_a = nonlinear / math.sqrt(e * e + 1.0)
     return CriticalReport(

