@@ -7,6 +7,11 @@ Commands
     levels   minimax-level brackets                   -> CSV rows
     check    module invariant suite                   -> CSV rows
 
+Every config field has one JSON type (`_SCHEMA`), and its range is checked
+by the library type built from it (ProblemSpec, NewtonConfig, CutoffConfig)
+or, for plain integers, by `_LEAST`.  Any type or range error is a config
+error: one `config error:` line per field on stderr, and exit code 1.
+
 Exit codes: 0 success, 1 config error or a ValueError raised by the run (one
 `error:` line on stderr, e.g. when the powers overflow), 2 IO error, 3
 check-suite failure.
@@ -27,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import region, suite
-from .basis import BoxDomain
+from .basis import BoxDomain, SpectralField
 from .energy import CutoffConfig, ProblemSpec
 from .solve import (
     NewtonConfig,
@@ -37,7 +42,6 @@ from .solve import (
     verify_critical,
 )
 from .space import FieldPair
-from .basis import SpectralField
 
 SCHEMA_VERSION = 1
 
@@ -60,229 +64,179 @@ class RunConfig:
     format: str | None = None  # default depends on the command
     problem: ProblemSpec | None = None
     solver: NewtonConfig = field(default_factory=NewtonConfig)
-    cutoff_constant: float | None = None
+    cutoff: CutoffConfig | None = None
     region_N: int | None = None
     p_grid: list[float] | None = None
     q_grid: list[float] | None = None
     levels_k_max: int = 5
     levels_samples: int = 200
     branch_count: int = 3
-    initial_u: list[float] | None = None
-    initial_v: list[float] | None = None
+    solve_initial_u: list[float] | None = None
+    solve_initial_v: list[float] | None = None
 
 
-_TOP_FIELDS = {
-    "command", "seed", "output", "format", "problem", "solver", "cutoff",
-    "N", "p_grid", "q_grid", "levels", "branch", "solve",
+# The JSON type of every config field, by section ("" is the top level).  A
+# float field takes any finite number, a list field a list of finite numbers,
+# and an object field is checked against the section of its own name.
+_RANGE = {"start": float, "stop": float, "step": float}
+_SCHEMA = {
+    "": {
+        "command": str, "seed": int, "output": str, "format": str, "N": int,
+        "p_grid": (list, dict), "q_grid": (list, dict), "problem": dict,
+        "solver": dict, "cutoff": dict, "levels": dict, "branch": dict,
+        "solve": dict,
+    },
+    "problem": {
+        "lengths": list, "n": int, "r": float, "p": float, "q": float,
+        "h": list, "k": list, "oversample": int,
+    },
+    "solver": {
+        "tol": float, "max_iter": int, "damping": float, "min_step": float,
+        "separation": float,
+    },
+    "cutoff": {"bound_constant": float},
+    "levels": {"k_max": int, "samples": int},
+    "branch": {"count": int},
+    "solve": {"initial_u": list, "initial_v": list},
+    "p_grid": _RANGE,
+    "q_grid": _RANGE,
 }
-_PROBLEM_FIELDS = {"lengths", "n", "r", "p", "q", "h", "k", "oversample"}
-_SOLVER_FIELDS = {"tol", "max_iter", "damping", "min_step", "separation"}
-_LEVELS_FIELDS = {"k_max", "samples"}
-_BRANCH_FIELDS = {"count"}
-_SOLVE_FIELDS = {"initial_u", "initial_v"}
+# required fields, by name: no name is used by two sections
+_REQUIRED = {"command", "lengths", "n", "bound_constant", "start", "stop", "step"}
+# the least value of each integer field that no library type checks
+_LEAST = {"seed": 0, "N": 3, "k_max": 1, "samples": 0, "count": 1}
+# the fields each command cannot run without
+_NEEDS = {
+    "region": ("N", "p_grid", "q_grid"),
+    "solve": ("problem",), "branch": ("problem",), "levels": ("problem",),
+}
 
 
-def _expect(obj, name, types, errors, default=None, required=False):
-    if name not in obj:
-        if required:
-            errors.append(f"missing required field '{name}'")
-        return default
-    value = obj[name]
-    if not isinstance(value, types) or isinstance(value, bool):
-        errors.append(f"field '{name}' has wrong type {type(value).__name__}")
-        return default
-    return value
+def _fields(obj: dict, section: str, errors: list[str]) -> dict:
+    """The fields of a config object that are known and of their schema type.
+
+    Each unknown, missing or mistyped field adds one message to `errors`.  An
+    object field is checked as a section and left out if it has a fault, so
+    that no library type is built from part of a section.
+    """
+    kinds = _SCHEMA[section]
+    where = f"{section} section: " if section else ""
+    unknown = sorted(set(obj) - set(kinds))
+    if unknown:
+        errors.append(f"{where}unknown {'' if section else 'top-level '}fields {unknown}")
+    for name in sorted(_REQUIRED.intersection(kinds).difference(obj)):
+        errors.append(f"{where}missing required field '{name}'")
+    fields = {}
+    for name, value in obj.items():
+        kind, count = kinds.get(name), len(errors)
+        if kind is None:
+            continue
+        if isinstance(value, bool) or not isinstance(
+            value, (int, float) if kind is float else kind
+        ):
+            errors.append(f"{where}field '{name}' has wrong type {type(value).__name__}")
+        elif kind is int and name in _LEAST and value < _LEAST[name]:
+            errors.append(f"{where}field '{name}' must be at least {_LEAST[name]}, got {value}")
+        elif kind is float:
+            if not math.isfinite(value):
+                errors.append(f"{where}{name} must be finite, got {value}")
+            value = float(value)
+        elif isinstance(value, dict):
+            value = _fields(value, name, errors)
+        elif isinstance(value, list):
+            value = _numbers(value, f"{where}'{name}'", errors)
+        if len(errors) == count:
+            fields[name] = value
+    return fields
 
 
-def _numbers(items: list, name, errors) -> list[float] | None:
+def _numbers(items: list, label: str, errors: list[str]) -> list[float] | None:
     """The entries of a JSON list as floats, if every one is a finite number."""
     out = []
     for item in items:
         if isinstance(item, bool) or not isinstance(item, (int, float)):
-            errors.append(f"'{name}' entries must be numbers")
+            errors.append(f"{label} entries must be numbers")
             return None
         if not math.isfinite(item):
-            errors.append(f"'{name}' entries must be finite")
+            errors.append(f"{label} entries must be finite")
             return None
         out.append(float(item))
     return out
 
 
-def _number_list(value, name, errors) -> list[float] | None:
-    """Either an explicit list of numbers or {start, stop, step}."""
-    if isinstance(value, list):
-        out = _numbers(value, name, errors)
-        if out == []:
-            errors.append(f"'{name}' must not be empty")
-            return None
-        return out
+def _grid(value: list | dict, name: str, errors: list[str]) -> list[float] | None:
+    """The values of an exponent grid given as a list or a {start, stop, step} range."""
     if isinstance(value, dict):
-        unknown = set(value) - {"start", "stop", "step"}
-        if unknown:
-            errors.append(f"unknown fields {sorted(unknown)} in '{name}' range")
-            return None
-        try:
-            start, stop, step = (
-                float(value["start"]), float(value["stop"]), float(value["step"])
-            )
-        except (KeyError, TypeError, ValueError):
-            errors.append(f"'{name}' range needs numeric start/stop/step")
-            return None
+        start, stop, step = value["start"], value["stop"], value["step"]
         if step <= 0 or stop < start:
             errors.append(f"'{name}' range must have step > 0 and stop >= start")
             return None
         count = int(math.floor((stop - start) / step + 1e-12)) + 1
-        return [start + i * step for i in range(count)]
-    errors.append(f"'{name}' must be a list of numbers or a start/stop/step range")
-    return None
+        value = [start + i * step for i in range(count)]
+    if not value:
+        errors.append(f"'{name}' must not be empty")
+        return None
+    if min(value) <= 1.0:
+        errors.append(f"{name} values must exceed 1 ({name[0]} > 1 is required)")
+    return value
+
+
+def _problem(lengths, n, r=1.0, p=3.0, q=3.0, **rest) -> ProblemSpec:
+    """The problem of a config's problem section, or of a solution file's echo of it."""
+    if n < 4:
+        raise ValueError(f"'n' must be an integer >= 4, got {n}")
+    return ProblemSpec.create(BoxDomain(tuple(lengths)), n, r, p, q, **rest)
 
 
 def parse_config(text: str) -> RunConfig:
     """Parse and fully validate a JSON run configuration (strict schema)."""
-    errors: list[str] = []
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError([f"not valid JSON: {exc}"]) from exc
     if not isinstance(raw, dict):
         raise ConfigError(["top level must be a JSON object"])
-    unknown = set(raw) - _TOP_FIELDS
-    if unknown:
-        errors.append(f"unknown top-level fields {sorted(unknown)}")
-    command = _expect(raw, "command", str, errors, required=True)
-    if command is not None and command not in COMMANDS:
-        errors.append(f"unknown command '{command}' (expected one of {COMMANDS})")
-    cfg = RunConfig(command=command or "check")
-    cfg.seed = int(_expect(raw, "seed", int, errors, default=0))
-    cfg.output = _expect(raw, "output", str, errors, default="indefsaddle_out")
-    fmt = _expect(raw, "format", str, errors, default=None)
-    if fmt is not None and fmt not in ("csv", "json"):
-        errors.append(f"format must be 'csv' or 'json', got '{fmt}'")
-    cfg.format = fmt
+    errors: list[str] = []
+    fields = _fields(raw, "", errors)
+    if "command" in fields and fields["command"] not in COMMANDS:
+        errors.append(f"unknown command '{fields['command']}' (expected one of {COMMANDS})")
+    if fields.get("format") not in (None, "csv", "json"):
+        errors.append(f"format must be 'csv' or 'json', got '{fields['format']}'")
+    for name, build in (
+        ("problem", _problem), ("solver", NewtonConfig), ("cutoff", CutoffConfig)
+    ):
+        if name in fields:
+            try:
+                fields[name] = build(**fields[name])
+            except ValueError as exc:
+                errors.append(f"{name} section: {exc}")
+                del fields[name]
+    for name in ("p_grid", "q_grid"):
+        if name in fields:
+            fields[name] = _grid(fields[name], name, errors)
+    for section in ("levels", "branch", "solve"):
+        for name, value in fields.pop(section, {}).items():
+            fields[f"{section}_{name}"] = value
+    if "N" in fields:
+        fields["region_N"] = fields.pop("N")
+    cfg = RunConfig(**{"command": "", **fields})  # a missing command is reported above
 
-    if "solver" in raw:
-        solver_raw = _expect(raw, "solver", dict, errors, default={})
-        unknown = set(solver_raw) - _SOLVER_FIELDS
-        if unknown:
-            errors.append(f"unknown fields {sorted(unknown)} in solver section")
-        try:
-            cfg.solver = NewtonConfig(
-                tol=float(solver_raw.get("tol", 1e-10)),
-                max_iter=int(solver_raw.get("max_iter", 50)),
-                damping=float(solver_raw.get("damping", 0.5)),
-                min_step=float(solver_raw.get("min_step", 1e-12)),
-                separation=float(solver_raw.get("separation", 1e-4)),
-            )
-        except (TypeError, ValueError) as exc:
-            errors.append(f"solver section invalid: {exc}")
-
-    if "cutoff" in raw:
-        cut_raw = _expect(raw, "cutoff", dict, errors, default={})
-        unknown = set(cut_raw) - {"bound_constant"}
-        if unknown:
-            errors.append(f"unknown fields {sorted(unknown)} in cutoff section")
-        try:
-            cfg.cutoff_constant = float(cut_raw["bound_constant"])
-        except (KeyError, TypeError, ValueError):
-            errors.append("cutoff section needs a numeric 'bound_constant'")
-
-    if "problem" in raw:
-        prob = _expect(raw, "problem", dict, errors, default=None)
-        if prob is not None:
-            unknown = set(prob) - _PROBLEM_FIELDS
-            if unknown:
-                errors.append(f"unknown fields {sorted(unknown)} in problem section")
-            lengths = prob.get("lengths")
-            n = prob.get("n")
-            if not isinstance(n, int) or isinstance(n, bool) or n < 4:
-                errors.append(f"problem field 'n' must be an integer >= 4, got {n!r}")
-            elif not isinstance(lengths, list) or not lengths:
-                errors.append("problem field 'lengths' must be a nonempty list")
-            else:
-                try:
-                    cfg.problem = ProblemSpec.create(
-                        domain=BoxDomain(tuple(float(L) for L in lengths)),
-                        n=n,
-                        r=float(prob.get("r", 1.0)),
-                        p=float(prob.get("p", 3.0)),
-                        q=float(prob.get("q", 3.0)),
-                        h=prob.get("h"),
-                        k=prob.get("k"),
-                        oversample=int(prob.get("oversample", 4)),
-                    )
-                except (TypeError, ValueError) as exc:
-                    errors.append(f"problem section invalid: {exc}")
-
-    if "N" in raw:
-        N = _expect(raw, "N", int, errors)
-        if N is not None and N < 3:
-            errors.append(f"'N' must be an integer >= 3, got {N}")
-        cfg.region_N = N
-    if "p_grid" in raw:
-        cfg.p_grid = _number_list(raw["p_grid"], "p_grid", errors)
-        if cfg.p_grid and min(cfg.p_grid) <= 1.0:
-            errors.append("p_grid values must exceed 1 (p > 1 is required)")
-    if "q_grid" in raw:
-        cfg.q_grid = _number_list(raw["q_grid"], "q_grid", errors)
-        if cfg.q_grid and min(cfg.q_grid) <= 1.0:
-            errors.append("q_grid values must exceed 1 (q > 1 is required)")
-
-    if "levels" in raw:
-        lev = _expect(raw, "levels", dict, errors, default={})
-        unknown = set(lev) - _LEVELS_FIELDS
-        if unknown:
-            errors.append(f"unknown fields {sorted(unknown)} in levels section")
-        cfg.levels_k_max = _expect(lev, "k_max", int, errors, default=5)
-        cfg.levels_samples = _expect(lev, "samples", int, errors, default=200)
-        if cfg.levels_samples < 0:
-            errors.append("levels field 'samples' must be at least 0")
-        if cfg.levels_k_max < 1:
-            errors.append("levels field 'k_max' must be at least 1")
-        elif cfg.problem is not None and cfg.levels_k_max > cfg.problem.n:
+    n = cfg.problem.n if cfg.problem else math.inf
+    if cfg.levels_k_max > n:
+        errors.append(
+            f"levels section: field 'k_max' must be at most the truncation n = {n}, "
+            f"got {cfg.levels_k_max}"
+        )
+    for name in ("initial_u", "initial_v"):
+        coeffs = getattr(cfg, "solve_" + name)
+        if coeffs is not None and len(coeffs) > n:
             errors.append(
-                f"levels field 'k_max' must be at most the truncation n = "
-                f"{cfg.problem.n}, got {cfg.levels_k_max}"
+                f"solve section: field '{name}' has {len(coeffs)} entries, more than "
+                f"the truncation n = {n}"
             )
-    if "branch" in raw:
-        br = _expect(raw, "branch", dict, errors, default={})
-        unknown = set(br) - _BRANCH_FIELDS
-        if unknown:
-            errors.append(f"unknown fields {sorted(unknown)} in branch section")
-        cfg.branch_count = _expect(br, "count", int, errors, default=3)
-        if cfg.branch_count < 1:
-            errors.append("branch field 'count' must be at least 1")
-    if "solve" in raw:
-        sv = _expect(raw, "solve", dict, errors, default={})
-        unknown = set(sv) - _SOLVE_FIELDS
-        if unknown:
-            errors.append(f"unknown fields {sorted(unknown)} in solve section")
-        for name in ("initial_u", "initial_v"):
-            value = sv.get(name)
-            if value is None:
-                continue
-            if not isinstance(value, list):
-                errors.append(f"solve field '{name}' must be a list of numbers")
-                continue
-            coeffs = _numbers(value, name, errors)
-            if coeffs is not None and cfg.problem is not None and len(coeffs) > cfg.problem.n:
-                errors.append(
-                    f"solve field '{name}' has {len(coeffs)} entries, more than "
-                    f"the truncation n = {cfg.problem.n}"
-                )
-            setattr(cfg, name, coeffs)
-
-    # command-specific requirements
-    if command == "region":
-        if cfg.region_N is None:
-            errors.append("region command requires 'N'")
-        if cfg.p_grid is None or cfg.q_grid is None:
-            errors.append("region command requires 'p_grid' and 'q_grid'")
-    elif command in ("solve", "branch", "levels"):
-        if cfg.problem is None and not any(
-            e.startswith("problem") for e in errors
-        ):
-            errors.append(f"{command} command requires a 'problem' section")
-
+    for name in _NEEDS.get(cfg.command, ()):
+        if name not in raw:
+            errors.append(f"{cfg.command} command requires '{name}'")
     if errors:
         raise ConfigError(errors)
     return cfg
@@ -342,17 +296,7 @@ def load_solutions(path: str) -> tuple[ProblemSpec, CutoffConfig, list[FieldPair
     """Reload an emitted JSON solution set for re-verification."""
     with open(path, encoding="utf-8") as fh:
         payload = json.load(fh)
-    prob = payload["problem"]
-    spec = ProblemSpec.create(
-        domain=BoxDomain(tuple(prob["lengths"])),
-        n=prob["n"],
-        r=prob["r"],
-        p=prob["p"],
-        q=prob["q"],
-        h=prob["h"],
-        k=prob["k"],
-        oversample=prob["oversample"],
-    )
+    spec = _problem(**payload["problem"])
     cutoff = CutoffConfig(payload["cutoff_constant"])
     pairs = [
         FieldPair(
@@ -391,9 +335,7 @@ def _run_region(cfg: RunConfig) -> tuple[list[str], list[list]]:
 
 
 def _cutoff_for(cfg: RunConfig) -> CutoffConfig:
-    if cfg.cutoff_constant is not None:
-        return CutoffConfig(cfg.cutoff_constant)
-    return CutoffConfig.default_for(cfg.problem)
+    return cfg.cutoff or CutoffConfig.default_for(cfg.problem)
 
 
 def _initial_pair(cfg: RunConfig) -> FieldPair:
@@ -409,7 +351,8 @@ def _initial_pair(cfg: RunConfig) -> FieldPair:
             coeffs[: arr.size] = arr
         return SpectralField(spec.basis, coeffs)
 
-    return FieldPair(from_list(cfg.initial_u, 1), from_list(cfg.initial_v, 1), spec.r)
+    u, v = from_list(cfg.solve_initial_u, 1), from_list(cfg.solve_initial_v, 1)
+    return FieldPair(u, v, spec.r)
 
 
 def _run_solve(cfg: RunConfig) -> dict:
@@ -515,34 +458,36 @@ def main(argv: list[str] | None = None) -> int:
     status = 0
     items = 0
     try:
-        out_dir = os.path.dirname(cfg.output)
-        if out_dir:
-            os.makedirs(out_dir, exist_ok=True)
-        if cfg.command == "region":
-            header, rows = _run_region(cfg)
-            _write_output(cfg, header, rows, default_format="csv")
-            items = len(rows)
-        elif cfg.command == "levels":
-            header, rows = _run_levels(cfg)
-            _write_output(cfg, header, rows, default_format="csv")
-            items = len(rows)
-        elif cfg.command == "solve":
-            payload = _run_solve(cfg)
-            _write_json(cfg.output + ".json", payload)
-            items = len(payload["solutions"])
-        elif cfg.command == "branch":
-            payload = _run_branch(cfg)
-            _write_json(cfg.output + ".json", payload)
-            items = len(payload["solutions"])
-        else:  # check
-            header, rows, failures = _run_check(cfg)
-            _write_output(cfg, header, rows, default_format="csv")
-            items = len(rows)
-            if failures:
-                status = 3
-                print(f"check suite: {failures} of {items} checks FAILED")
-            else:
-                print(f"check suite: all {items} checks passed")
+        # overflowing powers surface once, as the ValueError below, not as warnings
+        with np.errstate(over="ignore", invalid="ignore"):
+            out_dir = os.path.dirname(cfg.output)
+            if out_dir:
+                os.makedirs(out_dir, exist_ok=True)
+            if cfg.command == "region":
+                header, rows = _run_region(cfg)
+                _write_output(cfg, header, rows, default_format="csv")
+                items = len(rows)
+            elif cfg.command == "levels":
+                header, rows = _run_levels(cfg)
+                _write_output(cfg, header, rows, default_format="csv")
+                items = len(rows)
+            elif cfg.command == "solve":
+                payload = _run_solve(cfg)
+                _write_json(cfg.output + ".json", payload)
+                items = len(payload["solutions"])
+            elif cfg.command == "branch":
+                payload = _run_branch(cfg)
+                _write_json(cfg.output + ".json", payload)
+                items = len(payload["solutions"])
+            else:  # check
+                header, rows, failures = _run_check(cfg)
+                _write_output(cfg, header, rows, default_format="csv")
+                items = len(rows)
+                if failures:
+                    status = 3
+                    print(f"check suite: {failures} of {items} checks FAILED")
+                else:
+                    print(f"check suite: all {items} checks passed")
     except OSError as exc:
         print(f"IO error: {exc}", file=sys.stderr)
         return 2

@@ -155,8 +155,10 @@ class CutoffConfig:
     bound_constant: float
 
     def __post_init__(self) -> None:
-        if self.bound_constant <= 0.0:
-            raise ValueError(f"bound constant must be positive, got {self.bound_constant}")
+        if not 0.0 < self.bound_constant < math.inf:
+            raise ValueError(
+                f"bound constant must be positive and finite, got {self.bound_constant}"
+            )
 
     @staticmethod
     def default_for(spec: ProblemSpec) -> "CutoffConfig":

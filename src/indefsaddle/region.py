@@ -49,11 +49,7 @@ def admissible_r_interval(pt: PQPoint) -> tuple[float, float] | None:
     """
     if pt.N <= 2:
         return (0.0, 2.0)
-    lo = max(0.0, pt.N * (0.5 - 1.0 / (pt.q + 1.0)))
-    hi = min(2.0, 2.0 - pt.N * (0.5 - 1.0 / (pt.p + 1.0)))
-    if lo >= hi:
-        return None
-    return (lo, hi)
+    return formula_r_window(pt)
 
 
 def formula_r_window(pt: PQPoint) -> tuple[float, float] | None:

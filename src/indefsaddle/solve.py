@@ -60,10 +60,16 @@ class NewtonConfig:
     separation: float = 1e-4
 
     def __post_init__(self) -> None:
-        if self.tol <= 0.0:
-            raise ValueError(f"tol must be positive, got {self.tol}")
+        if not 0.0 < self.tol < math.inf:
+            raise ValueError(f"tol must be positive and finite, got {self.tol}")
+        if self.max_iter < 1:
+            raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
         if not 0.0 < self.damping < 1.0:
             raise ValueError(f"damping must lie in (0, 1), got {self.damping}")
+        if not self.min_step > 0.0:
+            raise ValueError(f"min_step must be positive, got {self.min_step}")
+        if not self.separation > 0.0:
+            raise ValueError(f"separation must be positive, got {self.separation}")
 
 
 def _pack(z: FieldPair) -> np.ndarray:

@@ -2,8 +2,8 @@
 
 Each check is deterministic given its seed, returns a CheckResult with the
 worst observed error, and pins its own tolerance.  The CLI `check` command
-runs all of them and reports counts; the test suite reuses them with the
-acceptance-level parameters.
+runs all of them and reports counts.  The test suite runs them only through
+that command; its own property tests borrow `_random_subcritical` from here.
 """
 
 from __future__ import annotations

@@ -1,5 +1,7 @@
+import copy
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -34,6 +36,40 @@ BRANCH_CONFIG = {
     },
     "branch": {"count": 3},
 }
+
+
+# The README example configs, shrunk to 1-D n = 8 and a region step of 0.5.
+README_CONFIGS = [
+    {
+        "command": "region",
+        "seed": 0,
+        "N": 6,
+        "p_grid": {"start": 1.05, "stop": 6.0, "step": 0.5},
+        "q_grid": {"start": 1.05, "stop": 6.0, "step": 0.5},
+        "output": "out/region6",
+    },
+    {
+        "command": "branch",
+        "seed": 0,
+        "problem": {"lengths": [math.pi], "n": 8, "r": 1.0,
+                    "p": 3.0, "q": 3.0, "h": [0.05], "k": [0.05]},
+        "solver": {"tol": 1e-10, "max_iter": 50},
+        "branch": {"count": 3},
+        "output": "out/branch",
+    },
+]
+
+# One value of each JSON kind, and the numbers at the edges of most ranges.
+# Huge sizes and tiny range steps stay out: they allocate without bound.
+FUZZ_VALUES = ["x", True, None, [1.0], {"a": 1}, math.nan, math.inf, -math.inf, -1, 0, 0.5]
+
+
+def field_paths(config, prefix=()):
+    """The key path of every field of a config, nested sections included."""
+    for key, value in config.items():
+        yield prefix + (key,)
+        if isinstance(value, dict):
+            yield from field_paths(value, prefix + (key,))
 
 
 class TestParseConfig:
@@ -200,6 +236,25 @@ class TestCommands:
             ("solve", {"n": 8}, {"solve": {"initial_v": [1.0] * 9}}, "more than the truncation n = 8"),
             ("levels", {}, {"levels": {"samples": -5}}, "'samples' must be at least 0"),
             ("solve", {}, {"solve": {"continuation_steps": "abc"}}, "unknown fields"),
+            ("solve", {"n": 8}, {"solver": {"tol": "1e-3"}}, "'tol' has wrong type str"),
+            ("solve", {"n": 8, "r": "1.0"}, {}, "'r' has wrong type str"),
+            ("solve", {"n": 8, "lengths": ["3.14"]}, {}, "'lengths' entries must be numbers"),
+            ("solve", {"n": 8}, {"solver": {"max_iter": 2.7}}, "'max_iter' has wrong type float"),
+            ("solve", {"n": 8, "oversample": 2.5}, {}, "'oversample' has wrong type float"),
+            ("solve", {"n": 8}, {"solver": {"max_iter": True}}, "'max_iter' has wrong type bool"),
+            ("solve", {"n": 8}, {"solver": {"max_iter": -1}}, "max_iter must be at least 1"),
+            ("solve", {"n": 8}, {"solver": {"tol": math.inf}}, "tol must be finite"),
+            ("solve", {"n": 8}, {"cutoff": {"bound_constant": math.nan}}, "bound_constant must be finite"),
+            ("solve", {"n": 8}, {"cutoff": {"bound_constant": math.inf}}, "bound_constant must be finite"),
+            ("solve", {"n": 8}, {"cutoff": {"bound_constant": -1}}, "bound constant must be positive"),
+            ("solve", {"n": 8}, {"seed": -1}, "'seed' must be at least 0"),
+            ("region", {}, {"N": 6, "q_grid": [2.0],
+                            "p_grid": {"start": 1.5, "stop": math.nan, "step": 0.5}},
+             "stop must be finite"),
+            ("region", {}, {"N": 6, "q_grid": [2.0],
+                            "p_grid": {"start": 1.5, "stop": math.inf, "step": 0.5}},
+             "stop must be finite"),
+            ("solve", {"n": 8}, {"solver": {"min_step": 0}}, "min_step must be positive"),
         ],
     )
     def test_bad_values_exit_one_without_traceback(
@@ -227,6 +282,39 @@ class TestCommands:
         assert status == 1
         errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
         assert errors == ["error: coefficients must be finite"]
+
+    @pytest.mark.parametrize("command", ["solve", "branch", "levels"])
+    def test_overflow_error_line_comes_without_warnings(self, tmp_path, capsys, command):
+        config = {
+            "command": command,
+            "problem": dict(BRANCH_CONFIG["problem"], n=8, p=1e300),
+        }
+        cfg = write_config(tmp_path, "overflow.json", config)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            status = main([command, "--config", cfg, "--out", str(tmp_path / "out")])
+        assert status == 1
+        assert capsys.readouterr().err.splitlines() == ["error: coefficients must be finite"]
+
+    def test_fuzzed_configs_exit_zero_or_one(self, tmp_path):
+        shrunk_branch = dict(BRANCH_CONFIG, problem=dict(BRANCH_CONFIG["problem"], n=8))
+        shrunk_region = dict(REGION_CONFIG, p_grid=dict(REGION_CONFIG["p_grid"], step=0.5))
+        statuses = set()
+        for base in README_CONFIGS + [shrunk_region, shrunk_branch]:
+            for path in field_paths(base):
+                for value in FUZZ_VALUES:
+                    config = copy.deepcopy(base)
+                    section = config
+                    for key in path[:-1]:
+                        section = section[key]
+                    section[path[-1]] = value
+                    cfg = write_config(tmp_path, "fuzz.json", config)
+                    argv = [base["command"], "--config", cfg, "--out", str(tmp_path / "out")]
+                    try:
+                        statuses.add(main(argv))
+                    except Exception as exc:
+                        pytest.fail(f"{path} = {value!r} raised {exc!r}")
+        assert statuses == {0, 1}
 
 
 class TestDeterminism:

@@ -148,6 +148,22 @@ class TestNewton:
         assert not result.converged
         assert result.message
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: NewtonConfig(min_step=0.0),
+            lambda: NewtonConfig(max_iter=0),
+            lambda: NewtonConfig(tol=math.inf),
+            lambda: NewtonConfig(separation=-1.0),
+            lambda: CutoffConfig(math.nan),
+            lambda: CutoffConfig(math.inf),
+        ],
+    )
+    def test_config_ranges_rejected(self, make):
+        # a zero min_step would let the line search halve forever
+        with pytest.raises(ValueError):
+            make()
+
 
 class TestDeflation:
     def test_same_seed_avoids_known_solution(self, cubic_spec, newton_config):
