@@ -1,4 +1,4 @@
-"""Dirichlet eigenbasis on boxes and sine-spectral transforms.
+"""Dirichlet eigenbasis on boxes and its one grid kernel.
 
 Eigenfunctions of the Dirichlet Laplacian on (0,L_1) x ... x (0,L_d) are
 products of normalized sines,
@@ -7,20 +7,20 @@ products of normalized sines,
 
 with eigenvalues lambda_m = sum_i (m_i pi / L_i)^2.  A field is stored as a
 coefficient vector against an enumerated, eigenvalue-sorted slice of this
-family.  Grid transforms use the type-I discrete sine transform on the
-interior tensor grid x_j = j L/(G+1); synthesis and analysis are exact mutual
-inverses there, and the uniform-weight quadrature
+family.  Fields are sampled on the interior tensor grid x_j = j L/(G+1),
+where the uniform-weight quadrature
 
     integral f  ~=  prod_i (L_i/(G_i+1)) * sum_j f(x_j)
 
 is exact for products of two resolved modes (such a product extends to an
 even trigonometric polynomial sampled over a full period, and all of the
-integrands used in this package vanish on the boundary).
+integrands used in this package vanish on the boundary); synthesis and
+analysis are therefore exact mutual inverses on resolved modes.
 
-The Newton solver evaluates the same grid sums through GridTables instead:
-per-axis sine and cosine tables, contracted one axis at a time, which give
-the values, the mode pairings and the Galerkin matrix of a multiplication
-operator without a transform call or a dense evaluation matrix.
+Every grid sum goes through GridTables, the basis's per-axis sine and
+cosine tables on one grid shape, contracted one axis at a time: the values,
+the mode pairings and the Galerkin matrix of a multiplication operator, with
+no dense evaluation matrix.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
-from scipy.fft import dstn
 
 
 @dataclass(frozen=True)
@@ -66,8 +65,9 @@ class SineBasis:
 
     Ties are broken lexicographically in the multi-index, so enumeration is
     deterministic.  Equality and hashing go through the (lengths,
-    multi-index) content.  The grid tables of the solver are built on first
-    use and kept on the instance, so they live exactly as long as the basis.
+    multi-index) content.  The grid tables of each grid shape are built on
+    first use and kept on the instance, so they live exactly as long as the
+    basis.
     """
 
     def __init__(self, domain: BoxDomain, pairs: tuple[EigenPair, ...]):
@@ -80,19 +80,17 @@ class SineBasis:
         # largest mode index used along each axis; sets the minimal grid
         self.max_index = tuple(int(m) for m in self.indices.max(axis=0))
         self._key = (domain.lengths, tuple(p.index for p in pairs))
-        self._tables: dict[int, GridTables] = {}
+        self._tables: dict[tuple[int, ...], GridTables] = {}
 
     @property
     def size(self) -> int:
         return len(self.pairs)
 
-    def grid_tables(self, oversample: int) -> "GridTables":
-        """Separable evaluation tables on the grid of this oversampling."""
-        tables = self._tables.get(oversample)
-        if tables is None:
-            tables = GridTables(self, grid_shape(self, oversample))
-            self._tables[oversample] = tables
-        return tables
+    def grid_tables(self, shape: tuple[int, ...]) -> "GridTables":
+        """Separable evaluation tables on the grid of this shape."""
+        if shape not in self._tables:
+            self._tables[shape] = GridTables(self, shape)
+        return self._tables[shape]
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, SineBasis) and self._key == other._key
@@ -244,35 +242,24 @@ def grid_points(domain: BoxDomain, shape: tuple[int, ...]) -> tuple[np.ndarray, 
 
 
 def to_grid(f: SpectralField, oversample: int = 4) -> np.ndarray:
-    """Evaluate the field on the collocation grid (DST-I synthesis)."""
+    """Evaluate the field on the collocation grid of this oversampling."""
     return synthesize(f, grid_shape(f.basis, oversample))
 
 
 def synthesize(f: SpectralField, shape: tuple[int, ...]) -> np.ndarray:
     """Evaluate the field on an explicit grid shape (must resolve all modes)."""
-    basis = f.basis
-    _check_resolves(basis, shape)
-    norm = math.prod(math.sqrt(2.0 / L) for L in basis.domain.lengths)
-    packed = np.zeros(shape)
-    packed[tuple(basis.indices.T - 1)] = f.coeffs * (norm / 2 ** basis.domain.dim)
-    return dstn(packed, type=1)
+    return f.basis.grid_tables(tuple(shape)).evaluate(f.coeffs)
 
 
 def from_grid(values: np.ndarray, basis: SineBasis) -> SpectralField:
-    """Project grid values onto the basis (DST-I analysis).
+    """Project grid values onto the basis.
 
     Exact inverse of synthesis on resolved modes.  For a general integrand g
     this returns the quadrature pairings  prod_i(L_i/(G_i+1)) * sum_j g_j
     phi_k(x_j), which is what the energy gradients need.
     """
     values = np.asarray(values, dtype=float)
-    _check_resolves(basis, values.shape)
-    scale = math.prod(
-        math.sqrt(L / 2.0) / (G + 1)
-        for L, G in zip(basis.domain.lengths, values.shape)
-    )
-    analysed = dstn(values, type=1)
-    return SpectralField(basis, scale * analysed[tuple(basis.indices.T - 1)])
+    return SpectralField(basis, basis.grid_tables(values.shape).pairings(values))
 
 
 def grid_quadrature(values: np.ndarray, domain: BoxDomain) -> float:
@@ -280,16 +267,6 @@ def grid_quadrature(values: np.ndarray, domain: BoxDomain) -> float:
     values = np.asarray(values, dtype=float)
     h = math.prod(L / (G + 1) for L, G in zip(domain.lengths, values.shape))
     return float(h * values.sum())
-
-
-def _check_resolves(basis: SineBasis, shape: tuple[int, ...]) -> None:
-    if len(shape) != basis.domain.dim:
-        raise ValueError(f"grid rank {len(shape)} does not match dim {basis.domain.dim}")
-    for G, m in zip(shape, basis.max_index):
-        if G < m:
-            raise ValueError(
-                f"grid size {shape} is below the basis resolution {basis.max_index}"
-            )
 
 
 class GridTables:
@@ -308,9 +285,12 @@ class GridTables:
     """
 
     def __init__(self, basis: SineBasis, shape: tuple[int, ...]):
-        _check_resolves(basis, shape)
         lengths = basis.domain.lengths
         modes = basis.max_index
+        if len(shape) != len(modes):
+            raise ValueError(f"grid rank {len(shape)} does not match dim {len(modes)}")
+        if any(G < M for G, M in zip(shape, modes)):
+            raise ValueError(f"grid size {shape} is below the basis resolution {modes}")
         self.modes = modes
         self.weight = math.prod(L / (G + 1) for L, G in zip(lengths, shape))
         # weight times the 1/L_i of each axis's product-to-sum identity

@@ -105,6 +105,8 @@ _SCHEMA = {
 _REQUIRED = {"command", "lengths", "n", "bound_constant", "start", "stop", "step"}
 # the least value of each integer field that no library type checks
 _LEAST = {"seed": 0, "N": 3, "k_max": 1, "samples": 0, "count": 1}
+# the most points a {start, stop, step} range may expand to
+_MAX_GRID_POINTS = 10**6
 # the fields each command cannot run without
 _NEEDS = {
     "region": ("N", "p_grid", "q_grid"),
@@ -171,8 +173,11 @@ def _grid(value: list | dict, name: str, errors: list[str]) -> list[float] | Non
         if step <= 0 or stop < start:
             errors.append(f"'{name}' range must have step > 0 and stop >= start")
             return None
-        count = int(math.floor((stop - start) / step + 1e-12)) + 1
-        value = [start + i * step for i in range(count)]
+        span = (stop - start) / step + 1e-12
+        if not span < _MAX_GRID_POINTS:  # also an infinite span
+            errors.append(f"'{name}' range must have at most {_MAX_GRID_POINTS} points")
+            return None
+        value = [start + i * step for i in range(int(math.floor(span)) + 1)]
     if not value:
         errors.append(f"'{name}' must not be empty")
         return None
@@ -436,6 +441,8 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     try:
         cfg = parse_config(text)
+        if args.seed is not None and args.seed < _LEAST["seed"]:
+            raise ConfigError([f"--seed must be at least {_LEAST['seed']}, got {args.seed}"])
     except ConfigError as exc:
         for err in exc.errors:
             print(f"config error: {err}", file=sys.stderr)

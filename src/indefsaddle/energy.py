@@ -19,24 +19,27 @@ values, so finite differences close to machine precision.
 
 Every quantity at a point is read from one Evaluation, which synthesizes u
 and v once: both energies and gradients, the cutoff terms, and the modified
-energy at -z that the deviation check needs.
+energy at -z that the deviation check needs.  energy_gradient, which is also
+the Newton residual, reads only the grid values and pairings.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
 from . import region
 from .basis import (
     BoxDomain,
+    GridTables,
     SineBasis,
     SpectralField,
     enumerate_basis,
-    from_grid,
     grid_quadrature,
+    grid_shape,
     sobolev_norm,
     to_grid,
 )
@@ -88,6 +91,11 @@ class ProblemSpec:
     @property
     def n(self) -> int:
         return self.basis.size
+
+    @cached_property
+    def tables(self) -> GridTables:
+        """The basis's grid tables on the problem's collocation grid."""
+        return self.basis.grid_tables(grid_shape(self.basis, self.oversample))
 
     @staticmethod
     def create(
@@ -220,22 +228,42 @@ def forcing_pairing(z: FieldPair, spec: ProblemSpec) -> float:
     )
 
 
+def _grid_values(z: FieldPair, spec: ProblemSpec):
+    """The values of u and v on the problem's collocation grid."""
+    if z.basis != spec.basis:
+        raise ValueError("point lives on a different basis than the problem")
+    if z.r != spec.r:
+        raise ValueError(f"point split parameter {z.r} differs from problem r {spec.r}")
+    return spec.tables.evaluate(z.u.coeffs), spec.tables.evaluate(z.v.coeffs)
+
+
+def _power_pairings(spec: ProblemSpec, u_vals, v_vals):
+    """Quadrature pairings of |u|^(q-1)u and |v|^(p-1)v against every mode."""
+    pu = spec.tables.pairings(np.abs(u_vals) ** (spec.q - 1.0) * u_vals)
+    pv = spec.tables.pairings(np.abs(v_vals) ** (spec.p - 1.0) * v_vals)
+    return pu, pv
+
+
+def _gradient(z: FieldPair, spec: ProblemSpec, pu, pv) -> DualGradient:
+    """The energy gradient from the power pairings: the one copy of its formula."""
+    lam = spec.basis.eigenvalues
+    du = lam * z.v.coeffs - pu - spec.k.coeffs
+    dv = lam * z.u.coeffs - pv - spec.h.coeffs
+    return DualGradient(du=du, dv=dv)
+
+
 class Evaluation:
     """One point's grid values, synthesized once, and the scalars read from them.
 
-    The power pairings (two DST analyses) are computed only when a gradient
-    asks.  Only the forcing pairing is odd in z, and the rest even, so the
-    evaluation of z also gives the values at -z.
+    The power pairings are computed only when a gradient asks.  Only the
+    forcing pairing is odd in z, and the rest even, so the evaluation of z
+    also gives the values at -z.
     """
 
     def __init__(self, z: FieldPair, spec: ProblemSpec):
-        if z.basis != spec.basis:
-            raise ValueError("point lives on a different basis than the problem")
-        if z.r != spec.r:
-            raise ValueError(f"point split parameter {z.r} differs from problem r {spec.r}")
+        self.z = z
         self.spec = spec
-        self.u_vals = to_grid(z.u, spec.oversample)
-        self.v_vals = to_grid(z.v, spec.oversample)
+        self.u_vals, self.v_vals = _grid_values(z, spec)
         iq = grid_quadrature(np.abs(self.u_vals) ** (spec.q + 1.0), z.basis.domain)
         ip = grid_quadrature(np.abs(self.v_vals) ** (spec.p + 1.0), z.basis.domain)
         self.nonlinear = iq / (spec.q + 1.0) + ip / (spec.p + 1.0)
@@ -245,10 +273,11 @@ class Evaluation:
 
     def pairings(self) -> tuple[np.ndarray, np.ndarray]:
         """Quadrature pairings of |u|^(q-1)u and |v|^(p-1)v against every mode."""
-        spec, u, v = self.spec, self.u_vals, self.v_vals
-        gu = from_grid(np.abs(u) ** (spec.q - 1.0) * u, spec.basis)
-        gv = from_grid(np.abs(v) ** (spec.p - 1.0) * v, spec.basis)
-        return gu.coeffs, gv.coeffs
+        return _power_pairings(self.spec, self.u_vals, self.v_vals)
+
+    def gradient(self) -> DualGradient:
+        """The energy gradient at this point (see energy_gradient)."""
+        return _gradient(self.z, self.spec, *self.pairings())
 
     def cutoff_terms(self, cutoff: CutoffConfig, mirrored: bool = False):
         """Forcing pairing, energy, cutoff scale and cutoff argument, at z or at -z."""
@@ -271,13 +300,11 @@ def energy_gradient(z: FieldPair, spec: ProblemSpec) -> DualGradient:
     """Exact coefficient-space gradient of the discrete energy.
 
     du_k = lambda_k eta_k - <|u|^(q-1)u + k, phi_k>,
-    dv_k = lambda_k xi_k  - <|v|^(p-1)v + h, phi_k>.
+    dv_k = lambda_k xi_k  - <|v|^(p-1)v + h, phi_k>,
+
+    the system residual that Newton drives to zero (solve.residual).
     """
-    lam = spec.basis.eigenvalues
-    pu, pv = Evaluation(z, spec).pairings()
-    du = lam * z.v.coeffs - pu - spec.k.coeffs
-    dv = lam * z.u.coeffs - pv - spec.h.coeffs
-    return DualGradient(du=du, dv=dv)
+    return _gradient(z, spec, *_power_pairings(spec, *_grid_values(z, spec)))
 
 
 def riesz_representative(g: DualGradient, basis: SineBasis, r: float) -> FieldPair:

@@ -1,12 +1,12 @@
 """Critical-point computation: Newton, deflation, continuation, level brackets.
 
 The residual is the coefficient-space gradient of the energy (its zeros are
-the Galerkin solutions of the system).  It and its Jacobian are assembled
-from the separable grid tables of the basis (basis.GridTables): values and
-pairings by per-axis sine contractions, each diagonal Jacobian block as the
-Galerkin matrix of the power derivative, read from its cosine moments.
-Agreement of the residual with the transform-based energy gradient is a
-cross-check between two independent code paths.  There is one Newton
+the Galerkin solutions of the system): `residual` is energy.energy_gradient
+under the solver's name, and reads the values and pairings from the
+separable grid tables of the basis (basis.GridTables).  The Jacobian reads
+each diagonal block from the same tables, as the Galerkin matrix of the
+power derivative built from its cosine moments.  The dense-matrix residual
+and Jacobian that check them live in the tests.  There is one Newton
 loop; deflation is an option of it, which multiplies the residual by
 prod_i (dist_i^-2 + 1) over known solutions so Newton runs land on new ones,
 and with nothing to deflate against it is plain Newton.  Level brackets
@@ -34,13 +34,13 @@ from .basis import (
 )
 from .energy import (
     CutoffConfig,
-    DualGradient,
     Evaluation,
     ProblemSpec,
     bump,
     energy,
     modified_energy,
 )
+from .energy import energy_gradient as residual
 from .space import (
     FieldPair,
     coupling_eigenvector,
@@ -83,30 +83,10 @@ def _unpack(vec: np.ndarray, spec: ProblemSpec) -> FieldPair:
     return FieldPair(u, v, spec.r)
 
 
-def residual(z: FieldPair, spec: ProblemSpec) -> DualGradient:
-    """System residual in coefficient coordinates.
-
-    Row k of du is the v-equation, lambda_k eta_k - <|u|^(q-1)u + k, phi_k>;
-    row k of dv the u-equation with p and h.  Equal in value to
-    energy_gradient but assembled from the separable grid tables.
-    """
-    if z.basis != spec.basis or z.r != spec.r:
-        raise ValueError("point incompatible with the problem spec")
-    tables = spec.basis.grid_tables(spec.oversample)
-    lam = spec.basis.eigenvalues
-    u_vals = tables.evaluate(z.u.coeffs)
-    v_vals = tables.evaluate(z.v.coeffs)
-    pu = tables.pairings(np.abs(u_vals) ** (spec.q - 1.0) * u_vals)
-    pv = tables.pairings(np.abs(v_vals) ** (spec.p - 1.0) * v_vals)
-    du = lam * z.v.coeffs - pu - spec.k.coeffs
-    dv = lam * z.u.coeffs - pv - spec.h.coeffs
-    return DualGradient(du=du, dv=dv)
-
-
 def jacobian(z: FieldPair, spec: ProblemSpec) -> np.ndarray:
     """Jacobian of the residual: coupling off the diagonal, and on it the
     (exactly symmetric) Galerkin matrices of the power derivatives."""
-    tables = spec.basis.grid_tables(spec.oversample)
+    tables = spec.tables
     lam = spec.basis.eigenvalues
     n = spec.n
     u_vals = tables.evaluate(z.u.coeffs)
@@ -504,6 +484,16 @@ def _gn_constant(spec: ProblemSpec, exponent: float, order: float, theta: float,
     return max(0.0, _projected_ascent(value_grad, starts, weights, 200)[0])
 
 
+def _forcing_size(spec: ProblemSpec) -> float:
+    """Forcing size C0 = |k|_2 lambda_1^(-r/2) + |h|_2 lambda_1^(r/2-1), which
+    bounds the forcing term: |int k u + int h v| <= C0 |(u, v)|."""
+    lam1 = float(spec.basis.eigenvalues[0])
+    return (
+        sobolev_norm(spec.k, 0.0) * lam1 ** (-spec.r / 2.0)
+        + sobolev_norm(spec.h, 0.0) * lam1 ** (-(2.0 - spec.r) / 2.0)
+    )
+
+
 def lower_growth_constant(spec: ProblemSpec, seed: int = 0) -> float:
     """Constant gamma of the lower level curve gamma k^(2 alpha).
 
@@ -513,7 +503,6 @@ def lower_growth_constant(spec: ProblemSpec, seed: int = 0) -> float:
     """
     pt = region.PQPoint(p=spec.p, q=spec.q, N=spec.domain.dim)
     theta, zeta = region.interpolation_exponents(pt, spec.r)
-    lam1 = float(spec.basis.eigenvalues[0])
     c_lam = eigenvalue_growth_constant(spec.basis)
     s_q = _gn_constant(spec, spec.q, spec.r, theta, seed=seed)
     s_p = _gn_constant(spec, spec.p, 2.0 - spec.r, zeta, seed=seed + 1)
@@ -523,10 +512,7 @@ def lower_growth_constant(spec: ProblemSpec, seed: int = 0) -> float:
     d_p = s_p ** (spec.p + 1.0) * c_lam ** (
         -(2.0 - spec.r) * zeta * (spec.p + 1.0) / 2.0
     ) / (spec.p + 1.0)
-    c1 = (
-        sobolev_norm(spec.k, 0.0) * lam1 ** (-spec.r / 2.0)
-        + sobolev_norm(spec.h, 0.0) * lam1 ** (-(2.0 - spec.r) / 2.0)
-    )
+    c1 = _forcing_size(spec)
 
     def g(x: float) -> float:
         return (
@@ -594,11 +580,7 @@ def estimate_levels(
     pt = region.PQPoint(p=spec.p, q=spec.q, N=spec.domain.dim)
     _, _, alpha = region.growth_exponents(pt, spec.r)
     gamma = lower_growth_constant(spec, seed=seed)
-    lam1 = float(spec.basis.eigenvalues[0])
-    c0 = (
-        sobolev_norm(spec.k, 0.0) * lam1 ** (-spec.r / 2.0)
-        + sobolev_norm(spec.h, 0.0) * lam1 ** (-(2.0 - spec.r) / 2.0)
-    )
+    c0 = _forcing_size(spec)
     m_exp = min(spec.p, spec.q) + 1.0
     brackets: list[LevelBracket] = []
     warm_q = warm_p = None
@@ -694,8 +676,8 @@ def verify_critical(
     that would satisfy it at this point.
     """
     cutoff = cutoff or CutoffConfig.default_for(spec)
-    rn = residual(z, spec).norm()
     ev = Evaluation(z, spec)
+    rn = ev.gradient().norm()
     _, e, _, theta = ev.cutoff_terms(cutoff)
     j = ev.modified_energy(cutoff)
     psi = bump(theta)

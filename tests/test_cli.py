@@ -60,7 +60,7 @@ README_CONFIGS = [
 ]
 
 # One value of each JSON kind, and the numbers at the edges of most ranges.
-# Huge sizes and tiny range steps stay out: they allocate without bound.
+# Huge sizes stay out: a large n allocates without bound.
 FUZZ_VALUES = ["x", True, None, [1.0], {"a": 1}, math.nan, math.inf, -math.inf, -1, 0, 0.5]
 
 
@@ -255,6 +255,12 @@ class TestCommands:
                             "p_grid": {"start": 1.5, "stop": math.inf, "step": 0.5}},
              "stop must be finite"),
             ("solve", {"n": 8}, {"solver": {"min_step": 0}}, "min_step must be positive"),
+            ("region", {}, {"N": 6, "q_grid": [2.0],
+                            "p_grid": {"start": -1.7e308, "stop": 1.7e308, "step": 1.0}},
+             "at most 1000000 points"),
+            ("region", {}, {"N": 6, "q_grid": [2.0],
+                            "p_grid": {"start": 1.5, "stop": 2.0, "step": 1e-300}},
+             "at most 1000000 points"),
         ],
     )
     def test_bad_values_exit_one_without_traceback(
@@ -269,6 +275,17 @@ class TestCommands:
         assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 1
         errors = capsys.readouterr().err.splitlines()
         assert any(line.startswith("config error:") and message in line for line in errors)
+
+    @pytest.mark.parametrize("command", ["solve", "levels"])
+    def test_negative_seed_flag_is_config_error(self, tmp_path, capsys, command):
+        config = {"command": command, "problem": dict(BRANCH_CONFIG["problem"], n=8)}
+        cfg = write_config(tmp_path, "seed.json", config)
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg, "--out", str(out), "--seed", "-1"]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "config error: --seed must be at least 0, got -1"
+        ]
+        assert not list(tmp_path.glob("out*"))
 
     @pytest.mark.parametrize("command", ["solve", "branch", "levels"])
     def test_overflow_exits_one_with_error_line(self, tmp_path, capsys, command):

@@ -321,13 +321,13 @@ class TestEvaluation:
         from indefsaddle import basis, verify_critical
 
         calls = []
-        real = basis.dstn
+        real = basis.GridTables.evaluate
 
-        def counting(*args, **kwargs):
-            calls.append(args[0].shape)
-            return real(*args, **kwargs)
+        def counting(tables, coeffs):
+            calls.append(coeffs.shape)
+            return real(tables, coeffs)
 
-        monkeypatch.setattr(basis, "dstn", counting)
+        monkeypatch.setattr(basis.GridTables, "evaluate", counting)
         cutoff = CutoffConfig.default_for(forced_spec)
         z = random_pair(forced_spec, np.random.default_rng(3), scale=2.0)
         verify_critical(z, forced_spec, cutoff)

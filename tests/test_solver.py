@@ -22,9 +22,9 @@ from indefsaddle import (
     residual,
     verify_critical,
 )
-from indefsaddle.basis import BoxDomain, grid_points, synthesize
+from indefsaddle.basis import BoxDomain, from_grid, grid_points, synthesize, to_grid
 
-from oracles import dense_jacobian, dense_residual, shooting_solution
+from oracles import dense_jacobian, dense_residual, grid_data, shooting_solution
 
 # golden energy of the single-arch solution, cross-checked against the ODE
 # oracle on first verified run; higher arches scale exactly as k^4
@@ -95,7 +95,8 @@ def _relative_gap(new, dense):
 @pytest.mark.parametrize("oversample", [1, 2, 4])
 @pytest.mark.parametrize("lengths", [(2.0,), (1.0, 2.5), (1.0, 1.3, 2.0)])
 def test_tables_match_dense_oracle(lengths, oversample):
-    """Separable tables against the dense evaluation matrix of the oracle."""
+    """Separable tables against the dense evaluation matrix of the oracle:
+    the residual, the Jacobian, grid synthesis and grid pairings."""
     rng = np.random.default_rng(len(lengths) * 10 + oversample)
     spec = ProblemSpec.create(
         BoxDomain(lengths), n=24, r=1.0, p=3.0, q=2.5,
@@ -118,6 +119,12 @@ def test_tables_match_dense_oracle(lengths, oversample):
         assert np.array_equal(J[:n, n:], J_dense[:n, n:])
         assert np.array_equal(J[n:, :n], J_dense[n:, :n])
         assert np.array_equal(J, J.T)
+        S, weight = grid_data(spec)
+        values = to_grid(z.u, oversample)
+        assert _relative_gap(values.ravel(), S @ z.u.coeffs) <= 1e-13
+        g = rng.standard_normal(values.shape)
+        pairings = from_grid(g, spec.basis).coeffs
+        assert _relative_gap(pairings, weight * (S.T @ g.ravel())) <= 1e-13
 
 
 class TestNewton:
@@ -367,8 +374,6 @@ class TestVerifyCritical:
         oracle = shooting_solution(math.pi, arches=2)
         spec = ProblemSpec.create(BoxDomain((math.pi,)), 48, 1.0, 3.0, 3.0)
         xs = grid_points(spec.domain, (4 * 48,))[0]
-        from indefsaddle.basis import from_grid
-
         u = from_grid(oracle(xs), spec.basis)
         z = FieldPair(u, u, 1.0)
         assert energy(z, spec) == pytest.approx(oracle.energy(), rel=1e-7)
