@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 
 import numpy as np
@@ -281,7 +282,8 @@ class GridTables:
     cos((a+b) t)] on each axis, the quadrature Galerkin matrix of a
     multiplication operator is a signed sum of 2^d gathers, at |a-b| and a+b
     per axis, from the cosine moments of the multiplier: Toeplitz minus
-    Hankel in 1-D.  The gather indices are built once per basis and grid.
+    Hankel in 1-D.  The gather indices are built once per basis and grid, on
+    the first galerkin call, so that work with no Jacobian never holds them.
     """
 
     def __init__(self, basis: SineBasis, shape: tuple[int, ...]):
@@ -303,22 +305,27 @@ class GridTables:
             self.sines.append(math.sqrt(2.0 / L) * np.sin(math.pi * j * m / (G + 1)))
             k = np.arange(2 * M + 1)[:, None]
             self.cosines.append(np.cos(math.pi * k * j.T / (G + 1)))
-        idx = basis.indices
+        self.indices = basis.indices
         # position of each basis mode in the packed tensor; in 1-D the basis
         # is modes 1..n in order and the packed tensor is the vector itself
         self.slots = (
             None if basis.domain.dim == 1
-            else np.ravel_multi_index(tuple(idx.T - 1), modes)
+            else np.ravel_multi_index(tuple(self.indices.T - 1), modes)
         )
+
+    @cached_property
+    def gathers(self) -> list[tuple[bool, np.ndarray]]:
+        """Sign and moment index of each gather, built on the first galerkin call."""
+        modes = self.modes
         # C-order strides of the moment tensor, (2M_1+1) x ... x (2M_d+1)
         strides = [math.prod(2 * M + 1 for M in modes[i + 1:]) for i in range(len(modes))]
         per_axis = [
             (stride * np.abs(a[:, None] - a[None, :]), stride * (a[:, None] + a[None, :]))
-            for a, stride in zip(idx.T, strides)
+            for a, stride in zip(self.indices.T, strides)
         ]
         # one gather per choice of |a-b| or a+b on each axis; each a+b
         # choice flips the sign, and the all-|a-b| gather comes first
-        self.gathers = [
+        return [
             (sum(choice) % 2 == 0, sum(pair[c] for pair, c in zip(per_axis, choice)))
             for choice in product((0, 1), repeat=len(modes))
         ]

@@ -105,8 +105,12 @@ _SCHEMA = {
 _REQUIRED = {"command", "lengths", "n", "bound_constant", "start", "stop", "step"}
 # the least value of each integer field that no library type checks
 _LEAST = {"seed": 0, "N": 3, "k_max": 1, "samples": 0, "count": 1}
-# the most points a {start, stop, step} range may expand to
+# the most points a {start, stop, step} range, and a region scan, may have
 _MAX_GRID_POINTS = 10**6
+# the largest truncation n, checked before parsing enumerates the basis: at
+# n = 2000 the dense Newton Jacobian (2n x 2n float64) holds 128 MB, and the
+# 2^d gather-index arrays of a 3-D Jacobian (8 n x n int64) 256 MB
+_MAX_N = 2000
 # the fields each command cannot run without
 _NEEDS = {
     "region": ("N", "p_grid", "q_grid"),
@@ -190,6 +194,8 @@ def _problem(lengths, n, r=1.0, p=3.0, q=3.0, **rest) -> ProblemSpec:
     """The problem of a config's problem section, or of a solution file's echo of it."""
     if n < 4:
         raise ValueError(f"'n' must be an integer >= 4, got {n}")
+    if n > _MAX_N:
+        raise ValueError(f"'n' must be at most {_MAX_N}, got {n}")
     return ProblemSpec.create(BoxDomain(tuple(lengths)), n, r, p, q, **rest)
 
 
@@ -219,6 +225,11 @@ def parse_config(text: str) -> RunConfig:
     for name in ("p_grid", "q_grid"):
         if name in fields:
             fields[name] = _grid(fields[name], name, errors)
+    points = len(fields.get("p_grid") or ()) * len(fields.get("q_grid") or ())
+    if points > _MAX_GRID_POINTS:
+        errors.append(
+            f"'p_grid' x 'q_grid' must have at most {_MAX_GRID_POINTS} points, got {points}"
+        )
     for section in ("levels", "branch", "solve"):
         for name, value in fields.pop(section, {}).items():
             fields[f"{section}_{name}"] = value

@@ -18,9 +18,11 @@ grid, and the gradients returned are the exact derivatives of those discrete
 values, so finite differences close to machine precision.
 
 Every quantity at a point is read from one Evaluation, which synthesizes u
-and v once: both energies and gradients, the cutoff terms, and the modified
-energy at -z that the deviation check needs.  energy_gradient, which is also
-the Newton residual, reads only the grid values and pairings.
+and v once and computes the rest on first use: both energies and gradients,
+the cutoff terms, the modified energy at -z that the deviation check needs,
+and the Hessian.  energy_gradient, which is also the Newton residual, is
+Evaluation(z, spec).gradient(), and the Newton Jacobian is the Hessian of
+the same evaluation.
 """
 
 from __future__ import annotations
@@ -228,72 +230,82 @@ def forcing_pairing(z: FieldPair, spec: ProblemSpec) -> float:
     )
 
 
-def _grid_values(z: FieldPair, spec: ProblemSpec):
-    """The values of u and v on the problem's collocation grid."""
-    if z.basis != spec.basis:
-        raise ValueError("point lives on a different basis than the problem")
-    if z.r != spec.r:
-        raise ValueError(f"point split parameter {z.r} differs from problem r {spec.r}")
-    return spec.tables.evaluate(z.u.coeffs), spec.tables.evaluate(z.v.coeffs)
-
-
-def _power_pairings(spec: ProblemSpec, u_vals, v_vals):
-    """Quadrature pairings of |u|^(q-1)u and |v|^(p-1)v against every mode."""
-    pu = spec.tables.pairings(np.abs(u_vals) ** (spec.q - 1.0) * u_vals)
-    pv = spec.tables.pairings(np.abs(v_vals) ** (spec.p - 1.0) * v_vals)
-    return pu, pv
-
-
-def _gradient(z: FieldPair, spec: ProblemSpec, pu, pv) -> DualGradient:
-    """The energy gradient from the power pairings: the one copy of its formula."""
-    lam = spec.basis.eigenvalues
-    du = lam * z.v.coeffs - pu - spec.k.coeffs
-    dv = lam * z.u.coeffs - pv - spec.h.coeffs
-    return DualGradient(du=du, dv=dv)
-
-
 class Evaluation:
-    """One point's grid values, synthesized once, and the scalars read from them.
+    """One point's grid values, synthesized once, and every quantity read from them.
 
-    The power pairings are computed only when a gradient asks.  Only the
-    forcing pairing is odd in z, and the rest even, so the evaluation of z
-    also gives the values at -z.
+    u and v are synthesized on construction; the energies, the cutoff terms,
+    the power pairings, the gradient and the Hessian are computed on first
+    use.  Only the forcing pairing is odd in z, and the rest even, so the
+    evaluation of z also gives the values at -z.
     """
 
     def __init__(self, z: FieldPair, spec: ProblemSpec):
+        if z.basis != spec.basis:
+            raise ValueError("point lives on a different basis than the problem")
+        if z.r != spec.r:
+            raise ValueError(f"point split parameter {z.r} differs from problem r {spec.r}")
         self.z = z
         self.spec = spec
-        self.u_vals, self.v_vals = _grid_values(z, spec)
-        iq = grid_quadrature(np.abs(self.u_vals) ** (spec.q + 1.0), z.basis.domain)
-        ip = grid_quadrature(np.abs(self.v_vals) ** (spec.p + 1.0), z.basis.domain)
-        self.nonlinear = iq / (spec.q + 1.0) + ip / (spec.p + 1.0)
-        self.symmetric = coupling_form(z) - iq / (spec.q + 1.0) - ip / (spec.p + 1.0)
-        self.forcing = forcing_pairing(z, spec)
-        self.energy = self.symmetric - self.forcing
+        self.u_vals = spec.tables.evaluate(z.u.coeffs)
+        self.v_vals = spec.tables.evaluate(z.v.coeffs)
 
+    @cached_property
+    def terms(self) -> tuple[float, float, float]:
+        """The nonlinear part, the forcing-free energy and the forcing pairing."""
+        spec, z = self.spec, self.z
+        tq = grid_quadrature(np.abs(self.u_vals) ** (spec.q + 1.0), spec.domain) / (spec.q + 1.0)
+        tp = grid_quadrature(np.abs(self.v_vals) ** (spec.p + 1.0), spec.domain) / (spec.p + 1.0)
+        return tq + tp, coupling_form(z) - tq - tp, forcing_pairing(z, spec)
+
+    @cached_property
     def pairings(self) -> tuple[np.ndarray, np.ndarray]:
         """Quadrature pairings of |u|^(q-1)u and |v|^(p-1)v against every mode."""
-        return _power_pairings(self.spec, self.u_vals, self.v_vals)
+        spec, u_vals, v_vals = self.spec, self.u_vals, self.v_vals
+        pu = spec.tables.pairings(np.abs(u_vals) ** (spec.q - 1.0) * u_vals)
+        pv = spec.tables.pairings(np.abs(v_vals) ** (spec.p - 1.0) * v_vals)
+        return pu, pv
 
     def gradient(self) -> DualGradient:
         """The energy gradient at this point (see energy_gradient)."""
-        return _gradient(self.z, self.spec, *self.pairings())
+        lam = self.spec.basis.eigenvalues
+        pu, pv = self.pairings
+        du = lam * self.z.v.coeffs - pu - self.spec.k.coeffs
+        dv = lam * self.z.u.coeffs - pv - self.spec.h.coeffs
+        return DualGradient(du=du, dv=dv)
+
+    def hessian(self) -> np.ndarray:
+        """The Jacobian of the gradient: the coupling off the diagonal, and on
+        it the (exactly symmetric) Galerkin matrices of the power derivatives.
+
+        Built on each call and not kept, so that no 2n x 2n matrix outlives
+        its use.
+        """
+        spec, n = self.spec, self.spec.n
+        J = np.zeros((2 * n, 2 * n))
+        J[:n, :n] = -spec.tables.galerkin(spec.q * np.abs(self.u_vals) ** (spec.q - 1.0))
+        J[n:, n:] = -spec.tables.galerkin(spec.p * np.abs(self.v_vals) ** (spec.p - 1.0))
+        diag = np.arange(n)
+        J[diag, n + diag] = spec.basis.eigenvalues
+        J[n + diag, diag] = spec.basis.eigenvalues
+        return J
 
     def cutoff_terms(self, cutoff: CutoffConfig, mirrored: bool = False):
         """Forcing pairing, energy, cutoff scale and cutoff argument, at z or at -z."""
-        g = -self.forcing if mirrored else self.forcing
-        e = self.symmetric - g
+        nonlinear, symmetric, forcing = self.terms
+        g = -forcing if mirrored else forcing
+        e = symmetric - g
         scale = 2.0 * cutoff.bound_constant * math.sqrt(e * e + 1.0)
-        return g, e, scale, self.nonlinear / scale
+        return g, e, scale, nonlinear / scale
 
     def modified_energy(self, cutoff: CutoffConfig, mirrored: bool = False) -> float:
         g, _, _, theta = self.cutoff_terms(cutoff, mirrored)
-        return self.symmetric - bump(theta) * g
+        return self.terms[1] - bump(theta) * g
 
 
 def energy(z: FieldPair, spec: ProblemSpec) -> float:
     """The unmodified energy; even in z whenever the forcing vanishes."""
-    return Evaluation(z, spec).energy
+    _, symmetric, forcing = Evaluation(z, spec).terms
+    return symmetric - forcing
 
 
 def energy_gradient(z: FieldPair, spec: ProblemSpec) -> DualGradient:
@@ -304,7 +316,7 @@ def energy_gradient(z: FieldPair, spec: ProblemSpec) -> DualGradient:
 
     the system residual that Newton drives to zero (solve.residual).
     """
-    return _gradient(z, spec, *_power_pairings(spec, *_grid_values(z, spec)))
+    return Evaluation(z, spec).gradient()
 
 
 def riesz_representative(g: DualGradient, basis: SineBasis, r: float) -> FieldPair:
@@ -368,7 +380,7 @@ def modified_energy_gradient(
     two_a_sq = (2.0 * cutoff.bound_constant) ** 2
     t1 = dchi * two_a_sq * theta * e * g / (q_scale * q_scale)
     t2 = t1 + dchi * g / q_scale
-    pu, pv = ev.pairings()
+    pu, pv = ev.pairings
     du = (1.0 + t1) * lam * z.v.coeffs - (1.0 + t2) * pu - (psi + t1) * spec.k.coeffs
     dv = (1.0 + t1) * lam * z.u.coeffs - (1.0 + t2) * pv - (psi + t1) * spec.h.coeffs
     return ModifiedGradient(

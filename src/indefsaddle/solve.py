@@ -2,10 +2,11 @@
 
 The residual is the coefficient-space gradient of the energy (its zeros are
 the Galerkin solutions of the system): `residual` is energy.energy_gradient
-under the solver's name, and reads the values and pairings from the
-separable grid tables of the basis (basis.GridTables).  The Jacobian reads
-each diagonal block from the same tables, as the Galerkin matrix of the
-power derivative built from its cosine moments.  The dense-matrix residual
+under the solver's name, and the Jacobian is the Hessian of the energy.
+Newton reads both from one energy.Evaluation per iterate, so u and v are
+synthesized once per point; the Hessian's diagonal blocks are the Galerkin
+matrices of the power derivatives, built from their cosine moments on the
+grid tables of the basis (basis.GridTables).  The dense-matrix residual
 and Jacobian that check them live in the tests.  There is one Newton
 loop; deflation is an option of it, which multiplies the residual by
 prod_i (dist_i^-2 + 1) over known solutions so Newton runs land on new ones,
@@ -27,10 +28,8 @@ from . import region
 from .basis import (
     SpectralField,
     eigenvalue_growth_constant,
-    from_grid,
     grid_quadrature,
     sobolev_norm,
-    to_grid,
 )
 from .energy import (
     CutoffConfig,
@@ -38,15 +37,17 @@ from .energy import (
     ProblemSpec,
     bump,
     energy,
+    energy_gradient,
     modified_energy,
 )
-from .energy import energy_gradient as residual
 from .space import (
     FieldPair,
     coupling_eigenvector,
     from_eigenvector_coordinates,
     pair_norm,
 )
+
+residual = energy_gradient  # the system residual, under the solver's name
 
 
 @dataclass
@@ -84,20 +85,8 @@ def _unpack(vec: np.ndarray, spec: ProblemSpec) -> FieldPair:
 
 
 def jacobian(z: FieldPair, spec: ProblemSpec) -> np.ndarray:
-    """Jacobian of the residual: coupling off the diagonal, and on it the
-    (exactly symmetric) Galerkin matrices of the power derivatives."""
-    tables = spec.tables
-    lam = spec.basis.eigenvalues
-    n = spec.n
-    u_vals = tables.evaluate(z.u.coeffs)
-    v_vals = tables.evaluate(z.v.coeffs)
-    J = np.zeros((2 * n, 2 * n))
-    J[:n, :n] = -tables.galerkin(spec.q * np.abs(u_vals) ** (spec.q - 1.0))
-    J[n:, n:] = -tables.galerkin(spec.p * np.abs(v_vals) ** (spec.p - 1.0))
-    diag = np.arange(n)
-    J[diag, n + diag] = lam
-    J[n + diag, diag] = lam
-    return J
+    """Jacobian of the residual (see Evaluation.hessian)."""
+    return Evaluation(z, spec).hessian()
 
 
 @dataclass
@@ -135,53 +124,53 @@ def newton_solve(
     lam = spec.basis.eigenvalues
     metric = np.concatenate([lam**spec.r, lam ** (2.0 - spec.r)])
     known_vecs = [_pack(zi) for zi in known]
-    z = z0
-    vec = _pack(z)
-    res = residual(z, spec)
+    ev = Evaluation(z0, spec)  # the current iterate's, kept for its Jacobian
+    vec = _pack(z0)
+    res = ev.gradient()
     rn = res.norm()
     fn = _deflation(vec, known_vecs, metric)[0] * rn
-    if rn <= config.tol and _min_distance(z, known, spec) > config.separation:
-        return SolveResult(z=z, residual_norm=rn, iterations=0, converged=True)
+    if rn <= config.tol and _min_distance(ev.z, known, spec) > config.separation:
+        return SolveResult(z=ev.z, residual_norm=rn, iterations=0, converged=True)
     for it in range(1, config.max_iter + 1):
         rvec = np.concatenate([res.du, res.dv])
         m, mgrad = _deflation(vec, known_vecs, metric)
         if not math.isfinite(m):
             return SolveResult(
-                z=z, residual_norm=rn, iterations=it - 1, converged=False,
+                z=ev.z, residual_norm=rn, iterations=it - 1, converged=False,
                 message="seed coincides with a known solution",
             )
-        J = jacobian(z, spec)
+        J = ev.hessian()
         if known:
             J = m * J + np.outer(rvec, mgrad)
         try:
             delta = np.linalg.solve(J, -m * rvec)
         except np.linalg.LinAlgError:
             return SolveResult(
-                z=z, residual_norm=rn, iterations=it - 1, converged=False,
+                z=ev.z, residual_norm=rn, iterations=it - 1, converged=False,
                 message="singular deflated Jacobian" if deflated else "singular Jacobian",
             )
         del J  # so that the next iteration's Jacobian does not coexist with it
         step = 1.0
         while step >= config.min_step:
             cand = vec + step * delta
-            cand_z = _unpack(cand, spec)
-            cand_res = residual(cand_z, spec)
+            cand_ev = Evaluation(_unpack(cand, spec), spec)
+            cand_res = cand_ev.gradient()
             cand_rn = cand_res.norm()
             cand_fn = _deflation(cand, known_vecs, metric)[0] * cand_rn
             if cand_fn < fn:
-                vec, z, res, rn, fn = cand, cand_z, cand_res, cand_rn, cand_fn
+                vec, ev, res, rn, fn = cand, cand_ev, cand_res, cand_rn, cand_fn
                 break
             step *= config.damping
         else:
             return SolveResult(
-                z=z, residual_norm=rn, iterations=it, converged=False,
+                z=ev.z, residual_norm=rn, iterations=it, converged=False,
                 message="deflated line search stalled" if deflated
                 else "line search stalled below min_step",
             )
-        if rn <= config.tol and _min_distance(z, known, spec) > config.separation:
-            return SolveResult(z=z, residual_norm=rn, iterations=it, converged=True)
+        if rn <= config.tol and _min_distance(ev.z, known, spec) > config.separation:
+            return SolveResult(z=ev.z, residual_norm=rn, iterations=it, converged=True)
     return SolveResult(
-        z=z, residual_norm=rn, iterations=config.max_iter, converged=False,
+        z=ev.z, residual_norm=rn, iterations=config.max_iter, converged=False,
         message="max_iter reached",
     )
 
@@ -279,8 +268,9 @@ def find_branch(
 
     A plain Newton sweep over the seed schedule runs first (its results are
     merged in a fixed order); deflation fills in afterwards.  For a
-    symmetric problem each record's mirror is verified to solve as well and
-    both are deflated against.
+    symmetric problem each record's mirror -z solves as well, since the
+    forcing-free residual is exactly odd, and both are deflated against;
+    -z lies beyond `separation` of z because z does of the zero pair.
     """
     if count < 1:
         raise ValueError(f"count must be at least 1, got {count}")
@@ -307,12 +297,7 @@ def find_branch(
             return
         if _min_distance(z, deflate_against, spec) <= config.separation:
             return
-        mirror = None
-        if symmetric:
-            mz = -z
-            mirror_res = residual(mz, spec).norm()
-            if mirror_res <= config.tol and pair_norm(z - mz) > config.separation:
-                mirror = mz
+        mirror = -z if symmetric else None
         records.append(SolutionRecord(z=z, energy=e, residual=rn, mirror=mirror))
         deflate_against.append(z)
         if mirror is not None:
@@ -424,12 +409,12 @@ def _projected_ascent(value_grad, starts: list[np.ndarray], weights: np.ndarray,
 
 def _power_moment(spec: ProblemSpec, coeffs: np.ndarray, exponent: float):
     """int |w|^(exponent+1) and its gradient in the coefficients of w."""
-    vals = to_grid(SpectralField(spec.basis, coeffs), spec.oversample)
+    vals = spec.tables.evaluate(coeffs)
     val = grid_quadrature(np.abs(vals) ** (exponent + 1.0), spec.domain)
-    pair = from_grid(
-        (exponent + 1.0) * np.abs(vals) ** (exponent - 1.0) * vals, spec.basis
-    )
-    return val, pair.coeffs
+    pair = spec.tables.pairings((exponent + 1.0) * np.abs(vals) ** (exponent - 1.0) * vals)
+    if not np.all(np.isfinite(pair)):
+        raise ValueError("coefficients must be finite")
+    return val, pair
 
 
 def _sphere_extremal(

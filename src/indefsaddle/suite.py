@@ -370,17 +370,19 @@ def _random_subcritical(rng: np.random.Generator, N: int) -> region.PQPoint:
 
 
 def check_solver_basics(seed: int = 0) -> CheckResult:
-    """Ground-state solve, residual/gradient agreement, critical diagnostics."""
+    """Ground-state solve, critical diagnostics, and the exact oddness of the
+    forcing-free gradient, by which find_branch stores -z as a solution."""
     domain = BoxDomain((math.pi,))
     spec = ProblemSpec.create(domain, n=16, r=1.0, p=3.0, q=3.0)
     config = NewtonConfig()
     rng = np.random.default_rng(seed)
     z = _random_pair(spec.basis, spec.r, rng)
-    res = residual(z, spec)
-    grad = energy_gradient(z, spec)
-    agree = max(np.abs(res.du - grad.du).max(), np.abs(res.dv - grad.dv).max())
-    if agree > 1e-14 * max(1.0, grad.norm()):
-        return CheckResult("solver_basics", False, f"residual/gradient gap {agree!r}")
+    grad, mirrored_grad = energy_gradient(z, spec), energy_gradient(-z, spec)
+    if not (
+        np.array_equal(mirrored_grad.du, -grad.du)
+        and np.array_equal(mirrored_grad.dv, -grad.dv)
+    ):
+        return CheckResult("solver_basics", False, "gradient at -z is not exactly -gradient")
     mode = SpectralField.unit(spec.basis, 1)
     result = newton_solve(FieldPair(2.0 * mode, 2.0 * mode, spec.r), spec, config)
     if not result.converged or result.residual_norm > config.tol:

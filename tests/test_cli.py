@@ -1,4 +1,5 @@
 import copy
+import importlib
 import json
 import math
 import warnings
@@ -126,6 +127,33 @@ class TestParseConfig:
         with pytest.raises(ConfigError) as err:
             parse_config(json.dumps(bad))
         assert any("'n' must be an integer >= 4" in e for e in err.value.errors)
+
+    def test_large_truncation_rejected_before_enumeration(self, tmp_path, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the basis was enumerated")
+
+        energy_module = importlib.import_module("indefsaddle.energy")
+        monkeypatch.setattr(energy_module, "enumerate_basis", refuse)
+        config = dict(BRANCH_CONFIG, problem=dict(BRANCH_CONFIG["problem"], n=10**9))
+        cfg = write_config(tmp_path, "large.json", config)
+        assert main(["branch", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "config error: problem section: 'n' must be at most 2000, got 1000000000"
+        ]
+
+    def test_region_point_count_capped(self, tmp_path, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the region was scanned")
+
+        region_module = importlib.import_module("indefsaddle.region")
+        monkeypatch.setattr(region_module, "region_scan", refuse)
+        grid = {"start": 1.5, "stop": 3.5, "step": 0.001}  # 2001 points each
+        config = dict(REGION_CONFIG, p_grid=grid, q_grid=grid)
+        cfg = write_config(tmp_path, "large.json", config)
+        assert main(["region", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "config error: 'p_grid' x 'q_grid' must have at most 1000000 points, got 4004001"
+        ]
 
     def test_missing_sections_reported(self):
         with pytest.raises(ConfigError) as err:

@@ -21,7 +21,6 @@ from indefsaddle import (
     modified_energy,
     modified_energy_gradient,
     nonlinear_integral,
-    pair_norm,
     riesz_representative,
 )
 
@@ -318,23 +317,43 @@ class TestModifiedEnergy:
 
 class TestEvaluation:
     def test_one_synthesis_per_point(self, forced_spec, monkeypatch):
-        from indefsaddle import basis, verify_critical
+        from indefsaddle import basis, newton_solve, verify_critical
 
-        calls = []
-        real = basis.GridTables.evaluate
+        calls = {"evaluate": 0, "pairings": 0, "galerkin": 0}
+        for name in calls:
+            real = getattr(basis.GridTables, name)
 
-        def counting(tables, coeffs):
-            calls.append(coeffs.shape)
-            return real(tables, coeffs)
+            def counting(tables, values, name=name, real=real):
+                calls[name] += 1
+                return real(tables, values)
 
-        monkeypatch.setattr(basis.GridTables, "evaluate", counting)
+            monkeypatch.setattr(basis.GridTables, name, counting)
         cutoff = CutoffConfig.default_for(forced_spec)
         z = random_pair(forced_spec, np.random.default_rng(3), scale=2.0)
         verify_critical(z, forced_spec, cutoff)
-        assert len(calls) == 2  # u and v, once each
-        calls.clear()
+        assert calls["evaluate"] == 2  # u and v, once each
+        calls["evaluate"] = 0
         deviation_check(z, forced_spec, cutoff, beta=1.0)
-        assert len(calls) == 2
+        assert calls["evaluate"] == 2
+        calls.update(evaluate=0, pairings=0)
+        mode = SpectralField.unit(forced_spec.basis, 1)
+        result = newton_solve(FieldPair(2.0 * mode, 2.0 * mode, 1.0), forced_spec)
+        assert result.converged and result.iterations >= 3
+        # two pairings per residual, two syntheses per residual and none for
+        # the Jacobian, whose two Galerkin blocks read the accepted iterate's
+        assert calls["evaluate"] == calls["pairings"] > 2 * result.iterations
+        assert calls["galerkin"] == 2 * result.iterations
+
+    @pytest.mark.parametrize("lengths", [(math.pi,), (1.0, 2.5), (1.0, 1.3, 2.0)])
+    def test_forcing_free_gradient_is_exactly_odd(self, lengths):
+        # find_branch stores -z as a solution on the strength of this identity
+        spec = ProblemSpec.create(BoxDomain(lengths), n=20, r=1.0, p=3.0, q=2.5)
+        rng = np.random.default_rng(len(lengths))
+        for _ in range(5):
+            z = random_pair(spec, rng, scale=10.0 ** rng.uniform(-1, 1))
+            g, g_minus = energy_gradient(z, spec), energy_gradient(-z, spec)
+            assert np.array_equal(g_minus.du, -g.du)
+            assert np.array_equal(g_minus.dv, -g.dv)
 
     def test_mirrored_energy_is_the_energy_at_minus_z(self, forced_spec):
         # the deviation check reads J(-z) from the evaluation of z

@@ -22,7 +22,7 @@ from indefsaddle import (
     residual,
     verify_critical,
 )
-from indefsaddle.basis import BoxDomain, from_grid, grid_points, synthesize, to_grid
+from indefsaddle.basis import BoxDomain, from_grid, grid_points, to_grid
 
 from oracles import dense_jacobian, dense_residual, grid_data, shooting_solution
 
@@ -125,6 +125,19 @@ def test_tables_match_dense_oracle(lengths, oversample):
         g = rng.standard_normal(values.shape)
         pairings = from_grid(g, spec.basis).coeffs
         assert _relative_gap(pairings, weight * (S.T @ g.ravel())) <= 1e-13
+
+
+def test_gathers_are_built_by_the_first_jacobian():
+    """Work that needs no Jacobian never holds the 2^d gather-index arrays."""
+    spec = ProblemSpec.create(BoxDomain((1.0, 2.5)), n=12, r=1.0, p=3.0, q=3.0, h=[0.05])
+    mode = SpectralField.unit(spec.basis, 1)
+    z = FieldPair(mode, 2.0 * mode, spec.r)
+    verify_critical(z, spec)
+    energy(z, spec)
+    estimate_levels(spec, k_max=2, samples=5)
+    assert "gathers" not in vars(spec.tables)
+    jacobian(z, spec)
+    assert len(spec.tables.gathers) == 4
 
 
 class TestNewton:

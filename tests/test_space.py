@@ -18,7 +18,6 @@ from indefsaddle import (
     pair_norm,
     split_pair,
 )
-from indefsaddle.basis import synthesize
 
 
 @pytest.fixture(scope="module")
