@@ -284,6 +284,13 @@ class GridTables:
     per axis, from the cosine moments of the multiplier: Toeplitz minus
     Hankel in 1-D.  The gather indices are built once per basis and grid, on
     the first galerkin call, so that work with no Jacobian never holds them.
+
+    evaluate and pairings take a stack of points along a leading rows axis;
+    a coefficient vector, or one grid of values, is the one-point case.  Each
+    row gets its own BLAS product, the one a single point gets (a stacked
+    matmul), so a row's values never depend on the rows beside it: folding
+    the rows into one matrix product, or einsum, sums in another order and
+    moves the values at roundoff.
     """
 
     def __init__(self, basis: SineBasis, shape: tuple[int, ...]):
@@ -331,22 +338,22 @@ class GridTables:
         ]
 
     def evaluate(self, coeffs: np.ndarray) -> np.ndarray:
-        """Grid values of the field with these coefficients."""
+        """Grid values of the field with these coefficients, one grid per row."""
         if self.slots is None:
-            return self.sines[0] @ coeffs
-        values = np.zeros(self.modes)
-        values.ravel()[self.slots] = coeffs
-        for table in self.sines:
-            values = np.tensordot(values, table, axes=(0, 1))
-        return values
+            return np.matmul(self.sines[0], coeffs[..., None])[..., 0]
+        lead = coeffs.shape[:-1]
+        values = np.zeros((*lead, math.prod(self.modes)))
+        values[..., self.slots] = coeffs
+        return _contract(values, lead, self.modes, [table.T for table in self.sines])
 
     def pairings(self, values: np.ndarray) -> np.ndarray:
-        """Quadrature pairings weight * sum_j values_j phi_k(x_j), every mode k."""
+        """Quadrature pairings weight * sum_j values_j phi_k(x_j), every mode k,
+        one vector per row."""
         if self.slots is None:
-            return self.weight * (self.sines[0].T @ values)
-        for table in self.sines:
-            values = np.tensordot(values, table, axes=(0, 0))
-        return self.weight * values.ravel()[self.slots]
+            return self.weight * np.matmul(self.sines[0].T, values[..., None])[..., 0]
+        lead = values.shape[: values.ndim - len(self.modes)]
+        values = _contract(values, lead, values.shape[len(lead):], self.sines)
+        return self.weight * values.reshape(*lead, -1)[..., self.slots]
 
     def galerkin(self, values: np.ndarray) -> np.ndarray:
         """Quadrature Galerkin matrix weight * sum_j values_j phi_a(x_j) phi_b(x_j).
@@ -370,3 +377,13 @@ class GridTables:
                 block -= moments[index]
         block *= self.block_scale
         return block
+
+
+def _contract(values: np.ndarray, lead: tuple, shape: tuple, tables) -> np.ndarray:
+    """Contract the first point axis with each table in turn, appending the
+    table's other axis: a stacked matmul per axis, whose per-row products are
+    the calls np.tensordot makes for one point."""
+    for table in tables:
+        values = np.matmul(values.reshape(*lead, shape[0], -1).swapaxes(-1, -2), table)
+        shape = (*shape[1:], table.shape[1])
+    return values.reshape(*lead, *shape)

@@ -14,7 +14,8 @@ and with nothing to deflate against it is plain Newton.  Level brackets
 combine a sampled upper bound over nested saddle-geometry balls with a
 closed-form lower growth curve whose constant is assembled from computed
 embedding data; both extremal problems behind them run through one
-projected-ascent routine.
+projected-ascent routine, which advances all its restarts at once as the
+rows of one stack on the grid tables, each row on the path it takes alone.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from . import region
 from .basis import (
     SpectralField,
     eigenvalue_growth_constant,
-    grid_quadrature,
     sobolev_norm,
 )
 from .energy import (
@@ -36,7 +36,6 @@ from .energy import (
     Evaluation,
     ProblemSpec,
     bump,
-    energy,
     energy_gradient,
     modified_energy,
 )
@@ -97,6 +96,7 @@ class SolveResult:
     residual_norm: float
     iterations: int
     converged: bool
+    energy: float  # the unmodified energy at z
     message: str = ""
 
 
@@ -125,29 +125,33 @@ def newton_solve(
     metric = np.concatenate([lam**spec.r, lam ** (2.0 - spec.r)])
     known_vecs = [_pack(zi) for zi in known]
     ev = Evaluation(z0, spec)  # the current iterate's, kept for its Jacobian
+
+    def outcome(iterations: int, converged: bool, message: str = "") -> SolveResult:
+        _, symmetric, forcing = ev.terms
+        return SolveResult(
+            z=ev.z, residual_norm=rn, iterations=iterations, converged=converged,
+            energy=symmetric - forcing, message=message,
+        )
+
     vec = _pack(z0)
     res = ev.gradient()
     rn = res.norm()
     fn = _deflation(vec, known_vecs, metric)[0] * rn
     if rn <= config.tol and _min_distance(ev.z, known, spec) > config.separation:
-        return SolveResult(z=ev.z, residual_norm=rn, iterations=0, converged=True)
+        return outcome(0, True)
     for it in range(1, config.max_iter + 1):
         rvec = np.concatenate([res.du, res.dv])
         m, mgrad = _deflation(vec, known_vecs, metric)
         if not math.isfinite(m):
-            return SolveResult(
-                z=ev.z, residual_norm=rn, iterations=it - 1, converged=False,
-                message="seed coincides with a known solution",
-            )
+            return outcome(it - 1, False, "seed coincides with a known solution")
         J = ev.hessian()
         if known:
             J = m * J + np.outer(rvec, mgrad)
         try:
             delta = np.linalg.solve(J, -m * rvec)
         except np.linalg.LinAlgError:
-            return SolveResult(
-                z=ev.z, residual_norm=rn, iterations=it - 1, converged=False,
-                message="singular deflated Jacobian" if deflated else "singular Jacobian",
+            return outcome(
+                it - 1, False, "singular deflated Jacobian" if deflated else "singular Jacobian"
             )
         del J  # so that the next iteration's Jacobian does not coexist with it
         step = 1.0
@@ -162,17 +166,14 @@ def newton_solve(
                 break
             step *= config.damping
         else:
-            return SolveResult(
-                z=ev.z, residual_norm=rn, iterations=it, converged=False,
-                message="deflated line search stalled" if deflated
+            return outcome(
+                it, False,
+                "deflated line search stalled" if deflated
                 else "line search stalled below min_step",
             )
         if rn <= config.tol and _min_distance(ev.z, known, spec) > config.separation:
-            return SolveResult(z=ev.z, residual_norm=rn, iterations=it, converged=True)
-    return SolveResult(
-        z=ev.z, residual_norm=rn, iterations=config.max_iter, converged=False,
-        message="max_iter reached",
-    )
+            return outcome(it, True)
+    return outcome(config.max_iter, False, "max_iter reached")
 
 
 def _deflation(z_vec: np.ndarray, known_vecs: list[np.ndarray], metric: np.ndarray):
@@ -229,7 +230,7 @@ def deflated_solve(
     if best is None:
         best = SolveResult(
             z=spec.zero_pair(), residual_norm=math.inf, iterations=0,
-            converged=False, message="empty seed schedule",
+            converged=False, energy=0.0, message="empty seed schedule",
         )
     best.message = f"seed schedule exhausted ({best.message})"
     return best
@@ -280,9 +281,7 @@ def find_branch(
 
     results = [newton_solve(seed, spec, config) for seed in seeds]
     candidates = [
-        (res.z, energy(res.z, spec), res.residual_norm)
-        for res in results
-        if res.converged
+        (res.z, res.energy, res.residual_norm) for res in results if res.converged
     ]
     candidates.sort(key=lambda item: _candidate_key(item[0], item[1]))
 
@@ -317,7 +316,7 @@ def find_branch(
             note = result.message
             break
         before = len(records)
-        try_accept(result.z, energy(result.z, spec), result.residual_norm)
+        try_accept(result.z, result.energy, result.residual_norm)
         if len(records) == before:
             deflate_against.append(result.z)  # rejected; do not revisit
     if len(records) < count and not exhausted:
@@ -375,43 +374,55 @@ def continuation(
 def _projected_ascent(value_grad, starts: list[np.ndarray], weights: np.ndarray, iters: int):
     """Maximize a value over the unit weighted sphere sum_k weights_k c_k^2 = 1.
 
-    From each start in turn: a step along the gradient, retracted onto the
-    sphere, is accepted when it raises the value; the step (first 0.5) then
-    grows by 1.3 up to 10, and is halved otherwise, down to 1e-12.
-    value_grad(c) returns the value and its ascent direction at c.  Returns
-    the best value and the point that reached it.
+    All starts advance together, one row each: a step along the gradient,
+    retracted onto the sphere, is accepted when it raises the row's value;
+    the row's step (first 0.5) then grows by 1.3 up to 10, and is halved
+    otherwise.  A row stops when its step falls below 1e-12 or after `iters`
+    steps, and only rows still running are evaluated, so every row takes the
+    path it would take alone.  value_grad(C) returns the values and ascent
+    directions at the rows of C.  Returns the best value, the first in start
+    order on ties, and the point that reached it.
     """
 
-    def normalize(c: np.ndarray) -> np.ndarray:
-        return c / math.sqrt(float(np.dot(weights * c, c)))
+    def normalize(C: np.ndarray) -> np.ndarray:
+        return C / np.array([math.sqrt(x) for x in _row_dots(weights * C, C)])[:, None]
 
+    C = normalize(np.array(starts, dtype=float))
+    vals, grads = value_grad(C)
+    steps = np.full(len(C), 0.5)
+    taken = np.zeros(len(C), dtype=int)
+    rows = np.arange(len(C))
+    while rows.size:
+        cand = normalize(C[rows] + steps[rows, None] * grads[rows])
+        cand_vals, cand_grads = value_grad(cand)
+        up = cand_vals > vals[rows] + 1e-16
+        won = rows[up]
+        C[won], vals[won], grads[won] = cand[up], cand_vals[up], cand_grads[up]
+        steps[rows] = np.where(up, np.minimum(steps[rows] * 1.3, 10.0), steps[rows] * 0.5)
+        taken[rows] += 1
+        rows = rows[(steps[rows] >= 1e-12) & (taken[rows] < iters)]
     best_val = -math.inf
     best_c = None
-    for c0 in starts:
-        c = normalize(c0)
-        val, grad = value_grad(c)
-        step = 0.5
-        for _ in range(iters):
-            cand = normalize(c + step * grad)
-            cand_val, cand_grad = value_grad(cand)
-            if cand_val > val + 1e-16:
-                c, val, grad = cand, cand_val, cand_grad
-                step = min(step * 1.3, 10.0)
-            else:
-                step *= 0.5
-                if step < 1e-12:
-                    break
+    for val, c in zip(vals, C):
         if val > best_val:
-            best_val = val
+            best_val = float(val)
             best_c = c
     return best_val, best_c
 
 
+def _row_dots(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """np.dot of each row of A with the same row of B, bit for bit: a stacked
+    matmul (einsum and (A * B).sum(1) sum in another order)."""
+    return np.matmul(A[:, None, :], B[:, :, None])[:, 0, 0]
+
+
 def _power_moment(spec: ProblemSpec, coeffs: np.ndarray, exponent: float):
-    """int |w|^(exponent+1) and its gradient in the coefficients of w."""
-    vals = spec.tables.evaluate(coeffs)
-    val = grid_quadrature(np.abs(vals) ** (exponent + 1.0), spec.domain)
-    pair = spec.tables.pairings((exponent + 1.0) * np.abs(vals) ** (exponent - 1.0) * vals)
+    """int |w|^(exponent+1) and its gradient in the coefficients of w, for
+    each row w of the (rows, n) stack."""
+    tables = spec.tables
+    vals = tables.evaluate(coeffs)
+    val = tables.weight * (np.abs(vals) ** (exponent + 1.0)).reshape(len(coeffs), -1).sum(axis=1)
+    pair = tables.pairings((exponent + 1.0) * np.abs(vals) ** (exponent - 1.0) * vals)
     if not np.all(np.isfinite(pair)):
         raise ValueError("coefficients must be finite")
     return val, pair
@@ -431,11 +442,11 @@ def _sphere_extremal(
     first `active` modes, by projected ascent on its negative."""
     rng = np.random.default_rng(seed)
 
-    def value_grad(c: np.ndarray) -> tuple[float, np.ndarray]:
-        coeffs = np.zeros(spec.n)
-        coeffs[:active] = c
+    def value_grad(C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        coeffs = np.zeros((len(C), spec.n))
+        coeffs[:, :active] = C
         val, pair = _power_moment(spec, coeffs, exponent)
-        return -val, -pair[:active]
+        return -val, -pair[:, :active]
 
     starts = [] if warm_start is None else [np.array(warm_start, dtype=float)]
     while len(starts) < restarts:
@@ -451,18 +462,20 @@ def _gn_constant(spec: ProblemSpec, exponent: float, order: float, theta: float,
     weights = spec.basis.eigenvalues**order
     rng = np.random.default_rng(seed)
 
-    def value_grad(c: np.ndarray) -> tuple[float, np.ndarray]:
-        num_int, pair = _power_moment(spec, c, exponent)
-        l2sq = float(np.dot(c, c))
-        sobsq = float(np.dot(weights * c, c))
-        ratio = num_int ** (1.0 / (exponent + 1.0)) / (
-            math.sqrt(l2sq) ** theta * math.sqrt(sobsq) ** (1.0 - theta)
-        )
+    def value_grad(C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        num_int, pair = _power_moment(spec, C, exponent)
+        l2sq = _row_dots(C, C)
+        sobsq = _row_dots(weights * C, C)
+        ratio = np.array([
+            float(num) ** (1.0 / (exponent + 1.0))
+            / (math.sqrt(l2) ** theta * math.sqrt(sob) ** (1.0 - theta))
+            for num, l2, sob in zip(num_int, l2sq, sobsq)
+        ])
         # ascend along the gradient of log ratio
         return ratio, (
-            pair / ((exponent + 1.0) * num_int)
-            - theta * c / l2sq
-            - (1.0 - theta) * weights * c / sobsq
+            pair / ((exponent + 1.0) * num_int)[:, None]
+            - theta * C / l2sq[:, None]
+            - (1.0 - theta) * weights * C / sobsq[:, None]
         )
 
     starts = [rng.standard_normal(spec.n) for _ in range(10)]

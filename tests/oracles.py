@@ -4,6 +4,9 @@ The dense oracle builds the full evaluation matrix S[j, k] = phi_k(x_j) on
 the flattened collocation grid and assembles the solver's residual and
 Jacobian from it directly, with no separable tables and no transforms.
 
+The ascent oracle is the level searches' projected ascent run one start
+and one point at a time, with the per-point power moment it climbs.
+
 The shooting oracle solves the scalar two-point problem -u'' = u^3 with
 u(0) = u(L) = 0 by integrating the initial value problem and root-finding on
 the initial slope; it never touches the spectral solver.  Solutions with j
@@ -20,7 +23,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
-from indefsaddle.basis import grid_shape
+from indefsaddle.basis import grid_quadrature, grid_shape
 from indefsaddle.energy import DualGradient
 
 
@@ -76,6 +79,45 @@ def dense_jacobian(z, spec) -> np.ndarray:
     J[diag, n + diag] = lam
     J[n + diag, diag] = lam
     return J
+
+
+def projected_ascent(value_grad, starts, weights, iters):
+    """Maximize value_grad(c)[0] over the unit weighted sphere, one start at a
+    time: the step (first 0.5) grows by 1.3 up to 10 on an accepted step and
+    is halved otherwise, down to 1e-12.  Returns the first best value in
+    start order and the point that reached it."""
+
+    def normalize(c):
+        return c / math.sqrt(float(np.dot(weights * c, c)))
+
+    best_val = -math.inf
+    best_c = None
+    for c0 in starts:
+        c = normalize(c0)
+        val, grad = value_grad(c)
+        step = 0.5
+        for _ in range(iters):
+            cand = normalize(c + step * grad)
+            cand_val, cand_grad = value_grad(cand)
+            if cand_val > val + 1e-16:
+                c, val, grad = cand, cand_val, cand_grad
+                step = min(step * 1.3, 10.0)
+            else:
+                step *= 0.5
+                if step < 1e-12:
+                    break
+        if val > best_val:
+            best_val = val
+            best_c = c
+    return best_val, best_c
+
+
+def power_moment(spec, coeffs, exponent):
+    """int |w|^(exponent+1) and its coefficient gradient at one point w."""
+    vals = spec.tables.evaluate(coeffs)
+    val = grid_quadrature(np.abs(vals) ** (exponent + 1.0), spec.domain)
+    pair = spec.tables.pairings((exponent + 1.0) * np.abs(vals) ** (exponent - 1.0) * vals)
+    return val, pair
 
 
 def _integrate(slope: float, span: float):

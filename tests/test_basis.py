@@ -119,6 +119,26 @@ def test_from_grid_of_zero():
     assert not np.any(zero.coeffs)
 
 
+@pytest.mark.parametrize("rows", [1, 4])
+@pytest.mark.parametrize("lengths", [(math.pi,), (math.pi, 1.3), (1.0, 0.7, 1.9)])
+def test_row_stacks_match_row_by_row(lengths, rows):
+    """A (rows, ...) stack gets bit for bit the values of one call per row."""
+    from indefsaddle.basis import grid_shape
+
+    basis = enumerate_basis(BoxDomain(lengths), 24)
+    shape = grid_shape(basis, 4)
+    tables = basis.grid_tables(shape)
+    coeffs = np.random.default_rng(rows).standard_normal((rows, basis.size))
+    values = tables.evaluate(coeffs)
+    cubes = values**3
+    pairings = tables.pairings(cubes)
+    assert values.shape == (rows, *shape)
+    assert pairings.shape == (rows, basis.size)
+    for i in range(rows):
+        assert np.array_equal(values[i], tables.evaluate(coeffs[i]))
+        assert np.array_equal(pairings[i], tables.pairings(cubes[i]))
+
+
 def test_grid_too_small_rejected():
     basis = enumerate_basis(BoxDomain((math.pi,)), 8)
     with pytest.raises(ValueError):

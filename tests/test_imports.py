@@ -1,8 +1,8 @@
-"""Every module of the package uses each name it imports.
+"""Every module of the package and of the test suite uses each name it imports.
 
-`__init__.py` is left out: its imports are the public API.  A name counts as
-used when the module reads it somewhere (a store, such as a dataclass field
-of the same name, does not count).
+The package's `__init__.py` is left out: its imports are the public API.  A
+name counts as used when the module reads it somewhere (a store, such as a
+dataclass field of the same name, does not count).
 """
 
 import ast
@@ -10,8 +10,11 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "indefsaddle"
-MODULES = sorted(path.name for path in PACKAGE.glob("*.py") if path.name != "__init__.py")
+TESTS = Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "indefsaddle"
+# package modules by file name, test modules as tests/<file name>
+MODULES = {path.name: path for path in PACKAGE.glob("*.py") if path.name != "__init__.py"}
+MODULES.update((f"tests/{path.name}", path) for path in TESTS.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -42,6 +45,6 @@ def test_checker_finds_unused_names():
     assert unused_imports(source) == ["os", "pi"]
 
 
-@pytest.mark.parametrize("module", MODULES)
+@pytest.mark.parametrize("module", sorted(MODULES))
 def test_no_unused_imports(module):
-    assert unused_imports((PACKAGE / module).read_text(encoding="utf-8")) == []
+    assert unused_imports(MODULES[module].read_text(encoding="utf-8")) == []

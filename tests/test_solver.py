@@ -24,7 +24,14 @@ from indefsaddle import (
 )
 from indefsaddle.basis import BoxDomain, from_grid, grid_points, to_grid
 
-from oracles import dense_jacobian, dense_residual, grid_data, shooting_solution
+from oracles import (
+    dense_jacobian,
+    dense_residual,
+    grid_data,
+    power_moment,
+    projected_ascent,
+    shooting_solution,
+)
 
 # golden energy of the single-arch solution, cross-checked against the ODE
 # oracle on first verified run; higher arches scale exactly as k^4
@@ -46,22 +53,6 @@ class TestResidual:
     def test_pure_forcing_residual(self, cubic_spec):
         spec = cubic_spec.with_forcing(h=[1.0], k=None)
         assert residual(spec.zero_pair(), spec).norm() == pytest.approx(1.0, abs=1e-15)
-
-    def test_agrees_with_energy_gradient(self, cubic_spec, perturbed_spec):
-        rng = np.random.default_rng(0)
-        for spec in (cubic_spec, perturbed_spec):
-            lam = spec.basis.eigenvalues
-            for _ in range(5):
-                z = FieldPair(
-                    SpectralField(spec.basis, lam**-0.5 * rng.standard_normal(spec.n)),
-                    SpectralField(spec.basis, lam**-0.5 * rng.standard_normal(spec.n)),
-                    spec.r,
-                )
-                res = residual(z, spec)
-                grad = energy_gradient(z, spec)
-                scale = max(1.0, grad.norm())
-                assert np.abs(res.du - grad.du).max() < 1e-14 * scale
-                assert np.abs(res.dv - grad.dv).max() < 1e-14 * scale
 
     def test_jacobian_is_symmetric_and_matches_fd(self, cubic_spec):
         rng = np.random.default_rng(1)
@@ -258,6 +249,37 @@ class TestDeflation:
             mg = modified_energy_gradient(rec.z, cubic_spec, cutoff)
             assert mg.grad.norm() < 1e-8
 
+    def test_forced_hunt_evaluates_only_inside_newton(self, perturbed_spec, monkeypatch):
+        """Each candidate's energy comes from the Newton run's own evaluation,
+        so a hunt synthesizes no point outside newton_solve."""
+        from indefsaddle import basis, solve
+
+        depth = 0
+        outside = 0
+        real_newton = solve.newton_solve
+        real_evaluate = basis.GridTables.evaluate
+
+        def newton(*args, **kwargs):
+            nonlocal depth
+            depth += 1
+            try:
+                return real_newton(*args, **kwargs)
+            finally:
+                depth -= 1
+
+        def evaluate(tables, coeffs):
+            nonlocal outside
+            outside += depth == 0
+            return real_evaluate(tables, coeffs)
+
+        monkeypatch.setattr(solve, "newton_solve", newton)
+        monkeypatch.setattr(basis.GridTables, "evaluate", evaluate)
+        branch = find_branch(perturbed_spec, count=3)
+        assert len(branch.records) == 3
+        assert outside == 0
+        for rec in branch.records:
+            assert rec.energy == energy(rec.z, perturbed_spec)
+
 
 class TestMeshRobustness:
     def test_energies_stable_under_doubling(self, cubic_spec, newton_config):
@@ -362,6 +384,113 @@ class TestLevels:
         print(f"per-index bracket comparison: {len(flagged)} flagged of 3")
         for e, k, upper in flagged:
             print(f"  energy {e:.4f} above sampled upper {upper:.4f} at index {k}")
+
+
+class TestBatchedAscent:
+    """The level searches advance all their restarts at once; every row takes
+    the path the per-start oracle takes alone, bit for bit, and a row that
+    has stopped is not evaluated again."""
+
+    @pytest.fixture
+    def moment_rows(self, monkeypatch):
+        from indefsaddle import solve
+
+        rows = []
+        real = solve._power_moment
+
+        def counting(spec, coeffs, exponent):
+            rows.append(len(coeffs))
+            return real(spec, coeffs, exponent)
+
+        monkeypatch.setattr(solve, "_power_moment", counting)
+        return rows
+
+    @pytest.mark.parametrize("lengths, n", [((math.pi,), 32), ((math.pi, 2.0), 24)])
+    def test_sphere_extremal_matches_oracle(self, lengths, n, moment_rows):
+        from indefsaddle.solve import _sphere_extremal
+
+        spec = ProblemSpec.create(BoxDomain(lengths), n=n, r=0.8, p=3.0, q=2.5)
+        active, warm, seed = 4, np.array([1.0, -0.5, 0.0, 0.25]), 7
+        calls = []
+
+        def value_grad(c):
+            calls.append(1)
+            coeffs = np.zeros(spec.n)
+            coeffs[:active] = c
+            val, pair = power_moment(spec, coeffs, spec.q)
+            return -val, -pair[:active]
+
+        rng = np.random.default_rng(seed)
+        starts = [warm] + [rng.standard_normal(active) for _ in range(9)]
+        weights = spec.basis.eigenvalues[:active] ** spec.r
+        val, point = projected_ascent(value_grad, starts, weights, 300)
+        got_val, got_point = _sphere_extremal(
+            spec, active, spec.q, spec.r, seed=seed, warm_start=warm
+        )
+        assert got_val == -val
+        assert np.array_equal(got_point, point)
+        assert sum(moment_rows) == len(calls)
+
+    @pytest.mark.parametrize("lengths, n", [((math.pi,), 32), ((math.pi, 2.0), 24)])
+    def test_gn_constant_matches_oracle(self, lengths, n, moment_rows):
+        from indefsaddle.solve import _gn_constant
+
+        spec = ProblemSpec.create(BoxDomain(lengths), n=n, r=0.8, p=3.0, q=2.5)
+        exponent, theta, seed = spec.p, 0.4, 5
+        weights = spec.basis.eigenvalues ** (2.0 - spec.r)
+        calls = []
+
+        def value_grad(c):
+            calls.append(1)
+            num_int, pair = power_moment(spec, c, exponent)
+            l2sq = float(np.dot(c, c))
+            sobsq = float(np.dot(weights * c, c))
+            ratio = num_int ** (1.0 / (exponent + 1.0)) / (
+                math.sqrt(l2sq) ** theta * math.sqrt(sobsq) ** (1.0 - theta)
+            )
+            return ratio, (
+                pair / ((exponent + 1.0) * num_int)
+                - theta * c / l2sq
+                - (1.0 - theta) * weights * c / sobsq
+            )
+
+        rng = np.random.default_rng(seed)
+        starts = [rng.standard_normal(spec.n) for _ in range(10)]
+        val, _ = projected_ascent(value_grad, starts, weights, 200)
+        assert _gn_constant(spec, exponent, 2.0 - spec.r, theta, seed) == max(0.0, val)
+        assert sum(moment_rows) == len(calls)
+
+    def test_rows_capped_by_iters_match_oracle(self, cubic_spec):
+        """Rows that stop on the step count, not the step size, stop alike;
+        of the exactly tied mirror rows c and -c the first one wins."""
+        from indefsaddle.solve import _power_moment, _projected_ascent
+
+        def rows_value_grad(C):
+            return _power_moment(cubic_spec, C, 3.0)
+
+        def point_value_grad(c):
+            return power_moment(cubic_spec, c, 3.0)
+
+        rng = np.random.default_rng(2)
+        starts = []
+        for _ in range(3):
+            c = rng.standard_normal(cubic_spec.n)
+            starts += [c, -c]
+        weights = cubic_spec.basis.eigenvalues
+        for iters in (1, 3, 8):
+            val, point = projected_ascent(point_value_grad, starts, weights, iters)
+            got_val, got_point = _projected_ascent(rows_value_grad, starts, weights, iters)
+            assert got_val == val
+            assert np.array_equal(got_point, point)
+
+    def test_one_overflowing_row_raises(self, cubic_spec):
+        from indefsaddle.solve import _power_moment
+
+        coeffs = np.zeros((3, cubic_spec.n))
+        coeffs[:, 0] = [1.0, 1e200, 2.0]
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="coefficients must be finite"):
+                _power_moment(cubic_spec, coeffs, 3.0)
 
 
 class TestVerifyCritical:
