@@ -301,6 +301,7 @@ class GridTables:
         if any(G < M for G, M in zip(shape, modes)):
             raise ValueError(f"grid size {shape} is below the basis resolution {modes}")
         self.modes = modes
+        self.points = math.prod(shape)
         self.weight = math.prod(L / (G + 1) for L, G in zip(lengths, shape))
         # weight times the 1/L_i of each axis's product-to-sum identity
         self.block_scale = 1.0 / math.prod(G + 1 for G in shape)
@@ -387,3 +388,10 @@ def _contract(values: np.ndarray, lead: tuple, shape: tuple, tables) -> np.ndarr
         values = np.matmul(values.reshape(*lead, shape[0], -1).swapaxes(-1, -2), table)
         shape = (*shape[1:], table.shape[1])
     return values.reshape(*lead, *shape)
+
+
+def _row_dots(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """np.dot of each row of A with the same row of B, over any leading axes,
+    bit for bit: a stacked matmul (einsum and (A * B).sum(-1) sum in another
+    order)."""
+    return np.matmul(A[..., None, :], B[..., :, None])[..., 0, 0]

@@ -39,6 +39,7 @@ from .basis import (
     GridTables,
     SineBasis,
     SpectralField,
+    _row_dots,
     enumerate_basis,
     grid_quadrature,
     grid_shape,
@@ -207,8 +208,10 @@ class DualGradient:
     du: np.ndarray
     dv: np.ndarray
 
-    def norm(self) -> float:
-        return float(np.sqrt(np.dot(self.du, self.du) + np.dot(self.dv, self.dv)))
+    def norm(self):
+        """The Euclidean norm, or along a leading rows axis each row's."""
+        norms = np.sqrt(_row_dots(self.du, self.du) + _row_dots(self.dv, self.dv))
+        return float(norms) if norms.ndim == 0 else norms
 
     def pairing(self, w: FieldPair) -> float:
         """Directional derivative against a test pair."""
@@ -237,6 +240,11 @@ class Evaluation:
     the power pairings, the gradient and the Hessian are computed on first
     use.  Only the forcing pairing is odd in z, and the rest even, so the
     evaluation of z also gives the values at -z.
+
+    Evaluation.rows evaluates a stack of packed points [u | v] at once: its
+    grid values, pairings and gradient carry a leading rows axis, each row
+    bit for bit what the point gets alone, and row(i) hands point i on as a
+    one-point evaluation (energies, cutoff and Hessian are one-point only).
     """
 
     def __init__(self, z: FieldPair, spec: ProblemSpec):
@@ -245,9 +253,37 @@ class Evaluation:
         if z.r != spec.r:
             raise ValueError(f"point split parameter {z.r} differs from problem r {spec.r}")
         self.z = z
+        self._synthesize(spec, z.u.coeffs, z.v.coeffs)
+
+    def _synthesize(self, spec: ProblemSpec, u: np.ndarray, v: np.ndarray) -> None:
         self.spec = spec
-        self.u_vals = spec.tables.evaluate(z.u.coeffs)
-        self.v_vals = spec.tables.evaluate(z.v.coeffs)
+        self.u, self.v = u, v
+        self.u_vals = spec.tables.evaluate(u)
+        self.v_vals = spec.tables.evaluate(v)
+
+    @classmethod
+    def rows(cls, vecs: np.ndarray, spec: ProblemSpec) -> "Evaluation":
+        """The evaluation of the points packed in the rows of a (rows, 2n) stack."""
+        ev = cls.__new__(cls)
+        ev._synthesize(spec, vecs[:, : spec.n], vecs[:, spec.n :])
+        return ev
+
+    def row(self, i: int) -> "Evaluation":
+        """Row i of a stack as a one-point evaluation, sharing the grid values
+        and pairings already computed."""
+        ev = Evaluation.__new__(Evaluation)
+        ev.spec, ev.u, ev.v = self.spec, self.u[i], self.v[i]
+        ev.u_vals, ev.v_vals = self.u_vals[i], self.v_vals[i]
+        if "pairings" in vars(self):
+            pu, pv = self.pairings
+            ev.pairings = pu[i], pv[i]
+        return ev
+
+    @cached_property
+    def z(self) -> FieldPair:
+        """The point; built on first use for a row of a stack."""
+        spec = self.spec
+        return FieldPair(SpectralField(spec.basis, self.u), SpectralField(spec.basis, self.v), spec.r)
 
     @cached_property
     def terms(self) -> tuple[float, float, float]:
@@ -266,11 +302,11 @@ class Evaluation:
         return pu, pv
 
     def gradient(self) -> DualGradient:
-        """The energy gradient at this point (see energy_gradient)."""
+        """The energy gradient at this point, or at each row (see energy_gradient)."""
         lam = self.spec.basis.eigenvalues
         pu, pv = self.pairings
-        du = lam * self.z.v.coeffs - pu - self.spec.k.coeffs
-        dv = lam * self.z.u.coeffs - pv - self.spec.h.coeffs
+        du = lam * self.v - pu - self.spec.k.coeffs
+        dv = lam * self.u - pv - self.spec.h.coeffs
         return DualGradient(du=du, dv=dv)
 
     def hessian(self) -> np.ndarray:

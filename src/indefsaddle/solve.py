@@ -10,12 +10,17 @@ grid tables of the basis (basis.GridTables).  The dense-matrix residual
 and Jacobian that check them live in the tests.  There is one Newton
 loop; deflation is an option of it, which multiplies the residual by
 prod_i (dist_i^-2 + 1) over known solutions so Newton runs land on new ones,
-and with nothing to deflate against it is plain Newton.  Level brackets
-combine a sampled upper bound over nested saddle-geometry balls with a
-closed-form lower growth curve whose constant is assembled from computed
-embedding data; both extremal problems behind them run through one
-projected-ascent routine, which advances all its restarts at once as the
-rows of one stack on the grid tables, each row on the path it takes alone.
+and with nothing to deflate against it is plain Newton.  Its backtracking
+line search evaluates the step ladder as row stacks of doubling size on the
+grid tables, with the deflation factors of a whole stack computed against
+one stack of the known points; every accepted step is still the first
+decrease in step order, so the iterates are those of trying one step at a
+time.  Level brackets combine a sampled upper bound over nested
+saddle-geometry balls with a closed-form lower growth curve whose constant
+is assembled from computed embedding data; both extremal problems behind
+them run through one projected-ascent routine, which advances all its
+restarts at once as the rows of one stack on the grid tables, each row on
+the path it takes alone.
 """
 
 from __future__ import annotations
@@ -28,11 +33,13 @@ import numpy as np
 from . import region
 from .basis import (
     SpectralField,
+    _row_dots,
     eigenvalue_growth_constant,
     sobolev_norm,
 )
 from .energy import (
     CutoffConfig,
+    DualGradient,
     Evaluation,
     ProblemSpec,
     bump,
@@ -76,13 +83,6 @@ def _pack(z: FieldPair) -> np.ndarray:
     return np.concatenate([z.u.coeffs, z.v.coeffs])
 
 
-def _unpack(vec: np.ndarray, spec: ProblemSpec) -> FieldPair:
-    n = spec.n
-    u = SpectralField(spec.basis, vec[:n])
-    v = SpectralField(spec.basis, vec[n:])
-    return FieldPair(u, v, spec.r)
-
-
 def jacobian(z: FieldPair, spec: ProblemSpec) -> np.ndarray:
     """Jacobian of the residual (see Evaluation.hessian)."""
     return Evaluation(z, spec).hessian()
@@ -113,17 +113,21 @@ def newton_solve(
     rank-one term to the Jacobian; convergence is still judged on the
     undeflated residual, and a point within `separation` of a known solution
     is not accepted.  known=None is plain Newton; a list, even an empty one,
-    marks the failure messages as deflated.  Backtracking halves the step
-    until the (deflated) residual norm decreases, so every accepted step is
-    monotone; stalling below min_step or exhausting max_iter returns the
-    best iterate with a diagnostic (a bad seed, not an error).
+    marks the failure messages as deflated.  Backtracking tries the steps
+    1, damping, damping^2, ... down to min_step and accepts the first one,
+    in step order, that decreases the (deflated) residual norm, so every
+    accepted step is monotone.  The ladder is evaluated in row stacks of
+    doubling size (the full step alone, then 2, 4, 8, ... steps), and the
+    rows after the accepted one are discarded.  Stalling below min_step or
+    exhausting max_iter returns the best iterate with a diagnostic (a bad
+    seed, not an error).
     """
     config = config or NewtonConfig()
     deflated = known is not None
     known = known or []
     lam = spec.basis.eigenvalues
     metric = np.concatenate([lam**spec.r, lam ** (2.0 - spec.r)])
-    known_vecs = [_pack(zi) for zi in known]
+    known_stack = np.array([_pack(zi) for zi in known]).reshape(len(known), 2 * spec.n)
     ev = Evaluation(z0, spec)  # the current iterate's, kept for its Jacobian
 
     def outcome(iterations: int, converged: bool, message: str = "") -> SolveResult:
@@ -136,17 +140,17 @@ def newton_solve(
     vec = _pack(z0)
     res = ev.gradient()
     rn = res.norm()
-    fn = _deflation(vec, known_vecs, metric)[0] * rn
+    m = _deflation(vec[None], known_stack, metric)[0]
+    fn = m * rn
     if rn <= config.tol and _min_distance(ev.z, known, spec) > config.separation:
         return outcome(0, True)
     for it in range(1, config.max_iter + 1):
-        rvec = np.concatenate([res.du, res.dv])
-        m, mgrad = _deflation(vec, known_vecs, metric)
         if not math.isfinite(m):
             return outcome(it - 1, False, "seed coincides with a known solution")
+        rvec = np.concatenate([res.du, res.dv])
         J = ev.hessian()
         if known:
-            J = m * J + np.outer(rvec, mgrad)
+            J = m * J + np.outer(rvec, _deflation_gradient(vec, known_stack, metric, m))
         try:
             delta = np.linalg.solve(J, -m * rvec)
         except np.linalg.LinAlgError:
@@ -154,42 +158,86 @@ def newton_solve(
                 it - 1, False, "singular deflated Jacobian" if deflated else "singular Jacobian"
             )
         del J  # so that the next iteration's Jacobian does not coexist with it
-        step = 1.0
-        while step >= config.min_step:
-            cand = vec + step * delta
-            cand_ev = Evaluation(_unpack(cand, spec), spec)
-            cand_res = cand_ev.gradient()
-            cand_rn = cand_res.norm()
-            cand_fn = _deflation(cand, known_vecs, metric)[0] * cand_rn
-            if cand_fn < fn:
-                vec, ev, res, rn, fn = cand, cand_ev, cand_res, cand_rn, cand_fn
-                break
-            step *= config.damping
-        else:
+        found = _backtrack(vec, delta, fn, spec, known_stack, metric, config)
+        if found is None:
             return outcome(
                 it, False,
                 "deflated line search stalled" if deflated
                 else "line search stalled below min_step",
             )
+        vec, ev, res, m, rn = found
+        fn = m * rn
         if rn <= config.tol and _min_distance(ev.z, known, spec) > config.separation:
             return outcome(it, True)
     return outcome(config.max_iter, False, "max_iter reached")
 
 
-def _deflation(z_vec: np.ndarray, known_vecs: list[np.ndarray], metric: np.ndarray):
-    """Deflation factor prod_i (d_i^-2 + 1) and its coefficient-space gradient."""
+_STACK_VALUES = 1 << 20  # 8 MB per float array of one line-search stack
+
+
+def _backtrack(vec, delta, fn, spec, known, metric, config):
+    """The first step of the ladder 1, damping, damping^2, ... down to
+    min_step whose point vec + step * delta has a deflated residual norm
+    below fn, as (point, its evaluation, residual, deflation factor, residual
+    norm), or None if no step does.
+
+    The ladder is evaluated in row stacks of doubling size: the full step
+    alone, then the next 2, 4, 8, ... steps, up to a stack of about
+    _STACK_VALUES grid values and known-point differences.  Rows after the
+    accepted one are discarded, and a non-finite point raises as it is
+    reached, so the outcome is that of trying the steps one at a time."""
+    cap = max(1, _STACK_VALUES // (spec.tables.points + known.size))
+    step, size = 1.0, 1
+    while step >= config.min_step:
+        steps = []
+        while len(steps) < size and step >= config.min_step:
+            steps.append(step)
+            step *= config.damping
+        size = min(2 * size, cap)
+        cands = vec + np.multiply.outer(steps, delta)
+        rows = Evaluation.rows(cands, spec)
+        res = rows.gradient()
+        norms = res.norm().tolist()
+        for i, (factor, rn) in enumerate(zip(_deflation(cands, known, metric), norms)):
+            if factor * rn < fn:
+                return cands[i], rows.row(i), DualGradient(res.du[i], res.dv[i]), factor, rn
+            # a non-finite coefficient makes the residual norm non-finite
+            if not math.isfinite(rn) and not np.isfinite(cands[i]).all():
+                raise ValueError("coefficients must be finite")
+    return None
+
+
+def _deflation(Z: np.ndarray, known: np.ndarray, metric: np.ndarray) -> list[float]:
+    """Deflation factor prod_i (d_i^-2 + 1) at each row of Z, over the known
+    points in the rows of `known`; infinite at a row that coincides with one.
+
+    Each d_i^2 is the np.dot of one point's metric-weighted difference with
+    itself, bit for bit, and the factors multiply in known order."""
+    if not len(known):
+        return [1.0] * len(Z)
+    diff = Z[:, None, :] - known
+    return [_deflation_factor(d2) for d2 in _row_dots(metric * diff, diff).tolist()]
+
+
+def _deflation_factor(d2: list[float]) -> float:
     m = 1.0
-    grad = np.zeros(z_vec.size)
-    for known_vec in known_vecs:
-        diff = z_vec - known_vec
-        d2 = float(np.dot(metric * diff, diff))
-        if d2 <= 1e-28:
-            return math.inf, grad
-        factor = 1.0 / d2 + 1.0
-        m *= factor
-        # d/dz of (d^-2 + 1), with d^2 the metric distance squared
-        grad += (-1.0 / (d2 * d2) / factor) * (2.0 * metric * diff)
-    return m, m * grad
+    for d in d2:
+        if d <= 1e-28:
+            return math.inf
+        m *= 1.0 / d + 1.0
+    return m
+
+
+def _deflation_gradient(z_vec: np.ndarray, known: np.ndarray, metric: np.ndarray, m: float):
+    """Coefficient-space gradient of the deflation factor m (finite) at z_vec:
+    m times the sum over known points, in order, of d/dz log(d_i^-2 + 1)."""
+    diff = z_vec - known
+    d2 = _row_dots(metric * diff, diff)
+    # d/dz of (d^-2 + 1) over (d^-2 + 1), with d^2 the metric distance squared
+    terms = (-1.0 / (d2 * d2) / (1.0 / d2 + 1.0))[:, None] * (2.0 * metric * diff)
+    # summed in known order from +0.0, as a running sum is, so that the sign
+    # of a zero entry does not depend on the first term
+    return m * np.sum(terms, axis=0, initial=0.0)
 
 
 def _min_distance(z: FieldPair, others: list[FieldPair], spec: ProblemSpec) -> float:
@@ -408,12 +456,6 @@ def _projected_ascent(value_grad, starts: list[np.ndarray], weights: np.ndarray,
             best_val = float(val)
             best_c = c
     return best_val, best_c
-
-
-def _row_dots(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """np.dot of each row of A with the same row of B, bit for bit: a stacked
-    matmul (einsum and (A * B).sum(1) sum in another order)."""
-    return np.matmul(A[:, None, :], B[:, :, None])[:, 0, 0]
 
 
 def _power_moment(spec: ProblemSpec, coeffs: np.ndarray, exponent: float):

@@ -7,6 +7,10 @@ Jacobian from it directly, with no separable tables and no transforms.
 The ascent oracle is the level searches' projected ascent run one start
 and one point at a time, with the per-point power moment it climbs.
 
+The Newton oracle is the deflated Newton loop with its backtracking run one
+step at a time: each candidate is unpacked into a pair, evaluated alone,
+and deflated by a Python loop over the known points.
+
 The shooting oracle solves the scalar two-point problem -u'' = u^3 with
 u(0) = u(L) = 0 by integrating the initial value problem and root-finding on
 the initial slope; it never touches the spectral solver.  Solutions with j
@@ -23,8 +27,10 @@ import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
-from indefsaddle.basis import grid_quadrature, grid_shape
-from indefsaddle.energy import DualGradient
+from indefsaddle.basis import SpectralField, grid_quadrature, grid_shape
+from indefsaddle.energy import DualGradient, Evaluation
+from indefsaddle.solve import NewtonConfig, SolveResult
+from indefsaddle.space import FieldPair, pair_norm
 
 
 def grid_matrix(basis, shape: tuple[int, ...]) -> np.ndarray:
@@ -118,6 +124,94 @@ def power_moment(spec, coeffs, exponent):
     val = grid_quadrature(np.abs(vals) ** (exponent + 1.0), spec.domain)
     pair = spec.tables.pairings((exponent + 1.0) * np.abs(vals) ** (exponent - 1.0) * vals)
     return val, pair
+
+
+def deflation(z_vec, known_vecs, metric):
+    """Deflation factor prod_i (d_i^-2 + 1) and its gradient, one known
+    point at a time; at a coincident point the factor is infinite."""
+    m = 1.0
+    grad = np.zeros(z_vec.size)
+    for known_vec in known_vecs:
+        diff = z_vec - known_vec
+        d2 = float(np.dot(metric * diff, diff))
+        if d2 <= 1e-28:
+            return math.inf, grad
+        factor = 1.0 / d2 + 1.0
+        m *= factor
+        grad += (-1.0 / (d2 * d2) / factor) * (2.0 * metric * diff)
+    return m, m * grad
+
+
+def sequential_newton(z0, spec, config=None, known=None) -> SolveResult:
+    """Deflated damped Newton whose line search tries the steps 1, damping,
+    damping^2, ... down to min_step one at a time and takes the first that
+    lowers the deflated residual norm."""
+    config = config or NewtonConfig()
+    deflated = known is not None
+    known = known or []
+    n = spec.n
+    lam = spec.basis.eigenvalues
+    metric = np.concatenate([lam**spec.r, lam ** (2.0 - spec.r)])
+    known_vecs = [np.concatenate([zi.u.coeffs, zi.v.coeffs]) for zi in known]
+
+    def unpack(vec):
+        return FieldPair(SpectralField(spec.basis, vec[:n]), SpectralField(spec.basis, vec[n:]), spec.r)
+
+    def separated(z):
+        return all(pair_norm(z - zi) > config.separation for zi in known)
+
+    def norm(g):
+        return float(np.sqrt(np.dot(g.du, g.du) + np.dot(g.dv, g.dv)))
+
+    ev = Evaluation(z0, spec)
+
+    def outcome(iterations, converged, message=""):
+        _, symmetric, forcing = ev.terms
+        return SolveResult(
+            z=ev.z, residual_norm=rn, iterations=iterations, converged=converged,
+            energy=symmetric - forcing, message=message,
+        )
+
+    vec = np.concatenate([z0.u.coeffs, z0.v.coeffs])
+    res = ev.gradient()
+    rn = norm(res)
+    fn = deflation(vec, known_vecs, metric)[0] * rn
+    if rn <= config.tol and separated(ev.z):
+        return outcome(0, True)
+    for it in range(1, config.max_iter + 1):
+        rvec = np.concatenate([res.du, res.dv])
+        m, mgrad = deflation(vec, known_vecs, metric)
+        if not math.isfinite(m):
+            return outcome(it - 1, False, "seed coincides with a known solution")
+        J = ev.hessian()
+        if known:
+            J = m * J + np.outer(rvec, mgrad)
+        try:
+            delta = np.linalg.solve(J, -m * rvec)
+        except np.linalg.LinAlgError:
+            return outcome(
+                it - 1, False, "singular deflated Jacobian" if deflated else "singular Jacobian"
+            )
+        step = 1.0
+        while step >= config.min_step:
+            cand = vec + step * delta
+            cand_ev = Evaluation(unpack(cand), spec)
+            cand_res = cand_ev.gradient()
+            cand_rn = norm(cand_res)
+            cand_fn = deflation(cand, known_vecs, metric)[0] * cand_rn
+            if cand_fn < fn:
+                vec, ev, res, rn, fn = cand, cand_ev, cand_res, cand_rn, cand_fn
+                break
+            step *= config.damping
+        else:
+            return outcome(
+                it, False,
+                "deflated line search stalled" if deflated
+                else "line search stalled below min_step",
+            )
+        if rn <= config.tol and separated(ev.z):
+            return outcome(it, True)
+    return outcome(config.max_iter, False, "max_iter reached")
 
 
 def _integrate(slope: float, span: float):

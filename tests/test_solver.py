@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -25,11 +26,13 @@ from indefsaddle import (
 from indefsaddle.basis import BoxDomain, from_grid, grid_points, to_grid
 
 from oracles import (
+    deflation,
     dense_jacobian,
     dense_residual,
     grid_data,
     power_moment,
     projected_ascent,
+    sequential_newton,
     shooting_solution,
 )
 
@@ -279,6 +282,153 @@ class TestDeflation:
         assert outside == 0
         for rec in branch.records:
             assert rec.energy == energy(rec.z, perturbed_spec)
+
+
+@functools.lru_cache(maxsize=None)
+def _newton_cases() -> dict:
+    """Name -> (seed, spec, config, known) of Newton runs that backtrack."""
+    cubic = ProblemSpec.create(BoxDomain((math.pi,)), n=32, r=1.0, p=3.0, q=3.0)
+    seeds = default_seeds(cubic)
+    mode = SpectralField.unit(cubic.basis, 1)
+    ground = newton_solve(FieldPair(2.0 * mode, 2.0 * mode, 1.0), cubic).z
+    zero = cubic.zero_pair()
+    forced = cubic.with_forcing(h=[0.05], k=[0.05])
+    forced_ground = newton_solve(FieldPair(2.0 * mode, 2.0 * mode, 1.0), forced).z
+    box2 = ProblemSpec.create(BoxDomain((1.0, 2.5)), n=16, r=1.0, p=3.0, q=2.5)
+    box3 = ProblemSpec.create(BoxDomain((1.0, 1.3, 2.0)), n=12, r=1.0, p=3.0, q=3.0)
+    return {
+        "plain": (seeds[0], cubic, None, None),
+        "deflated-zero": (seeds[12], cubic, None, [zero]),
+        "deflated-mirrors": (seeds[8], cubic, None, [zero, ground, -ground]),
+        "stalled-mirrors": (seeds[0], cubic, None, [zero, ground, -ground]),
+        "forced": (seeds[2], forced, None, [forced_ground]),
+        "damping": (seeds[12], cubic, NewtonConfig(damping=0.3), [zero]),
+        "min-step": (seeds[12], cubic, NewtonConfig(min_step=0.1), [zero]),
+        "2-D": (default_seeds(box2)[8], box2, None, [box2.zero_pair()]),
+        "3-D": (default_seeds(box3)[8], box3, None, [box3.zero_pair()]),
+    }
+
+
+class TestBacktracking:
+    """The line search runs its step ladder as row stacks of doubling size;
+    every result must be the sequential ladder's, bit for bit."""
+
+    @pytest.mark.parametrize("name", list(_newton_cases()))
+    def test_matches_sequential_oracle(self, name):
+        z0, spec, config, known = _newton_cases()[name]
+        got = newton_solve(z0, spec, config, known)
+        want = sequential_newton(z0, spec, config, known)
+        assert np.array_equal(got.z.u.coeffs, want.z.u.coeffs)
+        assert np.array_equal(got.z.v.coeffs, want.z.v.coeffs)
+        assert got.residual_norm == want.residual_norm
+        assert got.iterations == want.iterations
+        assert got.converged == want.converged
+        assert got.energy == want.energy
+        assert got.message == want.message
+
+    def test_cases_cover_stalls_and_convergence(self):
+        outcomes = {
+            name: sequential_newton(*case) for name, case in _newton_cases().items()
+        }
+        assert outcomes["plain"].converged and outcomes["deflated-mirrors"].converged
+        for name in ("deflated-zero", "stalled-mirrors", "damping", "min-step", "2-D", "3-D"):
+            assert outcomes[name].message == "deflated line search stalled"
+
+    @pytest.mark.parametrize("scale, fill", [(2.0, math.inf), (2.0, math.nan), (1.5e308, 1e308)])
+    def test_non_finite_step_raises(self, cubic_spec, monkeypatch, scale, fill):
+        """A candidate with a non-finite coefficient raises where the
+        sequential ladder reaches it; with scale 1.5e308 the full and the
+        half step overflow and the quarter step does not."""
+        mode = SpectralField.unit(cubic_spec.basis, 1)
+        seed = FieldPair(scale * mode, mode, 1.0)
+        monkeypatch.setattr(np.linalg, "solve", lambda J, b: np.full(b.shape, fill))
+        with np.errstate(over="ignore", invalid="ignore"):
+            for newton in (sequential_newton, newton_solve):
+                with pytest.raises(ValueError, match="coefficients must be finite"):
+                    newton(seed, cubic_spec)
+
+    def test_deflation_matches_oracle(self, cubic_spec):
+        from indefsaddle.solve import _deflation, _deflation_gradient
+
+        lam = cubic_spec.basis.eigenvalues
+        metric = np.concatenate([lam, lam])
+        rng = np.random.default_rng(4)
+        sparse = np.zeros(64)
+        sparse[[0, 33]] = [1.5, -0.5]  # zero differences give signed-zero terms
+        for m in (0, 1, 3, 13):
+            known = rng.standard_normal((m, 64)) / metric
+            if m:
+                known[0] = 0.0
+            points = [rng.standard_normal(64), sparse] + list(known[1:2])
+            factors = _deflation(np.array(points), known, metric)
+            for z, factor in zip(points, factors):
+                want_factor, want_grad = deflation(z, list(known), metric)
+                assert factor == want_factor
+                if math.isfinite(factor):
+                    grad = _deflation_gradient(z, known, metric, factor)
+                    assert grad.tobytes() == want_grad.tobytes()
+            if m > 1:
+                assert factors[-1] == math.inf  # a point on a known one
+
+    def test_stalled_ladder_evaluates_doubling_stacks(self, monkeypatch):
+        """A stalled 40-step ladder is 6 stacks of 1, 2, 4, 8, 16 and 9 rows,
+        and no line search evaluates more than twice the rows the sequential
+        ladder tries."""
+        from indefsaddle import basis, solve
+
+        z0, spec, config, known = _newton_cases()["stalled-mirrors"]
+        config = config or NewtonConfig()
+        rows: list[int] = []
+        searches = []
+        real_evaluate = basis.GridTables.evaluate
+        real_backtrack = solve._backtrack
+
+        def evaluate(tables, coeffs):
+            rows.append(len(coeffs) if coeffs.ndim == 2 else 0)
+            return real_evaluate(tables, coeffs)
+
+        def backtrack(vec, delta, *args):
+            rows.clear()
+            found = real_backtrack(vec, delta, *args)
+            step, tried = 1.0, 1
+            while found is not None and not np.array_equal(vec + step * delta, found[0]):
+                step *= config.damping
+                tried += 1
+            searches.append((found is not None, tried, list(rows)))
+            return found
+
+        monkeypatch.setattr(basis.GridTables, "evaluate", evaluate)
+        monkeypatch.setattr(solve, "_backtrack", backtrack)
+        result = newton_solve(z0, spec, config, known)
+        assert result.message == "deflated line search stalled"
+        stalled = searches[-1]
+        assert not stalled[0]
+        assert stalled[2] == [1, 1, 2, 2, 4, 4, 8, 8, 16, 16, 9, 9]  # u and v per stack
+        assert any(tried > 1 for accepted, tried, _ in searches if accepted)
+        for accepted, tried, stacks in searches:
+            evaluated = sum(stacks) // 2
+            assert evaluated <= 2 * (tried if accepted else 40)
+
+
+    def test_stacks_capped_by_size(self, monkeypatch):
+        """Stacks stop doubling at the cap on their values, which bounds the
+        memory of a long ladder; the result stays the sequential one."""
+        from indefsaddle import basis, solve
+
+        z0, spec, config, known = _newton_cases()["stalled-mirrors"]
+        stack = len(known) * 2 * spec.n + spec.tables.points
+        monkeypatch.setattr(solve, "_STACK_VALUES", 3 * stack + 1)
+        rows: list[int] = []
+        real_evaluate = basis.GridTables.evaluate
+
+        def evaluate(tables, coeffs):
+            rows.append(len(coeffs) if coeffs.ndim == 2 else 0)
+            return real_evaluate(tables, coeffs)
+
+        monkeypatch.setattr(basis.GridTables, "evaluate", evaluate)
+        got = newton_solve(z0, spec, config, known)
+        assert max(rows) == 3
+        assert got.residual_norm == sequential_newton(z0, spec, config, known).residual_norm
 
 
 class TestMeshRobustness:
