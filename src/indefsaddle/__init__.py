@@ -42,7 +42,6 @@ from .energy import (
     energy,
     energy_gradient,
     estimate_deviation_constant,
-    forcing_pairing,
     modified_energy,
     modified_energy_gradient,
     nonlinear_integral,

@@ -356,6 +356,11 @@ class GridTables:
         values = _contract(values, lead, values.shape[len(lead):], self.sines)
         return self.weight * values.reshape(*lead, -1)[..., self.slots]
 
+    def integrate(self, values: np.ndarray) -> np.ndarray:
+        """Quadrature weight * sum_j values_j of the grid values, one per row."""
+        lead = values.shape[: values.ndim - len(self.modes)]
+        return self.weight * values.reshape(*lead, -1).sum(axis=-1)
+
     def galerkin(self, values: np.ndarray) -> np.ndarray:
         """Quadrature Galerkin matrix weight * sum_j values_j phi_a(x_j) phi_b(x_j).
 

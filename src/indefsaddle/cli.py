@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import region, suite
-from .basis import BoxDomain, SpectralField
+from .basis import BoxDomain, SpectralField, grid_shape
 from .energy import CutoffConfig, ProblemSpec
 from .solve import (
     NewtonConfig,
@@ -68,7 +68,7 @@ class RunConfig:
     region_N: int | None = None
     p_grid: list[float] | None = None
     q_grid: list[float] | None = None
-    levels_k_max: int = 5
+    levels_k_max: int | None = None  # min(5, n) when not given
     levels_samples: int = 200
     branch_count: int = 3
     solve_initial_u: list[float] | None = None
@@ -111,6 +111,9 @@ _MAX_GRID_POINTS = 10**6
 # n = 2000 the dense Newton Jacobian (2n x 2n float64) holds 128 MB, and the
 # 2^d gather-index arrays of a 3-D Jacobian (8 n x n int64) 256 MB
 _MAX_N = 2000
+# the most collocation grid points (n and oversample set the grid): 32 MB per
+# grid array; the largest grid at the default oversample, 3-D n = 2000, has 2^18
+_MAX_COLLOCATION = 1 << 22
 # the fields each command cannot run without
 _NEEDS = {
     "region": ("N", "p_grid", "q_grid"),
@@ -196,7 +199,11 @@ def _problem(lengths, n, r=1.0, p=3.0, q=3.0, **rest) -> ProblemSpec:
         raise ValueError(f"'n' must be an integer >= 4, got {n}")
     if n > _MAX_N:
         raise ValueError(f"'n' must be at most {_MAX_N}, got {n}")
-    return ProblemSpec.create(BoxDomain(tuple(lengths)), n, r, p, q, **rest)
+    spec = ProblemSpec.create(BoxDomain(tuple(lengths)), n, r, p, q, **rest)
+    points = math.prod(grid_shape(spec.basis, spec.oversample))
+    if points > _MAX_COLLOCATION:
+        raise ValueError(f"'oversample' gives {points} collocation points, more than {_MAX_COLLOCATION}")
+    return spec
 
 
 def parse_config(text: str) -> RunConfig:
@@ -238,7 +245,7 @@ def parse_config(text: str) -> RunConfig:
     cfg = RunConfig(**{"command": "", **fields})  # a missing command is reported above
 
     n = cfg.problem.n if cfg.problem else math.inf
-    if cfg.levels_k_max > n:
+    if cfg.levels_k_max is not None and cfg.levels_k_max > n:
         errors.append(
             f"levels section: field 'k_max' must be at most the truncation n = {n}, "
             f"got {cfg.levels_k_max}"
@@ -413,9 +420,8 @@ def _run_branch(cfg: RunConfig) -> dict:
 def _run_levels(cfg: RunConfig) -> tuple[list[str], list[list]]:
     spec = cfg.problem
     cutoff = _cutoff_for(cfg)
-    brackets = estimate_levels(
-        spec, cfg.levels_k_max, cfg.levels_samples, cutoff, seed=cfg.seed
-    )
+    k_max = cfg.levels_k_max or min(5, spec.n)
+    brackets = estimate_levels(spec, k_max, cfg.levels_samples, cutoff, seed=cfg.seed)
     header = ["k", "lower", "upper", "radius", "ceiling", "max_pointwise_excess"]
     rows = [
         [b.k, b.lower, b.upper, b.radius, b.ceiling, b.max_pointwise_excess]

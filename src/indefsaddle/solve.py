@@ -15,12 +15,12 @@ line search evaluates the step ladder as row stacks of doubling size on the
 grid tables, with the deflation factors of a whole stack computed against
 one stack of the known points; every accepted step is still the first
 decrease in step order, so the iterates are those of trying one step at a
-time.  Level brackets combine a sampled upper bound over nested
-saddle-geometry balls with a closed-form lower growth curve whose constant
-is assembled from computed embedding data; both extremal problems behind
-them run through one projected-ascent routine, which advances all its
-restarts at once as the rows of one stack on the grid tables, each row on
-the path it takes alone.
+time.  Level brackets combine an upper bound sampled in row stacks over
+nested saddle-geometry balls with a closed-form lower growth curve whose
+constant is assembled from computed embedding data; both extremal problems
+behind them run through one projected-ascent routine, which advances all
+its restarts at once as the rows of one stack on the grid tables, each row
+on the path it takes alone.
 """
 
 from __future__ import annotations
@@ -42,16 +42,11 @@ from .energy import (
     DualGradient,
     Evaluation,
     ProblemSpec,
+    _stack_rows,
     bump,
     energy_gradient,
-    modified_energy,
 )
-from .space import (
-    FieldPair,
-    coupling_eigenvector,
-    from_eigenvector_coordinates,
-    pair_norm,
-)
+from .space import FieldPair, _coordinate_coefficients, coupling_eigenvector, pair_norm
 
 residual = energy_gradient  # the system residual, under the solver's name
 
@@ -85,7 +80,7 @@ def _pack(z: FieldPair) -> np.ndarray:
 
 def jacobian(z: FieldPair, spec: ProblemSpec) -> np.ndarray:
     """Jacobian of the residual (see Evaluation.hessian)."""
-    return Evaluation(z, spec).hessian()
+    return Evaluation.at(z, spec).hessian()
 
 
 @dataclass
@@ -128,7 +123,7 @@ def newton_solve(
     lam = spec.basis.eigenvalues
     metric = np.concatenate([lam**spec.r, lam ** (2.0 - spec.r)])
     known_stack = np.array([_pack(zi) for zi in known]).reshape(len(known), 2 * spec.n)
-    ev = Evaluation(z0, spec)  # the current iterate's, kept for its Jacobian
+    ev = Evaluation.at(z0, spec)  # the current iterate's, kept for its Jacobian
 
     def outcome(iterations: int, converged: bool, message: str = "") -> SolveResult:
         _, symmetric, forcing = ev.terms
@@ -172,9 +167,6 @@ def newton_solve(
     return outcome(config.max_iter, False, "max_iter reached")
 
 
-_STACK_VALUES = 1 << 20  # 8 MB per float array of one line-search stack
-
-
 def _backtrack(vec, delta, fn, spec, known, metric, config):
     """The first step of the ladder 1, damping, damping^2, ... down to
     min_step whose point vec + step * delta has a deflated residual norm
@@ -182,11 +174,11 @@ def _backtrack(vec, delta, fn, spec, known, metric, config):
     norm), or None if no step does.
 
     The ladder is evaluated in row stacks of doubling size: the full step
-    alone, then the next 2, 4, 8, ... steps, up to a stack of about
-    _STACK_VALUES grid values and known-point differences.  Rows after the
-    accepted one are discarded, and a non-finite point raises as it is
+    alone, then the next 2, 4, 8, ... steps, up to the stack size of
+    energy._stack_rows, counting the known-point differences.  Rows after
+    the accepted one are discarded, and a non-finite point raises as it is
     reached, so the outcome is that of trying the steps one at a time."""
-    cap = max(1, _STACK_VALUES // (spec.tables.points + known.size))
+    cap = _stack_rows(spec, known.size)
     step, size = 1.0, 1
     while step >= config.min_step:
         steps = []
@@ -195,7 +187,7 @@ def _backtrack(vec, delta, fn, spec, known, metric, config):
             step *= config.damping
         size = min(2 * size, cap)
         cands = vec + np.multiply.outer(steps, delta)
-        rows = Evaluation.rows(cands, spec)
+        rows = Evaluation(cands, spec)
         res = rows.gradient()
         norms = res.norm().tolist()
         for i, (factor, rn) in enumerate(zip(_deflation(cands, known, metric), norms)):
@@ -463,7 +455,7 @@ def _power_moment(spec: ProblemSpec, coeffs: np.ndarray, exponent: float):
     each row w of the (rows, n) stack."""
     tables = spec.tables
     vals = tables.evaluate(coeffs)
-    val = tables.weight * (np.abs(vals) ** (exponent + 1.0)).reshape(len(coeffs), -1).sum(axis=1)
+    val = tables.integrate(np.abs(vals) ** (exponent + 1.0))
     pair = tables.pairings((exponent + 1.0) * np.abs(vals) ** (exponent - 1.0) * vals)
     if not np.all(np.isfinite(pair)):
         raise ValueError("coefficients must be finite")
@@ -622,9 +614,10 @@ def estimate_levels(
     gamma = lower_growth_constant(spec, seed=seed)
     c0 = _forcing_size(spec)
     m_exp = min(spec.p, spec.q) + 1.0
+    lam = spec.basis.eigenvalues
     brackets: list[LevelBracket] = []
     warm_q = warm_p = None
-    prev_best_point: FieldPair | None = None
+    prev_best_point: np.ndarray | None = None
     prev_upper = -math.inf
     for k in range(1, k_max + 1):
         cq, warm_q = _sphere_extremal(
@@ -636,37 +629,23 @@ def estimate_levels(
             warm_start=_padded(warm_p, k),
         )
         c_k = min(cq / (spec.q + 1.0), cp / (spec.p + 1.0))
-        radius = 2.0 * (1.0 / (2.0 * c_k)) ** (1.0 / (m_exp - 2.0))
+        try:
+            radius = 2.0 * (1.0 / (2.0 * c_k)) ** (1.0 / (m_exp - 2.0))
+        except OverflowError:
+            raise ValueError(
+                f"level radius (1/(2 c_k))^(1/(m-2)) overflows at k={k}, m - 2 = {m_exp - 2.0}"
+            ) from None
         rng = np.random.default_rng(seed + 1000 + k)
-        points: list[FieldPair] = []
-        if prev_best_point is not None:
-            points.append(prev_best_point)
-        for j in range(1, k + 1):
-            e_plus = coupling_eigenvector(spec.basis, j, +1, spec.r)
-            for frac in (0.25, 0.5, 0.75, 1.0):
-                points.append(e_plus * (frac * radius))
-        dim_total = spec.n + k
-        for _ in range(samples):
-            a_plus = np.zeros(spec.n)
-            a_plus[:k] = rng.standard_normal(k)
-            a_minus = rng.standard_normal(spec.n)
-            norm = math.sqrt(np.dot(a_plus, a_plus) + np.dot(a_minus, a_minus))
-            rad = radius * rng.uniform() ** (1.0 / dim_total)
-            points.append(
-                from_eigenvector_coordinates(
-                    spec.basis, spec.r, a_plus * (rad / norm), a_minus * (rad / norm)
-                )
-            )
-        upper = prev_upper
-        best_point = prev_best_point
-        excess = -math.inf
-        for z in points:
-            jval = modified_energy(z, spec, cutoff)
-            zn = pair_norm(z)
-            excess = max(excess, jval - (0.5 * zn * zn + c0 * zn))
-            if jval > upper:
-                upper = jval
-                best_point = z
+        upper, best_point, excess = prev_upper, prev_best_point, -math.inf
+        for points in _level_points(spec, k, radius, prev_best_point, samples, rng):
+            jvals = Evaluation(points, spec).modified_energy(cutoff)
+            us, vs = points[:, : spec.n], points[:, spec.n :]
+            zn = np.sqrt(_row_dots(lam**spec.r * us, us) + _row_dots(lam ** (2.0 - spec.r) * vs, vs))
+            # in point order, as the running max of one point at a time
+            excess = max(excess, *(jvals - (0.5 * zn * zn + c0 * zn)).tolist())
+            for point, jval in zip(points, jvals.tolist()):
+                if jval > upper:
+                    upper, best_point = jval, point
         ceiling = (0.5 + (c0 / radius if radius > 0 else 0.0)) * radius * radius
         brackets.append(
             LevelBracket(
@@ -681,6 +660,28 @@ def estimate_levels(
         prev_best_point = best_point
         prev_upper = upper
     return brackets
+
+
+def _level_points(spec, k, radius, prev_best, samples, rng):
+    """Level k's points in stacks of energy._stack_rows rows: level k-1's best,
+    the scaled plus eigenvectors, then the samples, each drawn in turn."""
+    size = _stack_rows(spec)
+    fixed = [] if prev_best is None else [prev_best]
+    for j in range(1, k + 1):
+        e_plus = _pack(coupling_eigenvector(spec.basis, j, +1, spec.r))
+        fixed += [e_plus * (frac * radius) for frac in (0.25, 0.5, 0.75, 1.0)]
+    for start in range(0, len(fixed), size):
+        yield np.array(fixed[start : start + size])
+    for start in range(0, samples, size):
+        a_plus = np.zeros((min(size, samples - start), spec.n))
+        a_minus = np.empty_like(a_plus)
+        rads = np.empty(len(a_plus))
+        for i in range(len(a_plus)):
+            a_plus[i, :k] = rng.standard_normal(k)
+            a_minus[i] = rng.standard_normal(spec.n)
+            rads[i] = radius * rng.uniform() ** (1.0 / (spec.n + k))
+        scale = (rads / np.sqrt(_row_dots(a_plus, a_plus) + _row_dots(a_minus, a_minus)))[:, None]
+        yield np.hstack(_coordinate_coefficients(spec.basis, spec.r, a_plus * scale, a_minus * scale))
 
 
 def _padded(vec: np.ndarray | None, size: int) -> np.ndarray | None:
@@ -716,7 +717,7 @@ def verify_critical(
     that would satisfy it at this point.
     """
     cutoff = cutoff or CutoffConfig.default_for(spec)
-    ev = Evaluation(z, spec)
+    ev = Evaluation.at(z, spec)
     rn = ev.gradient().norm()
     _, e, _, theta = ev.cutoff_terms(cutoff)
     j = ev.modified_energy(cutoff)

@@ -169,9 +169,16 @@ def from_eigenvector_coordinates(
     basis: SineBasis, r: float, a_plus: np.ndarray, a_minus: np.ndarray
 ) -> FieldPair:
     """Rebuild a pair from its +-1 eigenvector coordinates."""
+    u, v = _coordinate_coefficients(basis, r, a_plus, a_minus)
+    return FieldPair(SpectralField(basis, u), SpectralField(basis, v), r)
+
+
+def _coordinate_coefficients(
+    basis: SineBasis, r: float, a_plus: np.ndarray, a_minus: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The u and v coefficients with these +-1 eigenvector coordinates, one
+    vector per row of a stack."""
     lam = basis.eigenvalues
     su = (np.asarray(a_plus, dtype=float) + np.asarray(a_minus, dtype=float)) / np.sqrt(2.0)
     sv = (np.asarray(a_plus, dtype=float) - np.asarray(a_minus, dtype=float)) / np.sqrt(2.0)
-    u = SpectralField(basis, lam ** (-r / 2.0) * su)
-    v = SpectralField(basis, lam ** (r / 2.0 - 1.0) * sv)
-    return FieldPair(u, v, r)
+    return lam ** (-r / 2.0) * su, lam ** (r / 2.0 - 1.0) * sv

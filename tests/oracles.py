@@ -7,6 +7,10 @@ Jacobian from it directly, with no separable tables and no transforms.
 The ascent oracle is the level searches' projected ascent run one start
 and one point at a time, with the per-point power moment it climbs.
 
+The sampling oracles are the level brackets and the deviation constant
+with their samples and draws built and evaluated one point at a time, each
+through the single-point energy functions.
+
 The Newton oracle is the deflated Newton loop with its backtracking run one
 step at a time: each candidate is unpacked into a pair, evaluated alone,
 and deflated by a Python loop over the known points.
@@ -27,10 +31,29 @@ import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
+from indefsaddle import region
 from indefsaddle.basis import SpectralField, grid_quadrature, grid_shape
-from indefsaddle.energy import DualGradient, Evaluation
-from indefsaddle.solve import NewtonConfig, SolveResult
-from indefsaddle.space import FieldPair, pair_norm
+from indefsaddle.energy import (
+    CutoffConfig,
+    DualGradient,
+    Evaluation,
+    modified_energy,
+)
+from indefsaddle.solve import (
+    LevelBracket,
+    NewtonConfig,
+    SolveResult,
+    _forcing_size,
+    _padded,
+    _sphere_extremal,
+    lower_growth_constant,
+)
+from indefsaddle.space import (
+    FieldPair,
+    coupling_eigenvector,
+    from_eigenvector_coordinates,
+    pair_norm,
+)
 
 
 def grid_matrix(basis, shape: tuple[int, ...]) -> np.ndarray:
@@ -163,7 +186,7 @@ def sequential_newton(z0, spec, config=None, known=None) -> SolveResult:
     def norm(g):
         return float(np.sqrt(np.dot(g.du, g.du) + np.dot(g.dv, g.dv)))
 
-    ev = Evaluation(z0, spec)
+    ev = Evaluation.at(z0, spec)
 
     def outcome(iterations, converged, message=""):
         _, symmetric, forcing = ev.terms
@@ -195,7 +218,7 @@ def sequential_newton(z0, spec, config=None, known=None) -> SolveResult:
         step = 1.0
         while step >= config.min_step:
             cand = vec + step * delta
-            cand_ev = Evaluation(unpack(cand), spec)
+            cand_ev = Evaluation.at(unpack(cand), spec)
             cand_res = cand_ev.gradient()
             cand_rn = norm(cand_res)
             cand_fn = deflation(cand, known_vecs, metric)[0] * cand_rn
@@ -212,6 +235,86 @@ def sequential_newton(z0, spec, config=None, known=None) -> SolveResult:
         if rn <= config.tol and separated(ev.z):
             return outcome(it, True)
     return outcome(config.max_iter, False, "max_iter reached")
+
+
+def sampled_levels(spec, k_max, samples=200, cutoff=None, seed=0):
+    """The level brackets of solve.estimate_levels, with every sample point
+    built as a pair and evaluated alone, in sample order."""
+    cutoff = cutoff or CutoffConfig.default_for(spec)
+    pt = region.PQPoint(p=spec.p, q=spec.q, N=spec.domain.dim)
+    _, _, alpha = region.growth_exponents(pt, spec.r)
+    gamma = lower_growth_constant(spec, seed=seed)
+    c0 = _forcing_size(spec)
+    m_exp = min(spec.p, spec.q) + 1.0
+    brackets = []
+    warm_q = warm_p = None
+    prev_best_point = None
+    prev_upper = -math.inf
+    for k in range(1, k_max + 1):
+        cq, warm_q = _sphere_extremal(
+            spec, k, spec.q, spec.r, seed=seed + 17 * k, warm_start=_padded(warm_q, k)
+        )
+        cp, warm_p = _sphere_extremal(
+            spec, k, spec.p, 2.0 - spec.r, seed=seed + 17 * k + 1, warm_start=_padded(warm_p, k)
+        )
+        c_k = min(cq / (spec.q + 1.0), cp / (spec.p + 1.0))
+        radius = 2.0 * (1.0 / (2.0 * c_k)) ** (1.0 / (m_exp - 2.0))
+        rng = np.random.default_rng(seed + 1000 + k)
+        points = []
+        if prev_best_point is not None:
+            points.append(prev_best_point)
+        for j in range(1, k + 1):
+            e_plus = coupling_eigenvector(spec.basis, j, +1, spec.r)
+            for frac in (0.25, 0.5, 0.75, 1.0):
+                points.append(e_plus * (frac * radius))
+        dim_total = spec.n + k
+        for _ in range(samples):
+            a_plus = np.zeros(spec.n)
+            a_plus[:k] = rng.standard_normal(k)
+            a_minus = rng.standard_normal(spec.n)
+            norm = math.sqrt(np.dot(a_plus, a_plus) + np.dot(a_minus, a_minus))
+            rad = radius * rng.uniform() ** (1.0 / dim_total)
+            points.append(
+                from_eigenvector_coordinates(
+                    spec.basis, spec.r, a_plus * (rad / norm), a_minus * (rad / norm)
+                )
+            )
+        upper = prev_upper
+        best_point = prev_best_point
+        excess = -math.inf
+        for z in points:
+            jval = modified_energy(z, spec, cutoff)
+            zn = pair_norm(z)
+            excess = max(excess, jval - (0.5 * zn * zn + c0 * zn))
+            if jval > upper:
+                upper = jval
+                best_point = z
+        ceiling = (0.5 + (c0 / radius if radius > 0 else 0.0)) * radius * radius
+        brackets.append(LevelBracket(
+            k=k, lower=gamma * float(k) ** (2.0 * alpha), upper=upper, radius=radius,
+            ceiling=ceiling, max_pointwise_excess=excess,
+        ))
+        prev_best_point = best_point
+        prev_upper = upper
+    return brackets
+
+
+def drawn_deviation_constant(spec, cutoff, draws=10_000, seed=0):
+    """energy.estimate_deviation_constant with each draw evaluated alone, at
+    z and at -z, and its deviation bound taken in Python floats."""
+    rng = np.random.default_rng(seed)
+    smooth = spec.basis.eigenvalues ** (-spec.r / 2.0)
+    best = 0.0
+    for _ in range(draws):
+        scale = 10.0 ** rng.uniform(-1.0, 1.5)
+        u = SpectralField(spec.basis, scale * smooth * rng.standard_normal(spec.n))
+        v = SpectralField(spec.basis, scale * smooth * rng.standard_normal(spec.n))
+        z = FieldPair(u, v, spec.r)
+        j_plus = modified_energy(z, spec, cutoff)
+        size = abs(j_plus)
+        bound = size ** (1.0 / (spec.q + 1.0)) + size ** (1.0 / (spec.p + 1.0)) + 1.0
+        best = max(best, abs(j_plus - modified_energy(-z, spec, cutoff)) / bound)
+    return best
 
 
 def _integrate(slope: float, span: float):

@@ -289,6 +289,8 @@ class TestCommands:
             ("region", {}, {"N": 6, "q_grid": [2.0],
                             "p_grid": {"start": 1.5, "stop": 2.0, "step": 1e-300}},
              "at most 1000000 points"),
+            ("solve", {"lengths": [1.0, 1.0], "n": 5, "oversample": 10**6}, {},
+             "'oversample' gives 6000000000000 collocation points, more than 4194304"),
         ],
     )
     def test_bad_values_exit_one_without_traceback(
@@ -340,6 +342,30 @@ class TestCommands:
             status = main([command, "--config", cfg, "--out", str(tmp_path / "out")])
         assert status == 1
         assert capsys.readouterr().err.splitlines() == ["error: coefficients must be finite"]
+
+    def test_level_radius_overflow_exits_one(self, tmp_path, capsys):
+        # near p = q = 1 the radius (1/(2 c_k))^(1/(m-2)) leaves the float range
+        config = {
+            "command": "levels",
+            "problem": dict(BRANCH_CONFIG["problem"], n=8, p=1.0001, q=1.0001),
+        }
+        cfg = write_config(tmp_path, "radius.json", config)
+        assert main(["levels", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+        errors = capsys.readouterr().err.splitlines()
+        assert len(errors) == 1
+        assert errors[0].startswith("error: level radius") and "overflows" in errors[0]
+        assert not list(tmp_path.glob("out*"))
+
+    @pytest.mark.parametrize("command", ["solve", "branch", "levels"])
+    def test_smallest_truncation_runs(self, tmp_path, command):
+        # n = 4 is below the default k_max = 5, which applies to levels only
+        config = {"command": command, "problem": {"lengths": [3.14159], "n": 4}}
+        cfg = write_config(tmp_path, "n4.json", config)
+        out = tmp_path / "n4"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 0
+        if command == "levels":
+            rows = out.with_suffix(".csv").read_text().splitlines()[1:]
+            assert [row.split(",")[0] for row in rows] == ["1", "2", "3", "4"]
 
     def test_fuzzed_configs_exit_zero_or_one(self, tmp_path):
         shrunk_branch = dict(BRANCH_CONFIG, problem=dict(BRANCH_CONFIG["problem"], n=8))

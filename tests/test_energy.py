@@ -1,3 +1,5 @@
+import dataclasses
+import importlib
 import math
 
 import numpy as np
@@ -22,7 +24,11 @@ from indefsaddle import (
     modified_energy_gradient,
     nonlinear_integral,
     riesz_representative,
+    verify_critical,
 )
+from indefsaddle.energy import Evaluation
+
+from oracles import drawn_deviation_constant
 
 QUARTIC_PHI1 = 3.0 / (2.0 * math.pi)  # int phi1^4 over (0, pi)
 
@@ -368,6 +374,108 @@ class TestEvaluation:
             assert result.asymmetry == abs(j_plus - j_minus)
             weights.add(0.0 < cutoff_weight(-z, forced_spec, cutoff) < 1.0)
         assert weights == {True, False}  # draws inside the cutoff transition too
+
+
+def _packed(pairs):
+    return np.array([np.concatenate([z.u.coeffs, z.v.coeffs]) for z in pairs])
+
+
+def _bits(value) -> bytes:
+    return np.asarray(value, dtype=float).tobytes()
+
+
+class TestEvaluationStacks:
+    """One formula per quantity serves a point and a stack: each row of a
+    stack gets the point's own value bit for bit, and one point's values are
+    Python floats and bools."""
+
+    @staticmethod
+    def quantities(ev, cutoff):
+        g = ev.gradient()
+        return [
+            *ev.terms,
+            *ev.cutoff_terms(cutoff),
+            *ev.cutoff_terms(cutoff, mirrored=True),
+            ev.modified_energy(cutoff),
+            ev.modified_energy(cutoff, mirrored=True),
+            *ev.deviation(cutoff, beta=1.3),
+            g.du,
+            g.dv,
+            g.norm(),
+        ]
+
+    @pytest.mark.parametrize("lengths", [(math.pi,), (1.0, 2.5), (1.0, 1.3, 2.0)])
+    @pytest.mark.parametrize("rows", [1, 5])
+    def test_rows_match_points(self, lengths, rows):
+        spec = ProblemSpec.create(
+            BoxDomain(lengths), n=14, r=1.0, p=3.0, q=2.5, h=[0.05, 0.1], k=[0.03]
+        )
+        cutoff = CutoffConfig(0.5)
+        rng = np.random.default_rng(10 * rows + len(lengths))
+        pairs = [random_pair(spec, rng, scale=10.0 ** rng.uniform(-1, 1.5)) for _ in range(rows)]
+        stacked = self.quantities(Evaluation(_packed(pairs), spec), cutoff)
+        for i, z in enumerate(pairs):
+            alone = self.quantities(Evaluation.at(z, spec), cutoff)
+            assert [_bits(q) for q in alone] == [_bits(q[i]) for q in stacked]
+
+    def test_rows_cover_the_cutoff_transition(self, forced_spec):
+        cutoff = CutoffConfig(0.5)
+        rng = np.random.default_rng(12)
+        pairs = [random_pair(forced_spec, rng, scale=10.0 ** rng.uniform(-1, 2.5)) for _ in range(60)]
+        theta = Evaluation(_packed(pairs), forced_spec).cutoff_terms(cutoff)[3]
+        weights = bump(theta)
+        assert ((weights > 0.0) & (weights < 1.0)).any()
+        assert (weights == 1.0).any() and (weights == 0.0).any()
+        assert [_bits(w) for w in weights] == [_bits(bump(float(t))) for t in theta]
+
+    def test_one_point_values_are_python_scalars(self, forced_spec):
+        cutoff = CutoffConfig(0.5)
+        for scale in (0.1, 2.0, 30.0):
+            z = random_pair(forced_spec, np.random.default_rng(4), scale=scale)
+            values = self.quantities(Evaluation.at(z, forced_spec), cutoff)[:-3]
+            values += [
+                bump(0.5), bump(1.5), bump(2.5), energy(z, forced_spec),
+                energy_gradient(z, forced_spec).norm(),
+                modified_energy(z, forced_spec, cutoff),
+                cutoff_scale(z, forced_spec, cutoff),
+                cutoff_argument(z, forced_spec, cutoff),
+                cutoff_weight(z, forced_spec, cutoff),
+            ]
+            assert [type(v) for v in values] == [float] * len(values)
+            for result in (
+                verify_critical(z, forced_spec, cutoff),
+                deviation_check(z, forced_spec, cutoff, beta=1.0),
+            ):
+                for field in dataclasses.fields(result):
+                    assert type(getattr(result, field.name)).__name__ == field.type
+
+    @pytest.mark.parametrize("draws", [0, 1, 37])
+    @pytest.mark.parametrize("lengths", [(math.pi,), (1.0, 2.5)])
+    def test_deviation_constant_matches_draw_oracle(self, lengths, draws):
+        spec = ProblemSpec.create(
+            BoxDomain(lengths), n=12, r=1.0, p=3.0, q=3.0, h=[0.05], k=[0.03, 0.02]
+        )
+        for cutoff in (CutoffConfig(0.5), CutoffConfig.default_for(spec)):
+            got = estimate_deviation_constant(spec, cutoff, draws=draws, seed=draws)
+            assert _bits(got) == _bits(drawn_deviation_constant(spec, cutoff, draws, seed=draws))
+
+    def test_deviation_stacks_capped_by_size(self, forced_spec, monkeypatch):
+        from indefsaddle import basis
+
+        energy_module = importlib.import_module("indefsaddle.energy")
+        monkeypatch.setattr(energy_module, "_STACK_VALUES", 5 * forced_spec.tables.points + 3)
+        rows = []
+        real_evaluate = basis.GridTables.evaluate
+
+        def evaluate(tables, coeffs):
+            rows.append(len(coeffs))
+            return real_evaluate(tables, coeffs)
+
+        monkeypatch.setattr(basis.GridTables, "evaluate", evaluate)
+        cutoff = CutoffConfig(0.5)
+        got = estimate_deviation_constant(forced_spec, cutoff, draws=37, seed=6)
+        assert rows == [5] * 14 + [2] * 2  # u and v of each stack
+        assert _bits(got) == _bits(drawn_deviation_constant(forced_spec, cutoff, 37, seed=6))
 
 
 class TestProblemSpecValidation:

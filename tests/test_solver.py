@@ -1,4 +1,5 @@
 import functools
+import importlib
 import math
 
 import numpy as np
@@ -32,6 +33,7 @@ from oracles import (
     grid_data,
     power_moment,
     projected_ascent,
+    sampled_levels,
     sequential_newton,
     shooting_solution,
 )
@@ -413,11 +415,12 @@ class TestBacktracking:
     def test_stacks_capped_by_size(self, monkeypatch):
         """Stacks stop doubling at the cap on their values, which bounds the
         memory of a long ladder; the result stays the sequential one."""
-        from indefsaddle import basis, solve
+        from indefsaddle import basis
 
         z0, spec, config, known = _newton_cases()["stalled-mirrors"]
         stack = len(known) * 2 * spec.n + spec.tables.points
-        monkeypatch.setattr(solve, "_STACK_VALUES", 3 * stack + 1)
+        energy_module = importlib.import_module("indefsaddle.energy")
+        monkeypatch.setattr(energy_module, "_STACK_VALUES", 3 * stack + 1)
         rows: list[int] = []
         real_evaluate = basis.GridTables.evaluate
 
@@ -534,6 +537,64 @@ class TestLevels:
         print(f"per-index bracket comparison: {len(flagged)} flagged of 3")
         for e, k, upper in flagged:
             print(f"  energy {e:.4f} above sampled upper {upper:.4f} at index {k}")
+
+
+class TestSampledLevels:
+    """estimate_levels evaluates each level's points as stacks; its brackets
+    are those of building and evaluating the points one at a time."""
+
+    @staticmethod
+    def spec(lengths, n, forced):
+        spec = ProblemSpec.create(BoxDomain(lengths), n=n, r=0.9, p=3.0, q=2.5)
+        return spec.with_forcing(h=[0.05], k=[0.03, 0.02]) if forced else spec
+
+    @pytest.mark.parametrize("samples", [0, 1, 25])
+    @pytest.mark.parametrize("forced", [False, True])
+    @pytest.mark.parametrize("lengths, n", [((math.pi,), 16), ((math.pi, 2.0), 20)])
+    def test_matches_point_by_point_oracle(self, lengths, n, forced, samples):
+        spec = self.spec(lengths, n, forced)
+        got = estimate_levels(spec, k_max=3, samples=samples, seed=2)
+        assert list(map(repr, got)) == list(map(repr, sampled_levels(spec, 3, samples, seed=2)))
+
+    @pytest.mark.parametrize("forced", [False, True])
+    @pytest.mark.parametrize("lengths, n", [((math.pi,), 16), ((math.pi, 2.0), 20)])
+    def test_samples_match_oracle_where_they_set_the_brackets(
+        self, lengths, n, forced, monkeypatch
+    ):
+        """In place, the fixed points set every bracket.  Moved far into the
+        minus space, their energies fall below every sample's, and the
+        random samples set the brackets."""
+        import oracles
+        from indefsaddle import solve, space
+
+        def moved(basis, rank, sign, r):
+            return 1e3 * space.coupling_eigenvector(basis, rank, -sign, r)
+
+        monkeypatch.setattr(solve, "coupling_eigenvector", moved)
+        monkeypatch.setattr(oracles, "coupling_eigenvector", moved)
+        spec = self.spec(lengths, n, forced)
+        got = estimate_levels(spec, k_max=3, samples=25, seed=2)
+        assert list(map(repr, got)) == list(map(repr, sampled_levels(spec, 3, 25, seed=2)))
+        fixed_only = estimate_levels(spec, k_max=3, samples=0, seed=2)
+        assert all(a.upper > b.upper for a, b in zip(got, fixed_only))
+
+    def test_stacks_capped_by_size(self, perturbed_spec, monkeypatch):
+        from indefsaddle import solve
+
+        energy_module = importlib.import_module("indefsaddle.energy")
+        monkeypatch.setattr(energy_module, "_STACK_VALUES", 7 * perturbed_spec.tables.points)
+        rows = []
+        real = solve.Evaluation
+
+        def evaluation(vecs, spec):
+            rows.append(len(vecs))
+            return real(vecs, spec)
+
+        monkeypatch.setattr(solve, "Evaluation", evaluation)
+        got = estimate_levels(perturbed_spec, k_max=2, samples=10, seed=1)
+        # 4 fixed points and 10 samples at k = 1, then 1 + 8 and 10 at k = 2
+        assert rows == [4, 7, 3, 7, 2, 7, 3]
+        assert list(map(repr, got)) == list(map(repr, sampled_levels(perturbed_spec, 2, 10, seed=1)))
 
 
 class TestBatchedAscent:
