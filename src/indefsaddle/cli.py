@@ -7,6 +7,9 @@ Commands
     levels   minimax-level brackets                   -> CSV rows
     check    module invariant suite                   -> CSV rows
 
+`format` (or --format) chooses CSV or JSON rows for region, levels and check;
+asking solve or branch for CSV is a config error.
+
 Every config field has one JSON type (`_SCHEMA`), and its range is checked
 by the library type built from it (ProblemSpec, NewtonConfig, CutoffConfig)
 or, for plain integers, by `_LEAST`.  Any type or range error is a config
@@ -46,6 +49,8 @@ from .space import FieldPair
 SCHEMA_VERSION = 1
 
 COMMANDS = ("region", "solve", "branch", "levels", "check")
+# the commands that write a JSON solution set; `format` sets the others' output
+_JSON_ONLY = ("solve", "branch")
 
 
 class ConfigError(Exception):
@@ -220,6 +225,8 @@ def parse_config(text: str) -> RunConfig:
         errors.append(f"unknown command '{fields['command']}' (expected one of {COMMANDS})")
     if fields.get("format") not in (None, "csv", "json"):
         errors.append(f"format must be 'csv' or 'json', got '{fields['format']}'")
+    elif fields.get("format") == "csv" and fields.get("command") in _JSON_ONLY:
+        errors.append(f"format 'csv' applies to region, levels and check, not {fields['command']}")
     for name, build in (
         ("problem", _problem), ("solver", NewtonConfig), ("cutoff", CutoffConfig)
     ):
@@ -460,6 +467,8 @@ def main(argv: list[str] | None = None) -> int:
         cfg = parse_config(text)
         if args.seed is not None and args.seed < _LEAST["seed"]:
             raise ConfigError([f"--seed must be at least {_LEAST['seed']}, got {args.seed}"])
+        if args.format == "csv" and args.command in _JSON_ONLY:
+            raise ConfigError([f"--format csv applies to region, levels and check, not {args.command}"])
     except ConfigError as exc:
         for err in exc.errors:
             print(f"config error: {err}", file=sys.stderr)

@@ -240,8 +240,8 @@ def _stack_rows(spec: ProblemSpec, extra: int = 0) -> int:
 
 
 class Evaluation:
-    """Grid values of packed coefficients [u | v], of one point (2n,) or of a
-    stack (rows, 2n), synthesized once; the energies, cutoff terms, pairings
+    """Grid values of packed coefficients [u | v] (kept as vecs), of one point
+    (2n,) or of a stack (rows, 2n), synthesized once; the energies, cutoff terms, pairings
     and gradient are read from them on first use, by one formula for both
     shapes: each row of a stack bit for bit the point's own, a point's values
     Python floats.  The Hessian is a point's only.  Only the forcing pairing
@@ -249,7 +249,7 @@ class Evaluation:
     Evaluation.at is the checked entry for a FieldPair."""
 
     def __init__(self, vecs: np.ndarray, spec: ProblemSpec):
-        self.spec = spec
+        self.spec, self.vecs = spec, vecs
         self.u, self.v = vecs[..., : spec.n], vecs[..., spec.n :]
         self.u_vals = spec.tables.evaluate(self.u)
         self.v_vals = spec.tables.evaluate(self.v)
@@ -261,7 +261,7 @@ class Evaluation:
             raise ValueError("point lives on a different basis than the problem")
         if z.r != spec.r:
             raise ValueError(f"point split parameter {z.r} differs from problem r {spec.r}")
-        ev = cls(np.concatenate([z.u.coeffs, z.v.coeffs]), spec)
+        ev = cls(z.vec, spec)
         ev.z = z
         return ev
 
@@ -269,7 +269,7 @@ class Evaluation:
         """Row i of a stack as a one-point evaluation, sharing the grid values
         and pairings already computed."""
         ev = Evaluation.__new__(Evaluation)
-        ev.spec, ev.u, ev.v = self.spec, self.u[i], self.v[i]
+        ev.spec, ev.vecs, ev.u, ev.v = self.spec, self.vecs[i], self.u[i], self.v[i]
         ev.u_vals, ev.v_vals = self.u_vals[i], self.v_vals[i]
         if "pairings" in vars(self):
             pu, pv = self.pairings

@@ -12,15 +12,18 @@ loop; deflation is an option of it, which multiplies the residual by
 prod_i (dist_i^-2 + 1) over known solutions so Newton runs land on new ones,
 and with nothing to deflate against it is plain Newton.  Its backtracking
 line search evaluates the step ladder as row stacks of doubling size on the
-grid tables, with the deflation factors of a whole stack computed against
-one stack of the known points; every accepted step is still the first
-decrease in step order, so the iterates are those of trying one step at a
-time.  Level brackets combine an upper bound sampled in row stacks over
-nested saddle-geometry balls with a closed-form lower growth curve whose
-constant is assembled from computed embedding data; both extremal problems
-behind them run through one projected-ascent routine, which advances all
-its restarts at once as the rows of one stack on the grid tables, each row
-on the path it takes alone.
+grid tables; every accepted step is still the first decrease in step order,
+so the iterates are those of trying one step at a time.  The squared
+distances of a stack to the known points, in the product-space metric of
+space.py, are computed once, and both the deflation factors and the
+separation test (a converged point within `separation` of a known one is
+not a new solution) read from them.  Level brackets combine an upper bound
+sampled in row stacks over nested saddle-geometry balls with a closed-form
+lower growth curve whose constant is assembled from computed embedding
+data; a bracket value that leaves the float range is an error.  Both
+extremal problems behind them run through one projected-ascent routine,
+which advances all its restarts at once as the rows of one stack on the
+grid tables, each row on the path it takes alone.
 """
 
 from __future__ import annotations
@@ -46,7 +49,9 @@ from .energy import (
     bump,
     energy_gradient,
 )
-from .space import FieldPair, _coordinate_coefficients, coupling_eigenvector, pair_norm
+from .space import (
+    FieldPair, _metric_dots, _vecs_from_coordinates, _weights, coupling_eigenvector, pair_norm,
+)
 
 residual = energy_gradient  # the system residual, under the solver's name
 
@@ -72,10 +77,6 @@ class NewtonConfig:
             raise ValueError(f"min_step must be positive, got {self.min_step}")
         if not self.separation > 0.0:
             raise ValueError(f"separation must be positive, got {self.separation}")
-
-
-def _pack(z: FieldPair) -> np.ndarray:
-    return np.concatenate([z.u.coeffs, z.v.coeffs])
 
 
 def jacobian(z: FieldPair, spec: ProblemSpec) -> np.ndarray:
@@ -120,9 +121,8 @@ def newton_solve(
     config = config or NewtonConfig()
     deflated = known is not None
     known = known or []
-    lam = spec.basis.eigenvalues
-    metric = np.concatenate([lam**spec.r, lam ** (2.0 - spec.r)])
-    known_stack = np.array([_pack(zi) for zi in known]).reshape(len(known), 2 * spec.n)
+    weights = _weights(spec.basis, spec.r)
+    known_stack = np.array([zi.vec for zi in known]).reshape(len(known), 2 * spec.n)
     ev = Evaluation.at(z0, spec)  # the current iterate's, kept for its Jacobian
 
     def outcome(iterations: int, converged: bool, message: str = "") -> SolveResult:
@@ -132,12 +132,15 @@ def newton_solve(
             energy=symmetric - forcing, message=message,
         )
 
-    vec = _pack(z0)
+    def separated(d2: list[float]) -> bool:  # beyond `separation` of every known point
+        return math.sqrt(min(d2, default=math.inf)) > config.separation
+
     res = ev.gradient()
     rn = res.norm()
-    m = _deflation(vec[None], known_stack, metric)[0]
+    d2 = _distances(ev.vecs[None], known_stack, weights)[0]
+    m = _deflation_factor(d2)
     fn = m * rn
-    if rn <= config.tol and _min_distance(ev.z, known, spec) > config.separation:
+    if rn <= config.tol and separated(d2):
         return outcome(0, True)
     for it in range(1, config.max_iter + 1):
         if not math.isfinite(m):
@@ -145,7 +148,7 @@ def newton_solve(
         rvec = np.concatenate([res.du, res.dv])
         J = ev.hessian()
         if known:
-            J = m * J + np.outer(rvec, _deflation_gradient(vec, known_stack, metric, m))
+            J = m * J + np.outer(rvec, _deflation_gradient(ev.vecs, known_stack, weights, m))
         try:
             delta = np.linalg.solve(J, -m * rvec)
         except np.linalg.LinAlgError:
@@ -153,25 +156,25 @@ def newton_solve(
                 it - 1, False, "singular deflated Jacobian" if deflated else "singular Jacobian"
             )
         del J  # so that the next iteration's Jacobian does not coexist with it
-        found = _backtrack(vec, delta, fn, spec, known_stack, metric, config)
+        found = _backtrack(ev.vecs, delta, fn, spec, known_stack, weights, config)
         if found is None:
             return outcome(
                 it, False,
                 "deflated line search stalled" if deflated
                 else "line search stalled below min_step",
             )
-        vec, ev, res, m, rn = found
+        ev, res, d2, m, rn = found
         fn = m * rn
-        if rn <= config.tol and _min_distance(ev.z, known, spec) > config.separation:
+        if rn <= config.tol and separated(d2):
             return outcome(it, True)
     return outcome(config.max_iter, False, "max_iter reached")
 
 
-def _backtrack(vec, delta, fn, spec, known, metric, config):
+def _backtrack(vec, delta, fn, spec, known, weights, config):
     """The first step of the ladder 1, damping, damping^2, ... down to
     min_step whose point vec + step * delta has a deflated residual norm
-    below fn, as (point, its evaluation, residual, deflation factor, residual
-    norm), or None if no step does.
+    below fn, as (the point's evaluation, residual, squared distances to the
+    known points, deflation factor, residual norm), or None if no step does.
 
     The ladder is evaluated in row stacks of doubling size: the full step
     alone, then the next 2, 4, 8, ... steps, up to the stack size of
@@ -190,28 +193,28 @@ def _backtrack(vec, delta, fn, spec, known, metric, config):
         rows = Evaluation(cands, spec)
         res = rows.gradient()
         norms = res.norm().tolist()
-        for i, (factor, rn) in enumerate(zip(_deflation(cands, known, metric), norms)):
+        for i, (d2, rn) in enumerate(zip(_distances(cands, known, weights), norms)):
+            factor = _deflation_factor(d2)
             if factor * rn < fn:
-                return cands[i], rows.row(i), DualGradient(res.du[i], res.dv[i]), factor, rn
+                return rows.row(i), DualGradient(res.du[i], res.dv[i]), d2, factor, rn
             # a non-finite coefficient makes the residual norm non-finite
             if not math.isfinite(rn) and not np.isfinite(cands[i]).all():
                 raise ValueError("coefficients must be finite")
     return None
 
 
-def _deflation(Z: np.ndarray, known: np.ndarray, metric: np.ndarray) -> list[float]:
-    """Deflation factor prod_i (d_i^-2 + 1) at each row of Z, over the known
-    points in the rows of `known`; infinite at a row that coincides with one.
-
-    Each d_i^2 is the np.dot of one point's metric-weighted difference with
-    itself, bit for bit, and the factors multiply in known order."""
+def _distances(Z: np.ndarray, known: np.ndarray, weights: np.ndarray) -> list[list[float]]:
+    """Squared product-space distances d_i^2 of each row of Z to the known
+    points in the rows of `known`, in known order; each is the np.dot of the
+    weighted difference with itself, bit for bit."""
     if not len(known):
-        return [1.0] * len(Z)
+        return [[]] * len(Z)
     diff = Z[:, None, :] - known
-    return [_deflation_factor(d2) for d2 in _row_dots(metric * diff, diff).tolist()]
+    return _metric_dots(diff, diff, weights).tolist()
 
 
 def _deflation_factor(d2: list[float]) -> float:
+    """prod_i (d_i^-2 + 1) in known order; infinite at a known point."""
     m = 1.0
     for d in d2:
         if d <= 1e-28:
@@ -220,22 +223,16 @@ def _deflation_factor(d2: list[float]) -> float:
     return m
 
 
-def _deflation_gradient(z_vec: np.ndarray, known: np.ndarray, metric: np.ndarray, m: float):
+def _deflation_gradient(z_vec: np.ndarray, known: np.ndarray, weights: np.ndarray, m: float):
     """Coefficient-space gradient of the deflation factor m (finite) at z_vec:
     m times the sum over known points, in order, of d/dz log(d_i^-2 + 1)."""
     diff = z_vec - known
-    d2 = _row_dots(metric * diff, diff)
+    d2 = _metric_dots(diff, diff, weights)
     # d/dz of (d^-2 + 1) over (d^-2 + 1), with d^2 the metric distance squared
-    terms = (-1.0 / (d2 * d2) / (1.0 / d2 + 1.0))[:, None] * (2.0 * metric * diff)
+    terms = (-1.0 / (d2 * d2) / (1.0 / d2 + 1.0))[:, None] * (2.0 * weights * diff)
     # summed in known order from +0.0, as a running sum is, so that the sign
     # of a zero entry does not depend on the first term
     return m * np.sum(terms, axis=0, initial=0.0)
-
-
-def _min_distance(z: FieldPair, others: list[FieldPair], spec: ProblemSpec) -> float:
-    if not others:
-        return math.inf
-    return min(pair_norm(z - zi) for zi in others)
 
 
 def default_seeds(spec: ProblemSpec, k_max: int | None = None, scales=(1.0, 2.0, 4.0)) -> list[FieldPair]:
@@ -308,7 +305,9 @@ def find_branch(
     """Collect `count` distinct critical points (one record per mirror pair).
 
     A plain Newton sweep over the seed schedule runs first (its results are
-    merged in a fixed order); deflation fills in afterwards.  For a
+    merged in a fixed order, each kept when it lies beyond `separation` of
+    every point kept before); deflation fills in afterwards, and every
+    deflated solution it converges to is new.  For a
     symmetric problem each record's mirror -z solves as well, since the
     forcing-free residual is exactly odd, and both are deflated against;
     -z lies beyond `separation` of z because z does of the zero pair.
@@ -331,11 +330,7 @@ def find_branch(
         # the trivial solution is known a priori; keep Newton away from it
         deflate_against.append(spec.zero_pair())
 
-    def try_accept(z: FieldPair, e: float, rn: float) -> None:
-        if len(records) >= count:
-            return
-        if _min_distance(z, deflate_against, spec) <= config.separation:
-            return
+    def accept(z: FieldPair, e: float, rn: float) -> None:
         mirror = -z if symmetric else None
         records.append(SolutionRecord(z=z, energy=e, residual=rn, mirror=mirror))
         deflate_against.append(z)
@@ -343,25 +338,20 @@ def find_branch(
             deflate_against.append(mirror)
 
     for z, e, rn in candidates:
-        try_accept(z, e, rn)
+        if len(records) < count and all(
+            pair_norm(z - zi) > config.separation for zi in deflate_against
+        ):
+            accept(z, e, rn)
 
-    exhausted = False
-    note = ""
-    attempts = 0
-    while len(records) < count and attempts < count + len(seeds):
-        attempts += 1
+    exhausted, note = False, ""
+    while len(records) < count:
+        # converged means beyond `separation` of everything deflated against
         result = deflated_solve(spec, config, deflate_against, seeds)
         if not result.converged:
             exhausted = True
             note = result.message
             break
-        before = len(records)
-        try_accept(result.z, result.energy, result.residual_norm)
-        if len(records) == before:
-            deflate_against.append(result.z)  # rejected; do not revisit
-    if len(records) < count and not exhausted:
-        exhausted = True
-        note = note or "deflation attempts exhausted"
+        accept(result.z, result.energy, result.residual_norm)
 
     records.sort(key=lambda rec: _candidate_key(rec.z, rec.energy))
     return Branch(records=records, exhausted=exhausted, note=note)
@@ -601,6 +591,7 @@ def estimate_levels(
     where c_k is the computed minimum of the normalized nonlinear integrals
     over the unit sphere of the first k modes.
     lower: gamma k^(2 alpha) with computed gamma and exact exponent.
+    A bracket value that is not finite raises ValueError naming k and field.
     """
     if k_max < 1:
         raise ValueError(f"k_max must be at least 1, got {k_max}")
@@ -614,7 +605,7 @@ def estimate_levels(
     gamma = lower_growth_constant(spec, seed=seed)
     c0 = _forcing_size(spec)
     m_exp = min(spec.p, spec.q) + 1.0
-    lam = spec.basis.eigenvalues
+    weights = _weights(spec.basis, spec.r)
     brackets: list[LevelBracket] = []
     warm_q = warm_p = None
     prev_best_point: np.ndarray | None = None
@@ -639,24 +630,25 @@ def estimate_levels(
         upper, best_point, excess = prev_upper, prev_best_point, -math.inf
         for points in _level_points(spec, k, radius, prev_best_point, samples, rng):
             jvals = Evaluation(points, spec).modified_energy(cutoff)
-            us, vs = points[:, : spec.n], points[:, spec.n :]
-            zn = np.sqrt(_row_dots(lam**spec.r * us, us) + _row_dots(lam ** (2.0 - spec.r) * vs, vs))
+            zn = np.sqrt(_metric_dots(points, points, weights))
             # in point order, as the running max of one point at a time
             excess = max(excess, *(jvals - (0.5 * zn * zn + c0 * zn)).tolist())
             for point, jval in zip(points, jvals.tolist()):
                 if jval > upper:
                     upper, best_point = jval, point
         ceiling = (0.5 + (c0 / radius if radius > 0 else 0.0)) * radius * radius
-        brackets.append(
-            LevelBracket(
-                k=k,
-                lower=gamma * float(k) ** (2.0 * alpha),
-                upper=upper,
-                radius=radius,
-                ceiling=ceiling,
-                max_pointwise_excess=excess,
-            )
+        try:
+            lower = gamma * float(k) ** (2.0 * alpha)
+        except OverflowError:
+            lower = math.inf
+        bracket = LevelBracket(
+            k=k, lower=lower, upper=upper, radius=radius, ceiling=ceiling,
+            max_pointwise_excess=excess,
         )
+        for name, value in vars(bracket).items():
+            if not math.isfinite(value):
+                raise ValueError(f"level bracket at k={k}: {name} is not finite ({value})")
+        brackets.append(bracket)
         prev_best_point = best_point
         prev_upper = upper
     return brackets
@@ -668,7 +660,7 @@ def _level_points(spec, k, radius, prev_best, samples, rng):
     size = _stack_rows(spec)
     fixed = [] if prev_best is None else [prev_best]
     for j in range(1, k + 1):
-        e_plus = _pack(coupling_eigenvector(spec.basis, j, +1, spec.r))
+        e_plus = coupling_eigenvector(spec.basis, j, +1, spec.r).vec
         fixed += [e_plus * (frac * radius) for frac in (0.25, 0.5, 0.75, 1.0)]
     for start in range(0, len(fixed), size):
         yield np.array(fixed[start : start + size])
@@ -681,7 +673,7 @@ def _level_points(spec, k, radius, prev_best, samples, rng):
             a_minus[i] = rng.standard_normal(spec.n)
             rads[i] = radius * rng.uniform() ** (1.0 / (spec.n + k))
         scale = (rads / np.sqrt(_row_dots(a_plus, a_plus) + _row_dots(a_minus, a_minus)))[:, None]
-        yield np.hstack(_coordinate_coefficients(spec.basis, spec.r, a_plus * scale, a_minus * scale))
+        yield _vecs_from_coordinates(spec.basis, spec.r, a_plus * scale, a_minus * scale)
 
 
 def _padded(vec: np.ndarray | None, size: int) -> np.ndarray | None:

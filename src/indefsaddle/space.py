@@ -15,15 +15,21 @@ an involution with eigenvalues +-1.  Its unit eigenvectors
     e_k(+-) = (lambda_k^(-r/2) phi_k, +- lambda_k^(r/2-1) phi_k) / sqrt(2)
 
 form an orthonormal basis, and the +-1 eigenprojections are (id +- L)/2.
+
+The packed coefficients [u | v] of a pair (FieldPair.vec) and the one
+formula of the norm on them, a dot weighted by [lambda^r | lambda^(2-r)],
+live here; the solver's distances and level-ball norms use them as well.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .basis import SineBasis, SpectralField
+from .basis import SineBasis, SpectralField, _row_dots
 
 
 @dataclass(frozen=True, eq=False)
@@ -43,6 +49,13 @@ class FieldPair:
     @property
     def basis(self) -> SineBasis:
         return self.u.basis
+
+    @cached_property
+    def vec(self) -> np.ndarray:
+        """The packed coefficients [u | v], read-only."""
+        vec = np.concatenate([self.u.coeffs, self.v.coeffs])
+        vec.setflags(write=False)
+        return vec
 
     @staticmethod
     def zero(basis: SineBasis, r: float) -> "FieldPair":
@@ -80,25 +93,26 @@ class SplitPair:
     minus: FieldPair
 
 
+def _weights(basis: SineBasis, r: float) -> np.ndarray:
+    """The metric weights [lambda^r | lambda^(2-r)] of packed coefficients."""
+    return np.concatenate([basis.eigenvalues**r, basis.eigenvalues ** (2.0 - r)])
+
+
+def _metric_dots(x: np.ndarray, y: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Product-space inner products of packed x and y, row by row over any
+    leading axes; x = y gives the squared norms."""
+    return _row_dots(weights * x, y)
+
+
 def pair_norm(z: FieldPair) -> float:
     """Product-space norm sqrt(|u|_r^2 + |v|_{2-r}^2)."""
-    lam = z.basis.eigenvalues
-    return float(
-        np.sqrt(
-            np.dot(lam**z.r * z.u.coeffs, z.u.coeffs)
-            + np.dot(lam ** (2.0 - z.r) * z.v.coeffs, z.v.coeffs)
-        )
-    )
+    return math.sqrt(pair_inner(z, z))
 
 
 def pair_inner(z: FieldPair, w: FieldPair) -> float:
     """Product-space inner product sum lam^r xi xi' + lam^(2-r) eta eta'."""
     z._check_compatible(w)
-    lam = z.basis.eigenvalues
-    return float(
-        np.dot(lam**z.r * z.u.coeffs, w.u.coeffs)
-        + np.dot(lam ** (2.0 - z.r) * z.v.coeffs, w.v.coeffs)
-    )
+    return float(_metric_dots(z.vec, w.vec, _weights(z.basis, z.r)))
 
 
 def apply_coupling(z: FieldPair) -> FieldPair:
@@ -169,16 +183,17 @@ def from_eigenvector_coordinates(
     basis: SineBasis, r: float, a_plus: np.ndarray, a_minus: np.ndarray
 ) -> FieldPair:
     """Rebuild a pair from its +-1 eigenvector coordinates."""
-    u, v = _coordinate_coefficients(basis, r, a_plus, a_minus)
-    return FieldPair(SpectralField(basis, u), SpectralField(basis, v), r)
+    vec = _vecs_from_coordinates(basis, r, a_plus, a_minus)
+    n = basis.size
+    return FieldPair(SpectralField(basis, vec[:n]), SpectralField(basis, vec[n:]), r)
 
 
-def _coordinate_coefficients(
+def _vecs_from_coordinates(
     basis: SineBasis, r: float, a_plus: np.ndarray, a_minus: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """The u and v coefficients with these +-1 eigenvector coordinates, one
-    vector per row of a stack."""
+) -> np.ndarray:
+    """The packed coefficients [u | v] with these +-1 eigenvector
+    coordinates, one packed row per row of a stack."""
     lam = basis.eigenvalues
     su = (np.asarray(a_plus, dtype=float) + np.asarray(a_minus, dtype=float)) / np.sqrt(2.0)
     sv = (np.asarray(a_plus, dtype=float) - np.asarray(a_minus, dtype=float)) / np.sqrt(2.0)
-    return lam ** (-r / 2.0) * su, lam ** (r / 2.0 - 1.0) * sv
+    return np.concatenate([lam ** (-r / 2.0) * su, lam ** (r / 2.0 - 1.0) * sv], axis=-1)

@@ -291,6 +291,17 @@ class TestCommands:
              "at most 1000000 points"),
             ("solve", {"lengths": [1.0, 1.0], "n": 5, "oversample": 10**6}, {},
              "'oversample' gives 6000000000000 collocation points, more than 4194304"),
+            ("solve", {"n": 8}, {"format": "csv"}, "format 'csv' applies to region, levels and check"),
+            ("branch", {"n": 8}, {"format": "csv"}, "format 'csv' applies to region, levels and check"),
+            # near p = q = 1 the bracket values leave the float range at run time
+            ("levels", {"lengths": [2.0], "n": 8, "p": 1.005, "q": 1.005}, {},
+             "error: level bracket at k=2: ceiling is not finite (inf)"),
+            ("levels", {"lengths": [30.0], "n": 8, "p": 1.0001, "q": 1.0001}, {},
+             "error: level bracket at k=2: lower is not finite (inf)"),
+            ("levels", {"lengths": [0.5], "n": 8, "p": 1.01, "q": 1.01}, {},
+             "error: level bracket at k=1: upper is not finite (-inf)"),
+            ("levels", {"lengths": [1.0], "n": 8, "p": 1.01, "q": 1.01}, {},
+             "error: level bracket at k=2: ceiling is not finite (inf)"),
         ],
     )
     def test_bad_values_exit_one_without_traceback(
@@ -304,7 +315,52 @@ class TestCommands:
         cfg = write_config(tmp_path, "bad.json", config)
         assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 1
         errors = capsys.readouterr().err.splitlines()
-        assert any(line.startswith("config error:") and message in line for line in errors)
+        if message.startswith("error:"):  # found while the command runs
+            assert errors == [message]
+        else:
+            assert any(line.startswith("config error:") and message in line for line in errors)
+        assert not list(tmp_path.glob("out*"))
+
+    @pytest.mark.parametrize("command", ["solve", "branch"])
+    def test_csv_format_flag_is_config_error(self, tmp_path, capsys, command):
+        config = {"command": command, "problem": dict(BRANCH_CONFIG["problem"], n=8)}
+        cfg = write_config(tmp_path, "csv.json", config)
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "out"), "--format", "csv"]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"config error: --format csv applies to region, levels and check, not {command}"
+        ]
+        assert not list(tmp_path.glob("out*"))
+
+    @pytest.mark.parametrize("config", [
+        dict(REGION_CONFIG, p_grid=dict(REGION_CONFIG["p_grid"], step=0.5)),
+        {"command": "levels", "problem": dict(BRANCH_CONFIG["problem"], n=8),
+         "levels": {"k_max": 3, "samples": 20}},
+        {"command": "check", "seed": 0},
+    ], ids=["region", "levels", "check"])
+    @pytest.mark.parametrize("route", ["config", "flag"])
+    def test_json_rows_match_csv_rows(self, tmp_path, config, route):
+        """format json writes the rows of the CSV, keyed by its header."""
+        from indefsaddle.cli import SCHEMA_VERSION, _fmt
+
+        command = config["command"]
+        cfg = write_config(tmp_path, "rows.json", dict(config, seed=5))
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "rows")]) == 0
+        if route == "config":
+            cfg = write_config(tmp_path, "rows.json", dict(config, seed=5, format="json"))
+            argv = [command, "--config", cfg, "--out", str(tmp_path / "rows")]
+        else:
+            argv = [command, "--config", cfg, "--out", str(tmp_path / "rows"), "--format", "json"]
+        assert main(argv) == 0
+        header, *lines = (tmp_path / "rows.csv").read_text().splitlines()
+        payload = json.loads((tmp_path / "rows.json").read_text())
+        assert list(payload) == ["schema_version", "command", "seed", "rows"]
+        assert (payload["schema_version"], payload["command"], payload["seed"]) == (
+            SCHEMA_VERSION, command, 5
+        )
+        assert len(payload["rows"]) == len(lines) > 0
+        for row, line in zip(payload["rows"], lines):
+            assert ",".join(row) == header
+            assert ",".join(_fmt(value) for value in row.values()) == line
 
     @pytest.mark.parametrize("command", ["solve", "levels"])
     def test_negative_seed_flag_is_config_error(self, tmp_path, capsys, command):

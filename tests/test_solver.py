@@ -20,6 +20,7 @@ from indefsaddle import (
     find_branch,
     jacobian,
     newton_solve,
+    pair_inner,
     pair_norm,
     residual,
     verify_critical,
@@ -285,6 +286,52 @@ class TestDeflation:
         for rec in branch.records:
             assert rec.energy == energy(rec.z, perturbed_spec)
 
+    @pytest.mark.parametrize("n, count, forcing", [(8, 7, None), (8, 13, [0.05])])
+    def test_every_converged_deflated_solve_is_one_record(self, monkeypatch, n, count, forcing):
+        """A converged deflated run lies beyond `separation` of everything it
+        was deflated against, so find_branch keeps each one, once."""
+        from indefsaddle import solve
+
+        spec = ProblemSpec.create(BoxDomain((math.pi,)), n, 1.0, 3.0, 3.0, h=forcing, k=forcing)
+        converged = []
+        real_deflated = solve.deflated_solve
+
+        def deflated(*args, **kwargs):
+            result = real_deflated(*args, **kwargs)
+            if result.converged:
+                converged.append(result.z)
+            return result
+
+        monkeypatch.setattr(solve, "deflated_solve", deflated)
+        branch = find_branch(spec, count=count)
+        assert len(converged) == 2
+        for z in converged:
+            assert sum(rec.z is z for rec in branch.records) == 1
+        assert branch.exhausted and branch.note.startswith("seed schedule exhausted")
+
+    @pytest.mark.parametrize("lengths", [(math.pi,), (1.0, 2.5), (1.0, 1.3, 2.0)])
+    def test_solver_distances_are_the_pair_metric(self, lengths):
+        """The squared distances behind deflation and separation are
+        pair_inner of the differences, and their roots pair_norm, bit for bit."""
+        from indefsaddle.solve import _distances
+        from indefsaddle.space import _weights
+
+        spec = ProblemSpec.create(BoxDomain(lengths), 12, 1.0, 3.0, 3.0)
+        rng = np.random.default_rng(len(lengths))
+        n = spec.n
+
+        def pair(vec):
+            return FieldPair(SpectralField(spec.basis, vec[:n]), SpectralField(spec.basis, vec[n:]), 1.0)
+
+        points = rng.standard_normal((5, 2 * n))
+        known = rng.standard_normal((3, 2 * n))
+        d2 = _distances(points, known, _weights(spec.basis, spec.r))
+        for point, row in zip(points, d2):
+            for other, want in zip(known, row):
+                diff = pair(point) - pair(other)
+                assert pair_inner(diff, diff) == want
+                assert pair_norm(diff) == math.sqrt(want)
+
 
 @functools.lru_cache(maxsize=None)
 def _newton_cases() -> dict:
@@ -350,7 +397,7 @@ class TestBacktracking:
                     newton(seed, cubic_spec)
 
     def test_deflation_matches_oracle(self, cubic_spec):
-        from indefsaddle.solve import _deflation, _deflation_gradient
+        from indefsaddle.solve import _deflation_factor, _deflation_gradient, _distances
 
         lam = cubic_spec.basis.eigenvalues
         metric = np.concatenate([lam, lam])
@@ -362,7 +409,7 @@ class TestBacktracking:
             if m:
                 known[0] = 0.0
             points = [rng.standard_normal(64), sparse] + list(known[1:2])
-            factors = _deflation(np.array(points), known, metric)
+            factors = [_deflation_factor(d2) for d2 in _distances(np.array(points), known, metric)]
             for z, factor in zip(points, factors):
                 want_factor, want_grad = deflation(z, list(known), metric)
                 assert factor == want_factor
@@ -393,7 +440,7 @@ class TestBacktracking:
             rows.clear()
             found = real_backtrack(vec, delta, *args)
             step, tried = 1.0, 1
-            while found is not None and not np.array_equal(vec + step * delta, found[0]):
+            while found is not None and not np.array_equal(vec + step * delta, found[0].vecs):
                 step *= config.damping
                 tried += 1
             searches.append((found is not None, tried, list(rows)))
