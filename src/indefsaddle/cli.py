@@ -1,14 +1,17 @@
 """Batch front-end: validate a JSON run configuration, dispatch, emit files.
 
-Commands
-    region   scan a (p, q) grid at fixed N            -> CSV rows
+Commands, each one runner of the table `_RUNNERS`
+    region   scan a (p, q) grid at fixed N            -> RegionRow rows
     solve    one Newton run from a configured seed    -> JSON solution set
     branch   multi-solution hunt with deflation       -> JSON solution set
-    levels   minimax-level brackets                   -> CSV rows
-    check    module invariant suite                   -> CSV rows
+    levels   minimax-level brackets                   -> LevelBracket rows
+    check    module invariant suite                   -> CheckResult rows
 
-`format` (or --format) chooses CSV or JSON rows for region, levels and check;
-asking solve or branch for CSV is a config error.
+A row command's runner returns the field names of its records and each
+record's field values, written as CSV, or as JSON rows with `format` (or
+--format) "json"; asking solve or branch for CSV is a config error.  The
+levels, branch and solve sections are passed to the library calls as keyword
+arguments, so each default lives in the library signature only.
 
 Every config field has one JSON type (`_SCHEMA`), and its range is checked
 by the library type built from it (ProblemSpec, NewtonConfig, CutoffConfig)
@@ -16,10 +19,13 @@ or, for plain integers, by `_LEAST`.  Any type or range error is a config
 error: one `config error:` line per field on stderr, and exit code 1.
 
 Exit codes: 0 success, 1 config error or a ValueError raised by the run (one
-`error:` line on stderr, e.g. when the powers overflow), 2 IO error, 3
-check-suite failure.
+`error:` line on stderr, e.g. when the powers overflow), 2 IO error, 3 a
+check row that did not pass.
 Output files are byte-identical for identical (config, seed); wall time goes
-to stdout only.  Floats are written with repr (shortest round-trip form).
+to stdout only.  CSV cells: floats by repr (shortest round-trip form), None
+empty, booleans true/false, and free text (a string holding a space, comma,
+double quote or newline) in double quotes, each double quote in it written
+as a single quote.  JSON rows carry the raw values.
 """
 
 from __future__ import annotations
@@ -28,9 +34,11 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 import time
 from dataclasses import dataclass, field
+from dataclasses import fields as dataclass_fields
 
 import numpy as np
 
@@ -38,6 +46,7 @@ from . import region, suite
 from .basis import BoxDomain, SpectralField, grid_shape
 from .energy import CutoffConfig, ProblemSpec
 from .solve import (
+    LevelBracket,
     NewtonConfig,
     estimate_levels,
     find_branch,
@@ -48,7 +57,6 @@ from .space import FieldPair
 
 SCHEMA_VERSION = 1
 
-COMMANDS = ("region", "solve", "branch", "levels", "check")
 # the commands that write a JSON solution set; `format` sets the others' output
 _JSON_ONLY = ("solve", "branch")
 
@@ -66,18 +74,17 @@ class RunConfig:
     command: str
     seed: int = 0
     output: str = "indefsaddle_out"
-    format: str | None = None  # default depends on the command
+    format: str | None = None  # CSV rows, or the solution set of _JSON_ONLY
     problem: ProblemSpec | None = None
     solver: NewtonConfig = field(default_factory=NewtonConfig)
     cutoff: CutoffConfig | None = None
     region_N: int | None = None
     p_grid: list[float] | None = None
     q_grid: list[float] | None = None
-    levels_k_max: int | None = None  # min(5, n) when not given
-    levels_samples: int = 200
-    branch_count: int = 3
-    solve_initial_u: list[float] | None = None
-    solve_initial_v: list[float] | None = None
+    # the fields of these sections, passed as keyword arguments
+    levels: dict = field(default_factory=dict)
+    branch: dict = field(default_factory=dict)
+    solve: dict = field(default_factory=dict)
 
 
 # The JSON type of every config field, by section ("" is the top level).  A
@@ -244,21 +251,18 @@ def parse_config(text: str) -> RunConfig:
         errors.append(
             f"'p_grid' x 'q_grid' must have at most {_MAX_GRID_POINTS} points, got {points}"
         )
-    for section in ("levels", "branch", "solve"):
-        for name, value in fields.pop(section, {}).items():
-            fields[f"{section}_{name}"] = value
     if "N" in fields:
         fields["region_N"] = fields.pop("N")
     cfg = RunConfig(**{"command": "", **fields})  # a missing command is reported above
 
     n = cfg.problem.n if cfg.problem else math.inf
-    if cfg.levels_k_max is not None and cfg.levels_k_max > n:
+    if cfg.levels.get("k_max", 0) > n:
         errors.append(
             f"levels section: field 'k_max' must be at most the truncation n = {n}, "
-            f"got {cfg.levels_k_max}"
+            f"got {cfg.levels['k_max']}"
         )
     for name in ("initial_u", "initial_v"):
-        coeffs = getattr(cfg, "solve_" + name)
+        coeffs = cfg.solve.get(name)
         if coeffs is not None and len(coeffs) > n:
             errors.append(
                 f"solve section: field '{name}' has {len(coeffs)} entries, more than "
@@ -272,22 +276,26 @@ def parse_config(text: str) -> RunConfig:
     return cfg
 
 
+# a string with any of these characters is free text, quoted in CSV
+_FREE_TEXT = re.compile(r'[ ,"\n]')
+
+
 def _fmt(value) -> str:
+    """One CSV cell, by the rule of the module docstring."""
     if isinstance(value, float):
         return repr(value)
     if value is None:
         return ""
     if isinstance(value, bool):
         return "true" if value else "false"
+    if isinstance(value, str) and _FREE_TEXT.search(value):
+        return '"' + value.replace('"', "'") + '"'
     return str(value)
 
 
-def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+def _json_header(cfg: RunConfig) -> dict:
+    """The first fields of every JSON output file."""
+    return {"schema_version": SCHEMA_VERSION, "command": cfg.command, "seed": cfg.seed}
 
 
 def _write_json(path: str, payload: dict) -> None:
@@ -309,19 +317,6 @@ def _problem_echo(spec: ProblemSpec) -> dict:
     }
 
 
-def _solution_entry(z: FieldPair, spec: ProblemSpec, cutoff: CutoffConfig) -> dict:
-    report = verify_critical(z, spec, cutoff)
-    return {
-        "u": list(z.u.coeffs),
-        "v": list(z.v.coeffs),
-        "energy": report.energy,
-        "modified_energy": report.modified_energy,
-        "residual": report.residual_norm,
-        "cutoff_weight": report.cutoff_weight,
-        "bound_ok": report.bound_ok,
-    }
-
-
 def load_solutions(path: str) -> tuple[ProblemSpec, CutoffConfig, list[FieldPair]]:
     """Reload an emitted JSON solution set for re-verification."""
     with open(path, encoding="utf-8") as fh:
@@ -339,110 +334,104 @@ def load_solutions(path: str) -> tuple[ProblemSpec, CutoffConfig, list[FieldPair
     return spec, cutoff, pairs
 
 
+def _rows(record_type, records) -> tuple[list[str], list[list]]:
+    """The field names of a record dataclass, and each record's field values
+    (by vars: astuple deep-copies and takes longer than a README-grid scan)."""
+    header = [f.name for f in dataclass_fields(record_type)]
+    return header, [list(vars(rec).values()) for rec in records]
+
+
 def _run_region(cfg: RunConfig) -> tuple[list[str], list[list]]:
-    header = [
-        "p", "q", "hyperbola_gap", "subcritical", "status",
-        "r_star", "feasible", "r_balanced", "growth_u", "growth_v", "alpha",
-    ]
-
-    rows = []
-    for row in region.region_scan(cfg.region_N, cfg.p_grid, cfg.q_grid):
-        extra: list = [None, None, None]
-        if row.subcritical and row.r_star is not None:
-            pt = region.PQPoint(p=row.p, q=row.q, N=cfg.region_N)
-            q1, p1, alpha = region.growth_exponents(pt, row.r_star)
-            extra = [q1, p1, alpha]
-        rows.append([
-            row.p, row.q,
-            row.hyperbola_gap if math.isfinite(row.hyperbola_gap) else math.inf,
-            row.subcritical, row.status, row.r_star, row.feasible,
-            region.r_thresholds(
-                region.PQPoint(p=row.p, q=row.q, N=cfg.region_N)
-            ).balanced,
-            *extra,
-        ])
-    return header, rows
+    return _rows(region.RegionRow, region.region_scan(cfg.region_N, cfg.p_grid, cfg.q_grid))
 
 
-def _cutoff_for(cfg: RunConfig) -> CutoffConfig:
-    return cfg.cutoff or CutoffConfig.default_for(cfg.problem)
+def _run_levels(cfg: RunConfig) -> tuple[list[str], list[list]]:
+    # estimate_levels has no default k_max
+    levels = {"k_max": min(5, cfg.problem.n), **cfg.levels}
+    brackets = estimate_levels(cfg.problem, cutoff=cfg.cutoff, seed=cfg.seed, **levels)
+    return _rows(LevelBracket, brackets)
 
 
-def _initial_pair(cfg: RunConfig) -> FieldPair:
+def _run_check(cfg: RunConfig) -> tuple[list[str], list[list]]:
+    return _rows(suite.CheckResult, suite.run_all(seed=cfg.seed))
+
+
+def _solution_set(cfg: RunConfig, solutions, **run_fields) -> dict:
+    """The JSON solution set of a solve or branch run: the shared header, the
+    run's own fields, then each (pair, extra fields) of `solutions` verified."""
     spec = cfg.problem
-    n = spec.n
+    cutoff = cfg.cutoff or CutoffConfig.default_for(spec)  # the library's default
+    entries = []
+    for z, extra in solutions:
+        report = verify_critical(z, spec, cutoff)
+        entries.append({
+            "u": list(z.u.coeffs),
+            "v": list(z.v.coeffs),
+            "energy": report.energy,
+            "modified_energy": report.modified_energy,
+            "residual": report.residual_norm,
+            "cutoff_weight": report.cutoff_weight,
+            "bound_ok": report.bound_ok,
+            **extra,
+        })
+    return {
+        **_json_header(cfg),
+        "problem": _problem_echo(spec),
+        "cutoff_constant": cutoff.bound_constant,
+        **run_fields,
+        "solutions": entries,
+    }
 
-    def from_list(data, fallback_rank):
-        coeffs = np.zeros(n)
-        if data is None:
-            coeffs[fallback_rank - 1] = 2.0
-        else:
-            arr = np.asarray(data, dtype=float)
-            coeffs[: arr.size] = arr
-        return SpectralField(spec.basis, coeffs)
 
-    u, v = from_list(cfg.solve_initial_u, 1), from_list(cfg.solve_initial_v, 1)
+def _initial_pair(spec: ProblemSpec, initial_u=(2.0,), initial_v=(2.0,)) -> FieldPair:
+    """The solve section's start, its leading coefficients zero-padded to n;
+    2 phi_1 for a component not given."""
+    coeffs = np.zeros((2, spec.n))
+    coeffs[0, : len(initial_u)] = initial_u
+    coeffs[1, : len(initial_v)] = initial_v
+    u, v = (SpectralField(spec.basis, c) for c in coeffs)
     return FieldPair(u, v, spec.r)
 
 
 def _run_solve(cfg: RunConfig) -> dict:
-    spec = cfg.problem
-    cutoff = _cutoff_for(cfg)
-    result = newton_solve(_initial_pair(cfg), spec, cfg.solver)
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "solve",
-        "seed": cfg.seed,
-        "problem": _problem_echo(spec),
-        "cutoff_constant": cutoff.bound_constant,
-        "converged": result.converged,
-        "iterations": result.iterations,
-        "message": result.message,
-        "solutions": [_solution_entry(result.z, spec, cutoff)] if result.converged else [],
-    }
-    return payload
+    result = newton_solve(_initial_pair(cfg.problem, **cfg.solve), cfg.problem, cfg.solver)
+    return _solution_set(
+        cfg,
+        [(result.z, {})] if result.converged else [],
+        converged=result.converged,
+        iterations=result.iterations,
+        message=result.message,
+    )
 
 
 def _run_branch(cfg: RunConfig) -> dict:
-    spec = cfg.problem
-    cutoff = _cutoff_for(cfg)
-    branch = find_branch(spec, count=cfg.branch_count, config=cfg.solver)
-    solutions = []
-    for rec in branch.records:
-        entry = _solution_entry(rec.z, spec, cutoff)
-        entry["has_mirror"] = rec.mirror is not None
-        solutions.append(entry)
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "command": "branch",
-        "seed": cfg.seed,
-        "problem": _problem_echo(spec),
-        "cutoff_constant": cutoff.bound_constant,
-        "exhausted": branch.exhausted,
-        "note": branch.note,
-        "solutions": solutions,
-    }
+    branch = find_branch(cfg.problem, config=cfg.solver, **cfg.branch)
+    return _solution_set(
+        cfg,
+        [(rec.z, {"has_mirror": rec.mirror is not None}) for rec in branch.records],
+        exhausted=branch.exhausted,
+        note=branch.note,
+    )
 
 
-def _run_levels(cfg: RunConfig) -> tuple[list[str], list[list]]:
-    spec = cfg.problem
-    cutoff = _cutoff_for(cfg)
-    k_max = cfg.levels_k_max or min(5, spec.n)
-    brackets = estimate_levels(spec, k_max, cfg.levels_samples, cutoff, seed=cfg.seed)
-    header = ["k", "lower", "upper", "radius", "ceiling", "max_pointwise_excess"]
-    rows = [
-        [b.k, b.lower, b.upper, b.radius, b.ceiling, b.max_pointwise_excess]
-        for b in brackets
-    ]
-    return header, rows
+_RUNNERS = {
+    "region": _run_region,
+    "solve": _run_solve,
+    "branch": _run_branch,
+    "levels": _run_levels,
+    "check": _run_check,
+}
+COMMANDS = tuple(_RUNNERS)
 
 
-def _run_check(cfg: RunConfig) -> tuple[list[str], list[list], int]:
-    results = suite.run_all(seed=cfg.seed)
-    header = ["name", "passed", "detail"]
-    rows = [[r.name, r.passed, '"' + r.detail.replace('"', "'") + '"'] for r in results]
-    failures = sum(1 for r in results if not r.passed)
-    return header, rows, failures
+def _write_rows(cfg: RunConfig, header: list[str], rows: list[list]) -> None:
+    if cfg.format == "json":
+        rows = [dict(zip(header, row)) for row in rows]
+        _write_json(cfg.output + ".json", {**_json_header(cfg), "rows": rows})
+        return
+    lines = [",".join(header), *(",".join(_fmt(v) for v in row) for row in rows)]
+    with open(cfg.output + ".csv", "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -480,47 +469,31 @@ def main(argv: list[str] | None = None) -> int:
             file=sys.stderr,
         )
         return 1
-    if args.out:
-        cfg.output = args.out
-    if args.format:
-        cfg.format = args.format
-    if args.seed is not None:
-        cfg.seed = args.seed
+    cfg.output = args.out or cfg.output
+    cfg.format = args.format or cfg.format
+    cfg.seed = cfg.seed if args.seed is None else args.seed
 
     started = time.perf_counter()
     status = 0
-    items = 0
     try:
         # overflowing powers surface once, as the ValueError below, not as warnings
         with np.errstate(over="ignore", invalid="ignore"):
-            out_dir = os.path.dirname(cfg.output)
-            if out_dir:
-                os.makedirs(out_dir, exist_ok=True)
-            if cfg.command == "region":
-                header, rows = _run_region(cfg)
-                _write_output(cfg, header, rows, default_format="csv")
+            os.makedirs(os.path.dirname(cfg.output) or ".", exist_ok=True)
+            result = _RUNNERS[cfg.command](cfg)
+            if cfg.command in _JSON_ONLY:
+                _write_json(cfg.output + ".json", result)
+                items = len(result["solutions"])
+            else:
+                header, rows = result
+                _write_rows(cfg, header, rows)
                 items = len(rows)
-            elif cfg.command == "levels":
-                header, rows = _run_levels(cfg)
-                _write_output(cfg, header, rows, default_format="csv")
-                items = len(rows)
-            elif cfg.command == "solve":
-                payload = _run_solve(cfg)
-                _write_json(cfg.output + ".json", payload)
-                items = len(payload["solutions"])
-            elif cfg.command == "branch":
-                payload = _run_branch(cfg)
-                _write_json(cfg.output + ".json", payload)
-                items = len(payload["solutions"])
-            else:  # check
-                header, rows, failures = _run_check(cfg)
-                _write_output(cfg, header, rows, default_format="csv")
-                items = len(rows)
-                if failures:
-                    status = 3
-                    print(f"check suite: {failures} of {items} checks FAILED")
-                else:
-                    print(f"check suite: all {items} checks passed")
+                if "passed" in header:  # a check suite: a failed check exits 3
+                    failures = sum(not row[header.index("passed")] for row in rows)
+                    if failures:
+                        status = 3
+                        print(f"check suite: {failures} of {items} checks FAILED")
+                    else:
+                        print(f"check suite: all {items} checks passed")
     except OSError as exc:
         print(f"IO error: {exc}", file=sys.stderr)
         return 2
@@ -531,20 +504,6 @@ def main(argv: list[str] | None = None) -> int:
     elapsed = time.perf_counter() - started
     print(f"{cfg.command}: {items} items, {elapsed:.3f}s, output {cfg.output}")
     return status
-
-
-def _write_output(cfg: RunConfig, header, rows, default_format: str) -> None:
-    fmt = cfg.format or default_format
-    if fmt == "csv":
-        _write_csv(cfg.output + ".csv", header, rows)
-    else:
-        payload = {
-            "schema_version": SCHEMA_VERSION,
-            "command": cfg.command,
-            "seed": cfg.seed,
-            "rows": [dict(zip(header, row)) for row in rows],
-        }
-        _write_json(cfg.output + ".json", payload)
 
 
 if __name__ == "__main__":

@@ -47,7 +47,7 @@ from .basis import (
     sobolev_norm,
     to_grid,
 )
-from .space import FieldPair
+from .space import FieldPair, _weights
 
 
 @dataclass(frozen=True)
@@ -364,11 +364,10 @@ def energy_gradient(z: FieldPair, spec: ProblemSpec) -> DualGradient:
 
 
 def riesz_representative(g: DualGradient, basis: SineBasis, r: float) -> FieldPair:
-    """Product-space gradient: dual coefficients rescaled by the metric."""
-    lam = basis.eigenvalues
-    u = SpectralField(basis, g.du * lam ** (-r))
-    v = SpectralField(basis, g.dv * lam ** (r - 2.0))
-    return FieldPair(u, v, r)
+    """Product-space gradient: packed dual coefficients divided by the metric weights."""
+    vec = np.concatenate([g.du, g.dv]) / _weights(basis, r)
+    n = basis.size
+    return FieldPair(SpectralField(basis, vec[:n]), SpectralField(basis, vec[n:]), r)
 
 
 def cutoff_scale(z: FieldPair, spec: ProblemSpec, cutoff: CutoffConfig) -> float:

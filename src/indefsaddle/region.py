@@ -163,10 +163,13 @@ def in_multiplicity_region(pt: PQPoint) -> bool:
 
 @dataclass(frozen=True)
 class OptimalR:
-    """Best split parameter and whether the growth comparison succeeds there."""
+    """Best split parameter, the growth exponents (q1, p1) there, and whether
+    the growth comparison succeeds there."""
 
     r_star: float
     feasible: bool
+    q1: float
+    p1: float
 
 
 def optimal_r(pt: PQPoint) -> OptimalR | None:
@@ -192,7 +195,7 @@ def optimal_r(pt: PQPoint) -> OptimalR | None:
         return None
     q1, p1, _ = growth_exponents(pt, r_star)
     feasible = 2.0 * min(q1, p1) > max(defect_rates(pt))
-    return OptimalR(r_star=r_star, feasible=feasible)
+    return OptimalR(r_star=r_star, feasible=feasible, q1=q1, p1=p1)
 
 
 @dataclass(frozen=True)
@@ -255,7 +258,10 @@ def bound_curves(
 
 @dataclass(frozen=True)
 class RegionRow:
-    """One scan entry of the exponent plane."""
+    """One scan entry of the exponent plane; the fields are the CSV columns.
+
+    growth_u, growth_v and alpha are growth_exponents at r_star, None with it.
+    """
 
     p: float
     q: float
@@ -264,6 +270,10 @@ class RegionRow:
     status: str  # "inside" | "outside" | "boundary"
     r_star: float | None
     feasible: bool | None
+    r_balanced: float
+    growth_u: float | None
+    growth_v: float | None
+    alpha: float | None
 
 
 def region_scan(
@@ -285,14 +295,11 @@ def region_scan(
             pt = PQPoint(p=p, q=q, N=N)
             gap = hyperbola_gap(pt)
             subcritical = gap > 0.0
+            r_star = feasible = q1 = p1 = alpha = None
             if abs(gap) < band:
                 status = "boundary"
-                r_best = None
-                feasible = None
             elif not subcritical:
                 status = "outside"
-                r_best = None
-                feasible = None
             else:
                 margin = multiplicity_margin(pt)
                 if abs(margin) < band:
@@ -300,19 +307,14 @@ def region_scan(
                 else:
                     status = "inside" if margin > 0.0 else "outside"
                 best = optimal_r(pt)
-                r_best = best.r_star if best is not None else None
-                feasible = best.feasible if best is not None else None
-            rows.append(
-                RegionRow(
-                    p=p,
-                    q=q,
-                    hyperbola_gap=gap,
-                    subcritical=subcritical,
-                    status=status,
-                    r_star=r_best,
-                    feasible=feasible,
-                )
-            )
+                if best is not None:
+                    r_star, feasible, q1, p1 = best.r_star, best.feasible, best.q1, best.p1
+                    alpha = min(q1, p1)
+            rows.append(RegionRow(
+                p=p, q=q, hyperbola_gap=gap, subcritical=subcritical, status=status,
+                r_star=r_star, feasible=feasible, r_balanced=r_thresholds(pt).balanced,
+                growth_u=q1, growth_v=p1, alpha=alpha,
+            ))
     return rows
 
 

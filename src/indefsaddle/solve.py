@@ -235,13 +235,17 @@ def _deflation_gradient(z_vec: np.ndarray, known: np.ndarray, weights: np.ndarra
     return m * np.sum(terms, axis=0, initial=0.0)
 
 
-def default_seeds(spec: ProblemSpec, k_max: int | None = None, scales=(1.0, 2.0, 4.0)) -> list[FieldPair]:
+# the amplitudes t of the default seed schedule
+_SEED_SCALES = (1.0, 2.0, 4.0)
+
+
+def default_seeds(spec: ProblemSpec, k_max: int | None = None) -> list[FieldPair]:
     """Seed schedule t (phi_j, +-phi_j): scaled eigenmode pairs, both signs."""
     k_max = k_max or min(spec.n, 6)
     seeds = []
     for j in range(1, k_max + 1):
         mode = SpectralField.unit(spec.basis, j)
-        for t in scales:
+        for t in _SEED_SCALES:
             for sign in (+1.0, -1.0):
                 seeds.append(FieldPair(mode * (sign * t), mode * (sign * t), spec.r))
     return seeds

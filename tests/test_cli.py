@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from indefsaddle import verify_critical
+from indefsaddle import suite, verify_critical
 from indefsaddle.cli import ConfigError, load_solutions, main, parse_config
 
 
@@ -361,6 +361,9 @@ class TestCommands:
         for row, line in zip(payload["rows"], lines):
             assert ",".join(row) == header
             assert ",".join(_fmt(value) for value in row.values()) == line
+        if command == "check":  # JSON rows carry the raw detail, with no CSV quotes
+            details = [result.detail for result in suite.run_all(seed=5)]
+            assert [row["detail"] for row in payload["rows"]] == details
 
     @pytest.mark.parametrize("command", ["solve", "levels"])
     def test_negative_seed_flag_is_config_error(self, tmp_path, capsys, command):

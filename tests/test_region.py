@@ -224,6 +224,24 @@ def test_readme_grid_scans_within_roundoff_of_the_hyperbola():
     assert near.status == "boundary" and near.r_star is None and near.feasible is None
 
 
+@pytest.mark.parametrize("N", [3, 5, 6])
+def test_scan_rows_carry_the_region_formulas(N):
+    # every fifth README-grid value, which keeps the points of the README
+    # grid within roundoff of the hyperbola (p = 4.0, q = 1.5 and p = 1.5,
+    # q = 2.75): boundary rows with no r_star occur at each N
+    grid = [1.05 + i * 0.05 for i in range(4, 100, 5)]
+    rows = region_scan(N, grid, grid)
+    assert any(row.status == "boundary" and row.r_star is None for row in rows)
+    for row in rows:
+        pt = PQPoint(row.p, row.q, N)
+        assert row.r_balanced == r_thresholds(pt).balanced
+        exponents = (row.growth_u, row.growth_v, row.alpha)
+        if row.r_star is None:
+            assert exponents == (None, None, None)
+        else:
+            assert exponents == growth_exponents(pt, row.r_star)
+
+
 def test_optimal_r_strictly_inside_narrow_windows():
     # q a few ulps to a few thousand ulps below the hyperbola: the window is
     # that narrow, and r_star must still lie strictly inside it (or be None)
