@@ -182,11 +182,15 @@ def optimal_r(pt: PQPoint) -> OptimalR | None:
     lies strictly inside the window (a point within roundoff of the dividing
     hyperbola).
     """
+    return _optimal_r(pt, r_thresholds(pt).balanced)
+
+
+def _optimal_r(pt: PQPoint, balanced: float) -> OptimalR | None:
+    """optimal_r, given the balance point of r_thresholds(pt)."""
     window = formula_r_window(pt)
     if window is None:
         return None
     lo, hi = window
-    balanced = r_thresholds(pt).balanced
     eps = 1e-12 * (hi - lo)
     r_star = min(max(balanced, lo + eps), hi - eps)
     # eps rounds away on a window a few ulps wide; step one ulp inside then
@@ -293,6 +297,7 @@ def region_scan(
     for p in p_grid:
         for q in q_grid:
             pt = PQPoint(p=p, q=q, N=N)
+            balanced = r_thresholds(pt).balanced
             gap = hyperbola_gap(pt)
             subcritical = gap > 0.0
             r_star = feasible = q1 = p1 = alpha = None
@@ -306,13 +311,13 @@ def region_scan(
                     status = "boundary"
                 else:
                     status = "inside" if margin > 0.0 else "outside"
-                best = optimal_r(pt)
+                best = _optimal_r(pt, balanced)
                 if best is not None:
                     r_star, feasible, q1, p1 = best.r_star, best.feasible, best.q1, best.p1
                     alpha = min(q1, p1)
             rows.append(RegionRow(
                 p=p, q=q, hyperbola_gap=gap, subcritical=subcritical, status=status,
-                r_star=r_star, feasible=feasible, r_balanced=r_thresholds(pt).balanced,
+                r_star=r_star, feasible=feasible, r_balanced=balanced,
                 growth_u=q1, growth_v=p1, alpha=alpha,
             ))
     return rows
@@ -369,7 +374,7 @@ def region_report(pt: PQPoint, r: float | None = None) -> RegionReport:
     gap = hyperbola_gap(pt)
     window = admissible_r_interval(pt)
     thresholds = r_thresholds(pt)
-    best = optimal_r(pt)
+    best = _optimal_r(pt, thresholds.balanced)
     if r is None and best is not None:
         r = best.r_star
     q1 = p1 = alpha = None

@@ -17,7 +17,11 @@ so the iterates are those of trying one step at a time.  The squared
 distances of a stack to the known points, in the product-space metric of
 space.py, are computed once, and both the deflation factors and the
 separation test (a converged point within `separation` of a known one is
-not a new solution) read from them.  Level brackets combine an upper bound
+not a new solution) read from them.  A branch hunt seeds each eigenmode at a
+fraction of the amplitude where the mode's own entries of the residual
+vanish, in closed form (the one-mode Galerkin equations), and groups the
+converged runs into solutions, so its records depend neither on the seed
+order nor on roundoff in the energies.  Level brackets combine an upper bound
 sampled in row stacks over nested saddle-geometry balls with a closed-form
 lower growth curve whose constant is assembled from computed embedding
 data; a bracket value that leaves the float range is an error.  Both
@@ -50,7 +54,7 @@ from .energy import (
     energy_gradient,
 )
 from .space import (
-    FieldPair, _metric_dots, _vecs_from_coordinates, _weights, coupling_eigenvector, pair_norm,
+    FieldPair, _metric_dots, _vecs_from_coordinates, _weights, coupling_eigenvector,
 )
 
 residual = energy_gradient  # the system residual, under the solver's name
@@ -235,19 +239,78 @@ def _deflation_gradient(z_vec: np.ndarray, known: np.ndarray, weights: np.ndarra
     return m * np.sum(terms, axis=0, initial=0.0)
 
 
-# the amplitudes t of the default seed schedule
-_SEED_SCALES = (1.0, 2.0, 4.0)
+# the fractions of each mode's one-mode Galerkin amplitude that the default
+# schedule seeds at, each raised to _seed_floor where that is larger.  Over 23
+# test hunts in 1-D, 2-D and 3-D, each of 0.65, 0.7 and 0.8 alone kept every
+# record of the fixed amplitudes t in {1, 2, 4}; 1.0 alone lost mixed-mode
+# solutions in 2-D and 3-D, and (1.0, 0.7, 1.4) took 9 times as long as 0.7.
+_SEED_SCALES = (0.7,)
+
+
+def _log_power_integral(spec: ProblemSpec, e: float) -> float:
+    """log int |phi_j|^e, the same for every eigenfunction of the box: the
+    sum over the axes of the log of (2/L)^(e/2) L Gamma((e+1)/2) /
+    (sqrt(pi) Gamma(e/2 + 1))."""
+    return sum(
+        0.5 * e * math.log(2.0 / L) + math.log(L) - 0.5 * math.log(math.pi)
+        + math.lgamma(0.5 * (e + 1.0)) - math.lgamma(0.5 * e + 1.0)
+        for L in spec.domain.lengths
+    )
+
+
+def _galerkin_amplitudes(spec: ProblemSpec, k_max: int) -> list[tuple[float, float]]:
+    """(t_j, s_j) for j = 1..k_max: the positive amplitudes at which the
+    mode-j entries of the gradient vanish on the ray (t phi_j, s phi_j),
+
+        lambda_j s = t^q M_(q+1),  lambda_j t = s^p M_(p+1),  M_e = int |phi_j|^e,
+
+    so t^(pq-1) = lambda_j^(p+1) / (M_(q+1)^p M_(p+1)), solved in logs.  An
+    amplitude that is not a finite positive float raises ValueError, and so
+    does a power t^q or s^p of the equations that overflows: the residual
+    takes those powers of the grid values (at p = 1e300, s_1 = 1.2533 on
+    (0, pi), and s^p overflows while M_(p+1) underflows)."""
+    p, q = spec.p, spec.q
+    amplitudes = []
+    try:
+        log_mq = _log_power_integral(spec, q + 1.0)
+        log_mp = _log_power_integral(spec, p + 1.0)
+        for lam in spec.basis.eigenvalues[:k_max].tolist():
+            log_t = ((p + 1.0) * math.log(lam) - p * log_mq - log_mp) / (p * q - 1.0)
+            log_s = q * log_t + log_mq - math.log(lam)
+            math.exp(q * log_t), math.exp(p * log_s)  # raise if the powers overflow
+            amplitudes.append((math.exp(log_t), math.exp(log_s)))
+    except OverflowError:
+        raise ValueError("coefficients must be finite") from None
+    for amplitude in amplitudes:
+        if not all(0.0 < a < math.inf for a in amplitude):  # also false for NaN
+            raise ValueError("coefficients must be finite")
+    return amplitudes
+
+
+def _seed_floor(p: float, q: float) -> float:
+    """c*^0.65, with c* = (pq)^(-1/(p+q-2)): from c (t_j, s_j) with c < c*,
+    the first Newton step of the one-mode equations, in the coordinates
+    (t / t_j, s / s_j), heads for the zero solution.  The floor is 0.70 at
+    p = q = 3 and 0.81 at p = 1.5, q = 8, where seeds at 0.7 fall to zero."""
+    return (p * q) ** (-0.65 / (p + q - 2.0))
 
 
 def default_seeds(spec: ProblemSpec, k_max: int | None = None) -> list[FieldPair]:
-    """Seed schedule t (phi_j, +-phi_j): scaled eigenmode pairs, both signs."""
+    """Seed schedule c (t_j phi_j, s_j phi_j), both signs, for the first
+    k_max modes (default min(n, 6)) in turn, where (t_j, s_j) is mode j's
+    one-mode Galerkin amplitude (see _galerkin_amplitudes) and c runs over
+    _SEED_SCALES, each raised to _seed_floor(p, q) where that is larger.  A
+    forced problem's schedule starts with the zero pair, from which Newton
+    reaches the perturbed trivial solution.  No point is evaluated."""
     k_max = k_max or min(spec.n, 6)
-    seeds = []
-    for j in range(1, k_max + 1):
+    seeds = [] if spec.is_symmetric() else [spec.zero_pair()]
+    floor = _seed_floor(spec.p, spec.q)
+    for j, (t, s) in enumerate(_galerkin_amplitudes(spec, k_max), start=1):
         mode = SpectralField.unit(spec.basis, j)
-        for t in _SEED_SCALES:
+        for c in _SEED_SCALES:
+            c = max(c, floor)
             for sign in (+1.0, -1.0):
-                seeds.append(FieldPair(mode * (sign * t), mode * (sign * t), spec.r))
+                seeds.append(FieldPair(mode * (sign * c * t), mode * (sign * c * s), spec.r))
     return seeds
 
 
@@ -296,8 +359,67 @@ class Branch:
     note: str = ""
 
 
-def _candidate_key(z: FieldPair, e: float) -> tuple:
-    return (e, tuple(z.u.coeffs), tuple(z.v.coeffs))
+def _record(z: FieldPair, e: float, rn: float, symmetric: bool) -> SolutionRecord:
+    """The record of a solution; of a symmetric problem's mirror pair z, -z
+    (equal in energy and residual, bit for bit) it stores the member whose
+    u-coefficient of largest magnitude is positive."""
+    if not symmetric:
+        return SolutionRecord(z=z, energy=e, residual=rn)
+    if z.u.coeffs[np.argmax(np.abs(z.u.coeffs))] < 0.0:
+        z = -z
+    return SolutionRecord(z=z, energy=e, residual=rn, mirror=-z)
+
+
+def _coefficient_key(rec: SolutionRecord) -> tuple:
+    return tuple(rec.z.vec.tolist())
+
+
+def _energy_order(records: list[SolutionRecord]) -> list[SolutionRecord]:
+    """The records by energy, energies within 1e-12 relative of their
+    neighbour counting as equal and ordered by the coefficients."""
+    records = sorted(records, key=lambda rec: rec.energy)
+    ordered: list[SolutionRecord] = []
+    tie: list[SolutionRecord] = []
+    for rec in records:
+        if tie and rec.energy - tie[-1].energy > 1e-12 * max(abs(rec.energy), abs(tie[-1].energy)):
+            ordered += sorted(tie, key=_coefficient_key)
+            tie = []
+        tie.append(rec)
+    return ordered + sorted(tie, key=_coefficient_key)
+
+
+def _solutions(
+    candidates: list[SolutionRecord], spec: ProblemSpec, separation: float
+) -> list[SolutionRecord]:
+    """One record per solution among the candidate records, in energy order.
+
+    Candidates within `separation` of each other are one solution, and so,
+    for a symmetric problem, are a candidate and the mirror of another;
+    chains of such candidates join.  Each solution keeps its candidate of
+    smallest residual, the coefficients breaking ties.  A symmetric
+    problem's candidates within `separation` of the zero pair, its trivial
+    solution, are dropped.  The result does not depend on the order of the
+    candidates."""
+    m = len(candidates)
+    if not m:
+        return []
+    vecs = np.array([rec.z.vec for rec in candidates])
+    symmetric = spec.is_symmetric()
+    # each candidate, then each mirror and the zero pair for a symmetric problem
+    others = np.concatenate([vecs, -vecs, np.zeros((1, 2 * spec.n))]) if symmetric else vecs
+    near = np.sqrt(_distances(vecs, others, _weights(spec.basis, spec.r))) <= separation
+    kept = range(m)
+    if symmetric:
+        kept = np.flatnonzero(~near[:, -1]).tolist()
+        near = near[:, :m] | near[:, m : 2 * m]
+    groups: list[list[int]] = []  # the connected components of `near`
+    for i in kept:
+        joined = [g for g in groups if near[i, g].any()]
+        groups = [g for g in groups if g not in joined] + [[i, *sum(joined, [])]]
+    return _energy_order([
+        min((candidates[i] for i in g), key=lambda rec: (rec.residual, _coefficient_key(rec)))
+        for g in groups
+    ])
 
 
 def find_branch(
@@ -308,57 +430,44 @@ def find_branch(
 ) -> Branch:
     """Collect `count` distinct critical points (one record per mirror pair).
 
-    A plain Newton sweep over the seed schedule runs first (its results are
-    merged in a fixed order, each kept when it lies beyond `separation` of
-    every point kept before); deflation fills in afterwards, and every
-    deflated solution it converges to is new.  For a
-    symmetric problem each record's mirror -z solves as well, since the
-    forcing-free residual is exactly odd, and both are deflated against;
-    -z lies beyond `separation` of z because z does of the zero pair.
+    A plain Newton sweep over the seed schedule runs first, by default over
+    min(n, max(6, count)) modes; its converged results are grouped into
+    solutions and the lowest `count` kept (see _solutions), so the records
+    do not depend on the seed order or on roundoff in the energies.
+    Deflation fills in afterwards, and every deflated solution it converges
+    to is new.  For a symmetric problem each record's mirror -z solves as
+    well, since the forcing-free residual is exactly odd, and both are
+    deflated against, as is the zero pair; -z lies beyond `separation` of z
+    because z does of the zero pair.  Records are in energy order (see
+    _energy_order), a mirror pair stored as in _record.
     """
     if count < 1:
         raise ValueError(f"count must be at least 1, got {count}")
     config = config or NewtonConfig()
-    seeds = seeds if seeds is not None else default_seeds(spec)
+    seeds = seeds if seeds is not None else default_seeds(spec, min(spec.n, max(6, count)))
     symmetric = spec.is_symmetric()
 
     results = [newton_solve(seed, spec, config) for seed in seeds]
     candidates = [
-        (res.z, res.energy, res.residual_norm) for res in results if res.converged
+        _record(res.z, res.energy, res.residual_norm, symmetric)
+        for res in results if res.converged
     ]
-    candidates.sort(key=lambda item: _candidate_key(item[0], item[1]))
-
-    records: list[SolutionRecord] = []
-    deflate_against: list[FieldPair] = []
-    if symmetric:
-        # the trivial solution is known a priori; keep Newton away from it
-        deflate_against.append(spec.zero_pair())
-
-    def accept(z: FieldPair, e: float, rn: float) -> None:
-        mirror = -z if symmetric else None
-        records.append(SolutionRecord(z=z, energy=e, residual=rn, mirror=mirror))
-        deflate_against.append(z)
-        if mirror is not None:
-            deflate_against.append(mirror)
-
-    for z, e, rn in candidates:
-        if len(records) < count and all(
-            pair_norm(z - zi) > config.separation for zi in deflate_against
-        ):
-            accept(z, e, rn)
+    records = _solutions(candidates, spec, config.separation)[:count]
 
     exhausted, note = False, ""
     while len(records) < count:
+        # the trivial solution is known a priori; keep Newton away from it
+        known = [spec.zero_pair()] if symmetric else []
+        known += [m for rec in records for m in (rec.z, rec.mirror) if m is not None]
         # converged means beyond `separation` of everything deflated against
-        result = deflated_solve(spec, config, deflate_against, seeds)
+        result = deflated_solve(spec, config, known, seeds)
         if not result.converged:
             exhausted = True
             note = result.message
             break
-        accept(result.z, result.energy, result.residual_norm)
+        records.append(_record(result.z, result.energy, result.residual_norm, symmetric))
 
-    records.sort(key=lambda rec: _candidate_key(rec.z, rec.energy))
-    return Branch(records=records, exhausted=exhausted, note=note)
+    return Branch(records=_energy_order(records), exhausted=exhausted, note=note)
 
 
 @dataclass

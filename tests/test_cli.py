@@ -1,5 +1,6 @@
 import copy
 import importlib
+import itertools
 import json
 import math
 import warnings
@@ -461,3 +462,44 @@ class TestDeterminism:
         main(["branch", "--config", cfg, "--out", out1])
         main(["branch", "--config", cfg, "--out", out2])
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+    @pytest.mark.parametrize("first", [0, 1])
+    @pytest.mark.parametrize(
+        "problem, count, tied",
+        [
+            ({"lengths": [math.pi], "n": 32, "h": [0.05], "k": [0.05]}, 6, True),
+            ({"lengths": [math.pi], "n": 32}, 6, False),
+            ({"lengths": [math.pi, math.pi], "n": 24}, 4, True),
+        ],
+    )
+    def test_branch_ignores_seed_order_and_energy_roundoff(
+        self, tmp_path, monkeypatch, problem, count, tied, first
+    ):
+        """Reversing the seed schedule and moving every candidate energy by
+        one ulp, up and down in turn, leaves the file byte-identical.  Two of the hunts store two
+        solutions of equal energy (1-D forced: the split pair at 16.26; 2-D
+        square: the modes (1, 2) and (2, 1)), and each symmetric record has
+        two candidates, a seed and its mirror."""
+        import dataclasses
+
+        from indefsaddle import solve
+
+        config = {"command": "branch", "problem": problem, "branch": {"count": count}}
+        cfg = write_config(tmp_path, "branch.json", config)
+        assert main(["branch", "--config", cfg, "--out", str(tmp_path / "a")]) == 0
+        real_newton, real_seeds = solve.newton_solve, solve.default_seeds
+        calls = itertools.count(first)
+
+        def newton(*args, **kwargs):
+            result = real_newton(*args, **kwargs)
+            direction = math.inf if next(calls) % 2 else -math.inf
+            return dataclasses.replace(result, energy=math.nextafter(result.energy, direction))
+
+        monkeypatch.setattr(solve, "newton_solve", newton)
+        monkeypatch.setattr(solve, "default_seeds", lambda *args: real_seeds(*args)[::-1])
+        assert main(["branch", "--config", cfg, "--out", str(tmp_path / "b")]) == 0
+        plain = (tmp_path / "a.json").read_bytes()
+        assert (tmp_path / "b.json").read_bytes() == plain
+        energies = [entry["energy"] for entry in json.loads(plain)["solutions"]]
+        assert len(energies) == count
+        assert any(b - a <= 1e-12 * abs(b) for a, b in zip(energies, energies[1:])) == tied

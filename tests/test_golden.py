@@ -1,8 +1,10 @@
 """Output files of fixed configs, compared byte for byte with committed copies.
 
-The committed outputs in tests/data were written by the program before the
-energy evaluations, the Newton loops and the projected ascents were merged;
-any change of result, down to the last bit of a float, shows here.
+The committed levels output was written by the program before the energy
+evaluations, the Newton loops and the projected ascents were merged, and the
+branch outputs once branch hunts were seeded at the one-mode Galerkin
+amplitudes; any change of result, down to the last bit of a float, shows
+here.
 """
 
 from pathlib import Path
@@ -27,3 +29,23 @@ def test_outputs_match_committed_bytes(tmp_path, name, command, suffix):
     config = str(DATA / f"{name}.config.json")
     assert main([command, "--config", config, "--out", str(out)]) == 0
     assert (tmp_path / (name + suffix)).read_bytes() == (DATA / (name + suffix)).read_bytes()
+
+
+def test_golden_deflated_hunt_converges_deflated_runs(tmp_path, monkeypatch):
+    """The forced square's hunt stores two records from deflated runs, so the
+    committed file pins the deflated Newton path too."""
+    from indefsaddle import solve
+
+    outcomes = []
+    real = solve.deflated_solve
+
+    def deflated(*args, **kwargs):
+        result = real(*args, **kwargs)
+        outcomes.append(result.converged)
+        return result
+
+    monkeypatch.setattr(solve, "deflated_solve", deflated)
+    config = str(DATA / "golden_deflated.config.json")
+    assert main(["branch", "--config", config, "--out", str(tmp_path / "out")]) == 0
+    assert outcomes == [True, True]
+    assert (tmp_path / "out.json").read_bytes() == (DATA / "golden_deflated.json").read_bytes()

@@ -1,9 +1,12 @@
 import functools
 import importlib
+import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from indefsaddle import (
     CutoffConfig,
@@ -303,11 +306,49 @@ class TestDeflation:
             return result
 
         monkeypatch.setattr(solve, "deflated_solve", deflated)
-        branch = find_branch(spec, count=count)
+        # the default seeds fill these hunts without deflation; fixed amplitudes do not
+        branch = find_branch(spec, seeds=_scaled_mode_seeds(spec), count=count)
         assert len(converged) == 2
-        for z in converged:
-            assert sum(rec.z is z for rec in branch.records) == 1
+        for z in converged:  # stored as itself or, for a symmetric problem, as its mirror
+            members = [m for rec in branch.records for m in (rec.z, rec.mirror) if m is not None]
+            assert sum(np.array_equal(m.vec, z.vec) for m in members) == 1
         assert branch.exhausted and branch.note.startswith("seed schedule exhausted")
+
+    @pytest.mark.parametrize("forcing", [None, [0.05]])
+    def test_records_ignore_candidate_order_and_energy_roundoff(self, monkeypatch, forcing):
+        """The t in {1, 2, 4} seeds reach most solutions several times over,
+        at roundoff apart.  Reversing them and moving each candidate energy
+        by one ulp, up and down in turn, keeps every record bit for bit: each
+        solution keeps its candidate of smallest residual, and a symmetric
+        record is the member of its pair whose largest u-coefficient is
+        positive."""
+        import dataclasses
+
+        from indefsaddle import solve
+
+        spec = ProblemSpec.create(BoxDomain((math.pi,)), 16, 1.0, 3.0, 3.0, h=forcing, k=forcing)
+        seeds = _scaled_mode_seeds(spec)
+        plain = find_branch(spec, seeds=seeds, count=5)
+        real_newton = solve.newton_solve
+        candidates = []
+        calls = itertools.count()
+
+        def newton(*args, **kwargs):
+            result = real_newton(*args, **kwargs)
+            candidates.append(result.converged)
+            direction = math.inf if next(calls) % 2 else -math.inf
+            return dataclasses.replace(result, energy=math.nextafter(result.energy, direction))
+
+        monkeypatch.setattr(solve, "newton_solve", newton)
+        moved = find_branch(spec, seeds=seeds[::-1], count=5)
+        assert sum(candidates) > 2 * len(plain.records)  # most solutions reached repeatedly
+        assert len(moved.records) == len(plain.records) == 5
+        for a, b in zip(plain.records, moved.records):
+            assert a.z.vec.tobytes() == b.z.vec.tobytes()
+            assert a.residual == b.residual
+            if forcing is None:
+                assert a.z.u.coeffs[np.argmax(np.abs(a.z.u.coeffs))] > 0.0
+                assert np.array_equal(a.mirror.vec, -a.z.vec)
 
     @pytest.mark.parametrize("lengths", [(math.pi,), (1.0, 2.5), (1.0, 1.3, 2.0)])
     def test_solver_distances_are_the_pair_metric(self, lengths):
@@ -333,11 +374,24 @@ class TestDeflation:
                 assert pair_norm(diff) == math.sqrt(want)
 
 
+def _scaled_mode_seeds(spec):
+    """t (phi_j, phi_j) for t in (1, 2, 4) and each sign, modes 1..6 in turn:
+    fixed amplitudes, far from the one-mode amplitudes of the higher modes, so
+    that Newton runs from them backtrack, stall and need deflation."""
+    seeds = []
+    for j in range(1, min(spec.n, 6) + 1):
+        mode = SpectralField.unit(spec.basis, j)
+        for t in (1.0, 2.0, 4.0):
+            for sign in (1.0, -1.0):
+                seeds.append(FieldPair(mode * (sign * t), mode * (sign * t), spec.r))
+    return seeds
+
+
 @functools.lru_cache(maxsize=None)
 def _newton_cases() -> dict:
     """Name -> (seed, spec, config, known) of Newton runs that backtrack."""
     cubic = ProblemSpec.create(BoxDomain((math.pi,)), n=32, r=1.0, p=3.0, q=3.0)
-    seeds = default_seeds(cubic)
+    seeds = _scaled_mode_seeds(cubic)
     mode = SpectralField.unit(cubic.basis, 1)
     ground = newton_solve(FieldPair(2.0 * mode, 2.0 * mode, 1.0), cubic).z
     zero = cubic.zero_pair()
@@ -353,8 +407,8 @@ def _newton_cases() -> dict:
         "forced": (seeds[2], forced, None, [forced_ground]),
         "damping": (seeds[12], cubic, NewtonConfig(damping=0.3), [zero]),
         "min-step": (seeds[12], cubic, NewtonConfig(min_step=0.1), [zero]),
-        "2-D": (default_seeds(box2)[8], box2, None, [box2.zero_pair()]),
-        "3-D": (default_seeds(box3)[8], box3, None, [box3.zero_pair()]),
+        "2-D": (_scaled_mode_seeds(box2)[8], box2, None, [box2.zero_pair()]),
+        "3-D": (_scaled_mode_seeds(box3)[8], box3, None, [box3.zero_pair()]),
     }
 
 
@@ -780,9 +834,135 @@ class TestVerifyCritical:
         assert oracle.energy() == pytest.approx(GROUND_ENERGY * 16.0, rel=1e-7)
 
 
-def test_default_seed_schedule_structure(cubic_spec):
-    seeds = default_seeds(cubic_spec, k_max=3)
-    assert len(seeds) == 3 * 3 * 2  # modes x scales x signs
-    assert all(
-        np.array_equal(s.u.coeffs, s.v.coeffs) for s in seeds
-    )
+def _power_integral(spec, e, index):
+    """int |phi|^e of the eigenfunction with this multi-index, by quadrature,
+    one arch of one axis at a time."""
+    total = 1.0
+    for L, m in zip(spec.domain.lengths, index):
+        def f(x):
+            return abs(math.sqrt(2.0 / L) * math.sin(m * math.pi * x / L)) ** e
+        total *= sum(
+            quad(f, k * L / m, (k + 1) * L / m, epsabs=0.0, epsrel=1e-13)[0] for k in range(m)
+        )
+    return total
+
+
+def test_default_seed_schedule_structure():
+    """A forced schedule starts at the zero pair; then each mode j in turn
+    at c (t_j phi_j, s_j phi_j), both signs, where (t_j, s_j) solves the
+    one-mode equations lambda_j s = t^q M_(q+1), lambda_j t = s^p M_(p+1)."""
+    from indefsaddle.solve import _seed_floor
+
+    for lengths, p, q, forced in [
+        ((math.pi,), 3.0, 3.0, False),
+        ((1.0, 1.3), 2.0, 5.0, True),
+        ((1.0, 1.2, 1.5), 2.0, 2.5, False),
+    ]:
+        spec = ProblemSpec.create(BoxDomain(lengths), 12, 1.0, p, q, h=[0.05] if forced else None)
+        assert len(default_seeds(spec)) == 2 * 6 + forced
+        seeds = default_seeds(spec, k_max=3)
+        assert len(seeds) == 2 * 3 + forced
+        if forced:
+            assert not seeds.pop(0).vec.any()
+        c = max(0.7, _seed_floor(p, q))  # 0.74 at p = 2, q = 5, else 0.7
+        for j in range(1, 4):
+            plus, minus = seeds[2 * j - 2], seeds[2 * j - 1]
+            assert np.array_equal(minus.vec, -plus.vec)
+            assert np.flatnonzero(plus.vec).tolist() == [j - 1, spec.n + j - 1]
+            t, s = plus.u.coeffs[j - 1] / c, plus.v.coeffs[j - 1] / c
+            lam = spec.basis.eigenvalues[j - 1]
+            index = spec.basis.pairs[j - 1].index
+            assert lam * s == pytest.approx(t**q * _power_integral(spec, q + 1.0, index), rel=1e-9)
+            assert lam * t == pytest.approx(s**p * _power_integral(spec, p + 1.0, index), rel=1e-9)
+
+
+@pytest.mark.parametrize("p", [1e300, 1e308])
+def test_unrepresentable_amplitude_raises_quietly(p):
+    """At p = 1e300 the power s^p of the one-mode equations overflows; at
+    1e308 so does Gamma's log.  Either raises the non-finite error, with no
+    warning and no OverflowError."""
+    spec = ProblemSpec.create(BoxDomain((math.pi,)), 8, 1.0, p, 3.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="coefficients must be finite"):
+            default_seeds(spec)
+
+
+@pytest.mark.parametrize("p, q", [(1.5, 8.0), (2.0, 9.0), (2.0, 5.0), (3.0, 3.0)])
+def test_seeds_above_the_zero_basin(p, q):
+    """Below c* = (pq)^(-1/(p+q-2)) of the amplitude, the first Newton step
+    of the one-mode equations points to zero; the seed fraction stays at
+    least 10 % above it, and Newton from each mode-1 to mode-3 seed reaches
+    a nonzero solution."""
+    from indefsaddle.solve import _seed_floor
+
+    assert max(0.7, _seed_floor(p, q)) > 1.1 * (p * q) ** (-1.0 / (p + q - 2.0))
+    spec = ProblemSpec.create(BoxDomain((math.pi,)), 16, 1.0, p, q)
+    for seed in default_seeds(spec, k_max=3)[::2]:
+        result = newton_solve(seed, spec)
+        assert result.converged and result.energy > 0.5
+
+
+# Hunts of 1-D, 2-D and 3-D problems, forced and not, with the record
+# energies that the t in {1, 2, 4} schedule stores: name -> (lengths, n, r,
+# p, q, forcing of mode 1 in h and k, count, energies)
+_FIXED_AMPLITUDE_HUNTS = {
+    "1-D n=32 count 6": ((math.pi,), 32, 1.0, 3.0, 3.0, None, 6,
+                         (1.016314224, 16.26102758, 82.32145214, 260.1764419, 635.1968064)),
+    "1-D n=40 count 6": ((math.pi,), 40, 1.0, 3.0, 3.0, None, 6,
+                         (1.016314224, 16.26102758, 82.32145214, 260.1764413, 635.1963913)),
+    "1-D forced": ((math.pi,), 32, 1.0, 3.0, 3.0, 0.05, 3,
+                   (-0.002501495697, 0.8762318471, 1.158743576)),
+    "1-D n=64 forced count 6": ((math.pi,), 64, 1.0, 3.0, 3.0, 0.045, 6,
+                                (-0.002025980874, 0.8901306303, 1.144398637, 16.26110156,
+                                 16.26110156, 82.32151439)),
+    "1-D p=2 q=5": ((math.pi,), 32, 1.0, 2.0, 5.0, None, 6,
+                    (0.996279591, 15.94047346, 80.69863625, 255.0475496, 622.6788552,
+                     1291.186698)),
+    "1-D r=0.6": ((math.pi,), 32, 0.6, 3.0, 3.0, None, 5,
+                  (1.016314224, 16.26102758, 82.32145214, 260.1764419, 635.1968064)),
+    "1-D r=1.5 forced": ((math.pi,), 32, 1.5, 3.0, 3.0, 0.05, 5,
+                         (-0.002501495697, 0.8762318471, 1.158743576, 16.26111891, 16.26111891)),
+    "1-D forced 0.5 count 10": ((math.pi,), 32, 1.0, 3.0, 3.0, 0.5, 10,
+                                (-0.2711071419, -0.2415691332, 2.529843246, 16.27021585,
+                                 16.27021585, 82.32908986, 82.32919677, 260.1811802,
+                                 260.1811802, 635.1999385)),
+    "1-D p=1.5 q=8": ((math.pi,), 16, 1.0, 1.5, 8.0, None, 6,
+                      (0.937076518, 15.96838181, 83.87823404, 272.1183568, 677.9427942,
+                       1462.724877)),
+    "1-D p=2 q=9 forced": ((math.pi,), 16, 1.0, 2.0, 9.0, 0.05, 6,
+                           (-0.002528219396, 0.9380028267, 1.20972933, 12.3897282, 12.3897282,
+                            51.83055161)),
+    "2-D": ((1.0, 1.3), 40, 1.0, 3.0, 3.0, None, 6,
+            (61.4651476, 269.5726592, 425.8633922, 892.794181, 1000.332328, 2272.961591)),
+    "2-D forced": ((1.0, 1.3), 40, 1.0, 3.0, 3.0, 0.05, 6,
+                   (-0.0001591383791, 61.20138226, 61.72900063, 269.5726195, 269.5726195,
+                    425.8633513)),
+    "2-D p=2 q=5": ((1.0, 1.3), 40, 1.0, 2.0, 5.0, None, 6,
+                    (59.09360572, 259.19731, 962.1764124, 2181.505503)),
+    "2-D p=1.5 q=8": ((1.0, 1.3), 16, 1.0, 1.5, 8.0, None, 6,
+                      (61.11265426, 291.1183515, 966.1316659, 1180.967582, 2576.346831)),
+    "2-D square": ((math.pi, math.pi), 24, 1.0, 3.0, 3.0, None, 4,
+                   (7.653678594, 44.35212032, 44.35212032, 140.367707)),
+    "3-D": ((1.0, 1.2, 1.5), 60, 1.0, 3.0, 3.0, None, 6,
+            (79.90816582, 219.940509, 284.5982192, 355.6334359, 537.3144718, 617.6809001)),
+    "3-D forced": ((1.0, 1.2, 1.5), 60, 1.0, 3.0, 3.0, 0.05, 3,
+                   (-0.000118427387, 79.67939301, 80.13690766)),
+    "3-D p=2 q=2.5 forced": ((1.0, 1.2, 1.5), 40, 1.0, 2.0, 2.5, 0.05, 4, (-0.0001184333528,)),
+}
+
+
+@pytest.mark.parametrize("name", list(_FIXED_AMPLITUDE_HUNTS))
+def test_hunt_keeps_the_records_of_fixed_amplitude_seeds(name):
+    """Every record energy of the t in {1, 2, 4} schedule is among the new
+    records, each matched to its own record; where that schedule stored
+    fewer than `count`, the new one fills the count."""
+    lengths, n, r, p, q, forcing, count, energies = _FIXED_AMPLITUDE_HUNTS[name]
+    forcing = None if forcing is None else [forcing]
+    spec = ProblemSpec.create(BoxDomain(lengths), n, r, p, q, h=forcing, k=forcing)
+    branch = find_branch(spec, count=count)
+    assert len(branch.records) == count and not branch.exhausted
+    found = [rec.energy for rec in branch.records]
+    for e in energies:
+        match = next(x for x in found if x == pytest.approx(e, rel=1e-6))
+        found.remove(match)
