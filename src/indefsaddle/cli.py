@@ -13,10 +13,13 @@ record's field values, written as CSV, or as JSON rows with `format` (or
 levels, branch and solve sections are passed to the library calls as keyword
 arguments, so each default lives in the library signature only.
 
-Every config field has one JSON type (`_SCHEMA`), and its range is checked
-by the library type built from it (ProblemSpec, NewtonConfig, CutoffConfig)
-or, for plain integers, by `_LEAST`.  Any type or range error is a config
-error: one `config error:` line per field on stderr, and exit code 1.
+The flags --seed, --format and a non-empty --out are merged into the config
+as seed, format and output before it is checked.  Every config field has one
+JSON type (`_SCHEMA`), and its range is checked by the library type built
+from it (ProblemSpec, NewtonConfig, CutoffConfig) or, for plain integers, by
+`_LEAST` (estimate_levels and find_branch check theirs again for API callers).
+Any type or range error is a config error: one `config error:` line per
+field on stderr, and exit code 1.
 
 Exit codes: 0 success, 1 config error or a ValueError raised by the run (one
 `error:` line on stderr, e.g. when the powers overflow), 2 IO error, 3 a
@@ -78,7 +81,7 @@ class RunConfig:
     problem: ProblemSpec | None = None
     solver: NewtonConfig = field(default_factory=NewtonConfig)
     cutoff: CutoffConfig | None = None
-    region_N: int | None = None
+    N: int | None = None
     p_grid: list[float] | None = None
     q_grid: list[float] | None = None
     # the fields of these sections, passed as keyword arguments
@@ -115,7 +118,8 @@ _SCHEMA = {
 }
 # required fields, by name: no name is used by two sections
 _REQUIRED = {"command", "lengths", "n", "bound_constant", "start", "stop", "step"}
-# the least value of each integer field that no library type checks
+# the least value of each integer field that no library type checks; the
+# library calls check k_max, samples and count again, for API callers
 _LEAST = {"seed": 0, "N": 3, "k_max": 1, "samples": 0, "count": 1}
 # the most points a {start, stop, step} range, and a region scan, may have
 _MAX_GRID_POINTS = 10**6
@@ -218,14 +222,16 @@ def _problem(lengths, n, r=1.0, p=3.0, q=3.0, **rest) -> ProblemSpec:
     return spec
 
 
-def parse_config(text: str) -> RunConfig:
-    """Parse and fully validate a JSON run configuration (strict schema)."""
+def parse_config(text: str, overrides: dict | None = None) -> RunConfig:
+    """Parse and fully validate a JSON run configuration (strict schema),
+    with the top-level fields of `overrides` in place of the config's own."""
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError([f"not valid JSON: {exc}"]) from exc
     if not isinstance(raw, dict):
         raise ConfigError(["top level must be a JSON object"])
+    raw.update(overrides or {})
     errors: list[str] = []
     fields = _fields(raw, "", errors)
     if "command" in fields and fields["command"] not in COMMANDS:
@@ -251,8 +257,6 @@ def parse_config(text: str) -> RunConfig:
         errors.append(
             f"'p_grid' x 'q_grid' must have at most {_MAX_GRID_POINTS} points, got {points}"
         )
-    if "N" in fields:
-        fields["region_N"] = fields.pop("N")
     cfg = RunConfig(**{"command": "", **fields})  # a missing command is reported above
 
     n = cfg.problem.n if cfg.problem else math.inf
@@ -342,13 +346,11 @@ def _rows(record_type, records) -> tuple[list[str], list[list]]:
 
 
 def _run_region(cfg: RunConfig) -> tuple[list[str], list[list]]:
-    return _rows(region.RegionRow, region.region_scan(cfg.region_N, cfg.p_grid, cfg.q_grid))
+    return _rows(region.RegionRow, region.region_scan(cfg.N, cfg.p_grid, cfg.q_grid))
 
 
 def _run_levels(cfg: RunConfig) -> tuple[list[str], list[list]]:
-    # estimate_levels has no default k_max
-    levels = {"k_max": min(5, cfg.problem.n), **cfg.levels}
-    brackets = estimate_levels(cfg.problem, cutoff=cfg.cutoff, seed=cfg.seed, **levels)
+    brackets = estimate_levels(cfg.problem, cutoff=cfg.cutoff, seed=cfg.seed, **cfg.levels)
     return _rows(LevelBracket, brackets)
 
 
@@ -452,12 +454,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"config read error: {exc}", file=sys.stderr)
         return 2
+    flags = {"seed": args.seed, "format": args.format, "output": args.out or None}
     try:
-        cfg = parse_config(text)
-        if args.seed is not None and args.seed < _LEAST["seed"]:
-            raise ConfigError([f"--seed must be at least {_LEAST['seed']}, got {args.seed}"])
-        if args.format == "csv" and args.command in _JSON_ONLY:
-            raise ConfigError([f"--format csv applies to region, levels and check, not {args.command}"])
+        cfg = parse_config(text, {k: v for k, v in flags.items() if v is not None})
     except ConfigError as exc:
         for err in exc.errors:
             print(f"config error: {err}", file=sys.stderr)
@@ -469,9 +468,6 @@ def main(argv: list[str] | None = None) -> int:
             file=sys.stderr,
         )
         return 1
-    cfg.output = args.out or cfg.output
-    cfg.format = args.format or cfg.format
-    cfg.seed = cfg.seed if args.seed is None else args.seed
 
     started = time.perf_counter()
     status = 0

@@ -112,18 +112,16 @@ def newton_solve(
     prod_i (d_i^-2 + 1), d_i the distance to known solution i, which adds a
     rank-one term to the Jacobian; convergence is still judged on the
     undeflated residual, and a point within `separation` of a known solution
-    is not accepted.  known=None is plain Newton; a list, even an empty one,
-    marks the failure messages as deflated.  Backtracking tries the steps
-    1, damping, damping^2, ... down to min_step and accepts the first one,
-    in step order, that decreases the (deflated) residual norm, so every
-    accepted step is monotone.  The ladder is evaluated in row stacks of
+    is not accepted; with no known solution it is plain Newton.  Backtracking
+    tries the steps 1, damping, damping^2, ... down to min_step and accepts
+    the first one, in step order, that decreases the (deflated) residual
+    norm, so every accepted step is monotone.  The ladder is evaluated in row stacks of
     doubling size (the full step alone, then 2, 4, 8, ... steps), and the
     rows after the accepted one are discarded.  Stalling below min_step or
     exhausting max_iter returns the best iterate with a diagnostic (a bad
     seed, not an error).
     """
     config = config or NewtonConfig()
-    deflated = known is not None
     known = known or []
     weights = _weights(spec.basis, spec.r)
     known_stack = np.array([zi.vec for zi in known]).reshape(len(known), 2 * spec.n)
@@ -157,14 +155,14 @@ def newton_solve(
             delta = np.linalg.solve(J, -m * rvec)
         except np.linalg.LinAlgError:
             return outcome(
-                it - 1, False, "singular deflated Jacobian" if deflated else "singular Jacobian"
+                it - 1, False, "singular deflated Jacobian" if known else "singular Jacobian"
             )
         del J  # so that the next iteration's Jacobian does not coexist with it
         found = _backtrack(ev.vecs, delta, fn, spec, known_stack, weights, config)
         if found is None:
             return outcome(
                 it, False,
-                "deflated line search stalled" if deflated
+                "deflated line search stalled" if known
                 else "line search stalled below min_step",
             )
         ev, res, d2, m, rn = found
@@ -239,12 +237,12 @@ def _deflation_gradient(z_vec: np.ndarray, known: np.ndarray, weights: np.ndarra
     return m * np.sum(terms, axis=0, initial=0.0)
 
 
-# the fractions of each mode's one-mode Galerkin amplitude that the default
-# schedule seeds at, each raised to _seed_floor where that is larger.  Over 23
-# test hunts in 1-D, 2-D and 3-D, each of 0.65, 0.7 and 0.8 alone kept every
-# record of the fixed amplitudes t in {1, 2, 4}; 1.0 alone lost mixed-mode
+# the fraction of each mode's one-mode Galerkin amplitude that the default
+# schedule seeds at, raised to _seed_floor where that is larger.  Over 23
+# test hunts in 1-D, 2-D and 3-D, each of 0.65, 0.7 and 0.8 kept every
+# record of the fixed amplitudes t in {1, 2, 4}; 1.0 lost mixed-mode
 # solutions in 2-D and 3-D, and (1.0, 0.7, 1.4) took 9 times as long as 0.7.
-_SEED_SCALES = (0.7,)
+_SEED_SCALE = 0.7
 
 
 def _log_power_integral(spec: ProblemSpec, e: float) -> float:
@@ -298,39 +296,36 @@ def _seed_floor(p: float, q: float) -> float:
 def default_seeds(spec: ProblemSpec, k_max: int | None = None) -> list[FieldPair]:
     """Seed schedule c (t_j phi_j, s_j phi_j), both signs, for the first
     k_max modes (default min(n, 6)) in turn, where (t_j, s_j) is mode j's
-    one-mode Galerkin amplitude (see _galerkin_amplitudes) and c runs over
-    _SEED_SCALES, each raised to _seed_floor(p, q) where that is larger.  A
+    one-mode Galerkin amplitude (see _galerkin_amplitudes) and c is
+    _SEED_SCALE, raised to _seed_floor(p, q) where that is larger.  A
     forced problem's schedule starts with the zero pair, from which Newton
     reaches the perturbed trivial solution.  No point is evaluated."""
     k_max = k_max or min(spec.n, 6)
     seeds = [] if spec.is_symmetric() else [spec.zero_pair()]
-    floor = _seed_floor(spec.p, spec.q)
+    c = max(_SEED_SCALE, _seed_floor(spec.p, spec.q))
     for j, (t, s) in enumerate(_galerkin_amplitudes(spec, k_max), start=1):
         mode = SpectralField.unit(spec.basis, j)
-        for c in _SEED_SCALES:
-            c = max(c, floor)
-            for sign in (+1.0, -1.0):
-                seeds.append(FieldPair(mode * (sign * c * t), mode * (sign * c * s), spec.r))
+        for sign in (+1.0, -1.0):
+            seeds.append(FieldPair(mode * (sign * c * t), mode * (sign * c * s), spec.r))
     return seeds
 
 
 def deflated_solve(
-    spec: ProblemSpec,
-    config: NewtonConfig | None = None,
-    known: list[FieldPair] | None = None,
-    seeds: list[FieldPair] | None = None,
+    spec: ProblemSpec, config: NewtonConfig, known: list[FieldPair], seeds: list[FieldPair]
 ) -> SolveResult:
     """Find one solution distinct from every known one, or report exhaustion."""
-    config = config or NewtonConfig()
-    known = list(known or [])
-    seeds = seeds if seeds is not None else default_seeds(spec)
-    best: SolveResult | None = None
+    failures = []
     for seed in seeds:
         result = newton_solve(seed, spec, config, known)
         if result.converged:
             return result
-        if best is None or result.residual_norm < best.residual_norm:
-            best = result
+        failures.append(result)
+    return _exhausted(failures, spec)
+
+
+def _exhausted(failures: list[SolveResult], spec: ProblemSpec) -> SolveResult:
+    """The failed run of least residual norm (the first on ties), noted as exhausting."""
+    best = min(failures, key=lambda res: res.residual_norm, default=None)
     if best is None:
         best = SolveResult(
             z=spec.zero_pair(), residual_norm=math.inf, iterations=0,
@@ -435,11 +430,12 @@ def find_branch(
     solutions and the lowest `count` kept (see _solutions), so the records
     do not depend on the seed order or on roundoff in the energies.
     Deflation fills in afterwards, and every deflated solution it converges
-    to is new.  For a symmetric problem each record's mirror -z solves as
-    well, since the forcing-free residual is exactly odd, and both are
-    deflated against, as is the zero pair; -z lies beyond `separation` of z
-    because z does of the zero pair.  Records are in energy order (see
-    _energy_order), a mirror pair stored as in _record.
+    to is new (a forced sweep that converges nowhere leaves nothing to
+    deflate against, and ends the hunt).  For a symmetric problem each
+    record's mirror -z solves as well, since the forcing-free residual is
+    exactly odd, and both are deflated against, as is the zero pair; -z lies
+    beyond `separation` of z because z does of the zero pair.  Records are
+    in energy order (see _energy_order), a mirror pair stored as in _record.
     """
     if count < 1:
         raise ValueError(f"count must be at least 1, got {count}")
@@ -459,8 +455,9 @@ def find_branch(
         # the trivial solution is known a priori; keep Newton away from it
         known = [spec.zero_pair()] if symmetric else []
         known += [m for rec in records for m in (rec.z, rec.mirror) if m is not None]
-        # converged means beyond `separation` of everything deflated against
-        result = deflated_solve(spec, config, known, seeds)
+        # converged means beyond `separation` of everything deflated against;
+        # deflating against nothing would rerun the sweep
+        result = deflated_solve(spec, config, known, seeds) if known else _exhausted(results, spec)
         if not result.converged:
             exhausted = True
             note = result.message
@@ -571,12 +568,11 @@ def _sphere_extremal(
     exponent: float,
     order: float,
     seed: int,
-    restarts: int = 10,
-    iters: int = 300,
     warm_start: np.ndarray | None = None,
 ) -> tuple[float, np.ndarray]:
     """Minimize int |w|^(exponent+1) over the unit order-norm sphere of the
-    first `active` modes, by projected ascent on its negative."""
+    first `active` modes, by projected ascent on its negative from 10 starts
+    (the warm start, then random ones) of at most 300 steps each."""
     rng = np.random.default_rng(seed)
 
     def value_grad(C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -586,10 +582,10 @@ def _sphere_extremal(
         return -val, -pair[:, :active]
 
     starts = [] if warm_start is None else [np.array(warm_start, dtype=float)]
-    while len(starts) < restarts:
+    while len(starts) < 10:
         starts.append(rng.standard_normal(active))
     weights = spec.basis.eigenvalues[:active] ** order
-    best_val, best_c = _projected_ascent(value_grad, starts, weights, iters)
+    best_val, best_c = _projected_ascent(value_grad, starts, weights, 300)
     return -best_val, np.asarray(best_c)
 
 
@@ -688,12 +684,12 @@ class LevelBracket:
 
 def estimate_levels(
     spec: ProblemSpec,
-    k_max: int,
+    k_max: int | None = None,
     samples: int = 200,
     cutoff: CutoffConfig | None = None,
     seed: int = 0,
 ) -> list[LevelBracket]:
-    """Bracket the first k_max minimax levels.
+    """Bracket the first k_max minimax levels (by default min(5, n)).
 
     upper: sampled supremum of the modified energy over the radius-R_k ball
     of the span of the full minus-eigenspace and the first k plus-modes; the
@@ -706,6 +702,7 @@ def estimate_levels(
     lower: gamma k^(2 alpha) with computed gamma and exact exponent.
     A bracket value that is not finite raises ValueError naming k and field.
     """
+    k_max = min(5, spec.n) if k_max is None else k_max
     if k_max < 1:
         raise ValueError(f"k_max must be at least 1, got {k_max}")
     cutoff = cutoff or CutoffConfig.default_for(spec)
@@ -824,11 +821,10 @@ def verify_critical(
     cutoff = cutoff or CutoffConfig.default_for(spec)
     ev = Evaluation.at(z, spec)
     rn = ev.gradient().norm()
-    _, e, _, theta = ev.cutoff_terms(cutoff)
+    _, e, scale, theta = ev.cutoff_terms(cutoff)
     j = ev.modified_energy(cutoff)
     psi = bump(theta)
-    nonlinear = theta * 2.0 * cutoff.bound_constant * math.sqrt(e * e + 1.0)
-    min_a = nonlinear / math.sqrt(e * e + 1.0)
+    min_a = ev.terms[0] / (scale / (2.0 * cutoff.bound_constant))  # over sqrt(E^2 + 1)
     return CriticalReport(
         residual_norm=rn,
         energy=e,

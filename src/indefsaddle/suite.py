@@ -64,15 +64,15 @@ def _random_pair(basis, r, rng, scale=1.0) -> FieldPair:
     return FieldPair(u, v, r)
 
 
-def check_operator_algebra(seed: int = 0, draws: int = 100, n: int = 48) -> CheckResult:
+def check_operator_algebra(seed: int = 0) -> CheckResult:
     """Involution, self-adjointness, eigenbasis orthonormality and completeness,
     split identities; tolerance 1e-12 relative to scale."""
     rng = np.random.default_rng(seed)
     domain = BoxDomain((math.pi,))
-    basis = enumerate_basis(domain, n)
+    basis = enumerate_basis(domain, 48)
     tol = 1e-12
     worst = 0.0
-    for _ in range(draws):
+    for _ in range(100):
         r = float(rng.choice([0.5, 1.0, 1.5]))
         z = _random_pair(basis, r, rng)
         w = _random_pair(basis, r, rng)
@@ -120,10 +120,9 @@ def check_operator_algebra(seed: int = 0, draws: int = 100, n: int = 48) -> Chec
         worst = max(worst, np.abs(back.u.coeffs - z.u.coeffs).max() / scale)
         worst = max(worst, np.abs(back.v.coeffs - z.v.coeffs).max() / scale)
     for r in (0.5, 1.0, 1.5):
-        gram_n = min(n, 12)
         vecs = [
             coupling_eigenvector(basis, k, s, r)
-            for k in range(1, gram_n + 1)
+            for k in range(1, 13)
             for s in (+1, -1)
         ]
         for i, a in enumerate(vecs):
@@ -191,9 +190,7 @@ def _fd_check(spec: ProblemSpec, cutoff: CutoffConfig, z, w, eps: float) -> tupl
     return err_e, err_j
 
 
-def check_gradient_fidelity(
-    seed: int = 0, points: int = 50, band_points: int = 5
-) -> CheckResult:
+def check_gradient_fidelity(seed: int = 0) -> CheckResult:
     """Central differences against both gradients, eps 1e-5, tolerance 1e-6;
     includes points inside the bump transition where the corrections bite."""
     rng = np.random.default_rng(seed)
@@ -206,7 +203,7 @@ def check_gradient_fidelity(
     eps = 1e-5
     tol = 1e-6
     worst = 0.0
-    for _ in range(points):
+    for _ in range(50):
         scale = 10.0 ** rng.uniform(-0.5, 0.5)
         z = FieldPair(
             SpectralField(spec.basis, scale * lam**-0.5 * rng.standard_normal(spec.n)),
@@ -235,17 +232,17 @@ def check_gradient_fidelity(
             w = _random_pair(spec.basis, spec.r, rng)
             worst = max(worst, *_fd_check(spec, cutoff, z, w, eps))
             found += 1
-            if found >= band_points:
+            if found >= 5:
                 break
-    passed = bool(worst < tol) and found >= band_points
+    passed = bool(worst < tol) and found >= 5
     return CheckResult(
         "gradient_fidelity",
         passed,
-        f"worst relative error {float(worst)!r} over {points}+{found} points (tol {tol!r})",
+        f"worst relative error {float(worst)!r} over 50+{found} points (tol {tol!r})",
     )
 
 
-def check_functional_structure(seed: int = 0, draws: int = 40) -> CheckResult:
+def check_functional_structure(seed: int = 0) -> CheckResult:
     """Evenness without forcing, cutoff plateaus, deviation inequality basics."""
     rng = np.random.default_rng(seed)
     domain = BoxDomain((math.pi,))
@@ -253,7 +250,7 @@ def check_functional_structure(seed: int = 0, draws: int = 40) -> CheckResult:
     pert = sym.with_forcing(h=[0.1], k=[0.2])
     cutoff = CutoffConfig.default_for(pert)
     worst = 0.0
-    for _ in range(draws):
+    for _ in range(40):
         z = _random_pair(sym.basis, sym.r, rng, scale=10.0 ** rng.uniform(-1, 1))
         if energy(z, sym) != energy(-z, sym):  # bit-exact evenness
             worst = max(worst, abs(energy(z, sym) - energy(-z, sym)))
@@ -295,7 +292,7 @@ def check_functional_structure(seed: int = 0, draws: int = 40) -> CheckResult:
     )
 
 
-def check_region_closed_forms(seed: int = 0, draws: int = 2000) -> CheckResult:
+def check_region_closed_forms(seed: int = 0) -> CheckResult:
     """Intercepts at q=1, balance identity, threshold ordering, swap symmetry."""
     rng = np.random.default_rng(seed)
     tol = 1e-12
@@ -311,7 +308,7 @@ def check_region_closed_forms(seed: int = 0, draws: int = 2000) -> CheckResult:
                 - (3.0 * N + 4.0) / (3.0 * N - 4.0)
             ),
         )
-    for _ in range(draws):
+    for _ in range(2000):
         N = int(rng.integers(3, 11))
         pt = _random_subcritical(rng, N)
         th = region.r_thresholds(pt)
@@ -331,12 +328,12 @@ def check_region_closed_forms(seed: int = 0, draws: int = 2000) -> CheckResult:
     )
 
 
-def check_region_equivalence(seed: int = 0, draws: int = 2000) -> CheckResult:
+def check_region_equivalence(seed: int = 0) -> CheckResult:
     """Strict region membership against growth-rate feasibility at the best r."""
     rng = np.random.default_rng(seed)
     disagreements = 0
     tested = 0
-    for _ in range(draws):
+    for _ in range(2000):
         N = int(rng.integers(3, 11))
         pt = _random_subcritical(rng, N)
         if abs(region.multiplicity_margin(pt)) < 1e-9:

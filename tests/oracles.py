@@ -170,7 +170,7 @@ def sequential_newton(z0, spec, config=None, known=None) -> SolveResult:
     damping^2, ... down to min_step one at a time and takes the first that
     lowers the deflated residual norm."""
     config = config or NewtonConfig()
-    deflated = known is not None
+    deflated = bool(known)
     known = known or []
     n = spec.n
     lam = spec.basis.eigenvalues

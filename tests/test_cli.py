@@ -78,7 +78,7 @@ class TestParseConfig:
     def test_minimal_region_config_valid(self):
         cfg = parse_config(json.dumps(REGION_CONFIG))
         assert cfg.command == "region"
-        assert cfg.region_N == 6
+        assert cfg.N == 6
         assert cfg.p_grid[0] == pytest.approx(1.05)
         assert len(cfg.q_grid) == 4
 
@@ -328,7 +328,7 @@ class TestCommands:
         cfg = write_config(tmp_path, "csv.json", config)
         assert main([command, "--config", cfg, "--out", str(tmp_path / "out"), "--format", "csv"]) == 1
         assert capsys.readouterr().err.splitlines() == [
-            f"config error: --format csv applies to region, levels and check, not {command}"
+            f"config error: format 'csv' applies to region, levels and check, not {command}"
         ]
         assert not list(tmp_path.glob("out*"))
 
@@ -373,9 +373,21 @@ class TestCommands:
         out = tmp_path / "out"
         assert main([command, "--config", cfg, "--out", str(out), "--seed", "-1"]) == 1
         assert capsys.readouterr().err.splitlines() == [
-            "config error: --seed must be at least 0, got -1"
+            "config error: field 'seed' must be at least 0, got -1"
         ]
         assert not list(tmp_path.glob("out*"))
+
+    def test_flags_override_their_config_fields(self, tmp_path):
+        """--seed and --format replace the config's fields, and so does --out
+        unless it is empty."""
+        config = dict(REGION_CONFIG, seed=1, format="csv", output=str(tmp_path / "cfg"))
+        cfg = write_config(tmp_path, "flags.json", config)
+        assert main(["region", "--config", cfg, "--out", "", "--seed", "4"]) == 0
+        assert (tmp_path / "cfg.csv").exists()
+        assert main(["region", "--config", cfg, "--out", str(tmp_path / "flag"), "--format", "json"]) == 0
+        assert json.loads((tmp_path / "flag.json").read_text())["seed"] == 1
+        assert main(["region", "--config", cfg, "--format", "json", "--seed", "4"]) == 0
+        assert json.loads((tmp_path / "cfg.json").read_text())["seed"] == 4
 
     @pytest.mark.parametrize("command", ["solve", "branch", "levels"])
     def test_overflow_exits_one_with_error_line(self, tmp_path, capsys, command):

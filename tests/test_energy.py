@@ -207,6 +207,28 @@ class TestCutoff:
         assert theta == pytest.approx(0.5, abs=0.05)
         assert cutoff_weight(z, sym_spec, cutoff) == 1.0
 
+    def test_plateau_beyond_the_overflow_of_the_squared_energy(self, sym_spec):
+        # at 1e40 phi_1 the energy is about -2e159 and E^2 overflows; the
+        # scale is then 2A|E|, and the argument stays on the plateau near 1/(2A)
+        cutoff = CutoffConfig(1.0)
+        phi1 = SpectralField.unit(sym_spec.basis, 1)
+        z = 1e40 * FieldPair(phi1, phi1, 1.0)
+        assert abs(energy(z, sym_spec)) > 1e154
+        assert cutoff_scale(z, sym_spec, cutoff) == 2.0 * abs(energy(z, sym_spec))
+        assert cutoff_argument(z, sym_spec, cutoff) == pytest.approx(0.5, abs=0.05)
+
+    def test_scale_is_the_square_root_formula_bit_for_bit(self):
+        """|E| from 2^27 on gives sqrt(E^2 + 1) exactly wherever E^2 is finite."""
+        from indefsaddle.energy import _hypot1
+
+        rng = np.random.default_rng(0)
+        size = 200_000
+        e = rng.choice([-1.0, 1.0], size) * 10.0 ** rng.uniform(-3.0, 154.0, size)
+        edge = 2.0**27 * (1.0 + rng.uniform(-1e-3, 1e-3, 10_000))
+        e = np.concatenate([e, edge, -edge, np.nextafter(2.0**27, [0.0, math.inf])])
+        assert _bits(_hypot1(e)) == _bits(np.sqrt(e * e + 1.0))
+        assert _hypot1(-1e300) == 1e300 and _hypot1(math.inf) == math.inf
+
 
 class TestModifiedEnergy:
     def test_equals_plain_without_forcing(self, sym_spec):

@@ -200,6 +200,31 @@ class TestDeflation:
         else:
             assert "exhausted" in result.message
 
+    def test_forced_sweep_that_converges_nowhere_is_not_rerun(self, monkeypatch):
+        """With no record and, for a forced problem, no zero pair, there is
+        nothing to deflate against: the hunt ends after the plain sweep, with
+        the sweep's best failure as its note."""
+        from indefsaddle import solve
+
+        spec = ProblemSpec.create(
+            BoxDomain((1.0, 1.3)), n=12, r=1.0, p=9.0, q=9.0
+        ).with_forcing(h=[200.0], k=[200.0])
+        real, runs = solve.newton_solve, []
+
+        def counting(z0, spec, config=None, known=None):
+            runs.append(known)
+            return real(z0, spec, config, known)
+
+        monkeypatch.setattr(solve, "newton_solve", counting)
+        branch = find_branch(spec, count=3)
+        seeds = default_seeds(spec, 6)
+        assert branch.records == [] and branch.exhausted
+        assert runs == [None] * len(seeds)
+        best = min((real(seed, spec) for seed in seeds), key=lambda res: res.residual_norm)
+        assert not best.converged
+        assert branch.note == f"seed schedule exhausted ({best.message})"
+        assert "deflated" not in branch.note
+
     def test_branch_finds_three_scaled_pairs(self, cubic_spec, newton_config):
         branch = find_branch(cubic_spec, count=3, config=newton_config)
         assert len(branch.records) == 3
@@ -604,6 +629,35 @@ class TestLevels:
             assert b.max_pointwise_excess <= 1e-12
             assert b.radius > 0.0
 
+    @pytest.mark.parametrize("n, levels", [(4, 4), (8, 5)])
+    def test_default_k_max_is_five_or_n(self, n, levels):
+        spec = ProblemSpec.create(BoxDomain((math.pi,)), n, 1.0, 3.0, 3.0)
+        assert [b.k for b in estimate_levels(spec, samples=0)] == list(range(1, levels + 1))
+
+    def test_samples_set_the_brackets_when_p_and_q_differ(self):
+        # at p = 2, q = 5 a random sample beats every fixed eigenvector point,
+        # so the samples raise `upper` at every k; both values lie below
+        # J(0) = 0 and below `lower` (0.83 at k = 1)
+        spec = ProblemSpec.create(BoxDomain((math.pi,)), n=32, r=1.0, p=2.0, q=5.0)
+        sampled = estimate_levels(spec, k_max=5, samples=200, seed=0)
+        fixed_only = estimate_levels(spec, k_max=5, samples=0, seed=0)
+        for a, b in zip(sampled, fixed_only):
+            assert a.upper == pytest.approx(-219.40971375, rel=1e-9)
+            assert b.upper == pytest.approx(-226.60581843, rel=1e-9)
+            assert a.lower > 0.0
+
+    def test_sample_energies_beyond_the_overflow_of_the_squared_energy(self):
+        # at 2-D p = 1.5, q = 8 the level radii reach 1e24, and sample
+        # energies pass 1.34e154, where the square in the cutoff scale overflows
+        from indefsaddle.region import PQPoint, optimal_r
+
+        r = optimal_r(PQPoint(1.5, 8.0, 2)).r_star
+        spec = ProblemSpec.create(BoxDomain((1.0, 1.3)), n=40, r=r, p=1.5, q=8.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            brackets = estimate_levels(spec, k_max=5, seed=0)
+        assert [b.k for b in brackets] == [1, 2, 3, 4, 5]
+
     def test_lower_curve_exponent_exact(self, cubic_spec):
         brackets = estimate_levels(cubic_spec, k_max=5, samples=20, seed=0)
         lowers = np.array([b.lower for b in brackets])
@@ -811,6 +865,19 @@ class TestVerifyCritical:
         assert report.residual_norm == 0.0
         assert report.energy == 0.0
         assert report.bound_ok
+
+    def test_bound_constant_beyond_the_overflow_of_the_squared_energy(self, cubic_spec):
+        # at 1e40 phi_1, E^2 overflows: the smallest bound constant is still
+        # the nonlinear part over |E|, not nan from a cutoff argument of 0
+        from indefsaddle.energy import Evaluation
+
+        mode = SpectralField.unit(cubic_spec.basis, 1)
+        z = FieldPair(1e40 * mode, 1e40 * mode, 1.0)
+        report = verify_critical(z, cubic_spec)
+        nonlinear = Evaluation.at(z, cubic_spec).terms[0]
+        assert abs(report.energy) > 1e154
+        assert report.min_bound_constant == pytest.approx(nonlinear / abs(report.energy), rel=1e-12)
+        assert report.bound_ok and report.cutoff_argument == pytest.approx(0.5)
 
     def test_noncritical_point_reports_quietly(self, cubic_spec):
         rng = np.random.default_rng(3)
