@@ -19,8 +19,8 @@ values, so finite differences close to machine precision.
 
 Every quantity is read from one Evaluation, of a point or of a stack of
 points, which synthesizes u and v once and computes the rest on first use:
-the energies, gradients and cutoff terms, the modified energy at -z and the
-deviation pair, each by one formula for both shapes, and a point's Hessian.
+the energies and cutoff terms, both gradients, the modified energy at -z and
+the deviation pair, each by one formula for both shapes, and a point's Hessian.
 energy_gradient, which is also the Newton residual, is the gradient of
 Evaluation.at(z, spec), and the Newton Jacobian is its Hessian.  The
 deviation constant and the level brackets evaluate their samples as stacks.
@@ -186,12 +186,10 @@ def bump(t):
     return _value(1.0 - x * x * x * (10.0 - 15.0 * x + 6.0 * x * x))
 
 
-def bump_derivative(t: float) -> float:
-    """Derivative of the bump; lies in (-15/8, 0) on (1, 2) and is 0 outside."""
-    if t <= 1.0 or t >= 2.0:
-        return 0.0
-    x = t - 1.0
-    return -30.0 * x * x * (1.0 - x) * (1.0 - x)
+def bump_derivative(t):
+    """Derivative of the bump, elementwise: in (-15/8, 0) on (1, 2), 0 outside."""
+    x = np.clip(np.asarray(t) - 1.0, 0.0, 1.0)
+    return _value(-30.0 * x * x * (1.0 - x) * (1.0 - x))
 
 
 @dataclass
@@ -333,16 +331,32 @@ class Evaluation:
         return J
 
     def cutoff_terms(self, cutoff: CutoffConfig, mirrored: bool = False):
-        """Forcing pairing, energy, cutoff scale and cutoff argument, at z or at -z."""
+        """Forcing pairing g, energy E, cutoff scale 2A s, cutoff argument and
+        s = sqrt(E^2 + 1), at z or at -z."""
         nonlinear, symmetric, forcing = self.terms
         g = -forcing if mirrored else forcing
         e = symmetric - g
-        scale = 2.0 * cutoff.bound_constant * _hypot1(e)
-        return g, e, _value(scale), _value(nonlinear / scale)
+        s = _hypot1(e)
+        scale = 2.0 * cutoff.bound_constant * s
+        return g, e, _value(scale), _value(nonlinear / scale), _value(s)
 
     def modified_energy(self, cutoff: CutoffConfig, mirrored: bool = False):
-        g, _, _, theta = self.cutoff_terms(cutoff, mirrored)
+        g, _, _, theta, _ = self.cutoff_terms(cutoff, mirrored)
         return self.terms[1] - bump(theta) * g
+
+    def modified_gradient(self, cutoff: CutoffConfig) -> ModifiedGradient:
+        """The modified energy's gradient; finite wherever E is (s is never squared)."""
+        g, e, scale, theta, s = self.cutoff_terms(cutoff)
+        psi, dchi = bump(theta), bump_derivative(theta)
+        quad = dchi * theta * (e / s) * (g / s)
+        nonlin = quad + dchi * g / scale
+        # a column of factors for a stack, one-element arrays for a point
+        a, b, c = (np.asarray(x)[..., None] for x in (1.0 + quad, 1.0 + nonlin, psi + quad))
+        lam, spec = self.spec.basis.eigenvalues, self.spec
+        pu, pv = self.pairings
+        du = a * lam * self.v - b * pu - c * spec.k.coeffs
+        dv = a * lam * self.u - b * pv - c * spec.h.coeffs
+        return ModifiedGradient(DualGradient(du=du, dv=dv), quad, nonlin, psi)
 
     def deviation(self, cutoff: CutoffConfig, beta: float = 1.0):
         """|J(z) - J(-z)| and beta (|J(z)|^(1/(q+1)) + |J(z)|^(1/(p+1)) + 1)."""
@@ -409,8 +423,10 @@ class ModifiedGradient:
     The derivative along w reads
         (1 + quad_correction) (Lz, w) - (1 + nonlin_correction) <powers, w>
         - (weight + quad_correction) <forcing, w>,
-    with both corrections vanishing wherever the bump is flat, in particular
-    for vanishing forcing and on the weight-1 plateau.
+    with quad_correction = psi'(theta) theta (E/s) (g/s) and nonlin_correction
+    = quad_correction + psi'(theta) g / (2A s), g the forcing pairing and
+    s = sqrt(E^2 + 1); both vanish wherever the bump is flat, in particular
+    for vanishing forcing and on the weight-1 plateau.  Arrays for a stack.
     """
 
     grad: DualGradient
@@ -423,23 +439,7 @@ def modified_energy_gradient(
     z: FieldPair, spec: ProblemSpec, cutoff: CutoffConfig
 ) -> ModifiedGradient:
     """Exact gradient of the discrete modified energy."""
-    lam = spec.basis.eigenvalues
-    ev = Evaluation.at(z, spec)
-    g, e, q_scale, theta = ev.cutoff_terms(cutoff)
-    psi = bump(theta)
-    dchi = bump_derivative(theta)
-    two_a_sq = (2.0 * cutoff.bound_constant) ** 2
-    t1 = dchi * two_a_sq * theta * e * g / (q_scale * q_scale)
-    t2 = t1 + dchi * g / q_scale
-    pu, pv = ev.pairings
-    du = (1.0 + t1) * lam * z.v.coeffs - (1.0 + t2) * pu - (psi + t1) * spec.k.coeffs
-    dv = (1.0 + t1) * lam * z.u.coeffs - (1.0 + t2) * pv - (psi + t1) * spec.h.coeffs
-    return ModifiedGradient(
-        grad=DualGradient(du=du, dv=dv),
-        quad_correction=t1,
-        nonlin_correction=t2,
-        weight=psi,
-    )
+    return Evaluation.at(z, spec).modified_gradient(cutoff)
 
 
 @dataclass

@@ -218,45 +218,41 @@ class BoundCurves:
     crossover_k: int | None
 
 
-def bound_curves(
-    pt: PQPoint,
-    r: float,
-    k_range: range,
-    gamma: float = 1.0,
-    alpha1: float = 1.0,
-    alpha2: float = 1.0,
-) -> BoundCurves:
-    """Tabulate gamma k^(2 alpha) against alpha1 k^((q+1)/q) + alpha2 k^((p+1)/p).
+def _power(k: int, e: float, scale: float = 1.0) -> float:
+    """scale k^e as a float, inf once k^e leaves the float range."""
+    try:
+        return scale * float(k) ** e
+    except OverflowError:
+        return math.inf
+
+
+def bound_curves(pt: PQPoint, r: float, k_range: range) -> BoundCurves:
+    """Tabulate k^(2 alpha) against k^((q+1)/q) + k^((p+1)/p).
 
     The contradiction flag is set when the lower exponent strictly exceeds
     the larger upper exponent, so the lower curve eventually overtakes the
     upper one; crossover_k is the first k in (or beyond) the range where it
-    does for the supplied constants.  Constants default to 1: only the
-    exponents, not the constants, are determined by the analysis.
+    does.  The constants in front of the powers are 1: only the exponents,
+    not the constants, are determined by the analysis.  A power past the
+    float range reads inf.
     """
     _, _, alpha = growth_exponents(pt, r)
     rate_u, rate_v = defect_rates(pt)
     contradiction = 2.0 * alpha > max(rate_u, rate_v)
-    rows = tuple(
-        BoundCurveRow(
-            k=k,
-            lower=gamma * float(k) ** (2.0 * alpha),
-            upper=alpha1 * float(k) ** rate_u + alpha2 * float(k) ** rate_v,
-        )
-        for k in k_range
-    )
+
+    def row(k: int) -> BoundCurveRow:
+        return BoundCurveRow(k, _power(k, 2.0 * alpha), _power(k, rate_u) + _power(k, rate_v))
+
+    rows = tuple(row(k) for k in k_range)
     crossover = None
     if contradiction:
         k = max(k_range.start, 1)
-        while True:
-            lower = gamma * float(k) ** (2.0 * alpha)
-            upper = alpha1 * float(k) ** rate_u + alpha2 * float(k) ** rate_v
-            if lower > upper:
+        while k <= 10**9:
+            point = row(k)
+            if point.lower > point.upper:
                 crossover = k
                 break
             k *= 2
-            if k > 10**9:
-                break
     return BoundCurves(rows=rows, contradiction=contradiction, crossover_k=crossover)
 
 
@@ -280,18 +276,17 @@ class RegionRow:
     alpha: float | None
 
 
-def region_scan(
-    N: int,
-    p_grid: list[float],
-    q_grid: list[float],
-    band: float = 1e-9,
-) -> list[RegionRow]:
+# half-width of the "boundary" band around the hyperbola and the region edge
+_BAND = 1e-9
+
+
+def region_scan(N: int, p_grid: list[float], q_grid: list[float]) -> list[RegionRow]:
     """Classify every grid point; rows come out in (p outer, q inner) order.
 
-    A point whose hyperbola gap lies within band of zero is classified
-    "boundary" with no r_star: its admissible window is at most N * band
+    A point whose hyperbola gap lies within _BAND of zero is classified
+    "boundary" with no r_star: its admissible window is at most N * _BAND
     wide, down to no float at all.  A subcritical point whose multiplicity
-    margin lies within band of zero is "boundary" too, with its r_star.
+    margin lies within _BAND of zero is "boundary" too, with its r_star.
     """
     rows = []
     for p in p_grid:
@@ -301,13 +296,13 @@ def region_scan(
             gap = hyperbola_gap(pt)
             subcritical = gap > 0.0
             r_star = feasible = q1 = p1 = alpha = None
-            if abs(gap) < band:
+            if abs(gap) < _BAND:
                 status = "boundary"
             elif not subcritical:
                 status = "outside"
             else:
                 margin = multiplicity_margin(pt)
-                if abs(margin) < band:
+                if abs(margin) < _BAND:
                     status = "boundary"
                 else:
                     status = "inside" if margin > 0.0 else "outside"

@@ -719,7 +719,6 @@ def estimate_levels(
     brackets: list[LevelBracket] = []
     warm_q = warm_p = None
     prev_best_point: np.ndarray | None = None
-    prev_upper = -math.inf
     for k in range(1, k_max + 1):
         cq, warm_q = _sphere_extremal(
             spec, k, spec.q, spec.r, seed=seed + 17 * k,
@@ -737,7 +736,7 @@ def estimate_levels(
                 f"level radius (1/(2 c_k))^(1/(m-2)) overflows at k={k}, m - 2 = {m_exp - 2.0}"
             ) from None
         rng = np.random.default_rng(seed + 1000 + k)
-        upper, best_point, excess = prev_upper, prev_best_point, -math.inf
+        upper, best_point, excess = -math.inf, prev_best_point, -math.inf
         for points in _level_points(spec, k, radius, prev_best_point, samples, rng):
             jvals = Evaluation(points, spec).modified_energy(cutoff)
             zn = np.sqrt(_metric_dots(points, points, weights))
@@ -747,10 +746,7 @@ def estimate_levels(
                 if jval > upper:
                     upper, best_point = jval, point
         ceiling = (0.5 + (c0 / radius if radius > 0 else 0.0)) * radius * radius
-        try:
-            lower = gamma * float(k) ** (2.0 * alpha)
-        except OverflowError:
-            lower = math.inf
+        lower = region._power(k, 2.0 * alpha, gamma)
         bracket = LevelBracket(
             k=k, lower=lower, upper=upper, radius=radius, ceiling=ceiling,
             max_pointwise_excess=excess,
@@ -760,7 +756,6 @@ def estimate_levels(
                 raise ValueError(f"level bracket at k={k}: {name} is not finite ({value})")
         brackets.append(bracket)
         prev_best_point = best_point
-        prev_upper = upper
     return brackets
 
 
@@ -821,10 +816,10 @@ def verify_critical(
     cutoff = cutoff or CutoffConfig.default_for(spec)
     ev = Evaluation.at(z, spec)
     rn = ev.gradient().norm()
-    _, e, scale, theta = ev.cutoff_terms(cutoff)
+    _, e, _, theta, s = ev.cutoff_terms(cutoff)
     j = ev.modified_energy(cutoff)
     psi = bump(theta)
-    min_a = ev.terms[0] / (scale / (2.0 * cutoff.bound_constant))  # over sqrt(E^2 + 1)
+    min_a = ev.terms[0] / s
     return CriticalReport(
         residual_norm=rn,
         energy=e,

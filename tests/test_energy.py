@@ -167,6 +167,13 @@ class TestCutoff:
         assert derivs.min() > -2.0  # required slope window
         assert bump_derivative(1.5) == pytest.approx(-15.0 / 8.0, abs=1e-12)
 
+    def test_bump_derivative_is_elementwise(self):
+        ts = np.concatenate([np.linspace(-1.0, 3.0, 401), [1.0, 2.0, 1.0 + 1e-12]])
+        derivs = bump_derivative(ts)
+        assert [_bits(d) for d in derivs] == [_bits(bump_derivative(float(t))) for t in ts]
+        assert ((derivs < 0.0) == ((ts > 1.0) & (ts < 2.0))).all()
+        assert type(bump_derivative(1.5)) is float and bump_derivative(2.5) == 0.0
+
     def test_zero_point_weight_one(self, forced_spec):
         cutoff = CutoffConfig(1.0)
         z = forced_spec.zero_pair()
@@ -298,6 +305,27 @@ class TestModifiedEnergy:
                 hits += 1
         assert hits >= 3
 
+    @pytest.mark.parametrize("t", [1e3, 1e40])
+    def test_corrections_beyond_the_overflow_of_the_squared_scale(self, t):
+        # with A = 0.3 the far plateau theta ~ 1/(2A) = 5/3 lies inside the
+        # bump band; E^2 + 1 rounds to E^2 there (E ~ -2e159 at 1e40, where
+        # the square of the scale overflows), so the quad correction is
+        # psi'(theta) theta g / E
+        spec = ProblemSpec.create(
+            BoxDomain((math.pi,)), n=12, r=1.0, p=3.0, q=3.0, h=[0.05], k=[0.05]
+        )
+        cutoff = CutoffConfig(0.3)
+        phi1 = SpectralField.unit(spec.basis, 1)
+        z = t * FieldPair(phi1, phi1, spec.r)
+        mg = modified_energy_gradient(z, spec, cutoff)
+        g, e, _, theta, _ = Evaluation.at(z, spec).cutoff_terms(cutoff)
+        assert 1.0 < theta < 2.0
+        for correction in (mg.quad_correction, mg.nonlin_correction):
+            assert math.isfinite(correction) and correction != 0.0
+        expected = bump_derivative(theta) * theta * g / e
+        assert mg.quad_correction == pytest.approx(expected, rel=1e-12)
+        assert np.isfinite(mg.grad.du).all() and np.isfinite(mg.grad.dv).all()
+
     def test_dead_zone_gradient_drops_forcing_only(self, forced_spec):
         # theta > 2: weight and corrections vanish, so the modified gradient
         # is the plain gradient with the forcing coefficients added back
@@ -414,6 +442,7 @@ class TestEvaluationStacks:
     @staticmethod
     def quantities(ev, cutoff):
         g = ev.gradient()
+        mg = ev.modified_gradient(cutoff)
         return [
             *ev.terms,
             *ev.cutoff_terms(cutoff),
@@ -421,6 +450,11 @@ class TestEvaluationStacks:
             ev.modified_energy(cutoff),
             ev.modified_energy(cutoff, mirrored=True),
             *ev.deviation(cutoff, beta=1.3),
+            mg.quad_correction,
+            mg.nonlin_correction,
+            mg.weight,
+            mg.grad.du,
+            mg.grad.dv,
             g.du,
             g.dv,
             g.norm(),
@@ -450,11 +484,26 @@ class TestEvaluationStacks:
         assert (weights == 1.0).any() and (weights == 0.0).any()
         assert [_bits(w) for w in weights] == [_bits(bump(float(t))) for t in theta]
 
+    def test_modified_gradient_rows_match_points_in_the_band(self, forced_spec):
+        cutoff = CutoffConfig(0.5)
+        rng = np.random.default_rng(13)
+        pairs = [random_pair(forced_spec, rng, scale=10.0 ** rng.uniform(-1, 2.5)) for _ in range(200)]
+        stacked = Evaluation(_packed(pairs), forced_spec).modified_gradient(cutoff)
+        in_band = 0
+        for i, z in enumerate(pairs):
+            alone = modified_energy_gradient(z, forced_spec, cutoff)
+            in_band += 0.0 < alone.weight < 1.0
+            for field in ("quad_correction", "nonlin_correction", "weight"):
+                assert _bits(getattr(alone, field)) == _bits(getattr(stacked, field)[i])
+            assert _bits(alone.grad.du) == _bits(stacked.grad.du[i])
+            assert _bits(alone.grad.dv) == _bits(stacked.grad.dv[i])
+        assert in_band >= 20
+
     def test_one_point_values_are_python_scalars(self, forced_spec):
         cutoff = CutoffConfig(0.5)
         for scale in (0.1, 2.0, 30.0):
             z = random_pair(forced_spec, np.random.default_rng(4), scale=scale)
-            values = self.quantities(Evaluation.at(z, forced_spec), cutoff)[:-3]
+            values = self.quantities(Evaluation.at(z, forced_spec), cutoff)[:-5]
             values += [
                 bump(0.5), bump(1.5), bump(2.5), energy(z, forced_spec),
                 energy_gradient(z, forced_spec).norm(),

@@ -183,6 +183,16 @@ def test_bound_curves_outside_point():
     assert curves.crossover_k is None
 
 
+def test_bound_curves_beyond_the_float_range():
+    # near p = q = 1 the lower exponent 2 alpha is about 13333: k^(2 alpha)
+    # leaves the float range at k = 2 and reads inf there, not OverflowError
+    curves = bound_curves(PQPoint(1.0001, 1.0001, 3), 1.0, range(1, 8))
+    assert curves.contradiction and curves.crossover_k == 2
+    assert curves.rows[0].lower == 1.0
+    assert all(row.lower == math.inf for row in curves.rows[1:])
+    assert all(math.isfinite(row.upper) for row in curves.rows)
+
+
 def test_bound_curves_equal_exponents_reduce():
     # p = q: both defect rates coincide, single-equation comparison
     pt = PQPoint(3.0, 3.0, 3)
