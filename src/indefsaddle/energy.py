@@ -20,9 +20,9 @@ values, so finite differences close to machine precision.
 Every quantity is read from one Evaluation, of a point or of a stack of
 points, which synthesizes u and v once and computes the rest on first use:
 the energies and cutoff terms, both gradients, the modified energy at -z and
-the deviation pair, each by one formula for both shapes, and a point's Hessian.
-energy_gradient, which is also the Newton residual, is the gradient of
-Evaluation.at(z, spec), and the Newton Jacobian is its Hessian.  The
+the deviation pair, each by one formula for both shapes, and a point's Hessian
+blocks.  energy_gradient, which is also the Newton residual, is the gradient
+of Evaluation.at(z, spec), and the Newton Jacobian is its Hessian.  The
 deviation constant and the level brackets evaluate their samples as stacks.
 """
 
@@ -250,8 +250,8 @@ class Evaluation:
     (2n,) or of a stack (rows, 2n), synthesized once; the energies, cutoff terms, pairings
     and gradient are read from them on first use, by one formula for both
     shapes: each row of a stack bit for bit the point's own, a point's values
-    Python floats.  The Hessian is a point's only.  Only the forcing pairing
-    is odd in z, so z's evaluation also gives the values at -z.
+    Python floats.  The Hessian and its blocks are a point's only.  Only the
+    forcing pairing is odd in z, so z's evaluation also gives the values at -z.
     Evaluation.at is the checked entry for a FieldPair."""
 
     def __init__(self, vecs: np.ndarray, spec: ProblemSpec):
@@ -314,17 +314,25 @@ class Evaluation:
         dv = lam * self.u - pv - self.spec.h.coeffs
         return DualGradient(du=du, dv=dv)
 
-    def hessian(self) -> np.ndarray:
-        """The Jacobian of the gradient: the coupling off the diagonal, and on
-        it the (exactly symmetric) Galerkin matrices of the power derivatives.
+    def galerkin_blocks(self) -> tuple[np.ndarray, np.ndarray]:
+        """P and Q, the (exactly symmetric) Galerkin matrices of q|u|^(q-1)
+        and p|v|^(p-1): the Hessian is [[-P, Lambda], [Lambda, -Q]], with
+        Lambda the diagonal of the eigenvalues.  Built on each call and not
+        kept, so that the caller may overwrite them."""
+        spec = self.spec
+        P = spec.tables.galerkin(spec.q * np.abs(self.u_vals) ** (spec.q - 1.0))
+        Q = spec.tables.galerkin(spec.p * np.abs(self.v_vals) ** (spec.p - 1.0))
+        return P, Q
 
-        Built on each call and not kept, so that no 2n x 2n matrix outlives
-        its use.
-        """
+    def hessian(self) -> np.ndarray:
+        """The Jacobian of the gradient, assembled from galerkin_blocks as a
+        dense 2n x 2n matrix, built on each call and not kept (Newton solves
+        with the blocks and never assembles it)."""
         spec, n = self.spec, self.spec.n
+        P, Q = self.galerkin_blocks()
         J = np.zeros((2 * n, 2 * n))
-        J[:n, :n] = -spec.tables.galerkin(spec.q * np.abs(self.u_vals) ** (spec.q - 1.0))
-        J[n:, n:] = -spec.tables.galerkin(spec.p * np.abs(self.v_vals) ** (spec.p - 1.0))
+        J[:n, :n] = -P
+        J[n:, n:] = -Q
         diag = np.arange(n)
         J[diag, n + diag] = spec.basis.eigenvalues
         J[n + diag, diag] = spec.basis.eigenvalues

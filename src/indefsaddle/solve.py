@@ -6,32 +6,38 @@ under the solver's name, and the Jacobian is the Hessian of the energy.
 Newton reads both from one energy.Evaluation per iterate, so u and v are
 synthesized once per point; the Hessian's diagonal blocks are the Galerkin
 matrices of the power derivatives, built from their cosine moments on the
-grid tables of the basis (basis.GridTables).  The dense-matrix residual
-and Jacobian that check them live in the tests.  There is one Newton
-loop; deflation is an option of it, which multiplies the residual by
-prod_i (dist_i^-2 + 1) over known solutions so Newton runs land on new ones,
-and with nothing to deflate against it is plain Newton.  Its backtracking
-line search evaluates the step ladder as row stacks of doubling size on the
-grid tables; every accepted step is still the first decrease in step order,
-so the iterates are those of trying one step at a time.  The squared
-distances of a stack to the known points, in the product-space metric of
-space.py, are computed once, and both the deflation factors and the
-separation test (a converged point within `separation` of a known one is
-not a new solution) read from them.  A branch hunt seeds each eigenmode at a
-fraction of the amplitude where the mode's own entries of the residual
-vanish, in closed form (the one-mode Galerkin equations), and groups the
-converged runs into solutions, so its records depend neither on the seed
-order nor on roundoff in the energies.  Level brackets combine an upper bound
-sampled in row stacks over nested saddle-geometry balls with a closed-form
-lower growth curve whose constant is assembled from computed embedding
-data; a bracket value that leaves the float range is an error.  Both
-extremal problems behind them run through one projected-ascent routine,
-which advances all its restarts at once as the rows of one stack on the
-grid tables, each row on the path it takes alone.
+grid tables of the basis (basis.GridTables), and its off-diagonal blocks
+are the diagonal of the eigenvalues.  Newton never assembles the 2n x 2n
+Jacobian: each step eliminates one block through that diagonal and solves
+one n x n Schur complement.  The dense-matrix residual and Jacobian, and
+the dense solves that check the step, live in the tests.  There is one
+Newton loop; deflation is an option of it, which multiplies the residual by
+prod_i (dist_i^-2 + 1) over known solutions so Newton runs land on new
+ones (the rank-one term this adds to the Jacobian enters the step by
+Sherman-Morrison), and with nothing to deflate against it is plain Newton.
+Its backtracking line search evaluates the step ladder as row stacks of
+doubling size on the grid tables; every accepted step is still the first
+decrease in step order, so the iterates are those of trying one step at a
+time.  The squared distances of a stack to the known points, in the
+product-space metric of space.py, are computed once, and both the
+deflation factors and the separation test (a converged point within
+`separation` of a known one is not a new solution) read from them.  A
+branch hunt seeds each eigenmode at a fraction of the amplitude where the
+mode's own entries of the residual vanish, in closed form (the one-mode
+Galerkin equations), and groups the converged runs into solutions, so its
+records depend neither on the seed order nor on roundoff in the energies or
+the coefficients.  Level brackets combine an upper bound sampled in row
+stacks over nested saddle-geometry balls with a closed-form lower growth
+curve whose constant is assembled from computed embedding data; a bracket
+value that leaves the float range is an error.  Both extremal problems
+behind them run through one projected-ascent routine, which advances all
+its restarts at once as the rows of one stack on the grid tables, each row
+on the path it takes alone.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -110,16 +116,19 @@ def newton_solve(
 
     Deflation (Farrell, Birkisson & Funke) multiplies the residual by
     prod_i (d_i^-2 + 1), d_i the distance to known solution i, which adds a
-    rank-one term to the Jacobian; convergence is still judged on the
-    undeflated residual, and a point within `separation` of a known solution
-    is not accepted; with no known solution it is plain Newton.  Backtracking
-    tries the steps 1, damping, damping^2, ... down to min_step and accepts
-    the first one, in step order, that decreases the (deflated) residual
-    norm, so every accepted step is monotone.  The ladder is evaluated in row stacks of
-    doubling size (the full step alone, then 2, 4, 8, ... steps), and the
-    rows after the accepted one are discarded.  Stalling below min_step or
-    exhausting max_iter returns the best iterate with a diagnostic (a bad
-    seed, not an error).
+    rank-one term to the Jacobian.  Each step is one n x n solve, with that
+    term applied by Sherman-Morrison (see _newton_step); a singular Schur
+    complement or rank-one update ends the run as a singular Jacobian.
+    Convergence is still judged on the undeflated residual, and a point
+    within `separation` of a known solution is not accepted; with no known
+    solution it is plain Newton.  Backtracking tries the steps 1, damping,
+    damping^2, ... down to min_step and accepts the first one, in step
+    order, that decreases the (deflated) residual norm, so every accepted
+    step is monotone.  The ladder is evaluated in row stacks of doubling
+    size (the full step alone, then 2, 4, 8, ... steps), and the rows after
+    the accepted one are discarded.  Stalling below min_step or exhausting
+    max_iter returns the best iterate with a diagnostic (a bad seed, not an
+    error).
     """
     config = config or NewtonConfig()
     known = known or []
@@ -148,16 +157,13 @@ def newton_solve(
         if not math.isfinite(m):
             return outcome(it - 1, False, "seed coincides with a known solution")
         rvec = np.concatenate([res.du, res.dv])
-        J = ev.hessian()
-        if known:
-            J = m * J + np.outer(rvec, _deflation_gradient(ev.vecs, known_stack, weights, m))
+        a = _deflation_gradient(ev.vecs, known_stack, weights, m) if known else None
         try:
-            delta = np.linalg.solve(J, -m * rvec)
+            delta = _newton_step(ev, rvec, m, a)
         except np.linalg.LinAlgError:
             return outcome(
                 it - 1, False, "singular deflated Jacobian" if known else "singular Jacobian"
             )
-        del J  # so that the next iteration's Jacobian does not coexist with it
         found = _backtrack(ev.vecs, delta, fn, spec, known_stack, weights, config)
         if found is None:
             return outcome(
@@ -170,6 +176,34 @@ def newton_solve(
         if rn <= config.tol and separated(d2):
             return outcome(it, True)
     return outcome(config.max_iter, False, "max_iter reached")
+
+
+def _newton_step(ev: Evaluation, r: np.ndarray, m: float = 1.0, a: np.ndarray | None = None):
+    """The Newton step -(m J + r a^T)^-1 m r at ev for the residual r scaled
+    by the deflation factor m, whose gradient is a (None for plain Newton,
+    whose step is -J^-1 r).
+
+    J = [[-P, L], [L, -Q]] (Evaluation.galerkin_blocks, L the diagonal of
+    the eigenvalues, all positive) is never assembled: w = J^-1 r comes from
+    one n x n solve with the Schur complement S = L - (P L^-1) Q, as
+    S y = r_u + P L^-1 r_v and x = L^-1 (r_v + Q y), and J is invertible
+    exactly when S is.  Deflation's rank-one term enters by Sherman-Morrison,
+    as the step -m w / (m + a.w).  Raises LinAlgError when S is singular or
+    m + a.w is 0 or not finite."""
+    lam, n = ev.spec.basis.eigenvalues, ev.spec.n
+    P, Q = ev.galerkin_blocks()
+    P /= lam  # P L^-1
+    S = P @ Q
+    np.negative(S, out=S)
+    S.flat[:: n + 1] += lam
+    y = np.linalg.solve(S, r[:n] + P @ r[n:])
+    w = np.concatenate([(r[n:] + Q @ y) / lam, y])
+    if a is None:
+        return -w
+    denominator = m + float(np.dot(a, w))
+    if denominator == 0.0 or not math.isfinite(denominator):
+        raise np.linalg.LinAlgError("singular deflated Jacobian")
+    return (-m / denominator) * w
 
 
 def _backtrack(vec, delta, fn, spec, known, weights, config):
@@ -365,13 +399,27 @@ def _record(z: FieldPair, e: float, rn: float, symmetric: bool) -> SolutionRecor
     return SolutionRecord(z=z, energy=e, residual=rn, mirror=-z)
 
 
-def _coefficient_key(rec: SolutionRecord) -> tuple:
-    return tuple(rec.z.vec.tolist())
+def _coefficient_order(a: SolutionRecord, b: SolutionRecord) -> int:
+    """-1, 0 or 1 as a comes before, with or after b: the record with the
+    larger coefficient comes first at the first entry where the two differ
+    by more than 1e-9 of the largest entry of either, so entries equal up to
+    roundoff never decide; the raw floats decide, the same way, only where
+    no entry is that far apart."""
+    x, y = a.z.vec, b.z.vec
+    tol = 1e-9 * max(np.abs(x).max(), np.abs(y).max())
+    apart = np.flatnonzero(np.abs(x - y) > tol)
+    if apart.size:
+        return -1 if x[apart[0]] > y[apart[0]] else 1
+    x, y = x.tolist(), y.tolist()
+    return (x < y) - (x > y)
+
+
+_coefficient_key = functools.cmp_to_key(_coefficient_order)
 
 
 def _energy_order(records: list[SolutionRecord]) -> list[SolutionRecord]:
     """The records by energy, energies within 1e-12 relative of their
-    neighbour counting as equal and ordered by the coefficients."""
+    neighbour counting as equal and ordered by _coefficient_order."""
     records = sorted(records, key=lambda rec: rec.energy)
     ordered: list[SolutionRecord] = []
     tie: list[SolutionRecord] = []

@@ -13,7 +13,10 @@ through the single-point energy functions.
 
 The Newton oracle is the deflated Newton loop with its backtracking run one
 step at a time: each candidate is unpacked into a pair, evaluated alone,
-and deflated by a Python loop over the known points.
+and deflated by a Python loop over the known points.  Its Newton step is the
+library's solve._newton_step, fed the oracle's own deflation factor and
+gradient, so that the ladders compare bit for bit; the step itself is
+checked against dense solves of the assembled Jacobian in test_solver.
 
 The shooting oracle solves the scalar two-point problem -u'' = u^3 with
 u(0) = u(L) = 0 by integrating the initial value problem and root-finding on
@@ -31,7 +34,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
-from indefsaddle import region
+from indefsaddle import region, solve
 from indefsaddle.basis import SpectralField, grid_quadrature, grid_shape
 from indefsaddle.energy import (
     CutoffConfig,
@@ -206,11 +209,8 @@ def sequential_newton(z0, spec, config=None, known=None) -> SolveResult:
         m, mgrad = deflation(vec, known_vecs, metric)
         if not math.isfinite(m):
             return outcome(it - 1, False, "seed coincides with a known solution")
-        J = ev.hessian()
-        if known:
-            J = m * J + np.outer(rvec, mgrad)
-        try:
-            delta = np.linalg.solve(J, -m * rvec)
+        try:  # the library's step, checked against dense solves in test_solver
+            delta = solve._newton_step(ev, rvec, m, mgrad if known else None)
         except np.linalg.LinAlgError:
             return outcome(
                 it - 1, False, "singular deflated Jacobian" if deflated else "singular Jacobian"

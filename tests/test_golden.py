@@ -2,9 +2,9 @@
 
 The committed levels output was written by the program before the energy
 evaluations, the Newton loops and the projected ascents were merged, and the
-branch outputs once branch hunts were seeded at the one-mode Galerkin
-amplitudes; any change of result, down to the last bit of a float, shows
-here.
+branch outputs once Newton's step came from block elimination and tied
+records were ordered past roundoff in their coefficients; any change of
+result, down to the last bit of a float, shows here.
 """
 
 from pathlib import Path

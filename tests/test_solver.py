@@ -346,7 +346,10 @@ class TestDeflation:
         by one ulp, up and down in turn, keeps every record bit for bit: each
         solution keeps its candidate of smallest residual, and a symmetric
         record is the member of its pair whose largest u-coefficient is
-        positive."""
+        positive.  Moving every coefficient by one ulp too, up and down in
+        turn, keeps the records in their order, each within one ulp; the
+        forced hunt's last two records are tied in energy, and their first
+        coefficients agree to roundoff."""
         import dataclasses
 
         from indefsaddle import solve
@@ -355,25 +358,66 @@ class TestDeflation:
         seeds = _scaled_mode_seeds(spec)
         plain = find_branch(spec, seeds=seeds, count=5)
         real_newton = solve.newton_solve
-        candidates = []
-        calls = itertools.count()
+        for shift_coefficients in (False, True):
+            candidates = []
+            calls = itertools.count()
 
-        def newton(*args, **kwargs):
-            result = real_newton(*args, **kwargs)
-            candidates.append(result.converged)
-            direction = math.inf if next(calls) % 2 else -math.inf
-            return dataclasses.replace(result, energy=math.nextafter(result.energy, direction))
+            def newton(*args, **kwargs):
+                result = real_newton(*args, **kwargs)
+                candidates.append(result.converged)
+                direction = math.inf if next(calls) % 2 else -math.inf
+                z = result.z
+                if shift_coefficients:
+                    u, v = (SpectralField(spec.basis, np.nextafter(f.coeffs, direction)) for f in (z.u, z.v))
+                    z = FieldPair(u, v, z.r)
+                return dataclasses.replace(
+                    result, z=z, energy=math.nextafter(result.energy, direction)
+                )
 
-        monkeypatch.setattr(solve, "newton_solve", newton)
-        moved = find_branch(spec, seeds=seeds[::-1], count=5)
-        assert sum(candidates) > 2 * len(plain.records)  # most solutions reached repeatedly
-        assert len(moved.records) == len(plain.records) == 5
-        for a, b in zip(plain.records, moved.records):
-            assert a.z.vec.tobytes() == b.z.vec.tobytes()
-            assert a.residual == b.residual
-            if forcing is None:
-                assert a.z.u.coeffs[np.argmax(np.abs(a.z.u.coeffs))] > 0.0
-                assert np.array_equal(a.mirror.vec, -a.z.vec)
+            monkeypatch.setattr(solve, "newton_solve", newton)
+            moved = find_branch(spec, seeds=seeds[::-1], count=5)
+            assert sum(candidates) > 2 * len(plain.records)  # most solutions reached repeatedly
+            assert len(moved.records) == len(plain.records) == 5
+            for a, b in zip(plain.records, moved.records):
+                if shift_coefficients:
+                    assert np.all(np.abs(a.z.vec - b.z.vec) <= np.spacing(np.abs(a.z.vec)))
+                else:
+                    assert a.z.vec.tobytes() == b.z.vec.tobytes()
+                assert a.residual == b.residual
+                if forcing is None:
+                    assert a.z.u.coeffs[np.argmax(np.abs(a.z.u.coeffs))] > 0.0
+                    assert np.array_equal(a.mirror.vec, -a.z.vec)
+        if forcing is not None:
+            x, y = plain.records[3].z.vec, plain.records[4].z.vec
+            assert plain.records[4].energy - plain.records[3].energy < 1e-12 * plain.records[4].energy
+            assert abs(x[0] - y[0]) < 1e-15 and abs(x[1] - y[1]) > 1.0
+
+    def test_tied_records_ignore_roundoff_in_leading_coefficients(self, cubic_spec):
+        """Records tied in energy are ordered at their first coefficient
+        apart by more than 1e-9 of their largest: the larger comes first,
+        whichever way the last bits of the entries before it fall."""
+        from indefsaddle.solve import SolutionRecord, _energy_order
+
+        n = cubic_spec.n
+
+        def record(vec, energy=16.25):
+            pair = FieldPair(SpectralField(cubic_spec.basis, vec[:n]), SpectralField(cubic_spec.basis, vec[n:]), 1.0)
+            return SolutionRecord(z=pair, energy=energy, residual=1e-12)
+
+        base = np.zeros(2 * n)
+        base[0], base[1], base[n + 1] = -0.0018, 2.8, 2.8
+        for ulps in (-3, -1, 1, 3):
+            low = base.copy()
+            low[0] = base[0] + ulps * np.spacing(abs(base[0]))
+            low[1], low[n + 1] = -2.8, -2.8
+            for energies in ((16.25, 16.25), (16.25, math.nextafter(16.25, 0.0))):
+                high, below = record(base, energies[0]), record(low, energies[1])
+                for records in ([high, below], [below, high]):
+                    assert _energy_order(records) == [high, below]
+        far = base.copy()
+        far[0] += 1e-6  # apart by more than 1e-9 of 2.8: this entry decides
+        far[1] = -2.8
+        assert _energy_order([record(base), record(far)])[0].z.vec[0] == far[0]
 
     @pytest.mark.parametrize("lengths", [(math.pi,), (1.0, 2.5), (1.0, 1.3, 2.0)])
     def test_solver_distances_are_the_pair_metric(self, lengths):
@@ -467,9 +511,11 @@ class TestBacktracking:
         """A candidate with a non-finite coefficient raises where the
         sequential ladder reaches it; with scale 1.5e308 the full and the
         half step overflow and the quarter step does not."""
+        from indefsaddle import solve
+
         mode = SpectralField.unit(cubic_spec.basis, 1)
         seed = FieldPair(scale * mode, mode, 1.0)
-        monkeypatch.setattr(np.linalg, "solve", lambda J, b: np.full(b.shape, fill))
+        monkeypatch.setattr(solve, "_newton_step", lambda ev, r, *args: np.full(r.shape, fill))
         with np.errstate(over="ignore", invalid="ignore"):
             for newton in (sequential_newton, newton_solve):
                 with pytest.raises(ValueError, match="coefficients must be finite"):
@@ -558,6 +604,92 @@ class TestBacktracking:
         got = newton_solve(z0, spec, config, known)
         assert max(rows) == 3
         assert got.residual_norm == sequential_newton(z0, spec, config, known).residual_norm
+
+
+class TestNewtonStep:
+    """Newton's step by block elimination, with deflation's rank-one term by
+    Sherman-Morrison, against dense solves of the assembled Jacobian."""
+
+    @pytest.mark.parametrize("forced", [False, True])
+    @pytest.mark.parametrize("lengths, n", [((math.pi,), 32), ((1.0, 2.5), 40), ((1.0, 1.3, 2.0), 30)])
+    def test_matches_dense_solves(self, lengths, n, forced):
+        from indefsaddle.energy import Evaluation
+        from indefsaddle.solve import (
+            _deflation_factor, _deflation_gradient, _distances, _newton_step,
+        )
+        from indefsaddle.space import _weights
+
+        forcing = [0.05, -0.02] if forced else None
+        spec = ProblemSpec.create(BoxDomain(lengths), n, 1.0, 3.0, 2.5, h=forcing, k=forcing)
+        weights = _weights(spec.basis, spec.r)
+        smooth = np.tile(spec.basis.eigenvalues ** -0.5, 2)
+        rng = np.random.default_rng(n + forced)
+        for amplitude in (0.3, 3.0):
+            vec = amplitude * smooth * rng.standard_normal(2 * n)
+            ev = Evaluation(vec, spec)
+            g = ev.gradient()
+            r, J = np.concatenate([g.du, g.dv]), ev.hessian()
+            dense = np.linalg.solve(J, -r)
+            assert np.linalg.norm(_newton_step(ev, r) - dense) <= 1e-12 * np.linalg.norm(dense)
+            # near enough that the factor m is 10-25 and a.w is of its size
+            known = vec + 0.1 * smooth * rng.standard_normal((3, 2 * n))
+            m = _deflation_factor(_distances(vec[None], known, weights)[0])
+            a = _deflation_gradient(vec, known, weights, m)
+            dense = np.linalg.solve(m * J + np.outer(r, a), -m * r)
+            step = _newton_step(ev, r, m, a)
+            assert np.linalg.norm(step - dense) <= 1e-12 * np.linalg.norm(dense)
+
+    @pytest.mark.parametrize("deflated", [False, True])
+    def test_singular_schur_complement_is_reported(self, cubic_spec, monkeypatch, deflated):
+        """A LinAlgError from the one linear solve, of an n x n matrix, ends
+        the run before its first step."""
+        shapes = []
+
+        def singular(A, b):
+            shapes.append(A.shape)
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "solve", singular)
+        mode = SpectralField.unit(cubic_spec.basis, 1)
+        known = [cubic_spec.zero_pair()] if deflated else None
+        result = newton_solve(FieldPair(2.0 * mode, 2.0 * mode, 1.0), cubic_spec, known=known)
+        assert shapes == [(cubic_spec.n, cubic_spec.n)]
+        assert not result.converged and result.iterations == 0
+        assert result.message == ("singular deflated Jacobian" if deflated else "singular Jacobian")
+
+    def test_vanishing_sherman_morrison_denominator_is_reported(self, cubic_spec, monkeypatch):
+        """m + a.w = 0, with w = J^-1 r, makes the deflated Jacobian singular."""
+        from indefsaddle import solve
+        from indefsaddle.energy import Evaluation
+
+        mode = SpectralField.unit(cubic_spec.basis, 1)
+        seed = FieldPair(2.0 * mode, 2.0 * mode, 1.0)
+        ev = Evaluation.at(seed, cubic_spec)
+        g = ev.gradient()
+        r = np.concatenate([g.du, g.dv])
+        w = -solve._newton_step(ev, r)
+        j = int(np.argmin(w))
+        assert w[j] < 0.0
+        a = np.zeros_like(w)
+        a[j] = 1.0
+        with pytest.raises(np.linalg.LinAlgError):
+            solve._newton_step(ev, r, -w[j], a)  # m + a.w = -w_j + w_j = 0
+        a[j] = math.inf  # m + a.w = -inf
+        with pytest.raises(np.linalg.LinAlgError):
+            solve._newton_step(ev, r, 1.0, a)
+
+        def cancelling(z_vec, known, weights, m):  # a = c e_j with m + c w_j = 0 exactly
+            for i in np.flatnonzero(w):
+                a = np.zeros_like(w)
+                a[i] = -m / w[i]
+                if m + float(np.dot(a, w)) == 0.0:
+                    return a
+            raise AssertionError("no entry of w cancels m exactly")
+
+        monkeypatch.setattr(solve, "_deflation_gradient", cancelling)
+        result = newton_solve(seed, cubic_spec, known=[cubic_spec.zero_pair()])
+        assert not result.converged and result.iterations == 0
+        assert result.message == "singular deflated Jacobian"
 
 
 class TestMeshRobustness:
