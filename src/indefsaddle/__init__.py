@@ -5,10 +5,10 @@ Computes solutions of the coupled Dirichlet problem
     -Lap u = |v|^(p-1) v + h,   -Lap v = |u|^(q-1) u + k
 
 on box domains as critical points of the associated strongly indefinite
-energy, together with every closed-form quantity of the surrounding
-variational analysis: fractional-order norms, the coupling involution and
-its spectral splitting, the symmetry-repair cutoff energy, computable
-brackets for the minimax levels, and the exponent-plane region curves.
+energy, with the quantities its outputs are built from: fractional-order
+norms, the coupling involution and its spectral splitting, the
+symmetry-repair cutoff energy, computable brackets for the minimax levels,
+and the exponent-plane region test with its boundary curves.
 """
 
 from .basis import (
@@ -36,26 +36,19 @@ from .energy import (
     bump,
     bump_derivative,
     cutoff_argument,
-    cutoff_scale,
     cutoff_weight,
     deviation_check,
     energy,
     energy_gradient,
-    estimate_deviation_constant,
     modified_energy,
     modified_energy_gradient,
-    nonlinear_integral,
-    riesz_representative,
 )
 from .region import (
-    BoundCurves,
     OptimalR,
     PQPoint,
-    RegionReport,
     RegionRow,
     RThresholds,
     admissible_r_interval,
-    bound_curves,
     defect_rates,
     growth_exponents,
     hyperbola_boundary_p,
@@ -66,7 +59,6 @@ from .region import (
     multiplicity_margin,
     optimal_r,
     r_thresholds,
-    region_report,
     region_scan,
 )
 from .solve import (

@@ -108,34 +108,42 @@ def enumerate_basis(domain: BoxDomain, n: int) -> SineBasis:
 
     The candidate cap on per-axis indices is doubled until the n-th smallest
     candidate eigenvalue is certified below every eigenvalue outside the
-    candidate block, so the enumeration is exact.
+    candidate block, so the enumeration is exact.  A ValueError reports
+    eigenvalues that leave the float range: a (pi/L)^2 that underflows to 0
+    would keep the certificate from ever holding, and one that overflows
+    has no float value.
     """
     if n < 1:
         raise ValueError(f"basis size must be at least 1, got {n}")
     lengths = domain.lengths
     dim = domain.dim
+    waves = [math.pi / L for L in lengths]
     cap = max(4, math.ceil(n ** (1.0 / dim)) + 2)
-    while True:
-        waves = [math.pi / L for L in lengths]
-        candidates = []
-        for index in product(range(1, cap + 1), repeat=dim):
-            value = sum((m * w) ** 2 for m, w in zip(index, waves))
-            candidates.append((value, index))
-        candidates.sort()
-        if len(candidates) >= n:
-            nth = candidates[n - 1][0]
-            base = sum((math.pi / L) ** 2 for L in lengths)
-            outside = min(
-                base - (math.pi / L) ** 2 + ((cap + 1) * math.pi / L) ** 2
-                for L in lengths
-            )
-            if nth < outside:
-                pairs = tuple(
-                    EigenPair(index=idx, value=val, rank=k + 1)
-                    for k, (val, idx) in enumerate(candidates[:n])
+    try:
+        if min(waves) ** 2 == 0.0:
+            raise ValueError(f"side lengths {lengths} give eigenvalues below the float range")
+        while True:
+            candidates = []
+            for index in product(range(1, cap + 1), repeat=dim):
+                value = sum((m * w) ** 2 for m, w in zip(index, waves))
+                candidates.append((value, index))
+            candidates.sort()
+            if len(candidates) >= n:
+                nth = candidates[n - 1][0]
+                base = sum((math.pi / L) ** 2 for L in lengths)
+                outside = min(
+                    base - (math.pi / L) ** 2 + ((cap + 1) * math.pi / L) ** 2
+                    for L in lengths
                 )
-                return SineBasis(domain, pairs)
-        cap *= 2
+                if nth < outside:
+                    pairs = tuple(
+                        EigenPair(index=idx, value=val, rank=k + 1)
+                        for k, (val, idx) in enumerate(candidates[:n])
+                    )
+                    return SineBasis(domain, pairs)
+            cap *= 2
+    except OverflowError:
+        raise ValueError(f"side lengths {lengths} give eigenvalues above the float range") from None
 
 
 def eigenvalue_growth_constant(basis: SineBasis) -> float:

@@ -124,8 +124,9 @@ _LEAST = {"seed": 0, "N": 3, "k_max": 1, "samples": 0, "count": 1}
 # the most points a {start, stop, step} range, and a region scan, may have
 _MAX_GRID_POINTS = 10**6
 # the largest truncation n, checked before parsing enumerates the basis: at
-# n = 2000 the dense Newton Jacobian (2n x 2n float64) holds 128 MB, and the
-# 2^d gather-index arrays of a 3-D Jacobian (8 n x n int64) 256 MB
+# n = 2000 a Newton step's n x n Schur complement and its two Galerkin blocks
+# (float64) hold 32 MB each, and the 2^d gather-index arrays of a 3-D
+# Galerkin block (8 n x n int64) 256 MB
 _MAX_N = 2000
 # the most collocation grid points (n and oversample set the grid): 32 MB per
 # grid array; the largest grid at the default oversample, 3-D n = 2000, has 2^18

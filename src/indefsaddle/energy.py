@@ -23,7 +23,7 @@ the energies and cutoff terms, both gradients, the modified energy at -z and
 the deviation pair, each by one formula for both shapes, and a point's Hessian
 blocks.  energy_gradient, which is also the Newton residual, is the gradient
 of Evaluation.at(z, spec), and the Newton Jacobian is its Hessian.  The
-deviation constant and the level brackets evaluate their samples as stacks.
+level brackets evaluate their samples as stacks.
 """
 
 from __future__ import annotations
@@ -42,12 +42,10 @@ from .basis import (
     SpectralField,
     _row_dots,
     enumerate_basis,
-    grid_quadrature,
     grid_shape,
     sobolev_norm,
-    to_grid,
 )
-from .space import FieldPair, _weights
+from .space import FieldPair
 
 
 @dataclass(frozen=True)
@@ -198,7 +196,7 @@ class DualGradient:
 
     du holds the partials against the u-coefficients, dv against the
     v-coefficients; this is the dual-pairing convention, not the Riesz
-    representative of the product space (see riesz_representative).
+    representative of the product space.
     """
 
     du: np.ndarray
@@ -211,14 +209,6 @@ class DualGradient:
     def pairing(self, w: FieldPair) -> float:
         """Directional derivative against a test pair."""
         return float(np.dot(self.du, w.u.coeffs) + np.dot(self.dv, w.v.coeffs))
-
-
-def nonlinear_integral(f: SpectralField, s: float, oversample: int = 4) -> float:
-    """Quadrature of int |f|^(s+1) on the oversampled grid; s > 1 required."""
-    if s <= 1.0:
-        raise ValueError(f"exponent must exceed 1, got {s}")
-    values = to_grid(f, oversample)
-    return grid_quadrature(np.abs(values) ** (s + 1.0), f.basis.domain)
 
 
 def _value(x):
@@ -393,18 +383,6 @@ def energy_gradient(z: FieldPair, spec: ProblemSpec) -> DualGradient:
     return Evaluation.at(z, spec).gradient()
 
 
-def riesz_representative(g: DualGradient, basis: SineBasis, r: float) -> FieldPair:
-    """Product-space gradient: packed dual coefficients divided by the metric weights."""
-    vec = np.concatenate([g.du, g.dv]) / _weights(basis, r)
-    n = basis.size
-    return FieldPair(SpectralField(basis, vec[:n]), SpectralField(basis, vec[n:]), r)
-
-
-def cutoff_scale(z: FieldPair, spec: ProblemSpec, cutoff: CutoffConfig) -> float:
-    """Normalization 2A sqrt(E^2 + 1); at least 2A, and finite for finite E."""
-    return Evaluation.at(z, spec).cutoff_terms(cutoff)[2]
-
-
 def cutoff_argument(z: FieldPair, spec: ProblemSpec, cutoff: CutoffConfig) -> float:
     """Scale-normalized size of the nonlinear part (the bump argument)."""
     return Evaluation.at(z, spec).cutoff_terms(cutoff)[3]
@@ -467,27 +445,3 @@ def deviation_check(
         raise ValueError(f"beta must be positive, got {beta}")
     asymmetry, bound = Evaluation.at(z, spec).deviation(cutoff, beta)
     return DeviationResult(holds=asymmetry <= bound, asymmetry=asymmetry, bound=bound)
-
-
-def estimate_deviation_constant(
-    spec: ProblemSpec,
-    cutoff: CutoffConfig,
-    draws: int = 10_000,
-    seed: int = 0,
-) -> float:
-    """Empirical deviation constant: the largest observed asymmetry ratio.
-
-    Samples pairs across mixed scales (smooth random directions, log-spaced
-    amplitudes) and returns max |J(z)-J(-z)| / (|J|^(1/(q+1)) + |J|^(1/(p+1)) + 1).
-    """
-    rng = np.random.default_rng(seed)
-    smooth = np.tile(spec.basis.eigenvalues ** (-spec.r / 2.0), 2)
-    best = 0.0
-    size = _stack_rows(spec)
-    for start in range(0, draws, size):
-        vecs = np.empty((min(size, draws - start), 2 * spec.n))
-        for row in vecs:  # a scale, then the u and the v draws
-            row[:] = 10.0 ** rng.uniform(-1.0, 1.5) * smooth * rng.standard_normal(2 * spec.n)
-        asymmetry, bound = Evaluation(vecs, spec).deviation(cutoff)
-        best = max(best, *(asymmetry / bound).tolist())
-    return best

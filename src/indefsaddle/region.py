@@ -123,9 +123,11 @@ def r_thresholds(pt: PQPoint) -> RThresholds:
     lower = (N/2)((q-1)/(q+1))((2p+1)/p) and
     upper = 2 - (N/2)((p-1)/(p+1))((2p+1)/p)
     bound the window where the minimax growth rate beats the symmetry-defect
-    rate on the q >= p branch.
+    rate on the q >= p branch.  The denominator pq - 1 is summed as
+    (p - 1) q + (q - 1), whose terms are exact near p = q = 1, where pq - 1
+    cancels.
     """
-    balanced = (pt.p + 1.0) * (pt.q - 1.0) / (pt.p * pt.q - 1.0)
+    balanced = (pt.p + 1.0) * (pt.q - 1.0) / ((pt.p - 1.0) * pt.q + (pt.q - 1.0))
     lower = (pt.N / 2.0) * (pt.q - 1.0) / (pt.q + 1.0) * (2.0 * pt.p + 1.0) / pt.p
     upper = 2.0 - (pt.N / 2.0) * (pt.p - 1.0) / (pt.p + 1.0) * (2.0 * pt.p + 1.0) / pt.p
     return RThresholds(balanced=balanced, lower=lower, upper=upper)
@@ -202,58 +204,12 @@ def _optimal_r(pt: PQPoint, balanced: float) -> OptimalR | None:
     return OptimalR(r_star=r_star, feasible=feasible, q1=q1, p1=p1)
 
 
-@dataclass(frozen=True)
-class BoundCurveRow:
-    k: int
-    lower: float
-    upper: float
-
-
-@dataclass(frozen=True)
-class BoundCurves:
-    """Lower/upper level-growth curves and whether they eventually cross."""
-
-    rows: tuple[BoundCurveRow, ...]
-    contradiction: bool
-    crossover_k: int | None
-
-
 def _power(k: int, e: float, scale: float = 1.0) -> float:
     """scale k^e as a float, inf once k^e leaves the float range."""
     try:
         return scale * float(k) ** e
     except OverflowError:
         return math.inf
-
-
-def bound_curves(pt: PQPoint, r: float, k_range: range) -> BoundCurves:
-    """Tabulate k^(2 alpha) against k^((q+1)/q) + k^((p+1)/p).
-
-    The contradiction flag is set when the lower exponent strictly exceeds
-    the larger upper exponent, so the lower curve eventually overtakes the
-    upper one; crossover_k is the first k in (or beyond) the range where it
-    does.  The constants in front of the powers are 1: only the exponents,
-    not the constants, are determined by the analysis.  A power past the
-    float range reads inf.
-    """
-    _, _, alpha = growth_exponents(pt, r)
-    rate_u, rate_v = defect_rates(pt)
-    contradiction = 2.0 * alpha > max(rate_u, rate_v)
-
-    def row(k: int) -> BoundCurveRow:
-        return BoundCurveRow(k, _power(k, 2.0 * alpha), _power(k, rate_u) + _power(k, rate_v))
-
-    rows = tuple(row(k) for k in k_range)
-    crossover = None
-    if contradiction:
-        k = max(k_range.start, 1)
-        while k <= 10**9:
-            point = row(k)
-            if point.lower > point.upper:
-                crossover = k
-                break
-            k *= 2
-    return BoundCurves(rows=rows, contradiction=contradiction, crossover_k=crossover)
 
 
 @dataclass(frozen=True)
@@ -340,56 +296,3 @@ def multiplicity_boundary_p(q: float, N: float) -> float:
     if rhs <= 0.0:
         return math.inf
     return coeff / rhs - 1.0
-
-
-@dataclass(frozen=True)
-class RegionReport:
-    """Every scalar of the exponent analysis for one (p, q, N) and one r."""
-
-    p: float
-    q: float
-    N: int
-    hyperbola_gap: float
-    admissible_r: tuple[float, float] | None
-    r: float | None
-    q1: float | None
-    p1: float | None
-    alpha_r: float | None
-    r_balanced: float
-    r_lower: float
-    r_upper: float
-    in_region: bool
-    optimal_r: float | None
-    lower_exponent: float | None
-    upper_exponents: tuple[float, float]
-
-
-def region_report(pt: PQPoint, r: float | None = None) -> RegionReport:
-    """Assemble the full scalar report; r defaults to the optimal choice."""
-    gap = hyperbola_gap(pt)
-    window = admissible_r_interval(pt)
-    thresholds = r_thresholds(pt)
-    best = _optimal_r(pt, thresholds.balanced)
-    if r is None and best is not None:
-        r = best.r_star
-    q1 = p1 = alpha = None
-    if r is not None and formula_r_window(pt) is not None:
-        q1, p1, alpha = growth_exponents(pt, r)
-    return RegionReport(
-        p=pt.p,
-        q=pt.q,
-        N=pt.N,
-        hyperbola_gap=gap,
-        admissible_r=window,
-        r=r,
-        q1=q1,
-        p1=p1,
-        alpha_r=alpha,
-        r_balanced=thresholds.balanced,
-        r_lower=thresholds.lower,
-        r_upper=thresholds.upper,
-        in_region=in_multiplicity_region(pt) if pt.N >= 3 else False,
-        optimal_r=best.r_star if best is not None else None,
-        lower_exponent=2.0 * alpha if alpha is not None else None,
-        upper_exponents=defect_rates(pt),
-    )

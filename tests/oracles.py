@@ -7,9 +7,9 @@ Jacobian from it directly, with no separable tables and no transforms.
 The ascent oracle is the level searches' projected ascent run one start
 and one point at a time, with the per-point power moment it climbs.
 
-The sampling oracles are the level brackets and the deviation constant
-with their samples and draws built and evaluated one point at a time, each
-through the single-point energy functions.
+The sampling oracle is the level brackets with their samples built and
+evaluated one point at a time, each through the single-point energy
+functions.
 
 The Newton oracle is the deflated Newton loop with its backtracking run one
 step at a time: each candidate is unpacked into a pair, evaluated alone,
@@ -297,24 +297,6 @@ def sampled_levels(spec, k_max, samples=200, cutoff=None, seed=0):
         prev_best_point = best_point
         prev_upper = upper
     return brackets
-
-
-def drawn_deviation_constant(spec, cutoff, draws=10_000, seed=0):
-    """energy.estimate_deviation_constant with each draw evaluated alone, at
-    z and at -z, and its deviation bound taken in Python floats."""
-    rng = np.random.default_rng(seed)
-    smooth = spec.basis.eigenvalues ** (-spec.r / 2.0)
-    best = 0.0
-    for _ in range(draws):
-        scale = 10.0 ** rng.uniform(-1.0, 1.5)
-        u = SpectralField(spec.basis, scale * smooth * rng.standard_normal(spec.n))
-        v = SpectralField(spec.basis, scale * smooth * rng.standard_normal(spec.n))
-        z = FieldPair(u, v, spec.r)
-        j_plus = modified_energy(z, spec, cutoff)
-        size = abs(j_plus)
-        bound = size ** (1.0 / (spec.q + 1.0)) + size ** (1.0 / (spec.p + 1.0)) + 1.0
-        best = max(best, abs(j_plus - modified_energy(-z, spec, cutoff)) / bound)
-    return best
 
 
 def _integrate(slope: float, span: float):

@@ -303,6 +303,9 @@ class TestCommands:
              "error: level bracket at k=1: upper is not finite (-inf)"),
             ("levels", {"lengths": [1.0], "n": 8, "p": 1.01, "q": 1.01}, {},
              "error: level bracket at k=2: ceiling is not finite (inf)"),
+            # side lengths whose (pi/L)^2 overflows, or underflows to 0
+            ("solve", {"lengths": [1e-300]}, {}, "give eigenvalues above the float range"),
+            ("solve", {"lengths": [1e300]}, {}, "give eigenvalues below the float range"),
         ],
     )
     def test_bad_values_exit_one_without_traceback(

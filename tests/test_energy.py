@@ -1,5 +1,4 @@
 import dataclasses
-import importlib
 import math
 
 import numpy as np
@@ -14,23 +13,15 @@ from indefsaddle import (
     bump,
     bump_derivative,
     cutoff_argument,
-    cutoff_scale,
     cutoff_weight,
     deviation_check,
     energy,
     energy_gradient,
-    estimate_deviation_constant,
     modified_energy,
     modified_energy_gradient,
-    nonlinear_integral,
-    riesz_representative,
     verify_critical,
 )
 from indefsaddle.energy import Evaluation
-
-from oracles import drawn_deviation_constant
-
-QUARTIC_PHI1 = 3.0 / (2.0 * math.pi)  # int phi1^4 over (0, pi)
 
 
 @pytest.fixture(scope="module")
@@ -51,35 +42,6 @@ def random_pair(spec, rng, scale=1.0):
         SpectralField(spec.basis, scale * smooth * rng.standard_normal(spec.n)),
         spec.r,
     )
-
-
-class TestNonlinearIntegral:
-    def test_zero_field(self, sym_spec):
-        assert nonlinear_integral(SpectralField.zero(sym_spec.basis), 3.0) == 0.0
-
-    def test_quartic_of_first_mode(self, sym_spec):
-        phi1 = SpectralField.unit(sym_spec.basis, 1)
-        assert nonlinear_integral(phi1, 3.0, 4) == pytest.approx(
-            QUARTIC_PHI1, abs=1e-12
-        )
-
-    def test_oversample_convergence_fractional_power(self, sym_spec):
-        # fractional exponent: integrand is not a trig polynomial, so the
-        # quadrature converges rather than being exact; doubling the grid
-        # moves a small smooth field by well under 1e-9
-        rng = np.random.default_rng(0)
-        decay = np.exp(-np.arange(1, 9, dtype=float))
-        basis8 = ProblemSpec.create(
-            BoxDomain((math.pi,)), n=8, r=1.0, p=3.0, q=3.0
-        ).basis
-        f = SpectralField(basis8, 0.05 * decay * rng.standard_normal(8))
-        coarse = nonlinear_integral(f, 2.5, 4)
-        fine = nonlinear_integral(f, 2.5, 8)
-        assert abs(fine - coarse) < 1e-9
-
-    def test_exponent_must_exceed_one(self, sym_spec):
-        with pytest.raises(ValueError):
-            nonlinear_integral(SpectralField.zero(sym_spec.basis), 1.0)
 
 
 class TestEnergy:
@@ -108,6 +70,19 @@ class TestEnergy:
                 + float(np.dot(forced_spec.h.coeffs, z.v.coeffs))
             )
             assert gap == pytest.approx(expected, rel=1e-12, abs=1e-12)
+
+    def test_oversample_convergence_fractional_power(self):
+        # fractional exponent: the integrand is not a trig polynomial, so the
+        # quadrature converges rather than being exact; doubling the grid
+        # moves the nonlinear part of a small smooth pair by well under 1e-9
+        rng = np.random.default_rng(0)
+        spec = ProblemSpec.create(BoxDomain((math.pi,)), n=8, r=1.0, p=2.5, q=2.5)
+        decay = np.exp(-np.arange(1, 9, dtype=float))
+        f = SpectralField(spec.basis, 0.05 * decay * rng.standard_normal(8))
+        z = FieldPair(f, f, spec.r)
+        coarse = Evaluation.at(z, spec).terms[0]
+        fine = Evaluation.at(z, dataclasses.replace(spec, oversample=8)).terms[0]
+        assert abs(fine - coarse) < 1e-9
 
     def test_incompatible_point_rejected(self, sym_spec):
         other = ProblemSpec.create(BoxDomain((math.pi,)), n=10, r=1.0, p=3.0, q=3.0)
@@ -145,16 +120,6 @@ class TestGradients:
                 g = modified_energy_gradient(z, forced_spec, cutoff).grad.pairing(w)
             assert abs(fd - g) <= 1e-6 * (1.0 + abs(g))
 
-    def test_riesz_rescaling(self, forced_spec):
-        rng = np.random.default_rng(4)
-        z = random_pair(forced_spec, rng)
-        g = energy_gradient(z, forced_spec)
-        rep = riesz_representative(g, forced_spec.basis, forced_spec.r)
-        w = random_pair(forced_spec, rng)
-        from indefsaddle import pair_inner
-
-        assert pair_inner(rep, w) == pytest.approx(g.pairing(w), rel=1e-12)
-
 
 class TestCutoff:
     def test_bump_profile(self):
@@ -179,7 +144,7 @@ class TestCutoff:
         z = forced_spec.zero_pair()
         assert cutoff_argument(z, forced_spec, cutoff) == 0.0
         assert cutoff_weight(z, forced_spec, cutoff) == 1.0
-        assert cutoff_scale(z, forced_spec, cutoff) >= 2.0
+        assert Evaluation.at(z, forced_spec).cutoff_terms(cutoff)[2] >= 2.0
 
     def test_worked_first_mode_example(self, sym_spec):
         cutoff = CutoffConfig(1.0)
@@ -221,7 +186,8 @@ class TestCutoff:
         phi1 = SpectralField.unit(sym_spec.basis, 1)
         z = 1e40 * FieldPair(phi1, phi1, 1.0)
         assert abs(energy(z, sym_spec)) > 1e154
-        assert cutoff_scale(z, sym_spec, cutoff) == 2.0 * abs(energy(z, sym_spec))
+        scale = Evaluation.at(z, sym_spec).cutoff_terms(cutoff)[2]
+        assert scale == 2.0 * abs(energy(z, sym_spec))
         assert cutoff_argument(z, sym_spec, cutoff) == pytest.approx(0.5, abs=0.05)
 
     def test_scale_is_the_square_root_formula_bit_for_bit(self):
@@ -357,18 +323,6 @@ class TestModifiedEnergy:
         assert cutoff_weight(-z, forced_spec, cutoff) == 0.0
         result = deviation_check(z, forced_spec, cutoff, beta=1.0)
         assert result.asymmetry == 0.0
-
-    def test_deviation_constant_estimate_stable(self, forced_spec):
-        cutoff = CutoffConfig.default_for(forced_spec)
-        beta1 = estimate_deviation_constant(forced_spec, cutoff, draws=10_000, seed=0)
-        beta2 = estimate_deviation_constant(forced_spec, cutoff, draws=20_000, seed=0)
-        assert math.isfinite(beta2) and beta2 > 0.0
-        assert beta2 >= beta1  # nested draws
-        assert beta2 <= 2.0 * beta1 + 1e-12
-        rng = np.random.default_rng(8)
-        for _ in range(50):
-            z = random_pair(forced_spec, rng, scale=10.0 ** rng.uniform(-1, 1))
-            assert deviation_check(z, forced_spec, cutoff, 1.05 * beta2).holds
 
 
 class TestEvaluation:
@@ -508,7 +462,6 @@ class TestEvaluationStacks:
                 bump(0.5), bump(1.5), bump(2.5), energy(z, forced_spec),
                 energy_gradient(z, forced_spec).norm(),
                 modified_energy(z, forced_spec, cutoff),
-                cutoff_scale(z, forced_spec, cutoff),
                 cutoff_argument(z, forced_spec, cutoff),
                 cutoff_weight(z, forced_spec, cutoff),
             ]
@@ -519,34 +472,6 @@ class TestEvaluationStacks:
             ):
                 for field in dataclasses.fields(result):
                     assert type(getattr(result, field.name)).__name__ == field.type
-
-    @pytest.mark.parametrize("draws", [0, 1, 37])
-    @pytest.mark.parametrize("lengths", [(math.pi,), (1.0, 2.5)])
-    def test_deviation_constant_matches_draw_oracle(self, lengths, draws):
-        spec = ProblemSpec.create(
-            BoxDomain(lengths), n=12, r=1.0, p=3.0, q=3.0, h=[0.05], k=[0.03, 0.02]
-        )
-        for cutoff in (CutoffConfig(0.5), CutoffConfig.default_for(spec)):
-            got = estimate_deviation_constant(spec, cutoff, draws=draws, seed=draws)
-            assert _bits(got) == _bits(drawn_deviation_constant(spec, cutoff, draws, seed=draws))
-
-    def test_deviation_stacks_capped_by_size(self, forced_spec, monkeypatch):
-        from indefsaddle import basis
-
-        energy_module = importlib.import_module("indefsaddle.energy")
-        monkeypatch.setattr(energy_module, "_STACK_VALUES", 5 * forced_spec.tables.points + 3)
-        rows = []
-        real_evaluate = basis.GridTables.evaluate
-
-        def evaluate(tables, coeffs):
-            rows.append(len(coeffs))
-            return real_evaluate(tables, coeffs)
-
-        monkeypatch.setattr(basis.GridTables, "evaluate", evaluate)
-        cutoff = CutoffConfig(0.5)
-        got = estimate_deviation_constant(forced_spec, cutoff, draws=37, seed=6)
-        assert rows == [5] * 14 + [2] * 2  # u and v of each stack
-        assert _bits(got) == _bits(drawn_deviation_constant(forced_spec, cutoff, 37, seed=6))
 
 
 class TestProblemSpecValidation:

@@ -6,7 +6,6 @@ import pytest
 from indefsaddle import (
     PQPoint,
     admissible_r_interval,
-    bound_curves,
     defect_rates,
     growth_exponents,
     hyperbola_boundary_p,
@@ -17,10 +16,10 @@ from indefsaddle import (
     multiplicity_margin,
     optimal_r,
     r_thresholds,
-    region_report,
     region_scan,
 )
-from indefsaddle.suite import _random_subcritical
+from indefsaddle.region import _power
+from indefsaddle.suite import _random_subcritical, check_region_closed_forms
 
 
 def test_hyperbola_gap_examples():
@@ -82,6 +81,14 @@ def test_balance_identity_fuzz():
         balanced = r_thresholds(pt).balanced
         q1, p1, _ = growth_exponents(pt, balanced)
         assert abs(q1 - p1) < 1e-12
+
+
+@pytest.mark.parametrize("seed", [2, 27, 76])
+def test_closed_forms_check_passes_near_p_q_one(seed):
+    # these seeds draw points near p = q = 1, where the balance point's
+    # denominator pq - 1 cancels unless it is summed as (p - 1) q + (q - 1)
+    result = check_region_closed_forms(seed)
+    assert result.passed, result.detail
 
 
 def test_threshold_examples():
@@ -163,34 +170,13 @@ def test_swap_symmetry():
         )
 
 
-def test_bound_curves_region_point():
-    pt = PQPoint(1.2, 1.2, 3)
-    curves = bound_curves(pt, 1.0, range(1, 8))
-    assert curves.contradiction
-    assert curves.crossover_k is not None
-    lower = [row.lower for row in curves.rows]
-    ks = [row.k for row in curves.rows]
-    _, _, alpha = growth_exponents(pt, 1.0)
-    slope = np.polyfit(np.log(ks), np.log(lower), 1)[0]
-    assert slope == pytest.approx(2.0 * alpha, abs=1e-10)
-
-
-def test_bound_curves_outside_point():
-    pt = PQPoint(2.0, 2.0, 3)
-    best = optimal_r(pt)
-    curves = bound_curves(pt, best.r_star, range(1, 6))
-    assert not curves.contradiction
-    assert curves.crossover_k is None
-
-
-def test_bound_curves_beyond_the_float_range():
+def test_power_reads_inf_past_the_float_range():
     # near p = q = 1 the lower exponent 2 alpha is about 13333: k^(2 alpha)
     # leaves the float range at k = 2 and reads inf there, not OverflowError
-    curves = bound_curves(PQPoint(1.0001, 1.0001, 3), 1.0, range(1, 8))
-    assert curves.contradiction and curves.crossover_k == 2
-    assert curves.rows[0].lower == 1.0
-    assert all(row.lower == math.inf for row in curves.rows[1:])
-    assert all(math.isfinite(row.upper) for row in curves.rows)
+    _, _, alpha = growth_exponents(PQPoint(1.0001, 1.0001, 3), 1.0)
+    assert _power(1, 2.0 * alpha) == 1.0
+    assert all(_power(k, 2.0 * alpha) == math.inf for k in range(2, 8))
+    assert _power(3, 2.0, 0.5) == 4.5
 
 
 def test_bound_curves_equal_exponents_reduce():
@@ -266,17 +252,6 @@ def test_optimal_r_strictly_inside_narrow_windows():
                 best = optimal_r(pt)
                 if best is not None:
                     assert window[0] < best.r_star < window[1]
-
-
-def test_region_report_fields():
-    report = region_report(PQPoint(1.2, 1.2, 3))
-    assert report.in_region
-    assert report.optimal_r == pytest.approx(1.0, abs=1e-12)
-    assert report.lower_exponent == pytest.approx(2.0 * report.alpha_r)
-    assert report.admissible_r is not None
-    supercrit = region_report(PQPoint(4.0, 4.0, 5))
-    assert supercrit.admissible_r is None
-    assert supercrit.q1 is None
 
 
 def test_pqpoint_validation():
