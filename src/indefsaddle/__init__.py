@@ -13,19 +13,14 @@ and the exponent-plane region test with its boundary curves.
 
 from .basis import (
     BoxDomain,
-    EigenPair,
     SineBasis,
     SpectralField,
     eigenvalue_growth_constant,
     enumerate_basis,
     frac_laplacian,
-    from_grid,
-    grid_points,
-    grid_quadrature,
     grid_shape,
     l2_inner,
     sobolev_norm,
-    to_grid,
 )
 from .energy import (
     CutoffConfig,
@@ -36,7 +31,6 @@ from .energy import (
     bump,
     bump_derivative,
     cutoff_argument,
-    cutoff_weight,
     deviation_check,
     energy,
     energy_gradient,
@@ -74,7 +68,6 @@ from .solve import (
     deflated_solve,
     estimate_levels,
     find_branch,
-    jacobian,
     lower_growth_constant,
     newton_solve,
     residual,

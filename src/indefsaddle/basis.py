@@ -6,16 +6,18 @@ products of normalized sines,
     phi_m(x) = prod_i sqrt(2/L_i) * sin(m_i pi x_i / L_i),
 
 with eigenvalues lambda_m = sum_i (m_i pi / L_i)^2.  A field is stored as a
-coefficient vector against an enumerated, eigenvalue-sorted slice of this
-family.  Fields are sampled on the interior tensor grid x_j = j L/(G+1),
-where the uniform-weight quadrature
+coefficient vector against the first n of this family in (eigenvalue,
+multi-index) order, enumerated by one walk over a heap.  Fields are sampled
+on the interior tensor grid x_j = j L/(G+1), where the uniform-weight
+quadrature
 
     integral f  ~=  prod_i (L_i/(G_i+1)) * sum_j f(x_j)
 
 is exact for products of two resolved modes (such a product extends to an
 even trigonometric polynomial sampled over a full period, and all of the
-integrands used in this package vanish on the boundary); synthesis and
-analysis are therefore exact mutual inverses on resolved modes.
+integrands used in this package vanish on the boundary); GridTables.evaluate
+and GridTables.pairings are therefore exact mutual inverses on resolved
+modes.
 
 Every grid sum goes through GridTables, the basis's per-axis sine and
 cosine tables on one grid shape, contracted one axis at a time: the values,
@@ -25,6 +27,7 @@ no dense evaluation matrix.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -52,15 +55,6 @@ class BoxDomain:
         return len(self.lengths)
 
 
-@dataclass(frozen=True)
-class EigenPair:
-    """One Laplacian eigenpair: multi-index, eigenvalue, and 1-based rank."""
-
-    index: tuple[int, ...]
-    value: float
-    rank: int
-
-
 class SineBasis:
     """The first n Dirichlet eigenpairs of a box, sorted by eigenvalue.
 
@@ -71,21 +65,22 @@ class SineBasis:
     basis.
     """
 
-    def __init__(self, domain: BoxDomain, pairs: tuple[EigenPair, ...]):
+    def __init__(
+        self, domain: BoxDomain, indices: list[tuple[int, ...]], eigenvalues: list[float]
+    ):
         self.domain = domain
-        self.pairs = pairs
-        self.eigenvalues = np.array([p.value for p in pairs], dtype=float)
+        self.eigenvalues = np.array(eigenvalues, dtype=float)
         self.eigenvalues.setflags(write=False)
-        self.indices = np.array([p.index for p in pairs], dtype=int)
+        self.indices = np.array(indices, dtype=int)
         self.indices.setflags(write=False)
         # largest mode index used along each axis; sets the minimal grid
         self.max_index = tuple(int(m) for m in self.indices.max(axis=0))
-        self._key = (domain.lengths, tuple(p.index for p in pairs))
+        self._key = (domain.lengths, tuple(indices))
         self._tables: dict[tuple[int, ...], GridTables] = {}
 
     @property
     def size(self) -> int:
-        return len(self.pairs)
+        return len(self.indices)
 
     def grid_tables(self, shape: tuple[int, ...]) -> "GridTables":
         """Separable evaluation tables on the grid of this shape."""
@@ -106,42 +101,43 @@ class SineBasis:
 def enumerate_basis(domain: BoxDomain, n: int) -> SineBasis:
     """Enumerate the n smallest Dirichlet eigenpairs of the box.
 
-    The candidate cap on per-axis indices is doubled until the n-th smallest
-    candidate eigenvalue is certified below every eigenvalue outside the
-    candidate block, so the enumeration is exact.  A ValueError reports
-    eigenvalues that leave the float range: a (pi/L)^2 that underflows to 0
-    would keep the certificate from ever holding, and one that overflows
-    has no float value.
+    One walk over a heap keyed by (eigenvalue, multi-index), seeded with
+    (1, ..., 1): each pop is the next eigenpair, and pushes the index one
+    higher along each axis that is not yet queued.  The eigenvalue never
+    decreases when one index grows, in floats too (each rounding is
+    monotone), and an index's predecessors precede it lexicographically, so
+    every index is queued before it is the smallest left, and the pops come
+    in exact (eigenvalue, multi-index) order: ties are broken
+    lexicographically, even where a long side's modes round to one value.
+    A ValueError reports eigenvalues that leave the float range: a
+    (pi/L)^2 that underflows to 0, or one that overflows.
     """
     if n < 1:
         raise ValueError(f"basis size must be at least 1, got {n}")
     lengths = domain.lengths
-    dim = domain.dim
     waves = [math.pi / L for L in lengths]
-    cap = max(4, math.ceil(n ** (1.0 / dim)) + 2)
+
+    def eigenvalue(index: tuple[int, ...]) -> float:
+        return sum((m * w) ** 2 for m, w in zip(index, waves))
+
     try:
         if min(waves) ** 2 == 0.0:
             raise ValueError(f"side lengths {lengths} give eigenvalues below the float range")
+        first = (1,) * domain.dim
+        heap = [(eigenvalue(first), first)]
+        queued = {first}
+        indices, eigenvalues = [], []
         while True:
-            candidates = []
-            for index in product(range(1, cap + 1), repeat=dim):
-                value = sum((m * w) ** 2 for m, w in zip(index, waves))
-                candidates.append((value, index))
-            candidates.sort()
-            if len(candidates) >= n:
-                nth = candidates[n - 1][0]
-                base = sum((math.pi / L) ** 2 for L in lengths)
-                outside = min(
-                    base - (math.pi / L) ** 2 + ((cap + 1) * math.pi / L) ** 2
-                    for L in lengths
-                )
-                if nth < outside:
-                    pairs = tuple(
-                        EigenPair(index=idx, value=val, rank=k + 1)
-                        for k, (val, idx) in enumerate(candidates[:n])
-                    )
-                    return SineBasis(domain, pairs)
-            cap *= 2
+            value, index = heapq.heappop(heap)
+            indices.append(index)
+            eigenvalues.append(value)
+            if len(indices) == n:
+                return SineBasis(domain, indices, eigenvalues)
+            for axis in range(len(index)):
+                successor = (*index[:axis], index[axis] + 1, *index[axis + 1 :])
+                if successor not in queued:
+                    queued.add(successor)
+                    heapq.heappush(heap, (eigenvalue(successor), successor))
     except OverflowError:
         raise ValueError(f"side lengths {lengths} give eigenvalues above the float range") from None
 
@@ -241,41 +237,6 @@ def grid_shape(basis: SineBasis, oversample: int) -> tuple[int, ...]:
     if oversample < 1:
         raise ValueError(f"oversample must be at least 1, got {oversample}")
     return tuple(oversample * m for m in basis.max_index)
-
-
-def grid_points(domain: BoxDomain, shape: tuple[int, ...]) -> tuple[np.ndarray, ...]:
-    """Interior collocation nodes x_j = j L/(G+1), j = 1..G, per axis."""
-    return tuple(
-        L * np.arange(1, G + 1) / (G + 1) for L, G in zip(domain.lengths, shape)
-    )
-
-
-def to_grid(f: SpectralField, oversample: int = 4) -> np.ndarray:
-    """Evaluate the field on the collocation grid of this oversampling."""
-    return synthesize(f, grid_shape(f.basis, oversample))
-
-
-def synthesize(f: SpectralField, shape: tuple[int, ...]) -> np.ndarray:
-    """Evaluate the field on an explicit grid shape (must resolve all modes)."""
-    return f.basis.grid_tables(tuple(shape)).evaluate(f.coeffs)
-
-
-def from_grid(values: np.ndarray, basis: SineBasis) -> SpectralField:
-    """Project grid values onto the basis.
-
-    Exact inverse of synthesis on resolved modes.  For a general integrand g
-    this returns the quadrature pairings  prod_i(L_i/(G_i+1)) * sum_j g_j
-    phi_k(x_j), which is what the energy gradients need.
-    """
-    values = np.asarray(values, dtype=float)
-    return SpectralField(basis, basis.grid_tables(values.shape).pairings(values))
-
-
-def grid_quadrature(values: np.ndarray, domain: BoxDomain) -> float:
-    """Integrate grid values: uniform weights, boundary values are zero."""
-    values = np.asarray(values, dtype=float)
-    h = math.prod(L / (G + 1) for L, G in zip(domain.lengths, values.shape))
-    return float(h * values.sum())
 
 
 class GridTables:

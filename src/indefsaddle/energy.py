@@ -19,10 +19,11 @@ values, so finite differences close to machine precision.
 
 Every quantity is read from one Evaluation, of a point or of a stack of
 points, which synthesizes u and v once and computes the rest on first use:
-the energies and cutoff terms, both gradients, the modified energy at -z and
-the deviation pair, each by one formula for both shapes, and a point's Hessian
-blocks.  energy_gradient, which is also the Newton residual, is the gradient
-of Evaluation.at(z, spec), and the Newton Jacobian is its Hessian.  The
+the energies and cutoff terms, both gradients and the modified energy at -z,
+each by one formula for both shapes, and a point's deviation pair and
+Galerkin blocks.  energy_gradient, which is also the Newton residual, is the
+gradient of Evaluation.at(z, spec); the Newton step reads the Galerkin
+blocks of the power derivatives, the diagonal blocks of its Jacobian.  The
 level brackets evaluate their samples as stacks.
 """
 
@@ -240,9 +241,9 @@ class Evaluation:
     (2n,) or of a stack (rows, 2n), synthesized once; the energies, cutoff terms, pairings
     and gradient are read from them on first use, by one formula for both
     shapes: each row of a stack bit for bit the point's own, a point's values
-    Python floats.  The Hessian and its blocks are a point's only.  Only the
-    forcing pairing is odd in z, so z's evaluation also gives the values at -z.
-    Evaluation.at is the checked entry for a FieldPair."""
+    Python floats.  The deviation pair and the Galerkin blocks are a point's
+    only.  Only the forcing pairing is odd in z, so z's evaluation also gives
+    the values at -z.  Evaluation.at is the checked entry for a FieldPair."""
 
     def __init__(self, vecs: np.ndarray, spec: ProblemSpec):
         self.spec, self.vecs = spec, vecs
@@ -314,20 +315,6 @@ class Evaluation:
         Q = spec.tables.galerkin(spec.p * np.abs(self.v_vals) ** (spec.p - 1.0))
         return P, Q
 
-    def hessian(self) -> np.ndarray:
-        """The Jacobian of the gradient, assembled from galerkin_blocks as a
-        dense 2n x 2n matrix, built on each call and not kept (Newton solves
-        with the blocks and never assembles it)."""
-        spec, n = self.spec, self.spec.n
-        P, Q = self.galerkin_blocks()
-        J = np.zeros((2 * n, 2 * n))
-        J[:n, :n] = -P
-        J[n:, n:] = -Q
-        diag = np.arange(n)
-        J[diag, n + diag] = spec.basis.eigenvalues
-        J[n + diag, diag] = spec.basis.eigenvalues
-        return J
-
     def cutoff_terms(self, cutoff: CutoffConfig, mirrored: bool = False):
         """Forcing pairing g, energy E, cutoff scale 2A s, cutoff argument and
         s = sqrt(E^2 + 1), at z or at -z."""
@@ -356,14 +343,14 @@ class Evaluation:
         dv = a * lam * self.u - b * pv - c * spec.h.coeffs
         return ModifiedGradient(DualGradient(du=du, dv=dv), quad, nonlin, psi)
 
-    def deviation(self, cutoff: CutoffConfig, beta: float = 1.0):
-        """|J(z) - J(-z)| and beta (|J(z)|^(1/(q+1)) + |J(z)|^(1/(p+1)) + 1)."""
+    def deviation(self, cutoff: CutoffConfig, beta: float = 1.0) -> tuple[float, float]:
+        """|J(z) - J(-z)| and beta (|J(z)|^(1/(q+1)) + |J(z)|^(1/(p+1)) + 1)
+        at this point."""
         a, b = 1.0 / (self.spec.q + 1.0), 1.0 / (self.spec.p + 1.0)
-        j_plus = np.asarray(self.modified_energy(cutoff))
-        # Python powers, one per row: numpy's vector pow need not match them to the bit
-        bounds = [beta * (s**a + s**b + 1.0) for s in np.abs(j_plus).ravel().tolist()]
-        asymmetry = np.abs(j_plus - self.modified_energy(cutoff, mirrored=True))
-        return _value(asymmetry), _value(np.reshape(bounds, j_plus.shape))
+        j_plus = self.modified_energy(cutoff)
+        size = abs(j_plus)
+        bound = beta * (size**a + size**b + 1.0)
+        return abs(j_plus - self.modified_energy(cutoff, mirrored=True)), bound
 
 
 def energy(z: FieldPair, spec: ProblemSpec) -> float:
@@ -386,11 +373,6 @@ def energy_gradient(z: FieldPair, spec: ProblemSpec) -> DualGradient:
 def cutoff_argument(z: FieldPair, spec: ProblemSpec, cutoff: CutoffConfig) -> float:
     """Scale-normalized size of the nonlinear part (the bump argument)."""
     return Evaluation.at(z, spec).cutoff_terms(cutoff)[3]
-
-
-def cutoff_weight(z: FieldPair, spec: ProblemSpec, cutoff: CutoffConfig) -> float:
-    """The forcing weight: bump of the cutoff argument, in [0, 1]."""
-    return bump(cutoff_argument(z, spec, cutoff))
 
 
 def modified_energy(z: FieldPair, spec: ProblemSpec, cutoff: CutoffConfig) -> float:

@@ -2,15 +2,15 @@
 
 The residual is the coefficient-space gradient of the energy (its zeros are
 the Galerkin solutions of the system): `residual` is energy.energy_gradient
-under the solver's name, and the Jacobian is the Hessian of the energy.
-Newton reads both from one energy.Evaluation per iterate, so u and v are
-synthesized once per point; the Hessian's diagonal blocks are the Galerkin
-matrices of the power derivatives, built from their cosine moments on the
-grid tables of the basis (basis.GridTables), and its off-diagonal blocks
-are the diagonal of the eigenvalues.  Newton never assembles the 2n x 2n
-Jacobian: each step eliminates one block through that diagonal and solves
-one n x n Schur complement.  The dense-matrix residual and Jacobian, and
-the dense solves that check the step, live in the tests.  There is one
+under the solver's name.  Newton reads the residual and the blocks of its
+Jacobian from one energy.Evaluation per iterate, so u and v are synthesized
+once per point; the diagonal blocks are the Galerkin matrices of the power
+derivatives, built from their cosine moments on the grid tables of the
+basis (basis.GridTables), and the off-diagonal blocks are the diagonal of
+the eigenvalues.  No 2n x 2n Jacobian is assembled: each step eliminates
+one block through that diagonal and solves one n x n Schur complement.  The
+dense-matrix residual and Jacobian, the Jacobian assembled from the blocks,
+and the dense solves that check the step live in the tests.  There is one
 Newton loop; deflation is an option of it, which multiplies the residual by
 prod_i (dist_i^-2 + 1) over known solutions so Newton runs land on new
 ones (the rank-one term this adds to the Jacobian enters the step by
@@ -87,11 +87,6 @@ class NewtonConfig:
             raise ValueError(f"min_step must be positive, got {self.min_step}")
         if not self.separation > 0.0:
             raise ValueError(f"separation must be positive, got {self.separation}")
-
-
-def jacobian(z: FieldPair, spec: ProblemSpec) -> np.ndarray:
-    """Jacobian of the residual (see Evaluation.hessian)."""
-    return Evaluation.at(z, spec).hessian()
 
 
 @dataclass
@@ -569,11 +564,16 @@ def _projected_ascent(value_grad, starts: list[np.ndarray], weights: np.ndarray,
     steps, and only rows still running are evaluated, so every row takes the
     path it would take alone.  value_grad(C) returns the values and ascent
     directions at the rows of C.  Returns the best value, the first in start
-    order on ties, and the point that reached it.
+    order on ties, and the point that reached it.  A row whose weighted norm
+    is 0 or overflows has no point on the sphere, and raises ValueError.
     """
 
     def normalize(C: np.ndarray) -> np.ndarray:
-        return C / np.array([math.sqrt(x) for x in _row_dots(weights * C, C)])[:, None]
+        with np.errstate(over="ignore"):
+            norms = [math.sqrt(x) for x in _row_dots(weights * C, C).tolist()]
+        if any(x == 0.0 or x == math.inf for x in norms):  # a NaN row fails later
+            raise ValueError("projected ascent: a step's weighted norm is 0 or overflows")
+        return C / np.array(norms)[:, None]
 
     C = normalize(np.array(starts, dtype=float))
     vals, grads = value_grad(C)
@@ -685,12 +685,17 @@ def lower_growth_constant(spec: ProblemSpec, seed: int = 0) -> float:
     c_lam = eigenvalue_growth_constant(spec.basis)
     s_q = _gn_constant(spec, spec.q, spec.r, theta, seed=seed)
     s_p = _gn_constant(spec, spec.p, 2.0 - spec.r, zeta, seed=seed + 1)
-    d_q = s_q ** (spec.q + 1.0) * c_lam ** (-spec.r * theta * (spec.q + 1.0) / 2.0) / (
-        spec.q + 1.0
-    )
-    d_p = s_p ** (spec.p + 1.0) * c_lam ** (
-        -(2.0 - spec.r) * zeta * (spec.p + 1.0) / 2.0
-    ) / (spec.p + 1.0)
+    try:
+        d_q = s_q ** (spec.q + 1.0) * c_lam ** (-spec.r * theta * (spec.q + 1.0) / 2.0) / (
+            spec.q + 1.0
+        )
+        d_p = s_p ** (spec.p + 1.0) * c_lam ** (
+            -(2.0 - spec.r) * zeta * (spec.p + 1.0) / 2.0
+        ) / (spec.p + 1.0)
+    except OverflowError:
+        raise ValueError(
+            f"lower growth curve coefficients overflow at eigenvalue growth constant {c_lam}"
+        ) from None
     c1 = _forcing_size(spec)
 
     def g(x: float) -> float:

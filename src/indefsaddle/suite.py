@@ -20,11 +20,9 @@ from .basis import (
     eigenvalue_growth_constant,
     enumerate_basis,
     frac_laplacian,
-    from_grid,
-    grid_quadrature,
+    grid_shape,
     l2_inner,
     sobolev_norm,
-    to_grid,
 )
 from .energy import (
     CutoffConfig,
@@ -142,14 +140,15 @@ def check_transforms(seed: int = 0) -> CheckResult:
     worst = 0.0
     tol = 1e-12
     for lengths in [(math.pi,), (math.pi, 1.7), (1.0, 2.0, 0.8)]:
-        domain = BoxDomain(lengths)
-        basis = enumerate_basis(domain, 18 if len(lengths) < 3 else 12)
+        basis = enumerate_basis(BoxDomain(lengths), 18 if len(lengths) < 3 else 12)
         n = basis.size
         f = SpectralField(basis, rng.standard_normal(n))
         g = SpectralField(basis, rng.standard_normal(n))
-        back = from_grid(to_grid(f, 4), basis)
-        worst = max(worst, np.abs(back.coeffs - f.coeffs).max())
-        quad = grid_quadrature(to_grid(f, 2) * to_grid(g, 2), domain)
+        fine = basis.grid_tables(grid_shape(basis, 4))
+        back = fine.pairings(fine.evaluate(f.coeffs))
+        worst = max(worst, np.abs(back - f.coeffs).max())
+        coarse = basis.grid_tables(grid_shape(basis, 2))
+        quad = float(coarse.integrate(coarse.evaluate(f.coeffs) * coarse.evaluate(g.coeffs)))
         worst = max(worst, abs(quad - l2_inner(f, g)) / max(1.0, abs(quad)))
         comp = frac_laplacian(frac_laplacian(f, 0.7), -0.3)
         direct = frac_laplacian(f, 0.4)

@@ -1,5 +1,10 @@
 """Independent oracles for the test suite.
 
+The enumeration oracle sorts every multi-index in a box of per-axis caps by
+(eigenvalue, multi-index), as the basis was enumerated before its heap
+walk.  The reference grid formulas give the collocation nodes and the
+uniform-weight quadrature without the grid tables.
+
 The dense oracle builds the full evaluation matrix S[j, k] = phi_k(x_j) on
 the flattened collocation grid and assembles the solver's residual and
 Jacobian from it directly, with no separable tables and no transforms.
@@ -16,7 +21,8 @@ step at a time: each candidate is unpacked into a pair, evaluated alone,
 and deflated by a Python loop over the known points.  Its Newton step is the
 library's solve._newton_step, fed the oracle's own deflation factor and
 gradient, so that the ladders compare bit for bit; the step itself is
-checked against dense solves of the assembled Jacobian in test_solver.
+checked in test_solver against dense solves of the Jacobian that
+assembled_jacobian builds from the library's Galerkin blocks.
 
 The shooting oracle solves the scalar two-point problem -u'' = u^3 with
 u(0) = u(L) = 0 by integrating the initial value problem and root-finding on
@@ -29,13 +35,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
 from indefsaddle import region, solve
-from indefsaddle.basis import SpectralField, grid_quadrature, grid_shape
+from indefsaddle.basis import SineBasis, SpectralField, grid_shape
 from indefsaddle.energy import (
     CutoffConfig,
     DualGradient,
@@ -57,6 +64,50 @@ from indefsaddle.space import (
     from_eigenvector_coordinates,
     pair_norm,
 )
+
+
+def sorted_basis(domain, n: int, caps: tuple[int, ...]) -> SineBasis:
+    """The first n of all multi-indices with m_i <= caps[i], sorted by
+    (eigenvalue, multi-index).  The caps must be certified: the n-th value
+    lies below every eigenvalue one step past a cap."""
+    waves = [math.pi / L for L in domain.lengths]
+    candidates = sorted(
+        (sum((m * w) ** 2 for m, w in zip(index, waves)), index)
+        for index in product(*(range(1, cap + 1) for cap in caps))
+    )[:n]
+    base = sum(w * w for w in waves)
+    outside = min(base - w * w + ((cap + 1) * w) ** 2 for w, cap in zip(waves, caps))
+    assert len(candidates) == n and candidates[-1][0] < outside, "caps too small"
+    return SineBasis(domain, [idx for _, idx in candidates], [val for val, _ in candidates])
+
+
+def grid_points(domain, shape: tuple[int, ...]) -> tuple[np.ndarray, ...]:
+    """Interior collocation nodes x_j = j L/(G+1), j = 1..G, per axis."""
+    return tuple(
+        L * np.arange(1, G + 1) / (G + 1) for L, G in zip(domain.lengths, shape)
+    )
+
+
+def grid_quadrature(values: np.ndarray, domain) -> float:
+    """Integrate grid values: uniform weights, boundary values are zero."""
+    values = np.asarray(values, dtype=float)
+    h = math.prod(L / (G + 1) for L, G in zip(domain.lengths, values.shape))
+    return float(h * values.sum())
+
+
+def assembled_jacobian(z, spec) -> np.ndarray:
+    """The residual's 2n x 2n Jacobian [[-P, Lambda], [Lambda, -Q]] assembled
+    from the library's Galerkin blocks P and Q, Lambda the diagonal of the
+    eigenvalues."""
+    n = spec.n
+    P, Q = Evaluation.at(z, spec).galerkin_blocks()
+    J = np.zeros((2 * n, 2 * n))
+    J[:n, :n] = -P
+    J[n:, n:] = -Q
+    diag = np.arange(n)
+    J[diag, n + diag] = spec.basis.eigenvalues
+    J[n + diag, diag] = spec.basis.eigenvalues
+    return J
 
 
 def grid_matrix(basis, shape: tuple[int, ...]) -> np.ndarray:

@@ -9,25 +9,53 @@ from indefsaddle import (
     eigenvalue_growth_constant,
     enumerate_basis,
     frac_laplacian,
-    from_grid,
-    grid_points,
-    grid_quadrature,
     l2_inner,
     sobolev_norm,
-    to_grid,
 )
+from indefsaddle.basis import grid_shape
+
+from oracles import grid_points, grid_quadrature, sorted_basis
 
 
 def test_interval_spectrum():
-    from indefsaddle.basis import synthesize
-
     basis = enumerate_basis(BoxDomain((math.pi,)), 3)
     assert np.array_equal(basis.eigenvalues, [1.0, 4.0, 9.0])
     # phi_k(x) = sqrt(2/pi) sin(kx) on the collocation nodes
     xs = grid_points(basis.domain, (7,))[0]
-    values = synthesize(SpectralField.unit(basis, 2), (7,))
+    values = basis.grid_tables((7,)).evaluate(SpectralField.unit(basis, 2).coeffs)
     expected = math.sqrt(2.0 / math.pi) * np.sin(2 * xs)
     assert np.abs(values - expected).max() < 1e-14
+
+
+@pytest.mark.parametrize(
+    "lengths, n, caps",
+    [
+        ((math.pi,), 50, (52,)),
+        ((math.pi, math.pi), 400, (26, 26)),
+        ((math.pi, math.pi, math.pi), 2000, (19, 19, 19)),
+        ((1.0, 1.3), 400, (24, 31)),
+        ((1.0, 1.2, 1.5), 2000, (16, 19, 24)),
+        ((9.0, 0.3, 0.15), 100, (200, 4, 3)),
+        ((0.1592, 9.4726, 0.2504), 368, (3, 200, 4)),
+    ],
+)
+def test_enumeration_matches_sorted_candidates(lengths, n, caps):
+    """The heap walk gives the sort of every candidate in a box of per-axis
+    caps, bit for bit, on boxes whose sides are equal and differ."""
+    domain = BoxDomain(lengths)
+    basis, expected = enumerate_basis(domain, n), sorted_basis(domain, n, caps)
+    assert np.array_equal(basis.indices, expected.indices)
+    assert basis.eigenvalues.tobytes() == expected.eigenvalues.tobytes()
+    assert basis == expected
+
+
+@pytest.mark.parametrize("lengths", [(1e20, 1.0), (1.0, 1e-100)])
+def test_enumeration_with_sides_orders_of_magnitude_apart(lengths):
+    """The long side's modes round to one eigenvalue, and the ties go
+    lexicographically: the first eight modes run along the long side."""
+    basis = enumerate_basis(BoxDomain(lengths), 8)
+    assert [tuple(i) for i in basis.indices.tolist()] == [(m, 1) for m in range(1, 9)]
+    assert len(set(basis.eigenvalues.tolist())) == 1
 
 
 def test_square_tie_break():
@@ -109,22 +137,20 @@ def test_transform_roundtrip():
         basis = enumerate_basis(BoxDomain(lengths), 10)
         rng = np.random.default_rng(3)
         f = SpectralField(basis, rng.standard_normal(10))
-        back = from_grid(to_grid(f, 4), basis)
-        assert np.abs(back.coeffs - f.coeffs).max() < 1e-12
+        tables = basis.grid_tables(grid_shape(basis, 4))
+        back = tables.pairings(tables.evaluate(f.coeffs))
+        assert np.abs(back - f.coeffs).max() < 1e-12
 
 
 def test_from_grid_of_zero():
     basis = enumerate_basis(BoxDomain((math.pi, math.pi)), 6)
-    zero = from_grid(np.zeros((8, 8)), basis)
-    assert not np.any(zero.coeffs)
+    assert not np.any(basis.grid_tables((8, 8)).pairings(np.zeros((8, 8))))
 
 
 @pytest.mark.parametrize("rows", [1, 4])
 @pytest.mark.parametrize("lengths", [(math.pi,), (math.pi, 1.3), (1.0, 0.7, 1.9)])
 def test_row_stacks_match_row_by_row(lengths, rows):
     """A (rows, ...) stack gets bit for bit the values of one call per row."""
-    from indefsaddle.basis import grid_shape
-
     basis = enumerate_basis(BoxDomain(lengths), 24)
     shape = grid_shape(basis, 4)
     tables = basis.grid_tables(shape)
@@ -142,14 +168,15 @@ def test_row_stacks_match_row_by_row(lengths, rows):
 def test_grid_too_small_rejected():
     basis = enumerate_basis(BoxDomain((math.pi,)), 8)
     with pytest.raises(ValueError):
-        from_grid(np.zeros(5), basis)
+        basis.grid_tables((5,))
     with pytest.raises(ValueError):
-        to_grid(SpectralField.unit(basis, 1), oversample=0)
+        grid_shape(basis, 0)
 
 
 def test_quartic_integral_of_first_mode():
     basis = enumerate_basis(BoxDomain((math.pi,)), 8)
-    phi1 = to_grid(SpectralField.unit(basis, 1), oversample=4)
+    tables = basis.grid_tables(grid_shape(basis, 4))
+    phi1 = tables.evaluate(SpectralField.unit(basis, 1).coeffs)
     value = grid_quadrature(np.abs(phi1) ** 4, basis.domain)
     # int phi1^4 = (2/pi)^2 * (3 pi / 8) = 3/(2 pi)
     assert value == pytest.approx(3.0 / (2.0 * math.pi), abs=1e-10)
@@ -161,7 +188,8 @@ def test_parseval_against_grid_quadrature():
         rng = np.random.default_rng(4)
         f = SpectralField(basis, rng.standard_normal(12))
         g = SpectralField(basis, rng.standard_normal(12))
-        quad = grid_quadrature(to_grid(f, 2) * to_grid(g, 2), basis.domain)
+        tables = basis.grid_tables(grid_shape(basis, 2))
+        quad = grid_quadrature(tables.evaluate(f.coeffs) * tables.evaluate(g.coeffs), basis.domain)
         assert quad == pytest.approx(l2_inner(f, g), abs=1e-12)
 
 

@@ -306,6 +306,12 @@ class TestCommands:
             # side lengths whose (pi/L)^2 overflows, or underflows to 0
             ("solve", {"lengths": [1e-300]}, {}, "give eigenvalues above the float range"),
             ("solve", {"lengths": [1e300]}, {}, "give eigenvalues below the float range"),
+            # in range, but the level brackets' growth constants leave it
+            ("levels", {"lengths": [1e150], "n": 8}, {},
+             "error: lower growth curve coefficients overflow at eigenvalue growth "
+             "constant 9.869604401089357e-300"),
+            ("levels", {"lengths": [1e-80], "n": 8}, {},
+             "error: projected ascent: a step's weighted norm is 0 or overflows"),
         ],
     )
     def test_bad_values_exit_one_without_traceback(

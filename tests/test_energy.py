@@ -13,7 +13,6 @@ from indefsaddle import (
     bump,
     bump_derivative,
     cutoff_argument,
-    cutoff_weight,
     deviation_check,
     energy,
     energy_gradient,
@@ -143,7 +142,7 @@ class TestCutoff:
         cutoff = CutoffConfig(1.0)
         z = forced_spec.zero_pair()
         assert cutoff_argument(z, forced_spec, cutoff) == 0.0
-        assert cutoff_weight(z, forced_spec, cutoff) == 1.0
+        assert bump(cutoff_argument(z, forced_spec, cutoff)) == 1.0
         assert Evaluation.at(z, forced_spec).cutoff_terms(cutoff)[2] >= 2.0
 
     def test_worked_first_mode_example(self, sym_spec):
@@ -156,7 +155,7 @@ class TestCutoff:
         theta = cutoff_argument(z, sym_spec, cutoff)
         assert theta == pytest.approx(expected_theta, rel=1e-12)
         assert theta == pytest.approx(0.09497683307, abs=1e-9)
-        assert cutoff_weight(z, sym_spec, cutoff) == 1.0
+        assert bump(cutoff_argument(z, sym_spec, cutoff)) == 1.0
 
     def test_weight_vanishes_where_argument_exceeds_two(self, sym_spec):
         # the argument peaks near the energy-zero shell; with a half-size
@@ -167,7 +166,7 @@ class TestCutoff:
         thetas = {t: cutoff_argument(t * base, sym_spec, cutoff) for t in (2.0, 2.05)}
         assert max(thetas.values()) > 2.0
         t_star = max(thetas, key=lambda t: thetas[t])
-        assert cutoff_weight(t_star * base, sym_spec, cutoff) == 0.0
+        assert bump(cutoff_argument(t_star * base, sym_spec, cutoff)) == 0.0
 
     def test_large_scale_plateau(self, sym_spec):
         # far out on a ray the argument settles near 1/(2A): weight is one
@@ -177,7 +176,7 @@ class TestCutoff:
         z = 10.0 * FieldPair(phi1, phi1, 1.0)
         theta = cutoff_argument(z, sym_spec, cutoff)
         assert theta == pytest.approx(0.5, abs=0.05)
-        assert cutoff_weight(z, sym_spec, cutoff) == 1.0
+        assert bump(cutoff_argument(z, sym_spec, cutoff)) == 1.0
 
     def test_plateau_beyond_the_overflow_of_the_squared_energy(self, sym_spec):
         # at 1e40 phi_1 the energy is about -2e159 and E^2 overflows; the
@@ -221,7 +220,7 @@ class TestModifiedEnergy:
         phi1 = SpectralField.unit(forced_spec.basis, 1)
         base = FieldPair(phi1, phi1, forced_spec.r)
         z = 2.05 * base
-        assert cutoff_weight(z, forced_spec, cutoff) == 0.0
+        assert bump(cutoff_argument(z, forced_spec, cutoff)) == 0.0
         gap = modified_energy(z, forced_spec, cutoff) - energy(z, forced_spec)
         forcing = float(
             np.dot(forced_spec.k.coeffs, z.u.coeffs)
@@ -319,8 +318,8 @@ class TestModifiedEnergy:
         cutoff = CutoffConfig(0.5)
         phi1 = SpectralField.unit(forced_spec.basis, 1)
         z = 2.05 * FieldPair(phi1, phi1, forced_spec.r)
-        assert cutoff_weight(z, forced_spec, cutoff) == 0.0
-        assert cutoff_weight(-z, forced_spec, cutoff) == 0.0
+        assert bump(cutoff_argument(z, forced_spec, cutoff)) == 0.0
+        assert bump(cutoff_argument(-z, forced_spec, cutoff)) == 0.0
         result = deviation_check(z, forced_spec, cutoff, beta=1.0)
         assert result.asymmetry == 0.0
 
@@ -376,7 +375,7 @@ class TestEvaluation:
             j_minus = modified_energy(-z, forced_spec, cutoff)
             result = deviation_check(z, forced_spec, cutoff, beta=1.0)
             assert result.asymmetry == abs(j_plus - j_minus)
-            weights.add(0.0 < cutoff_weight(-z, forced_spec, cutoff) < 1.0)
+            weights.add(0.0 < bump(cutoff_argument(-z, forced_spec, cutoff)) < 1.0)
         assert weights == {True, False}  # draws inside the cutoff transition too
 
 
@@ -403,7 +402,6 @@ class TestEvaluationStacks:
             *ev.cutoff_terms(cutoff, mirrored=True),
             ev.modified_energy(cutoff),
             ev.modified_energy(cutoff, mirrored=True),
-            *ev.deviation(cutoff, beta=1.3),
             mg.quad_correction,
             mg.nonlin_correction,
             mg.weight,
@@ -457,13 +455,15 @@ class TestEvaluationStacks:
         cutoff = CutoffConfig(0.5)
         for scale in (0.1, 2.0, 30.0):
             z = random_pair(forced_spec, np.random.default_rng(4), scale=scale)
-            values = self.quantities(Evaluation.at(z, forced_spec), cutoff)[:-5]
+            ev = Evaluation.at(z, forced_spec)
+            values = self.quantities(ev, cutoff)[:-5]
             values += [
+                *ev.deviation(cutoff, beta=1.3),
                 bump(0.5), bump(1.5), bump(2.5), energy(z, forced_spec),
                 energy_gradient(z, forced_spec).norm(),
                 modified_energy(z, forced_spec, cutoff),
                 cutoff_argument(z, forced_spec, cutoff),
-                cutoff_weight(z, forced_spec, cutoff),
+                bump(cutoff_argument(z, forced_spec, cutoff)),
             ]
             assert [type(v) for v in values] == [float] * len(values)
             for result in (

@@ -21,20 +21,22 @@ from indefsaddle import (
     energy_gradient,
     estimate_levels,
     find_branch,
-    jacobian,
     newton_solve,
     pair_inner,
     pair_norm,
     residual,
     verify_critical,
 )
-from indefsaddle.basis import BoxDomain, from_grid, grid_points, to_grid
+from indefsaddle.basis import BoxDomain, grid_shape
+from indefsaddle.energy import Evaluation
 
 from oracles import (
+    assembled_jacobian,
     deflation,
     dense_jacobian,
     dense_residual,
     grid_data,
+    grid_points,
     power_moment,
     projected_ascent,
     sampled_levels,
@@ -71,7 +73,7 @@ class TestResidual:
             SpectralField(cubic_spec.basis, lam**-1.0 * rng.standard_normal(32)),
             1.0,
         )
-        J = jacobian(z, cubic_spec)
+        J = assembled_jacobian(z, cubic_spec)
         assert np.abs(J - J.T).max() < 1e-12
         eps = 1e-6
         direction = rng.standard_normal(64)
@@ -96,7 +98,8 @@ def _relative_gap(new, dense):
 @pytest.mark.parametrize("lengths", [(2.0,), (1.0, 2.5), (1.0, 1.3, 2.0)])
 def test_tables_match_dense_oracle(lengths, oversample):
     """Separable tables against the dense evaluation matrix of the oracle:
-    the residual, the Jacobian, grid synthesis and grid pairings."""
+    the residual, the Galerkin blocks of the Jacobian, grid synthesis and
+    grid pairings."""
     rng = np.random.default_rng(len(lengths) * 10 + oversample)
     spec = ProblemSpec.create(
         BoxDomain(lengths), n=24, r=1.0, p=3.0, q=2.5,
@@ -112,18 +115,17 @@ def test_tables_match_dense_oracle(lengths, oversample):
         res, dense = residual(z, spec), dense_residual(z, spec)
         assert _relative_gap(res.du, dense.du) <= 1e-13
         assert _relative_gap(res.dv, dense.dv) <= 1e-13
-        J, J_dense = jacobian(z, spec), dense_jacobian(z, spec)
+        blocks, J_dense = Evaluation.at(z, spec).galerkin_blocks(), dense_jacobian(z, spec)
         n = spec.n
-        for block in (np.s_[:n, :n], np.s_[n:, n:]):
-            assert _relative_gap(J[block], J_dense[block]) <= 1e-13
-        assert np.array_equal(J[:n, n:], J_dense[:n, n:])
-        assert np.array_equal(J[n:, :n], J_dense[n:, :n])
-        assert np.array_equal(J, J.T)
+        for B, block in zip(blocks, (np.s_[:n, :n], np.s_[n:, n:])):
+            assert _relative_gap(-B, J_dense[block]) <= 1e-13
+            assert np.array_equal(B, B.T)
         S, weight = grid_data(spec)
-        values = to_grid(z.u, oversample)
+        tables = spec.basis.grid_tables(grid_shape(spec.basis, oversample))
+        values = tables.evaluate(z.u.coeffs)
         assert _relative_gap(values.ravel(), S @ z.u.coeffs) <= 1e-13
         g = rng.standard_normal(values.shape)
-        pairings = from_grid(g, spec.basis).coeffs
+        pairings = tables.pairings(g)
         assert _relative_gap(pairings, weight * (S.T @ g.ravel())) <= 1e-13
 
 
@@ -136,7 +138,7 @@ def test_gathers_are_built_by_the_first_jacobian():
     energy(z, spec)
     estimate_levels(spec, k_max=2, samples=5)
     assert "gathers" not in vars(spec.tables)
-    jacobian(z, spec)
+    Evaluation.at(z, spec).galerkin_blocks()
     assert len(spec.tables.gathers) == 4
 
 
@@ -613,7 +615,6 @@ class TestNewtonStep:
     @pytest.mark.parametrize("forced", [False, True])
     @pytest.mark.parametrize("lengths, n", [((math.pi,), 32), ((1.0, 2.5), 40), ((1.0, 1.3, 2.0), 30)])
     def test_matches_dense_solves(self, lengths, n, forced):
-        from indefsaddle.energy import Evaluation
         from indefsaddle.solve import (
             _deflation_factor, _deflation_gradient, _distances, _newton_step,
         )
@@ -628,7 +629,7 @@ class TestNewtonStep:
             vec = amplitude * smooth * rng.standard_normal(2 * n)
             ev = Evaluation(vec, spec)
             g = ev.gradient()
-            r, J = np.concatenate([g.du, g.dv]), ev.hessian()
+            r, J = np.concatenate([g.du, g.dv]), assembled_jacobian(ev.z, spec)
             dense = np.linalg.solve(J, -r)
             assert np.linalg.norm(_newton_step(ev, r) - dense) <= 1e-12 * np.linalg.norm(dense)
             # near enough that the factor m is 10-25 and a.w is of its size
@@ -660,7 +661,6 @@ class TestNewtonStep:
     def test_vanishing_sherman_morrison_denominator_is_reported(self, cubic_spec, monkeypatch):
         """m + a.w = 0, with w = J^-1 r, makes the deflated Jacobian singular."""
         from indefsaddle import solve
-        from indefsaddle.energy import Evaluation
 
         mode = SpectralField.unit(cubic_spec.basis, 1)
         seed = FieldPair(2.0 * mode, 2.0 * mode, 1.0)
@@ -1001,8 +1001,6 @@ class TestVerifyCritical:
     def test_bound_constant_beyond_the_overflow_of_the_squared_energy(self, cubic_spec):
         # at 1e40 phi_1, E^2 overflows: the smallest bound constant is still
         # the nonlinear part over |E|, not nan from a cutoff argument of 0
-        from indefsaddle.energy import Evaluation
-
         mode = SpectralField.unit(cubic_spec.basis, 1)
         z = FieldPair(1e40 * mode, 1e40 * mode, 1.0)
         report = verify_critical(z, cubic_spec)
@@ -1027,7 +1025,7 @@ class TestVerifyCritical:
         oracle = shooting_solution(math.pi, arches=2)
         spec = ProblemSpec.create(BoxDomain((math.pi,)), 48, 1.0, 3.0, 3.0)
         xs = grid_points(spec.domain, (4 * 48,))[0]
-        u = from_grid(oracle(xs), spec.basis)
+        u = SpectralField(spec.basis, spec.tables.pairings(oracle(xs)))
         z = FieldPair(u, u, 1.0)
         assert energy(z, spec) == pytest.approx(oracle.energy(), rel=1e-7)
         assert oracle.energy() == pytest.approx(GROUND_ENERGY * 16.0, rel=1e-7)
@@ -1070,7 +1068,7 @@ def test_default_seed_schedule_structure():
             assert np.flatnonzero(plus.vec).tolist() == [j - 1, spec.n + j - 1]
             t, s = plus.u.coeffs[j - 1] / c, plus.v.coeffs[j - 1] / c
             lam = spec.basis.eigenvalues[j - 1]
-            index = spec.basis.pairs[j - 1].index
+            index = spec.basis.indices[j - 1]
             assert lam * s == pytest.approx(t**q * _power_integral(spec, q + 1.0, index), rel=1e-9)
             assert lam * t == pytest.approx(s**p * _power_integral(spec, p + 1.0, index), rel=1e-9)
 

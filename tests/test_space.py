@@ -13,11 +13,12 @@ from indefsaddle import (
     enumerate_basis,
     eigenvector_coordinates,
     from_eigenvector_coordinates,
-    grid_points,
     pair_inner,
     pair_norm,
     split_pair,
 )
+
+from oracles import grid_points
 
 
 @pytest.fixture(scope="module")
