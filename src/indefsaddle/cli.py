@@ -283,6 +283,8 @@ def parse_config(text: str, overrides: dict | None = None) -> RunConfig:
 
 # a string with any of these characters is free text, quoted in CSV
 _FREE_TEXT = re.compile(r'[ ,"\n]')
+# the rows a CSV file is formatted and written by, one block at a time
+_CSV_BLOCK = 1 << 10
 
 
 def _fmt(value) -> str:
@@ -296,6 +298,35 @@ def _fmt(value) -> str:
     if isinstance(value, str) and _FREE_TEXT.search(value):
         return '"' + value.replace('"', "'") + '"'
     return str(value)
+
+
+def _cells(column: tuple) -> list[str]:
+    """The CSV cells of one column, each as _fmt writes it.
+
+    In a column of one type (None aside) each distinct value is formatted
+    once.  A float column whose values are mostly distinct is written by
+    repr instead, as is one holding a zero, since 0.0 == -0.0 would share a
+    cell; a column of mixed types goes through _fmt cell by cell.
+    """
+    kinds = set(map(type, column))
+    kinds.discard(type(None))
+    if len(kinds) > 1:
+        return list(map(_fmt, column))
+    values = set(column)
+    if kinds == {float} and (4 * len(values) > len(column) or 0.0 in values):
+        cells = map(repr, column)
+        return list(map({None: ""}.get, column, cells) if None in values else cells)
+    return list(map({v: _fmt(v) for v in values}.__getitem__, column))
+
+
+def _write_csv(path: str, header: list[str], rows: list) -> None:
+    """Write the rows as CSV, formatted column by column in blocks of rows."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        for start in range(0, len(rows), _CSV_BLOCK):
+            columns = zip(*rows[start : start + _CSV_BLOCK])
+            lines = map(",".join, zip(*map(_cells, columns)))
+            fh.write("\n".join(lines) + "\n")
 
 
 def _json_header(cfg: RunConfig) -> dict:
@@ -340,14 +371,14 @@ def load_solutions(path: str) -> tuple[ProblemSpec, CutoffConfig, list[FieldPair
 
 
 def _rows(record_type, records) -> tuple[list[str], list[list]]:
-    """The field names of a record dataclass, and each record's field values
-    (by vars: astuple deep-copies and takes longer than a README-grid scan)."""
+    """The field names of a record dataclass, and each record's field values."""
     header = [f.name for f in dataclass_fields(record_type)]
     return header, [list(vars(rec).values()) for rec in records]
 
 
-def _run_region(cfg: RunConfig) -> tuple[list[str], list[list]]:
-    return _rows(region.RegionRow, region.region_scan(cfg.N, cfg.p_grid, cfg.q_grid))
+def _run_region(cfg: RunConfig) -> tuple[list[str], list[tuple]]:
+    # the rows are RegionRow named tuples, written as they are
+    return list(region.RegionRow._fields), region.region_scan(cfg.N, cfg.p_grid, cfg.q_grid)
 
 
 def _run_levels(cfg: RunConfig) -> tuple[list[str], list[list]]:
@@ -427,14 +458,12 @@ _RUNNERS = {
 COMMANDS = tuple(_RUNNERS)
 
 
-def _write_rows(cfg: RunConfig, header: list[str], rows: list[list]) -> None:
+def _write_rows(cfg: RunConfig, header: list[str], rows: list) -> None:
     if cfg.format == "json":
         rows = [dict(zip(header, row)) for row in rows]
         _write_json(cfg.output + ".json", {**_json_header(cfg), "rows": rows})
-        return
-    lines = [",".join(header), *(",".join(_fmt(v) for v in row) for row in rows)]
-    with open(cfg.output + ".csv", "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    else:
+        _write_csv(cfg.output + ".csv", header, rows)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -4,12 +4,22 @@ All quantities are closed-form functions of the nonlinearity exponents p, q,
 the dimension N, and the split parameter r.  Region predicates use strict
 inequalities; scan rows classify near-boundary points separately instead of
 collapsing them to true/false.
+
+Each closed form is written once, as a private elementwise function of
+floats or numpy arrays (`_gap`, `_window`, `_balanced`, `_margin`,
+`_growth`, `_optimal_r`): the public functions call it with the floats of
+one point, and region_scan with whole columns of the grid.  Its branches
+are masks, so that both evaluate the same IEEE operations in the same
+order and agree bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
+
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -37,7 +47,11 @@ def hyperbola_gap(pt: PQPoint) -> float:
     """
     if pt.N <= 2:
         return math.inf
-    return 1.0 / (pt.p + 1.0) + 1.0 / (pt.q + 1.0) - (pt.N - 2.0) / pt.N
+    return _gap(pt.p, pt.q, pt.N)
+
+
+def _gap(p, q, N):
+    return 1.0 / (p + 1.0) + 1.0 / (q + 1.0) - (N - 2.0) / N
 
 
 def admissible_r_interval(pt: PQPoint) -> tuple[float, float] | None:
@@ -59,11 +73,17 @@ def formula_r_window(pt: PQPoint) -> tuple[float, float] | None:
     strictly smaller than (0, 2) because the interpolation exponents must
     stay in (0, 1].
     """
-    lo = max(0.0, pt.N * (0.5 - 1.0 / (pt.q + 1.0)))
-    hi = min(2.0, 2.0 - pt.N * (0.5 - 1.0 / (pt.p + 1.0)))
+    lo, hi = _window(pt.p, pt.q, pt.N)
     if lo >= hi:
         return None
-    return (lo, hi)
+    return (float(lo), float(hi))
+
+
+def _window(p, q, N):
+    """The ends (lo, hi) of formula_r_window, empty where lo >= hi."""
+    lo = np.maximum(0.0, N * (0.5 - 1.0 / (q + 1.0)))
+    hi = np.minimum(2.0, 2.0 - N * (0.5 - 1.0 / (p + 1.0)))
+    return lo, hi
 
 
 def _check_r(pt: PQPoint, r: float) -> None:
@@ -102,9 +122,14 @@ def growth_exponents(pt: PQPoint, r: float) -> tuple[float, float, float]:
     k-th minimax level grows at least like k^(2 alpha).
     """
     _check_r(pt, r)
-    q1 = (pt.q + 1.0) / (pt.q - 1.0) * (r / pt.N) - 0.5
-    p1 = (pt.p + 1.0) / (pt.p - 1.0) * ((2.0 - r) / pt.N) - 0.5
-    return q1, p1, min(q1, p1)
+    q1, p1, alpha = _growth(pt.p, pt.q, pt.N, r)
+    return q1, p1, float(alpha)
+
+
+def _growth(p, q, N, r):
+    q1 = (q + 1.0) / (q - 1.0) * (r / N) - 0.5
+    p1 = (p + 1.0) / (p - 1.0) * ((2.0 - r) / N) - 0.5
+    return q1, p1, np.minimum(q1, p1)
 
 
 @dataclass(frozen=True)
@@ -127,15 +152,22 @@ def r_thresholds(pt: PQPoint) -> RThresholds:
     (p - 1) q + (q - 1), whose terms are exact near p = q = 1, where pq - 1
     cancels.
     """
-    balanced = (pt.p + 1.0) * (pt.q - 1.0) / ((pt.p - 1.0) * pt.q + (pt.q - 1.0))
     lower = (pt.N / 2.0) * (pt.q - 1.0) / (pt.q + 1.0) * (2.0 * pt.p + 1.0) / pt.p
     upper = 2.0 - (pt.N / 2.0) * (pt.p - 1.0) / (pt.p + 1.0) * (2.0 * pt.p + 1.0) / pt.p
-    return RThresholds(balanced=balanced, lower=lower, upper=upper)
+    return RThresholds(balanced=_balanced(pt.p, pt.q), lower=lower, upper=upper)
+
+
+def _balanced(p, q):
+    return (p + 1.0) * (q - 1.0) / ((p - 1.0) * q + (q - 1.0))
 
 
 def defect_rates(pt: PQPoint) -> tuple[float, float]:
     """Growth rates ((q+1)/q, (p+1)/p) of the symmetry-defect recursion."""
-    return (pt.q + 1.0) / pt.q, (pt.p + 1.0) / pt.p
+    return _defect_rates(pt.p, pt.q)
+
+
+def _defect_rates(p, q):
+    return (q + 1.0) / q, (p + 1.0) / p
 
 
 def multiplicity_margin(pt: PQPoint) -> float:
@@ -150,12 +182,13 @@ def multiplicity_margin(pt: PQPoint) -> float:
             f"the multiplicity region is defined for N >= 3 only, got N={pt.N}; "
             "lower dimensions carry no growth constraint"
         )
-    base = 1.0 / (pt.p + 1.0) + 1.0 / (pt.q + 1.0)
-    if pt.q >= pt.p:
-        extra = (pt.p + 1.0) / (pt.p * (pt.q + 1.0))
-    else:
-        extra = (pt.q + 1.0) / (pt.q * (pt.p + 1.0))
-    return base + extra - (2.0 * pt.N - 2.0) / pt.N
+    return float(_margin(pt.p, pt.q, pt.N))
+
+
+def _margin(p, q, N):
+    base = 1.0 / (p + 1.0) + 1.0 / (q + 1.0)
+    extra = np.where(q >= p, (p + 1.0) / (p * (q + 1.0)), (q + 1.0) / (q * (p + 1.0)))
+    return base + extra - (2.0 * N - 2.0) / N
 
 
 def in_multiplicity_region(pt: PQPoint) -> bool:
@@ -184,24 +217,28 @@ def optimal_r(pt: PQPoint) -> OptimalR | None:
     lies strictly inside the window (a point within roundoff of the dividing
     hyperbola).
     """
-    return _optimal_r(pt, r_thresholds(pt).balanced)
-
-
-def _optimal_r(pt: PQPoint, balanced: float) -> OptimalR | None:
-    """optimal_r, given the balance point of r_thresholds(pt)."""
-    window = formula_r_window(pt)
-    if window is None:
+    p, q = pt.p, pt.q
+    r_star, found, feasible, q1, p1, _ = _optimal_r(p, q, pt.N, _balanced(p, q))
+    if not found:
         return None
-    lo, hi = window
+    return OptimalR(
+        r_star=float(r_star), feasible=bool(feasible), q1=float(q1), p1=float(p1)
+    )
+
+
+def _optimal_r(p, q, N, balanced):
+    """optimal_r as (r_star, found, feasible, q1, p1, alpha), given the
+    balance point: found is false where r_star does not lie strictly inside
+    the window, as on an empty window."""
+    lo, hi = _window(p, q, N)
     eps = 1e-12 * (hi - lo)
-    r_star = min(max(balanced, lo + eps), hi - eps)
+    r_star = np.minimum(np.maximum(balanced, lo + eps), hi - eps)
     # eps rounds away on a window a few ulps wide; step one ulp inside then
-    r_star = min(max(r_star, math.nextafter(lo, hi)), math.nextafter(hi, lo))
-    if not lo < r_star < hi:
-        return None
-    q1, p1, _ = growth_exponents(pt, r_star)
-    feasible = 2.0 * min(q1, p1) > max(defect_rates(pt))
-    return OptimalR(r_star=r_star, feasible=feasible, q1=q1, p1=p1)
+    r_star = np.minimum(np.maximum(r_star, np.nextafter(lo, hi)), np.nextafter(hi, lo))
+    found = (lo < r_star) & (r_star < hi)
+    q1, p1, alpha = _growth(p, q, N, r_star)
+    feasible = 2.0 * alpha > np.maximum(*_defect_rates(p, q))
+    return r_star, found, feasible, q1, p1, alpha
 
 
 def _power(k: int, e: float, scale: float = 1.0) -> float:
@@ -212,8 +249,7 @@ def _power(k: int, e: float, scale: float = 1.0) -> float:
         return math.inf
 
 
-@dataclass(frozen=True)
-class RegionRow:
+class RegionRow(NamedTuple):
     """One scan entry of the exponent plane; the fields are the CSV columns.
 
     growth_u, growth_v and alpha are growth_exponents at r_star, None with it.
@@ -234,6 +270,10 @@ class RegionRow:
 
 # half-width of the "boundary" band around the hyperbola and the region edge
 _BAND = 1e-9
+# the status names, by the codes region_scan computes
+_STATUS = np.array(["inside", "outside", "boundary"], dtype=object)
+# the most grid points evaluated as one block of arrays
+_BLOCK = 1 << 12
 
 
 def region_scan(N: int, p_grid: list[float], q_grid: list[float]) -> list[RegionRow]:
@@ -243,35 +283,59 @@ def region_scan(N: int, p_grid: list[float], q_grid: list[float]) -> list[Region
     "boundary" with no r_star: its admissible window is at most N * _BAND
     wide, down to no float at all.  A subcritical point whose multiplicity
     margin lies within _BAND of zero is "boundary" too, with its r_star.
+    Each value is a Python float, bool, str or None.  The first grid point,
+    in scan order, that PQPoint or multiplicity_margin rejects raises their
+    ValueError.
     """
+    if not (len(p_grid) and len(q_grid)):
+        return []
+    ps, qs = np.asarray(p_grid, dtype=float), np.asarray(q_grid, dtype=float)
+    # a bad N fails at the first point; past a valid first point, the first
+    # bad q fails in the first row, and else the first bad p in the first column
+    multiplicity_margin(PQPoint(p_grid[0], q_grid[0], N))
+    for j in _invalid(qs)[:1]:
+        PQPoint(p_grid[0], q_grid[j], N)
+    for i in _invalid(ps)[:1]:
+        PQPoint(p_grid[i], q_grid[0], N)
+    step = max(1, _BLOCK // len(qs))
     rows = []
-    for p in p_grid:
-        for q in q_grid:
-            pt = PQPoint(p=p, q=q, N=N)
-            balanced = r_thresholds(pt).balanced
-            gap = hyperbola_gap(pt)
-            subcritical = gap > 0.0
-            r_star = feasible = q1 = p1 = alpha = None
-            if abs(gap) < _BAND:
-                status = "boundary"
-            elif not subcritical:
-                status = "outside"
-            else:
-                margin = multiplicity_margin(pt)
-                if abs(margin) < _BAND:
-                    status = "boundary"
-                else:
-                    status = "inside" if margin > 0.0 else "outside"
-                best = _optimal_r(pt, balanced)
-                if best is not None:
-                    r_star, feasible, q1, p1 = best.r_star, best.feasible, best.q1, best.p1
-                    alpha = min(q1, p1)
-            rows.append(RegionRow(
-                p=p, q=q, hyperbola_gap=gap, subcritical=subcritical, status=status,
-                r_star=r_star, feasible=feasible, r_balanced=balanced,
-                growth_u=q1, growth_v=p1, alpha=alpha,
-            ))
+    for start in range(0, len(ps), step):
+        p = np.repeat(ps[start : start + step], len(qs))
+        q = np.tile(qs, len(p) // len(qs))
+        rows += map(RegionRow._make, zip(*_scan_columns(p, q, N)))
     return rows
+
+
+def _invalid(values: np.ndarray) -> np.ndarray:
+    """The indices of the exponents that PQPoint rejects."""
+    return np.flatnonzero(~(np.isfinite(values) & (values > 1.0)))
+
+
+def _scan_columns(p: np.ndarray, q: np.ndarray, N: int) -> tuple[list, ...]:
+    """The RegionRow columns of the points (p[i], q[i]), as Python values."""
+    # overflow and inf / inf pass silently, as in Python float arithmetic
+    with np.errstate(over="ignore", invalid="ignore"):
+        gap = _gap(p, q, N)
+        margin = _margin(p, q, N)
+        balanced = _balanced(p, q)
+        r_star, found, feasible, q1, p1, alpha = _optimal_r(p, q, N, balanced)
+    near = np.abs(gap) < _BAND
+    subcritical = gap > 0.0
+    solved = subcritical & ~near  # the points given an r_star, where one is found
+    found &= solved
+    status = np.where(solved & (margin > 0.0), 0, 1)
+    status[near | (solved & (np.abs(margin) < _BAND))] = 2
+
+    def optional(values: np.ndarray) -> list:
+        cells = values.astype(object)
+        cells[~found] = None
+        return cells.tolist()
+
+    return (
+        p.tolist(), q.tolist(), gap.tolist(), subcritical.tolist(),
+        _STATUS[status].tolist(), optional(r_star), optional(feasible),
+        balanced.tolist(), optional(q1), optional(p1), optional(alpha),
+    )
 
 
 def hyperbola_boundary_p(q: float, N: float) -> float:

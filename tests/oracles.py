@@ -24,6 +24,10 @@ gradient, so that the ladders compare bit for bit; the step itself is
 checked in test_solver against dense solves of the Jacobian that
 assembled_jacobian builds from the library's Galerkin blocks.
 
+The region oracle is the exponent-plane scan run one point at a time, with
+the branches of its status and of its r_star as Python control flow over
+the public scalar functions of region.
+
 The shooting oracle solves the scalar two-point problem -u'' = u^3 with
 u(0) = u(L) = 0 by integrating the initial value problem and root-finding on
 the initial slope; it never touches the spectral solver.  Solutions with j
@@ -348,6 +352,37 @@ def sampled_levels(spec, k_max, samples=200, cutoff=None, seed=0):
         prev_best_point = best_point
         prev_upper = upper
     return brackets
+
+
+def scalar_region_rows(N: int, p_grid, q_grid) -> list[tuple]:
+    """The rows of region.region_scan, one point at a time through the
+    public scalar functions, as tuples in RegionRow field order."""
+    rows = []
+    for p in p_grid:
+        for q in q_grid:
+            pt = region.PQPoint(p=p, q=q, N=N)
+            balanced = region.r_thresholds(pt).balanced
+            gap = region.hyperbola_gap(pt)
+            subcritical = gap > 0.0
+            r_star = feasible = q1 = p1 = alpha = None
+            if abs(gap) < 1e-9:
+                status = "boundary"
+            elif not subcritical:
+                status = "outside"
+            else:
+                margin = region.multiplicity_margin(pt)
+                if abs(margin) < 1e-9:
+                    status = "boundary"
+                else:
+                    status = "inside" if margin > 0.0 else "outside"
+                best = region.optimal_r(pt)
+                if best is not None:
+                    r_star, feasible, q1, p1 = best.r_star, best.feasible, best.q1, best.p1
+                    alpha = min(q1, p1)
+            rows.append(
+                (p, q, gap, subcritical, status, r_star, feasible, balanced, q1, p1, alpha)
+            )
+    return rows
 
 
 def _integrate(slope: float, span: float):

@@ -469,6 +469,68 @@ class TestCommands:
         assert statuses == {0, 1}
 
 
+class TestCsvWriter:
+    @pytest.mark.parametrize("column", [
+        (0.0, -0.0, 0.0, 1.5, None),
+        (1.5,) * 8 + (-0.0, 0.0),
+        (2.5, None) * 6,
+        (1.0, 1, True, None),
+        (1, 2, 2, 3, 1),
+        (True, False, None, True, True),
+        ("inside", "a b", 'say "x"', "x,y", "line\nbreak", "inside", None),
+        (math.nan, math.inf, -math.inf, 1e-300, 1e22, 5e-324) * 5,
+        (0.1, 0.2, 0.30000000000000004, 1e16, None),
+        (np.float64(1.5), 1.5),
+        (None, None),
+        (),
+    ], ids=[
+        "signed-zeros", "repeats-with-zeros", "floats-with-none", "numbers-and-bool",
+        "ints", "bools", "text", "non-finite", "distinct-floats", "numpy-float", "none",
+        "empty",
+    ])
+    def test_column_cells_follow_the_cell_rule(self, column):
+        from indefsaddle.cli import _cells, _fmt
+
+        assert _cells(column) == [_fmt(value) for value in column]
+
+    @pytest.mark.parametrize("block", [1, 7, 1 << 10])
+    def test_blocks_join_to_the_rows(self, tmp_path, monkeypatch, block):
+        from indefsaddle import cli, region
+
+        grid = [1.05 + i * 0.05 for i in range(0, 100, 7)]
+        rows = region.region_scan(5, grid, grid)
+        monkeypatch.setattr(cli, "_CSV_BLOCK", block)
+        cli._write_csv(str(tmp_path / "rows.csv"), list(region.RegionRow._fields), rows)
+        lines = [",".join(region.RegionRow._fields)]
+        lines += [",".join(cli._fmt(value) for value in row) for row in rows]
+        assert (tmp_path / "rows.csv").read_text() == "\n".join(lines) + "\n"
+
+    def test_readme_region_json_rows_parse_as_the_csv_cells(self, tmp_path):
+        """The README region config: its JSON rows hold the values of the
+        CSV cells, null where a cell is empty."""
+
+        def parse(cell):
+            if cell in ("", "true", "false"):
+                return {"": None, "true": True, "false": False}[cell]
+            return cell if cell in ("inside", "outside", "boundary") else float(cell)
+
+        config = copy.deepcopy(README_CONFIGS[0])
+        config["p_grid"]["step"] = config["q_grid"]["step"] = 0.05
+        cfg = write_config(tmp_path, "region.json", config)
+        out = str(tmp_path / "region6")
+        assert main(["region", "--config", cfg, "--out", out]) == 0
+        assert main(["region", "--config", cfg, "--out", out, "--format", "json"]) == 0
+        header, *lines = (tmp_path / "region6.csv").read_text().splitlines()
+        rows = json.loads((tmp_path / "region6.json").read_text())["rows"]
+        assert len(rows) == len(lines) == 100 * 100
+        assert any(None in row.values() for row in rows)
+        for row, line in zip(rows, lines):
+            cells = line.split(",")
+            assert list(row) == header.split(",")
+            assert list(row.values()) == [parse(cell) for cell in cells]
+            assert [type(v) for v in row.values()] == [type(parse(c)) for c in cells]
+
+
 class TestDeterminism:
     def test_region_byte_identical(self, tmp_path):
         cfg = write_config(tmp_path, "region.json", REGION_CONFIG)

@@ -5,6 +5,7 @@ import pytest
 
 from indefsaddle import (
     PQPoint,
+    RegionRow,
     admissible_r_interval,
     defect_rates,
     growth_exponents,
@@ -20,6 +21,12 @@ from indefsaddle import (
 )
 from indefsaddle.region import _power
 from indefsaddle.suite import _random_subcritical, check_region_closed_forms
+
+from oracles import scalar_region_rows
+
+README_GRID = [1.05 + i * 0.05 for i in range(100)]
+# near p = q = 1, where the balance point's denominator pq - 1 cancels
+NEAR_ONE_GRID = [1.001 + i * 0.01 for i in range(40)]
 
 
 def test_hyperbola_gap_examples():
@@ -254,6 +261,24 @@ def test_optimal_r_strictly_inside_narrow_windows():
                     assert window[0] < best.r_star < window[1]
 
 
+def test_optimal_r_found_whenever_a_float_lies_inside_the_window():
+    # a window a few ulps wide has floats strictly inside, and r_star is one
+    found = 0
+    for N in range(3, 13):
+        for p in np.linspace(1.1, 5.0, 40):
+            q_edge = hyperbola_boundary_p(p, N)
+            if not 1.0 < q_edge < math.inf:
+                continue
+            for ulps in (3, 10, 100):
+                pt = PQPoint(float(p), q_edge * (1.0 - ulps * 1e-16), N)
+                window = admissible_r_interval(pt)
+                if window is None or not math.nextafter(window[0], 2.0) < window[1]:
+                    continue
+                found += 1
+                assert optimal_r(pt) is not None, pt
+    assert found > 100
+
+
 def test_pqpoint_validation():
     with pytest.raises(ValueError):
         PQPoint(1.0, 2.0, 3)
@@ -263,3 +288,57 @@ def test_pqpoint_validation():
         PQPoint(2.0, math.inf, 3)
     with pytest.raises(ValueError):
         PQPoint(2.0, 2.0, 0)
+
+
+@pytest.mark.parametrize("grid", [README_GRID, NEAR_ONE_GRID], ids=["readme", "near_one"])
+@pytest.mark.parametrize("N", range(3, 13))
+def test_scan_matches_scalar_oracle(N, grid):
+    # the array formulas against the public scalar functions point by point:
+    # equal values of equal types, None in the same places
+    rows = region_scan(N, grid, grid)
+    expected = scalar_region_rows(N, grid, grid)
+    assert len(rows) == len(expected) == len(grid) ** 2
+    for row, want in zip(rows, expected):
+        for name, got, value in zip(RegionRow._fields, row, want):
+            assert (got is None) == (value is None), (name, row, want)
+            assert got == value and type(got) is type(value), (name, row, want)
+
+
+def test_scan_cells_are_python_values():
+    kinds = {
+        name: {type(value) for value in column}
+        for name, column in zip(RegionRow._fields, zip(*region_scan(6, README_GRID, README_GRID)))
+    }
+    optional = {float, type(None)}
+    assert kinds == {
+        "p": {float}, "q": {float}, "hyperbola_gap": {float}, "subcritical": {bool},
+        "status": {str}, "r_star": optional, "feasible": {bool, type(None)},
+        "r_balanced": {float}, "growth_u": optional, "growth_v": optional, "alpha": optional,
+    }
+
+
+@pytest.mark.parametrize("N, p_grid, q_grid, message", [
+    (0, [2.0], [2.0], "dimension must be at least 1"),
+    (0, [2.0], [math.nan], "must be finite"),
+    (1, [2.0], [2.0], "N >= 3 only"),
+    (2, [2.0, 3.0], [2.0, 1.0], "N >= 3 only"),
+    (2, [2.0], [1.0, 2.0], "must exceed 1"),
+    (5, [2.0, 1.0], [2.0], "must exceed 1"),
+    (5, [1.0, 2.0], [2.0, math.inf], "must exceed 1"),
+    (5, [2.0, 1.0], [2.0, math.nan], "must be finite"),
+    (5, [2.0, math.inf], [2.0], "must be finite"),
+    (5, [2.0, 3.0], [3.0, 2.0, -math.inf, 1.0], "must be finite"),
+])
+def test_scan_raises_the_error_of_its_first_bad_point(N, p_grid, q_grid, message):
+    # the error, and the point it names, of the first bad point in scan order
+    with pytest.raises(ValueError, match=message) as got:
+        region_scan(N, p_grid, q_grid)
+    with pytest.raises(ValueError) as want:
+        scalar_region_rows(N, p_grid, q_grid)
+    assert str(got.value) == str(want.value)
+
+
+def test_scan_of_an_empty_grid():
+    assert region_scan(5, [], [2.0]) == []
+    assert region_scan(5, [2.0], []) == []
+    assert region_scan(0, [], [math.nan]) == []
