@@ -105,10 +105,7 @@ _SCHEMA = {
         "lengths": list, "n": int, "r": float, "p": float, "q": float,
         "h": list, "k": list, "oversample": int,
     },
-    "solver": {
-        "tol": float, "max_iter": int, "damping": float, "min_step": float,
-        "separation": float,
-    },
+    "solver": {"tol": float, "max_iter": int, "separation": float},
     "cutoff": {"bound_constant": float},
     "levels": {"k_max": int, "samples": int},
     "branch": {"count": int},
@@ -163,10 +160,12 @@ def _fields(obj: dict, section: str, errors: list[str]) -> dict:
             errors.append(f"{where}field '{name}' has wrong type {type(value).__name__}")
         elif kind is int and name in _LEAST and value < _LEAST[name]:
             errors.append(f"{where}field '{name}' must be at least {_LEAST[name]}, got {value}")
+        elif name == "N" and _float(value) == math.inf:  # the region formulas take N as a float
+            errors.append(f"{where}field 'N' must lie within the float range")
         elif kind is float:
+            value = _float(value)
             if not math.isfinite(value):
                 errors.append(f"{where}{name} must be finite, got {value}")
-            value = float(value)
         elif isinstance(value, dict):
             value = _fields(value, name, errors)
         elif isinstance(value, list):
@@ -176,6 +175,14 @@ def _fields(obj: dict, section: str, errors: list[str]) -> dict:
     return fields
 
 
+def _float(value: int | float) -> float:
+    """A JSON number as a float, an integer beyond its range as infinite."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
 def _numbers(items: list, label: str, errors: list[str]) -> list[float] | None:
     """The entries of a JSON list as floats, if every one is a finite number."""
     out = []
@@ -183,10 +190,10 @@ def _numbers(items: list, label: str, errors: list[str]) -> list[float] | None:
         if isinstance(item, bool) or not isinstance(item, (int, float)):
             errors.append(f"{label} entries must be numbers")
             return None
-        if not math.isfinite(item):
+        out.append(_float(item))
+        if not math.isfinite(out[-1]):
             errors.append(f"{label} entries must be finite")
             return None
-        out.append(float(item))
     return out
 
 

@@ -19,12 +19,12 @@ values, so finite differences close to machine precision.
 
 Every quantity is read from one Evaluation, of a point or of a stack of
 points, which synthesizes u and v once and computes the rest on first use:
-the energies and cutoff terms, both gradients and the modified energy at -z,
-each by one formula for both shapes, and a point's deviation pair and
-Galerkin blocks.  energy_gradient, which is also the Newton residual, is the
-gradient of Evaluation.at(z, spec); the Newton step reads the Galerkin
-blocks of the power derivatives, the diagonal blocks of its Jacobian.  The
-level brackets evaluate their samples as stacks.
+the energies and cutoff terms, the weights |u|^(q-1) and |v|^(p-1), both
+gradients and the modified energy at -z, each by one formula for both
+shapes, and a point's deviation pair and Galerkin blocks.  The Newton
+residual energy_gradient is the gradient of Evaluation.at(z, spec); the
+Newton step reads the Galerkin blocks of the power derivatives, the
+diagonal blocks of its Jacobian.  The level brackets evaluate stacks.
 """
 
 from __future__ import annotations
@@ -238,12 +238,12 @@ def _stack_rows(spec: ProblemSpec, extra: int = 0) -> int:
 
 class Evaluation:
     """Grid values of packed coefficients [u | v] (kept as vecs), of one point
-    (2n,) or of a stack (rows, 2n), synthesized once; the energies, cutoff terms, pairings
-    and gradient are read from them on first use, by one formula for both
-    shapes: each row of a stack bit for bit the point's own, a point's values
-    Python floats.  The deviation pair and the Galerkin blocks are a point's
-    only.  Only the forcing pairing is odd in z, so z's evaluation also gives
-    the values at -z.  Evaluation.at is the checked entry for a FieldPair."""
+    (2n,) or of a stack (rows, 2n), synthesized once; the energies, cutoff
+    terms, weights, pairings and gradient are read from them on first use,
+    by one formula for both shapes: each row of a stack bit for bit the
+    point's own, a point's values Python floats.  The deviation pair and the
+    Galerkin blocks are a point's only.  Only the forcing pairing is odd in
+    z, so z's evaluation also gives the values at -z (see Evaluation.at)."""
 
     def __init__(self, vecs: np.ndarray, spec: ProblemSpec):
         self.spec, self.vecs = spec, vecs
@@ -263,14 +263,14 @@ class Evaluation:
         return ev
 
     def row(self, i: int) -> "Evaluation":
-        """Row i of a stack as a one-point evaluation, sharing the grid values
-        and pairings already computed."""
+        """Row i of a stack as a one-point evaluation, sharing the grid values,
+        weights and pairings already computed."""
         ev = Evaluation.__new__(Evaluation)
         ev.spec, ev.vecs, ev.u, ev.v = self.spec, self.vecs[i], self.u[i], self.v[i]
         ev.u_vals, ev.v_vals = self.u_vals[i], self.v_vals[i]
-        if "pairings" in vars(self):
-            pu, pv = self.pairings
-            ev.pairings = pu[i], pv[i]
+        for name in ("weights", "pairings"):
+            if name in vars(self):
+                setattr(ev, name, tuple(x[i] for x in getattr(self, name)))
         return ev
 
     @cached_property
@@ -290,12 +290,16 @@ class Evaluation:
         return _value(tq + tp), _value(form - tq - tp), _value(forcing)
 
     @cached_property
+    def weights(self) -> tuple[np.ndarray, np.ndarray]:
+        """The grid weights |u|^(q-1) and |v|^(p-1) of the power terms."""
+        spec = self.spec
+        return np.abs(self.u_vals) ** (spec.q - 1.0), np.abs(self.v_vals) ** (spec.p - 1.0)
+
+    @cached_property
     def pairings(self) -> tuple[np.ndarray, np.ndarray]:
         """Quadrature pairings of |u|^(q-1)u and |v|^(p-1)v against every mode."""
-        spec, u_vals, v_vals = self.spec, self.u_vals, self.v_vals
-        pu = spec.tables.pairings(np.abs(u_vals) ** (spec.q - 1.0) * u_vals)
-        pv = spec.tables.pairings(np.abs(v_vals) ** (spec.p - 1.0) * v_vals)
-        return pu, pv
+        tables, (wu, wv) = self.spec.tables, self.weights
+        return tables.pairings(wu * self.u_vals), tables.pairings(wv * self.v_vals)
 
     def gradient(self) -> DualGradient:
         """The energy gradient at this point, or at each row (see energy_gradient)."""
@@ -310,10 +314,8 @@ class Evaluation:
         and p|v|^(p-1): the Hessian is [[-P, Lambda], [Lambda, -Q]], with
         Lambda the diagonal of the eigenvalues.  Built on each call and not
         kept, so that the caller may overwrite them."""
-        spec = self.spec
-        P = spec.tables.galerkin(spec.q * np.abs(self.u_vals) ** (spec.q - 1.0))
-        Q = spec.tables.galerkin(spec.p * np.abs(self.v_vals) ** (spec.p - 1.0))
-        return P, Q
+        spec, (wu, wv) = self.spec, self.weights
+        return spec.tables.galerkin(spec.q * wu), spec.tables.galerkin(spec.p * wv)
 
     def cutoff_terms(self, cutoff: CutoffConfig, mirrored: bool = False):
         """Forcing pairing g, energy E, cutoff scale 2A s, cutoff argument and

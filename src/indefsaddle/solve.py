@@ -15,13 +15,13 @@ Newton loop; deflation is an option of it, which multiplies the residual by
 prod_i (dist_i^-2 + 1) over known solutions so Newton runs land on new
 ones (the rank-one term this adds to the Jacobian enters the step by
 Sherman-Morrison), and with nothing to deflate against it is plain Newton.
-Its backtracking line search evaluates the step ladder as row stacks of
-doubling size on the grid tables; every accepted step is still the first
-decrease in step order, so the iterates are those of trying one step at a
-time.  The squared distances of a stack to the known points, in the
-product-space metric of space.py, are computed once, and both the
-deflation factors and the separation test (a converged point within
-`separation` of a known one is not a new solution) read from them.  A
+Its backtracking line search evaluates the fixed step ladder 1, 1/2, ...,
+2^-39 as row stacks of doubling size on the grid tables; every accepted
+step is still the first decrease in step order, so the iterates are those
+of trying one step at a time.  The squared distances of a stack to the
+known points, in the product-space metric of space.py, are computed once,
+and the deflation factors and gradient and the separation test (a point
+within `separation` of a known one is not a new solution) read them.  A
 branch hunt seeds each eigenmode at a fraction of the amplitude where the
 mode's own entries of the residual vanish, in closed form (the one-mode
 Galerkin equations), and groups the converged runs into solutions, so its
@@ -65,6 +65,9 @@ from .space import (
 
 residual = energy_gradient  # the system residual, under the solver's name
 
+# the line search's step ladder: the full step halved down to 2^-39 >= 1e-12
+_STEPS = tuple(0.5**i for i in range(40))
+
 
 @dataclass
 class NewtonConfig:
@@ -72,8 +75,6 @@ class NewtonConfig:
 
     tol: float = 1e-10
     max_iter: int = 50
-    damping: float = 0.5
-    min_step: float = 1e-12
     separation: float = 1e-4
 
     def __post_init__(self) -> None:
@@ -81,10 +82,6 @@ class NewtonConfig:
             raise ValueError(f"tol must be positive and finite, got {self.tol}")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
-        if not 0.0 < self.damping < 1.0:
-            raise ValueError(f"damping must lie in (0, 1), got {self.damping}")
-        if not self.min_step > 0.0:
-            raise ValueError(f"min_step must be positive, got {self.min_step}")
         if not self.separation > 0.0:
             raise ValueError(f"separation must be positive, got {self.separation}")
 
@@ -116,14 +113,11 @@ def newton_solve(
     complement or rank-one update ends the run as a singular Jacobian.
     Convergence is still judged on the undeflated residual, and a point
     within `separation` of a known solution is not accepted; with no known
-    solution it is plain Newton.  Backtracking tries the steps 1, damping,
-    damping^2, ... down to min_step and accepts the first one, in step
-    order, that decreases the (deflated) residual norm, so every accepted
-    step is monotone.  The ladder is evaluated in row stacks of doubling
-    size (the full step alone, then 2, 4, 8, ... steps), and the rows after
-    the accepted one are discarded.  Stalling below min_step or exhausting
-    max_iter returns the best iterate with a diagnostic (a bad seed, not an
-    error).
+    solution it is plain Newton.  Backtracking accepts the first step of the
+    fixed ladder 1, 1/2, ..., 2^-39 that decreases the (deflated) residual
+    norm (see _backtrack), so every accepted step is monotone.  Stalling at
+    the end of the ladder or exhausting max_iter returns the best iterate
+    with a diagnostic (a bad seed, not an error).
     """
     config = config or NewtonConfig()
     known = known or []
@@ -152,14 +146,14 @@ def newton_solve(
         if not math.isfinite(m):
             return outcome(it - 1, False, "seed coincides with a known solution")
         rvec = np.concatenate([res.du, res.dv])
-        a = _deflation_gradient(ev.vecs, known_stack, weights, m) if known else None
+        a = _deflation_gradient(ev.vecs, known_stack, weights, d2, m) if known else None
         try:
             delta = _newton_step(ev, rvec, m, a)
         except np.linalg.LinAlgError:
             return outcome(
                 it - 1, False, "singular deflated Jacobian" if known else "singular Jacobian"
             )
-        found = _backtrack(ev.vecs, delta, fn, spec, known_stack, weights, config)
+        found = _backtrack(ev.vecs, delta, fn, spec, known_stack, weights)
         if found is None:
             return outcome(
                 it, False,
@@ -201,11 +195,11 @@ def _newton_step(ev: Evaluation, r: np.ndarray, m: float = 1.0, a: np.ndarray | 
     return (-m / denominator) * w
 
 
-def _backtrack(vec, delta, fn, spec, known, weights, config):
-    """The first step of the ladder 1, damping, damping^2, ... down to
-    min_step whose point vec + step * delta has a deflated residual norm
-    below fn, as (the point's evaluation, residual, squared distances to the
-    known points, deflation factor, residual norm), or None if no step does.
+def _backtrack(vec, delta, fn, spec, known, weights):
+    """The first step of the ladder _STEPS (1, 1/2, ..., 2^-39) whose point
+    vec + step * delta has a deflated residual norm below fn, as (the
+    point's evaluation, residual, squared distances to the known points,
+    deflation factor, residual norm), or None if no step does.
 
     The ladder is evaluated in row stacks of doubling size: the full step
     alone, then the next 2, 4, 8, ... steps, up to the stack size of
@@ -213,13 +207,10 @@ def _backtrack(vec, delta, fn, spec, known, weights, config):
     the accepted one are discarded, and a non-finite point raises as it is
     reached, so the outcome is that of trying the steps one at a time."""
     cap = _stack_rows(spec, known.size)
-    step, size = 1.0, 1
-    while step >= config.min_step:
-        steps = []
-        while len(steps) < size and step >= config.min_step:
-            steps.append(step)
-            step *= config.damping
-        size = min(2 * size, cap)
+    start, size = 0, 1
+    while start < len(_STEPS):
+        steps = _STEPS[start : start + size]
+        start, size = start + size, min(2 * size, cap)
         cands = vec + np.multiply.outer(steps, delta)
         rows = Evaluation(cands, spec)
         res = rows.gradient()
@@ -254,11 +245,12 @@ def _deflation_factor(d2: list[float]) -> float:
     return m
 
 
-def _deflation_gradient(z_vec: np.ndarray, known: np.ndarray, weights: np.ndarray, m: float):
-    """Coefficient-space gradient of the deflation factor m (finite) at z_vec:
-    m times the sum over known points, in order, of d/dz log(d_i^-2 + 1)."""
+def _deflation_gradient(z_vec, known, weights, d2: list[float], m: float):
+    """Coefficient-space gradient of the deflation factor m (finite) at z_vec,
+    d2 its _distances: m times the sum over known points, in order, of
+    d/dz log(d_i^-2 + 1)."""
     diff = z_vec - known
-    d2 = _metric_dots(diff, diff, weights)
+    d2 = np.array(d2)
     # d/dz of (d^-2 + 1) over (d^-2 + 1), with d^2 the metric distance squared
     terms = (-1.0 / (d2 * d2) / (1.0 / d2 + 1.0))[:, None] * (2.0 * weights * diff)
     # summed in known order from +0.0, as a running sum is, so that the sign
@@ -835,11 +827,7 @@ def _level_points(spec, k, radius, prev_best, samples, rng):
 
 
 def _padded(vec: np.ndarray | None, size: int) -> np.ndarray | None:
-    if vec is None:
-        return None
-    out = np.zeros(size)
-    out[: vec.size] = vec
-    return out
+    return None if vec is None else np.pad(vec, (0, size - vec.size))
 
 
 @dataclass

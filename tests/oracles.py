@@ -224,9 +224,9 @@ def deflation(z_vec, known_vecs, metric):
 
 
 def sequential_newton(z0, spec, config=None, known=None) -> SolveResult:
-    """Deflated damped Newton whose line search tries the steps 1, damping,
-    damping^2, ... down to min_step one at a time and takes the first that
-    lowers the deflated residual norm."""
+    """Deflated damped Newton whose line search tries the steps 1, 1/2,
+    1/4, ... down to 1e-12 one at a time and takes the first that lowers the
+    deflated residual norm."""
     config = config or NewtonConfig()
     deflated = bool(known)
     known = known or []
@@ -271,7 +271,7 @@ def sequential_newton(z0, spec, config=None, known=None) -> SolveResult:
                 it - 1, False, "singular deflated Jacobian" if deflated else "singular Jacobian"
             )
         step = 1.0
-        while step >= config.min_step:
+        while step >= 1e-12:
             cand = vec + step * delta
             cand_ev = Evaluation.at(unpack(cand), spec)
             cand_res = cand_ev.gradient()
@@ -280,7 +280,7 @@ def sequential_newton(z0, spec, config=None, known=None) -> SolveResult:
             if cand_fn < fn:
                 vec, ev, res, rn, fn = cand, cand_ev, cand_res, cand_rn, cand_fn
                 break
-            step *= config.damping
+            step *= 0.5
         else:
             return outcome(
                 it, False,

@@ -61,6 +61,9 @@ README_CONFIGS = [
     },
 ]
 
+# an integer beyond the float range, written by json.dumps with all its digits
+BIG = 10**400
+
 # One value of each JSON kind, and the numbers at the edges of most ranges.
 # Huge sizes stay out: a large n allocates without bound.
 FUZZ_VALUES = ["x", True, None, [1.0], {"a": 1}, math.nan, math.inf, -math.inf, -1, 0, 0.5]
@@ -247,6 +250,13 @@ class TestCommands:
     def test_missing_config_file_is_io_error(self):
         assert main(["check", "--config", "/nonexistent/path.json"]) == 2
 
+    def test_unwritable_output_is_io_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "region.json", REGION_CONFIG)
+        (tmp_path / "notafile").write_text("")
+        assert main(["region", "--config", cfg, "--out", str(tmp_path / "notafile" / "out")]) == 2
+        errors = capsys.readouterr().err.splitlines()
+        assert len(errors) == 1 and errors[0].startswith("IO error: ")
+
     def test_invalid_config_returns_one(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")
@@ -283,7 +293,7 @@ class TestCommands:
             ("region", {}, {"N": 6, "q_grid": [2.0],
                             "p_grid": {"start": 1.5, "stop": math.inf, "step": 0.5}},
              "stop must be finite"),
-            ("solve", {"n": 8}, {"solver": {"min_step": 0}}, "min_step must be positive"),
+            ("solve", {"n": 8}, {"cutoff": {}}, "missing required field 'bound_constant'"),
             ("region", {}, {"N": 6, "q_grid": [2.0],
                             "p_grid": {"start": -1.7e308, "stop": 1.7e308, "step": 1.0}},
              "at most 1000000 points"),
@@ -329,6 +339,50 @@ class TestCommands:
             assert errors == [message]
         else:
             assert any(line.startswith("config error:") and message in line for line in errors)
+        assert not list(tmp_path.glob("out*"))
+
+    @pytest.mark.parametrize("name, value", [("damping", 0.5), ("min_step", 1e-12)])
+    def test_line_search_settings_are_unknown_fields(self, tmp_path, capsys, name, value):
+        """The Newton line search's step ladder is fixed, so its former
+        settings are unknown fields of the solver section."""
+        config = {"command": "solve", "problem": dict(BRANCH_CONFIG["problem"], n=8)}
+        cfg = write_config(tmp_path, "ladder.json", dict(config, solver={name: value}))
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"config error: solver section: unknown fields ['{name}']"
+        ]
+        assert not list(tmp_path.glob("out*"))
+
+    @pytest.mark.parametrize(
+        "config, message",
+        [
+            ({"problem": {"r": BIG}}, "problem section: r must be finite, got inf"),
+            ({"problem": {"lengths": [BIG]}}, "problem section: 'lengths' entries must be finite"),
+            ({"solver": {"tol": BIG}}, "solver section: tol must be finite, got inf"),
+            ({"solver": {"tol": -BIG}}, "solver section: tol must be finite, got -inf"),
+            ({"solve": {"initial_u": [BIG]}}, "solve section: 'initial_u' entries must be finite"),
+            ({"command": "region", "p_grid": [BIG]}, "'p_grid' entries must be finite"),
+            ({"command": "region", "p_grid": {"start": 1.5, "stop": BIG, "step": 0.5}},
+             "p_grid section: stop must be finite, got inf"),
+            ({"command": "region", "N": BIG}, "field 'N' must lie within the float range"),
+        ],
+    )
+    def test_numbers_beyond_the_float_range_are_config_errors(
+        self, tmp_path, capsys, config, message
+    ):
+        """A JSON integer of 401 digits in a field the program reads as a
+        float is one config error naming the field, not a traceback."""
+        base = (
+            dict(REGION_CONFIG, N=5) if config.get("command") == "region"
+            else {"command": "solve", "problem": dict(BRANCH_CONFIG["problem"], n=8)}
+        )
+        for name, value in config.items():
+            base[name] = dict(base[name], **value) if isinstance(value, dict) and name in base else value
+        cfg = write_config(tmp_path, "big.json", base)
+        assert main([base["command"], "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.splitlines() == [f"config error: {message}"]
         assert not list(tmp_path.glob("out*"))
 
     @pytest.mark.parametrize("command", ["solve", "branch"])

@@ -161,6 +161,18 @@ class TestNewton:
         )
         assert energy(result.z, cubic_spec) == pytest.approx(GROUND_ENERGY, rel=1e-6)
 
+    def test_seed_on_a_known_solution_is_reported(self, cubic_spec, newton_config):
+        mode = SpectralField.unit(cubic_spec.basis, 1)
+        ground = newton_solve(FieldPair(2 * mode, 2 * mode, 1.0), cubic_spec, newton_config).z
+        result = newton_solve(ground, cubic_spec, newton_config, known=[ground])
+        assert not result.converged and result.iterations == 0
+        assert result.message == "seed coincides with a known solution"
+
+    def test_empty_seed_schedule_is_exhausted(self, cubic_spec, newton_config):
+        result = deflated_solve(cubic_spec, newton_config, known=[], seeds=[])
+        assert not result.converged and result.residual_norm == math.inf
+        assert result.message == "seed schedule exhausted (empty seed schedule)"
+
     def test_divergent_seed_reports_not_raises(self, cubic_spec):
         config = NewtonConfig(max_iter=3)
         mode = SpectralField.unit(cubic_spec.basis, 1)
@@ -173,7 +185,7 @@ class TestNewton:
     @pytest.mark.parametrize(
         "make",
         [
-            lambda: NewtonConfig(min_step=0.0),
+            lambda: NewtonConfig(tol=0.0),
             lambda: NewtonConfig(max_iter=0),
             lambda: NewtonConfig(tol=math.inf),
             lambda: NewtonConfig(separation=-1.0),
@@ -182,7 +194,6 @@ class TestNewton:
         ],
     )
     def test_config_ranges_rejected(self, make):
-        # a zero min_step would let the line search halve forever
         with pytest.raises(ValueError):
             make()
 
@@ -476,8 +487,6 @@ def _newton_cases() -> dict:
         "deflated-mirrors": (seeds[8], cubic, None, [zero, ground, -ground]),
         "stalled-mirrors": (seeds[0], cubic, None, [zero, ground, -ground]),
         "forced": (seeds[2], forced, None, [forced_ground]),
-        "damping": (seeds[12], cubic, NewtonConfig(damping=0.3), [zero]),
-        "min-step": (seeds[12], cubic, NewtonConfig(min_step=0.1), [zero]),
         "2-D": (_scaled_mode_seeds(box2)[8], box2, None, [box2.zero_pair()]),
         "3-D": (_scaled_mode_seeds(box3)[8], box3, None, [box3.zero_pair()]),
     }
@@ -505,7 +514,7 @@ class TestBacktracking:
             name: sequential_newton(*case) for name, case in _newton_cases().items()
         }
         assert outcomes["plain"].converged and outcomes["deflated-mirrors"].converged
-        for name in ("deflated-zero", "stalled-mirrors", "damping", "min-step", "2-D", "3-D"):
+        for name in ("deflated-zero", "stalled-mirrors", "2-D", "3-D"):
             assert outcomes[name].message == "deflated line search stalled"
 
     @pytest.mark.parametrize("scale, fill", [(2.0, math.inf), (2.0, math.nan), (1.5e308, 1e308)])
@@ -536,15 +545,25 @@ class TestBacktracking:
             if m:
                 known[0] = 0.0
             points = [rng.standard_normal(64), sparse] + list(known[1:2])
-            factors = [_deflation_factor(d2) for d2 in _distances(np.array(points), known, metric)]
-            for z, factor in zip(points, factors):
+            distances = _distances(np.array(points), known, metric)
+            for z, d2 in zip(points, distances):
+                factor = _deflation_factor(d2)
                 want_factor, want_grad = deflation(z, list(known), metric)
                 assert factor == want_factor
                 if math.isfinite(factor):
-                    grad = _deflation_gradient(z, known, metric, factor)
+                    grad = _deflation_gradient(z, known, metric, d2, factor)
                     assert grad.tobytes() == want_grad.tobytes()
             if m > 1:
-                assert factors[-1] == math.inf  # a point on a known one
+                assert factor == math.inf  # a point on a known one
+
+    def test_ladder_halves_the_full_step_down_to_the_last_above_1e_12(self):
+        from indefsaddle.solve import _STEPS
+
+        want, step = [], 1.0
+        while step >= 1e-12:
+            want.append(step)
+            step *= 0.5
+        assert list(_STEPS) == want and len(want) == 40
 
     def test_stalled_ladder_evaluates_doubling_stacks(self, monkeypatch):
         """A stalled 40-step ladder is 6 stacks of 1, 2, 4, 8, 16 and 9 rows,
@@ -553,7 +572,6 @@ class TestBacktracking:
         from indefsaddle import basis, solve
 
         z0, spec, config, known = _newton_cases()["stalled-mirrors"]
-        config = config or NewtonConfig()
         rows: list[int] = []
         searches = []
         real_evaluate = basis.GridTables.evaluate
@@ -568,7 +586,7 @@ class TestBacktracking:
             found = real_backtrack(vec, delta, *args)
             step, tried = 1.0, 1
             while found is not None and not np.array_equal(vec + step * delta, found[0].vecs):
-                step *= config.damping
+                step *= 0.5
                 tried += 1
             searches.append((found is not None, tried, list(rows)))
             return found
@@ -634,8 +652,9 @@ class TestNewtonStep:
             assert np.linalg.norm(_newton_step(ev, r) - dense) <= 1e-12 * np.linalg.norm(dense)
             # near enough that the factor m is 10-25 and a.w is of its size
             known = vec + 0.1 * smooth * rng.standard_normal((3, 2 * n))
-            m = _deflation_factor(_distances(vec[None], known, weights)[0])
-            a = _deflation_gradient(vec, known, weights, m)
+            d2 = _distances(vec[None], known, weights)[0]
+            m = _deflation_factor(d2)
+            a = _deflation_gradient(vec, known, weights, d2, m)
             dense = np.linalg.solve(m * J + np.outer(r, a), -m * r)
             step = _newton_step(ev, r, m, a)
             assert np.linalg.norm(step - dense) <= 1e-12 * np.linalg.norm(dense)
@@ -678,7 +697,7 @@ class TestNewtonStep:
         with pytest.raises(np.linalg.LinAlgError):
             solve._newton_step(ev, r, 1.0, a)
 
-        def cancelling(z_vec, known, weights, m):  # a = c e_j with m + c w_j = 0 exactly
+        def cancelling(z_vec, known, weights, d2, m):  # a = c e_j with m + c w_j = 0 exactly
             for i in np.flatnonzero(w):
                 a = np.zeros_like(w)
                 a[i] = -m / w[i]
@@ -737,6 +756,15 @@ class TestContinuation:
         result = continuation(z1, perturbed_spec, steps=5, config=newton_config)
         assert result.converged and result.reached == 1.0
         assert residual(result.z, perturbed_spec).norm() < 1e-10
+
+    def test_stalled_stage_reports_the_last_reached(self, interval, newton_config):
+        spec = ProblemSpec.create(interval, n=16, r=1.0, p=3.0, q=3.0)
+        mode = SpectralField.unit(spec.basis, 1)
+        z1 = newton_solve(FieldPair(2 * mode, 2 * mode, 1.0), spec, newton_config).z
+        target = spec.with_forcing(h=[500.0], k=[500.0])
+        result = continuation(z1, target, steps=2, config=newton_config)
+        assert not result.converged and result.reached == 0.5
+        assert result.message == "Newton failed at t=1.0: line search stalled below min_step"
 
     def test_linear_response_slope(self, cubic_spec, newton_config):
         mode = SpectralField.unit(cubic_spec.basis, 1)
