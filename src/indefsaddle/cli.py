@@ -17,7 +17,8 @@ The flags --seed, --format and a non-empty --out are merged into the config
 as seed, format and output before it is checked.  Every config field has one
 JSON type (`_SCHEMA`), and its range is checked by the library type built
 from it (ProblemSpec, NewtonConfig, CutoffConfig) or, for plain integers, by
-`_LEAST` (estimate_levels and find_branch check theirs again for API callers).
+`_LEAST` and `_MOST` (estimate_levels and find_branch check the least values
+again for API callers).
 Any type or range error is a config error: one `config error:` line per
 field on stderr, and exit code 1.
 
@@ -118,12 +119,17 @@ _REQUIRED = {"command", "lengths", "n", "bound_constant", "start", "stop", "step
 # the least value of each integer field that no library type checks; the
 # library calls check k_max, samples and count again, for API callers
 _LEAST = {"seed": 0, "N": 3, "k_max": 1, "samples": 0, "count": 1}
+# the largest value of each integer field whose size sets the run time: each
+# level draws `samples` points (10^5 took 1.3 s per level at 1-D n = 8)
+_MOST = {"samples": 10**6}
 # the most points a {start, stop, step} range, and a region scan, may have
 _MAX_GRID_POINTS = 10**6
-# the largest truncation n, checked before parsing enumerates the basis: at
-# n = 2000 a Newton step's n x n Schur complement and its two Galerkin blocks
-# (float64) hold 32 MB each, and the 2^d gather-index arrays of a 3-D
-# Galerkin block (8 n x n int64) 256 MB
+# the largest truncation n, checked before parsing enumerates the basis.
+# Newton builds n x n matrices only below solve._KRYLOV_N: there a step's
+# Schur complement and its two Galerkin blocks (float64), and the 2^d
+# gather-index arrays of a 3-D block (8 n x n int64).  From it on, GMRES
+# holds its Krylov basis, (iterations + 1) vectors of n floats.  The cap
+# stays until a 3-D n = 2000 benchmark case measures a larger one
 _MAX_N = 2000
 # the most collocation grid points (n and oversample set the grid): 32 MB per
 # grid array; the largest grid at the default oversample, 3-D n = 2000, has 2^18
@@ -160,6 +166,8 @@ def _fields(obj: dict, section: str, errors: list[str]) -> dict:
             errors.append(f"{where}field '{name}' has wrong type {type(value).__name__}")
         elif kind is int and name in _LEAST and value < _LEAST[name]:
             errors.append(f"{where}field '{name}' must be at least {_LEAST[name]}, got {value}")
+        elif kind is int and name in _MOST and value > _MOST[name]:
+            errors.append(f"{where}field '{name}' must be at most {_MOST[name]}, got {value}")
         elif name == "N" and _float(value) == math.inf:  # the region formulas take N as a float
             errors.append(f"{where}field 'N' must lie within the float range")
         elif kind is float:

@@ -24,7 +24,8 @@ gradients and the modified energy at -z, each by one formula for both
 shapes, and a point's deviation pair and Galerkin blocks.  The Newton
 residual energy_gradient is the gradient of Evaluation.at(z, spec); the
 Newton step reads the Galerkin blocks of the power derivatives, the
-diagonal blocks of its Jacobian.  The level brackets evaluate stacks.
+diagonal blocks of its Jacobian, as matrices or, at large n, as their
+products with vectors on the grid.  The level brackets evaluate stacks.
 """
 
 from __future__ import annotations
@@ -241,9 +242,10 @@ class Evaluation:
     (2n,) or of a stack (rows, 2n), synthesized once; the energies, cutoff
     terms, weights, pairings and gradient are read from them on first use,
     by one formula for both shapes: each row of a stack bit for bit the
-    point's own, a point's values Python floats.  The deviation pair and the
-    Galerkin blocks are a point's only.  Only the forcing pairing is odd in
-    z, so z's evaluation also gives the values at -z (see Evaluation.at)."""
+    point's own, a point's values Python floats.  The deviation pair, the
+    Galerkin blocks and their products are a point's only.  Only the forcing
+    pairing is odd in z, so z's evaluation also gives the values at -z (see
+    Evaluation.at)."""
 
     def __init__(self, vecs: np.ndarray, spec: ProblemSpec):
         self.spec, self.vecs = spec, vecs
@@ -316,6 +318,18 @@ class Evaluation:
         kept, so that the caller may overwrite them."""
         spec, (wu, wv) = self.spec, self.weights
         return spec.tables.galerkin(spec.q * wu), spec.tables.galerkin(spec.p * wv)
+
+    def apply_blocks(self, x_u: np.ndarray | None = None, x_v: np.ndarray | None = None):
+        """(P x_u, Q x_v) without building either block: P x is the pairing
+        of q|u|^(q-1) times the grid values of x against every mode, and Q x
+        the same with p|v|^(p-1).  A block whose vector is not given is not
+        applied, and its product is None."""
+        tables, (wu, wv) = self.spec.tables, self.weights
+
+        def product(x, factor, w):
+            return None if x is None else factor * tables.pairings(w * tables.evaluate(x))
+
+        return product(x_u, self.spec.q, wu), product(x_v, self.spec.p, wv)
 
     def cutoff_terms(self, cutoff: CutoffConfig, mirrored: bool = False):
         """Forcing pairing g, energy E, cutoff scale 2A s, cutoff argument and

@@ -5,15 +5,19 @@ the Galerkin solutions of the system): `residual` is energy.energy_gradient
 under the solver's name.  Newton reads the residual and the blocks of its
 Jacobian from one energy.Evaluation per iterate, so u and v are synthesized
 once per point; the diagonal blocks are the Galerkin matrices of the power
-derivatives, built from their cosine moments on the grid tables of the
-basis (basis.GridTables), and the off-diagonal blocks are the diagonal of
-the eigenvalues.  No 2n x 2n Jacobian is assembled: each step eliminates
-one block through that diagonal and solves one n x n Schur complement.  The
-dense-matrix residual and Jacobian, the Jacobian assembled from the blocks,
-and the dense solves that check the step live in the tests.  There is one
-Newton loop; deflation is an option of it, which multiplies the residual by
-prod_i (dist_i^-2 + 1) over known solutions so Newton runs land on new
-ones (the rank-one term this adds to the Jacobian enters the step by
+derivatives and the off-diagonal blocks the diagonal of the eigenvalues.  No
+2n x 2n Jacobian is assembled: each step eliminates one block through that
+diagonal and solves one n x n Schur complement, by one of two linear
+solves.  Below n = _KRYLOV_N, a measured crossover, the blocks are built
+from their cosine moments on the grid tables of the basis
+(basis.GridTables) and the complement is solved densely; from it on, GMRES
+solves it, applying the blocks on the grid (Evaluation.apply_blocks), so no
+n x n matrix or gather index is built.  The dense-matrix residual and
+Jacobian, the Jacobian assembled from the blocks, the dense solves that
+check the step and scipy's GMRES, which checks this one, live in the tests.
+There is one Newton loop; deflation is an option of it, which multiplies the
+residual by prod_i (dist_i^-2 + 1) over known solutions so Newton runs land
+on new ones (the rank-one term this adds to the Jacobian enters the step by
 Sherman-Morrison), and with nothing to deflate against it is plain Newton.
 Its backtracking line search evaluates the fixed step ladder 1, 1/2, ...,
 2^-39 as row stacks of doubling size on the grid tables; every accepted
@@ -68,6 +72,15 @@ residual = energy_gradient  # the system residual, under the solver's name
 # the line search's step ladder: the full step halved down to 2^-39 >= 1e-12
 _STEPS = tuple(0.5**i for i in range(40))
 
+# the least n whose Newton steps solve by GMRES rather than densely.  Whole
+# Newton solves from amplitude 3 on mode 1 (p = q = 3, a cube of side pi in
+# 1-D, 2-D and 3-D), dense against GMRES, in two or three rounds per size on
+# a 2-core x86-64 VM: at n = 64 dense was faster in every dimension and
+# round (GMRES took 1.2-1.8 times as long), at n = 96 either was, and from
+# n = 112 on GMRES was in every dimension and round (0.71-0.94 times the
+# time at n = 112, 0.70-0.90 at n = 128, 0.27-0.61 in 2-D and 3-D at 256)
+_KRYLOV_N = 128
+
 
 @dataclass
 class NewtonConfig:
@@ -108,9 +121,11 @@ def newton_solve(
 
     Deflation (Farrell, Birkisson & Funke) multiplies the residual by
     prod_i (d_i^-2 + 1), d_i the distance to known solution i, which adds a
-    rank-one term to the Jacobian.  Each step is one n x n solve, with that
-    term applied by Sherman-Morrison (see _newton_step); a singular Schur
-    complement or rank-one update ends the run as a singular Jacobian.
+    rank-one term to the Jacobian.  Each step is one n x n solve, dense or
+    by GMRES, with that term applied by Sherman-Morrison (see _newton_step);
+    a singular Schur complement, GMRES short of its tolerance after n
+    iterations, or a singular rank-one update ends the run as a singular
+    Jacobian.
     Convergence is still judged on the undeflated residual, and a point
     within `separation` of a known solution is not accepted; with no known
     solution it is plain Newton.  Backtracking accepts the first step of the
@@ -172,27 +187,80 @@ def _newton_step(ev: Evaluation, r: np.ndarray, m: float = 1.0, a: np.ndarray | 
     by the deflation factor m, whose gradient is a (None for plain Newton,
     whose step is -J^-1 r).
 
-    J = [[-P, L], [L, -Q]] (Evaluation.galerkin_blocks, L the diagonal of
-    the eigenvalues, all positive) is never assembled: w = J^-1 r comes from
-    one n x n solve with the Schur complement S = L - (P L^-1) Q, as
-    S y = r_u + P L^-1 r_v and x = L^-1 (r_v + Q y), and J is invertible
-    exactly when S is.  Deflation's rank-one term enters by Sherman-Morrison,
-    as the step -m w / (m + a.w).  Raises LinAlgError when S is singular or
-    m + a.w is 0 or not finite."""
+    J = [[-P, L], [L, -Q]] (P and Q the Galerkin blocks of the Evaluation,
+    L the diagonal of the eigenvalues, all positive) is never assembled:
+    w = J^-1 r comes from one n x n solve with the Schur complement
+    S = L - P L^-1 Q, as S y = r_u + P L^-1 r_v and x = L^-1 (r_v + Q y), and
+    J is invertible exactly when S is.  Below n = _KRYLOV_N the blocks are
+    built and S is solved densely.  From it on, y comes from GMRES on
+    L^-1 S = I - L^-1 P L^-1 Q, a compact perturbation of the identity, to
+    relative residual 1e-10, applying P and Q through
+    Evaluation.apply_blocks, so no n x n matrix is built.  Deflation's
+    rank-one term enters by Sherman-Morrison, as the step -m w / (m + a.w).
+    Raises LinAlgError when S is singular (or GMRES does not converge in n
+    iterations), or m + a.w is 0 or not finite."""
     lam, n = ev.spec.basis.eigenvalues, ev.spec.n
-    P, Q = ev.galerkin_blocks()
-    P /= lam  # P L^-1
-    S = P @ Q
-    np.negative(S, out=S)
-    S.flat[:: n + 1] += lam
-    y = np.linalg.solve(S, r[:n] + P @ r[n:])
-    w = np.concatenate([(r[n:] + Q @ y) / lam, y])
+    if n >= _KRYLOV_N:
+        def P(x):
+            return ev.apply_blocks(x_u=x)[0]
+
+        def Q(x):
+            return ev.apply_blocks(x_v=x)[1]
+
+        y = _gmres(lambda x: x - P(Q(x) / lam) / lam, (r[:n] + P(r[n:] / lam)) / lam)
+        w = np.concatenate([(r[n:] + Q(y)) / lam, y])
+    else:
+        P, Q = ev.galerkin_blocks()
+        P /= lam  # P L^-1
+        S = P @ Q
+        np.negative(S, out=S)
+        S.flat[:: n + 1] += lam
+        y = np.linalg.solve(S, r[:n] + P @ r[n:])
+        w = np.concatenate([(r[n:] + Q @ y) / lam, y])
     if a is None:
         return -w
     denominator = m + float(np.dot(a, w))
     if denominator == 0.0 or not math.isfinite(denominator):
         raise np.linalg.LinAlgError("singular deflated Jacobian")
     return (-m / denominator) * w
+
+
+def _gmres(op, b: np.ndarray, rtol: float = 1e-10) -> np.ndarray:
+    """x with |op(x) - b| <= rtol |b|, by GMRES from x = 0 (Saad & Schultz):
+    Arnoldi by classical Gram-Schmidt, applied twice, with the least squares
+    problem on the Hessenberg matrix kept triangular by Givens rotations, so
+    that the last entry of the rotated right-hand side is the residual norm.
+    At most b.size iterations; raises LinAlgError if they do not reach the
+    tolerance, or if the operator gives a non-finite vector."""
+    size, beta = b.size, float(np.linalg.norm(b))
+    if beta == 0.0:
+        return np.zeros_like(b)
+    V = np.empty((size + 1, size))  # the Krylov basis, one vector per row
+    R = np.zeros((size, size))  # the rotated Hessenberg matrix, transposed
+    cs, sn = np.empty(size), np.empty(size)
+    g = np.zeros(size + 1)
+    V[0], g[0] = b / beta, beta
+    for k in range(size):
+        w = op(V[k])
+        h = V[: k + 1] @ w
+        w -= h @ V[: k + 1]
+        again = V[: k + 1] @ w
+        w -= again @ V[: k + 1]
+        h += again
+        hn = float(np.linalg.norm(w))
+        for i in range(k):  # the earlier rotations, in order
+            h[i], h[i + 1] = cs[i] * h[i] + sn[i] * h[i + 1], cs[i] * h[i + 1] - sn[i] * h[i]
+        rho = math.hypot(h[k], hn)
+        if rho == 0.0 or not math.isfinite(rho):  # a singular or non-finite operator
+            break
+        cs[k], sn[k] = h[k] / rho, hn / rho
+        h[k] = rho
+        R[k, : k + 1] = h
+        g[k], g[k + 1] = cs[k] * g[k], -sn[k] * g[k]
+        if abs(g[k + 1]) <= rtol * beta:
+            return np.linalg.solve(R[: k + 1, : k + 1].T, g[: k + 1]) @ V[: k + 1]
+        V[k + 1] = w / hn
+    raise np.linalg.LinAlgError("GMRES did not reach its tolerance")
 
 
 def _backtrack(vec, delta, fn, spec, known, weights):

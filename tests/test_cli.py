@@ -322,6 +322,11 @@ class TestCommands:
              "constant 9.869604401089357e-300"),
             ("levels", {"lengths": [1e-80], "n": 8}, {},
              "error: projected ascent: a step's weighted norm is 0 or overflows"),
+            # each level draws every sample, so the count bounds the run time
+            ("levels", {"n": 8}, {"levels": {"samples": 10**6 + 1}},
+             "levels section: field 'samples' must be at most 1000000, got 1000001"),
+            ("levels", {"n": 8}, {"levels": {"samples": 10**400}},
+             "levels section: field 'samples' must be at most 1000000, got 1" + "0" * 400),
         ],
     )
     def test_bad_values_exit_one_without_traceback(

@@ -48,3 +48,17 @@ def test_checker_finds_unused_names():
 @pytest.mark.parametrize("module", sorted(MODULES))
 def test_no_unused_imports(module):
     assert unused_imports(MODULES[module].read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("module", sorted(path.name for path in PACKAGE.glob("*.py")))
+def test_package_imports_no_scipy(module):
+    """scipy is a test extra: the package needs numpy only."""
+    tree = ast.parse((PACKAGE / module).read_text(encoding="utf-8"))
+    roots = {
+        alias.name.split(".")[0] for node in ast.walk(tree) if isinstance(node, ast.Import)
+        for alias in node.names
+    } | {
+        node.module.split(".")[0] for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module and not node.level
+    }
+    assert "scipy" not in roots

@@ -628,36 +628,107 @@ class TestBacktracking:
 
 class TestNewtonStep:
     """Newton's step by block elimination, with deflation's rank-one term by
-    Sherman-Morrison, against dense solves of the assembled Jacobian."""
+    Sherman-Morrison, against dense solves of the assembled Jacobian; from
+    n = _KRYLOV_N on, the Schur complement is solved by GMRES."""
 
     @pytest.mark.parametrize("forced", [False, True])
-    @pytest.mark.parametrize("lengths, n", [((math.pi,), 32), ((1.0, 2.5), 40), ((1.0, 1.3, 2.0), 30)])
-    def test_matches_dense_solves(self, lengths, n, forced):
-        from indefsaddle.solve import (
-            _deflation_factor, _deflation_gradient, _distances, _newton_step,
-        )
+    @pytest.mark.parametrize(
+        "lengths, n",
+        [
+            ((math.pi,), 32), ((1.0, 2.5), 40), ((1.0, 1.3, 2.0), 30),
+            ((math.pi,), 130), ((1.0, 2.5), 140), ((1.0, 1.3, 2.0), 150),
+        ],
+    )
+    def test_matches_dense_solves(self, lengths, n, forced, monkeypatch):
+        """The dense path to roundoff; GMRES, above the crossover and below
+        it with the crossover moved to 0, to its relative residual 1e-10
+        times the condition number of L^-1 S = I - L^-1 P L^-1 Q, which
+        bounds the relative error of the Schur solve."""
+        from indefsaddle import solve
         from indefsaddle.space import _weights
 
         forcing = [0.05, -0.02] if forced else None
         spec = ProblemSpec.create(BoxDomain(lengths), n, 1.0, 3.0, 2.5, h=forcing, k=forcing)
         weights = _weights(spec.basis, spec.r)
-        smooth = np.tile(spec.basis.eigenvalues ** -0.5, 2)
+        lam = spec.basis.eigenvalues
+        smooth = np.tile(lam ** -0.5, 2)
         rng = np.random.default_rng(n + forced)
+        assert (n < solve._KRYLOV_N) == (n <= 40)  # the cases straddle the crossover
+        crossovers = [solve._KRYLOV_N] + ([0] if n < solve._KRYLOV_N else [])
         for amplitude in (0.3, 3.0):
             vec = amplitude * smooth * rng.standard_normal(2 * n)
             ev = Evaluation(vec, spec)
             g = ev.gradient()
             r, J = np.concatenate([g.du, g.dv]), assembled_jacobian(ev.z, spec)
-            dense = np.linalg.solve(J, -r)
-            assert np.linalg.norm(_newton_step(ev, r) - dense) <= 1e-12 * np.linalg.norm(dense)
             # near enough that the factor m is 10-25 and a.w is of its size
             known = vec + 0.1 * smooth * rng.standard_normal((3, 2 * n))
-            d2 = _distances(vec[None], known, weights)[0]
-            m = _deflation_factor(d2)
-            a = _deflation_gradient(vec, known, weights, d2, m)
-            dense = np.linalg.solve(m * J + np.outer(r, a), -m * r)
-            step = _newton_step(ev, r, m, a)
-            assert np.linalg.norm(step - dense) <= 1e-12 * np.linalg.norm(dense)
+            d2 = solve._distances(vec[None], known, weights)[0]
+            m = solve._deflation_factor(d2)
+            a = solve._deflation_gradient(vec, known, weights, d2, m)
+            plain = np.linalg.solve(J, -r)
+            deflated = np.linalg.solve(m * J + np.outer(r, a), -m * r)
+            # J's diagonal blocks are -P and -Q
+            scaled_schur = np.eye(n) - (J[:n, :n] / lam) @ (J[n:, n:] / lam)
+            for crossover in crossovers:
+                monkeypatch.setattr(solve, "_KRYLOV_N", crossover)
+                tol = 1e-10 * np.linalg.cond(scaled_schur) if n >= crossover else 1e-12
+                step = solve._newton_step(ev, r)
+                assert np.linalg.norm(step - plain) <= tol * np.linalg.norm(plain)
+                step = solve._newton_step(ev, r, m, a)
+                assert np.linalg.norm(step - deflated) <= tol * np.linalg.norm(deflated)
+
+    @pytest.mark.parametrize("lengths", [(math.pi,), (1.0, 2.5), (1.0, 1.3, 2.0)])
+    def test_apply_blocks_matches_the_galerkin_blocks(self, lengths):
+        spec = ProblemSpec.create(BoxDomain(lengths), 24, 1.0, 3.0, 2.5, h=[0.05])
+        rng = np.random.default_rng(len(lengths))
+        ev = Evaluation(np.tile(spec.basis.eigenvalues ** -0.5, 2) * rng.standard_normal(48), spec)
+        P, Q = ev.galerkin_blocks()
+        x_u, x_v = rng.standard_normal((2, 24))
+        Px, Qx = ev.apply_blocks(x_u, x_v)
+        assert np.linalg.norm(Px - P @ x_u) <= 1e-13 * np.linalg.norm(P @ x_u)
+        assert np.linalg.norm(Qx - Q @ x_v) <= 1e-13 * np.linalg.norm(Q @ x_v)
+        assert ev.apply_blocks(x_u=x_u)[1] is None and ev.apply_blocks(x_v=x_v)[0] is None
+
+    def test_krylov_newton_matches_the_dense_run(self, monkeypatch):
+        """Above the crossover Newton takes the dense run's iterations and
+        reaches its solution, and builds no Galerkin block or gather index."""
+        from indefsaddle import solve
+        from indefsaddle.basis import GridTables
+
+        spec = ProblemSpec.create(BoxDomain((math.pi, math.pi)), 200, 1.0, 3.0, 3.0)
+        assert spec.n >= solve._KRYLOV_N
+        mode = SpectralField.unit(spec.basis, 1)
+        seed = FieldPair(3.0 * mode, 3.0 * mode, 1.0)
+        with monkeypatch.context() as patch:
+            patch.setattr(solve, "_KRYLOV_N", spec.n + 1)
+            dense = newton_solve(seed, spec)
+
+        def no_blocks(self, values):
+            raise AssertionError("a Galerkin block was built")
+
+        fresh = ProblemSpec.create(spec.domain, spec.n, 1.0, 3.0, 3.0)
+        monkeypatch.setattr(GridTables, "galerkin", no_blocks)
+        krylov = newton_solve(seed, fresh)
+        assert "gathers" not in vars(fresh.tables)
+        assert dense.converged and krylov.converged
+        assert krylov.iterations == dense.iterations
+        gap = np.linalg.norm(krylov.z.vec - dense.z.vec)
+        assert gap <= 1e-9 * np.linalg.norm(dense.z.vec)
+
+    @pytest.mark.parametrize("deflated", [False, True])
+    def test_unconverged_gmres_is_a_singular_jacobian(self, monkeypatch, deflated):
+        from indefsaddle import solve
+
+        def unconverged(op, b, rtol=1e-10):
+            raise np.linalg.LinAlgError("GMRES did not reach its tolerance")
+
+        monkeypatch.setattr(solve, "_gmres", unconverged)
+        spec = ProblemSpec.create(BoxDomain((math.pi,)), solve._KRYLOV_N, 1.0, 3.0, 3.0)
+        mode = SpectralField.unit(spec.basis, 1)
+        known = [spec.zero_pair()] if deflated else None
+        result = newton_solve(FieldPair(2.0 * mode, 2.0 * mode, 1.0), spec, known=known)
+        assert not result.converged and result.iterations == 0
+        assert result.message == ("singular deflated Jacobian" if deflated else "singular Jacobian")
 
     @pytest.mark.parametrize("deflated", [False, True])
     def test_singular_schur_complement_is_reported(self, cubic_spec, monkeypatch, deflated):
@@ -709,6 +780,68 @@ class TestNewtonStep:
         result = newton_solve(seed, cubic_spec, known=[cubic_spec.zero_pair()])
         assert not result.converged and result.iterations == 0
         assert result.message == "singular deflated Jacobian"
+
+
+class TestGmres:
+    """The GMRES of the Newton step against scipy's, and its failure path."""
+
+    @staticmethod
+    def compact_perturbation(size, seed):
+        """I - K, with K nonsymmetric and its singular values decaying."""
+        rng = np.random.default_rng(seed)
+        U, _ = np.linalg.qr(rng.standard_normal((size, size)))
+        V, _ = np.linalg.qr(rng.standard_normal((size, size)))
+        return np.eye(size) - (U * (0.5 ** np.arange(size))) @ V.T, rng.standard_normal(size)
+
+    @pytest.mark.parametrize("size, seed", [(20, 0), (60, 1), (150, 2)])
+    def test_matches_scipy(self, size, seed):
+        from scipy.sparse.linalg import gmres
+
+        from indefsaddle.solve import _gmres
+
+        A, b = self.compact_perturbation(size, seed)
+        ours, theirs = [], []
+        x = _gmres(lambda v: ours.append(1) or A @ v, b)
+        expected, info = gmres(
+            A, b, rtol=1e-10, atol=0.0, restart=size, maxiter=1,
+            callback=theirs.append, callback_type="pr_norm",
+        )
+        assert info == 0
+        assert np.linalg.norm(A @ x - b) <= 1e-10 * np.linalg.norm(b)
+        assert np.linalg.norm(x - expected) <= 1e-8 * np.linalg.norm(expected)
+        assert len(ours) == len(theirs) < size  # the same Krylov spaces
+
+    def test_zero_right_hand_side_needs_no_iteration(self):
+        from indefsaddle.solve import _gmres
+
+        def never(v):
+            raise AssertionError("the operator was applied")
+
+        assert not _gmres(never, np.zeros(5)).any()
+
+    def test_unconverged_raises_after_size_iterations(self):
+        from indefsaddle.solve import _gmres
+
+        A, b = self.compact_perturbation(30, 3)
+        calls = []
+        with pytest.raises(np.linalg.LinAlgError):
+            _gmres(lambda v: calls.append(1) or A @ v, b, rtol=0.0)
+        assert len(calls) == 30
+
+    def test_singular_operator_raises(self):
+        """b has a component outside the range of the operator."""
+        from indefsaddle.solve import _gmres
+
+        scale = np.ones(10)
+        scale[-1] = 0.0
+        with pytest.raises(np.linalg.LinAlgError):
+            _gmres(lambda v: scale * v, np.ones(10))
+
+    def test_non_finite_operator_raises(self):
+        from indefsaddle.solve import _gmres
+
+        with pytest.raises(np.linalg.LinAlgError):
+            _gmres(lambda v: np.full_like(v, np.nan), np.ones(10))
 
 
 class TestMeshRobustness:
