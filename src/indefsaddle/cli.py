@@ -35,12 +35,14 @@ as a single quote.  JSON rows carry the raw values.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
 import re
 import sys
 import time
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from dataclasses import fields as dataclass_fields
 
@@ -334,14 +336,19 @@ def _cells(column: tuple) -> list[str]:
     return list(map({v: _fmt(v) for v in values}.__getitem__, column))
 
 
-def _write_csv(path: str, header: list[str], rows: list) -> None:
-    """Write the rows as CSV, formatted column by column in blocks of rows."""
+def _write_csv(path: str, header: list[str], rows: Iterable) -> int:
+    """Write the rows as CSV, formatted column by column in blocks of rows,
+    each block drawn from the iterable as it is written; returns the number
+    of rows."""
+    rows = iter(rows)
+    count = 0
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for start in range(0, len(rows), _CSV_BLOCK):
-            columns = zip(*rows[start : start + _CSV_BLOCK])
-            lines = map(",".join, zip(*map(_cells, columns)))
+        while block := list(itertools.islice(rows, _CSV_BLOCK)):
+            lines = map(",".join, zip(*map(_cells, zip(*block))))
             fh.write("\n".join(lines) + "\n")
+            count += len(block)
+    return count
 
 
 def _json_header(cfg: RunConfig) -> dict:
@@ -391,9 +398,16 @@ def _rows(record_type, records) -> tuple[list[str], list[list]]:
     return header, [list(vars(rec).values()) for rec in records]
 
 
-def _run_region(cfg: RunConfig) -> tuple[list[str], list[tuple]]:
-    # the rows are RegionRow named tuples, written as they are
-    return list(region.RegionRow._fields), region.region_scan(cfg.N, cfg.p_grid, cfg.q_grid)
+def _run_region(cfg: RunConfig) -> tuple[list[str], Iterable[tuple]]:
+    # the rows are RegionRow named tuples, written as they are; CSV rows are
+    # written block by block as they are scanned, so that a scan at the grid
+    # cap never holds all its rows
+    header = list(region.RegionRow._fields)
+    if cfg.format == "json":
+        return header, region.region_scan(cfg.N, cfg.p_grid, cfg.q_grid)
+    return header, itertools.chain.from_iterable(
+        region.scan_blocks(cfg.N, cfg.p_grid, cfg.q_grid)
+    )
 
 
 def _run_levels(cfg: RunConfig) -> tuple[list[str], list[list]]:
@@ -473,12 +487,13 @@ _RUNNERS = {
 COMMANDS = tuple(_RUNNERS)
 
 
-def _write_rows(cfg: RunConfig, header: list[str], rows: list) -> None:
+def _write_rows(cfg: RunConfig, header: list[str], rows: Iterable) -> int:
+    """Write the rows in the configured format; returns the number of rows."""
     if cfg.format == "json":
         rows = [dict(zip(header, row)) for row in rows]
         _write_json(cfg.output + ".json", {**_json_header(cfg), "rows": rows})
-    else:
-        _write_csv(cfg.output + ".csv", header, rows)
+        return len(rows)
+    return _write_csv(cfg.output + ".csv", header, rows)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -526,8 +541,7 @@ def main(argv: list[str] | None = None) -> int:
                 items = len(result["solutions"])
             else:
                 header, rows = result
-                _write_rows(cfg, header, rows)
-                items = len(rows)
+                items = _write_rows(cfg, header, rows)
                 if "passed" in header:  # a check suite: a failed check exits 3
                     failures = sum(not row[header.index("passed")] for row in rows)
                     if failures:

@@ -16,6 +16,7 @@ order and agree bit for bit.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -289,21 +290,47 @@ def region_scan(N: int, p_grid: list[float], q_grid: list[float]) -> list[Region
     """
     if not (len(p_grid) and len(q_grid)):
         return []
+    _check_grid(N, p_grid, q_grid)
     ps, qs = np.asarray(p_grid, dtype=float), np.asarray(q_grid, dtype=float)
-    # a bad N fails at the first point; past a valid first point, the first
-    # bad q fails in the first row, and else the first bad p in the first column
-    multiplicity_margin(PQPoint(p_grid[0], q_grid[0], N))
-    for j in _invalid(qs)[:1]:
-        PQPoint(p_grid[0], q_grid[j], N)
-    for i in _invalid(ps)[:1]:
-        PQPoint(p_grid[i], q_grid[0], N)
-    step = max(1, _BLOCK // len(qs))
+    step = _block_rows(len(qs))
     rows = []
     for start in range(0, len(ps), step):
         p = np.repeat(ps[start : start + step], len(qs))
         q = np.tile(qs, len(p) // len(qs))
         rows += map(RegionRow._make, zip(*_scan_columns(p, q, N)))
     return rows
+
+
+def scan_blocks(N: int, p_grid: list[float], q_grid: list[float]) -> Iterator[list[RegionRow]]:
+    """The rows of region_scan in blocks of whole p rows, at most _BLOCK
+    points each where a p row fits, each scanned by its own region_scan call
+    as it is asked for.  The grid is checked by this call, so its ValueError
+    comes before the first block."""
+    if not (len(p_grid) and len(q_grid)):
+        return iter(())
+    _check_grid(N, p_grid, q_grid)
+    step = _block_rows(len(q_grid))
+    return (
+        region_scan(N, p_grid[start : start + step], q_grid)
+        for start in range(0, len(p_grid), step)
+    )
+
+
+def _block_rows(columns: int) -> int:
+    """The p rows of `columns` points each that one block of the scan holds."""
+    return max(1, _BLOCK // columns)
+
+
+def _check_grid(N: int, p_grid: list[float], q_grid: list[float]) -> None:
+    """Raise the ValueError of the first point of the nonempty grid, in scan
+    order, that PQPoint or multiplicity_margin rejects."""
+    # a bad N fails at the first point; past a valid first point, the first
+    # bad q fails in the first row, and else the first bad p in the first column
+    multiplicity_margin(PQPoint(p_grid[0], q_grid[0], N))
+    for j in _invalid(np.asarray(q_grid, dtype=float))[:1]:
+        PQPoint(p_grid[0], q_grid[j], N)
+    for i in _invalid(np.asarray(p_grid, dtype=float))[:1]:
+        PQPoint(p_grid[i], q_grid[0], N)
 
 
 def _invalid(values: np.ndarray) -> np.ndarray:

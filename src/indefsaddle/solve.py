@@ -34,9 +34,14 @@ the coefficients.  Level brackets combine an upper bound sampled in row
 stacks over nested saddle-geometry balls with a closed-form lower growth
 curve whose constant is assembled from computed embedding data; a bracket
 value that leaves the float range is an error.  Both extremal problems
-behind them run through one projected-ascent routine, which advances all
-its restarts at once as the rows of one stack on the grid tables, each row
-on the path it takes alone.
+behind them run through one projected-ascent routine, in stages: one stage
+for the two Gagliardo-Nirenberg constants of the lower curve, then one per
+k for the q and p sphere minima that fix the level radius.  A stage
+advances the restarts of both problems at once as the rows of one stack on
+the grid tables, each row on the path it takes alone.  Where the two
+problems climb the same function (the sphere minima at p = q, and the
+constants too at r = 1), their rows share one power-moment call per step
+while they fit energy._stack_rows; past it, each problem calls alone.
 """
 
 from __future__ import annotations
@@ -614,48 +619,77 @@ def continuation(
 # ---------------------------------------------------------------------------
 
 
-def _projected_ascent(value_grad, starts: list[np.ndarray], weights: np.ndarray, iters: int):
-    """Maximize a value over the unit weighted sphere sum_k weights_k c_k^2 = 1.
+def _projected_ascent(groups, iters: int, cap: int):
+    """Maximize each group's value over its unit weighted sphere
+    sum_k weights_k c_k^2 = 1, all groups as one stage.
 
-    All starts advance together, one row each: a step along the gradient,
+    A group is (value_grad, starts, weights); value_grad(C) returns the
+    values and ascent directions at the rows of C, and all starts have one
+    length.  The starts of every group advance together as the rows of one
+    stack, each with its group's weights: a step along the gradient,
     retracted onto the sphere, is accepted when it raises the row's value;
     the row's step (first 0.5) then grows by 1.3 up to 10, and is halved
     otherwise.  A row stops when its step falls below 1e-12 or after `iters`
-    steps, and only rows still running are evaluated, so every row takes the
-    path it would take alone.  value_grad(C) returns the values and ascent
-    directions at the rows of C.  Returns the best value, the first in start
-    order on ties, and the point that reached it.  A row whose weighted norm
-    is 0 or overflows has no point on the sphere, and raises ValueError.
+    steps, and only rows still running are evaluated.  Groups with the same
+    value_grad object share one call while their running rows number at
+    most `cap`; past it each group makes its own call.  value_grad gives
+    every row the values it gives the row alone, so each row takes the path
+    it would take alone.  Returns, per group, the best value, the first in
+    start order on ties, and the point that reached it.  A row whose
+    weighted norm is 0 or overflows has no point on the sphere, and raises
+    ValueError.
     """
+    counts = [len(starts) for _, starts, _ in groups]
+    owner = np.repeat(np.arange(len(groups)), counts)
+    sharing: dict[int, list[int]] = {}  # the groups of each value function
+    for g, (fn, _, _) in enumerate(groups):
+        sharing.setdefault(id(fn), []).append(g)
+    # per value function: the rows it evaluates, and those of each of its groups
+    calls = [
+        (groups[gs[0]][0], np.isin(owner, gs), [owner == g for g in gs])
+        for gs in sharing.values()
+    ]
+    W = np.repeat(np.array([weights for _, _, weights in groups], dtype=float), counts, axis=0)
 
-    def normalize(C: np.ndarray) -> np.ndarray:
+    def normalize(C: np.ndarray, W: np.ndarray) -> np.ndarray:
         with np.errstate(over="ignore"):
-            norms = [math.sqrt(x) for x in _row_dots(weights * C, C).tolist()]
-        if any(x == 0.0 or x == math.inf for x in norms):  # a NaN row fails later
+            norms = np.sqrt(_row_dots(W * C, C))
+        if ((norms == 0.0) | (norms == math.inf)).any():  # a NaN row fails later
             raise ValueError("projected ascent: a step's weighted norm is 0 or overflows")
-        return C / np.array(norms)[:, None]
+        return C / norms[:, None]
 
-    C = normalize(np.array(starts, dtype=float))
-    vals, grads = value_grad(C)
+    def evaluate(rows: np.ndarray, C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The values and ascent directions at the points C of the stack rows."""
+        vals, grads = np.empty(len(rows)), np.empty_like(C)
+        for fn, shared, own in calls:
+            at = shared[rows]
+            for part in [at] if np.count_nonzero(at) <= cap else [mask[rows] for mask in own]:
+                if part.any():
+                    vals[part], grads[part] = fn(C[part])
+        return vals, grads
+
+    C = normalize(np.array([c for _, starts, _ in groups for c in starts], dtype=float), W)
+    rows = np.arange(len(C))
+    vals, grads = evaluate(rows, C)
     steps = np.full(len(C), 0.5)
     taken = np.zeros(len(C), dtype=int)
-    rows = np.arange(len(C))
     while rows.size:
-        cand = normalize(C[rows] + steps[rows, None] * grads[rows])
-        cand_vals, cand_grads = value_grad(cand)
+        cand = normalize(C[rows] + steps[rows, None] * grads[rows], W[rows])
+        cand_vals, cand_grads = evaluate(rows, cand)
         up = cand_vals > vals[rows] + 1e-16
         won = rows[up]
         C[won], vals[won], grads[won] = cand[up], cand_vals[up], cand_grads[up]
         steps[rows] = np.where(up, np.minimum(steps[rows] * 1.3, 10.0), steps[rows] * 0.5)
         taken[rows] += 1
         rows = rows[(steps[rows] >= 1e-12) & (taken[rows] < iters)]
-    best_val = -math.inf
-    best_c = None
-    for val, c in zip(vals, C):
-        if val > best_val:
-            best_val = float(val)
-            best_c = c
-    return best_val, best_c
+    best = []
+    for g in range(len(groups)):
+        best_val, best_c = -math.inf, None
+        for val, c in zip(vals[owner == g].tolist(), C[owner == g]):
+            if val > best_val:
+                best_val, best_c = val, c
+        best.append((best_val, best_c))
+    return best
 
 
 def _power_moment(spec: ProblemSpec, coeffs: np.ndarray, exponent: float):
@@ -663,64 +697,84 @@ def _power_moment(spec: ProblemSpec, coeffs: np.ndarray, exponent: float):
     each row w of the (rows, n) stack."""
     tables = spec.tables
     vals = tables.evaluate(coeffs)
-    val = tables.integrate(np.abs(vals) ** (exponent + 1.0))
-    pair = tables.pairings((exponent + 1.0) * np.abs(vals) ** (exponent - 1.0) * vals)
-    if not np.all(np.isfinite(pair)):
+    size = np.abs(vals)
+    val = tables.integrate(size ** (exponent + 1.0))
+    pair = tables.pairings((exponent + 1.0) * size ** (exponent - 1.0) * vals)
+    if not np.isfinite(pair).all():
         raise ValueError("coefficients must be finite")
     return val, pair
 
 
-def _sphere_extremal(
-    spec: ProblemSpec,
-    active: int,
-    exponent: float,
-    order: float,
-    seed: int,
-    warm_start: np.ndarray | None = None,
-) -> tuple[float, np.ndarray]:
-    """Minimize int |w|^(exponent+1) over the unit order-norm sphere of the
-    first `active` modes, by projected ascent on its negative from 10 starts
-    (the warm start, then random ones) of at most 300 steps each."""
-    rng = np.random.default_rng(seed)
+def _sphere_extremals(
+    spec: ProblemSpec, active: int, seed: int, warm_q: np.ndarray | None, warm_p: np.ndarray | None
+) -> list[tuple[float, np.ndarray]]:
+    """The minima of int |u|^(q+1) over the unit r-norm sphere and of
+    int |v|^(p+1) over the unit (2-r)-norm sphere of the first `active`
+    modes, each with its minimizer, by one stage of projected ascent on the
+    negatives from 10 starts each (the warm start, then random ones of the
+    seeds `seed` and seed + 1) of at most 300 steps.  At p = q the two
+    problems share one value function."""
 
-    def value_grad(C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        coeffs = np.zeros((len(C), spec.n))
-        coeffs[:, :active] = C
-        val, pair = _power_moment(spec, coeffs, exponent)
-        return -val, -pair[:, :active]
+    def moment(exponent: float):
+        def value_grad(C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            coeffs = np.zeros((len(C), spec.n))
+            coeffs[:, :active] = C
+            val, pair = _power_moment(spec, coeffs, exponent)
+            return -val, -pair[:, :active]
 
-    starts = [] if warm_start is None else [np.array(warm_start, dtype=float)]
-    while len(starts) < 10:
-        starts.append(rng.standard_normal(active))
-    weights = spec.basis.eigenvalues[:active] ** order
-    best_val, best_c = _projected_ascent(value_grad, starts, weights, 300)
-    return -best_val, np.asarray(best_c)
+        return value_grad
+
+    problems = ((spec.q, spec.r, warm_q), (spec.p, 2.0 - spec.r, warm_p))
+    moments = {exponent: moment(exponent) for exponent, _, _ in problems}
+    groups = []
+    for i, (exponent, order, warm_start) in enumerate(problems):
+        rng = np.random.default_rng(seed + i)
+        starts = [] if warm_start is None else [np.array(warm_start, dtype=float)]
+        while len(starts) < 10:
+            starts.append(rng.standard_normal(active))
+        groups.append((moments[exponent], starts, spec.basis.eigenvalues[:active] ** order))
+    return [
+        (-val, np.asarray(c)) for val, c in _projected_ascent(groups, 300, _stack_rows(spec))
+    ]
 
 
-def _gn_constant(spec: ProblemSpec, exponent: float, order: float, theta: float, seed: int) -> float:
-    """Best constant of |w|_{exponent+1} <= S |w|_2^theta |w|_order^(1-theta)
-    over the truncated span, by gradient ascent of the scale-invariant ratio."""
-    weights = spec.basis.eigenvalues**order
-    rng = np.random.default_rng(seed)
+def _gn_constants(spec: ProblemSpec, theta: float, zeta: float, seed: int) -> list[float]:
+    """Best constants S of |w|_{e+1} <= S |w|_2^t |w|_o^(1-t) over the
+    truncated span, for the q problem (e = q, o = r, t = theta) and the p
+    problem (e = p, o = 2 - r, t = zeta): one stage of gradient ascent of
+    the scale-invariant ratios from 10 random starts each (seeds `seed` and
+    seed + 1) of 200 steps.  The problems share one value function where
+    they coincide (p = q, r = 1)."""
 
-    def value_grad(C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        num_int, pair = _power_moment(spec, C, exponent)
-        l2sq = _row_dots(C, C)
-        sobsq = _row_dots(weights * C, C)
-        ratio = np.array([
-            float(num) ** (1.0 / (exponent + 1.0))
-            / (math.sqrt(l2) ** theta * math.sqrt(sob) ** (1.0 - theta))
-            for num, l2, sob in zip(num_int, l2sq, sobsq)
-        ])
-        # ascend along the gradient of log ratio
-        return ratio, (
-            pair / ((exponent + 1.0) * num_int)[:, None]
-            - theta * C / l2sq[:, None]
-            - (1.0 - theta) * weights * C / sobsq[:, None]
-        )
+    def log_ratio(exponent: float, order: float, theta: float):
+        weights = spec.basis.eigenvalues**order
 
-    starts = [rng.standard_normal(spec.n) for _ in range(10)]
-    return max(0.0, _projected_ascent(value_grad, starts, weights, 200)[0])
+        def value_grad(C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            num_int, pair = _power_moment(spec, C, exponent)
+            l2sq = _row_dots(C, C)
+            sobsq = _row_dots(weights * C, C)
+            ratio = np.array([
+                float(num) ** (1.0 / (exponent + 1.0))
+                / (math.sqrt(l2) ** theta * math.sqrt(sob) ** (1.0 - theta))
+                for num, l2, sob in zip(num_int, l2sq, sobsq)
+            ])
+            # ascend along the gradient of log ratio
+            return ratio, (
+                pair / ((exponent + 1.0) * num_int)[:, None]
+                - theta * C / l2sq[:, None]
+                - (1.0 - theta) * weights * C / sobsq[:, None]
+            )
+
+        return value_grad
+
+    problems = ((spec.q, spec.r, theta), (spec.p, 2.0 - spec.r, zeta))
+    ratios = {problem: log_ratio(*problem) for problem in problems}
+    groups = []
+    for i, problem in enumerate(problems):
+        rng = np.random.default_rng(seed + i)
+        starts = [rng.standard_normal(spec.n) for _ in range(10)]
+        groups.append((ratios[problem], starts, spec.basis.eigenvalues ** problem[1]))
+    return [max(0.0, val) for val, _ in _projected_ascent(groups, 200, _stack_rows(spec))]
 
 
 def _forcing_size(spec: ProblemSpec) -> float:
@@ -743,8 +797,7 @@ def lower_growth_constant(spec: ProblemSpec, seed: int = 0) -> float:
     pt = region.PQPoint(p=spec.p, q=spec.q, N=spec.domain.dim)
     theta, zeta = region.interpolation_exponents(pt, spec.r)
     c_lam = eigenvalue_growth_constant(spec.basis)
-    s_q = _gn_constant(spec, spec.q, spec.r, theta, seed=seed)
-    s_p = _gn_constant(spec, spec.p, 2.0 - spec.r, zeta, seed=seed + 1)
+    s_q, s_p = _gn_constants(spec, theta, zeta, seed)
     try:
         d_q = s_q ** (spec.q + 1.0) * c_lam ** (-spec.r * theta * (spec.q + 1.0) / 2.0) / (
             spec.q + 1.0
@@ -833,13 +886,8 @@ def estimate_levels(
     warm_q = warm_p = None
     prev_best_point: np.ndarray | None = None
     for k in range(1, k_max + 1):
-        cq, warm_q = _sphere_extremal(
-            spec, k, spec.q, spec.r, seed=seed + 17 * k,
-            warm_start=_padded(warm_q, k),
-        )
-        cp, warm_p = _sphere_extremal(
-            spec, k, spec.p, 2.0 - spec.r, seed=seed + 17 * k + 1,
-            warm_start=_padded(warm_p, k),
+        (cq, warm_q), (cp, warm_p) = _sphere_extremals(
+            spec, k, seed + 17 * k, _padded(warm_q, k), _padded(warm_p, k)
         )
         c_k = min(cq / (spec.q + 1.0), cp / (spec.p + 1.0))
         try:

@@ -12,7 +12,8 @@ Jacobian from it directly, with no separable tables and no transforms.
 The ascent oracle is the level searches' projected ascent run one start
 and one point at a time, with the per-point power moment it climbs.
 
-The sampling oracle is the level brackets with their samples built and
+The sampling oracle is the level brackets with their sphere minima climbed
+one start at a time by the ascent oracle, and their samples built and
 evaluated one point at a time, each through the single-point energy
 functions.
 
@@ -59,7 +60,6 @@ from indefsaddle.solve import (
     SolveResult,
     _forcing_size,
     _padded,
-    _sphere_extremal,
     lower_growth_constant,
 )
 from indefsaddle.space import (
@@ -292,9 +292,31 @@ def sequential_newton(z0, spec, config=None, known=None) -> SolveResult:
     return outcome(config.max_iter, False, "max_iter reached")
 
 
+def sphere_minimum(spec, active, exponent, order, seed, warm_start=None):
+    """The minimum of int |w|^(exponent+1) over the unit order-norm sphere of
+    the first `active` modes, and its minimizer, by projected_ascent on the
+    negative power_moment, one start at a time: the warm start, then random
+    ones of the seed, 10 in all, of at most 300 steps each."""
+
+    def value_grad(c):
+        coeffs = np.zeros(spec.n)
+        coeffs[:active] = c
+        val, pair = power_moment(spec, coeffs, exponent)
+        return -val, -pair[:active]
+
+    rng = np.random.default_rng(seed)
+    starts = [] if warm_start is None else [np.array(warm_start, dtype=float)]
+    while len(starts) < 10:
+        starts.append(rng.standard_normal(active))
+    weights = spec.basis.eigenvalues[:active] ** order
+    val, point = projected_ascent(value_grad, starts, weights, 300)
+    return -val, np.asarray(point)
+
+
 def sampled_levels(spec, k_max, samples=200, cutoff=None, seed=0):
-    """The level brackets of solve.estimate_levels, with every sample point
-    built as a pair and evaluated alone, in sample order."""
+    """The level brackets of solve.estimate_levels, with the sphere minima
+    of sphere_minimum and every sample point built as a pair and evaluated
+    alone, in sample order."""
     cutoff = cutoff or CutoffConfig.default_for(spec)
     pt = region.PQPoint(p=spec.p, q=spec.q, N=spec.domain.dim)
     _, _, alpha = region.growth_exponents(pt, spec.r)
@@ -306,10 +328,10 @@ def sampled_levels(spec, k_max, samples=200, cutoff=None, seed=0):
     prev_best_point = None
     prev_upper = -math.inf
     for k in range(1, k_max + 1):
-        cq, warm_q = _sphere_extremal(
+        cq, warm_q = sphere_minimum(
             spec, k, spec.q, spec.r, seed=seed + 17 * k, warm_start=_padded(warm_q, k)
         )
-        cp, warm_p = _sphere_extremal(
+        cp, warm_p = sphere_minimum(
             spec, k, spec.p, 2.0 - spec.r, seed=seed + 17 * k + 1, warm_start=_padded(warm_p, k)
         )
         c_k = min(cq / (spec.q + 1.0), cp / (spec.p + 1.0))

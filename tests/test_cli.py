@@ -564,6 +564,41 @@ class TestCsvWriter:
         lines += [",".join(cli._fmt(value) for value in row) for row in rows]
         assert (tmp_path / "rows.csv").read_text() == "\n".join(lines) + "\n"
 
+    def test_region_csv_is_written_as_it_is_scanned(self, tmp_path, monkeypatch):
+        """The README grid's CSV rows are scanned one block of p rows per
+        region_scan call, each as the writer reaches it, and written as the
+        rows of one whole scan are."""
+        from indefsaddle import cli, region
+
+        events = []
+        real_scan, real_cells = region.region_scan, cli._cells
+
+        def scan(*args):
+            rows = real_scan(*args)
+            events.append(("scan", len(rows)))
+            return rows
+
+        def cells(column):
+            events.append(("cells", len(column)))
+            return real_cells(column)
+
+        config = copy.deepcopy(README_CONFIGS[0])
+        config["p_grid"]["step"] = config["q_grid"]["step"] = 0.05
+        cfg = write_config(tmp_path, "region.json", config)
+        parsed = parse_config(json.dumps(config))
+        whole = real_scan(parsed.N, parsed.p_grid, parsed.q_grid)
+        cli._write_csv(str(tmp_path / "whole.csv"), list(region.RegionRow._fields), whole)
+        monkeypatch.setattr(region, "region_scan", scan)
+        monkeypatch.setattr(cli, "_cells", cells)
+        assert main(["region", "--config", cfg, "--out", str(tmp_path / "streamed")]) == 0
+        scans = [size for kind, size in events if kind == "scan"]
+        assert sum(scans) == len(whole) == 100 * 100
+        assert max(scans) <= region._BLOCK
+        # the first block is written before the last one is scanned
+        last_scan = max(i for i, (kind, _) in enumerate(events) if kind == "scan")
+        assert events.index(("cells", cli._CSV_BLOCK)) < last_scan
+        assert (tmp_path / "streamed.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
+
     def test_readme_region_json_rows_parse_as_the_csv_cells(self, tmp_path):
         """The README region config: its JSON rows hold the values of the
         CSV cells, null where a cell is empty."""

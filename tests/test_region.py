@@ -317,7 +317,7 @@ def test_scan_cells_are_python_values():
     }
 
 
-@pytest.mark.parametrize("N, p_grid, q_grid, message", [
+BAD_GRIDS = [
     (0, [2.0], [2.0], "dimension must be at least 1"),
     (0, [2.0], [math.nan], "must be finite"),
     (1, [2.0], [2.0], "N >= 3 only"),
@@ -328,7 +328,10 @@ def test_scan_cells_are_python_values():
     (5, [2.0, 1.0], [2.0, math.nan], "must be finite"),
     (5, [2.0, math.inf], [2.0], "must be finite"),
     (5, [2.0, 3.0], [3.0, 2.0, -math.inf, 1.0], "must be finite"),
-])
+]
+
+
+@pytest.mark.parametrize("N, p_grid, q_grid, message", BAD_GRIDS)
 def test_scan_raises_the_error_of_its_first_bad_point(N, p_grid, q_grid, message):
     # the error, and the point it names, of the first bad point in scan order
     with pytest.raises(ValueError, match=message) as got:
@@ -342,3 +345,37 @@ def test_scan_of_an_empty_grid():
     assert region_scan(5, [], [2.0]) == []
     assert region_scan(5, [2.0], []) == []
     assert region_scan(0, [], [math.nan]) == []
+
+
+@pytest.mark.parametrize("block", [1, 150, 4096])
+def test_scan_blocks_join_to_the_scan(monkeypatch, block):
+    """The blocks hold whole p rows, at most _BLOCK points where a row fits,
+    and join to the rows of region_scan."""
+    from indefsaddle import region
+
+    monkeypatch.setattr(region, "_BLOCK", block)
+    blocks = list(region.scan_blocks(6, README_GRID, README_GRID[:70]))
+    full = 70 * max(1, block // 70)  # the points of the whole p rows that fit
+    sizes = [len(b) for b in blocks]
+    assert sizes[:-1] == [full] * (len(sizes) - 1) and 0 < sizes[-1] <= full
+    assert sizes[-1] % 70 == 0
+    assert [row for b in blocks for row in b] == region_scan(6, README_GRID, README_GRID[:70])
+
+
+@pytest.mark.parametrize("N, p_grid, q_grid, message", BAD_GRIDS)
+def test_scan_blocks_raise_before_the_first_block(N, p_grid, q_grid, message):
+    """A bad grid raises at the call, so no block of it is ever written."""
+    from indefsaddle import region
+
+    with pytest.raises(ValueError) as got:
+        region.scan_blocks(N, p_grid, q_grid)
+    with pytest.raises(ValueError) as want:
+        region_scan(N, p_grid, q_grid)
+    assert str(got.value) == str(want.value)
+
+
+def test_scan_blocks_of_an_empty_grid():
+    from indefsaddle import region
+
+    assert list(region.scan_blocks(5, [], [2.0])) == []
+    assert list(region.scan_blocks(0, [], [math.nan])) == []

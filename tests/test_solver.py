@@ -1046,62 +1046,51 @@ class TestSampledLevels:
 
 
 class TestBatchedAscent:
-    """The level searches advance all their restarts at once; every row takes
-    the path the per-start oracle takes alone, bit for bit, and a row that
-    has stopped is not evaluated again."""
+    """The level searches run their ascents in stages, the q and p problems
+    of one stage as two groups of rows of one stack; every row takes the
+    path the per-start oracle takes alone, bit for bit, a row that has
+    stopped is not evaluated again, and groups of one value function share
+    its calls while their running rows fit energy._stack_rows."""
 
     @pytest.fixture
-    def moment_rows(self, monkeypatch):
+    def moment_calls(self, monkeypatch):
+        """(exponent, rows) of every _power_moment call, in call order."""
         from indefsaddle import solve
 
-        rows = []
+        calls = []
         real = solve._power_moment
 
         def counting(spec, coeffs, exponent):
-            rows.append(len(coeffs))
+            calls.append((exponent, len(coeffs)))
             return real(spec, coeffs, exponent)
 
         monkeypatch.setattr(solve, "_power_moment", counting)
-        return rows
+        return calls
 
-    @pytest.mark.parametrize("lengths, n", [((math.pi,), 32), ((math.pi, 2.0), 24)])
-    def test_sphere_extremal_matches_oracle(self, lengths, n, moment_rows):
-        from indefsaddle.solve import _sphere_extremal
+    @pytest.fixture
+    def point_calls(self, monkeypatch):
+        """The exponent of every oracles.power_moment call, in call order."""
+        import oracles
 
-        spec = ProblemSpec.create(BoxDomain(lengths), n=n, r=0.8, p=3.0, q=2.5)
-        active, warm, seed = 4, np.array([1.0, -0.5, 0.0, 0.25]), 7
         calls = []
+        real = oracles.power_moment
+
+        def counting(spec, coeffs, exponent):
+            calls.append(exponent)
+            return real(spec, coeffs, exponent)
+
+        monkeypatch.setattr(oracles, "power_moment", counting)
+        return calls
+
+    @staticmethod
+    def gn_ratio(spec, exponent, order, theta):
+        """The ratio that _gn_constants climbs, at one point, and its weights."""
+        import oracles
+
+        weights = spec.basis.eigenvalues**order
 
         def value_grad(c):
-            calls.append(1)
-            coeffs = np.zeros(spec.n)
-            coeffs[:active] = c
-            val, pair = power_moment(spec, coeffs, spec.q)
-            return -val, -pair[:active]
-
-        rng = np.random.default_rng(seed)
-        starts = [warm] + [rng.standard_normal(active) for _ in range(9)]
-        weights = spec.basis.eigenvalues[:active] ** spec.r
-        val, point = projected_ascent(value_grad, starts, weights, 300)
-        got_val, got_point = _sphere_extremal(
-            spec, active, spec.q, spec.r, seed=seed, warm_start=warm
-        )
-        assert got_val == -val
-        assert np.array_equal(got_point, point)
-        assert sum(moment_rows) == len(calls)
-
-    @pytest.mark.parametrize("lengths, n", [((math.pi,), 32), ((math.pi, 2.0), 24)])
-    def test_gn_constant_matches_oracle(self, lengths, n, moment_rows):
-        from indefsaddle.solve import _gn_constant
-
-        spec = ProblemSpec.create(BoxDomain(lengths), n=n, r=0.8, p=3.0, q=2.5)
-        exponent, theta, seed = spec.p, 0.4, 5
-        weights = spec.basis.eigenvalues ** (2.0 - spec.r)
-        calls = []
-
-        def value_grad(c):
-            calls.append(1)
-            num_int, pair = power_moment(spec, c, exponent)
+            num_int, pair = oracles.power_moment(spec, c, exponent)
             l2sq = float(np.dot(c, c))
             sobsq = float(np.dot(weights * c, c))
             ratio = num_int ** (1.0 / (exponent + 1.0)) / (
@@ -1113,11 +1102,144 @@ class TestBatchedAscent:
                 - (1.0 - theta) * weights * c / sobsq
             )
 
-        rng = np.random.default_rng(seed)
-        starts = [rng.standard_normal(spec.n) for _ in range(10)]
-        val, _ = projected_ascent(value_grad, starts, weights, 200)
-        assert _gn_constant(spec, exponent, 2.0 - spec.r, theta, seed) == max(0.0, val)
-        assert sum(moment_rows) == len(calls)
+        return value_grad, weights
+
+    @pytest.mark.parametrize("lengths, n", [((math.pi,), 32), ((math.pi, 2.0), 24)])
+    def test_sphere_extremal_matches_oracle(self, lengths, n, moment_calls, point_calls):
+        """A mixed stage, whose p group's rows all stop before the q group's."""
+        from oracles import sphere_minimum
+
+        from indefsaddle.solve import _sphere_extremals
+
+        spec = ProblemSpec.create(BoxDomain(lengths), n=n, r=0.8, p=3.0, q=2.5)
+        active, seed = 4, 7
+        warm_q, warm_p = np.array([1.0, -0.5, 0.0, 0.25]), np.array([0.5, 0.0, -1.0, 0.25])
+        got = _sphere_extremals(spec, active, seed, warm_q, warm_p)
+        want = [
+            sphere_minimum(spec, active, spec.q, spec.r, seed, warm_q),
+            sphere_minimum(spec, active, spec.p, 2.0 - spec.r, seed + 1, warm_p),
+        ]
+        for (got_val, got_point), (val, point) in zip(got, want):
+            assert got_val == val
+            assert np.array_equal(got_point, point)
+        for exponent in (spec.q, spec.p):  # one row evaluated per oracle point
+            rows = sum(rows for e, rows in moment_calls if e == exponent)
+            assert rows == point_calls.count(exponent)
+        # the groups call apart, and the q group calls on after the last
+        # rows of the p group have stopped
+        assert all(rows <= 10 for _, rows in moment_calls)
+        last_p = max(i for i, (e, _) in enumerate(moment_calls) if e == spec.p)
+        assert last_p < len(moment_calls) - 1
+
+    @pytest.mark.parametrize("lengths, n", [((math.pi,), 32), ((math.pi, 2.0), 24)])
+    def test_gn_constant_matches_oracle(self, lengths, n, moment_calls, point_calls):
+        """A mixed stage of two different ratios."""
+        from indefsaddle.solve import _gn_constants
+
+        spec = ProblemSpec.create(BoxDomain(lengths), n=n, r=0.8, p=3.0, q=2.5)
+        theta, zeta, seed = 0.6, 0.4, 5
+        want = []
+        for i, problem in enumerate([(spec.q, spec.r, theta), (spec.p, 2.0 - spec.r, zeta)]):
+            value_grad, weights = self.gn_ratio(spec, *problem)
+            rng = np.random.default_rng(seed + i)
+            starts = [rng.standard_normal(spec.n) for _ in range(10)]
+            want.append(max(0.0, projected_ascent(value_grad, starts, weights, 200)[0]))
+        assert _gn_constants(spec, theta, zeta, seed) == want
+        for exponent in (spec.q, spec.p):  # one row evaluated per oracle point
+            rows = sum(rows for e, rows in moment_calls if e == exponent)
+            assert rows == point_calls.count(exponent)
+
+    def test_shared_stages_match_oracle(self, cubic_spec, moment_calls, point_calls, monkeypatch):
+        """At p = q, r = 1 both groups of a stage climb one function, by one
+        call per step while their rows fit the stack, and by one call per
+        group past it, along the oracle's paths either way."""
+        from oracles import sphere_minimum
+
+        from indefsaddle.solve import _gn_constants, _sphere_extremals
+
+        spec, active, seed = cubic_spec, 4, 7
+        warm_q, warm_p = np.array([1.0, -0.5, 0.0, 0.25]), np.array([0.5, 0.0, -1.0, 0.25])
+        want = [
+            sphere_minimum(spec, active, 3.0, 1.0, seed, warm_q),
+            sphere_minimum(spec, active, 3.0, 1.0, seed + 1, warm_p),
+        ]
+        value_grad, weights = self.gn_ratio(spec, 3.0, 1.0, 0.75)
+        want_gn = [
+            max(0.0, projected_ascent(
+                value_grad, [rng.standard_normal(spec.n) for _ in range(10)], weights, 200
+            )[0])
+            for rng in map(np.random.default_rng, (5, 6))
+        ]
+        oracle_rows = len(point_calls)
+        energy_module = importlib.import_module("indefsaddle.energy")
+        shapes = []  # per stack size: the rows of each call of each stage
+        for stack in (energy_module._STACK_VALUES, 15 * spec.tables.points):
+            monkeypatch.setattr(energy_module, "_STACK_VALUES", stack)
+            moment_calls.clear()
+            got = _sphere_extremals(spec, active, seed, warm_q, warm_p)
+            for (got_val, got_point), (val, point) in zip(got, want):
+                assert got_val == val
+                assert np.array_equal(got_point, point)
+            sphere = [rows for _, rows in moment_calls]
+            moment_calls.clear()
+            assert _gn_constants(spec, 0.75, 0.75, 5) == want_gn
+            shapes.append((sphere, [rows for _, rows in moment_calls]))
+        (sphere, gn), (capped_sphere, capped_gn) = shapes
+        assert sum(sphere + gn) == sum(capped_sphere + capped_gn) == oracle_rows
+        # one call of all running rows per step (every GN row runs 200 steps)
+        assert sphere[0] == 20 and sphere == sorted(sphere, reverse=True)
+        assert gn == [20] * 201
+        # 15 rows a stack: a call per group (10 rows at most) while more
+        # than 15 rows run, then one call of them all
+        calls = iter(capped_sphere)
+        for running in sphere:
+            rows = next(calls)
+            assert rows == running if running <= 15 else rows + next(calls) == running
+        assert next(calls, None) is None and max(capped_sphere) > 10
+        assert capped_gn == [10] * 402
+
+    def test_levels_call_once_per_step_at_p_equal_q(self, cubic_spec, moment_calls, monkeypatch):
+        """At 1-D n = 32, p = q = 3, r = 1, every step of each of the six
+        stages of estimate_levels makes one call, of the rows of both groups
+        still running: as many rows as the per-start oracle has running."""
+        from indefsaddle import solve
+
+        real = solve._projected_ascent
+        stages, want = [], []
+
+        def staged(groups, iters, cap):
+            mark = len(moment_calls)
+            evaluations = []  # of each start alone, by the oracle
+            for value_grad, starts, weights in groups:
+                for start in starts:
+                    calls = []
+
+                    def point(c, value_grad=value_grad, calls=calls):
+                        calls.append(1)
+                        vals, grads = value_grad(c[None])
+                        return vals[0], grads[0]
+
+                    projected_ascent(point, [start], weights, iters)
+                    evaluations.append(len(calls))
+            del moment_calls[mark:]
+            stages.append(len(groups))
+            want.extend(sum(e > step for e in evaluations) for step in range(max(evaluations)))
+            return real(groups, iters, cap)
+
+        monkeypatch.setattr(solve, "_projected_ascent", staged)
+        estimate_levels(cubic_spec, k_max=5, samples=0)
+        assert stages == [2] * 6
+        assert [rows for _, rows in moment_calls] == want
+
+    def test_levels_calls_stay_within_the_stack_in_2d(self, moment_calls):
+        """At 2-D n = 64 a stage's 20 rows exceed the stack size, so each
+        group calls alone until they fit."""
+        from indefsaddle.energy import _stack_rows
+
+        spec = ProblemSpec.create(BoxDomain((math.pi, math.pi)), n=64, r=1.0, p=3.0, q=3.0)
+        assert _stack_rows(spec) < 10
+        estimate_levels(spec, k_max=5, samples=0)
+        assert max(rows for _, rows in moment_calls) == 10
 
     def test_rows_capped_by_iters_match_oracle(self, cubic_spec):
         """Rows that stop on the step count, not the step size, stop alike;
@@ -1138,7 +1260,9 @@ class TestBatchedAscent:
         weights = cubic_spec.basis.eigenvalues
         for iters in (1, 3, 8):
             val, point = projected_ascent(point_value_grad, starts, weights, iters)
-            got_val, got_point = _projected_ascent(rows_value_grad, starts, weights, iters)
+            [(got_val, got_point)] = _projected_ascent(
+                [(rows_value_grad, starts, weights)], iters, len(starts)
+            )
             assert got_val == val
             assert np.array_equal(got_point, point)
 
