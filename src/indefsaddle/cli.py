@@ -399,12 +399,10 @@ def _rows(record_type, records) -> tuple[list[str], list[list]]:
 
 
 def _run_region(cfg: RunConfig) -> tuple[list[str], Iterable[tuple]]:
-    # the rows are RegionRow named tuples, written as they are; CSV rows are
-    # written block by block as they are scanned, so that a scan at the grid
+    # the rows are RegionRow named tuples, written as they are, scanned block
+    # by block as the writer asks for them, so that a CSV scan at the grid
     # cap never holds all its rows
     header = list(region.RegionRow._fields)
-    if cfg.format == "json":
-        return header, region.region_scan(cfg.N, cfg.p_grid, cfg.q_grid)
     return header, itertools.chain.from_iterable(
         region.scan_blocks(cfg.N, cfg.p_grid, cfg.q_grid)
     )

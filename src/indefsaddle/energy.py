@@ -230,11 +230,12 @@ def _hypot1(e):
 # 64 KB per float array of one evaluated stack: larger stacks are no faster,
 # and raise the peak RSS of a level search (by 9 MB for 221 rows of 2-D n = 64).
 # The level ascents share a power-moment call between the two problems of a
-# stage only while their rows fit this size: in one series of runs on a
-# 2-core x86-64 VM, a shared 20-row call in 2-D at n = 64 (arrays of
-# 203 KiB, past glibc's 128 KiB mmap threshold) made a levels command about
-# 1.3 times slower, and raising that threshold by environment variable
-# removed the slowdown (a later series stayed within its run-to-run spread)
+# stage only while their rows fit this size.  On a 2-core x86-64 VM, shared
+# 20-row calls in 2-D at n = 64 (arrays of 203 KiB) made that levels command
+# 1.2 times slower: median 0.205 against 0.171 s, slower in 12 of 12
+# alternating pairs of runs.  Whether glibc's 128 KiB mmap threshold is the
+# cause is open: raising it by environment variable removed the slowdown in
+# one series of runs and not in a later one.
 _STACK_VALUES = 1 << 13
 
 

@@ -306,6 +306,8 @@ def scan_blocks(N: int, p_grid: list[float], q_grid: list[float]) -> Iterator[li
     points each where a p row fits, each scanned by its own region_scan call
     as it is asked for.  The grid is checked by this call, so its ValueError
     comes before the first block."""
+    # each block goes through region_scan, not straight to _scan_columns, so
+    # that a trace of region_scan still sees every scanned point
     if not (len(p_grid) and len(q_grid)):
         return iter(())
     _check_grid(N, p_grid, q_grid)

@@ -41,7 +41,8 @@ advances the restarts of both problems at once as the rows of one stack on
 the grid tables, each row on the path it takes alone.  Where the two
 problems climb the same function (the sphere minima at p = q, and the
 constants too at r = 1), their rows share one power-moment call per step
-while they fit energy._stack_rows; past it, each problem calls alone.
+while they fit energy._stack_rows; past it, each problem calls alone, as
+larger shared calls measured slower (see energy._STACK_VALUES).
 """
 
 from __future__ import annotations
@@ -632,7 +633,8 @@ def _projected_ascent(groups, iters: int, cap: int):
     otherwise.  A row stops when its step falls below 1e-12 or after `iters`
     steps, and only rows still running are evaluated.  Groups with the same
     value_grad object share one call while their running rows number at
-    most `cap`; past it each group makes its own call.  value_grad gives
+    most `cap`; past it each group makes its own call, which only decides
+    whether groups merge and never splits a group.  value_grad gives
     every row the values it gives the row alone, so each row takes the path
     it would take alone.  Returns, per group, the best value, the first in
     start order on ties, and the point that reached it.  A row whose
