@@ -127,10 +127,10 @@ _MOST = {"samples": 10**6}
 # the most points a {start, stop, step} range, and a region scan, may have
 _MAX_GRID_POINTS = 10**6
 # the largest truncation n, checked before parsing enumerates the basis.
-# Newton builds n x n matrices only below solve._KRYLOV_N: there a step's
-# Schur complement and its two Galerkin blocks (float64), and the 2^d
-# gather-index arrays of a 3-D block (8 n x n int64).  From it on, GMRES
-# holds its Krylov basis, (iterations + 1) vectors of n floats.  The cap
+# Newton builds n x n matrices only below solve._KRYLOV_N (see solve._schur):
+# there a step's Schur complement and its two Galerkin blocks (float64), and
+# the 2^d gather-index arrays of a 3-D block (8 n x n int64).  From it on,
+# GMRES holds its Krylov basis, (iterations + 1) vectors of n floats.  The cap
 # stays until a 3-D n = 2000 benchmark case measures a larger one
 _MAX_N = 2000
 # the most collocation grid points (n and oversample set the grid): 32 MB per

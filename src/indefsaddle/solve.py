@@ -2,19 +2,16 @@
 
 The residual is the coefficient-space gradient of the energy (its zeros are
 the Galerkin solutions of the system): `residual` is energy.energy_gradient
-under the solver's name.  Newton reads the residual and the blocks of its
-Jacobian from one energy.Evaluation per iterate, so u and v are synthesized
-once per point; the diagonal blocks are the Galerkin matrices of the power
-derivatives and the off-diagonal blocks the diagonal of the eigenvalues.  No
-2n x 2n Jacobian is assembled: each step eliminates one block through that
-diagonal and solves one n x n Schur complement, by one of two linear
-solves.  Below n = _KRYLOV_N, a measured crossover, the blocks are built
-from their cosine moments on the grid tables of the basis
-(basis.GridTables) and the complement is solved densely; from it on, GMRES
-solves it, applying the blocks on the grid (Evaluation.apply_blocks), so no
-n x n matrix or gather index is built.  The dense-matrix residual and
-Jacobian, the Jacobian assembled from the blocks, the dense solves that
-check the step and scipy's GMRES, which checks this one, live in the tests.
+under the solver's name.  Newton reads the residual and the grid weights of
+its Jacobian from one energy.Evaluation per iterate, so u and v are
+synthesized once per point.  No 2n x 2n Jacobian is assembled: each step
+solves one n x n Schur complement, whose operator one helper, _schur,
+realizes below n = _KRYLOV_N, a measured crossover, as matrices built on
+the grid tables of the basis (basis.GridTables) with a dense solve, and
+from it on as products on the grid with GMRES, so that no n x n matrix or
+gather index is built.  The dense-matrix residual and Jacobian, the
+Jacobian assembled from the blocks, the dense solves that check the step
+and scipy's GMRES, which checks this one, live in the tests.
 There is one Newton loop; deflation is an option of it, which multiplies the
 residual by prod_i (dist_i^-2 + 1) over known solutions so Newton runs land
 on new ones (the rank-one term this adds to the Jacobian enters the step by
@@ -138,7 +135,8 @@ def newton_solve(
     fixed ladder 1, 1/2, ..., 2^-39 that decreases the (deflated) residual
     norm (see _backtrack), so every accepted step is monotone.  Stalling at
     the end of the ladder or exhausting max_iter returns the best iterate
-    with a diagnostic (a bad seed, not an error).
+    with a diagnostic (a bad seed, not an error); a seed whose residual
+    norm is not finite raises ValueError.
     """
     config = config or NewtonConfig()
     known = known or []
@@ -158,6 +156,8 @@ def newton_solve(
 
     res = ev.gradient()
     rn = res.norm()
+    if not math.isfinite(rn):  # the seed's powers, or their squares, overflow
+        raise ValueError("coefficients must be finite")
     d2 = _distances(ev.vecs[None], known_stack, weights)[0]
     m = _deflation_factor(d2)
     fn = m * rn
@@ -193,42 +193,55 @@ def _newton_step(ev: Evaluation, r: np.ndarray, m: float = 1.0, a: np.ndarray | 
     by the deflation factor m, whose gradient is a (None for plain Newton,
     whose step is -J^-1 r).
 
-    J = [[-P, L], [L, -Q]] (P and Q the Galerkin blocks of the Evaluation,
-    L the diagonal of the eigenvalues, all positive) is never assembled:
-    w = J^-1 r comes from one n x n solve with the Schur complement
-    S = L - P L^-1 Q, as S y = r_u + P L^-1 r_v and x = L^-1 (r_v + Q y), and
-    J is invertible exactly when S is.  Below n = _KRYLOV_N the blocks are
-    built and S is solved densely.  From it on, y comes from GMRES on
-    L^-1 S = I - L^-1 P L^-1 Q, a compact perturbation of the identity, to
-    relative residual 1e-10, applying P and Q through
-    Evaluation.apply_blocks, so no n x n matrix is built.  Deflation's
-    rank-one term enters by Sherman-Morrison, as the step -m w / (m + a.w).
-    Raises LinAlgError when S is singular (or GMRES does not converge in n
-    iterations), or m + a.w is 0 or not finite."""
+    J = [[-P, L], [L, -Q]] is never assembled: w = J^-1 r comes from one
+    n x n solve with the Schur complement S = L - P L^-1 Q (see _schur), as
+    S y = r_u + P L^-1 r_v and x = L^-1 (r_v + Q y), and J is invertible
+    exactly when S is.  Deflation's rank-one term enters by Sherman-Morrison,
+    as the step -m w / (m + a.w).  Raises LinAlgError when S is singular (or
+    GMRES does not converge in n iterations), or m + a.w is 0 or not finite."""
     lam, n = ev.spec.basis.eigenvalues, ev.spec.n
-    if n >= _KRYLOV_N:
-        def P(x):
-            return ev.apply_blocks(x_u=x)[0]
-
-        def Q(x):
-            return ev.apply_blocks(x_v=x)[1]
-
-        y = _gmres(lambda x: x - P(Q(x) / lam) / lam, (r[:n] + P(r[n:] / lam)) / lam)
-        w = np.concatenate([(r[n:] + Q(y)) / lam, y])
-    else:
-        P, Q = ev.galerkin_blocks()
-        P /= lam  # P L^-1
-        S = P @ Q
-        np.negative(S, out=S)
-        S.flat[:: n + 1] += lam
-        y = np.linalg.solve(S, r[:n] + P @ r[n:])
-        w = np.concatenate([(r[n:] + Q @ y) / lam, y])
+    PL, Q, solve = _schur(ev)
+    y = solve(r[:n] + PL(r[n:]))
+    w = np.concatenate([(r[n:] + Q(y)) / lam, y])
     if a is None:
         return -w
     denominator = m + float(np.dot(a, w))
     if denominator == 0.0 or not math.isfinite(denominator):
         raise np.linalg.LinAlgError("singular deflated Jacobian")
     return (-m / denominator) * w
+
+
+def _schur(ev: Evaluation):
+    """The Newton operator at ev, as the functions x -> P L^-1 x, x -> Q x
+    and b -> S^-1 b, with P and Q the (exactly symmetric) Galerkin matrices
+    of q|u|^(q-1) and p|v|^(p-1), L the diagonal of the eigenvalues (all
+    positive) and S = L - P L^-1 Q the Schur complement of the Jacobian
+    [[-P, L], [L, -Q]].  Below n = _KRYLOV_N, P L^-1 and Q are built from
+    their cosine moments on the grid tables and S is solved densely.  From
+    it on, P and Q are applied on the grid (P x is the pairing of
+    q|u|^(q-1) times the grid values of x against every mode, Q x the same
+    with p|v|^(p-1)), so no n x n matrix or gather index is built, and S y = b
+    is solved by GMRES on L^-1 S = I - L^-1 P L^-1 Q, a compact perturbation
+    of the identity, to relative residual 1e-10.  The solve raises
+    LinAlgError when S is singular or GMRES does not converge in n
+    iterations."""
+    spec, (wu, wv) = ev.spec, ev.weights
+    lam, n, tables = spec.basis.eigenvalues, spec.n, spec.tables
+    if n >= _KRYLOV_N:
+        def PL(x):
+            return spec.q * tables.pairings(wu * tables.evaluate(x / lam))
+
+        def Q(x):
+            return spec.p * tables.pairings(wv * tables.evaluate(x))
+
+        return PL, Q, lambda b: _gmres(lambda x: x - PL(Q(x)) / lam, b / lam)
+    P = tables.galerkin(spec.q * wu)
+    P /= lam  # P L^-1
+    Q = tables.galerkin(spec.p * wv)
+    S = P @ Q
+    np.negative(S, out=S)
+    S.flat[:: n + 1] += lam
+    return P.__matmul__, Q.__matmul__, lambda b: np.linalg.solve(S, b)
 
 
 def _gmres(op, b: np.ndarray, rtol: float = 1e-10) -> np.ndarray:

@@ -23,7 +23,8 @@ and deflated by a Python loop over the known points.  Its Newton step is the
 library's solve._newton_step, fed the oracle's own deflation factor and
 gradient, so that the ladders compare bit for bit; the step itself is
 checked in test_solver against dense solves of the Jacobian that
-assembled_jacobian builds from the library's Galerkin blocks.
+assembled_jacobian builds from the Galerkin matrices of the library's grid
+tables.
 
 The region oracle is the exponent-plane scan run one point at a time, with
 the branches of its status and of its r_star as Python control flow over
@@ -101,10 +102,11 @@ def grid_quadrature(values: np.ndarray, domain) -> float:
 
 def assembled_jacobian(z, spec) -> np.ndarray:
     """The residual's 2n x 2n Jacobian [[-P, Lambda], [Lambda, -Q]] assembled
-    from the library's Galerkin blocks P and Q, Lambda the diagonal of the
-    eigenvalues."""
+    from P and Q, the Galerkin matrices of q|u|^(q-1) and p|v|^(p-1) on the
+    library's grid tables, Lambda the diagonal of the eigenvalues."""
     n = spec.n
-    P, Q = Evaluation.at(z, spec).galerkin_blocks()
+    wu, wv = Evaluation.at(z, spec).weights
+    P, Q = spec.tables.galerkin(spec.q * wu), spec.tables.galerkin(spec.p * wv)
     J = np.zeros((2 * n, 2 * n))
     J[:n, :n] = -P
     J[n:, n:] = -Q

@@ -483,6 +483,20 @@ class TestCommands:
         assert status == 1
         assert capsys.readouterr().err.splitlines() == ["error: coefficients must be finite"]
 
+    def test_overflowing_seed_above_the_crossover_exits_one(self, tmp_path, capsys):
+        """At n = 128, where Newton's step solves by GMRES, a seed whose
+        residual norm overflows ends as it does below: one error line, no
+        output file."""
+        config = {
+            "command": "solve",
+            "problem": {"lengths": [math.pi], "n": 128},
+            "solve": {"initial_u": [1e80], "initial_v": [1e80]},
+        }
+        cfg = write_config(tmp_path, "seed.json", config)
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.splitlines() == ["error: coefficients must be finite"]
+        assert not list(tmp_path.glob("out*"))
+
     def test_level_radius_overflow_exits_one(self, tmp_path, capsys):
         # near p = q = 1 the radius (1/(2 c_k))^(1/(m-2)) leaves the float range
         config = {

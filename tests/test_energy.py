@@ -427,26 +427,34 @@ class TestEvaluationStacks:
             assert [_bits(q) for q in alone] == [_bits(q[i]) for q in stacked]
 
     @pytest.mark.parametrize("lengths", [(math.pi,), (1.0, 2.5), (1.0, 1.3, 2.0)])
-    def test_rows_carry_the_weights_of_their_blocks(self, lengths):
+    def test_rows_carry_the_weights_of_their_blocks(self, lengths, monkeypatch):
         """A stack's row hands on its grid weights, bit for bit the point's
-        own, and the Galerkin blocks built from them are those of the
-        formulas q|u|^(q-1) and p|v|^(p-1) on the point's grid values."""
+        own, and the Newton operator built from them (solve._schur, with its
+        blocks as matrices and on the grid) gives the point's own products
+        and Schur solve bit for bit; the matrices are those of the formulas
+        q|u|^(q-1) and p|v|^(p-1) on the point's grid values."""
+        from indefsaddle import solve
+
         spec = ProblemSpec.create(BoxDomain(lengths), n=14, r=1.0, p=3.0, q=2.5)
         rng = np.random.default_rng(20 + len(lengths))
         pairs = [random_pair(spec, rng, scale=10.0 ** rng.uniform(-1, 1.5)) for _ in range(4)]
         stack = Evaluation(_packed(pairs), spec)
         stack.gradient()  # its pairings, and with them its weights
-        tables = spec.tables
+        tables, lam = spec.tables, spec.basis.eigenvalues
+        x = rng.standard_normal(spec.n)
         for i, z in enumerate(pairs):
             row, alone = stack.row(i), Evaluation.at(z, spec)
             assert "weights" in vars(row)
             assert list(map(_bits, row.weights)) == list(map(_bits, alone.weights))
-            want = (
-                tables.galerkin(spec.q * np.abs(alone.u_vals) ** (spec.q - 1.0)),
-                tables.galerkin(spec.p * np.abs(alone.v_vals) ** (spec.p - 1.0)),
-            )
-            assert list(map(_bits, row.galerkin_blocks())) == list(map(_bits, want))
-            assert list(map(_bits, alone.galerkin_blocks())) == list(map(_bits, want))
+            P = tables.galerkin(spec.q * np.abs(alone.u_vals) ** (spec.q - 1.0))
+            Q = tables.galerkin(spec.p * np.abs(alone.v_vals) ** (spec.p - 1.0))
+            want = [_bits((P / lam) @ x), _bits(Q @ x)]
+            for crossover in (solve._KRYLOV_N, 0):  # dense, then on the grid
+                monkeypatch.setattr(solve, "_KRYLOV_N", crossover)
+                got = [[_bits(f(x)) for f in solve._schur(ev)] for ev in (row, alone)]
+                assert got[0] == got[1]
+                if crossover:
+                    assert got[0][:2] == want
 
     def test_rows_cover_the_cutoff_transition(self, forced_spec):
         cutoff = CutoffConfig(0.5)

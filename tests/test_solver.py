@@ -115,11 +115,11 @@ def test_tables_match_dense_oracle(lengths, oversample):
         res, dense = residual(z, spec), dense_residual(z, spec)
         assert _relative_gap(res.du, dense.du) <= 1e-13
         assert _relative_gap(res.dv, dense.dv) <= 1e-13
-        blocks, J_dense = Evaluation.at(z, spec).galerkin_blocks(), dense_jacobian(z, spec)
+        J, J_dense = assembled_jacobian(z, spec), dense_jacobian(z, spec)
         n = spec.n
-        for B, block in zip(blocks, (np.s_[:n, :n], np.s_[n:, n:])):
-            assert _relative_gap(-B, J_dense[block]) <= 1e-13
-            assert np.array_equal(B, B.T)
+        for block in (np.s_[:n, :n], np.s_[n:, n:]):
+            assert _relative_gap(J[block], J_dense[block]) <= 1e-13
+            assert np.array_equal(J[block], J[block].T)
         S, weight = grid_data(spec)
         tables = spec.basis.grid_tables(grid_shape(spec.basis, oversample))
         values = tables.evaluate(z.u.coeffs)
@@ -131,6 +131,8 @@ def test_tables_match_dense_oracle(lengths, oversample):
 
 def test_gathers_are_built_by_the_first_jacobian():
     """Work that needs no Jacobian never holds the 2^d gather-index arrays."""
+    from indefsaddle import solve
+
     spec = ProblemSpec.create(BoxDomain((1.0, 2.5)), n=12, r=1.0, p=3.0, q=3.0, h=[0.05])
     mode = SpectralField.unit(spec.basis, 1)
     z = FieldPair(mode, 2.0 * mode, spec.r)
@@ -138,7 +140,7 @@ def test_gathers_are_built_by_the_first_jacobian():
     energy(z, spec)
     estimate_levels(spec, k_max=2, samples=5)
     assert "gathers" not in vars(spec.tables)
-    Evaluation.at(z, spec).galerkin_blocks()
+    solve._schur(Evaluation.at(z, spec))  # the Newton operator, as matrices at this n
     assert len(spec.tables.gathers) == 4
 
 
@@ -521,7 +523,9 @@ class TestBacktracking:
     def test_non_finite_step_raises(self, cubic_spec, monkeypatch, scale, fill):
         """A candidate with a non-finite coefficient raises where the
         sequential ladder reaches it; with scale 1.5e308 the full and the
-        half step overflow and the quarter step does not."""
+        half step overflow and the quarter step does not (there the seed's
+        own residual norm overflows, so newton_solve raises before its first
+        step)."""
         from indefsaddle import solve
 
         mode = SpectralField.unit(cubic_spec.basis, 1)
@@ -531,6 +535,21 @@ class TestBacktracking:
             for newton in (sequential_newton, newton_solve):
                 with pytest.raises(ValueError, match="coefficients must be finite"):
                     newton(seed, cubic_spec)
+
+    @pytest.mark.parametrize("deflated", [False, True])
+    @pytest.mark.parametrize("amplitude", [1e80, 1e200])
+    @pytest.mark.parametrize("n", [8, 128])
+    def test_overflowing_seed_raises_on_both_sides_of_the_crossover(self, n, amplitude, deflated):
+        """A seed whose residual norm is not finite raises before the first
+        step, whether the step would solve densely (n = 8) or by GMRES
+        (n = 128)."""
+        spec = ProblemSpec.create(BoxDomain((math.pi,)), n, 1.0, 3.0, 3.0)
+        mode = SpectralField.unit(spec.basis, 1)
+        seed = FieldPair(amplitude * mode, amplitude * mode, 1.0)
+        known = [spec.zero_pair()] if deflated else None
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="coefficients must be finite"):
+                newton_solve(seed, spec, known=known)
 
     def test_deflation_matches_oracle(self, cubic_spec):
         from indefsaddle.solve import _deflation_factor, _deflation_gradient, _distances
@@ -678,16 +697,49 @@ class TestNewtonStep:
                 assert np.linalg.norm(step - deflated) <= tol * np.linalg.norm(deflated)
 
     @pytest.mark.parametrize("lengths", [(math.pi,), (1.0, 2.5), (1.0, 1.3, 2.0)])
-    def test_apply_blocks_matches_the_galerkin_blocks(self, lengths):
+    def test_grid_products_match_the_dense_products(self, lengths, monkeypatch):
+        """The Newton operator's products P L^-1 x and Q x on the grid (the
+        crossover moved to 0) against those of its Galerkin matrices."""
+        from indefsaddle import solve
+
         spec = ProblemSpec.create(BoxDomain(lengths), 24, 1.0, 3.0, 2.5, h=[0.05])
         rng = np.random.default_rng(len(lengths))
         ev = Evaluation(np.tile(spec.basis.eigenvalues ** -0.5, 2) * rng.standard_normal(48), spec)
-        P, Q = ev.galerkin_blocks()
         x_u, x_v = rng.standard_normal((2, 24))
-        Px, Qx = ev.apply_blocks(x_u, x_v)
-        assert np.linalg.norm(Px - P @ x_u) <= 1e-13 * np.linalg.norm(P @ x_u)
-        assert np.linalg.norm(Qx - Q @ x_v) <= 1e-13 * np.linalg.norm(Q @ x_v)
-        assert ev.apply_blocks(x_u=x_u)[1] is None and ev.apply_blocks(x_v=x_v)[0] is None
+        PL, Q, _ = solve._schur(ev)
+        want = PL(x_u), Q(x_v)
+        monkeypatch.setattr(solve, "_KRYLOV_N", 0)
+        PL, Q, _ = solve._schur(ev)
+        for got, dense in zip((PL(x_u), Q(x_v)), want):
+            assert np.linalg.norm(got - dense) <= 1e-13 * np.linalg.norm(dense)
+
+    @pytest.mark.parametrize("p, q", [(3.0, 3.0), (2.0, 5.0)])
+    @pytest.mark.parametrize(
+        "lengths, n",
+        [
+            ((math.pi,), 32), ((math.pi,), 130), ((math.pi, 1.3), 40),
+            ((math.pi, 1.3), 140), ((1.0, 1.2, 1.5), 150),
+        ],
+    )
+    def test_compact_part_has_the_exact_eigenvalue_pq(self, lengths, n, p, q, monkeypatch):
+        """At an unforced solution (u, v), Q v = p L u and P u = q L v hold in
+        the quadrature, so X = L^-1 P L^-1 Q, the compact part of L^-1 S, has
+        X v = pq v: for each record of a hunt, on both sides of the
+        crossover."""
+        from indefsaddle import solve
+
+        r = 1.25 if len(lengths) == 3 and p != q else 1.0  # inside the 3-D window
+        spec = ProblemSpec.create(BoxDomain(lengths), n, r, p, q)
+        lam = spec.basis.eigenvalues
+        records = find_branch(spec).records
+        assert records
+        for rec in records:
+            v = rec.z.v.coeffs
+            for crossover in (0, 10**6):  # on the grid, then as matrices
+                monkeypatch.setattr(solve, "_KRYLOV_N", crossover)
+                PL, Q, _ = solve._schur(Evaluation.at(rec.z, spec))
+                Xv = PL(Q(v)) / lam
+                assert np.linalg.norm(Xv - p * q * v) <= 1e-9 * np.linalg.norm(p * q * v)
 
     def test_krylov_newton_matches_the_dense_run(self, monkeypatch):
         """Above the crossover Newton takes the dense run's iterations and
