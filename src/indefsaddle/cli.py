@@ -7,10 +7,10 @@ Commands, each one runner of the table `_RUNNERS`
     levels   minimax-level brackets                   -> LevelBracket rows
     check    module invariant suite                   -> CheckResult rows
 
-A row command's runner returns the field names of its records and each
-record's field values, written as CSV, or as JSON rows with `format` (or
---format) "json"; asking solve or branch for CSV is a config error.  The
-levels, branch and solve sections are passed to the library calls as keyword
+A row command's runner returns the fields of its record NamedTuple and the
+records, written as CSV, or as JSON rows with `format` (or --format)
+"json"; asking solve or branch for CSV is a config error.  The levels,
+branch and solve sections are passed to the library calls as keyword
 arguments, so each default lives in the library signature only.
 
 The flags --seed, --format and a non-empty --out are merged into the config
@@ -44,7 +44,6 @@ import sys
 import time
 from collections.abc import Iterable
 from dataclasses import dataclass, field
-from dataclasses import fields as dataclass_fields
 
 import numpy as np
 
@@ -336,7 +335,7 @@ def _cells(column: tuple) -> list[str]:
     return list(map({v: _fmt(v) for v in values}.__getitem__, column))
 
 
-def _write_csv(path: str, header: list[str], rows: Iterable) -> int:
+def _write_csv(path: str, header: tuple[str, ...], rows: Iterable[tuple]) -> int:
     """Write the rows as CSV, formatted column by column in blocks of rows,
     each block drawn from the iterable as it is written; returns the number
     of rows."""
@@ -392,29 +391,21 @@ def load_solutions(path: str) -> tuple[ProblemSpec, CutoffConfig, list[FieldPair
     return spec, cutoff, pairs
 
 
-def _rows(record_type, records) -> tuple[list[str], list[list]]:
-    """The field names of a record dataclass, and each record's field values."""
-    header = [f.name for f in dataclass_fields(record_type)]
-    return header, [list(vars(rec).values()) for rec in records]
-
-
-def _run_region(cfg: RunConfig) -> tuple[list[str], Iterable[tuple]]:
-    # the rows are RegionRow named tuples, written as they are, scanned block
-    # by block as the writer asks for them, so that a CSV scan at the grid
-    # cap never holds all its rows
-    header = list(region.RegionRow._fields)
-    return header, itertools.chain.from_iterable(
+def _run_region(cfg: RunConfig) -> tuple[tuple[str, ...], Iterable[region.RegionRow]]:
+    # the rows are scanned block by block as the writer asks for them, so
+    # that a CSV scan at the grid cap never holds all its rows
+    return region.RegionRow._fields, itertools.chain.from_iterable(
         region.scan_blocks(cfg.N, cfg.p_grid, cfg.q_grid)
     )
 
 
-def _run_levels(cfg: RunConfig) -> tuple[list[str], list[list]]:
+def _run_levels(cfg: RunConfig) -> tuple[tuple[str, ...], list[LevelBracket]]:
     brackets = estimate_levels(cfg.problem, cutoff=cfg.cutoff, seed=cfg.seed, **cfg.levels)
-    return _rows(LevelBracket, brackets)
+    return LevelBracket._fields, brackets
 
 
-def _run_check(cfg: RunConfig) -> tuple[list[str], list[list]]:
-    return _rows(suite.CheckResult, suite.run_all(seed=cfg.seed))
+def _run_check(cfg: RunConfig) -> tuple[tuple[str, ...], list[suite.CheckResult]]:
+    return suite.CheckResult._fields, suite.run_all(seed=cfg.seed)
 
 
 def _solution_set(cfg: RunConfig, solutions, **run_fields) -> dict:
@@ -485,7 +476,7 @@ _RUNNERS = {
 COMMANDS = tuple(_RUNNERS)
 
 
-def _write_rows(cfg: RunConfig, header: list[str], rows: Iterable) -> int:
+def _write_rows(cfg: RunConfig, header: tuple[str, ...], rows: Iterable[tuple]) -> int:
     """Write the rows in the configured format; returns the number of rows."""
     if cfg.format == "json":
         rows = [dict(zip(header, row)) for row in rows]
@@ -540,8 +531,8 @@ def main(argv: list[str] | None = None) -> int:
             else:
                 header, rows = result
                 items = _write_rows(cfg, header, rows)
-                if "passed" in header:  # a check suite: a failed check exits 3
-                    failures = sum(not row[header.index("passed")] for row in rows)
+                if cfg.command == "check":  # a failed check exits 3
+                    failures = sum(not row.passed for row in rows)
                     if failures:
                         status = 3
                         print(f"check suite: {failures} of {items} checks FAILED")

@@ -173,9 +173,15 @@ class CutoffConfig:
 
     @staticmethod
     def default_for(spec: ProblemSpec) -> "CutoffConfig":
-        """Default constant max(1, 4(|h|_2 + |k|_2)); override as needed."""
-        size = sobolev_norm(spec.h, 0.0) + sobolev_norm(spec.k, 0.0)
-        return CutoffConfig(bound_constant=max(1.0, 4.0 * size))
+        """Default constant max(1, 4(|h|_2 + |k|_2)), which raises ValueError
+        where it overflows; override as needed."""
+        h, k = sobolev_norm(spec.h, 0.0), sobolev_norm(spec.k, 0.0)
+        if 4.0 * (h + k) == math.inf:
+            raise ValueError(
+                f"the forcing norms |h|_2 = {h}, |k|_2 = {k} give no finite default "
+                "cutoff bound constant 4 (|h|_2 + |k|_2); set cutoff.bound_constant"
+            )
+        return CutoffConfig(bound_constant=max(1.0, 4.0 * (h + k)))
 
 
 def bump(t):

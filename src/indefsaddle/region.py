@@ -64,38 +64,28 @@ def admissible_r_interval(pt: PQPoint) -> tuple[float, float] | None:
     """
     if pt.N <= 2:
         return (0.0, 2.0)
-    return formula_r_window(pt)
-
-
-def formula_r_window(pt: PQPoint) -> tuple[float, float] | None:
-    """Validity window of the interpolation/growth exponent formulas.
-
-    For N >= 3 this coincides with the admissible interval; for N <= 2 it is
-    strictly smaller than (0, 2) because the interpolation exponents must
-    stay in (0, 1].
-    """
-    lo, hi = _window(pt.p, pt.q, pt.N)
-    if lo >= hi:
-        return None
-    return (float(lo), float(hi))
+    lo, hi = map(float, _window(pt.p, pt.q, pt.N))
+    return (lo, hi) if lo < hi else None
 
 
 def _window(p, q, N):
-    """The ends (lo, hi) of formula_r_window, empty where lo >= hi."""
+    """The ends (lo, hi) of the r window of the exponent formulas, empty
+    where lo >= hi: the admissible interval for N >= 3, and for N <= 2 less
+    than (0, 2), as the interpolation exponents must stay in (0, 1]."""
     lo = np.maximum(0.0, N * (0.5 - 1.0 / (q + 1.0)))
     hi = np.minimum(2.0, 2.0 - N * (0.5 - 1.0 / (p + 1.0)))
     return lo, hi
 
 
 def _check_r(pt: PQPoint, r: float) -> None:
-    window = formula_r_window(pt)
-    if window is None:
+    lo, hi = map(float, _window(pt.p, pt.q, pt.N))
+    if lo >= hi:
         raise ValueError(
             f"no valid split parameter exists for p={pt.p}, q={pt.q}, N={pt.N}"
         )
-    if not window[0] < r < window[1]:
+    if not lo < r < hi:
         raise ValueError(
-            f"r={r} outside the valid window ({window[0]}, {window[1]}) "
+            f"r={r} outside the valid window ({lo}, {hi}) "
             f"for p={pt.p}, q={pt.q}, N={pt.N}"
         )
 
@@ -367,11 +357,19 @@ def _scan_columns(p: np.ndarray, q: np.ndarray, N: int) -> tuple[list, ...]:
     )
 
 
+def _check_curve(q: float, N: float) -> None:
+    """Raise ValueError naming q or N unless it is positive and finite."""
+    for name, value in (("q", q), ("N", N)):
+        if not 0.0 < value < math.inf:  # also false for NaN
+            raise ValueError(f"{name} must be positive and finite, got {value}")
+
+
 def hyperbola_boundary_p(q: float, N: float) -> float:
-    """p on the dividing hyperbola at given q (real N > 2 allowed for curves).
+    """p on the dividing hyperbola at given q > 0 and real N > 0, inf if none.
 
     Solves 1/(p+1) + 1/(q+1) = (N-2)/N; at q = 1 this gives (N+4)/(N-4).
     """
+    _check_curve(q, N)
     inv = (N - 2.0) / N - 1.0 / (q + 1.0)
     if inv <= 0.0:
         return math.inf
@@ -382,8 +380,9 @@ def multiplicity_boundary_p(q: float, N: float) -> float:
     """p >= q on the multiplicity-region boundary at given q.
 
     Solves 1/(p+1) + 1/(q+1) + (q+1)/(q(p+1)) = (2N-2)/N for p; at q = 1
-    this gives (3N+4)/(3N-4).
+    this gives (3N+4)/(3N-4).  q and N must be positive and finite.
     """
+    _check_curve(q, N)
     rhs = (2.0 * N - 2.0) / N - 1.0 / (q + 1.0)
     coeff = 1.0 + (q + 1.0) / q
     if rhs <= 0.0:

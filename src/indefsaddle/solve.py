@@ -47,6 +47,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -136,13 +137,16 @@ def newton_solve(
     norm (see _backtrack), so every accepted step is monotone.  Stalling at
     the end of the ladder or exhausting max_iter returns the best iterate
     with a diagnostic (a bad seed, not an error); a seed whose residual
-    norm is not finite raises ValueError.
+    norm is not finite, or a seed or known point off the problem's basis or
+    r, raises ValueError.
     """
     config = config or NewtonConfig()
     known = known or []
+    ev = Evaluation.at(z0, spec)  # the current iterate's, kept for its Jacobian
+    for zi in known:
+        z0._check_compatible(zi)
     weights = _weights(spec.basis, spec.r)
     known_stack = np.array([zi.vec for zi in known]).reshape(len(known), 2 * spec.n)
-    ev = Evaluation.at(z0, spec)  # the current iterate's, kept for its Jacobian
 
     def outcome(iterations: int, converged: bool, message: str = "") -> SolveResult:
         _, symmetric, forcing = ev.terms
@@ -178,8 +182,7 @@ def newton_solve(
         if found is None:
             return outcome(
                 it, False,
-                "deflated line search stalled" if known
-                else "line search stalled below min_step",
+                "deflated line search stalled" if known else "line search stalled",
             )
         ev, res, d2, m, rn = found
         fn = m * rn
@@ -401,14 +404,15 @@ def _seed_floor(p: float, q: float) -> float:
     return (p * q) ** (-0.65 / (p + q - 2.0))
 
 
-def default_seeds(spec: ProblemSpec, k_max: int | None = None) -> list[FieldPair]:
+def default_seeds(spec: ProblemSpec, k_max: int) -> list[FieldPair]:
     """Seed schedule c (t_j phi_j, s_j phi_j), both signs, for the first
-    k_max modes (default min(n, 6)) in turn, where (t_j, s_j) is mode j's
-    one-mode Galerkin amplitude (see _galerkin_amplitudes) and c is
-    _SEED_SCALE, raised to _seed_floor(p, q) where that is larger.  A
-    forced problem's schedule starts with the zero pair, from which Newton
-    reaches the perturbed trivial solution.  No point is evaluated."""
-    k_max = k_max or min(spec.n, 6)
+    k_max >= 1 modes in turn, where (t_j, s_j) is mode j's one-mode
+    Galerkin amplitude (see _galerkin_amplitudes) and c is _SEED_SCALE,
+    raised to _seed_floor(p, q) where that is larger.  A forced problem's
+    schedule starts with the zero pair, from which Newton reaches the
+    perturbed trivial solution.  No point is evaluated."""
+    if k_max < 1:
+        raise ValueError(f"k_max must be at least 1, got {k_max}")
     seeds = [] if spec.is_symmetric() else [spec.zero_pair()]
     c = max(_SEED_SCALE, _seed_floor(spec.p, spec.q))
     for j, (t, s) in enumerate(_galerkin_amplitudes(spec, k_max), start=1):
@@ -726,9 +730,9 @@ def _sphere_extremals(
     """The minima of int |u|^(q+1) over the unit r-norm sphere and of
     int |v|^(p+1) over the unit (2-r)-norm sphere of the first `active`
     modes, each with its minimizer, by one stage of projected ascent on the
-    negatives from 10 starts each (the warm start, then random ones of the
-    seeds `seed` and seed + 1) of at most 300 steps.  At p = q the two
-    problems share one value function."""
+    negatives from 10 starts each (the warm start, zero-padded, then random
+    ones of the seeds `seed` and seed + 1) of at most 300 steps.  At p = q
+    the two problems share one value function."""
 
     def moment(exponent: float):
         def value_grad(C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -744,7 +748,7 @@ def _sphere_extremals(
     groups = []
     for i, (exponent, order, warm_start) in enumerate(problems):
         rng = np.random.default_rng(seed + i)
-        starts = [] if warm_start is None else [np.array(warm_start, dtype=float)]
+        starts = [] if warm_start is None else [np.pad(warm_start, (0, active - len(warm_start)))]
         while len(starts) < 10:
             starts.append(rng.standard_normal(active))
         groups.append((moments[exponent], starts, spec.basis.eigenvalues[:active] ** order))
@@ -851,9 +855,8 @@ def lower_growth_constant(spec: ProblemSpec, seed: int = 0) -> float:
     return max(best, g(0.5 * (lo + hi)))
 
 
-@dataclass
-class LevelBracket:
-    """Bracket for the k-th minimax level over the truncation."""
+class LevelBracket(NamedTuple):
+    """Bracket for the k-th minimax level; the fields are the CSV columns."""
 
     k: int
     lower: float
@@ -901,9 +904,7 @@ def estimate_levels(
     warm_q = warm_p = None
     prev_best_point: np.ndarray | None = None
     for k in range(1, k_max + 1):
-        (cq, warm_q), (cp, warm_p) = _sphere_extremals(
-            spec, k, seed + 17 * k, _padded(warm_q, k), _padded(warm_p, k)
-        )
+        (cq, warm_q), (cp, warm_p) = _sphere_extremals(spec, k, seed + 17 * k, warm_q, warm_p)
         c_k = min(cq / (spec.q + 1.0), cp / (spec.p + 1.0))
         try:
             radius = 2.0 * (1.0 / (2.0 * c_k)) ** (1.0 / (m_exp - 2.0))
@@ -927,7 +928,7 @@ def estimate_levels(
             k=k, lower=lower, upper=upper, radius=radius, ceiling=ceiling,
             max_pointwise_excess=excess,
         )
-        for name, value in vars(bracket).items():
+        for name, value in bracket._asdict().items():
             if not math.isfinite(value):
                 raise ValueError(f"level bracket at k={k}: {name} is not finite ({value})")
         brackets.append(bracket)
@@ -955,10 +956,6 @@ def _level_points(spec, k, radius, prev_best, samples, rng):
             rads[i] = radius * rng.uniform() ** (1.0 / (spec.n + k))
         scale = (rads / np.sqrt(_row_dots(a_plus, a_plus) + _row_dots(a_minus, a_minus)))[:, None]
         yield _vecs_from_coordinates(spec.basis, spec.r, a_plus * scale, a_minus * scale)
-
-
-def _padded(vec: np.ndarray | None, size: int) -> np.ndarray | None:
-    return None if vec is None else np.pad(vec, (0, size - vec.size))
 
 
 @dataclass

@@ -182,9 +182,13 @@ def eigenvector_coordinates(z: FieldPair) -> tuple[np.ndarray, np.ndarray]:
 def from_eigenvector_coordinates(
     basis: SineBasis, r: float, a_plus: np.ndarray, a_minus: np.ndarray
 ) -> FieldPair:
-    """Rebuild a pair from its +-1 eigenvector coordinates."""
-    vec = _vecs_from_coordinates(basis, r, a_plus, a_minus)
+    """Rebuild a pair from its +-1 eigenvector coordinates, n of each;
+    coordinates of another shape raise ValueError."""
     n = basis.size
+    for name, coords in (("a_plus", a_plus), ("a_minus", a_minus)):
+        if np.shape(coords) != (n,):
+            raise ValueError(f"{name} must have {n} entries, got shape {np.shape(coords)}")
+    vec = _vecs_from_coordinates(basis, r, a_plus, a_minus)
     return FieldPair(SpectralField(basis, vec[:n]), SpectralField(basis, vec[n:]), r)
 
 

@@ -9,7 +9,7 @@ that command; its own property tests borrow `_random_subcritical` from here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -48,8 +48,9 @@ from .space import (
 )
 
 
-@dataclass
-class CheckResult:
+class CheckResult(NamedTuple):
+    """One check's outcome; the fields are the CSV columns."""
+
     name: str
     passed: bool
     detail: str

@@ -60,7 +60,6 @@ from indefsaddle.solve import (
     NewtonConfig,
     SolveResult,
     _forcing_size,
-    _padded,
     lower_growth_constant,
 )
 from indefsaddle.space import (
@@ -285,9 +284,7 @@ def sequential_newton(z0, spec, config=None, known=None) -> SolveResult:
             step *= 0.5
         else:
             return outcome(
-                it, False,
-                "deflated line search stalled" if deflated
-                else "line search stalled below min_step",
+                it, False, "deflated line search stalled" if deflated else "line search stalled"
             )
         if rn <= config.tol and separated(ev.z):
             return outcome(it, True)
@@ -297,8 +294,9 @@ def sequential_newton(z0, spec, config=None, known=None) -> SolveResult:
 def sphere_minimum(spec, active, exponent, order, seed, warm_start=None):
     """The minimum of int |w|^(exponent+1) over the unit order-norm sphere of
     the first `active` modes, and its minimizer, by projected_ascent on the
-    negative power_moment, one start at a time: the warm start, then random
-    ones of the seed, 10 in all, of at most 300 steps each."""
+    negative power_moment, one start at a time: the warm start, zero-padded
+    to `active` modes, then random ones of the seed, 10 in all, of at most
+    300 steps each."""
 
     def value_grad(c):
         coeffs = np.zeros(spec.n)
@@ -307,7 +305,10 @@ def sphere_minimum(spec, active, exponent, order, seed, warm_start=None):
         return -val, -pair[:active]
 
     rng = np.random.default_rng(seed)
-    starts = [] if warm_start is None else [np.array(warm_start, dtype=float)]
+    starts = []
+    if warm_start is not None:
+        starts.append(np.zeros(active))
+        starts[0][: len(warm_start)] = warm_start
     while len(starts) < 10:
         starts.append(rng.standard_normal(active))
     weights = spec.basis.eigenvalues[:active] ** order
@@ -331,10 +332,10 @@ def sampled_levels(spec, k_max, samples=200, cutoff=None, seed=0):
     prev_upper = -math.inf
     for k in range(1, k_max + 1):
         cq, warm_q = sphere_minimum(
-            spec, k, spec.q, spec.r, seed=seed + 17 * k, warm_start=_padded(warm_q, k)
+            spec, k, spec.q, spec.r, seed=seed + 17 * k, warm_start=warm_q
         )
         cp, warm_p = sphere_minimum(
-            spec, k, spec.p, 2.0 - spec.r, seed=seed + 17 * k + 1, warm_start=_padded(warm_p, k)
+            spec, k, spec.p, 2.0 - spec.r, seed=seed + 17 * k + 1, warm_start=warm_p
         )
         c_k = min(cq / (spec.q + 1.0), cp / (spec.p + 1.0))
         radius = 2.0 * (1.0 / (2.0 * c_k)) ** (1.0 / (m_exp - 2.0))

@@ -1,4 +1,5 @@
 import copy
+import csv
 import importlib
 import itertools
 import json
@@ -16,6 +17,38 @@ def write_config(tmp_path, name, payload):
     path = tmp_path / name
     path.write_text(json.dumps(payload))
     return str(path)
+
+
+def parse_cell(cell: str):
+    """The value a CSV cell writes: None, a bool, an int, a float or text."""
+    if cell in ("", "true", "false"):
+        return {"": None, "true": True, "false": False}[cell]
+    for kind in (int, float):
+        try:
+            return kind(cell)
+        except ValueError:
+            pass
+    return cell
+
+
+def json_rows_parsed_as_csv_cells(tmp_path, config) -> list[dict]:
+    """Run a row config as CSV and as JSON, check that each JSON row holds
+    the values, and their types, of its CSV line's cells, and return the
+    JSON rows."""
+    command = config["command"]
+    cfg = write_config(tmp_path, "rows.json", config)
+    out = str(tmp_path / "rows")
+    assert main([command, "--config", cfg, "--out", out]) == 0
+    assert main([command, "--config", cfg, "--out", out, "--format", "json"]) == 0
+    with open(tmp_path / "rows.csv", encoding="utf-8", newline="") as fh:
+        header, *lines = csv.reader(fh)
+    rows = json.loads((tmp_path / "rows.json").read_text())["rows"]
+    assert len(rows) == len(lines) > 0
+    for row, cells in zip(rows, lines):
+        assert list(row) == header
+        assert list(row.values()) == [parse_cell(cell) for cell in cells]
+        assert [type(v) for v in row.values()] == [type(parse_cell(c)) for c in cells]
+    return rows
 
 
 REGION_CONFIG = {
@@ -497,6 +530,22 @@ class TestCommands:
         assert capsys.readouterr().err.splitlines() == ["error: coefficients must be finite"]
         assert not list(tmp_path.glob("out*"))
 
+    def test_overflowing_forcing_names_the_cutoff_override(self, tmp_path, capsys):
+        """Forcing norms that overflow leave no default cutoff constant: the
+        one error line names them and the cutoff.bound_constant override,
+        not a bound constant the config never gave."""
+        config = {
+            "command": "levels",
+            "problem": dict(BRANCH_CONFIG["problem"], n=8, h=[1e200], k=[1e200]),
+        }
+        cfg = write_config(tmp_path, "forcing.json", config)
+        assert main(["levels", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: the forcing norms |h|_2 = inf, |k|_2 = inf give no finite default "
+            "cutoff bound constant 4 (|h|_2 + |k|_2); set cutoff.bound_constant"
+        ]
+        assert not list(tmp_path.glob("out*"))
+
     def test_level_radius_overflow_exits_one(self, tmp_path, capsys):
         # near p = q = 1 the radius (1/(2 c_k))^(1/(m-2)) leaves the float range
         config = {
@@ -616,27 +665,28 @@ class TestCsvWriter:
     def test_readme_region_json_rows_parse_as_the_csv_cells(self, tmp_path):
         """The README region config: its JSON rows hold the values of the
         CSV cells, null where a cell is empty."""
-
-        def parse(cell):
-            if cell in ("", "true", "false"):
-                return {"": None, "true": True, "false": False}[cell]
-            return cell if cell in ("inside", "outside", "boundary") else float(cell)
-
         config = copy.deepcopy(README_CONFIGS[0])
         config["p_grid"]["step"] = config["q_grid"]["step"] = 0.05
-        cfg = write_config(tmp_path, "region.json", config)
-        out = str(tmp_path / "region6")
-        assert main(["region", "--config", cfg, "--out", out]) == 0
-        assert main(["region", "--config", cfg, "--out", out, "--format", "json"]) == 0
-        header, *lines = (tmp_path / "region6.csv").read_text().splitlines()
-        rows = json.loads((tmp_path / "region6.json").read_text())["rows"]
-        assert len(rows) == len(lines) == 100 * 100
+        rows = json_rows_parsed_as_csv_cells(tmp_path, config)
+        assert len(rows) == 100 * 100
         assert any(None in row.values() for row in rows)
-        for row, line in zip(rows, lines):
-            cells = line.split(",")
-            assert list(row) == header.split(",")
-            assert list(row.values()) == [parse(cell) for cell in cells]
-            assert [type(v) for v in row.values()] == [type(parse(c)) for c in cells]
+
+    @pytest.mark.parametrize("config", [
+        {"command": "levels", "problem": dict(BRANCH_CONFIG["problem"], n=8),
+         "levels": {"k_max": 3, "samples": 20}},
+        {"command": "check", "seed": 7},
+    ], ids=["levels", "check"])
+    def test_levels_and_check_json_rows_parse_as_the_csv_cells(self, tmp_path, config):
+        """The LevelBracket and CheckResult rows: integers, floats, booleans
+        and quoted free text come back as the JSON values."""
+        rows = json_rows_parsed_as_csv_cells(tmp_path, config)
+        if config["command"] == "check":
+            names = [check.__name__.removeprefix("check_") for check in suite.ALL_CHECKS]
+            assert [row["name"] for row in rows] == names
+            assert all(row["passed"] is True for row in rows)
+            assert any("," in row["detail"] for row in rows)  # quoted in the CSV
+        else:
+            assert [row["k"] for row in rows] == [1, 2, 3]
 
 
 class TestDeterminism:

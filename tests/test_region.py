@@ -130,6 +130,26 @@ def test_multiplicity_check_examples():
         in_multiplicity_region(PQPoint(2.0, 2.0, 2))
 
 
+@pytest.mark.parametrize("curve", [hyperbola_boundary_p, multiplicity_boundary_p])
+@pytest.mark.parametrize("q, N, name", [
+    (1.0, 0.0, "N"), (1.0, -1.0, "N"), (1.0, math.inf, "N"), (1.0, math.nan, "N"),
+    (-1.0, 5.0, "q"), (0.0, 5.0, "q"), (math.inf, 5.0, "q"), (math.nan, 5.0, "q"),
+])
+def test_boundary_curves_reject_nonpositive_and_non_finite_arguments(curve, q, N, name):
+    """A non-positive or non-finite q or N raises a ValueError naming it,
+    not a ZeroDivisionError or a point on no curve (N = -1 gave p = -0.6)."""
+    with pytest.raises(ValueError, match=f"^{name} must be positive and finite"):
+        curve(q, N)
+
+
+def test_boundary_curves_keep_their_values_on_positive_arguments():
+    for N in (0.5, 1.0, 2.0):  # no hyperbola for N <= 2
+        assert hyperbola_boundary_p(1.0, N) == math.inf
+    assert multiplicity_boundary_p(1.0, 1.0) == math.inf
+    assert multiplicity_boundary_p(1.0, 2.0) == 5.0
+    assert hyperbola_boundary_p(0.5, 10.0) == pytest.approx(6.5, rel=1e-12)
+
+
 def test_multiplicity_boundary_intercept():
     # q -> 1 boundary at p = (3N+4)/(3N-4); N = 6 gives 11/7
     assert multiplicity_boundary_p(1.0, 6) == pytest.approx(11.0 / 7.0, abs=1e-12)

@@ -2,6 +2,7 @@ import functools
 import importlib
 import itertools
 import math
+import re
 import warnings
 
 import numpy as np
@@ -174,6 +175,18 @@ class TestNewton:
         result = deflated_solve(cubic_spec, newton_config, known=[], seeds=[])
         assert not result.converged and result.residual_norm == math.inf
         assert result.message == "seed schedule exhausted (empty seed schedule)"
+
+    @pytest.mark.parametrize("n, r, message", [
+        (33, 1.0, "pairs live on different bases"),
+        (32, 1.2, "pairs have different split parameters 1.0 != 1.2"),
+    ])
+    def test_known_point_off_the_problem_is_rejected(self, cubic_spec, interval, n, r, message):
+        """A known point on another basis used to fail in a numpy reshape,
+        and one of another r was deflated against in the wrong metric."""
+        mode = SpectralField.unit(cubic_spec.basis, 1)
+        known = ProblemSpec.create(interval, n=n, r=r, p=3.0, q=3.0).zero_pair()
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            newton_solve(FieldPair(2 * mode, 2 * mode, 1.0), cubic_spec, known=[known])
 
     def test_divergent_seed_reports_not_raises(self, cubic_spec):
         config = NewtonConfig(max_iter=3)
@@ -949,7 +962,7 @@ class TestContinuation:
         target = spec.with_forcing(h=[500.0], k=[500.0])
         result = continuation(z1, target, steps=2, config=newton_config)
         assert not result.converged and result.reached == 0.5
-        assert result.message == "Newton failed at t=1.0: line search stalled below min_step"
+        assert result.message == "Newton failed at t=1.0: line search stalled"
 
     def test_linear_response_slope(self, cubic_spec, newton_config):
         mode = SpectralField.unit(cubic_spec.basis, 1)
@@ -1393,7 +1406,7 @@ def test_default_seed_schedule_structure():
         ((1.0, 1.2, 1.5), 2.0, 2.5, False),
     ]:
         spec = ProblemSpec.create(BoxDomain(lengths), 12, 1.0, p, q, h=[0.05] if forced else None)
-        assert len(default_seeds(spec)) == 2 * 6 + forced
+        assert len(default_seeds(spec, 6)) == 2 * 6 + forced
         seeds = default_seeds(spec, k_max=3)
         assert len(seeds) == 2 * 3 + forced
         if forced:
@@ -1419,7 +1432,15 @@ def test_unrepresentable_amplitude_raises_quietly(p):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="coefficients must be finite"):
-            default_seeds(spec)
+            default_seeds(spec, 6)
+
+
+@pytest.mark.parametrize("k_max", [0, -1])
+def test_seed_count_below_one_is_rejected(k_max):
+    """k_max = 0 used to seed 6 modes, and k_max = -1 seeded n - 1."""
+    spec = ProblemSpec.create(BoxDomain((math.pi,)), 8, 1.0, 3.0, 3.0)
+    with pytest.raises(ValueError, match=f"^k_max must be at least 1, got {k_max}$"):
+        default_seeds(spec, k_max)
 
 
 @pytest.mark.parametrize("p, q", [(1.5, 8.0), (2.0, 9.0), (2.0, 5.0), (3.0, 3.0)])

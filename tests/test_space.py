@@ -174,6 +174,18 @@ def test_eigenvector_coordinates_roundtrip(basis):
     )
 
 
+@pytest.mark.parametrize("a_plus, a_minus, name", [
+    ([1.0], [0.0], "a_plus"),
+    (np.ones(24), np.zeros(25), "a_minus"),
+    (np.ones((1, 24)), np.zeros(24), "a_plus"),
+])
+def test_coordinates_of_another_length_are_rejected(basis, a_plus, a_minus, name):
+    """Coordinates are not broadcast: a one-entry a_plus used to set all n
+    u coefficients."""
+    with pytest.raises(ValueError, match=f"^{name} must have 24 entries"):
+        from_eigenvector_coordinates(basis, 1.0, a_plus, a_minus)
+
+
 def test_combined_tail_bound(basis):
     # both components supported on ranks >= k: squared L2 size is controlled
     # by max(lam_k^-r, lam_k^(r-2)) times the squared pair norm
