@@ -70,6 +70,7 @@ from .solve import (
     find_branch,
     lower_growth_constant,
     newton_solve,
+    newton_sweep,
     residual,
     verify_critical,
 )

@@ -34,6 +34,7 @@ from functools import cached_property
 from itertools import product
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 
 @dataclass(frozen=True)
@@ -250,9 +251,11 @@ class GridTables:
     evaluation matrix.  Since (2/L) sin(a t) sin(b t) = (1/L)[cos((a-b) t) -
     cos((a+b) t)] on each axis, the quadrature Galerkin matrix of a
     multiplication operator is a signed sum of 2^d gathers, at |a-b| and a+b
-    per axis, from the cosine moments of the multiplier: Toeplitz minus
-    Hankel in 1-D.  The gather indices are built once per basis and grid, on
-    the first galerkin call, so that work with no Jacobian never holds them.
+    per axis, from the cosine moments of the multiplier.  In 1-D it is
+    Toeplitz minus Hankel, read from the moments through two strided views,
+    with no index.  The gather indices of 2-D and 3-D are built once per
+    basis and grid, on the first galerkin call, so that work with no
+    Jacobian never holds them.
 
     evaluate and pairings take a stack of points along a leading rows axis;
     a coefficient vector, or one grid of values, is the one-point case.  Each
@@ -335,18 +338,22 @@ class GridTables:
         return self.weight * values.reshape(*lead, -1).sum(axis=-1)
 
     def galerkin(self, values: np.ndarray) -> np.ndarray:
-        """Quadrature Galerkin matrix weight * sum_j values_j phi_a(x_j) phi_b(x_j).
+        """Quadrature Galerkin matrix weight * sum_j values_j phi_a(x_j) phi_b(x_j),
+        one C-contiguous matrix per row.
 
         Exactly symmetric: the gathers read the same moment at (a, b) and
-        (b, a) and add them in the same order.
+        (b, a) and add them in the same order.  In 1-D the rows are one
+        stack; in 2-D and 3-D each row is built alone and the matrices are
+        stacked.
         """
         if self.slots is None:
-            moments = self.cosines[0] @ values
-        else:
-            moments = values
-            for table in self.cosines:
-                moments = np.tensordot(moments, table, axes=(0, 1))
-            moments = moments.ravel()
+            return self._toeplitz_minus_hankel(np.matmul(self.cosines[0], values[..., None])[..., 0])
+        if values.ndim > len(self.modes):
+            return np.stack([self.galerkin(row) for row in values])
+        moments = values
+        for table in self.cosines:
+            moments = np.tensordot(moments, table, axes=(0, 1))
+        moments = moments.ravel()
         (_, first), *rest = self.gathers
         block = moments[first]
         for positive, index in rest:
@@ -354,6 +361,21 @@ class GridTables:
                 block += moments[index]
             else:
                 block -= moments[index]
+        block *= self.block_scale
+        return block
+
+    def _toeplitz_minus_hankel(self, moments: np.ndarray) -> np.ndarray:
+        """The 1-D blocks (m_|a-b| - m_(a+b)) * block_scale, for modes a, b =
+        1..n and each row of cosine moments m_0..m_2n, bit for bit the
+        gathers' sum: the Toeplitz part T[a, b] = e[n-1+b-a] of e = (m_(n-1),
+        ..., m_1, m_0, ..., m_(n-1)) and the Hankel part m[a+b] are strided
+        views, so only the difference is written."""
+        n = self.modes[0]
+        lead, step = moments.shape[:-1], moments.strides[-1]
+        e = np.concatenate([moments[..., n - 1 : 0 : -1], moments[..., :n]], axis=-1)
+        toeplitz = as_strided(e[..., n - 1 :], (*lead, n, n), (*e.strides[:-1], -step, step))
+        hankel = as_strided(moments[..., 2:], (*lead, n, n), (*moments.strides[:-1], step, step))
+        block = toeplitz - hankel
         block *= self.block_scale
         return block
 

@@ -356,9 +356,9 @@ def _json_header(cfg: RunConfig) -> dict:
 
 
 def _write_json(path: str, payload: dict) -> None:
+    # one write: json.dump with indent writes each encoder chunk separately
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+        fh.write(json.dumps(payload, indent=2) + "\n")
 
 
 def _problem_echo(spec: ProblemSpec) -> dict:

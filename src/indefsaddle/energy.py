@@ -267,13 +267,17 @@ class Evaluation:
     @classmethod
     def at(cls, z: FieldPair, spec: ProblemSpec) -> "Evaluation":
         """The evaluation of one point z, which must live on the problem's basis."""
-        if z.basis != spec.basis:
-            raise ValueError("point lives on a different basis than the problem")
-        if z.r != spec.r:
-            raise ValueError(f"point split parameter {z.r} differs from problem r {spec.r}")
+        _check_point(z, spec)
         ev = cls(z.vec, spec)
         ev.z = z
         return ev
+
+    @classmethod
+    def of(cls, points: list[FieldPair], spec: ProblemSpec) -> "Evaluation":
+        """The evaluation of a stack of points, each on the problem's basis."""
+        for z in points:
+            _check_point(z, spec)
+        return cls(np.array([z.vec for z in points]), spec)
 
     def row(self, i: int) -> "Evaluation":
         """Row i of a stack as a one-point evaluation, sharing the grid values,
@@ -284,6 +288,20 @@ class Evaluation:
         for name in ("weights", "pairings"):
             if name in vars(self):
                 setattr(ev, name, tuple(x[i] for x in getattr(self, name)))
+        return ev
+
+    @classmethod
+    def stack(cls, points: list["Evaluation"]) -> "Evaluation":
+        """One-point evaluations as the rows of one stack, the inverse of row:
+        their grid values, and their weights where every point has them."""
+        ev = cls.__new__(cls)
+        ev.spec = spec = points[0].spec
+        ev.vecs = np.array([point.vecs for point in points])
+        ev.u, ev.v = ev.vecs[:, : spec.n], ev.vecs[:, spec.n :]
+        ev.u_vals = np.array([point.u_vals for point in points])
+        ev.v_vals = np.array([point.v_vals for point in points])
+        if all("weights" in vars(point) for point in points):
+            ev.weights = tuple(map(np.array, zip(*(point.weights for point in points))))
         return ev
 
     @cached_property
@@ -358,6 +376,14 @@ class Evaluation:
         size = abs(j_plus)
         bound = beta * (size**a + size**b + 1.0)
         return abs(j_plus - self.modified_energy(cutoff, mirrored=True)), bound
+
+
+def _check_point(z: FieldPair, spec: ProblemSpec) -> None:
+    """Raise ValueError unless z lives on the problem's basis and r."""
+    if z.basis != spec.basis:
+        raise ValueError("point lives on a different basis than the problem")
+    if z.r != spec.r:
+        raise ValueError(f"point split parameter {z.r} differs from problem r {spec.r}")
 
 
 def energy(z: FieldPair, spec: ProblemSpec) -> float:

@@ -381,9 +381,12 @@ def multiplicity_boundary_p(q: float, N: float) -> float:
 
     Solves 1/(p+1) + 1/(q+1) + (q+1)/(q(p+1)) = (2N-2)/N for p; at q = 1
     this gives (3N+4)/(3N-4).  q and N must be positive and finite.
+    (2N-2)/N is taken as 2 - 2/N where 2N overflows, which is near
+    N = 1e308, and as written everywhere else.
     """
     _check_curve(q, N)
-    rhs = (2.0 * N - 2.0) / N - 1.0 / (q + 1.0)
+    two_n = 2.0 * N
+    rhs = (2.0 - 2.0 / N if two_n == math.inf else (two_n - 2.0) / N) - 1.0 / (q + 1.0)
     coeff = 1.0 + (q + 1.0) / q
     if rhs <= 0.0:
         return math.inf

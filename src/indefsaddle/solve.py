@@ -12,25 +12,33 @@ from it on as products on the grid with GMRES, so that no n x n matrix or
 gather index is built.  The dense-matrix residual and Jacobian, the
 Jacobian assembled from the blocks, the dense solves that check the step
 and scipy's GMRES, which checks this one, live in the tests.
-There is one Newton loop; deflation is an option of it, which multiplies the
-residual by prod_i (dist_i^-2 + 1) over known solutions so Newton runs land
-on new ones (the rank-one term this adds to the Jacobian enters the step by
-Sherman-Morrison), and with nothing to deflate against it is plain Newton.
-Its backtracking line search evaluates the fixed step ladder 1, 1/2, ...,
-2^-39 as row stacks of doubling size on the grid tables; every accepted
-step is still the first decrease in step order, so the iterates are those
-of trying one step at a time.  The squared distances of a stack to the
-known points, in the product-space metric of space.py, are computed once,
-and the deflation factors and gradient and the separation test (a point
-within `separation` of a known one is not a new solution) read them.  A
-branch hunt seeds each eigenmode at a fraction of the amplitude where the
-mode's own entries of the residual vanish, in closed form (the one-mode
-Galerkin equations), and groups the converged runs into solutions, so its
-records depend neither on the seed order nor on roundoff in the energies or
-the coefficients.  Level brackets combine an upper bound sampled in row
-stacks over nested saddle-geometry balls with a closed-form lower growth
-curve whose constant is assembled from computed embedding data; a bracket
-value that leaves the float range is an error.  Both extremal problems
+There is one Newton loop, which runs a stack of iterates, one row per seed,
+in lockstep; newton_solve is its one-row case.  Deflation is an option of
+it, which multiplies the residual by prod_i (dist_i^-2 + 1) over known
+solutions so Newton runs land on new ones (the rank-one term this adds to
+the Jacobian enters the step by Sherman-Morrison), and with nothing to
+deflate against it is plain Newton.  Below _KRYLOV_N the plain rows build
+their Schur blocks and dense solves as stacked arrays; from it on each row
+runs its own GMRES.  The backtracking line search tries every row's full
+step in one stack, and a row that needs a shorter step goes on down the
+fixed step ladder 1, 1/2, ..., 2^-39 in row stacks of doubling size on the
+grid tables; every accepted step is still the first decrease in step
+order, so each row's iterates are those of its seed's run alone, taking
+one step at a time.  The squared distances of a stack to the known points,
+in the product-space metric of space.py, are computed once, and the
+deflation factors and gradient and the separation test (a point within
+`separation` of a known one is not a new solution) read them.  A branch
+hunt seeds each eigenmode at a fraction of the amplitude where the mode's
+own entries of the residual vanish, in closed form (the one-mode Galerkin
+equations), runs its plain sweep over the seeds as one stack (newton_sweep)
+and groups the converged runs into solutions, so its records depend neither
+on the seed order nor on roundoff in the energies or the coefficients.  For
+a symmetric problem the residual is exactly odd, and each mirror pair of
+seeds +-z runs once: the second seed's result is the first's mirrored.
+Level brackets combine an upper bound sampled in row stacks over nested
+saddle-geometry balls with a closed-form lower growth curve whose constant
+is assembled from computed embedding data; a bracket value that leaves the
+float range is an error.  Both extremal problems
 behind them run through one projected-ascent routine, in stages: one stage
 for the two Gagliardo-Nirenberg constants of the lower curve, then one per
 k for the q and p sphere minima that fix the level radius.  A stage
@@ -46,7 +54,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -138,63 +146,144 @@ def newton_solve(
     the end of the ladder or exhausting max_iter returns the best iterate
     with a diagnostic (a bad seed, not an error); a seed whose residual
     norm is not finite, or a seed or known point off the problem's basis or
-    r, raises ValueError.
+    r, raises ValueError.  This is the one-row case of _newton.
     """
-    config = config or NewtonConfig()
-    known = known or []
-    ev = Evaluation.at(z0, spec)  # the current iterate's, kept for its Jacobian
-    for zi in known:
-        z0._check_compatible(zi)
-    weights = _weights(spec.basis, spec.r)
-    known_stack = np.array([zi.vec for zi in known]).reshape(len(known), 2 * spec.n)
+    return _newton([z0], spec, config or NewtonConfig(), known or [])[0]
 
-    def outcome(iterations: int, converged: bool, message: str = "") -> SolveResult:
+
+def newton_sweep(
+    seeds: list[FieldPair], spec: ProblemSpec, config: NewtonConfig | None = None
+) -> list[SolveResult]:
+    """Plain Newton from each seed, newton_solve(seed, spec, config) bit for
+    bit, with the runs advancing together as the rows of one stack (see
+    _newton).  For a symmetric problem, whose residual is exactly odd, a
+    seed that is bitwise the negation of the seed before it is not run: its
+    result is that seed's mirrored, z negated and the residual, energy,
+    iterations and message copied.  That is its own run's result but for
+    the sign of a zero coefficient that an exact cancellation gave (+0.0 in
+    both runs); the runs seen to have one fall to the trivial solution.  A
+    seed whose residual norm is not finite, or that lies off the problem's
+    basis or r, raises ValueError."""
+    config = config or NewtonConfig()
+    symmetric = spec.is_symmetric()
+    mirrors = [
+        symmetric and i > 0 and _negates(seed, seeds[i - 1]) for i, seed in enumerate(seeds)
+    ]
+    runs = iter(_newton([s for s, mirror in zip(seeds, mirrors) if not mirror], spec, config, []))
+    results: list[SolveResult] = []
+    for mirror in mirrors:
+        results.append(replace(results[-1], z=-results[-1].z) if mirror else next(runs))
+    return results
+
+
+def _negates(z: FieldPair, w: FieldPair) -> bool:
+    """Whether z is -w bitwise, on the same basis and r."""
+    return z.basis == w.basis and z.r == w.r and z.vec.tobytes() == (-w.vec).tobytes()
+
+
+def _newton(
+    seeds: list[FieldPair], spec: ProblemSpec, config: NewtonConfig, known: list[FieldPair]
+) -> list[SolveResult]:
+    """The Newton loop of newton_solve, run from every seed at once.
+
+    The runs advance in lockstep, one iteration each per round, and a run
+    leaves the stack when it converges or fails.  Each round evaluates the
+    rows together: their steps (see _newton_steps) and their line searches
+    (see _backtrack).  Every row takes the path it would take alone, bit
+    for bit, so each result is that of the seed's own run."""
+    weights = _weights(spec.basis, spec.r)
+    for z in seeds:
+        for zi in known:
+            z._check_compatible(zi)
+    known_stack = np.array([zi.vec for zi in known]).reshape(len(known), 2 * spec.n)
+    cap = _stack_rows(spec, known_stack.size)
+    # per run: its iterate's evaluation, residual, squared distances to the
+    # known points, deflation factor and residual norm
+    state = []
+    for start in range(0, len(seeds), cap):
+        rows = Evaluation.of(seeds[start : start + cap], spec)
+        res = rows.gradient()
+        for i, (d2, rn) in enumerate(zip(_distances(rows.vecs, known_stack, weights), res.norm().tolist())):
+            if not math.isfinite(rn):  # the seed's powers, or their squares, overflow
+                raise ValueError("coefficients must be finite")
+            state.append((rows.row(i), DualGradient(res.du[i], res.dv[i]), d2, _deflation_factor(d2), rn))
+    results: list[SolveResult | None] = [None] * len(seeds)
+
+    def finish(i: int, iterations: int, converged: bool, message: str = "") -> None:
+        ev, _, _, _, rn = state[i]
         _, symmetric, forcing = ev.terms
-        return SolveResult(
+        results[i] = SolveResult(
             z=ev.z, residual_norm=rn, iterations=iterations, converged=converged,
             energy=symmetric - forcing, message=message,
         )
 
-    def separated(d2: list[float]) -> bool:  # beyond `separation` of every known point
-        return math.sqrt(min(d2, default=math.inf)) > config.separation
+    def converged(i: int) -> bool:  # beyond `separation` of every known point
+        _, _, d2, _, rn = state[i]
+        return rn <= config.tol and math.sqrt(min(d2, default=math.inf)) > config.separation
 
-    res = ev.gradient()
-    rn = res.norm()
-    if not math.isfinite(rn):  # the seed's powers, or their squares, overflow
-        raise ValueError("coefficients must be finite")
-    d2 = _distances(ev.vecs[None], known_stack, weights)[0]
-    m = _deflation_factor(d2)
-    fn = m * rn
-    if rn <= config.tol and separated(d2):
-        return outcome(0, True)
+    def running() -> list[int]:
+        return [i for i, result in enumerate(results) if result is None]
+
+    for i in range(len(seeds)):
+        if converged(i):
+            finish(i, 0, True)
     for it in range(1, config.max_iter + 1):
-        if not math.isfinite(m):
-            return outcome(it - 1, False, "seed coincides with a known solution")
-        rvec = np.concatenate([res.du, res.dv])
-        a = _deflation_gradient(ev.vecs, known_stack, weights, d2, m) if known else None
+        for i in running():
+            if not math.isfinite(state[i][3]):
+                finish(i, it - 1, False, "seed coincides with a known solution")
+        rows = running()
+        steps = _newton_steps([state[i] for i in rows], known_stack, weights)
+        for i, step in zip(rows, steps):
+            if step is None:
+                finish(i, it - 1, False, "singular deflated Jacobian" if known else "singular Jacobian")
+        rows = running()
+        if not rows:
+            break
+        found = _backtrack(
+            np.array([state[i][0].vecs for i in rows]),
+            np.array([step for step in steps if step is not None]),
+            [state[i][3] * state[i][4] for i in rows],  # the deflated residual norms
+            spec, known_stack, weights,
+        )
+        for i, row in zip(rows, found):
+            if row is None:
+                finish(i, it, False, "deflated line search stalled" if known else "line search stalled")
+            else:
+                state[i] = row
+                if converged(i):
+                    finish(i, it, True)
+    for i in running():
+        finish(i, config.max_iter, False, "max_iter reached")
+    return results
+
+
+def _newton_steps(rows, known: np.ndarray, weights: np.ndarray) -> list:
+    """Each run's Newton step at its state (evaluation, residual, d2, m,
+    residual norm), see _newton_step, or None where the step raises
+    LinAlgError (a singular Jacobian).  Plain runs below _KRYLOV_N step as
+    one stack; a lone or deflated run, runs from _KRYLOV_N on (one GMRES
+    each) and the runs of a stack with a singular row step one at a time."""
+    residuals = [np.concatenate([res.du, res.dv]) for _, res, _, _, _ in rows]
+    if len(rows) > 1 and not len(known) and rows[0][0].spec.n < _KRYLOV_N:
         try:
-            delta = _newton_step(ev, rvec, m, a)
+            return list(_newton_step(Evaluation.stack([ev for ev, *_ in rows]), np.array(residuals)))
         except np.linalg.LinAlgError:
-            return outcome(
-                it - 1, False, "singular deflated Jacobian" if known else "singular Jacobian"
-            )
-        found = _backtrack(ev.vecs, delta, fn, spec, known_stack, weights)
-        if found is None:
-            return outcome(
-                it, False,
-                "deflated line search stalled" if known else "line search stalled",
-            )
-        ev, res, d2, m, rn = found
-        fn = m * rn
-        if rn <= config.tol and separated(d2):
-            return outcome(it, True)
-    return outcome(config.max_iter, False, "max_iter reached")
+            pass
+    steps = []
+    for (ev, _, d2, m, _), r in zip(rows, residuals):
+        a = _deflation_gradient(ev.vecs, known, weights, d2, m) if len(known) else None
+        try:
+            steps.append(_newton_step(ev, r, m, a))
+        except np.linalg.LinAlgError:
+            steps.append(None)
+    return steps
 
 
 def _newton_step(ev: Evaluation, r: np.ndarray, m: float = 1.0, a: np.ndarray | None = None):
     """The Newton step -(m J + r a^T)^-1 m r at ev for the residual r scaled
     by the deflation factor m, whose gradient is a (None for plain Newton,
-    whose step is -J^-1 r).
+    whose step is -J^-1 r); for a stack below _KRYLOV_N, with a None, the
+    plain step of each row.
 
     J = [[-P, L], [L, -Q]] is never assembled: w = J^-1 r comes from one
     n x n solve with the Schur complement S = L - P L^-1 Q (see _schur), as
@@ -204,8 +293,8 @@ def _newton_step(ev: Evaluation, r: np.ndarray, m: float = 1.0, a: np.ndarray | 
     GMRES does not converge in n iterations), or m + a.w is 0 or not finite."""
     lam, n = ev.spec.basis.eigenvalues, ev.spec.n
     PL, Q, solve = _schur(ev)
-    y = solve(r[:n] + PL(r[n:]))
-    w = np.concatenate([(r[n:] + Q(y)) / lam, y])
+    y = solve(r[..., :n] + PL(r[..., n:]))
+    w = np.concatenate([(r[..., n:] + Q(y)) / lam, y], axis=-1)
     if a is None:
         return -w
     denominator = m + float(np.dot(a, w))
@@ -220,14 +309,15 @@ def _schur(ev: Evaluation):
     of q|u|^(q-1) and p|v|^(p-1), L the diagonal of the eigenvalues (all
     positive) and S = L - P L^-1 Q the Schur complement of the Jacobian
     [[-P, L], [L, -Q]].  Below n = _KRYLOV_N, P L^-1 and Q are built from
-    their cosine moments on the grid tables and S is solved densely.  From
-    it on, P and Q are applied on the grid (P x is the pairing of
-    q|u|^(q-1) times the grid values of x against every mode, Q x the same
-    with p|v|^(p-1)), so no n x n matrix or gather index is built, and S y = b
-    is solved by GMRES on L^-1 S = I - L^-1 P L^-1 Q, a compact perturbation
-    of the identity, to relative residual 1e-10.  The solve raises
-    LinAlgError when S is singular or GMRES does not converge in n
-    iterations."""
+    their cosine moments on the grid tables and S is solved densely, for a
+    stack one C-contiguous matrix per row, each row's products and solve
+    those of the row alone.  From it on, P and Q are applied on the grid
+    (P x is the pairing of q|u|^(q-1) times the grid values of x against
+    every mode, Q x the same with p|v|^(p-1)), so no n x n matrix or gather
+    index is built, and S y = b is solved by GMRES on L^-1 S = I - L^-1 P
+    L^-1 Q, a compact perturbation of the identity, to relative residual
+    1e-10; that side takes one point.  The solve raises LinAlgError when S
+    is singular or GMRES does not converge in n iterations."""
     spec, (wu, wv) = ev.spec, ev.weights
     lam, n, tables = spec.basis.eigenvalues, spec.n, spec.tables
     if n >= _KRYLOV_N:
@@ -243,8 +333,12 @@ def _schur(ev: Evaluation):
     Q = tables.galerkin(spec.p * wv)
     S = P @ Q
     np.negative(S, out=S)
-    S.flat[:: n + 1] += lam
-    return P.__matmul__, Q.__matmul__, lambda b: np.linalg.solve(S, b)
+    S.reshape(*S.shape[:-2], n * n)[..., :: n + 1] += lam
+
+    def product(M):
+        return lambda x: np.matmul(M, x[..., None])[..., 0]
+
+    return product(P), product(Q), lambda b: np.linalg.solve(S, b[..., None])[..., 0]
 
 
 def _gmres(op, b: np.ndarray, rtol: float = 1e-10) -> np.ndarray:
@@ -285,34 +379,52 @@ def _gmres(op, b: np.ndarray, rtol: float = 1e-10) -> np.ndarray:
     raise np.linalg.LinAlgError("GMRES did not reach its tolerance")
 
 
-def _backtrack(vec, delta, fn, spec, known, weights):
-    """The first step of the ladder _STEPS (1, 1/2, ..., 2^-39) whose point
-    vec + step * delta has a deflated residual norm below fn, as (the
-    point's evaluation, residual, squared distances to the known points,
-    deflation factor, residual norm), or None if no step does.
+def _backtrack(vecs, deltas, fns, spec, known, weights) -> list:
+    """For each row of the stacks vecs and deltas, the first step of the
+    ladder _STEPS (1, 1/2, ..., 2^-39) whose point vec + step * delta has a
+    deflated residual norm below the row's fn, as (the point's evaluation,
+    residual, squared distances to the known points, deflation factor,
+    residual norm), or None if no step does.
 
-    The ladder is evaluated in row stacks of doubling size: the full step
-    alone, then the next 2, 4, 8, ... steps, up to the stack size of
-    energy._stack_rows, counting the known-point differences.  Rows after
-    the accepted one are discarded, and a non-finite point raises as it is
-    reached, so the outcome is that of trying the steps one at a time."""
+    The full steps of all rows are tried first, as stacks of up to
+    energy._stack_rows rows, counting the known-point differences.  A row
+    whose full step fails goes on down its ladder alone, in stacks of
+    doubling size: the next 2, 4, 8, ... steps, up to the same cap.  Rows
+    after the accepted one are discarded, and a non-finite point raises as
+    it is reached, so each outcome is that of trying the row's steps one at
+    a time."""
     cap = _stack_rows(spec, known.size)
-    start, size = 0, 1
-    while start < len(_STEPS):
-        steps = _STEPS[start : start + size]
-        start, size = start + size, min(2 * size, cap)
-        cands = vec + np.multiply.outer(steps, delta)
-        rows = Evaluation(cands, spec)
-        res = rows.gradient()
-        norms = res.norm().tolist()
-        for i, (d2, rn) in enumerate(zip(_distances(cands, known, weights), norms)):
-            factor = _deflation_factor(d2)
-            if factor * rn < fn:
-                return rows.row(i), DualGradient(res.du[i], res.dv[i]), d2, factor, rn
-            # a non-finite coefficient makes the residual norm non-finite
-            if not math.isfinite(rn) and not np.isfinite(cands[i]).all():
-                raise ValueError("coefficients must be finite")
-    return None
+    found = []
+    for start in range(0, len(vecs), cap):
+        rows = slice(start, start + cap)
+        found += _tries(vecs[rows] + _STEPS[0] * deltas[rows], fns[rows], spec, known, weights)
+    for i, (vec, delta, fn) in enumerate(zip(vecs, deltas, fns)):
+        start, size = 1, min(2, cap)
+        while found[i] is None and start < len(_STEPS):
+            steps = _STEPS[start : start + size]
+            start, size = start + size, min(2 * size, cap)
+            cands = vec + np.multiply.outer(steps, delta)
+            found[i] = next(filter(None, _tries(cands, [fn] * len(steps), spec, known, weights)), None)
+    return found
+
+
+def _tries(cands, fns, spec, known, weights):
+    """For each row of the stack cands in turn, its (evaluation, residual,
+    squared distances, deflation factor, residual norm) where its deflated
+    residual norm is below the row's fn, and None where it is not; a row
+    with a non-finite coefficient, whose residual norm is not finite either,
+    raises ValueError as it is reached."""
+    rows = Evaluation(cands, spec)
+    res = rows.gradient()
+    norms = res.norm().tolist()
+    for i, (d2, rn, fn) in enumerate(zip(_distances(cands, known, weights), norms, fns)):
+        factor = _deflation_factor(d2)
+        if factor * rn < fn:
+            yield rows.row(i), DualGradient(res.du[i], res.dv[i]), d2, factor, rn
+        elif not math.isfinite(rn) and not np.isfinite(cands[i]).all():
+            raise ValueError("coefficients must be finite")
+        else:
+            yield None
 
 
 def _distances(Z: np.ndarray, known: np.ndarray, weights: np.ndarray) -> list[list[float]]:
@@ -552,9 +664,11 @@ def find_branch(
     """Collect `count` distinct critical points (one record per mirror pair).
 
     A plain Newton sweep over the seed schedule runs first, by default over
-    min(n, max(6, count)) modes; its converged results are grouped into
-    solutions and the lowest `count` kept (see _solutions), so the records
-    do not depend on the seed order or on roundoff in the energies.
+    min(n, max(6, count)) modes, as one stack of runs (see newton_sweep),
+    in which each mirror pair of seeds of a symmetric problem runs once; its
+    converged results are grouped into solutions and the lowest `count`
+    kept (see _solutions), so the records do not depend on the seed order
+    or on roundoff in the energies.
     Deflation fills in afterwards, and every deflated solution it converges
     to is new (a forced sweep that converges nowhere leaves nothing to
     deflate against, and ends the hunt).  For a symmetric problem each
@@ -569,7 +683,7 @@ def find_branch(
     seeds = seeds if seeds is not None else default_seeds(spec, min(spec.n, max(6, count)))
     symmetric = spec.is_symmetric()
 
-    results = [newton_solve(seed, spec, config) for seed in seeds]
+    results = newton_sweep(seeds, spec, config)
     candidates = [
         _record(res.z, res.energy, res.residual_norm, symmetric)
         for res in results if res.converged
@@ -884,7 +998,9 @@ def estimate_levels(
     where c_k is the computed minimum of the normalized nonlinear integrals
     over the unit sphere of the first k modes.
     lower: gamma k^(2 alpha) with computed gamma and exact exponent.
-    A bracket value that is not finite raises ValueError naming k and field.
+    A forcing whose size C0 is not finite raises ValueError naming h and k,
+    and a bracket value that is not finite raises ValueError naming k and
+    field.
     """
     k_max = min(5, spec.n) if k_max is None else k_max
     if k_max < 1:
@@ -894,10 +1010,16 @@ def estimate_levels(
         raise ValueError(f"k_max={k_max} exceeds the truncation {spec.n}")
     if samples < 0:
         raise ValueError(f"samples must be at least 0, got {samples}")
+    c0 = _forcing_size(spec)
+    if not math.isfinite(c0):
+        raise ValueError(
+            f"the forcing norms |h|_2 = {sobolev_norm(spec.h, 0.0)}, |k|_2 = "
+            f"{sobolev_norm(spec.k, 0.0)} give no finite forcing size "
+            "C0 = |k|_2 lambda_1^(-r/2) + |h|_2 lambda_1^(r/2-1)"
+        )
     pt = region.PQPoint(p=spec.p, q=spec.q, N=spec.domain.dim)
     _, _, alpha = region.growth_exponents(pt, spec.r)
     gamma = lower_growth_constant(spec, seed=seed)
-    c0 = _forcing_size(spec)
     m_exp = min(spec.p, spec.q) + 1.0
     weights = _weights(spec.basis, spec.r)
     brackets: list[LevelBracket] = []

@@ -546,6 +546,22 @@ class TestCommands:
         ]
         assert not list(tmp_path.glob("out*"))
 
+    def test_overflowing_forcing_size_names_the_forcing(self, tmp_path, capsys):
+        """With the cutoff constant given, forcing norms that overflow end
+        in one error line naming h and k, not a bracket's ceiling."""
+        config = {
+            "command": "levels",
+            "problem": dict(BRANCH_CONFIG["problem"], n=8, h=[1e200], k=[1e200]),
+            "cutoff": {"bound_constant": 1.0},
+        }
+        cfg = write_config(tmp_path, "forcing.json", config)
+        assert main(["levels", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: the forcing norms |h|_2 = inf, |k|_2 = inf give no finite forcing "
+            "size C0 = |k|_2 lambda_1^(-r/2) + |h|_2 lambda_1^(r/2-1)"
+        ]
+        assert not list(tmp_path.glob("out*"))
+
     def test_level_radius_overflow_exits_one(self, tmp_path, capsys):
         # near p = q = 1 the radius (1/(2 c_k))^(1/(m-2)) leaves the float range
         config = {
@@ -728,15 +744,21 @@ class TestDeterminism:
         config = {"command": "branch", "problem": problem, "branch": {"count": count}}
         cfg = write_config(tmp_path, "branch.json", config)
         assert main(["branch", "--config", cfg, "--out", str(tmp_path / "a")]) == 0
-        real_newton, real_seeds = solve.newton_solve, solve.default_seeds
+        real_newton, real_sweep, real_seeds = solve.newton_solve, solve.newton_sweep, solve.default_seeds
         calls = itertools.count(first)
 
-        def newton(*args, **kwargs):
-            result = real_newton(*args, **kwargs)
+        def moved_energy(result):
             direction = math.inf if next(calls) % 2 else -math.inf
             return dataclasses.replace(result, energy=math.nextafter(result.energy, direction))
 
+        def newton(*args, **kwargs):
+            return moved_energy(real_newton(*args, **kwargs))
+
+        def sweep(*args, **kwargs):
+            return [moved_energy(result) for result in real_sweep(*args, **kwargs)]
+
         monkeypatch.setattr(solve, "newton_solve", newton)
+        monkeypatch.setattr(solve, "newton_sweep", sweep)
         monkeypatch.setattr(solve, "default_seeds", lambda *args: real_seeds(*args)[::-1])
         assert main(["branch", "--config", cfg, "--out", str(tmp_path / "b")]) == 0
         plain = (tmp_path / "a.json").read_bytes()

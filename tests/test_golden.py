@@ -2,9 +2,12 @@
 
 The committed levels output was written by the program before the energy
 evaluations, the Newton loops and the projected ascents were merged, and the
-branch outputs once Newton's step came from block elimination and tied
-records were ordered past roundoff in their coefficients; any change of
-result, down to the last bit of a float, shows here.
+forced branch outputs once Newton's step came from block elimination and
+tied records were ordered past roundoff in their coefficients.  The two
+symmetric hunts, 1-D at n = 32 (dense steps) and 2-D at n = 130 (GMRES
+steps), were written while every seed still ran its own Newton loop; they
+pin the folding of mirror seeds.  Any change of result, down to the last
+bit of a float, shows here.
 """
 
 from pathlib import Path
@@ -22,6 +25,8 @@ DATA = Path(__file__).parent / "data"
         ("golden_levels", "levels", ".csv"),
         ("golden_branch", "branch", ".json"),
         ("golden_deflated", "branch", ".json"),
+        ("golden_symmetric", "branch", ".json"),
+        ("golden_symmetric_krylov", "branch", ".json"),
     ],
 )
 def test_outputs_match_committed_bytes(tmp_path, name, command, suffix):

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -148,6 +149,14 @@ def test_boundary_curves_keep_their_values_on_positive_arguments():
     assert multiplicity_boundary_p(1.0, 1.0) == math.inf
     assert multiplicity_boundary_p(1.0, 2.0) == 5.0
     assert hyperbola_boundary_p(0.5, 10.0) == pytest.approx(6.5, rel=1e-12)
+
+
+@pytest.mark.parametrize("N", [1e308, sys.float_info.max])
+def test_multiplicity_boundary_stays_finite_where_2n_overflows(N):
+    """At q = 1 the curve (3N+4)/(3N-4) tends to 1; 2N overflows here, which
+    gave -1.0, and the curve still reads 1.0 as it does at N = 1e300."""
+    assert multiplicity_boundary_p(1.0, 1e300) == 1.0
+    assert multiplicity_boundary_p(1.0, N) == 1.0
 
 
 def test_multiplicity_boundary_intercept():

@@ -23,6 +23,7 @@ from indefsaddle import (
     estimate_levels,
     find_branch,
     newton_solve,
+    newton_sweep,
     pair_inner,
     pair_norm,
     residual,
@@ -145,6 +146,30 @@ def test_gathers_are_built_by_the_first_jacobian():
     assert len(spec.tables.gathers) == 4
 
 
+@pytest.mark.parametrize("lengths, n", [((math.pi,), 64), ((math.pi,), 127), ((1.0, 2.5), 40), ((1.0, 1.3, 2.0), 30)])
+def test_stacked_blocks_are_each_rows_own(lengths, n):
+    """galerkin of a stack gives each row's block bit for bit, C-contiguous,
+    so that the stacked products take the BLAS path a point's take; the 1-D
+    blocks, read through strided views of the moments, are the signed sum
+    of the gathers bit for bit."""
+    spec = ProblemSpec.create(BoxDomain(lengths), n, 1.0, 3.0, 3.0)
+    tables = spec.tables
+    shape = grid_shape(spec.basis, spec.oversample)
+    values = np.random.default_rng(n).standard_normal((5, *shape))
+    stacked = tables.galerkin(values)
+    assert stacked.flags.c_contiguous and stacked.shape == (5, n, n)
+    for row, block in zip(values, stacked):
+        alone = tables.galerkin(row)
+        assert alone.flags.c_contiguous
+        assert block.tobytes() == alone.tobytes()
+        if len(lengths) == 1:
+            moments = tables.cosines[0] @ row
+            (_, first), (_, second) = tables.gathers
+            want = moments[first] - moments[second]
+            want *= tables.block_scale
+            assert alone.tobytes() == want.tobytes()
+
+
 class TestNewton:
     def test_zero_seed_converges_immediately(self, cubic_spec, newton_config):
         result = newton_solve(cubic_spec.zero_pair(), cubic_spec, newton_config)
@@ -237,13 +262,18 @@ class TestDeflation:
         spec = ProblemSpec.create(
             BoxDomain((1.0, 1.3)), n=12, r=1.0, p=9.0, q=9.0
         ).with_forcing(h=[200.0], k=[200.0])
-        real, runs = solve.newton_solve, []
+        real, real_sweep, runs = solve.newton_solve, solve.newton_sweep, []
 
         def counting(z0, spec, config=None, known=None):
             runs.append(known)
             return real(z0, spec, config, known)
 
+        def sweep(seeds, spec, config=None):
+            runs.extend([None] * len(seeds))  # one plain run per seed
+            return real_sweep(seeds, spec, config)
+
         monkeypatch.setattr(solve, "newton_solve", counting)
+        monkeypatch.setattr(solve, "newton_sweep", sweep)
         branch = find_branch(spec, count=3)
         seeds = default_seeds(spec, 6)
         assert branch.records == [] and branch.exhausted
@@ -313,28 +343,31 @@ class TestDeflation:
 
     def test_forced_hunt_evaluates_only_inside_newton(self, perturbed_spec, monkeypatch):
         """Each candidate's energy comes from the Newton run's own evaluation,
-        so a hunt synthesizes no point outside newton_solve."""
+        so a hunt synthesizes no point outside newton_sweep and newton_solve."""
         from indefsaddle import basis, solve
 
         depth = 0
         outside = 0
-        real_newton = solve.newton_solve
         real_evaluate = basis.GridTables.evaluate
 
-        def newton(*args, **kwargs):
-            nonlocal depth
-            depth += 1
-            try:
-                return real_newton(*args, **kwargs)
-            finally:
-                depth -= 1
+        def inside(real):
+            def newton(*args, **kwargs):
+                nonlocal depth
+                depth += 1
+                try:
+                    return real(*args, **kwargs)
+                finally:
+                    depth -= 1
+
+            return newton
 
         def evaluate(tables, coeffs):
             nonlocal outside
             outside += depth == 0
             return real_evaluate(tables, coeffs)
 
-        monkeypatch.setattr(solve, "newton_solve", newton)
+        for name in ("newton_sweep", "newton_solve"):
+            monkeypatch.setattr(solve, name, inside(getattr(solve, name)))
         monkeypatch.setattr(basis.GridTables, "evaluate", evaluate)
         branch = find_branch(perturbed_spec, count=3)
         assert len(branch.records) == 3
@@ -385,13 +418,12 @@ class TestDeflation:
         spec = ProblemSpec.create(BoxDomain((math.pi,)), 16, 1.0, 3.0, 3.0, h=forcing, k=forcing)
         seeds = _scaled_mode_seeds(spec)
         plain = find_branch(spec, seeds=seeds, count=5)
-        real_newton = solve.newton_solve
+        real_newton, real_sweep = solve.newton_solve, solve.newton_sweep
         for shift_coefficients in (False, True):
             candidates = []
             calls = itertools.count()
 
-            def newton(*args, **kwargs):
-                result = real_newton(*args, **kwargs)
+            def moved_run(result):
                 candidates.append(result.converged)
                 direction = math.inf if next(calls) % 2 else -math.inf
                 z = result.z
@@ -402,7 +434,14 @@ class TestDeflation:
                     result, z=z, energy=math.nextafter(result.energy, direction)
                 )
 
+            def newton(*args, **kwargs):
+                return moved_run(real_newton(*args, **kwargs))
+
+            def sweep(*args, **kwargs):
+                return [moved_run(result) for result in real_sweep(*args, **kwargs)]
+
             monkeypatch.setattr(solve, "newton_solve", newton)
+            monkeypatch.setattr(solve, "newton_sweep", sweep)
             moved = find_branch(spec, seeds=seeds[::-1], count=5)
             assert sum(candidates) > 2 * len(plain.records)  # most solutions reached repeatedly
             assert len(moved.records) == len(plain.records) == 5
@@ -613,14 +652,15 @@ class TestBacktracking:
             rows.append(len(coeffs) if coeffs.ndim == 2 else 0)
             return real_evaluate(tables, coeffs)
 
-        def backtrack(vec, delta, *args):
+        def backtrack(vecs, deltas, *args):  # the one row of a lone run
             rows.clear()
-            found = real_backtrack(vec, delta, *args)
+            found = real_backtrack(vecs, deltas, *args)
+            (vec,), (delta,), (row,) = vecs, deltas, found
             step, tried = 1.0, 1
-            while found is not None and not np.array_equal(vec + step * delta, found[0].vecs):
+            while row is not None and not np.array_equal(vec + step * delta, row[0].vecs):
                 step *= 0.5
                 tried += 1
-            searches.append((found is not None, tried, list(rows)))
+            searches.append((row is not None, tried, list(rows)))
             return found
 
         monkeypatch.setattr(basis.GridTables, "evaluate", evaluate)
@@ -656,6 +696,107 @@ class TestBacktracking:
         got = newton_solve(z0, spec, config, known)
         assert max(rows) == 3
         assert got.residual_norm == sequential_newton(z0, spec, config, known).residual_norm
+
+
+def _sweep_seeds(spec):
+    """The default schedule (a forced problem's starts with the zero pair),
+    then t (phi_j, phi_j) for t in (1, 4), modes 1..3 and each sign: these
+    fall to the trivial solution, converge or run out of iterations."""
+    seeds = default_seeds(spec, min(spec.n, 6))
+    for j in range(1, 4):
+        mode = SpectralField.unit(spec.basis, j)
+        for t in (1.0, 4.0):
+            for sign in (1.0, -1.0):
+                seeds.append(FieldPair(mode * (sign * t), mode * (sign * t), spec.r))
+    return seeds
+
+
+class TestSweep:
+    """newton_sweep runs its seeds as the rows of one stack, and a symmetric
+    problem's seed that negates the seed before it is not run; every result
+    must be that of newton_solve from the seed alone, bit for bit."""
+
+    # name -> (lengths, n, p, q, r, max_iter); the near-linear runs stall
+    # in the line search, the others run out of iterations
+    CASES = {
+        "1-D": ((math.pi,), 16, 3.0, 3.0, 1.0, 6),
+        "1-D near-linear": ((math.pi,), 16, 1.2, 1.2, 1.0, 50),
+        "1-D krylov": ((math.pi,), 130, 2.0, 5.0, 1.0, 6),
+        "2-D near-linear": ((1.0, 2.5), 24, 1.2, 1.2, 1.0, 50),
+        "2-D krylov": ((1.0, 1.3), 130, 2.0, 5.0, 1.0, 6),
+        "3-D": ((1.0, 1.3, 2.0), 30, 3.0, 3.0, 1.0, 6),
+        "3-D krylov": ((1.0, 1.2, 1.5), 130, 2.0, 5.0, 1.25, 6),
+    }
+
+    @staticmethod
+    def outcome(result):
+        return (
+            result.z.vec.tobytes(), repr(result.residual_norm), repr(result.energy),
+            result.iterations, result.converged, result.message,
+        )
+
+    @pytest.mark.parametrize("forced", [False, True])
+    @pytest.mark.parametrize("name", list(CASES))
+    def test_matches_one_run_per_seed(self, name, forced, monkeypatch):
+        """Each result against newton_solve's from its seed alone.  One seed
+        hits a singular Jacobian: its Schur solve raises, in the stack as
+        alone, so the stack steps one row at a time for that iteration.  A
+        mirrored result may differ from the seed's own run only in the sign
+        of a zero coefficient, where an exact cancellation gives +0.0 on both
+        sides; that happens only on runs that fall to the trivial
+        solution, which a hunt drops."""
+        from indefsaddle import solve
+        from indefsaddle.solve import _negates
+
+        lengths, n, p, q, r, max_iter = self.CASES[name]
+        forcing = [0.05, -0.02] if forced else None
+        spec = ProblemSpec.create(BoxDomain(lengths), n, r, p, q, h=forcing, k=forcing)
+        assert (n >= solve._KRYLOV_N) == name.endswith("krylov")
+        seeds = _sweep_seeds(spec)
+        config = NewtonConfig(max_iter=max_iter)
+        # mode 3 at t = 1, of either sign: the Jacobian is even in z
+        singular = (seeds[-4].vec, seeds[-3].vec)
+        real_schur = solve._schur
+
+        def schur(ev):
+            PL, Q, solve_schur = real_schur(ev)
+            if any(np.array_equal(row, s) for row in np.atleast_2d(ev.vecs) for s in singular):
+                def solve_schur(b):
+                    raise np.linalg.LinAlgError("singular")
+            return PL, Q, solve_schur
+
+        monkeypatch.setattr(solve, "_schur", schur)
+        got = newton_sweep(seeds, spec, config)
+        messages = set()
+        for i, (seed, result) in enumerate(zip(seeds, got)):
+            want = self.outcome(newton_solve(seed, spec, config))
+            messages.add(want[-1])
+            have = self.outcome(result)
+            mirrored = not forced and i > 0 and _negates(seed, seeds[i - 1])
+            if mirrored and have[0] != want[0]:
+                alone = np.frombuffer(want[0])
+                assert np.array_equal(result.z.vec, alone)
+                assert pair_norm(result.z) < config.separation
+                have, want = have[1:], want[1:]
+            assert have == want, (i, have[1:], want[1:])
+        ending = "line search stalled" if name.endswith("near-linear") else "max_iter reached"
+        assert {"", ending, "singular Jacobian"} <= messages
+
+    @pytest.mark.parametrize("n", [16, 130])
+    def test_overflowing_seed_raises_as_alone(self, n):
+        """A seed whose residual norm is not finite raises the ValueError of
+        its own run, wherever it stands in the sweep."""
+        spec = ProblemSpec.create(BoxDomain((math.pi,)), n, 1.0, 3.0, 3.0)
+        mode = SpectralField.unit(spec.basis, 2)
+        seeds = _sweep_seeds(spec)
+        bad = FieldPair(mode * 1e200, mode * 1e200, 1.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError) as alone:
+                newton_solve(bad, spec)
+            for at in (0, 5, len(seeds)):
+                with pytest.raises(ValueError) as swept:
+                    newton_sweep(seeds[:at] + [bad] + seeds[at:], spec)
+                assert str(swept.value) == str(alone.value) == "coefficients must be finite"
 
 
 class TestNewtonStep:
