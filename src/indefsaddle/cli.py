@@ -7,9 +7,11 @@ Commands, each one runner of the table `_RUNNERS`
     levels   minimax-level brackets                   -> LevelBracket rows
     check    module invariant suite                   -> CheckResult rows
 
-A row command's runner returns the fields of its record NamedTuple and the
-records, written as CSV, or as JSON rows with `format` (or --format)
-"json"; asking solve or branch for CSV is a config error.  The levels,
+A row command's runner returns the fields of its record NamedTuple and
+blocks of columns: the region scan's numpy blocks, drawn one at a time, or
+the records as one block.  They are written as CSV, or as JSON rows with
+`format` (or --format) "json", each block as it is drawn; asking solve or
+branch for CSV is a config error.  The levels,
 branch and solve sections are passed to the library calls as keyword
 arguments, so each default lives in the library signature only.
 
@@ -35,14 +37,13 @@ as a single quote.  JSON rows carry the raw values.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import math
 import os
 import re
 import sys
 import time
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -299,8 +300,10 @@ def parse_config(text: str, overrides: dict | None = None) -> RunConfig:
 
 # a string with any of these characters is free text, quoted in CSV
 _FREE_TEXT = re.compile(r'[ ,"\n]')
-# the rows a CSV file is formatted and written by, one block at a time
+# the most rows of a block that are formatted and written as one slice
 _CSV_BLOCK = 1 << 10
+# the CSV cells of False and True
+_BOOL_CELLS = ("false", "true")
 
 
 def _fmt(value) -> str:
@@ -316,37 +319,106 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _cells(column: tuple) -> list[str]:
-    """The CSV cells of one column, each as _fmt writes it.
+def _cells(column, present=None) -> list[str]:
+    """The CSV cells of one column, each as _fmt writes it, and empty where
+    the mask `present` of a numpy column is false.
 
-    In a column of one type (None aside) each distinct value is formatted
-    once.  A float column whose values are mostly distinct is written by
-    repr instead, as is one holding a zero, since 0.0 == -0.0 would share a
-    cell; a column of mixed types goes through _fmt cell by cell.
+    A numpy column is formatted by its dtype: booleans through one table,
+    any other dtype as its Python values.  In a column of one type (None
+    aside) each distinct value is formatted once.  A float column whose
+    values are mostly distinct is written by repr instead, as is one holding
+    a zero, since 0.0 == -0.0 would share a cell; a column of mixed types
+    goes through _fmt cell by cell.
     """
-    kinds = set(map(type, column))
-    kinds.discard(type(None))
+    if present is not None:
+        return _masked(_cells, column, present, "")
+    if isinstance(column, np.ndarray):
+        values = column.tolist()
+        if column.dtype == bool:
+            return list(map(_BOOL_CELLS.__getitem__, values))
+        if column.dtype.kind != "f":
+            return _cells(values)
+        kinds = {float}  # no cell of a float array needs its type checked
+    else:
+        values = column
+        kinds = set(map(type, values))
+        kinds.discard(type(None))
     if len(kinds) > 1:
-        return list(map(_fmt, column))
-    values = set(column)
-    if kinds == {float} and (4 * len(values) > len(column) or 0.0 in values):
-        cells = map(repr, column)
-        return list(map({None: ""}.get, column, cells) if None in values else cells)
-    return list(map({v: _fmt(v) for v in values}.__getitem__, column))
+        return list(map(_fmt, values))
+    distinct = set(values)
+    if kinds == {float} and (4 * len(distinct) > len(values) or 0.0 in distinct):
+        cells = map(repr, values)
+        return list(map({None: ""}.get, values, cells) if None in distinct else cells)
+    return list(map({v: _fmt(v) for v in distinct}.__getitem__, values))
 
 
-def _write_csv(path: str, header: tuple[str, ...], rows: Iterable[tuple]) -> int:
-    """Write the rows as CSV, formatted column by column in blocks of rows,
-    each block drawn from the iterable as it is written; returns the number
-    of rows."""
-    rows = iter(rows)
+def _json_cells(column, present=None) -> list[str]:
+    """Each value of one column as json.dumps writes it, and null where the
+    mask `present` of a numpy column is false.  A numpy column holds
+    booleans, numbers or strings."""
+    if present is not None:
+        return _masked(_json_cells, column, present, "null")
+    if not isinstance(column, np.ndarray):
+        return list(map(json.dumps, column))
+    values = column.tolist()
+    if column.dtype.kind == "U":  # each distinct string encoded once
+        return list(map({v: json.dumps(v) for v in set(values)}.__getitem__, values))
+    # numbers and booleans, whose JSON texts hold no ", ": one encoder call
+    return json.dumps(values)[1:-1].split(", ") if values else []
+
+
+def _masked(cells, column: np.ndarray, present: np.ndarray, blank: str) -> list[str]:
+    """The cells by `cells` of the values of `column` where `present` is
+    true, and `blank` elsewhere."""
+    out = np.full(len(column), blank, dtype=object)
+    out[present] = cells(column[present])
+    return out.tolist()
+
+
+def _cell_slices(blocks: Iterable[list], cells) -> Iterator[list[list[str]]]:
+    """The cells by `cells` of each block's columns (values, present), in
+    slices of at most _CSV_BLOCK rows, each block drawn as it is reached."""
+    for block in blocks:
+        size = len(block[0][0])
+        for start in range(0, size, _CSV_BLOCK):
+            part = slice(start, start + _CSV_BLOCK)
+            yield [
+                cells(values[part], None if present is None else present[part])
+                for values, present in block
+            ]
+
+
+def _record_blocks(records: list[tuple]) -> list[list]:
+    """The records as one block of columns, each with every cell present."""
+    return [[(column, None) for column in zip(*records)]] if records else []
+
+
+def _write_csv(path: str, header: tuple[str, ...], blocks: Iterable[list]) -> int:
+    """Write the blocks of columns as CSV rows; returns the number of rows."""
     count = 0
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        while block := list(itertools.islice(rows, _CSV_BLOCK)):
-            lines = map(",".join, zip(*map(_cells, zip(*block))))
-            fh.write("\n".join(lines) + "\n")
-            count += len(block)
+        for columns in _cell_slices(blocks, _cells):
+            fh.write("\n".join(map(",".join, zip(*columns))) + "\n")
+            count += len(columns[0])
+    return count
+
+
+def _write_json_rows(path: str, head: dict, header: tuple[str, ...], blocks: Iterable[list]) -> int:
+    """Write {**head, "rows": [...]}, one object per row keyed by `header`,
+    as json.dumps(..., indent=2) writes it, each block's rows as the block is
+    drawn; returns the number of rows."""
+    opening = json.dumps({**head, "rows": []}, indent=2).removesuffix("]\n}")
+    # one row, at depth 2 of the document
+    row = "    {\n" + ",\n".join(f"      {json.dumps(name)}: %s" for name in header) + "\n    }"
+    count = 0
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(opening)
+        for columns in _cell_slices(blocks, _json_cells):
+            fh.write(",\n" if count else "\n")
+            fh.write(",\n".join(map(row.__mod__, zip(*columns))))
+            count += len(columns[0])
+        fh.write("\n  ]\n}\n" if count else "]\n}\n")
     return count
 
 
@@ -391,21 +463,19 @@ def load_solutions(path: str) -> tuple[ProblemSpec, CutoffConfig, list[FieldPair
     return spec, cutoff, pairs
 
 
-def _run_region(cfg: RunConfig) -> tuple[tuple[str, ...], Iterable[region.RegionRow]]:
-    # the rows are scanned block by block as the writer asks for them, so
-    # that a CSV scan at the grid cap never holds all its rows
-    return region.RegionRow._fields, itertools.chain.from_iterable(
-        region.scan_blocks(cfg.N, cfg.p_grid, cfg.q_grid)
-    )
+def _run_region(cfg: RunConfig) -> tuple[tuple[str, ...], Iterator[list]]:
+    # the blocks are scanned one at a time as the writer asks for them, so
+    # that a scan at the grid cap never holds all its points
+    return region.RegionRow._fields, region.scan_blocks(cfg.N, cfg.p_grid, cfg.q_grid)
 
 
-def _run_levels(cfg: RunConfig) -> tuple[tuple[str, ...], list[LevelBracket]]:
+def _run_levels(cfg: RunConfig) -> tuple[tuple[str, ...], list[list]]:
     brackets = estimate_levels(cfg.problem, cutoff=cfg.cutoff, seed=cfg.seed, **cfg.levels)
-    return LevelBracket._fields, brackets
+    return LevelBracket._fields, _record_blocks(brackets)
 
 
-def _run_check(cfg: RunConfig) -> tuple[tuple[str, ...], list[suite.CheckResult]]:
-    return suite.CheckResult._fields, suite.run_all(seed=cfg.seed)
+def _run_check(cfg: RunConfig) -> tuple[tuple[str, ...], list[list]]:
+    return suite.CheckResult._fields, _record_blocks(suite.run_all(seed=cfg.seed))
 
 
 def _solution_set(cfg: RunConfig, solutions, **run_fields) -> dict:
@@ -476,13 +546,12 @@ _RUNNERS = {
 COMMANDS = tuple(_RUNNERS)
 
 
-def _write_rows(cfg: RunConfig, header: tuple[str, ...], rows: Iterable[tuple]) -> int:
-    """Write the rows in the configured format; returns the number of rows."""
+def _write_rows(cfg: RunConfig, header: tuple[str, ...], blocks: Iterable[list]) -> int:
+    """Write the blocks of columns in the configured format; returns the
+    number of rows."""
     if cfg.format == "json":
-        rows = [dict(zip(header, row)) for row in rows]
-        _write_json(cfg.output + ".json", {**_json_header(cfg), "rows": rows})
-        return len(rows)
-    return _write_csv(cfg.output + ".csv", header, rows)
+        return _write_json_rows(cfg.output + ".json", _json_header(cfg), header, blocks)
+    return _write_csv(cfg.output + ".csv", header, blocks)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -529,10 +598,11 @@ def main(argv: list[str] | None = None) -> int:
                 _write_json(cfg.output + ".json", result)
                 items = len(result["solutions"])
             else:
-                header, rows = result
-                items = _write_rows(cfg, header, rows)
+                header, blocks = result
+                items = _write_rows(cfg, header, blocks)
                 if cfg.command == "check":  # a failed check exits 3
-                    failures = sum(not row.passed for row in rows)
+                    (block,) = blocks
+                    failures = block[header.index("passed")][0].count(False)
                     if failures:
                         status = 3
                         print(f"check suite: {failures} of {items} checks FAILED")

@@ -8,9 +8,10 @@ collapsing them to true/false.
 Each closed form is written once, as a private elementwise function of
 floats or numpy arrays (`_gap`, `_window`, `_balanced`, `_margin`,
 `_growth`, `_optimal_r`): the public functions call it with the floats of
-one point, and region_scan with whole columns of the grid.  Its branches
-are masks, so that both evaluate the same IEEE operations in the same
-order and agree bit for bit.
+one point, and scan_blocks with whole columns of a block of the grid.  Its
+branches are masks, so that both evaluate the same IEEE operations in the
+same order and agree bit for bit.  The blocks stay numpy columns: the CLI
+writes its files from them, and region_scan builds its rows from them.
 """
 
 from __future__ import annotations
@@ -261,10 +262,15 @@ class RegionRow(NamedTuple):
 
 # half-width of the "boundary" band around the hyperbola and the region edge
 _BAND = 1e-9
-# the status names, by the codes region_scan computes
-_STATUS = np.array(["inside", "outside", "boundary"], dtype=object)
+# the status names, by the codes _scan_columns computes
+_STATUS = np.array(["inside", "outside", "boundary"])
 # the most grid points evaluated as one block of arrays
 _BLOCK = 1 << 12
+
+
+# one column of a scanned block: its values, and the mask of the points that
+# hold one (None where every point does)
+_Column = tuple[np.ndarray, np.ndarray | None]
 
 
 def region_scan(N: int, p_grid: list[float], q_grid: list[float]) -> list[RegionRow]:
@@ -276,35 +282,44 @@ def region_scan(N: int, p_grid: list[float], q_grid: list[float]) -> list[Region
     margin lies within _BAND of zero is "boundary" too, with its r_star.
     Each value is a Python float, bool, str or None.  The first grid point,
     in scan order, that PQPoint or multiplicity_margin rejects raises their
-    ValueError.
+    ValueError.  The rows are those of the blocks of scan_blocks.
     """
-    if not (len(p_grid) and len(q_grid)):
-        return []
-    _check_grid(N, p_grid, q_grid)
-    ps, qs = np.asarray(p_grid, dtype=float), np.asarray(q_grid, dtype=float)
-    step = _block_rows(len(qs))
     rows = []
-    for start in range(0, len(ps), step):
-        p = np.repeat(ps[start : start + step], len(qs))
-        q = np.tile(qs, len(p) // len(qs))
-        rows += map(RegionRow._make, zip(*_scan_columns(p, q, N)))
+    for block in scan_blocks(N, p_grid, q_grid):
+        rows += map(RegionRow._make, zip(*(_values(*column) for column in block)))
     return rows
 
 
-def scan_blocks(N: int, p_grid: list[float], q_grid: list[float]) -> Iterator[list[RegionRow]]:
-    """The rows of region_scan in blocks of whole p rows, at most _BLOCK
-    points each where a p row fits, each scanned by its own region_scan call
-    as it is asked for.  The grid is checked by this call, so its ValueError
-    comes before the first block."""
-    # each block goes through region_scan, not straight to _scan_columns, so
-    # that a trace of region_scan still sees every scanned point
+def _values(values: np.ndarray, present: np.ndarray | None) -> list:
+    """A column's Python values, None where `present` is false."""
+    if present is None:
+        return values.tolist()
+    cells = values.astype(object)
+    cells[~present] = None
+    return cells.tolist()
+
+
+def scan_blocks(N: int, p_grid: list[float], q_grid: list[float]) -> Iterator[list[_Column]]:
+    """The points of region_scan in blocks of whole p rows, at most _BLOCK
+    points each where a p row fits, each scanned as it is asked for.
+
+    A block is one column per RegionRow field, each a numpy array (float,
+    bool, or str for status) with the mask of the points that hold a value:
+    the points given an r_star for the r_star, feasible and growth columns,
+    None (every point) for the others.  The grid is checked by this call, so
+    its ValueError comes before the first block.
+    """
+    # each block is scanned by the private _scan_columns as it is drawn, so
+    # a trace of the public functions counts the scan in the time of the
+    # caller that draws the blocks: region_scan, or the CLI's writer
     if not (len(p_grid) and len(q_grid)):
         return iter(())
     _check_grid(N, p_grid, q_grid)
-    step = _block_rows(len(q_grid))
+    ps, qs = np.asarray(p_grid, dtype=float), np.asarray(q_grid, dtype=float)
+    step = _block_rows(len(qs))
     return (
-        region_scan(N, p_grid[start : start + step], q_grid)
-        for start in range(0, len(p_grid), step)
+        _scan_columns(np.repeat(rows, len(qs)), np.tile(qs, len(rows)), N)
+        for rows in np.split(ps, range(step, len(ps), step))
     )
 
 
@@ -330,8 +345,8 @@ def _invalid(values: np.ndarray) -> np.ndarray:
     return np.flatnonzero(~(np.isfinite(values) & (values > 1.0)))
 
 
-def _scan_columns(p: np.ndarray, q: np.ndarray, N: int) -> tuple[list, ...]:
-    """The RegionRow columns of the points (p[i], q[i]), as Python values."""
+def _scan_columns(p: np.ndarray, q: np.ndarray, N: int) -> list[_Column]:
+    """The RegionRow columns of the points (p[i], q[i])."""
     # overflow and inf / inf pass silently, as in Python float arithmetic
     with np.errstate(over="ignore", invalid="ignore"):
         gap = _gap(p, q, N)
@@ -344,17 +359,11 @@ def _scan_columns(p: np.ndarray, q: np.ndarray, N: int) -> tuple[list, ...]:
     found &= solved
     status = np.where(solved & (margin > 0.0), 0, 1)
     status[near | (solved & (np.abs(margin) < _BAND))] = 2
-
-    def optional(values: np.ndarray) -> list:
-        cells = values.astype(object)
-        cells[~found] = None
-        return cells.tolist()
-
-    return (
-        p.tolist(), q.tolist(), gap.tolist(), subcritical.tolist(),
-        _STATUS[status].tolist(), optional(r_star), optional(feasible),
-        balanced.tolist(), optional(q1), optional(p1), optional(alpha),
-    )
+    return [
+        (p, None), (q, None), (gap, None), (subcritical, None), (_STATUS[status], None),
+        (r_star, found), (feasible, found), (balanced, None),
+        (q1, found), (p1, found), (alpha, found),
+    ]
 
 
 def _check_curve(q: float, N: float) -> None:

@@ -5,12 +5,15 @@ import itertools
 import json
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from indefsaddle import suite, verify_critical
 from indefsaddle.cli import ConfigError, load_solutions, main, parse_config
+
+DATA = Path(__file__).parent / "data"
 
 
 def write_config(tmp_path, name, payload):
@@ -183,7 +186,7 @@ class TestParseConfig:
             raise AssertionError("the region was scanned")
 
         region_module = importlib.import_module("indefsaddle.region")
-        monkeypatch.setattr(region_module, "region_scan", refuse)
+        monkeypatch.setattr(region_module, "scan_blocks", refuse)
         grid = {"start": 1.5, "stop": 3.5, "step": 0.001}  # 2001 points each
         config = dict(REGION_CONFIG, p_grid=grid, q_grid=grid)
         cfg = write_config(tmp_path, "large.json", config)
@@ -607,67 +610,107 @@ class TestCommands:
         assert statuses == {0, 1}
 
 
+# Columns by id: Python sequences, which carry None themselves, and numpy
+# columns as the region scan hands them out, whole or with a mask of the
+# cells present
+MASK = np.array([True, False, True, True, False, True])
+COLUMNS = {
+    "signed-zeros": (0.0, -0.0, 0.0, 1.5, None),
+    "repeats-with-zeros": (1.5,) * 8 + (-0.0, 0.0),
+    "floats-with-none": (2.5, None) * 6,
+    "numbers-and-bool": (1.0, 1, True, None),
+    "ints": (1, 2, 2, 3, 1),
+    "bools": (True, False, None, True, True),
+    "text": ("inside", "a b", 'say "x"', "x,y", "line\nbreak", "inside", None),
+    "non-finite": (math.nan, math.inf, -math.inf, 1e-300, 1e22, 5e-324) * 5,
+    "distinct-floats": (0.1, 0.2, 0.30000000000000004, 1e16, None),
+    "numpy-float": (np.float64(1.5), 1.5),
+    "none": (None, None),
+    "empty": (),
+    "array-floats": np.array([0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324] * 3),
+    "array-repeats": np.array([1.5] * 8 + [2.5]),
+    "array-repeats-with-zeros": np.array([1.5] * 8 + [-0.0, 0.0]),
+    "array-repeated-non-finite": np.array([math.nan, math.inf, -math.inf, 2.0] * 4),
+    "array-bools": np.array([True, False, True, True]),
+    "array-text": np.array(["inside", "a b", 'say "x"', "x,y", "line\nbreak", "inside"]),
+    "array-empty": np.array([], dtype=float),
+}
+MASKED_COLUMNS = {
+    "masked-floats": (np.array([0.0, -0.0, math.nan, math.inf, 5e-324, -math.inf]), MASK),
+    "masked-repeats": (np.array([2.5, 1.0, 2.5, 2.5, 1.0, 2.5] * 4), np.tile(MASK, 4)),
+    "masked-bools": (np.array([True, False, False, True, True, False]), MASK),
+    "masked-text": (np.array(["inside", "a b", "x,y", "inside", "y", 'say "x"']), MASK),
+    "all-masked": (np.array([1.0, 2.0]), np.array([False, False])),
+}
+CELL_CASES = [pytest.param(column, None, id=name) for name, column in COLUMNS.items()]
+CELL_CASES += [pytest.param(*case, id=name) for name, case in MASKED_COLUMNS.items()]
+
+
+def cell_values(column, present) -> list:
+    """The Python values of a column, None where its mask is false."""
+    values = column.tolist() if isinstance(column, np.ndarray) else list(column)
+    if present is None:
+        return values
+    return [value if keep else None for value, keep in zip(values, present.tolist())]
+
+
 class TestCsvWriter:
-    @pytest.mark.parametrize("column", [
-        (0.0, -0.0, 0.0, 1.5, None),
-        (1.5,) * 8 + (-0.0, 0.0),
-        (2.5, None) * 6,
-        (1.0, 1, True, None),
-        (1, 2, 2, 3, 1),
-        (True, False, None, True, True),
-        ("inside", "a b", 'say "x"', "x,y", "line\nbreak", "inside", None),
-        (math.nan, math.inf, -math.inf, 1e-300, 1e22, 5e-324) * 5,
-        (0.1, 0.2, 0.30000000000000004, 1e16, None),
-        (np.float64(1.5), 1.5),
-        (None, None),
-        (),
-    ], ids=[
-        "signed-zeros", "repeats-with-zeros", "floats-with-none", "numbers-and-bool",
-        "ints", "bools", "text", "non-finite", "distinct-floats", "numpy-float", "none",
-        "empty",
-    ])
-    def test_column_cells_follow_the_cell_rule(self, column):
+    @pytest.mark.parametrize("column, present", CELL_CASES)
+    def test_column_cells_follow_the_cell_rule(self, column, present):
         from indefsaddle.cli import _cells, _fmt
 
-        assert _cells(column) == [_fmt(value) for value in column]
+        assert _cells(column, present) == [_fmt(v) for v in cell_values(column, present)]
+
+    @pytest.mark.parametrize("column, present", CELL_CASES)
+    def test_column_json_cells_are_json_dumps(self, column, present):
+        from indefsaddle.cli import _json_cells
+
+        assert _json_cells(column, present) == list(map(json.dumps, cell_values(column, present)))
 
     @pytest.mark.parametrize("block", [1, 7, 1 << 10])
     def test_blocks_join_to_the_rows(self, tmp_path, monkeypatch, block):
+        """Scan blocks of 3 p rows, formatted in slices of `block` rows, are
+        written as region_scan's rows are, cell by cell."""
         from indefsaddle import cli, region
 
         grid = [1.05 + i * 0.05 for i in range(0, 100, 7)]
         rows = region.region_scan(5, grid, grid)
         monkeypatch.setattr(cli, "_CSV_BLOCK", block)
-        cli._write_csv(str(tmp_path / "rows.csv"), list(region.RegionRow._fields), rows)
+        monkeypatch.setattr(region, "_BLOCK", 3 * len(grid))
+        blocks = region.scan_blocks(5, grid, grid)
+        assert cli._write_csv(str(tmp_path / "rows.csv"), region.RegionRow._fields, blocks) == len(rows)
         lines = [",".join(region.RegionRow._fields)]
         lines += [",".join(cli._fmt(value) for value in row) for row in rows]
         assert (tmp_path / "rows.csv").read_text() == "\n".join(lines) + "\n"
 
     def test_region_csv_is_written_as_it_is_scanned(self, tmp_path, monkeypatch):
-        """The README grid's CSV rows are scanned one block of p rows per
-        region_scan call, each as the writer reaches it, and written as the
-        rows of one whole scan are."""
+        """The README grid's CSV rows are scanned one block of p rows at a
+        time, each as the writer reaches it, and written as the rows of one
+        whole scan are, cell by cell."""
         from indefsaddle import cli, region
 
-        events = []
-        real_scan, real_cells = region.region_scan, cli._cells
+        events, on_disk = [], []
+        real_blocks, real_cells = region.scan_blocks, cli._cells
+        out = tmp_path / "streamed.csv"
 
-        def scan(*args):
-            rows = real_scan(*args)
-            events.append(("scan", len(rows)))
-            return rows
+        def scan_blocks(*args):
+            for block in real_blocks(*args):
+                events.append(("scan", len(block[0][0])))
+                on_disk.append(out.stat().st_size)
+                yield block
 
-        def cells(column):
+        def cells(column, present=None):
             events.append(("cells", len(column)))
-            return real_cells(column)
+            return real_cells(column, present)
 
         config = copy.deepcopy(README_CONFIGS[0])
         config["p_grid"]["step"] = config["q_grid"]["step"] = 0.05
         cfg = write_config(tmp_path, "region.json", config)
         parsed = parse_config(json.dumps(config))
-        whole = real_scan(parsed.N, parsed.p_grid, parsed.q_grid)
-        cli._write_csv(str(tmp_path / "whole.csv"), list(region.RegionRow._fields), whole)
-        monkeypatch.setattr(region, "region_scan", scan)
+        whole = region.region_scan(parsed.N, parsed.p_grid, parsed.q_grid)
+        lines = [",".join(region.RegionRow._fields)]
+        lines += [",".join(cli._fmt(value) for value in row) for row in whole]
+        monkeypatch.setattr(region, "scan_blocks", scan_blocks)
         monkeypatch.setattr(cli, "_cells", cells)
         assert main(["region", "--config", cfg, "--out", str(tmp_path / "streamed")]) == 0
         scans = [size for kind, size in events if kind == "scan"]
@@ -676,7 +719,8 @@ class TestCsvWriter:
         # the first block is written before the last one is scanned
         last_scan = max(i for i, (kind, _) in enumerate(events) if kind == "scan")
         assert events.index(("cells", cli._CSV_BLOCK)) < last_scan
-        assert (tmp_path / "streamed.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
+        assert on_disk[-1] > 0  # rows reached the file before the last scan
+        assert out.read_text() == "\n".join(lines) + "\n"
 
     def test_readme_region_json_rows_parse_as_the_csv_cells(self, tmp_path):
         """The README region config: its JSON rows hold the values of the
@@ -703,6 +747,86 @@ class TestCsvWriter:
             assert any("," in row["detail"] for row in rows)  # quoted in the CSV
         else:
             assert [row["k"] for row in rows] == [1, 2, 3]
+
+
+class TestJsonWriter:
+    @staticmethod
+    def region_json(tmp_path, config) -> tuple[list[str], str]:
+        """The CLI arguments that write the region JSON of `config` to
+        out.json, and its oracle: json.dumps(..., indent=2) of the whole
+        document of region_scan's rows."""
+        from indefsaddle import cli, region
+
+        cfg = write_config(tmp_path, "region.json", dict(config, format="json"))
+        parsed = parse_config(json.dumps(config))
+        rows = region.region_scan(parsed.N, parsed.p_grid, parsed.q_grid)
+        document = {
+            **cli._json_header(parsed),
+            "rows": [dict(zip(region.RegionRow._fields, row)) for row in rows],
+        }
+        argv = ["region", "--config", cfg, "--out", str(tmp_path / "out")]
+        return argv, json.dumps(document, indent=2) + "\n"
+
+    @pytest.mark.parametrize("grid", ["golden", "readme"])
+    def test_region_json_is_the_whole_document_dump(self, tmp_path, grid):
+        if grid == "golden":
+            config = json.loads((DATA / "golden_region_json.config.json").read_text())
+        else:
+            config = copy.deepcopy(README_CONFIGS[0])
+            config["p_grid"]["step"] = config["q_grid"]["step"] = 0.05
+        argv, oracle = self.region_json(tmp_path, config)
+        assert main(argv) == 0
+        assert (tmp_path / "out.json").read_text() == oracle
+
+    def test_record_json_is_the_whole_document_dump(self, tmp_path):
+        """Check rows, free text with commas and quotes included."""
+        from indefsaddle.cli import SCHEMA_VERSION
+
+        cfg = write_config(tmp_path, "check.json", {"command": "check", "seed": 5, "format": "json"})
+        assert main(["check", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        rows = [result._asdict() for result in suite.run_all(seed=5)]
+        document = {"schema_version": SCHEMA_VERSION, "command": "check", "seed": 5, "rows": rows}
+        assert (tmp_path / "out.json").read_text() == json.dumps(document, indent=2) + "\n"
+
+    def test_no_rows_are_the_empty_list(self, tmp_path):
+        from indefsaddle import cli
+
+        head = {"schema_version": 1, "command": "region", "seed": 0}
+        assert cli._write_json_rows(str(tmp_path / "out.json"), head, ("p",), []) == 0
+        assert (tmp_path / "out.json").read_text() == json.dumps({**head, "rows": []}, indent=2) + "\n"
+
+    def test_region_json_is_written_as_it_is_scanned(self, tmp_path, monkeypatch):
+        """The README grid's JSON rows are written one block at a time, each
+        as the writer reaches it."""
+        from indefsaddle import cli, region
+
+        events, on_disk = [], []
+        real_blocks, real_cells = region.scan_blocks, cli._json_cells
+        out = tmp_path / "out.json"
+
+        def scan_blocks(*args):
+            for block in real_blocks(*args):
+                events.append(("scan", len(block[0][0])))
+                on_disk.append(out.stat().st_size)
+                yield block
+
+        def cells(column, present=None):
+            events.append(("cells", len(column)))
+            return real_cells(column, present)
+
+        config = copy.deepcopy(README_CONFIGS[0])
+        config["p_grid"]["step"] = config["q_grid"]["step"] = 0.05
+        argv, oracle = self.region_json(tmp_path, config)
+        monkeypatch.setattr(region, "scan_blocks", scan_blocks)
+        monkeypatch.setattr(cli, "_json_cells", cells)
+        assert main(argv) == 0
+        scans = [size for kind, size in events if kind == "scan"]
+        assert sum(scans) == 100 * 100 and max(scans) <= region._BLOCK
+        # the first block is written before the last one is scanned
+        last_scan = max(i for i, (kind, _) in enumerate(events) if kind == "scan")
+        assert events.index(("cells", cli._CSV_BLOCK)) < last_scan
+        assert on_disk[-1] > 0  # rows reached the file before the last scan
+        assert out.read_text() == oracle
 
 
 class TestDeterminism:

@@ -6,8 +6,12 @@ forced branch outputs once Newton's step came from block elimination and
 tied records were ordered past roundoff in their coefficients.  The two
 symmetric hunts, 1-D at n = 32 (dense steps) and 2-D at n = 130 (GMRES
 steps), were written while every seed still ran its own Newton loop; they
-pin the folding of mirror seeds.  Any change of result, down to the last
-bit of a float, shows here.
+pin the folding of mirror seeds.  The two region outputs, CSV at N = 6 and
+JSON at N = 5, were written while the CLI still built one row object per
+scanned point; they hold all three statuses, empty cells, the exactly-zero
+hyperbola gap at p = q = 2 (N = 6) and the roundoff boundary point p = 4,
+q = 1.5 (N = 5).  Any change of result, down to the last bit of a float,
+shows here.
 """
 
 from pathlib import Path
@@ -27,6 +31,8 @@ DATA = Path(__file__).parent / "data"
         ("golden_deflated", "branch", ".json"),
         ("golden_symmetric", "branch", ".json"),
         ("golden_symmetric_krylov", "branch", ".json"),
+        ("golden_region", "region", ".csv"),
+        ("golden_region_json", "region", ".json"),
     ],
 )
 def test_outputs_match_committed_bytes(tmp_path, name, command, suffix):

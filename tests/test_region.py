@@ -379,16 +379,23 @@ def test_scan_of_an_empty_grid():
 @pytest.mark.parametrize("block", [1, 150, 4096])
 def test_scan_blocks_join_to_the_scan(monkeypatch, block):
     """The blocks hold whole p rows, at most _BLOCK points where a row fits,
-    and join to the rows of region_scan."""
+    one column per RegionRow field, and join to the rows of a scan in
+    blocks of the default size."""
     from indefsaddle import region
 
+    whole = region_scan(6, README_GRID, README_GRID[:70])
     monkeypatch.setattr(region, "_BLOCK", block)
     blocks = list(region.scan_blocks(6, README_GRID, README_GRID[:70]))
     full = 70 * max(1, block // 70)  # the points of the whole p rows that fit
-    sizes = [len(b) for b in blocks]
+    sizes = [len(b[0][0]) for b in blocks]
     assert sizes[:-1] == [full] * (len(sizes) - 1) and 0 < sizes[-1] <= full
     assert sizes[-1] % 70 == 0
-    assert [row for b in blocks for row in b] == region_scan(6, README_GRID, README_GRID[:70])
+    rows = []
+    for b in blocks:
+        assert len(b) == len(RegionRow._fields)
+        assert {len(values) for values, _ in b} == {len(b[0][0])}
+        rows += zip(*(region._values(values, present) for values, present in b))
+    assert rows == whole
 
 
 @pytest.mark.parametrize("N, p_grid, q_grid, message", BAD_GRIDS)
