@@ -38,12 +38,16 @@ seeds +-z runs once: the second seed's result is the first's mirrored.
 Level brackets combine an upper bound sampled in row stacks over nested
 saddle-geometry balls with a closed-form lower growth curve whose constant
 is assembled from computed embedding data; a bracket value that leaves the
-float range is an error.  Both extremal problems
-behind them run through one projected-ascent routine, in stages: one stage
-for the two Gagliardo-Nirenberg constants of the lower curve, then one per
-k for the q and p sphere minima that fix the level radius.  A stage
-advances the restarts of both problems at once as the rows of one stack on
-the grid tables, each row on the path it takes alone.  Where the two
+float range is an error.  A sample is evaluated only where closed-form
+bounds on its energy, from its eigenvector coordinates, cannot rule out
+that it raises a running maximum (in the measured p = q configs, none
+is).  Both extremal problems behind the brackets run through one
+projected-ascent routine, in stages: one stage for the two
+Gagliardo-Nirenberg constants of the lower curve, then one per k for the
+q and p sphere minima that fix the level radius.  A stage advances the
+restarts of both problems at once as the rows of one stack on the grid
+tables, kept as compact arrays of the rows still running, each row on the
+path it takes alone.  Where the two
 problems climb the same function (the sphere minima at p = q, and the
 constants too at r = 1), their rows share one power-moment call per step
 while they fit energy._stack_rows; past it, each problem calls alone, as
@@ -777,11 +781,6 @@ def _projected_ascent(groups, iters: int, cap: int):
     sharing: dict[int, list[int]] = {}  # the groups of each value function
     for g, (fn, _, _) in enumerate(groups):
         sharing.setdefault(id(fn), []).append(g)
-    # per value function: the rows it evaluates, and those of each of its groups
-    calls = [
-        (groups[gs[0]][0], np.isin(owner, gs), [owner == g for g in gs])
-        for gs in sharing.values()
-    ]
     W = np.repeat(np.array([weights for _, _, weights in groups], dtype=float), counts, axis=0)
 
     def normalize(C: np.ndarray, W: np.ndarray) -> np.ndarray:
@@ -791,30 +790,50 @@ def _projected_ascent(groups, iters: int, cap: int):
             raise ValueError("projected ascent: a step's weighted norm is 0 or overflows")
         return C / norms[:, None]
 
-    def evaluate(rows: np.ndarray, C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The values and ascent directions at the points C of the stack rows."""
-        vals, grads = np.empty(len(rows)), np.empty_like(C)
-        for fn, shared, own in calls:
-            at = shared[rows]
-            for part in [at] if np.count_nonzero(at) <= cap else [mask[rows] for mask in own]:
-                if part.any():
-                    vals[part], grads[part] = fn(C[part])
+    def plan(owner: np.ndarray) -> list:
+        """The calls of one step of the rows of these owners: (value
+        function, row indices)."""
+        calls = []
+        for gs in sharing.values():
+            at = np.flatnonzero(np.isin(owner, gs))
+            parts = [at] if len(at) <= cap else [np.flatnonzero(owner == g) for g in gs]
+            calls += [(groups[gs[0]][0], part) for part in parts if len(part)]
+        return calls
+
+    def evaluate(calls: list, C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The values and ascent directions at the points C."""
+        if len(calls) == 1 and len(calls[0][1]) == len(C):  # one call of every row
+            return calls[0][0](C)
+        vals, grads = np.empty(len(C)), np.empty_like(C)
+        for fn, part in calls:
+            vals[part], grads[part] = fn(C[part])
         return vals, grads
 
+    # every row's point and value, written back when the row stops
     C = normalize(np.array([c for _, starts, _ in groups for c in starts], dtype=float), W)
-    rows = np.arange(len(C))
-    vals, grads = evaluate(rows, C)
-    steps = np.full(len(C), 0.5)
-    taken = np.zeros(len(C), dtype=int)
-    while rows.size:
-        cand = normalize(C[rows] + steps[rows, None] * grads[rows], W[rows])
-        cand_vals, cand_grads = evaluate(rows, cand)
-        up = cand_vals > vals[rows] + 1e-16
-        won = rows[up]
-        C[won], vals[won], grads[won] = cand[up], cand_vals[up], cand_grads[up]
-        steps[rows] = np.where(up, np.minimum(steps[rows] * 1.3, 10.0), steps[rows] * 0.5)
-        taken[rows] += 1
-        rows = rows[(steps[rows] >= 1e-12) & (taken[rows] < iters)]
+    calls = plan(owner)
+    vals, grads = evaluate(calls, C)
+    # the running rows: their indices and owners, points, values, directions,
+    # steps and weights; all start together, so one count of steps serves
+    rows, own, Cr, Vr, Gr, Wr = np.arange(len(C)), owner, C, vals, grads, W
+    steps, taken = np.full(len(C), 0.5), 0
+    while len(rows):
+        cand = normalize(Cr + steps[:, None] * Gr, Wr)
+        cand_vals, cand_grads = evaluate(calls, cand)
+        up = cand_vals > Vr + 1e-16
+        Cr = np.where(up[:, None], cand, Cr)
+        Vr = np.where(up, cand_vals, Vr)
+        Gr = np.where(up[:, None], cand_grads, Gr)
+        steps = np.where(up, np.minimum(steps * 1.3, 10.0), steps * 0.5)
+        taken += 1
+        going = (steps >= 1e-12) & (taken < iters)
+        if not going.all():
+            done = ~going
+            C[rows[done]], vals[rows[done]] = Cr[done], Vr[done]
+            rows, own, Cr, Vr, Gr, Wr, steps = (
+                x[going] for x in (rows, own, Cr, Vr, Gr, Wr, steps)
+            )
+            calls = plan(own)
     best = []
     for g in range(len(groups)):
         best_val, best_c = -math.inf, None
@@ -887,9 +906,9 @@ def _gn_constants(spec: ProblemSpec, theta: float, zeta: float, seed: int) -> li
             l2sq = _row_dots(C, C)
             sobsq = _row_dots(weights * C, C)
             ratio = np.array([
-                float(num) ** (1.0 / (exponent + 1.0))
+                num ** (1.0 / (exponent + 1.0))
                 / (math.sqrt(l2) ** theta * math.sqrt(sob) ** (1.0 - theta))
-                for num, l2, sob in zip(num_int, l2sq, sobsq)
+                for num, l2, sob in zip(num_int.tolist(), l2sq.tolist(), sobsq.tolist())
             ])
             # ascend along the gradient of log ratio
             return ratio, (
@@ -969,6 +988,11 @@ def lower_growth_constant(spec: ProblemSpec, seed: int = 0) -> float:
     return max(best, g(0.5 * (lo + hi)))
 
 
+# the margin of the sample bounds, relative to |z|^2 + C0 |z| + 1; the
+# roundoff of J, |z| and the bounds is about n eps of that
+_BOUND_MARGIN = 1e-8
+
+
 class LevelBracket(NamedTuple):
     """Bracket for the k-th minimax level; the fields are the CSV columns."""
 
@@ -992,8 +1016,14 @@ def estimate_levels(
     upper: sampled supremum of the modified energy over the radius-R_k ball
     of the span of the full minus-eigenspace and the first k plus-modes; the
     sample set of level k contains the maximizer of level k-1, so the
-    reported sequence is monotone.  Every sample is checked against the
-    closed-form ceiling |z|^2/2 + C0 |z| <= ceiling = (1/2 + C0/R_k) R_k^2.
+    reported sequence is monotone.  max_pointwise_excess is the largest
+    J - (|z|^2/2 + C0 |z|) over the points, against the closed-form ceiling
+    |z|^2/2 + C0 |z| <= ceiling = (1/2 + C0/R_k) R_k^2 of the ball.  Every
+    sample is drawn, but one is evaluated only if the bounds
+    J <= form + C0 |z| and J - (|z|^2/2 + C0 |z|) <= -|a-|^2 on its
+    eigenvector coordinates (a+, a-), plus a margin, do not both lie below
+    the running maxima (see _may_move), so the brackets are those of
+    evaluating every sample.
     R_k solves R^2/2 = c_k R^m (m = min(p,q)+1) with a safety factor 2,
     where c_k is the computed minimum of the normalized nonlinear integrals
     over the unit sphere of the first k modes.
@@ -1036,7 +1066,11 @@ def estimate_levels(
             ) from None
         rng = np.random.default_rng(seed + 1000 + k)
         upper, best_point, excess = -math.inf, prev_best_point, -math.inf
-        for points in _level_points(spec, k, radius, prev_best_point, samples, rng):
+
+        def may_move(a_plus, a_minus):  # against the running maxima of each stack
+            return _may_move(a_plus, a_minus, c0, upper, excess)
+
+        for points in _level_points(spec, k, radius, prev_best_point, samples, rng, may_move):
             jvals = Evaluation(points, spec).modified_energy(cutoff)
             zn = np.sqrt(_metric_dots(points, points, weights))
             # in point order, as the running max of one point at a time
@@ -1058,9 +1092,11 @@ def estimate_levels(
     return brackets
 
 
-def _level_points(spec, k, radius, prev_best, samples, rng):
+def _level_points(spec, k, radius, prev_best, samples, rng, may_move):
     """Level k's points in stacks of energy._stack_rows rows: level k-1's best,
-    the scaled plus eigenvectors, then the samples, each drawn in turn."""
+    the scaled plus eigenvectors, then the samples, each drawn in turn.  Of
+    each stack of samples only the rows where may_move(a_plus, a_minus) holds
+    are built, from their scaled +- eigenvector coordinates."""
     size = _stack_rows(spec)
     fixed = [] if prev_best is None else [prev_best]
     for j in range(1, k + 1):
@@ -1068,16 +1104,47 @@ def _level_points(spec, k, radius, prev_best, samples, rng):
         fixed += [e_plus * (frac * radius) for frac in (0.25, 0.5, 0.75, 1.0)]
     for start in range(0, len(fixed), size):
         yield np.array(fixed[start : start + size])
+    power = 1.0 / (spec.n + k)
     for start in range(0, samples, size):
-        a_plus = np.zeros((min(size, samples - start), spec.n))
-        a_minus = np.empty_like(a_plus)
-        rads = np.empty(len(a_plus))
-        for i in range(len(a_plus)):
-            a_plus[i, :k] = rng.standard_normal(k)
-            a_minus[i] = rng.standard_normal(spec.n)
-            rads[i] = radius * rng.uniform() ** (1.0 / (spec.n + k))
+        normals, rads = [], []
+        for _ in range(min(size, samples - start)):
+            normals.append(rng.standard_normal(k + spec.n))
+            rads.append(radius * rng.random() ** power)  # rng.uniform()'s draw
+        draws, rads = np.array(normals), np.array(rads)
+        a_plus = np.zeros((len(draws), spec.n))
+        a_plus[:, :k] = draws[:, :k]
+        a_minus = np.ascontiguousarray(draws[:, k:])
         scale = (rads / np.sqrt(_row_dots(a_plus, a_plus) + _row_dots(a_minus, a_minus)))[:, None]
-        yield _vecs_from_coordinates(spec.basis, spec.r, a_plus * scale, a_minus * scale)
+        a_plus, a_minus = a_plus * scale, a_minus * scale
+        keep = may_move(a_plus, a_minus)
+        if keep.any():
+            yield _vecs_from_coordinates(spec.basis, spec.r, a_plus[keep], a_minus[keep])
+
+
+def _may_move(a_plus, a_minus, c0: float, upper: float, excess: float) -> np.ndarray:
+    """Which sample rows, given by their +- eigenvector coordinates, a
+    closed-form bound cannot rule out of raising the running maximum `upper`
+    of the modified energy J or `excess` of J - (|z|^2/2 + C0 |z|).
+
+    J = form - tq - tp - psi g with form = (|a+|^2 - |a-|^2)/2, tq, tp >= 0,
+    psi in [0, 1] and |g| <= C0 |z| (_forcing_size), so J <= form + C0 |z|
+    and the excess is at most -|a-|^2.  A row is ruled out only when both
+    bounds plus the margin _BOUND_MARGIN (|z|^2 + C0 |z| + 1), far above
+    their roundoff, lie strictly below the running values.  A non-finite
+    running value rules out nothing, and neither does a non-finite bound: it
+    is NaN or +inf, never -inf, as the margin overflows wherever |a-|^2
+    does, and it compares False.  A ruled-out row lies strictly below both
+    maxima, so skipping it changes neither them nor their ties.
+    """
+    if not (math.isfinite(upper) and math.isfinite(excess)):
+        return np.ones(len(a_plus), dtype=bool)
+    with np.errstate(over="ignore", invalid="ignore"):
+        plus2, minus2 = _row_dots(a_plus, a_plus), _row_dots(a_minus, a_minus)
+        size = np.sqrt(plus2 + minus2)
+        margin = _BOUND_MARGIN * (size * size + c0 * size + 1.0)
+        top = 0.5 * (plus2 - minus2) + c0 * size + margin
+        top_excess = margin - minus2
+    return ~((top < upper) & (top_excess < excess))
 
 
 @dataclass

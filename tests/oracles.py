@@ -316,6 +316,21 @@ def sphere_minimum(spec, active, exponent, order, seed, warm_start=None):
     return -val, np.asarray(point)
 
 
+def level_samples(spec, k, radius, samples, seed):
+    """The random samples of level k, as sampled_levels draws them: for each,
+    its +- eigenvector coordinates scaled to its radius, and the pair."""
+    rng = np.random.default_rng(seed + 1000 + k)
+    dim_total = spec.n + k
+    for _ in range(samples):
+        a_plus = np.zeros(spec.n)
+        a_plus[:k] = rng.standard_normal(k)
+        a_minus = rng.standard_normal(spec.n)
+        norm = math.sqrt(np.dot(a_plus, a_plus) + np.dot(a_minus, a_minus))
+        rad = radius * rng.uniform() ** (1.0 / dim_total)
+        a_plus, a_minus = a_plus * (rad / norm), a_minus * (rad / norm)
+        yield a_plus, a_minus, from_eigenvector_coordinates(spec.basis, spec.r, a_plus, a_minus)
+
+
 def sampled_levels(spec, k_max, samples=200, cutoff=None, seed=0):
     """The level brackets of solve.estimate_levels, with the sphere minima
     of sphere_minimum and every sample point built as a pair and evaluated
@@ -339,7 +354,6 @@ def sampled_levels(spec, k_max, samples=200, cutoff=None, seed=0):
         )
         c_k = min(cq / (spec.q + 1.0), cp / (spec.p + 1.0))
         radius = 2.0 * (1.0 / (2.0 * c_k)) ** (1.0 / (m_exp - 2.0))
-        rng = np.random.default_rng(seed + 1000 + k)
         points = []
         if prev_best_point is not None:
             points.append(prev_best_point)
@@ -347,18 +361,7 @@ def sampled_levels(spec, k_max, samples=200, cutoff=None, seed=0):
             e_plus = coupling_eigenvector(spec.basis, j, +1, spec.r)
             for frac in (0.25, 0.5, 0.75, 1.0):
                 points.append(e_plus * (frac * radius))
-        dim_total = spec.n + k
-        for _ in range(samples):
-            a_plus = np.zeros(spec.n)
-            a_plus[:k] = rng.standard_normal(k)
-            a_minus = rng.standard_normal(spec.n)
-            norm = math.sqrt(np.dot(a_plus, a_plus) + np.dot(a_minus, a_minus))
-            rad = radius * rng.uniform() ** (1.0 / dim_total)
-            points.append(
-                from_eigenvector_coordinates(
-                    spec.basis, spec.r, a_plus * (rad / norm), a_minus * (rad / norm)
-                )
-            )
+        points += [z for _, _, z in level_samples(spec, k, radius, samples, seed)]
         upper = prev_upper
         best_point = prev_best_point
         excess = -math.inf
@@ -483,3 +486,4 @@ def shooting_solution(length: float = math.pi, arches: int = 1) -> OdeSolution:
         arch_width=float(sol.t_events[0][0]),
         _arch_sol=sol,
     )
+

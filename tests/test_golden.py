@@ -1,9 +1,14 @@
 """Output files of fixed configs, compared byte for byte with committed copies.
 
 The committed levels output was written by the program before the energy
-evaluations, the Newton loops and the projected ascents were merged, and the
-forced branch outputs once Newton's step came from block elimination and
-tied records were ordered past roundoff in their coefficients.  The two
+evaluations, the Newton loops and the projected ascents were merged.  The
+second levels output, at p = 2, q = 5, was written while every random
+sample was still evaluated; there some samples survive the closed-form
+bound that skips the rest, and they set `upper`, below 0 and below `lower`.
+That is the sampled-supremum defect of ROADMAP item 2, whose ascents re-pin
+this file together with golden_levels.  The forced branch outputs were
+written once Newton's step came from block elimination and tied records
+were ordered past roundoff in their coefficients.  The two
 symmetric hunts, 1-D at n = 32 (dense steps) and 2-D at n = 130 (GMRES
 steps), were written while every seed still ran its own Newton loop; they
 pin the folding of mirror seeds.  The two region outputs, CSV at N = 6 and
@@ -27,6 +32,7 @@ DATA = Path(__file__).parent / "data"
     "name, command, suffix",
     [
         ("golden_levels", "levels", ".csv"),
+        ("golden_levels_pq", "levels", ".csv"),
         ("golden_branch", "branch", ".json"),
         ("golden_deflated", "branch", ".json"),
         ("golden_symmetric", "branch", ".json"),
