@@ -53,7 +53,6 @@ from .region import (
     multiplicity_margin,
     optimal_r,
     r_thresholds,
-    region_scan,
 )
 from .solve import (
     Branch,

@@ -8,10 +8,11 @@ Commands, each one runner of the table `_RUNNERS`
     check    module invariant suite                   -> CheckResult rows
 
 A row command's runner returns the fields of its record NamedTuple and
-blocks of columns: the region scan's numpy blocks, drawn one at a time, or
-the records as one block.  They are written as CSV, or as JSON rows with
-`format` (or --format) "json", each block as it is drawn; asking solve or
-branch for CSV is a config error.  The levels,
+blocks of at most region._BLOCK rows, one numpy column per field: the region
+scan's blocks, each scanned as the writer draws it, or the level and check
+records cut into blocks.  They are written as CSV, or as JSON rows with
+`format` (or --format) "json", each block formatted whole as it is drawn;
+asking solve or branch for CSV is a config error.  The levels,
 branch and solve sections are passed to the library calls as keyword
 arguments, so each default lives in the library signature only.
 
@@ -122,7 +123,7 @@ _REQUIRED = {"command", "lengths", "n", "bound_constant", "start", "stop", "step
 # library calls check k_max, samples and count again, for API callers
 _LEAST = {"seed": 0, "N": 3, "k_max": 1, "samples": 0, "count": 1}
 # the largest value of each integer field whose size sets the run time: each
-# level draws `samples` points (10^5 took 1.3 s per level at 1-D n = 8)
+# level draws `samples` points (10^5 took 0.3-0.4 s per level at 1-D n = 8)
 _MOST = {"samples": 10**6}
 # the most points a {start, stop, step} range, and a region scan, may have
 _MAX_GRID_POINTS = 10**6
@@ -300,10 +301,6 @@ def parse_config(text: str, overrides: dict | None = None) -> RunConfig:
 
 # a string with any of these characters is free text, quoted in CSV
 _FREE_TEXT = re.compile(r'[ ,"\n]')
-# the most rows of a block that are formatted and written as one slice
-_CSV_BLOCK = 1 << 10
-# the CSV cells of False and True
-_BOOL_CELLS = ("false", "true")
 
 
 def _fmt(value) -> str:
@@ -319,47 +316,28 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _cells(column, present=None) -> list[str]:
-    """The CSV cells of one column, each as _fmt writes it, and empty where
-    the mask `present` of a numpy column is false.
+def _cells(column: np.ndarray, present: np.ndarray | None = None) -> list[str]:
+    """The CSV cells of one numpy column, each as _fmt writes its Python
+    value, and empty where the mask `present` is false.
 
-    A numpy column is formatted by its dtype: booleans through one table,
-    any other dtype as its Python values.  In a column of one type (None
-    aside) each distinct value is formatted once.  A float column whose
-    values are mostly distinct is written by repr instead, as is one holding
-    a zero, since 0.0 == -0.0 would share a cell; a column of mixed types
-    goes through _fmt cell by cell.
+    Each distinct value is formatted once.  A float column whose values are
+    mostly distinct is written by repr instead, as is one holding a zero,
+    since 0.0 == -0.0 would share a cell.
     """
     if present is not None:
         return _masked(_cells, column, present, "")
-    if isinstance(column, np.ndarray):
-        values = column.tolist()
-        if column.dtype == bool:
-            return list(map(_BOOL_CELLS.__getitem__, values))
-        if column.dtype.kind != "f":
-            return _cells(values)
-        kinds = {float}  # no cell of a float array needs its type checked
-    else:
-        values = column
-        kinds = set(map(type, values))
-        kinds.discard(type(None))
-    if len(kinds) > 1:
-        return list(map(_fmt, values))
+    values = column.tolist()
     distinct = set(values)
-    if kinds == {float} and (4 * len(distinct) > len(values) or 0.0 in distinct):
-        cells = map(repr, values)
-        return list(map({None: ""}.get, values, cells) if None in distinct else cells)
+    if column.dtype.kind == "f" and (4 * len(distinct) > len(values) or 0.0 in distinct):
+        return list(map(repr, values))
     return list(map({v: _fmt(v) for v in distinct}.__getitem__, values))
 
 
-def _json_cells(column, present=None) -> list[str]:
-    """Each value of one column as json.dumps writes it, and null where the
-    mask `present` of a numpy column is false.  A numpy column holds
-    booleans, numbers or strings."""
+def _json_cells(column: np.ndarray, present: np.ndarray | None = None) -> list[str]:
+    """Each value of one numpy column of booleans, numbers or strings as
+    json.dumps writes it, and null where the mask `present` is false."""
     if present is not None:
         return _masked(_json_cells, column, present, "null")
-    if not isinstance(column, np.ndarray):
-        return list(map(json.dumps, column))
     values = column.tolist()
     if column.dtype.kind == "U":  # each distinct string encoded once
         return list(map({v: json.dumps(v) for v in set(values)}.__getitem__, values))
@@ -375,22 +353,14 @@ def _masked(cells, column: np.ndarray, present: np.ndarray, blank: str) -> list[
     return out.tolist()
 
 
-def _cell_slices(blocks: Iterable[list], cells) -> Iterator[list[list[str]]]:
-    """The cells by `cells` of each block's columns (values, present), in
-    slices of at most _CSV_BLOCK rows, each block drawn as it is reached."""
-    for block in blocks:
-        size = len(block[0][0])
-        for start in range(0, size, _CSV_BLOCK):
-            part = slice(start, start + _CSV_BLOCK)
-            yield [
-                cells(values[part], None if present is None else present[part])
-                for values, present in block
-            ]
-
-
 def _record_blocks(records: list[tuple]) -> list[list]:
-    """The records as one block of columns, each with every cell present."""
-    return [[(column, None) for column in zip(*records)]] if records else []
+    """The records in blocks of at most region._BLOCK rows, one numpy column
+    per field, each with every cell present."""
+    columns = [np.array(column) for column in zip(*records)]
+    return [
+        [(column[start : start + region._BLOCK], None) for column in columns]
+        for start in range(0, len(records), region._BLOCK)
+    ]
 
 
 def _write_csv(path: str, header: tuple[str, ...], blocks: Iterable[list]) -> int:
@@ -398,7 +368,8 @@ def _write_csv(path: str, header: tuple[str, ...], blocks: Iterable[list]) -> in
     count = 0
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for columns in _cell_slices(blocks, _cells):
+        for block in blocks:
+            columns = [_cells(*column) for column in block]
             fh.write("\n".join(map(",".join, zip(*columns))) + "\n")
             count += len(columns[0])
     return count
@@ -414,7 +385,8 @@ def _write_json_rows(path: str, head: dict, header: tuple[str, ...], blocks: Ite
     count = 0
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(opening)
-        for columns in _cell_slices(blocks, _json_cells):
+        for block in blocks:
+            columns = [_json_cells(*column) for column in block]
             fh.write(",\n" if count else "\n")
             fh.write(",\n".join(map(row.__mod__, zip(*columns))))
             count += len(columns[0])
@@ -601,8 +573,8 @@ def main(argv: list[str] | None = None) -> int:
                 header, blocks = result
                 items = _write_rows(cfg, header, blocks)
                 if cfg.command == "check":  # a failed check exits 3
-                    (block,) = blocks
-                    failures = block[header.index("passed")][0].count(False)
+                    passed = header.index("passed")
+                    failures = sum(np.count_nonzero(~b[passed][0]) for b in blocks)
                     if failures:
                         status = 3
                         print(f"check suite: {failures} of {items} checks FAILED")

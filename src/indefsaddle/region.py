@@ -10,8 +10,8 @@ floats or numpy arrays (`_gap`, `_window`, `_balanced`, `_margin`,
 `_growth`, `_optimal_r`): the public functions call it with the floats of
 one point, and scan_blocks with whole columns of a block of the grid.  Its
 branches are masks, so that both evaluate the same IEEE operations in the
-same order and agree bit for bit.  The blocks stay numpy columns: the CLI
-writes its files from them, and region_scan builds its rows from them.
+same order and agree bit for bit.  The blocks stay numpy columns, from
+which the CLI writes its files.
 """
 
 from __future__ import annotations
@@ -264,8 +264,8 @@ class RegionRow(NamedTuple):
 _BAND = 1e-9
 # the status names, by the codes _scan_columns computes
 _STATUS = np.array(["inside", "outside", "boundary"])
-# the most grid points evaluated as one block of arrays
-_BLOCK = 1 << 12
+# the most grid points evaluated, and written, as one block of arrays
+_BLOCK = 1 << 10
 
 
 # one column of a scanned block: its values, and the mask of the points that
@@ -273,59 +273,33 @@ _BLOCK = 1 << 12
 _Column = tuple[np.ndarray, np.ndarray | None]
 
 
-def region_scan(N: int, p_grid: list[float], q_grid: list[float]) -> list[RegionRow]:
-    """Classify every grid point; rows come out in (p outer, q inner) order.
-
-    A point whose hyperbola gap lies within _BAND of zero is classified
-    "boundary" with no r_star: its admissible window is at most N * _BAND
-    wide, down to no float at all.  A subcritical point whose multiplicity
-    margin lies within _BAND of zero is "boundary" too, with its r_star.
-    Each value is a Python float, bool, str or None.  The first grid point,
-    in scan order, that PQPoint or multiplicity_margin rejects raises their
-    ValueError.  The rows are those of the blocks of scan_blocks.
-    """
-    rows = []
-    for block in scan_blocks(N, p_grid, q_grid):
-        rows += map(RegionRow._make, zip(*(_values(*column) for column in block)))
-    return rows
-
-
-def _values(values: np.ndarray, present: np.ndarray | None) -> list:
-    """A column's Python values, None where `present` is false."""
-    if present is None:
-        return values.tolist()
-    cells = values.astype(object)
-    cells[~present] = None
-    return cells.tolist()
-
-
 def scan_blocks(N: int, p_grid: list[float], q_grid: list[float]) -> Iterator[list[_Column]]:
-    """The points of region_scan in blocks of whole p rows, at most _BLOCK
-    points each where a p row fits, each scanned as it is asked for.
+    """Classify every grid point, in blocks of _BLOCK points of the (p
+    outer, q inner) order, the last one shorter; a block may cross p rows.
+    Each block is scanned as it is asked for.
 
     A block is one column per RegionRow field, each a numpy array (float,
     bool, or str for status) with the mask of the points that hold a value:
     the points given an r_star for the r_star, feasible and growth columns,
-    None (every point) for the others.  The grid is checked by this call, so
-    its ValueError comes before the first block.
+    None (every point) for the others.  A point whose hyperbola gap lies
+    within _BAND of zero is classified "boundary" with no r_star: its
+    admissible window is at most N * _BAND wide, down to no float at all.  A
+    subcritical point whose multiplicity margin lies within _BAND of zero is
+    "boundary" too, with its r_star.  The first grid point, in scan order,
+    that PQPoint or multiplicity_margin rejects raises their ValueError, at
+    this call, before the first block.
     """
     # each block is scanned by the private _scan_columns as it is drawn, so
     # a trace of the public functions counts the scan in the time of the
-    # caller that draws the blocks: region_scan, or the CLI's writer
+    # caller that draws the blocks, the CLI's writer
     if not (len(p_grid) and len(q_grid)):
         return iter(())
     _check_grid(N, p_grid, q_grid)
     ps, qs = np.asarray(p_grid, dtype=float), np.asarray(q_grid, dtype=float)
-    step = _block_rows(len(qs))
-    return (
-        _scan_columns(np.repeat(rows, len(qs)), np.tile(qs, len(rows)), N)
-        for rows in np.split(ps, range(step, len(ps), step))
-    )
-
-
-def _block_rows(columns: int) -> int:
-    """The p rows of `columns` points each that one block of the scan holds."""
-    return max(1, _BLOCK // columns)
+    size, step = len(ps) * len(qs), _BLOCK
+    # point i is (ps[i // len(qs)], qs[i % len(qs)])
+    points = (np.arange(start, min(start + step, size)) for start in range(0, size, step))
+    return (_scan_columns(ps[i // len(qs)], qs[i % len(qs)], N) for i in points)
 
 
 def _check_grid(N: int, p_grid: list[float], q_grid: list[float]) -> None:

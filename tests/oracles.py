@@ -28,7 +28,8 @@ tables.
 
 The region oracle is the exponent-plane scan run one point at a time, with
 the branches of its status and of its r_star as Python control flow over
-the public scalar functions of region.
+the public scalar functions of region.  scan_rows is not an oracle but a
+view: the blocks of region.scan_blocks joined into rows of Python values.
 
 The shooting oracle solves the scalar two-point problem -u'' = u^3 with
 u(0) = u(L) = 0 by integrating the initial value problem and root-finding on
@@ -382,8 +383,21 @@ def sampled_levels(spec, k_max, samples=200, cutoff=None, seed=0):
     return brackets
 
 
+def scan_rows(N: int, p_grid, q_grid) -> list[region.RegionRow]:
+    """The rows of the blocks of region.scan_blocks, each value a Python
+    scalar, None where its column's mask is false."""
+    rows = []
+    for block in region.scan_blocks(N, p_grid, q_grid):
+        columns = [
+            values.tolist() if present is None else np.where(present, values, None).tolist()
+            for values, present in block
+        ]
+        rows += map(region.RegionRow._make, zip(*columns))
+    return rows
+
+
 def scalar_region_rows(N: int, p_grid, q_grid) -> list[tuple]:
-    """The rows of region.region_scan, one point at a time through the
+    """The rows of region.scan_blocks, one point at a time through the
     public scalar functions, as tuples in RegionRow field order."""
     rows = []
     for p in p_grid:

@@ -13,6 +13,8 @@ import pytest
 from indefsaddle import suite, verify_critical
 from indefsaddle.cli import ConfigError, load_solutions, main, parse_config
 
+from oracles import scalar_region_rows
+
 DATA = Path(__file__).parent / "data"
 
 
@@ -610,23 +612,18 @@ class TestCommands:
         assert statuses == {0, 1}
 
 
-# Columns by id: Python sequences, which carry None themselves, and numpy
-# columns as the region scan hands them out, whole or with a mask of the
-# cells present
+# Columns by id: numpy columns as the writers are handed them, whole or with
+# a mask of the cells present
 MASK = np.array([True, False, True, True, False, True])
 COLUMNS = {
-    "signed-zeros": (0.0, -0.0, 0.0, 1.5, None),
-    "repeats-with-zeros": (1.5,) * 8 + (-0.0, 0.0),
-    "floats-with-none": (2.5, None) * 6,
-    "numbers-and-bool": (1.0, 1, True, None),
-    "ints": (1, 2, 2, 3, 1),
-    "bools": (True, False, None, True, True),
-    "text": ("inside", "a b", 'say "x"', "x,y", "line\nbreak", "inside", None),
-    "non-finite": (math.nan, math.inf, -math.inf, 1e-300, 1e22, 5e-324) * 5,
-    "distinct-floats": (0.1, 0.2, 0.30000000000000004, 1e16, None),
-    "numpy-float": (np.float64(1.5), 1.5),
-    "none": (None, None),
-    "empty": (),
+    "signed-zeros": np.array([0.0, -0.0, 0.0, 1.5]),
+    "repeats-with-zeros": np.array([-0.0, 0.0] + [1.5] * 8),
+    "ints": np.array([1, 2, 2, 3, 1]),
+    "bools": np.array([True, True, False, True, True, True]),
+    "text": np.array(["transforms", "worst error 1e-16 (tol 1e-12)", 'say "x"', "x,y", "", "transforms"]),
+    "non-finite": np.array([math.nan, math.inf, -math.inf, 1e-300, 1e22, 5e-324] * 5),
+    "distinct-floats": np.array([0.1, 0.2, 0.30000000000000004, 1e16]),
+    "empty": np.array([], dtype=str),
     "array-floats": np.array([0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324] * 3),
     "array-repeats": np.array([1.5] * 8 + [2.5]),
     "array-repeats-with-zeros": np.array([1.5] * 8 + [-0.0, 0.0]),
@@ -648,7 +645,7 @@ CELL_CASES += [pytest.param(*case, id=name) for name, case in MASKED_COLUMNS.ite
 
 def cell_values(column, present) -> list:
     """The Python values of a column, None where its mask is false."""
-    values = column.tolist() if isinstance(column, np.ndarray) else list(column)
+    values = column.tolist()
     if present is None:
         return values
     return [value if keep else None for value, keep in zip(values, present.tolist())]
@@ -669,14 +666,13 @@ class TestCsvWriter:
 
     @pytest.mark.parametrize("block", [1, 7, 1 << 10])
     def test_blocks_join_to_the_rows(self, tmp_path, monkeypatch, block):
-        """Scan blocks of 3 p rows, formatted in slices of `block` rows, are
-        written as region_scan's rows are, cell by cell."""
+        """Scan blocks of `block` points are written as the scalar oracle's
+        rows are, cell by cell."""
         from indefsaddle import cli, region
 
         grid = [1.05 + i * 0.05 for i in range(0, 100, 7)]
-        rows = region.region_scan(5, grid, grid)
-        monkeypatch.setattr(cli, "_CSV_BLOCK", block)
-        monkeypatch.setattr(region, "_BLOCK", 3 * len(grid))
+        rows = scalar_region_rows(5, grid, grid)
+        monkeypatch.setattr(region, "_BLOCK", block)
         blocks = region.scan_blocks(5, grid, grid)
         assert cli._write_csv(str(tmp_path / "rows.csv"), region.RegionRow._fields, blocks) == len(rows)
         lines = [",".join(region.RegionRow._fields)]
@@ -684,9 +680,9 @@ class TestCsvWriter:
         assert (tmp_path / "rows.csv").read_text() == "\n".join(lines) + "\n"
 
     def test_region_csv_is_written_as_it_is_scanned(self, tmp_path, monkeypatch):
-        """The README grid's CSV rows are scanned one block of p rows at a
-        time, each as the writer reaches it, and written as the rows of one
-        whole scan are, cell by cell."""
+        """The README grid's CSV rows are scanned one block of points at a
+        time, blocks that cross p rows included, each as the writer reaches
+        it, and written as the scalar oracle's rows are, cell by cell."""
         from indefsaddle import cli, region
 
         events, on_disk = [], []
@@ -707,9 +703,10 @@ class TestCsvWriter:
         config["p_grid"]["step"] = config["q_grid"]["step"] = 0.05
         cfg = write_config(tmp_path, "region.json", config)
         parsed = parse_config(json.dumps(config))
-        whole = region.region_scan(parsed.N, parsed.p_grid, parsed.q_grid)
+        whole = scalar_region_rows(parsed.N, parsed.p_grid, parsed.q_grid)
         lines = [",".join(region.RegionRow._fields)]
         lines += [",".join(cli._fmt(value) for value in row) for row in whole]
+        monkeypatch.setattr(region, "_BLOCK", 777)
         monkeypatch.setattr(region, "scan_blocks", scan_blocks)
         monkeypatch.setattr(cli, "_cells", cells)
         assert main(["region", "--config", cfg, "--out", str(tmp_path / "streamed")]) == 0
@@ -718,9 +715,28 @@ class TestCsvWriter:
         assert max(scans) <= region._BLOCK
         # the first block is written before the last one is scanned
         last_scan = max(i for i, (kind, _) in enumerate(events) if kind == "scan")
-        assert events.index(("cells", cli._CSV_BLOCK)) < last_scan
+        assert events.index(("cells", region._BLOCK)) < last_scan
         assert on_disk[-1] > 0  # rows reached the file before the last scan
         assert out.read_text() == "\n".join(lines) + "\n"
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_records_are_written_in_blocks(self, tmp_path, monkeypatch, capsys, fmt):
+        """Records beyond one block are cut into blocks of _BLOCK rows: the
+        file is that of one block, and the failed checks of every block
+        count."""
+        from indefsaddle import cli, region
+
+        results = [suite.CheckResult(f"c{i}", i % 3 != 1, "a, b") for i in range(5)]
+        monkeypatch.setattr(cli.suite, "run_all", lambda seed: results)
+        cfg = write_config(tmp_path, "check.json", {"command": "check", "format": fmt})
+        assert main(["check", "--config", cfg, "--out", str(tmp_path / "whole")]) == 3
+        monkeypatch.setattr(region, "_BLOCK", 2)
+        assert len(cli._record_blocks(results)) == 3
+        capsys.readouterr()
+        assert main(["check", "--config", cfg, "--out", str(tmp_path / "blocks")]) == 3
+        assert "check suite: 2 of 5 checks FAILED" in capsys.readouterr().out
+        whole, blocks = (tmp_path / f"{name}.{fmt}" for name in ("whole", "blocks"))
+        assert blocks.read_bytes() == whole.read_bytes()
 
     def test_readme_region_json_rows_parse_as_the_csv_cells(self, tmp_path):
         """The README region config: its JSON rows hold the values of the
@@ -754,12 +770,12 @@ class TestJsonWriter:
     def region_json(tmp_path, config) -> tuple[list[str], str]:
         """The CLI arguments that write the region JSON of `config` to
         out.json, and its oracle: json.dumps(..., indent=2) of the whole
-        document of region_scan's rows."""
+        document of the scalar oracle's rows."""
         from indefsaddle import cli, region
 
         cfg = write_config(tmp_path, "region.json", dict(config, format="json"))
         parsed = parse_config(json.dumps(config))
-        rows = region.region_scan(parsed.N, parsed.p_grid, parsed.q_grid)
+        rows = scalar_region_rows(parsed.N, parsed.p_grid, parsed.q_grid)
         document = {
             **cli._json_header(parsed),
             "rows": [dict(zip(region.RegionRow._fields, row)) for row in rows],
@@ -796,8 +812,9 @@ class TestJsonWriter:
         assert (tmp_path / "out.json").read_text() == json.dumps({**head, "rows": []}, indent=2) + "\n"
 
     def test_region_json_is_written_as_it_is_scanned(self, tmp_path, monkeypatch):
-        """The README grid's JSON rows are written one block at a time, each
-        as the writer reaches it."""
+        """The README grid's JSON rows are written one block of points at a
+        time, blocks that cross p rows included, each as the writer reaches
+        it."""
         from indefsaddle import cli, region
 
         events, on_disk = [], []
@@ -817,6 +834,7 @@ class TestJsonWriter:
         config = copy.deepcopy(README_CONFIGS[0])
         config["p_grid"]["step"] = config["q_grid"]["step"] = 0.05
         argv, oracle = self.region_json(tmp_path, config)
+        monkeypatch.setattr(region, "_BLOCK", 777)
         monkeypatch.setattr(region, "scan_blocks", scan_blocks)
         monkeypatch.setattr(cli, "_json_cells", cells)
         assert main(argv) == 0
@@ -824,7 +842,7 @@ class TestJsonWriter:
         assert sum(scans) == 100 * 100 and max(scans) <= region._BLOCK
         # the first block is written before the last one is scanned
         last_scan = max(i for i, (kind, _) in enumerate(events) if kind == "scan")
-        assert events.index(("cells", cli._CSV_BLOCK)) < last_scan
+        assert events.index(("cells", region._BLOCK)) < last_scan
         assert on_disk[-1] > 0  # rows reached the file before the last scan
         assert out.read_text() == oracle
 

@@ -1,7 +1,9 @@
 """Output files of fixed configs, compared byte for byte with committed copies.
 
 The committed levels output was written by the program before the energy
-evaluations, the Newton loops and the projected ascents were merged.  The
+evaluations, the Newton loops and the projected ascents were merged; its
+JSON twin, golden_levels_json, while the level records were still written
+as Python tuples rather than numpy columns.  The
 second levels output, at p = 2, q = 5, was written while every random
 sample was still evaluated; there some samples survive the closed-form
 bound that skips the rest, and they set `upper`, below 0 and below `lower`.
@@ -32,6 +34,7 @@ DATA = Path(__file__).parent / "data"
     "name, command, suffix",
     [
         ("golden_levels", "levels", ".csv"),
+        ("golden_levels_json", "levels", ".json"),
         ("golden_levels_pq", "levels", ".csv"),
         ("golden_branch", "branch", ".json"),
         ("golden_deflated", "branch", ".json"),

@@ -1,3 +1,4 @@
+import itertools
 import math
 import sys
 
@@ -18,12 +19,11 @@ from indefsaddle import (
     multiplicity_margin,
     optimal_r,
     r_thresholds,
-    region_scan,
 )
 from indefsaddle.region import _power
 from indefsaddle.suite import _random_subcritical, check_region_closed_forms
 
-from oracles import scalar_region_rows
+from oracles import scalar_region_rows, scan_rows
 
 README_GRID = [1.05 + i * 0.05 for i in range(100)]
 # near p = q = 1, where the balance point's denominator pq - 1 cancels
@@ -223,7 +223,7 @@ def test_bound_curves_equal_exponents_reduce():
 
 
 def test_region_scan_properties():
-    rows = region_scan(6, [1.1, 1.5, 2.5, 5.5], [1.1, 1.5, 2.5, 5.5])
+    rows = scan_rows(6, [1.1, 1.5, 2.5, 5.5], [1.1, 1.5, 2.5, 5.5])
     by_key = {(row.p, row.q): row for row in rows}
     for row in rows:
         mirrored = by_key[(row.q, row.p)]
@@ -242,7 +242,7 @@ def test_readme_grid_scans_within_roundoff_of_the_hyperbola():
     # such as p = 4.0, q = 1.5 at N = 5 and p = 1.5, q = 2.75 at N = 6
     grid = [1.05 + i * 0.05 for i in range(100)]
     for N in range(3, 13):
-        for row in region_scan(N, grid, grid):
+        for row in scan_rows(N, grid, grid):
             if abs(row.hyperbola_gap) < 1e-9:
                 assert row.status == "boundary" and row.r_star is None
             if row.r_star is None:
@@ -251,7 +251,7 @@ def test_readme_grid_scans_within_roundoff_of_the_hyperbola():
             lo, hi = admissible_r_interval(pt)
             assert lo < row.r_star < hi
             growth_exponents(pt, row.r_star)
-    near = region_scan(6, [1.5], [2.75])[0]
+    near = scan_rows(6, [1.5], [2.75])[0]
     assert 0.0 < near.hyperbola_gap < 1e-15
     assert near.status == "boundary" and near.r_star is None and near.feasible is None
 
@@ -262,7 +262,7 @@ def test_scan_rows_carry_the_region_formulas(N):
     # grid within roundoff of the hyperbola (p = 4.0, q = 1.5 and p = 1.5,
     # q = 2.75): boundary rows with no r_star occur at each N
     grid = [1.05 + i * 0.05 for i in range(4, 100, 5)]
-    rows = region_scan(N, grid, grid)
+    rows = scan_rows(N, grid, grid)
     assert any(row.status == "boundary" and row.r_star is None for row in rows)
     for row in rows:
         pt = PQPoint(row.p, row.q, N)
@@ -324,7 +324,7 @@ def test_pqpoint_validation():
 def test_scan_matches_scalar_oracle(N, grid):
     # the array formulas against the public scalar functions point by point:
     # equal values of equal types, None in the same places
-    rows = region_scan(N, grid, grid)
+    rows = scan_rows(N, grid, grid)
     expected = scalar_region_rows(N, grid, grid)
     assert len(rows) == len(expected) == len(grid) ** 2
     for row, want in zip(rows, expected):
@@ -336,7 +336,7 @@ def test_scan_matches_scalar_oracle(N, grid):
 def test_scan_cells_are_python_values():
     kinds = {
         name: {type(value) for value in column}
-        for name, column in zip(RegionRow._fields, zip(*region_scan(6, README_GRID, README_GRID)))
+        for name, column in zip(RegionRow._fields, zip(*scan_rows(6, README_GRID, README_GRID)))
     }
     optional = {float, type(None)}
     assert kinds == {
@@ -364,38 +364,43 @@ BAD_GRIDS = [
 def test_scan_raises_the_error_of_its_first_bad_point(N, p_grid, q_grid, message):
     # the error, and the point it names, of the first bad point in scan order
     with pytest.raises(ValueError, match=message) as got:
-        region_scan(N, p_grid, q_grid)
+        scan_rows(N, p_grid, q_grid)
     with pytest.raises(ValueError) as want:
         scalar_region_rows(N, p_grid, q_grid)
     assert str(got.value) == str(want.value)
 
 
 def test_scan_of_an_empty_grid():
-    assert region_scan(5, [], [2.0]) == []
-    assert region_scan(5, [2.0], []) == []
-    assert region_scan(0, [], [math.nan]) == []
+    assert scan_rows(5, [], [2.0]) == []
+    assert scan_rows(5, [2.0], []) == []
+    assert scan_rows(0, [], [math.nan]) == []
 
 
-@pytest.mark.parametrize("block", [1, 150, 4096])
+@pytest.mark.parametrize("block", [1, 7, 150, 4096, None], ids=["1", "7", "150", "4096", "default"])
 def test_scan_blocks_join_to_the_scan(monkeypatch, block):
-    """The blocks hold whole p rows, at most _BLOCK points where a row fits,
-    one column per RegionRow field, and join to the rows of a scan in
-    blocks of the default size."""
+    """Every block but the last holds _BLOCK points, one column per RegionRow
+    field; blocks of more than one point cross p rows, as no block size here
+    divides a q row of 1,501 points, which is longer than the default block.  The blocks join, cell for cell, to the rows of the
+    scalar oracle."""
     from indefsaddle import region
 
-    whole = region_scan(6, README_GRID, README_GRID[:70])
-    monkeypatch.setattr(region, "_BLOCK", block)
-    blocks = list(region.scan_blocks(6, README_GRID, README_GRID[:70]))
-    full = 70 * max(1, block // 70)  # the points of the whole p rows that fit
+    p_grid, q_grid = [1.5, 2.5, 4.0], [1.001 + i * 0.002 for i in range(1501)]
+    if block is not None:
+        monkeypatch.setattr(region, "_BLOCK", block)
+    blocks = list(region.scan_blocks(6, p_grid, q_grid))
     sizes = [len(b[0][0]) for b in blocks]
-    assert sizes[:-1] == [full] * (len(sizes) - 1) and 0 < sizes[-1] <= full
-    assert sizes[-1] % 70 == 0
-    rows = []
+    assert sizes[:-1] == [region._BLOCK] * (len(sizes) - 1)
+    assert 0 < sizes[-1] <= region._BLOCK and sum(sizes) == 3 * 1501
+    ends = list(itertools.accumulate(sizes))
+    crossing = [(end - size) // 1501 != (end - 1) // 1501 for end, size in zip(ends, sizes)]
+    assert any(crossing) == (region._BLOCK > 1)
     for b in blocks:
         assert len(b) == len(RegionRow._fields)
         assert {len(values) for values, _ in b} == {len(b[0][0])}
-        rows += zip(*(region._values(values, present) for values, present in b))
-    assert rows == whole
+    expected = scalar_region_rows(6, p_grid, q_grid)
+    for row, want in zip(scan_rows(6, p_grid, q_grid), expected, strict=True):
+        for name, got, value in zip(RegionRow._fields, row, want):
+            assert got == value and type(got) is type(value), (name, row, want)
 
 
 @pytest.mark.parametrize("N, p_grid, q_grid, message", BAD_GRIDS)
@@ -406,7 +411,7 @@ def test_scan_blocks_raise_before_the_first_block(N, p_grid, q_grid, message):
     with pytest.raises(ValueError) as got:
         region.scan_blocks(N, p_grid, q_grid)
     with pytest.raises(ValueError) as want:
-        region_scan(N, p_grid, q_grid)
+        scalar_region_rows(N, p_grid, q_grid)
     assert str(got.value) == str(want.value)
 
 
