@@ -7,9 +7,9 @@ products of normalized sines,
 
 with eigenvalues lambda_m = sum_i (m_i pi / L_i)^2.  A field is stored as a
 coefficient vector against the first n of this family in (eigenvalue,
-multi-index) order, enumerated by one walk over a heap.  Fields are sampled
-on the interior tensor grid x_j = j L/(G+1), where the uniform-weight
-quadrature
+multi-index) order, enumerated from the hyperbolic cross prod(m) <= n, which
+holds them all.  Fields are sampled on the interior tensor grid
+x_j = j L/(G+1), where the uniform-weight quadrature
 
     integral f  ~=  prod_i (L_i/(G_i+1)) * sum_j f(x_j)
 
@@ -27,7 +27,6 @@ no dense evaluation matrix.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -67,7 +66,10 @@ class SineBasis:
     """
 
     def __init__(
-        self, domain: BoxDomain, indices: list[tuple[int, ...]], eigenvalues: list[float]
+        self,
+        domain: BoxDomain,
+        indices: np.ndarray | list[tuple[int, ...]],
+        eigenvalues: np.ndarray | list[float],
     ):
         self.domain = domain
         self.eigenvalues = np.array(eigenvalues, dtype=float)
@@ -76,7 +78,8 @@ class SineBasis:
         self.indices.setflags(write=False)
         # largest mode index used along each axis; sets the minimal grid
         self.max_index = tuple(int(m) for m in self.indices.max(axis=0))
-        self._key = (domain.lengths, tuple(indices))
+        # the lengths fix the row width d, so the bytes fix the rows
+        self._key = (domain.lengths, self.indices.tobytes())
         self._tables: dict[tuple[int, ...], GridTables] = {}
 
     @property
@@ -102,45 +105,68 @@ class SineBasis:
 def enumerate_basis(domain: BoxDomain, n: int) -> SineBasis:
     """Enumerate the n smallest Dirichlet eigenpairs of the box.
 
-    One walk over a heap keyed by (eigenvalue, multi-index), seeded with
-    (1, ..., 1): each pop is the next eigenpair, and pushes the index one
-    higher along each axis that is not yet queued.  The eigenvalue never
-    decreases when one index grows, in floats too (each rounding is
-    monotone), and an index's predecessors precede it lexicographically, so
-    every index is queued before it is the smallest left, and the pops come
-    in exact (eigenvalue, multi-index) order: ties are broken
-    lexicographically, even where a long side's modes round to one value.
-    A ValueError reports eigenvalues that leave the float range: a
-    (pi/L)^2 that underflows to 0, or one that overflows.
+    The eigenvalue never decreases when one index grows, in floats too (each
+    rounding is monotone), so each of the first n indices in (eigenvalue,
+    multi-index) order follows the prod(m) - 1 indices below it
+    componentwise, and prod(m) <= n: the first n lie in the hyperbolic cross
+    {m : prod(m) <= n}.  The cross is built in lexicographic order, its
+    eigenvalues summed axis by axis from each axis's squares (m w)^2, and
+    the n smallest, with every tie of the n-th, are sorted stably by
+    eigenvalue, so ties are broken lexicographically, even where a long
+    side's modes round to one value.  This is the order, bit for bit, of a
+    walk over a heap seeded with (1, ..., 1) that pushes each popped index's
+    successors one step along each axis.  A ValueError reports eigenvalues
+    that leave the float range: a (pi/L)^2 that underflows to 0, or a square
+    that overflows at an index that walk reaches, one of the first n or a
+    successor of the first n - 1.
     """
     if n < 1:
         raise ValueError(f"basis size must be at least 1, got {n}")
     lengths = domain.lengths
-    waves = [math.pi / L for L in lengths]
+    tables = [_squares(math.pi / L, n) for L in lengths]
+    if min(squares[0] for squares, _ in tables) == 0.0:
+        raise ValueError(f"side lengths {lengths} give eigenvalues below the float range")
+    # the cross in lexicographic order, one axis at a time: each partial
+    # index (m_1, ..., m_i) is followed by m_(i+1) = 1 .. n // prod, and each
+    # new entry keeps the position of its parent
+    m = np.arange(1, n + 1)
+    prod, values, steps = m, tables[0][0], [(None, m)]
+    for squares, _ in tables[1:]:
+        counts = n // prod
+        parent = np.repeat(np.arange(len(prod)), counts)
+        m = np.arange(1, len(parent) + 1) - np.repeat(np.cumsum(counts) - counts, counts)
+        steps.append((parent, m))
+        with np.errstate(over="ignore"):  # a sum past the float range is inf, as in Python
+            prod, values = prod[parent] * m, values[parent] + squares[m - 1]
+    keep = np.flatnonzero(values <= np.partition(values, n - 1)[n - 1])
+    order = keep[np.argsort(values[keep], kind="stable")[:n]]
+    values = values[order]
+    # the chosen indices, read from the last axis back to the first
+    columns = []
+    for parent, m in reversed(steps):
+        columns.append(m[order])
+        if parent is not None:
+            order = parent[order]
+    index = np.column_stack(columns[::-1])
+    for column, (_, over) in zip(index.T, tables):
+        # the walk computes the first n and the successors of the first n - 1
+        if over[column - 1].any() or over[column[:-1]].any():
+            raise ValueError(f"side lengths {lengths} give eigenvalues above the float range")
+    return SineBasis(domain, index, values)
 
-    def eigenvalue(index: tuple[int, ...]) -> float:
-        return sum((m * w) ** 2 for m, w in zip(index, waves))
 
-    try:
-        if min(waves) ** 2 == 0.0:
-            raise ValueError(f"side lengths {lengths} give eigenvalues below the float range")
-        first = (1,) * domain.dim
-        heap = [(eigenvalue(first), first)]
-        queued = {first}
-        indices, eigenvalues = [], []
-        while True:
-            value, index = heapq.heappop(heap)
-            indices.append(index)
-            eigenvalues.append(value)
-            if len(indices) == n:
-                return SineBasis(domain, indices, eigenvalues)
-            for axis in range(len(index)):
-                successor = (*index[:axis], index[axis] + 1, *index[axis + 1 :])
-                if successor not in queued:
-                    queued.add(successor)
-                    heapq.heappush(heap, (eigenvalue(successor), successor))
-    except OverflowError:
-        raise ValueError(f"side lengths {lengths} give eigenvalues above the float range") from None
+def _squares(w: float, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """(m * w) ** 2 for m = 1..count by Python's float pow (numpy's x ** 2 is
+    x * x, which differs from pow in the last bit), and the mask of those
+    that overflow, which read inf."""
+    squares, over = [], np.zeros(count, dtype=bool)
+    for m in range(1, count + 1):
+        try:
+            squares.append((m * w) ** 2)
+        except OverflowError:
+            squares.append(math.inf)
+            over[m - 1] = True
+    return np.array(squares), over
 
 
 def eigenvalue_growth_constant(basis: SineBasis) -> float:

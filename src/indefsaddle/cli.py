@@ -32,7 +32,10 @@ Output files are byte-identical for identical (config, seed); wall time goes
 to stdout only.  CSV cells: floats by repr (shortest round-trip form), None
 empty, booleans true/false, and free text (a string holding a space, comma,
 double quote or newline) in double quotes, each double quote in it written
-as a single quote.  JSON rows carry the raw values.
+as a single quote.  JSON rows carry the raw values.  JSON files hold the
+bytes json.dumps(..., indent=2) gives, laid out by hand so that the values
+go through the C encoder: row files one block of cells at a time, solution
+sets one line per field and one encoder call per coefficient list.
 """
 
 from __future__ import annotations
@@ -195,7 +198,13 @@ def _float(value: int | float) -> float:
 
 
 def _numbers(items: list, label: str, errors: list[str]) -> list[float] | None:
-    """The entries of a JSON list as floats, if every one is a finite number."""
+    """The entries of a JSON list as floats, if every one is a finite number;
+    else one error, named by the first entry at fault."""
+    # the list checked whole: a JSON number is an int or a float (a bool is neither)
+    if {int, float}.issuperset(map(type, items)):
+        out = list(map(_float, items))
+        if all(map(math.isfinite, out)):
+            return out
     out = []
     for item in items:
         if isinstance(item, bool) or not isinstance(item, (int, float)):
@@ -400,9 +409,31 @@ def _json_header(cfg: RunConfig) -> dict:
 
 
 def _write_json(path: str, payload: dict) -> None:
-    # one write: json.dump with indent writes each encoder chunk separately
+    """Write the payload as json.dumps(payload, indent=2) writes it, in one
+    write; numpy arrays are written as their lists."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(json.dumps(payload, indent=2) + "\n")
+        fh.write(_json_text(payload, "") + "\n")
+
+
+def _json_text(value, pad: str) -> str:
+    """The text of one value of the payload at the indent `pad`, laid out by
+    hand, since json.dumps with an indent never takes the C encoder: dicts
+    (str keys) and lists one item a line, and a list of scalars, such as a
+    coefficient vector, in one C encoder call whose item separator carries
+    the newline and indent."""
+    if isinstance(value, np.ndarray):
+        value = value.tolist()
+    if not value or not isinstance(value, (dict, list, tuple)):
+        return json.dumps(value)  # a scalar, a string or an empty container
+    inner = pad + "  "
+    if isinstance(value, dict):
+        items = (f"{json.dumps(key)}: {_json_text(item, inner)}" for key, item in value.items())
+    elif any(issubclass(kind, (dict, list, tuple, np.ndarray)) for kind in set(map(type, value))):
+        items = (_json_text(item, inner) for item in value)
+    else:
+        items = (json.dumps(value, separators=(",\n" + inner, ": "))[1:-1],)
+    brackets = "{}" if isinstance(value, dict) else "[]"
+    return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}{brackets[1]}"
 
 
 def _problem_echo(spec: ProblemSpec) -> dict:
@@ -412,8 +443,8 @@ def _problem_echo(spec: ProblemSpec) -> dict:
         "r": spec.r,
         "p": spec.p,
         "q": spec.q,
-        "h": list(spec.h.coeffs),
-        "k": list(spec.k.coeffs),
+        "h": spec.h.coeffs,
+        "k": spec.k.coeffs,
         "oversample": spec.oversample,
     }
 
@@ -459,8 +490,8 @@ def _solution_set(cfg: RunConfig, solutions, **run_fields) -> dict:
     for z, extra in solutions:
         report = verify_critical(z, spec, cutoff)
         entries.append({
-            "u": list(z.u.coeffs),
-            "v": list(z.v.coeffs),
+            "u": z.u.coeffs,
+            "v": z.v.coeffs,
             "energy": report.energy,
             "modified_energy": report.modified_energy,
             "residual": report.residual_norm,

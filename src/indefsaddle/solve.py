@@ -781,6 +781,9 @@ def _projected_ascent(groups, iters: int, cap: int):
     sharing: dict[int, list[int]] = {}  # the groups of each value function
     for g, (fn, _, _) in enumerate(groups):
         sharing.setdefault(id(fn), []).append(g)
+    shares = np.empty(len(groups), dtype=int)  # each group's entry of sharing
+    for i, gs in enumerate(sharing.values()):
+        shares[gs] = i
     W = np.repeat(np.array([weights for _, _, weights in groups], dtype=float), counts, axis=0)
 
     def normalize(C: np.ndarray, W: np.ndarray) -> np.ndarray:
@@ -793,9 +796,9 @@ def _projected_ascent(groups, iters: int, cap: int):
     def plan(owner: np.ndarray) -> list:
         """The calls of one step of the rows of these owners: (value
         function, row indices)."""
-        calls = []
-        for gs in sharing.values():
-            at = np.flatnonzero(np.isin(owner, gs))
+        calls, share = [], shares[owner]
+        for i, gs in enumerate(sharing.values()):
+            at = np.flatnonzero(share == i)
             parts = [at] if len(at) <= cap else [np.flatnonzero(owner == g) for g in gs]
             calls += [(groups[gs[0]][0], part) for part in parts if len(part)]
         return calls
@@ -972,7 +975,10 @@ def lower_growth_constant(spec: ProblemSpec, seed: int = 0) -> float:
         )
 
     grid = np.logspace(-12.0, 6.0, 2000)
-    values = [g(x) for x in grid]
+    try:
+        values = [g(x) for x in grid.tolist()]
+    except OverflowError:  # Python's ** raises where numpy's reads inf
+        values = [g(x) for x in grid]
     best = max(values)
     if best <= 0.0:
         return 0.0

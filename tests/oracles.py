@@ -1,8 +1,9 @@
 """Independent oracles for the test suite.
 
-The enumeration oracle sorts every multi-index in a box of per-axis caps by
-(eigenvalue, multi-index), as the basis was enumerated before its heap
-walk.  The reference grid formulas give the collocation nodes and the
+The enumeration oracles sort every multi-index in a box of per-axis caps by
+(eigenvalue, multi-index), and walk a heap of indices from (1, ..., 1), as
+the basis was enumerated before its hyperbolic cross; the walk also gives
+the errors of eigenvalues beyond the float range.  The reference grid formulas give the collocation nodes and the
 uniform-weight quadrature without the grid tables.
 
 The dense oracle builds the full evaluation matrix S[j, k] = phi_k(x_j) on
@@ -40,6 +41,7 @@ scaling u_c(x) = c U(c x), which maps an arch of width T to width T/c.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from itertools import product
@@ -84,6 +86,50 @@ def sorted_basis(domain, n: int, caps: tuple[int, ...]) -> SineBasis:
     outside = min(base - w * w + ((cap + 1) * w) ** 2 for w, cap in zip(waves, caps))
     assert len(candidates) == n and candidates[-1][0] < outside, "caps too small"
     return SineBasis(domain, [idx for _, idx in candidates], [val for val, _ in candidates])
+
+
+def heap_basis(domain, n: int) -> SineBasis:
+    """Enumerate the n smallest Dirichlet eigenpairs of the box.
+
+    One walk over a heap keyed by (eigenvalue, multi-index), seeded with
+    (1, ..., 1): each pop is the next eigenpair, and pushes the index one
+    higher along each axis that is not yet queued.  The eigenvalue never
+    decreases when one index grows, in floats too (each rounding is
+    monotone), and an index's predecessors precede it lexicographically, so
+    every index is queued before it is the smallest left, and the pops come
+    in exact (eigenvalue, multi-index) order: ties are broken
+    lexicographically, even where a long side's modes round to one value.
+    A ValueError reports eigenvalues that leave the float range: a
+    (pi/L)^2 that underflows to 0, or one that overflows.
+    """
+    if n < 1:
+        raise ValueError(f"basis size must be at least 1, got {n}")
+    lengths = domain.lengths
+    waves = [math.pi / L for L in lengths]
+
+    def eigenvalue(index: tuple[int, ...]) -> float:
+        return sum((m * w) ** 2 for m, w in zip(index, waves))
+
+    try:
+        if min(waves) ** 2 == 0.0:
+            raise ValueError(f"side lengths {lengths} give eigenvalues below the float range")
+        first = (1,) * domain.dim
+        heap = [(eigenvalue(first), first)]
+        queued = {first}
+        indices, eigenvalues = [], []
+        while True:
+            value, index = heapq.heappop(heap)
+            indices.append(index)
+            eigenvalues.append(value)
+            if len(indices) == n:
+                return SineBasis(domain, indices, eigenvalues)
+            for axis in range(len(index)):
+                successor = (*index[:axis], index[axis] + 1, *index[axis + 1 :])
+                if successor not in queued:
+                    queued.add(successor)
+                    heapq.heappush(heap, (eigenvalue(successor), successor))
+    except OverflowError:
+        raise ValueError(f"side lengths {lengths} give eigenvalues above the float range") from None
 
 
 def grid_points(domain, shape: tuple[int, ...]) -> tuple[np.ndarray, ...]:

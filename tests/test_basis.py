@@ -14,7 +14,7 @@ from indefsaddle import (
 )
 from indefsaddle.basis import grid_shape
 
-from oracles import grid_points, grid_quadrature, sorted_basis
+from oracles import grid_points, grid_quadrature, heap_basis, sorted_basis
 
 
 def test_interval_spectrum():
@@ -40,13 +40,55 @@ def test_interval_spectrum():
     ],
 )
 def test_enumeration_matches_sorted_candidates(lengths, n, caps):
-    """The heap walk gives the sort of every candidate in a box of per-axis
+    """The enumeration gives the sort of every candidate in a box of per-axis
     caps, bit for bit, on boxes whose sides are equal and differ."""
     domain = BoxDomain(lengths)
     basis, expected = enumerate_basis(domain, n), sorted_basis(domain, n, caps)
     assert np.array_equal(basis.indices, expected.indices)
     assert basis.eigenvalues.tobytes() == expected.eigenvalues.tobytes()
     assert basis == expected
+
+
+def _outcome(build, lengths, n):
+    """The indices and eigenvalue bytes of an enumeration, or its error."""
+    try:
+        basis = build(BoxDomain(lengths), n)
+    except ValueError as exc:
+        return str(exc)
+    return basis.indices.tolist(), basis.eigenvalues.tobytes()
+
+
+_RANDOM = np.random.default_rng(7)
+HEAP_BOXES = [
+    *(tuple(np.exp(_RANDOM.uniform(-3.0, 3.0, dim)).tolist()) for dim in (1, 2, 3) * 4),
+    # equal sides, with tied eigenvalues
+    (math.pi, math.pi), (math.pi, math.pi, math.pi), (2.0, 2.0, 4.0),
+    # thin boxes, whose long side's modes round to one value
+    (9.0, 0.3, 0.15), (0.1592, 9.4726, 0.2504), (1e20, 1.0), (1.0, 1e-100),
+    # eigenvalues below and above the float range
+    (1e300,), (1e-300,),
+    # squares of the long side's modes overflow from m = 2 and 14: the walk
+    # reaches the first only past n = 1, and never the second
+    (math.pi * 1e-154, math.pi), (math.pi, math.pi * 1e-154), (math.pi * 1e-153, math.pi),
+]
+
+
+@pytest.mark.parametrize("n", [1, 4, 7, 8, 14, 32, 100, 400, 2000])
+def test_enumeration_matches_the_heap_walk(n):
+    """The hyperbolic cross gives the heap walk's indices and eigenvalues bit
+    for bit, and its errors, on random, tied, thin and out-of-range boxes."""
+    for lengths in HEAP_BOXES:
+        assert _outcome(enumerate_basis, lengths, n) == _outcome(heap_basis, lengths, n), lengths
+
+
+def test_enumeration_errors_follow_the_heap_walk_reach():
+    """An overflowing square raises only where the walk computes it."""
+    thin = BoxDomain((math.pi * 1e-154, math.pi))
+    assert enumerate_basis(thin, 1).indices.tolist() == [[1, 1]]
+    with pytest.raises(ValueError, match="above the float range"):
+        enumerate_basis(thin, 2)  # the successor (2, 1) of the first index
+    basis = enumerate_basis(BoxDomain((math.pi * 1e-153, math.pi)), 14)
+    assert basis.indices.tolist() == [[1, m] for m in range(1, 15)]
 
 
 @pytest.mark.parametrize("lengths", [(1e20, 1.0), (1.0, 1e-100)])

@@ -365,6 +365,10 @@ class TestCommands:
              "levels section: field 'samples' must be at most 1000000, got 1000001"),
             ("levels", {"n": 8}, {"levels": {"samples": 10**400}},
              "levels section: field 'samples' must be at most 1000000, got 1" + "0" * 400),
+            # the first entry at fault names the error
+            ("solve", {}, {"solve": {"initial_u": [1, True]}}, "'initial_u' entries must be numbers"),
+            ("solve", {}, {"solve": {"initial_v": [math.inf, "x"]}}, "'initial_v' entries must be finite"),
+            ("solve", {}, {"solve": {"initial_v": [None, math.nan]}}, "'initial_v' entries must be numbers"),
         ],
     )
     def test_bad_values_exit_one_without_traceback(
@@ -810,6 +814,36 @@ class TestJsonWriter:
         head = {"schema_version": 1, "command": "region", "seed": 0}
         assert cli._write_json_rows(str(tmp_path / "out.json"), head, ("p",), []) == 0
         assert (tmp_path / "out.json").read_text() == json.dumps({**head, "rows": []}, indent=2) + "\n"
+
+    @pytest.mark.parametrize("vector", [list, np.array], ids=["lists", "arrays"])
+    @pytest.mark.parametrize("found", [False, True], ids=["no-solutions", "solutions"])
+    def test_solution_json_is_the_whole_document_dump(self, tmp_path, vector, found):
+        """The hand layout of a solution file writes the bytes of json.dumps
+        with indent 2, numpy arrays as their lists: non-finite, signed-zero,
+        extreme and int entries, text that needs escapes, None, bools, empty
+        and nested containers."""
+        from indefsaddle import cli
+
+        def payload(vector):
+            floats = vector([math.nan, math.inf, -math.inf, -0.0, 0.0, 1e16, 5e-324, 0.1, -2.5])
+            solutions = [
+                {"u": floats, "v": vector([]), "energy": -0.0, "residual": math.nan,
+                 "cutoff_weight": None, "bound_ok": False, "has_mirror": True,
+                 "mixed": [1, 2.0, None, True, "x"]},
+                {"u": vector([3.0]), "nested": [[1.0], [], {}, {"a": [{"b": None}]}], "empty": {}},
+            ]
+            return {
+                "schema_version": 1, "command": "branch", "seed": 0,
+                "problem": {"lengths": [3, 2.5], "n": 9, "h": floats, "k": vector([]), "oversample": 4},
+                "cutoff_constant": math.inf, "converged": False, "iterations": 0,
+                "message": 'line "search"\n\tstalled \\ \u00e9\u2212\U0001f600',
+                "note": 'seeds "exhausted",\r\n\u00e5 \u2260 \u00f8', "exhausted": True,
+                "solutions": solutions if found else [],
+            }
+
+        cli._write_json(str(tmp_path / "out.json"), payload(vector))
+        oracle = json.dumps(payload(list), indent=2) + "\n"
+        assert (tmp_path / "out.json").read_bytes() == oracle.encode()
 
     def test_region_json_is_written_as_it_is_scanned(self, tmp_path, monkeypatch):
         """The README grid's JSON rows are written one block of points at a

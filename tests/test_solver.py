@@ -1157,6 +1157,18 @@ class TestLevels:
             brackets = estimate_levels(spec, k_max=5, seed=0)
         assert [b.k for b in brackets] == [1, 2, 3, 4, 5]
 
+    @pytest.mark.parametrize("p, q", [(120.0, 3.0), (3.0, 200.0)])
+    def test_lower_curve_powers_past_the_float_range(self, p, q):
+        """A power of the lower curve's log grid that leaves the float range
+        reads numpy's inf, with numpy's warning, and not Python's
+        OverflowError."""
+        from indefsaddle.solve import lower_growth_constant
+
+        spec = ProblemSpec.create(BoxDomain((math.pi,)), 16, 1.0, p, q)
+        with pytest.warns(RuntimeWarning, match="overflow encountered in scalar power"):
+            gamma = lower_growth_constant(spec)
+        assert 0.0 < gamma < math.inf
+
     def test_lower_curve_exponent_exact(self, cubic_spec):
         brackets = estimate_levels(cubic_spec, k_max=5, samples=20, seed=0)
         lowers = np.array([b.lower for b in brackets])
