@@ -23,6 +23,23 @@ Every grid sum goes through GridTables, the basis's per-axis sine and
 cosine tables on one grid shape, contracted one axis at a time: the values,
 the mode pairings and the Galerkin matrix of a multiplication operator, with
 no dense evaluation matrix.
+
+The reflections x_i -> L_i - x_i split the basis into parity classes, the
+modes whose index m_i has a fixed parity on each axis.  On a grid axis of
+even length G the reflection maps the grid onto itself, x_j to x_(G+1-j),
+and
+
+    phi_m(x_(G+1-j)) = sqrt(2/L) sin(m pi - m pi j/(G+1)) = (-1)^(m+1) phi_m(x_j),
+
+so the grid values of a field of one class are even or odd under each
+reflection, the same as its class's modes.  An odd power |u|^(q-1) u keeps
+that parity and the weight |u|^(q-1) is even, so every pairing of such
+values with a mode of another class is a sum of terms that cancel in
+reflected pairs: the Galerkin gradient, and the Galerkin matrix of a weight
+of one class's field, keep each class exactly, up to the roundoff of
+summing the cancelling pairs.  A class is a SineBasis of its own (see
+SineBasis.parity_class) on its parent's grid, whose tables are the
+parent's read on the first half of each grid axis.
 """
 
 from __future__ import annotations
@@ -56,13 +73,16 @@ class BoxDomain:
 
 
 class SineBasis:
-    """The first n Dirichlet eigenpairs of a box, sorted by eigenvalue.
+    """The first n Dirichlet eigenpairs of a box, sorted by eigenvalue, or
+    one parity class of them.
 
     Ties are broken lexicographically in the multi-index, so enumeration is
-    deterministic.  Equality and hashing go through the (lengths,
-    multi-index) content.  The grid tables of each grid shape are built on
-    first use and kept on the instance, so they live exactly as long as the
-    basis.
+    deterministic.  Equality and hashing go through the (lengths, grid
+    resolution, multi-index) content.  The grid tables of each grid shape
+    are built on first use and kept on the instance, so they live exactly
+    as long as the basis, and so are the parity classes.  A class keeps its
+    parent (parent), whose grid resolution (max_index) it shares, and its
+    parity, m_i % 2 on each axis; a basis that is no class has neither.
     """
 
     def __init__(
@@ -70,21 +90,46 @@ class SineBasis:
         domain: BoxDomain,
         indices: np.ndarray | list[tuple[int, ...]],
         eigenvalues: np.ndarray | list[float],
+        parent: "SineBasis | None" = None,
     ):
         self.domain = domain
         self.eigenvalues = np.array(eigenvalues, dtype=float)
         self.eigenvalues.setflags(write=False)
         self.indices = np.array(indices, dtype=int)
         self.indices.setflags(write=False)
+        self.parent, self.parity = parent, None
         # largest mode index used along each axis; sets the minimal grid
         self.max_index = tuple(int(m) for m in self.indices.max(axis=0))
+        if parent is not None:
+            self.parity = tuple((self.indices[0] % 2).tolist())
+            self.max_index = parent.max_index
         # the lengths fix the row width d, so the bytes fix the rows
-        self._key = (domain.lengths, self.indices.tobytes())
+        self._key = (domain.lengths, self.max_index, self.indices.tobytes())
         self._tables: dict[tuple[int, ...], GridTables] = {}
+        self._classes: dict[int, tuple[SineBasis, np.ndarray]] = {}
 
     @property
     def size(self) -> int:
         return len(self.indices)
+
+    @cached_property
+    def parity_codes(self) -> np.ndarray:
+        """Each mode's parity class as one integer, bit i set where m_i is odd."""
+        return (self.indices % 2) @ (1 << np.arange(self.domain.dim))
+
+    def parity_class(self, code: int) -> tuple["SineBasis", np.ndarray]:
+        """The modes of one parity class (see parity_codes) as a basis on
+        this basis's grid, and their positions in this basis.  ValueError if
+        no mode has that parity."""
+        if code not in self._classes:
+            positions = np.flatnonzero(self.parity_codes == code)
+            if not positions.size:
+                raise ValueError(f"no mode of {self} has parity code {code}")
+            basis = SineBasis(
+                self.domain, self.indices[positions], self.eigenvalues[positions], parent=self
+            )
+            self._classes[code] = basis, positions
+        return self._classes[code]
 
     def grid_tables(self, shape: tuple[int, ...]) -> "GridTables":
         """Separable evaluation tables on the grid of this shape."""
@@ -118,12 +163,16 @@ def enumerate_basis(domain: BoxDomain, n: int) -> SineBasis:
     successors one step along each axis.  A ValueError reports eigenvalues
     that leave the float range: a (pi/L)^2 that underflows to 0, or a square
     that overflows at an index that walk reaches, one of the first n or a
-    successor of the first n - 1.
+    successor of the first n - 1, or a pi/L that overflows itself (float
+    division gives inf, whose square raises nothing).
     """
     if n < 1:
         raise ValueError(f"basis size must be at least 1, got {n}")
     lengths = domain.lengths
-    tables = [_squares(math.pi / L, n) for L in lengths]
+    waves = [math.pi / L for L in lengths]
+    if not all(map(math.isfinite, waves)):
+        raise ValueError(f"side lengths {lengths} give eigenvalues above the float range")
+    tables = [_squares(w, n) for w in waves]
     if min(squares[0] for squares, _ in tables) == 0.0:
         raise ValueError(f"side lengths {lengths} give eigenvalues below the float range")
     # the cross in lexicographic order, one axis at a time: each partial
@@ -283,6 +332,17 @@ class GridTables:
     basis and grid, on the first galerkin call, so that work with no
     Jacobian never holds them.
 
+    The tables of a parity class are sliced from its parent's, with no new
+    trigonometry, and read fields of the class only.  They cover the first
+    half of each grid axis (the class's values on the second half are their
+    mirror images, see the module docstring), so each axis's weight doubles;
+    the sine tables keep the class's columns.  A multiplier of a class
+    problem is even under every reflection, so its cosine moments at odd m
+    vanish and those at even m are twice the half grid's: the cosine tables
+    keep the even rows 0, 2, ..., 2M, the block scale doubles per axis, and
+    the gathers read |a-b|/2 and (a+b)/2 (the "fold" 2), which are whole
+    since a and b have one parity.  Each grid axis must have even length.
+
     evaluate and pairings take a stack of points along a leading rows axis;
     a coefficient vector, or one grid of values, is the one-point case.  Each
     row gets its own BLAS product, the one a single point gets (a stacked
@@ -298,46 +358,65 @@ class GridTables:
             raise ValueError(f"grid rank {len(shape)} does not match dim {len(modes)}")
         if any(G < M for G, M in zip(shape, modes)):
             raise ValueError(f"grid size {shape} is below the basis resolution {modes}")
-        self.modes = modes
-        self.points = math.prod(shape)
-        self.weight = math.prod(L / (G + 1) for L, G in zip(lengths, shape))
+        if basis.parent is None:
+            self.fold = 1
+            self.sines, self.cosines = [], []
+            for L, G, M in zip(lengths, shape, modes):
+                j = np.arange(1, G + 1)[:, None]
+                m = np.arange(1, M + 1)[None, :]
+                self.sines.append(math.sqrt(2.0 / L) * np.sin(math.pi * j * m / (G + 1)))
+                k = np.arange(2 * M + 1)[:, None]
+                self.cosines.append(np.cos(math.pi * k * j.T / (G + 1)))
+        else:
+            if any(G % 2 for G in shape):
+                raise ValueError(f"a parity class needs grid axes of even length, got {shape}")
+            parent = basis.parent.grid_tables(shape)
+            self.fold = 2
+            # mode m sits in column m - 1: odd modes from column 0, even from 1
+            self.sines = [
+                np.ascontiguousarray(table[: G // 2, 1 - odd :: 2])
+                for table, G, odd in zip(parent.sines, shape, basis.parity)
+            ]
+            self.cosines = [
+                np.ascontiguousarray(table[::2, : G // 2])
+                for table, G in zip(parent.cosines, shape)
+            ]
+        scale = self.fold ** len(shape)
+        # the sine tables' columns: the modes of the packed tensor per axis
+        self.modes = tuple(table.shape[1] for table in self.sines)
+        self.points = math.prod(len(table) for table in self.sines)
+        self.weight = scale * math.prod(L / (G + 1) for L, G in zip(lengths, shape))
         # weight times the 1/L_i of each axis's product-to-sum identity
-        self.block_scale = 1.0 / math.prod(G + 1 for G in shape)
-        self.sines = []
-        self.cosines = []
-        for L, G, M in zip(lengths, shape, modes):
-            j = np.arange(1, G + 1)[:, None]
-            m = np.arange(1, M + 1)[None, :]
-            self.sines.append(math.sqrt(2.0 / L) * np.sin(math.pi * j * m / (G + 1)))
-            k = np.arange(2 * M + 1)[:, None]
-            self.cosines.append(np.cos(math.pi * k * j.T / (G + 1)))
+        self.block_scale = scale / math.prod(G + 1 for G in shape)
         self.indices = basis.indices
         # position of each basis mode in the packed tensor; in 1-D the basis
-        # is modes 1..n in order and the packed tensor is the vector itself.
-        # The 1-D path (slots None) gives the same bytes as the general one
-        # but skips its scatter, reshapes and tensordot: without it a
-        # branch-small pass (seed 3, pass 0) took 1.50-1.59 s against
-        # 1.21-1.41 s (2-core x86-64 VM, 3 alternating rounds, min of 2)
+        # is its sine table's modes in order and the packed tensor is the
+        # vector itself.  The 1-D path (slots None) gives the same bytes as
+        # the general one but skips its scatter, reshapes and tensordot:
+        # without it a branch-small pass (seed 3, pass 0) took 1.50-1.59 s
+        # against 1.21-1.41 s (2-core x86-64 VM, 3 alternating rounds, min of 2)
         self.slots = (
             None if basis.domain.dim == 1
-            else np.ravel_multi_index(tuple(self.indices.T - 1), modes)
+            else np.ravel_multi_index(tuple((self.indices.T - 1) // self.fold), self.modes)
         )
 
     @cached_property
     def gathers(self) -> list[tuple[bool, np.ndarray]]:
         """Sign and moment index of each gather, built on the first galerkin call."""
-        modes = self.modes
-        # C-order strides of the moment tensor, (2M_1+1) x ... x (2M_d+1)
-        strides = [math.prod(2 * M + 1 for M in modes[i + 1:]) for i in range(len(modes))]
+        rows = [len(table) for table in self.cosines]
+        # C-order strides of the moment tensor, one axis per cosine table
+        strides = [math.prod(rows[i + 1:]) for i in range(len(rows))]
+        fold = self.fold
         per_axis = [
-            (stride * np.abs(a[:, None] - a[None, :]), stride * (a[:, None] + a[None, :]))
+            (stride * (np.abs(a[:, None] - a[None, :]) // fold),
+             stride * ((a[:, None] + a[None, :]) // fold))
             for a, stride in zip(self.indices.T, strides)
         ]
         # one gather per choice of |a-b| or a+b on each axis; each a+b
         # choice flips the sign, and the all-|a-b| gather comes first
         return [
             (sum(choice) % 2 == 0, sum(pair[c] for pair, c in zip(per_axis, choice)))
-            for choice in product((0, 1), repeat=len(modes))
+            for choice in product((0, 1), repeat=len(rows))
         ]
 
     def evaluate(self, coeffs: np.ndarray) -> np.ndarray:
@@ -391,16 +470,20 @@ class GridTables:
         return block
 
     def _toeplitz_minus_hankel(self, moments: np.ndarray) -> np.ndarray:
-        """The 1-D blocks (m_|a-b| - m_(a+b)) * block_scale, for modes a, b =
-        1..n and each row of cosine moments m_0..m_2n, bit for bit the
-        gathers' sum: the Toeplitz part T[a, b] = e[n-1+b-a] of e = (m_(n-1),
-        ..., m_1, m_0, ..., m_(n-1)) and the Hankel part m[a+b] are strided
-        views, so only the difference is written."""
+        """The 1-D blocks (m_|a-b| - m_(a+b)) * block_scale, for the modes
+        a, b of the basis and each row of cosine moments m_0, m_1, ..., bit
+        for bit the gathers' sum; in a class's moments, at the folded
+        indices |a-b|/2 and (a+b)/2.  The i-th mode is i + 1 (modes 1..n) or
+        2i + 1 and 2i + 2 (the two classes), so with h = (a_0 + a_0) / fold,
+        2, 1 or 2, the Toeplitz part T[i, j] = e[n-1+j-i] of e = (m_(n-1),
+        ..., m_1, m_0, ..., m_(n-1)) and the Hankel part m[h+i+j] are
+        strided views, so only the difference is written."""
         n = self.modes[0]
+        h = 2 * int(self.indices[0, 0]) // self.fold
         lead, step = moments.shape[:-1], moments.strides[-1]
         e = np.concatenate([moments[..., n - 1 : 0 : -1], moments[..., :n]], axis=-1)
         toeplitz = as_strided(e[..., n - 1 :], (*lead, n, n), (*e.strides[:-1], -step, step))
-        hankel = as_strided(moments[..., 2:], (*lead, n, n), (*moments.strides[:-1], step, step))
+        hankel = as_strided(moments[..., h:], (*lead, n, n), (*moments.strides[:-1], step, step))
         block = toeplitz - hankel
         block *= self.block_scale
         return block

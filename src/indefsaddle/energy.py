@@ -272,13 +272,6 @@ class Evaluation:
         ev.z = z
         return ev
 
-    @classmethod
-    def of(cls, points: list[FieldPair], spec: ProblemSpec) -> "Evaluation":
-        """The evaluation of a stack of points, each on the problem's basis."""
-        for z in points:
-            _check_point(z, spec)
-        return cls(np.array([z.vec for z in points]), spec)
-
     def row(self, i: int) -> "Evaluation":
         """Row i of a stack as a one-point evaluation, sharing the grid values,
         weights and pairings already computed."""

@@ -13,7 +13,13 @@ gather index is built.  The dense-matrix residual and Jacobian, the
 Jacobian assembled from the blocks, the dense solves that check the step
 and scipy's GMRES, which checks this one, live in the tests.
 There is one Newton loop, which runs a stack of iterates, one row per seed,
-in lockstep; newton_solve is its one-row case.  Deflation is an option of
+in lockstep; newton_solve is its one-row case.  A plain run whose seed and
+forcing lie in one parity class of the basis (the modes of one parity per
+axis, which the box's reflections keep; see the basis module docstring)
+runs on the class's problem, a half of the modes and of the grid points
+per axis, and its result is put back in the full basis with +0.0 off the
+class: the one-mode seeds of a branch hunt, and the CLI's default seed
+2 phi_1, run so.  Deflation is an option of
 it, which multiplies the residual by prod_i (dist_i^-2 + 1) over known
 solutions so Newton runs land on new ones (the rank-one term this adds to
 the Jacobian enters the step by Sherman-Morrison), and with nothing to
@@ -68,6 +74,7 @@ from .basis import (
     SpectralField,
     _row_dots,
     eigenvalue_growth_constant,
+    grid_shape,
     sobolev_norm,
 )
 from .energy import (
@@ -75,6 +82,7 @@ from .energy import (
     DualGradient,
     Evaluation,
     ProblemSpec,
+    _check_point,
     _stack_rows,
     bump,
     energy_gradient,
@@ -162,21 +170,25 @@ def newton_sweep(
     bit, with the runs advancing together as the rows of one stack (see
     _newton).  For a symmetric problem, whose residual is exactly odd, a
     seed that is bitwise the negation of the seed before it is not run: its
-    result is that seed's mirrored, z negated and the residual, energy,
-    iterations and message copied.  That is its own run's result but for
-    the sign of a zero coefficient that an exact cancellation gave (+0.0 in
-    both runs); the runs seen to have one fall to the trivial solution.  A
-    seed whose residual norm is not finite, or that lies off the problem's
-    basis or r, raises ValueError."""
+    result is that seed's mirrored (see _mirrored), and the residual,
+    energy, iterations and message are copied.  That is its own run's
+    result but for the sign of a zero coefficient that an exact
+    cancellation gave (+0.0 in both runs); the runs seen to have one fall
+    to the trivial solution.  A seed whose residual norm is not finite, or
+    that lies off the problem's basis or r, raises ValueError."""
     config = config or NewtonConfig()
     symmetric = spec.is_symmetric()
     mirrors = [
         symmetric and i > 0 and _negates(seed, seeds[i - 1]) for i, seed in enumerate(seeds)
     ]
     runs = iter(_newton([s for s, mirror in zip(seeds, mirrors) if not mirror], spec, config, []))
+    codes = _parity_codes(_packed(seeds, spec), spec) if any(mirrors) else []
     results: list[SolveResult] = []
-    for mirror in mirrors:
-        results.append(replace(results[-1], z=-results[-1].z) if mirror else next(runs))
+    for i, mirror in enumerate(mirrors):
+        if mirror:
+            results.append(replace(results[-1], z=_mirrored(results[-1].z, codes[i])))
+        else:
+            results.append(next(runs))
     return results
 
 
@@ -185,10 +197,123 @@ def _negates(z: FieldPair, w: FieldPair) -> bool:
     return z.basis == w.basis and z.r == w.r and z.vec.tobytes() == (-w.vec).tobytes()
 
 
+def _mirrored(z: FieldPair, code: int | None) -> FieldPair:
+    """-z, as the run from the mirrored seed of a run that ended at z gives
+    it: for a run in parity class `code`, with +0.0 off the class (None for
+    a run on the full problem)."""
+    u, v = -z.u.coeffs, -z.v.coeffs
+    if code is not None:
+        off = z.basis.parity_codes != code
+        u[off] = v[off] = 0.0
+    return FieldPair(SpectralField(z.basis, u), SpectralField(z.basis, v), z.r)
+
+
+def _packed(points: list[FieldPair], spec: ProblemSpec) -> np.ndarray:
+    """The packed coefficients [u | v] of each point, one row each."""
+    return np.array([z.vec for z in points]).reshape(len(points), 2 * spec.n)
+
+
+def _point(vec: np.ndarray, spec: ProblemSpec) -> FieldPair:
+    """The packed coefficients [u | v] as a point of the problem."""
+    u, v = vec[: spec.n], vec[spec.n :]
+    return FieldPair(SpectralField(spec.basis, u), SpectralField(spec.basis, v), spec.r)
+
+
 def _newton(
     seeds: list[FieldPair], spec: ProblemSpec, config: NewtonConfig, known: list[FieldPair]
 ) -> list[SolveResult]:
     """The Newton loop of newton_solve, run from every seed at once.
+
+    A plain run (no known points) whose seed, together with the forcing h
+    and k, has its nonzero coefficients in one parity class of the basis
+    (see _parity_codes) runs on that class's problem, whose residual and
+    Newton map keep the class (see the basis module docstring).  The runs
+    of one class run together (see _newton_rows), and each result is put
+    in the full basis with +0.0 off the class; its energy and residual norm
+    are then those of that point on the full problem, evaluated once.  A
+    class run converges on the class problem's residual, which leaves out
+    only the roundoff that the full grid's sums leak off the class.  Runs
+    with seeds of mixed classes, forcing outside the seed's class or known
+    points, and runs on a grid with an axis of odd length, run on the full
+    problem."""
+    for z in seeds:
+        for zi in known:
+            z._check_compatible(zi)
+    for z in seeds:
+        _check_point(z, spec)
+    vecs = _packed(seeds, spec)
+    groups: dict[int | None, list[int]] = {}
+    for i, code in enumerate([None] * len(seeds) if known else _parity_codes(vecs, spec)):
+        groups.setdefault(code, []).append(i)
+    results: list[SolveResult] = [None] * len(seeds)  # type: ignore[list-item]
+    embedded, outcomes = [], []  # the class runs' last iterates in the full basis
+    for code, members in groups.items():
+        if code is None:
+            runs = _newton_rows(vecs[members], spec, config, known)
+            for i, (ev, rn, it, converged, message) in zip(members, runs):
+                results[i] = SolveResult(ev.z, rn, it, converged, _energy(ev), message)
+            continue
+        part, packed = _class_problem(spec, code)
+        runs = _newton_rows(vecs[members][:, packed], part, config, [])
+        for i, (ev, _, *outcome) in zip(members, runs):
+            row = np.zeros(2 * spec.n)
+            row[packed] = ev.vecs
+            embedded.append(row)
+            outcomes.append((i, *outcome))
+    cap = _stack_rows(spec)
+    for start in range(0, len(embedded), cap):
+        rows = Evaluation(np.array(embedded[start : start + cap]), spec)
+        norms, energies = rows.gradient().norm().tolist(), _energy(rows).tolist()
+        for vec, rn, e, (i, it, converged, message) in zip(
+            rows.vecs, norms, energies, outcomes[start : start + cap]
+        ):
+            results[i] = SolveResult(_point(vec, spec), rn, it, converged, e, message)
+    return results
+
+
+def _class_problem(spec: ProblemSpec, code: int) -> tuple[ProblemSpec, np.ndarray]:
+    """The problem on one parity class of the basis (see
+    basis.SineBasis.parity_class), with the class's entries of h and k, and
+    the positions of the class's coefficients in packed [u | v]."""
+    basis, positions = spec.basis.parity_class(code)
+    part = replace(
+        spec, basis=basis,
+        h=SpectralField(basis, spec.h.coeffs[positions]),
+        k=SpectralField(basis, spec.k.coeffs[positions]),
+    )
+    return part, np.concatenate([positions, spec.n + positions])
+
+
+def _energy(ev: Evaluation):
+    """The unmodified energy at ev, of each row for a stack."""
+    _, symmetric, forcing = ev.terms
+    return symmetric - forcing
+
+
+def _parity_codes(vecs: np.ndarray, spec: ProblemSpec) -> list[int | None]:
+    """For each packed row [u | v] of vecs, the parity class (see
+    basis.SineBasis.parity_codes) that holds every nonzero coefficient of
+    the row, h and k, or None where they have none or lie in several, and
+    for every row where the grid has an axis of odd length (a reflection
+    maps the grid onto itself only along an axis of even length)."""
+    if any(G % 2 for G in grid_shape(spec.basis, spec.oversample)):
+        return [None] * len(vecs)
+    n, codes = spec.n, spec.basis.parity_codes
+    forcing = (spec.h.coeffs != 0.0) | (spec.k.coeffs != 0.0)
+    support = (vecs[:, :n] != 0.0) | (vecs[:, n:] != 0.0) | forcing
+    # whether the row has a nonzero coefficient in each class
+    hits = support @ (codes[:, None] == np.arange(1 << spec.domain.dim))
+    single = hits.sum(axis=1) == 1
+    return [int(c) if one else None for c, one in zip(hits.argmax(1).tolist(), single.tolist())]
+
+
+def _newton_rows(
+    vecs: np.ndarray, spec: ProblemSpec, config: NewtonConfig, known: list[FieldPair]
+) -> list[tuple[Evaluation, float, int, bool, str]]:
+    """The Newton loop on the problem itself, run from each packed row of
+    vecs at once, with its outcome per run: the evaluation of its last
+    iterate, the residual norm there, the iterations, whether it converged
+    and the message.
 
     The runs advance in lockstep, one iteration each per round, and a run
     leaves the stack when it converges or fails.  Each round evaluates the
@@ -196,31 +321,23 @@ def _newton(
     (see _backtrack).  Every row takes the path it would take alone, bit
     for bit, so each result is that of the seed's own run."""
     weights = _weights(spec.basis, spec.r)
-    for z in seeds:
-        for zi in known:
-            z._check_compatible(zi)
     known_stack = np.array([zi.vec for zi in known]).reshape(len(known), 2 * spec.n)
     cap = _stack_rows(spec, known_stack.size)
     # per run: its iterate's evaluation, residual, squared distances to the
     # known points, deflation factor and residual norm
     state = []
-    for start in range(0, len(seeds), cap):
-        rows = Evaluation.of(seeds[start : start + cap], spec)
+    for start in range(0, len(vecs), cap):
+        rows = Evaluation(vecs[start : start + cap], spec)
         res = rows.gradient()
         for i, (d2, rn) in enumerate(zip(_distances(rows.vecs, known_stack, weights), res.norm().tolist())):
             if not math.isfinite(rn):  # the seed's powers, or their squares, overflow
                 raise ValueError("coefficients must be finite")
             state.append((rows.row(i), DualGradient(res.du[i], res.dv[i]), d2, _deflation_factor(d2), rn))
-    results: list[SolveResult | None] = [None] * len(seeds)
+    results: list = [None] * len(vecs)
 
     def finish(i: int, iterations: int, converged: bool, message: str = "") -> None:
         ev, _, _, _, rn = state[i]
-        _, symmetric, forcing = ev.terms
-        results[i] = SolveResult(
-            z=ev.z, residual_norm=rn, iterations=iterations, converged=converged,
-            energy=symmetric - forcing, message=message,
-        )
-
+        results[i] = ev, rn, iterations, converged, message
     def converged(i: int) -> bool:  # beyond `separation` of every known point
         _, _, d2, _, rn = state[i]
         return rn <= config.tol and math.sqrt(min(d2, default=math.inf)) > config.separation
@@ -228,7 +345,7 @@ def _newton(
     def running() -> list[int]:
         return [i for i, result in enumerate(results) if result is None]
 
-    for i in range(len(seeds)):
+    for i in range(len(vecs)):
         if converged(i):
             finish(i, 0, True)
     for it in range(1, config.max_iter + 1):
@@ -582,15 +699,17 @@ class Branch:
     note: str = ""
 
 
-def _record(z: FieldPair, e: float, rn: float, symmetric: bool) -> SolutionRecord:
-    """The record of a solution; of a symmetric problem's mirror pair z, -z
-    (equal in energy and residual, bit for bit) it stores the member whose
-    u-coefficient of largest magnitude is positive."""
-    if not symmetric:
+def _record(result: SolveResult, spec: ProblemSpec, code: int | None) -> SolutionRecord:
+    """The record of a converged run; of a symmetric problem's mirror pair
+    z, -z (equal in energy and residual, bit for bit) it stores the member
+    whose u-coefficient of largest magnitude is positive, each member as
+    _mirrored gives it for the parity class `code` that holds z, or None."""
+    z, e, rn = result.z, result.energy, result.residual_norm
+    if not spec.is_symmetric():
         return SolutionRecord(z=z, energy=e, residual=rn)
-    if z.u.coeffs[np.argmax(np.abs(z.u.coeffs))] < 0.0:
-        z = -z
-    return SolutionRecord(z=z, energy=e, residual=rn, mirror=-z)
+    if z.u.coeffs[np.argmax(np.abs(z.u.coeffs))] < 0.0:  # mirrored twice, z is z
+        return SolutionRecord(z=_mirrored(z, code), energy=e, residual=rn, mirror=z)
+    return SolutionRecord(z=z, energy=e, residual=rn, mirror=_mirrored(z, code))
 
 
 def _coefficient_order(a: SolutionRecord, b: SolutionRecord) -> int:
@@ -668,11 +787,12 @@ def find_branch(
     """Collect `count` distinct critical points (one record per mirror pair).
 
     A plain Newton sweep over the seed schedule runs first, by default over
-    min(n, max(6, count)) modes, as one stack of runs (see newton_sweep),
-    in which each mirror pair of seeds of a symmetric problem runs once; its
-    converged results are grouped into solutions and the lowest `count`
-    kept (see _solutions), so the records do not depend on the seed order
-    or on roundoff in the energies.
+    min(n, max(6, count)) modes, as one stack of runs per parity class of
+    the seeds (see newton_sweep and _newton), in which each mirror pair of
+    seeds of a symmetric problem runs once; its converged results are
+    grouped into solutions and the lowest `count` kept (see _solutions), so
+    the records do not depend on the seed order or on roundoff in the
+    energies.
     Deflation fills in afterwards, and every deflated solution it converges
     to is new (a forced sweep that converges nowhere leaves nothing to
     deflate against, and ends the hunt).  For a symmetric problem each
@@ -688,10 +808,9 @@ def find_branch(
     symmetric = spec.is_symmetric()
 
     results = newton_sweep(seeds, spec, config)
-    candidates = [
-        _record(res.z, res.energy, res.residual_norm, symmetric)
-        for res in results if res.converged
-    ]
+    converged = [res for res in results if res.converged]
+    codes = _parity_codes(_packed([res.z for res in converged], spec), spec)
+    candidates = [_record(res, spec, code) for res, code in zip(converged, codes)]
     records = _solutions(candidates, spec, config.separation)[:count]
 
     exhausted, note = False, ""
@@ -706,7 +825,7 @@ def find_branch(
             exhausted = True
             note = result.message
             break
-        records.append(_record(result.z, result.energy, result.residual_norm, symmetric))
+        records.append(_record(result, spec, None))  # a run on the full problem
 
     return Branch(records=_energy_order(records), exhausted=exhausted, note=note)
 

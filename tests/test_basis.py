@@ -272,3 +272,75 @@ def test_nonfinite_coefficients_rejected():
     basis = enumerate_basis(BoxDomain((math.pi,)), 4)
     with pytest.raises(ValueError):
         SpectralField(basis, [1.0, math.nan, 0.0, 0.0])
+
+
+@pytest.mark.parametrize("lengths", [(1e-310,), (5e-324,), (math.pi, 1e-310)])
+def test_side_whose_wave_number_overflows_is_above_the_float_range(lengths):
+    """pi / L is inf for these sides; float division and inf ** 2 raise
+    nothing, so the check is on pi / L itself."""
+    with pytest.raises(ValueError, match="give eigenvalues above the float range"):
+        enumerate_basis(BoxDomain(lengths), 4)
+
+
+# boxes for the parity classes: random sides, tied sides (square, cube) and
+# thin boxes, at sizes whose largest index per axis is odd and even
+CLASS_BOXES = [
+    ((math.pi,), 32), ((math.pi,), 33), ((1.3,), 1),
+    ((1.0, 2.5), 40), ((math.pi, math.pi), 30), ((1.0, 1e-100), 9),
+    ((1.0, 1.3, 2.0), 60), ((2.0, 2.0, 2.0), 60), ((9.0, 0.3, 0.15), 40),
+]
+
+
+@pytest.mark.parametrize("lengths, n", CLASS_BOXES)
+def test_class_tables_agree_with_the_full_tables(lengths, n):
+    """Each parity class's tables, on the first half of each grid axis, give
+    the full tables' grid values, pairings, integrals and Galerkin blocks of
+    the class's fields to roundoff, and the full pairings of the power of a
+    class's field, and its Galerkin blocks between two classes, leak only
+    roundoff off the class (the reflection argument of the module
+    docstring)."""
+    basis = enumerate_basis(BoxDomain(lengths), n)
+    shape = grid_shape(basis, 4)
+    full = basis.grid_tables(shape)
+    half = (slice(None), *(slice(0, G // 2) for G in shape))
+    rng = np.random.default_rng(n)
+    codes = sorted(set(basis.parity_codes.tolist()))
+    for code in codes:
+        part, positions = basis.parity_class(code)
+        assert basis.parity_class(code)[0] is part and part.parent is basis
+        assert part.max_index == basis.max_index and (part == basis) == (part.size == n)
+        assert part.parity == tuple((basis.indices[positions[0]] % 2).tolist())
+        assert np.array_equal(part.indices, basis.indices[positions])
+        tables = part.grid_tables(shape)
+        coeffs = rng.standard_normal((3, part.size))
+        embedded = np.zeros((3, n))
+        embedded[:, positions] = coeffs
+        values, class_values = full.evaluate(embedded), tables.evaluate(coeffs)
+        assert np.abs(class_values - values[half]).max() <= 1e-13 * np.abs(values).max()
+        cubes = values**3
+        pairings, class_pairings = full.pairings(cubes), tables.pairings(class_values**3)
+        size = np.abs(pairings).max()
+        assert np.abs(class_pairings - pairings[:, positions]).max() <= 1e-13 * size
+        assert np.abs(np.delete(pairings, positions, axis=1)).max(initial=0.0) <= 1e-13 * size
+        quartics = full.integrate(values**4)
+        assert np.abs(tables.integrate(class_values**4) - quartics).max() <= 1e-13 * quartics.max()
+        weights = values**2
+        blocks, class_blocks = full.galerkin(weights), tables.galerkin(class_values**2)
+        size = np.abs(blocks).max()
+        inside = blocks[:, positions][:, :, positions]
+        assert np.abs(class_blocks - inside).max() <= 1e-13 * size
+        across = np.delete(blocks, positions, axis=2)[:, positions]
+        assert np.abs(across).max(initial=0.0) <= 1e-13 * size
+    assert sum(basis.parity_class(code)[0].size for code in codes) == n
+
+
+def test_class_tables_need_grid_axes_of_even_length():
+    """At oversample 3 and an odd largest index the grid axis has odd
+    length; its midpoint is its own mirror image, and no class table reads
+    the first half of the axis."""
+    basis = enumerate_basis(BoxDomain((math.pi,)), 7)
+    part, _ = basis.parity_class(1)
+    assert grid_shape(basis, 3) == (21,)
+    with pytest.raises(ValueError, match="even length"):
+        part.grid_tables((21,))
+    assert part.grid_tables((28,)).points == 14

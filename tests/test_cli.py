@@ -369,6 +369,10 @@ class TestCommands:
             ("solve", {}, {"solve": {"initial_u": [1, True]}}, "'initial_u' entries must be numbers"),
             ("solve", {}, {"solve": {"initial_v": [math.inf, "x"]}}, "'initial_v' entries must be finite"),
             ("solve", {}, {"solve": {"initial_v": [None, math.nan]}}, "'initial_v' entries must be numbers"),
+            # sides at which pi/L itself overflows to inf (1e-310 and the
+            # subnormal 5e-324), appended here so that no earlier id moves
+            ("solve", {"lengths": [1e-310]}, {}, "give eigenvalues above the float range"),
+            ("solve", {"lengths": [5e-324]}, {}, "give eigenvalues above the float range"),
         ],
     )
     def test_bad_values_exit_one_without_traceback(

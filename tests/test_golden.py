@@ -8,12 +8,16 @@ second levels output, at p = 2, q = 5, was written while every random
 sample was still evaluated; there some samples survive the closed-form
 bound that skips the rest, and they set `upper`, below 0 and below `lower`.
 That is the sampled-supremum defect of ROADMAP item 2, whose ascents re-pin
-this file together with golden_levels.  The forced branch outputs were
-written once Newton's step came from block elimination and tied records
-were ordered past roundoff in their coefficients.  The two
-symmetric hunts, 1-D at n = 32 (dense steps) and 2-D at n = 130 (GMRES
-steps), were written while every seed still ran its own Newton loop; they
-pin the folding of mirror seeds.  The two region outputs, CSV at N = 6 and
+this file together with golden_levels.  The four branch outputs were
+re-pinned once their one-mode seeds ran on the seed's parity class of the
+basis, which moved energies and coefficients at roundoff and made the
+coefficients off each class exact zeros; the records, their order and the
+notes stayed.  The two forced hunts pin Newton's step by block
+elimination and the order of tied records past roundoff in their
+coefficients; the forced square's hunt stores two records of deflated
+runs, which run on the full problem.  The two symmetric hunts, 1-D at n = 32 and 2-D at
+n = 130, pin the folding of mirror seeds; their class problems (16 to 36
+modes) step densely, so the 2-D one no longer runs GMRES.  The two region outputs, CSV at N = 6 and
 JSON at N = 5, were written while the CLI still built one row object per
 scanned point; they hold all three statuses, empty cells, the exactly-zero
 hyperbola gap at p = q = 2 (N = 6) and the roundoff boundary point p = 4,

@@ -525,10 +525,13 @@ def _scaled_mode_seeds(spec):
 
 @functools.lru_cache(maxsize=None)
 def _newton_cases() -> dict:
-    """Name -> (seed, spec, config, known) of Newton runs that backtrack."""
+    """Name -> (seed, spec, config, known) of Newton runs that backtrack.
+    The plain run's seed has 1% of mode 2 beside mode 1, so that it spans
+    two parity classes and runs on the full problem, as the oracle does."""
     cubic = ProblemSpec.create(BoxDomain((math.pi,)), n=32, r=1.0, p=3.0, q=3.0)
     seeds = _scaled_mode_seeds(cubic)
     mode = SpectralField.unit(cubic.basis, 1)
+    mixed = seeds[0] + 0.01 * seeds[6]  # (phi_1, phi_1) + 0.01 (phi_2, phi_2)
     ground = newton_solve(FieldPair(2.0 * mode, 2.0 * mode, 1.0), cubic).z
     zero = cubic.zero_pair()
     forced = cubic.with_forcing(h=[0.05], k=[0.05])
@@ -536,7 +539,7 @@ def _newton_cases() -> dict:
     box2 = ProblemSpec.create(BoxDomain((1.0, 2.5)), n=16, r=1.0, p=3.0, q=2.5)
     box3 = ProblemSpec.create(BoxDomain((1.0, 1.3, 2.0)), n=12, r=1.0, p=3.0, q=3.0)
     return {
-        "plain": (seeds[0], cubic, None, None),
+        "plain": (mixed, cubic, None, None),
         "deflated-zero": (seeds[12], cubic, None, [zero]),
         "deflated-mirrors": (seeds[8], cubic, None, [zero, ground, -ground]),
         "stalled-mirrors": (seeds[0], cubic, None, [zero, ground, -ground]),
@@ -758,9 +761,18 @@ class TestSweep:
         singular = (seeds[-4].vec, seeds[-3].vec)
         real_schur = solve._schur
 
+        def full(vecs, basis):  # a class problem's rows in the full basis
+            if basis == spec.basis:
+                return vecs
+            _, positions = spec.basis.parity_class(int(basis.parity_codes[0]))
+            packed = np.zeros((len(vecs), 2 * spec.n))
+            packed[:, np.concatenate([positions, spec.n + positions])] = vecs
+            return packed
+
         def schur(ev):
             PL, Q, solve_schur = real_schur(ev)
-            if any(np.array_equal(row, s) for row in np.atleast_2d(ev.vecs) for s in singular):
+            rows = full(np.atleast_2d(ev.vecs), ev.spec.basis)
+            if any(np.array_equal(row, s) for row in rows for s in singular):
                 def solve_schur(b):
                     raise np.linalg.LinAlgError("singular")
             return PL, Q, solve_schur
@@ -797,6 +809,110 @@ class TestSweep:
                 with pytest.raises(ValueError) as swept:
                     newton_sweep(seeds[:at] + [bad] + seeds[at:], spec)
                 assert str(swept.value) == str(alone.value) == "coefficients must be finite"
+
+
+class TestParityClasses:
+    """Plain runs whose seed and forcing lie in one parity class run on the
+    class's problem: the same runs as on the full problem, to roundoff, with
+    +0.0 off the class."""
+
+    # name -> (lengths, n, p, q, r, rank of the seed's mode, forcing); the
+    # class runs at 1-D n = 260 (class n = 130) and 2-D n = 600 (156) solve
+    # their Schur complements by GMRES, and so does the oracle's full run
+    # there and at 3-D n = 200 (class n = 35, dense)
+    CASES = {
+        "1-D odd": ((math.pi,), 32, 3.0, 3.0, 1.0, 1, None),
+        "1-D even forced": ((math.pi,), 32, 3.0, 3.0, 1.0, 2, [0.0, 0.05]),
+        "1-D krylov": ((math.pi,), 260, 3.0, 3.0, 1.0, 1, None),
+        "1-D krylov forced": ((math.pi,), 260, 3.0, 3.0, 1.0, 1, [0.05]),
+        "2-D forced": ((1.0, 2.5), 40, 3.0, 2.5, 1.0, 1, [0.05]),
+        "2-D odd-even": ((math.pi, math.pi), 30, 3.0, 3.0, 1.0, 2, None),
+        "2-D krylov": ((math.pi, math.pi), 600, 3.0, 3.0, 1.0, 1, None),
+        "3-D": ((1.0, 1.3, 2.0), 60, 3.0, 3.0, 1.0, 1, None),
+        "3-D forced": ((math.pi,) * 3, 200, 3.0, 3.0, 1.0, 1, [0.05]),
+        "3-D odd-odd-even": ((1.0, 1.2, 1.5), 40, 2.0, 2.5, 1.25, 2, None),
+    }
+
+    @staticmethod
+    def spec_and_seed(name):
+        lengths, n, p, q, r, rank, forcing = TestParityClasses.CASES[name]
+        spec = ProblemSpec.create(BoxDomain(lengths), n, r, p, q, h=forcing, k=forcing)
+        return spec, default_seeds(spec, rank)[-2]  # mode `rank`, positive sign
+
+    @staticmethod
+    def class_runs(monkeypatch):
+        """The size n of each problem that _newton_rows runs on."""
+        from indefsaddle import solve
+
+        sizes = []
+        real = solve._newton_rows
+
+        def newton_rows(vecs, spec, *args):
+            sizes.append(spec.n)
+            return real(vecs, spec, *args)
+
+        monkeypatch.setattr(solve, "_newton_rows", newton_rows)
+        return sizes
+
+    @pytest.mark.parametrize("name", list(CASES))
+    def test_matches_the_sequential_oracle_on_the_full_problem(self, name, monkeypatch):
+        """Against the sequential Newton of the oracles on the full problem:
+        the same outcome and iterations, energies within 1e-14 relative, the
+        class's coefficients to roundoff and exact +0.0 off the class; the
+        energy and residual norm are the full problem's at the point, bit
+        for bit."""
+        from indefsaddle import solve
+
+        spec, seed = self.spec_and_seed(name)
+        (code,) = solve._parity_codes(seed.vec[None], spec)
+        part, positions = spec.basis.parity_class(code)
+        sizes = self.class_runs(monkeypatch)
+        got = newton_solve(seed, spec)
+        want = sequential_newton(seed, spec)
+        assert sizes == [part.size] and part.size < spec.n
+        assert (got.converged, got.iterations, got.message) == (want.converged, want.iterations, want.message)
+        assert got.converged
+        assert abs(got.energy - want.energy) <= 1e-14 * abs(want.energy)
+        assert got.energy == energy(got.z, spec)
+        assert got.residual_norm == residual(got.z, spec).norm() <= 1e-10
+        off = np.tile(spec.basis.parity_codes != code, 2)
+        assert not got.z.vec[off].any() and not np.signbit(got.z.vec[off]).any()
+        assert np.abs(got.z.vec - want.z.vec).max() <= 1e-12 * np.abs(want.z.vec).max()
+
+    @pytest.mark.parametrize("name", ["1-D odd", "2-D odd-even", "3-D odd-odd-even"])
+    def test_mirrored_result_is_the_mirrored_seeds_own_run(self, name):
+        """A symmetric sweep runs -seed as seed's mirror; the result is -seed's
+        own run bit for bit, +0.0 off the class included."""
+        spec, seed = self.spec_and_seed(name)
+        first, mirrored = newton_sweep([seed, -seed], spec)
+        alone = newton_solve(-seed, spec)
+        assert first.converged and mirrored.z.vec.tobytes() == alone.z.vec.tobytes()
+        assert (mirrored.residual_norm, mirrored.energy, mirrored.iterations, mirrored.message) == (
+            alone.residual_norm, alone.energy, alone.iterations, alone.message
+        )
+
+    def test_runs_outside_one_class_use_the_full_problem(self, monkeypatch):
+        """Seeds of two classes, forcing outside the seed's class, known
+        points, and a grid axis of odd length (oversample 3 at an odd
+        largest index) keep a run on the full problem."""
+        spec = ProblemSpec.create(BoxDomain((math.pi,)), 33, 1.0, 3.0, 3.0)
+        odd, even = (SpectralField.unit(spec.basis, j) for j in (1, 2))
+        seed = FieldPair(2.0 * odd, 2.0 * odd, 1.0)
+        sizes = self.class_runs(monkeypatch)
+        newton_solve(seed, spec)
+        newton_solve(FieldPair(2.0 * odd + 0.1 * even, 2.0 * odd, 1.0), spec)
+        newton_solve(seed, spec.with_forcing(h=None, k=[0.0, 0.05]))
+        newton_solve(seed, spec, known=[spec.zero_pair()])
+        coarse = ProblemSpec.create(spec.domain, 33, 1.0, 3.0, 3.0, oversample=3)
+        assert grid_shape(coarse.basis, 3) == (99,)
+        mode = 2.0 * SpectralField.unit(coarse.basis, 1)
+        newton_solve(FieldPair(mode, mode, 1.0), coarse)
+        assert sizes == [17, 33, 33, 33, 33]
+        # a sweep splits into the classes of its seeds, and the zero seed of
+        # a symmetric problem, in none, runs on the full problem
+        sizes.clear()
+        newton_sweep([seed, FieldPair(2.0 * even, 2.0 * even, 1.0), spec.zero_pair()], spec)
+        assert sorted(sizes) == [16, 17, 33]
 
 
 class TestNewtonStep:
@@ -897,14 +1013,16 @@ class TestNewtonStep:
 
     def test_krylov_newton_matches_the_dense_run(self, monkeypatch):
         """Above the crossover Newton takes the dense run's iterations and
-        reaches its solution, and builds no Galerkin block or gather index."""
+        reaches its solution, and builds no Galerkin block or gather index.
+        The seed's 0.1 phi_2 puts it in two parity classes, so it runs on the
+        full problem of n = 200."""
         from indefsaddle import solve
         from indefsaddle.basis import GridTables
 
         spec = ProblemSpec.create(BoxDomain((math.pi, math.pi)), 200, 1.0, 3.0, 3.0)
         assert spec.n >= solve._KRYLOV_N
-        mode = SpectralField.unit(spec.basis, 1)
-        seed = FieldPair(3.0 * mode, 3.0 * mode, 1.0)
+        mode = 3.0 * SpectralField.unit(spec.basis, 1) + 0.1 * SpectralField.unit(spec.basis, 2)
+        seed = FieldPair(mode, mode, 1.0)
         with monkeypatch.context() as patch:
             patch.setattr(solve, "_KRYLOV_N", spec.n + 1)
             dense = newton_solve(seed, spec)
@@ -930,16 +1048,18 @@ class TestNewtonStep:
 
         monkeypatch.setattr(solve, "_gmres", unconverged)
         spec = ProblemSpec.create(BoxDomain((math.pi,)), solve._KRYLOV_N, 1.0, 3.0, 3.0)
-        mode = SpectralField.unit(spec.basis, 1)
+        # modes 1 and 2, of two parity classes: the run is on the full problem
+        mode = 2.0 * SpectralField.unit(spec.basis, 1) + 0.1 * SpectralField.unit(spec.basis, 2)
         known = [spec.zero_pair()] if deflated else None
-        result = newton_solve(FieldPair(2.0 * mode, 2.0 * mode, 1.0), spec, known=known)
+        result = newton_solve(FieldPair(mode, mode, 1.0), spec, known=known)
         assert not result.converged and result.iterations == 0
         assert result.message == ("singular deflated Jacobian" if deflated else "singular Jacobian")
 
     @pytest.mark.parametrize("deflated", [False, True])
     def test_singular_schur_complement_is_reported(self, cubic_spec, monkeypatch, deflated):
         """A LinAlgError from the one linear solve, of an n x n matrix, ends
-        the run before its first step."""
+        the run before its first step.  The seed spans two parity classes, so
+        the run is on the full problem."""
         shapes = []
 
         def singular(A, b):
@@ -947,9 +1067,10 @@ class TestNewtonStep:
             raise np.linalg.LinAlgError("Singular matrix")
 
         monkeypatch.setattr(np.linalg, "solve", singular)
-        mode = SpectralField.unit(cubic_spec.basis, 1)
+        basis = cubic_spec.basis
+        mode = 2.0 * SpectralField.unit(basis, 1) + 0.1 * SpectralField.unit(basis, 2)
         known = [cubic_spec.zero_pair()] if deflated else None
-        result = newton_solve(FieldPair(2.0 * mode, 2.0 * mode, 1.0), cubic_spec, known=known)
+        result = newton_solve(FieldPair(mode, mode, 1.0), cubic_spec, known=known)
         assert shapes == [(cubic_spec.n, cubic_spec.n)]
         assert not result.converged and result.iterations == 0
         assert result.message == ("singular deflated Jacobian" if deflated else "singular Jacobian")
