@@ -18,7 +18,9 @@ grid, and the gradients returned are the exact derivatives of those discrete
 values, so finite differences close to machine precision.
 
 Every quantity is read from one Evaluation, of a point or of a stack of
-points, which synthesizes u and v once and computes the rest on first use:
+points, which synthesizes u and v once (u alone on the diagonal, at p = q
+with u and v bitwise equal, where v's values are u's) and computes the
+rest on first use:
 the energies and cutoff terms, the weights |u|^(q-1) and |v|^(p-1), both
 gradients and the modified energy at -z, each by one formula for both
 shapes, and a point's deviation pair.  The Newton residual energy_gradient
@@ -256,13 +258,21 @@ class Evaluation:
     by one formula for both shapes: each row of a stack bit for bit the
     point's own, a point's values Python floats.  The deviation pair is a
     point's only.  Only the forcing pairing is odd in z, so z's evaluation
-    also gives the values at -z (see Evaluation.at)."""
+    also gives the values at -z (see Evaluation.at).
+
+    On the diagonal, at p = q with u and v bitwise equal in every row
+    (`diagonal`), v's grid values, weight, pairings and power integral are
+    u's, computed once: the same arithmetic on the same bits, so the values
+    are those of computing both halves, bit for bit."""
 
     def __init__(self, vecs: np.ndarray, spec: ProblemSpec):
         self.spec, self.vecs = spec, vecs
         self.u, self.v = vecs[..., : spec.n], vecs[..., spec.n :]
+        self.diagonal = spec.p == spec.q and np.array_equal(
+            self.u.view(np.int64), self.v.view(np.int64)
+        )
         self.u_vals = spec.tables.evaluate(self.u)
-        self.v_vals = spec.tables.evaluate(self.v)
+        self.v_vals = self.u_vals if self.diagonal else spec.tables.evaluate(self.v)
 
     @classmethod
     def at(cls, z: FieldPair, spec: ProblemSpec) -> "Evaluation":
@@ -277,7 +287,7 @@ class Evaluation:
         weights and pairings already computed."""
         ev = Evaluation.__new__(Evaluation)
         ev.spec, ev.vecs, ev.u, ev.v = self.spec, self.vecs[i], self.u[i], self.v[i]
-        ev.u_vals, ev.v_vals = self.u_vals[i], self.v_vals[i]
+        ev.u_vals, ev.v_vals, ev.diagonal = self.u_vals[i], self.v_vals[i], self.diagonal
         for name in ("weights", "pairings"):
             if name in vars(self):
                 setattr(ev, name, tuple(x[i] for x in getattr(self, name)))
@@ -291,8 +301,9 @@ class Evaluation:
         ev.spec = spec = points[0].spec
         ev.vecs = np.array([point.vecs for point in points])
         ev.u, ev.v = ev.vecs[:, : spec.n], ev.vecs[:, spec.n :]
+        ev.diagonal = all(point.diagonal for point in points)
         ev.u_vals = np.array([point.u_vals for point in points])
-        ev.v_vals = np.array([point.v_vals for point in points])
+        ev.v_vals = ev.u_vals if ev.diagonal else np.array([point.v_vals for point in points])
         if all("weights" in vars(point) for point in points):
             ev.weights = tuple(map(np.array, zip(*(point.weights for point in points))))
         return ev
@@ -308,7 +319,9 @@ class Evaluation:
         """The nonlinear part, the forcing-free energy and the forcing pairing."""
         spec, tables = self.spec, self.spec.tables
         tq = tables.integrate(np.abs(self.u_vals) ** (spec.q + 1.0)) / (spec.q + 1.0)
-        tp = tables.integrate(np.abs(self.v_vals) ** (spec.p + 1.0)) / (spec.p + 1.0)
+        tp = tq
+        if not self.diagonal:
+            tp = tables.integrate(np.abs(self.v_vals) ** (spec.p + 1.0)) / (spec.p + 1.0)
         form = _row_dots(spec.basis.eigenvalues * self.u, self.v)
         forcing = _row_dots(spec.k.coeffs, self.u) + _row_dots(spec.h.coeffs, self.v)
         return _value(tq + tp), _value(form - tq - tp), _value(forcing)
@@ -317,13 +330,15 @@ class Evaluation:
     def weights(self) -> tuple[np.ndarray, np.ndarray]:
         """The grid weights |u|^(q-1) and |v|^(p-1) of the power terms."""
         spec = self.spec
-        return np.abs(self.u_vals) ** (spec.q - 1.0), np.abs(self.v_vals) ** (spec.p - 1.0)
+        wu = np.abs(self.u_vals) ** (spec.q - 1.0)
+        return wu, wu if self.diagonal else np.abs(self.v_vals) ** (spec.p - 1.0)
 
     @cached_property
     def pairings(self) -> tuple[np.ndarray, np.ndarray]:
         """Quadrature pairings of |u|^(q-1)u and |v|^(p-1)v against every mode."""
         tables, (wu, wv) = self.spec.tables, self.weights
-        return tables.pairings(wu * self.u_vals), tables.pairings(wv * self.v_vals)
+        pu = tables.pairings(wu * self.u_vals)
+        return pu, pu if self.diagonal else tables.pairings(wv * self.v_vals)
 
     def gradient(self) -> DualGradient:
         """The energy gradient at this point, or at each row (see energy_gradient)."""

@@ -19,19 +19,27 @@ axis, which the box's reflections keep; see the basis module docstring)
 runs on the class's problem, a half of the modes and of the grid points
 per axis, and its result is put back in the full basis with +0.0 off the
 class: the one-mode seeds of a branch hunt, and the CLI's default seed
-2 phi_1, run so.  Deflation is an option of
-it, which multiplies the residual by prod_i (dist_i^-2 + 1) over known
-solutions so Newton runs land on new ones (the rank-one term this adds to
-the Jacobian enters the step by Sherman-Morrison), and with nothing to
-deflate against it is plain Newton.  Below _KRYLOV_N the plain rows build
-their Schur blocks and dense solves as stacked arrays; from it on each row
-runs its own GMRES.  The backtracking line search tries every row's full
-step in one stack, and a row that needs a shorter step goes on down the
-fixed step ladder 1, 1/2, ..., 2^-39 in row stacks of doubling size on the
-grid tables; every accepted step is still the first decrease in step
-order, so each row's iterates are those of its seed's run alone, taking
-one step at a time.  The squared distances of a stack to the known points,
-in the product-space metric of space.py, are computed once, and the
+2 phi_1, run so.  At p = q with h and k bitwise equal, the swap
+(u, v) -> (v, u) is a symmetry too, and a plain run from a seed with u
+and v bitwise equal is diagonal: it solves the scalar equation
+-Lap u = |u|^(p-1) u + h on its packed [u | u] rows, its evaluations
+compute u's half once (see energy.Evaluation), and each step solves
+(L - P) d = r_u alone and steps by [d | d] (see _schur), so its iterates
+and its result keep u = v bit for bit.  Runs are grouped by parity class
+and by this kind, so each stack is all diagonal or all on the system.
+Deflation is an option of the Newton loop, which multiplies the residual
+by prod_i (dist_i^-2 + 1) over known solutions so Newton runs land on new
+ones (the rank-one term this adds to the Jacobian enters the step by
+Sherman-Morrison), and with nothing to deflate against it is plain Newton.
+Below _KRYLOV_N the plain rows build their Schur blocks (a diagonal
+stack its one block L - P) and dense solves as stacked arrays; from it on
+each row runs its own GMRES.  The backtracking line search tries every
+row's full step in one stack, and a row that needs a shorter step goes on
+down the fixed step ladder 1, 1/2, ..., 2^-39 in row stacks of doubling
+size on the grid tables; every accepted step is still the first decrease
+in step order, so each row's iterates are those of its seed's run alone,
+taking one step at a time.  The squared distances of a stack to the known
+points, in the product-space metric of space.py, are computed once, and the
 deflation factors and gradient and the separation test (a point within
 `separation` of a known one is not a new solution) read them.  A branch
 hunt seeds each eigenmode at a fraction of the amplitude where the mode's
@@ -219,6 +227,7 @@ def _point(vec: np.ndarray, spec: ProblemSpec) -> FieldPair:
     return FieldPair(SpectralField(spec.basis, u), SpectralField(spec.basis, v), spec.r)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _newton(
     seeds: list[FieldPair], spec: ProblemSpec, config: NewtonConfig, known: list[FieldPair]
 ) -> list[SolveResult]:
@@ -227,34 +236,43 @@ def _newton(
     A plain run (no known points) whose seed, together with the forcing h
     and k, has its nonzero coefficients in one parity class of the basis
     (see _parity_codes) runs on that class's problem, whose residual and
-    Newton map keep the class (see the basis module docstring).  The runs
-    of one class run together (see _newton_rows), and each result is put
+    Newton map keep the class (see the basis module docstring).  A plain
+    run is diagonal where p = q, h and k are bitwise equal and so are the
+    seed's u and v (see _diagonal_rows); its steps are [d | d] (see
+    _schur), so every iterate keeps u = v bit for bit.  The runs of one
+    class and one of the two kinds run together (see _newton_rows), so each
+    stack is all diagonal or all not, and each result of a class run is put
     in the full basis with +0.0 off the class; its energy and residual norm
     are then those of that point on the full problem, evaluated once.  A
     class run converges on the class problem's residual, which leaves out
     only the roundoff that the full grid's sums leak off the class.  Runs
     with seeds of mixed classes, forcing outside the seed's class or known
     points, and runs on a grid with an axis of odd length, run on the full
-    problem."""
+    problem.  Powers that overflow on the way show only in the outcome (a
+    seed's non-finite residual norm raises, a later one stalls the line
+    search), not as floating-point warnings."""
     for z in seeds:
         for zi in known:
             z._check_compatible(zi)
     for z in seeds:
         _check_point(z, spec)
     vecs = _packed(seeds, spec)
-    groups: dict[int | None, list[int]] = {}
-    for i, code in enumerate([None] * len(seeds) if known else _parity_codes(vecs, spec)):
-        groups.setdefault(code, []).append(i)
+    plain = not known
+    codes = _parity_codes(vecs, spec) if plain else [None] * len(seeds)
+    diagonal = _diagonal_rows(vecs, spec) if plain else [False] * len(seeds)
+    groups: dict[tuple[int | None, bool], list[int]] = {}
+    for i, key in enumerate(zip(codes, diagonal)):
+        groups.setdefault(key, []).append(i)
     results: list[SolveResult] = [None] * len(seeds)  # type: ignore[list-item]
     embedded, outcomes = [], []  # the class runs' last iterates in the full basis
-    for code, members in groups.items():
+    for (code, on_diagonal), members in groups.items():
         if code is None:
-            runs = _newton_rows(vecs[members], spec, config, known)
+            runs = _newton_rows(vecs[members], spec, config, known, on_diagonal)
             for i, (ev, rn, it, converged, message) in zip(members, runs):
                 results[i] = SolveResult(ev.z, rn, it, converged, _energy(ev), message)
             continue
         part, packed = _class_problem(spec, code)
-        runs = _newton_rows(vecs[members][:, packed], part, config, [])
+        runs = _newton_rows(vecs[members][:, packed], part, config, [], on_diagonal)
         for i, (ev, _, *outcome) in zip(members, runs):
             row = np.zeros(2 * spec.n)
             row[packed] = ev.vecs
@@ -307,13 +325,29 @@ def _parity_codes(vecs: np.ndarray, spec: ProblemSpec) -> list[int | None]:
     return [int(c) if one else None for c, one in zip(hits.argmax(1).tolist(), single.tolist())]
 
 
+def _diagonal_rows(vecs: np.ndarray, spec: ProblemSpec) -> list[bool]:
+    """For each packed row [u | v] of vecs, whether a plain run from it is
+    diagonal: p = q, h and k bitwise equal, and u and v bitwise equal.  The
+    swap (u, v) -> (v, u) is then a symmetry of the problem that keeps the
+    seed, and the run solves the scalar equation -Lap u = |u|^(p-1) u + h."""
+    if spec.p != spec.q or spec.h.coeffs.tobytes() != spec.k.coeffs.tobytes():
+        return [False] * len(vecs)
+    bits = vecs.view(np.int64)
+    return (bits[:, : spec.n] == bits[:, spec.n :]).all(axis=1).tolist()
+
+
 def _newton_rows(
-    vecs: np.ndarray, spec: ProblemSpec, config: NewtonConfig, known: list[FieldPair]
+    vecs: np.ndarray,
+    spec: ProblemSpec,
+    config: NewtonConfig,
+    known: list[FieldPair],
+    diagonal: bool = False,
 ) -> list[tuple[Evaluation, float, int, bool, str]]:
     """The Newton loop on the problem itself, run from each packed row of
     vecs at once, with its outcome per run: the evaluation of its last
     iterate, the residual norm there, the iterations, whether it converged
-    and the message.
+    and the message.  With `diagonal`, every row is a diagonal run (see
+    _diagonal_rows) and steps as one (see _newton_step).
 
     The runs advance in lockstep, one iteration each per round, and a run
     leaves the stack when it converges or fails.  Each round evaluates the
@@ -353,7 +387,7 @@ def _newton_rows(
             if not math.isfinite(state[i][3]):
                 finish(i, it - 1, False, "seed coincides with a known solution")
         rows = running()
-        steps = _newton_steps([state[i] for i in rows], known_stack, weights)
+        steps = _newton_steps([state[i] for i in rows], known_stack, weights, diagonal)
         for i, step in zip(rows, steps):
             if step is None:
                 finish(i, it - 1, False, "singular deflated Jacobian" if known else "singular Jacobian")
@@ -378,29 +412,37 @@ def _newton_rows(
     return results
 
 
-def _newton_steps(rows, known: np.ndarray, weights: np.ndarray) -> list:
+def _newton_steps(rows, known: np.ndarray, weights: np.ndarray, diagonal: bool = False) -> list:
     """Each run's Newton step at its state (evaluation, residual, d2, m,
-    residual norm), see _newton_step, or None where the step raises
-    LinAlgError (a singular Jacobian).  Plain runs below _KRYLOV_N step as
-    one stack; a lone or deflated run, runs from _KRYLOV_N on (one GMRES
-    each) and the runs of a stack with a singular row step one at a time."""
+    residual norm), see _newton_step (`diagonal` for diagonal runs), or None
+    where the step raises LinAlgError (a singular Jacobian).  Plain runs
+    below _KRYLOV_N step as one stack; a lone or deflated run, runs from
+    _KRYLOV_N on (one GMRES each) and the runs of a stack with a singular
+    row step one at a time."""
     residuals = [np.concatenate([res.du, res.dv]) for _, res, _, _, _ in rows]
     if len(rows) > 1 and not len(known) and rows[0][0].spec.n < _KRYLOV_N:
         try:
-            return list(_newton_step(Evaluation.stack([ev for ev, *_ in rows]), np.array(residuals)))
+            stack = Evaluation.stack([ev for ev, *_ in rows])
+            return list(_newton_step(stack, np.array(residuals), diagonal=diagonal))
         except np.linalg.LinAlgError:
             pass
     steps = []
     for (ev, _, d2, m, _), r in zip(rows, residuals):
         a = _deflation_gradient(ev.vecs, known, weights, d2, m) if len(known) else None
         try:
-            steps.append(_newton_step(ev, r, m, a))
+            steps.append(_newton_step(ev, r, m, a, diagonal))
         except np.linalg.LinAlgError:
             steps.append(None)
     return steps
 
 
-def _newton_step(ev: Evaluation, r: np.ndarray, m: float = 1.0, a: np.ndarray | None = None):
+def _newton_step(
+    ev: Evaluation,
+    r: np.ndarray,
+    m: float = 1.0,
+    a: np.ndarray | None = None,
+    diagonal: bool = False,
+):
     """The Newton step -(m J + r a^T)^-1 m r at ev for the residual r scaled
     by the deflation factor m, whose gradient is a (None for plain Newton,
     whose step is -J^-1 r); for a stack below _KRYLOV_N, with a None, the
@@ -409,13 +451,22 @@ def _newton_step(ev: Evaluation, r: np.ndarray, m: float = 1.0, a: np.ndarray | 
     J = [[-P, L], [L, -Q]] is never assembled: w = J^-1 r comes from one
     n x n solve with the Schur complement S = L - P L^-1 Q (see _schur), as
     S y = r_u + P L^-1 r_v and x = L^-1 (r_v + Q y), and J is invertible
-    exactly when S is.  Deflation's rank-one term enters by Sherman-Morrison,
-    as the step -m w / (m + a.w).  Raises LinAlgError when S is singular (or
+    exactly when S is.  With `diagonal`, ev lies on the diagonal (u = v
+    at p = q, so P = Q) and r's halves are equal; then w = [d | d] with
+    (L - P) d = r_u, one solve of half the work, and both halves of the
+    step are the same bits.  As S = (L - P) L^-1 (L + P) and L + P is
+    positive definite, J is singular there exactly when L - P is.
+    Deflation's rank-one term enters by Sherman-Morrison, as the step
+    -m w / (m + a.w).  Raises LinAlgError when S (or L - P) is singular (or
     GMRES does not converge in n iterations), or m + a.w is 0 or not finite."""
     lam, n = ev.spec.basis.eigenvalues, ev.spec.n
-    PL, Q, solve = _schur(ev)
-    y = solve(r[..., :n] + PL(r[..., n:]))
-    w = np.concatenate([(r[..., n:] + Q(y)) / lam, y], axis=-1)
+    PL, Q, solve = _schur(ev, diagonal)
+    if diagonal:
+        d = solve(r[..., :n])
+        w = np.concatenate([d, d], axis=-1)
+    else:
+        y = solve(r[..., :n] + PL(r[..., n:]))
+        w = np.concatenate([(r[..., n:] + Q(y)) / lam, y], axis=-1)
     if a is None:
         return -w
     denominator = m + float(np.dot(a, w))
@@ -424,7 +475,7 @@ def _newton_step(ev: Evaluation, r: np.ndarray, m: float = 1.0, a: np.ndarray | 
     return (-m / denominator) * w
 
 
-def _schur(ev: Evaluation):
+def _schur(ev: Evaluation, diagonal: bool = False):
     """The Newton operator at ev, as the functions x -> P L^-1 x, x -> Q x
     and b -> S^-1 b, with P and Q the (exactly symmetric) Galerkin matrices
     of q|u|^(q-1) and p|v|^(p-1), L the diagonal of the eigenvalues (all
@@ -437,8 +488,13 @@ def _schur(ev: Evaluation):
     every mode, Q x the same with p|v|^(p-1)), so no n x n matrix or gather
     index is built, and S y = b is solved by GMRES on L^-1 S = I - L^-1 P
     L^-1 Q, a compact perturbation of the identity, to relative residual
-    1e-10; that side takes one point.  The solve raises LinAlgError when S
-    is singular or GMRES does not converge in n iterations."""
+    1e-10; that side takes one point.  With `diagonal` (ev on the diagonal,
+    u = v at p = q, where P = Q), the solve is b -> (L - P)^-1 b instead,
+    of the scalar equation's Jacobian: below _KRYLOV_N from the one block
+    Q, with no P L^-1 block and no product of blocks, and from it on by
+    GMRES on I - L^-1 P; P L^-1 x is then Q (L^-1 x).  The solve raises
+    LinAlgError when its matrix is singular or GMRES does not converge in
+    n iterations."""
     spec, (wu, wv) = ev.spec, ev.weights
     lam, n, tables = spec.basis.eigenvalues, spec.n, spec.tables
     if n >= _KRYLOV_N:
@@ -448,18 +504,27 @@ def _schur(ev: Evaluation):
         def Q(x):
             return spec.p * tables.pairings(wv * tables.evaluate(x))
 
+        if diagonal:
+            return PL, Q, lambda b: _gmres(lambda x: x - Q(x) / lam, b / lam)
         return PL, Q, lambda b: _gmres(lambda x: x - PL(Q(x)) / lam, b / lam)
-    P = tables.galerkin(spec.q * wu)
-    P /= lam  # P L^-1
-    Q = tables.galerkin(spec.p * wv)
-    S = P @ Q
-    np.negative(S, out=S)
-    S.reshape(*S.shape[:-2], n * n)[..., :: n + 1] += lam
 
     def product(M):
         return lambda x: np.matmul(M, x[..., None])[..., 0]
 
-    return product(P), product(Q), lambda b: np.linalg.solve(S, b[..., None])[..., 0]
+    Q = tables.galerkin(spec.p * wv)
+    if diagonal:
+        S = np.negative(Q)
+
+        def PL(x):
+            return product(Q)(x / lam)
+    else:
+        P = tables.galerkin(spec.q * wu)
+        P /= lam  # P L^-1
+        S = P @ Q
+        np.negative(S, out=S)
+        PL = product(P)
+    S.reshape(*S.shape[:-2], n * n)[..., :: n + 1] += lam
+    return PL, product(Q), lambda b: np.linalg.solve(S, b[..., None])[..., 0]
 
 
 def _gmres(op, b: np.ndarray, rtol: float = 1e-10) -> np.ndarray:
@@ -606,11 +671,13 @@ def _galerkin_amplitudes(spec: ProblemSpec, k_max: int) -> list[tuple[float, flo
 
         lambda_j s = t^q M_(q+1),  lambda_j t = s^p M_(p+1),  M_e = int |phi_j|^e,
 
-    so t^(pq-1) = lambda_j^(p+1) / (M_(q+1)^p M_(p+1)), solved in logs.  An
-    amplitude that is not a finite positive float raises ValueError, and so
-    does a power t^q or s^p of the equations that overflows: the residual
-    takes those powers of the grid values (at p = 1e300, s_1 = 1.2533 on
-    (0, pi), and s^p overflows while M_(p+1) underflows)."""
+    so t^(pq-1) = lambda_j^(p+1) / (M_(q+1)^p M_(p+1)), solved in logs; at
+    p = q, where s_j = t_j, s_j is t_j bitwise, so that the seeds lie on
+    the diagonal u = v (see _diagonal_rows).  An amplitude that is not a
+    finite positive float raises ValueError, and so does a power t^q or s^p
+    of the equations that overflows: the residual takes those powers of the
+    grid values (at p = 1e300, s_1 = 1.2533 on (0, pi), and s^p overflows
+    while M_(p+1) underflows)."""
     p, q = spec.p, spec.q
     amplitudes = []
     try:
@@ -618,7 +685,7 @@ def _galerkin_amplitudes(spec: ProblemSpec, k_max: int) -> list[tuple[float, flo
         log_mp = _log_power_integral(spec, p + 1.0)
         for lam in spec.basis.eigenvalues[:k_max].tolist():
             log_t = ((p + 1.0) * math.log(lam) - p * log_mq - log_mp) / (p * q - 1.0)
-            log_s = q * log_t + log_mq - math.log(lam)
+            log_s = log_t if p == q else q * log_t + log_mq - math.log(lam)
             math.exp(q * log_t), math.exp(p * log_s)  # raise if the powers overflow
             amplitudes.append((math.exp(log_t), math.exp(log_s)))
     except OverflowError:

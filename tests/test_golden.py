@@ -12,12 +12,18 @@ this file together with golden_levels.  The four branch outputs were
 re-pinned once their one-mode seeds ran on the seed's parity class of the
 basis, which moved energies and coefficients at roundoff and made the
 coefficients off each class exact zeros; the records, their order and the
-notes stayed.  The two forced hunts pin Newton's step by block
-elimination and the order of tied records past roundoff in their
-coefficients; the forced square's hunt stores two records of deflated
-runs, which run on the full problem.  The two symmetric hunts, 1-D at n = 32 and 2-D at
-n = 130, pin the folding of mirror seeds; their class problems (16 to 36
-modes) step densely, so the 2-D one no longer runs GMRES.  The two region outputs, CSV at N = 6 and
+notes stayed.  The three at p = q with h = k (golden_branch,
+golden_deflated, golden_symmetric) were re-pinned once more, at roundoff
+again, when their seeds came to lie on the diagonal u = v bitwise and
+their runs became diagonal: each step solves the scalar equation's
+Jacobian L - P, and each record of such a run has u = v bitwise.  The
+(2, 5) hunt, golden_symmetric_krylov, pins the system's step by block
+elimination.  The two forced hunts pin the order of tied records past
+roundoff in their coefficients; the forced square's hunt stores two
+records of deflated runs, which run on the full system and have u != v.
+The two symmetric hunts, 1-D at n = 32 and 2-D at n = 130, pin the folding
+of mirror seeds; their class problems (16 to 36 modes) step densely, so
+the 2-D one no longer runs GMRES.  The two region outputs, CSV at N = 6 and
 JSON at N = 5, were written while the CLI still built one row object per
 scanned point; they hold all three statuses, empty cells, the exactly-zero
 hyperbola gap at p = q = 2 (N = 6) and the roundoff boundary point p = 4,
@@ -25,6 +31,7 @@ q = 1.5 (N = 5).  Any change of result, down to the last bit of a float,
 shows here.
 """
 
+import json
 from pathlib import Path
 
 import pytest
@@ -73,3 +80,13 @@ def test_golden_deflated_hunt_converges_deflated_runs(tmp_path, monkeypatch):
     assert main(["branch", "--config", config, "--out", str(tmp_path / "out")]) == 0
     assert outcomes == [True, True]
     assert (tmp_path / "out.json").read_bytes() == (DATA / "golden_deflated.json").read_bytes()
+
+
+@pytest.mark.parametrize("name", ["golden_branch", "golden_symmetric"])
+def test_diagonal_hunts_store_records_with_u_equal_v(name):
+    """Every seed of these p = q, h = k hunts lies on the diagonal and no
+    record comes from deflation, so every record has u = v bitwise."""
+    solutions = json.loads((DATA / f"{name}.json").read_text())["solutions"]
+    assert solutions
+    for sol in solutions:
+        assert json.dumps(sol["u"]) == json.dumps(sol["v"])

@@ -222,6 +222,19 @@ class TestNewton:
         assert not result.converged
         assert result.message
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("scale_v", [1.0, 2.0])
+    def test_overflow_on_the_way_reports_only_through_the_outcome(self, scale_v):
+        """From 1e20 (phi_1, scale_v phi_1) at 1-D n = 260 the powers on the
+        grid overflow during the run; the run ends unconverged with its
+        message, and no floating-point warning reaches the caller.  The
+        first seed's run is diagonal, the second's on the system."""
+        spec = ProblemSpec.create(BoxDomain((math.pi,)), 260, 1.0, 3.0, 3.0)
+        mode = SpectralField.unit(spec.basis, 1)
+        result = newton_solve(FieldPair(1e20 * mode, (scale_v * 1e20) * mode, 1.0), spec)
+        assert not result.converged
+        assert result.message in {"line search stalled", "max_iter reached"}
+
     @pytest.mark.parametrize(
         "make",
         [
@@ -526,12 +539,15 @@ def _scaled_mode_seeds(spec):
 @functools.lru_cache(maxsize=None)
 def _newton_cases() -> dict:
     """Name -> (seed, spec, config, known) of Newton runs that backtrack.
-    The plain run's seed has 1% of mode 2 beside mode 1, so that it spans
-    two parity classes and runs on the full problem, as the oracle does."""
+    The plain run's seed has about 1% of mode 2 beside mode 1, so that it
+    spans two parity classes, and 0.010 of it in u against 0.011 in v, so
+    that it lies off the diagonal u = v: it runs on the full system, as the
+    oracle does."""
     cubic = ProblemSpec.create(BoxDomain((math.pi,)), n=32, r=1.0, p=3.0, q=3.0)
     seeds = _scaled_mode_seeds(cubic)
     mode = SpectralField.unit(cubic.basis, 1)
-    mixed = seeds[0] + 0.01 * seeds[6]  # (phi_1, phi_1) + 0.01 (phi_2, phi_2)
+    second = SpectralField.unit(cubic.basis, 2)
+    mixed = seeds[0] + FieldPair(0.010 * second, 0.011 * second, 1.0)
     ground = newton_solve(FieldPair(2.0 * mode, 2.0 * mode, 1.0), cubic).z
     zero = cubic.zero_pair()
     forced = cubic.with_forcing(h=[0.05], k=[0.05])
@@ -701,11 +717,36 @@ class TestBacktracking:
         assert got.residual_norm == sequential_newton(z0, spec, config, known).residual_norm
 
 
+def _step_kinds(monkeypatch) -> list:
+    """(n, diagonal) of each call of solve._schur from now on: the size of
+    the problem it steps, and whether the step is diagonal."""
+    from indefsaddle import solve
+
+    kinds = []
+    real = solve._schur
+
+    def schur(ev, diagonal=False):
+        kinds.append((ev.spec.n, diagonal))
+        return real(ev, diagonal)
+
+    monkeypatch.setattr(solve, "_schur", schur)
+    return kinds
+
+
 def _sweep_seeds(spec):
     """The default schedule (a forced problem's starts with the zero pair),
-    then t (phi_j, phi_j) for t in (1, 4), modes 1..3 and each sign: these
-    fall to the trivial solution, converge or run out of iterations."""
+    then (a phi_1, b phi_1) for (a, b) in ((2, 2.5), (2.5, 2)) and each
+    sign, which lie off the diagonal u = v, then t (phi_j, phi_j) for t in
+    (1, 4), modes 1..3 and each sign: these fall to the trivial solution,
+    converge or run out of iterations.  At p = q with h = k the sweep thus
+    mixes diagonal runs (the default schedule and the last twelve) with
+    runs on the system, two of them in mode 1's parity class even when the
+    mirror seeds are folded."""
     seeds = default_seeds(spec, min(spec.n, 6))
+    mode = SpectralField.unit(spec.basis, 1)
+    for a, b in ((2.0, 2.5), (2.5, 2.0)):
+        for sign in (1.0, -1.0):
+            seeds.append(FieldPair(mode * (a * sign), mode * (b * sign), spec.r))
     for j in range(1, 4):
         mode = SpectralField.unit(spec.basis, j)
         for t in (1.0, 4.0):
@@ -738,18 +779,38 @@ class TestSweep:
             result.iterations, result.converged, result.message,
         )
 
+    @classmethod
+    def assert_runs_alone(cls, seeds, spec, config, got, forced) -> set:
+        """Each result of a sweep against newton_solve's from its seed alone;
+        returns the messages.  A mirrored result may differ from the seed's
+        own run only in the sign of a zero coefficient, where an exact
+        cancellation gives +0.0 on both sides; that happens only on runs
+        that fall to the trivial solution, which a hunt drops."""
+        from indefsaddle.solve import _negates
+
+        messages = set()
+        for i, (seed, result) in enumerate(zip(seeds, got)):
+            want = cls.outcome(newton_solve(seed, spec, config))
+            messages.add(want[-1])
+            have = cls.outcome(result)
+            mirrored = not forced and i > 0 and _negates(seed, seeds[i - 1])
+            if mirrored and have[0] != want[0]:
+                alone = np.frombuffer(want[0])
+                assert np.array_equal(result.z.vec, alone)
+                assert pair_norm(result.z) < config.separation
+                have, want = have[1:], want[1:]
+            assert have == want, (i, have[1:], want[1:])
+        return messages
+
     @pytest.mark.parametrize("forced", [False, True])
     @pytest.mark.parametrize("name", list(CASES))
     def test_matches_one_run_per_seed(self, name, forced, monkeypatch):
-        """Each result against newton_solve's from its seed alone.  One seed
-        hits a singular Jacobian: its Schur solve raises, in the stack as
-        alone, so the stack steps one row at a time for that iteration.  A
-        mirrored result may differ from the seed's own run only in the sign
-        of a zero coefficient, where an exact cancellation gives +0.0 on both
-        sides; that happens only on runs that fall to the trivial
-        solution, which a hunt drops."""
+        """Each result against newton_solve's from its seed alone (see
+        assert_runs_alone).  One seed hits a singular Jacobian: its Schur
+        solve raises, in the stack as alone, so the stack steps one row at a
+        time for that iteration; at p = q that seed's run is diagonal.  There
+        the sweep steps diagonal stacks and stacks on the system."""
         from indefsaddle import solve
-        from indefsaddle.solve import _negates
 
         lengths, n, p, q, r, max_iter = self.CASES[name]
         forcing = [0.05, -0.02] if forced else None
@@ -769,30 +830,61 @@ class TestSweep:
             packed[:, np.concatenate([positions, spec.n + positions])] = vecs
             return packed
 
-        def schur(ev):
-            PL, Q, solve_schur = real_schur(ev)
+        hits = []  # whether each singular step was diagonal
+
+        def schur(ev, diagonal=False):
+            PL, Q, solve_schur = real_schur(ev, diagonal)
             rows = full(np.atleast_2d(ev.vecs), ev.spec.basis)
             if any(np.array_equal(row, s) for row in rows for s in singular):
+                hits.append(diagonal)
+
                 def solve_schur(b):
                     raise np.linalg.LinAlgError("singular")
             return PL, Q, solve_schur
 
         monkeypatch.setattr(solve, "_schur", schur)
+        kinds = set()  # (a stack of several rows, diagonal) of each round's steps
+        real_steps = solve._newton_steps
+
+        def newton_steps(rows, known, weights, diagonal=False):
+            kinds.add((len(rows) > 1, diagonal))
+            return real_steps(rows, known, weights, diagonal)
+
+        monkeypatch.setattr(solve, "_newton_steps", newton_steps)
         got = newton_sweep(seeds, spec, config)
-        messages = set()
-        for i, (seed, result) in enumerate(zip(seeds, got)):
-            want = self.outcome(newton_solve(seed, spec, config))
-            messages.add(want[-1])
-            have = self.outcome(result)
-            mirrored = not forced and i > 0 and _negates(seed, seeds[i - 1])
-            if mirrored and have[0] != want[0]:
-                alone = np.frombuffer(want[0])
-                assert np.array_equal(result.z.vec, alone)
-                assert pair_norm(result.z) < config.separation
-                have, want = have[1:], want[1:]
-            assert have == want, (i, have[1:], want[1:])
+        messages = self.assert_runs_alone(seeds, spec, config, got, forced)
         ending = "line search stalled" if name.endswith("near-linear") else "max_iter reached"
         assert {"", ending, "singular Jacobian"} <= messages
+        # both kinds of stack at p = q, and the singular seed's steps diagonal
+        assert {(True, False), (True, p == q)} <= kinds
+        assert hits and set(hits) == {p == q}
+
+    @pytest.mark.parametrize("p, q", [(3.0, 3.0), (2.0, 5.0)])
+    def test_mirror_folding_on_gmres_steps(self, p, q, monkeypatch):
+        """A symmetric 1-D hunt's sweep at n = 260, whose two parity classes
+        hold 130 modes each, so that every step solves by GMRES: diagonal
+        steps at p = q, steps on the system at (2, 5).  Each result, mirrored
+        ones included, is that of its seed's own run."""
+        from indefsaddle import solve
+
+        spec = ProblemSpec.create(BoxDomain((math.pi,)), 260, 1.0, p, q)
+        seeds = default_seeds(spec, 4)
+        config = NewtonConfig(max_iter=8)
+        kinds = _step_kinds(monkeypatch)
+        gmres = []
+        real_gmres = solve._gmres
+
+        def counted(op, b, *args):
+            gmres.append(b.size)
+            return real_gmres(op, b, *args)
+
+        monkeypatch.setattr(solve, "_gmres", counted)
+        got = newton_sweep(seeds, spec, config)
+        assert set(kinds) == {(130, p == q)} and set(gmres) == {130}
+        assert len(gmres) >= len(kinds) // 2
+        assert all(solve._negates(b, a) for a, b in zip(seeds[::2], seeds[1::2]))
+        assert sum(result.converged for result in got) >= 4
+        self.assert_runs_alone(seeds, spec, config, got, False)
 
     @pytest.mark.parametrize("n", [16, 130])
     def test_overflowing_seed_raises_as_alone(self, n):
@@ -913,6 +1005,166 @@ class TestParityClasses:
         sizes.clear()
         newton_sweep([seed, FieldPair(2.0 * even, 2.0 * even, 1.0), spec.zero_pair()], spec)
         assert sorted(sizes) == [16, 17, 33]
+
+
+class TestDiagonal:
+    """At p = q with h = k, a plain run from a seed with u = v bitwise is
+    diagonal: its evaluations compute u's half once, and its steps solve
+    the scalar equation's Jacobian L - P (see solve._schur).  The swap
+    (u, v) -> (v, u) is then a symmetry, and every discrete solution has
+    u = v, so runs off the diagonal converge onto it too."""
+
+    @pytest.mark.parametrize("lengths", [(math.pi,), (1.0, 2.5), (1.0, 1.3, 2.0)])
+    @pytest.mark.parametrize("n, rows", [(7, None), (33, None), (33, 3), (130, 2)])
+    def test_evaluation_reuses_u_bit_for_bit(self, lengths, n, rows):
+        """The reused half against both halves computed apart, by the
+        formulas of Evaluation, bit for bit."""
+        forcing = [0.05, -0.02]
+        spec = ProblemSpec.create(BoxDomain(lengths), n, 1.0, 2.5, 2.5, h=forcing, k=forcing)
+        rng = np.random.default_rng(n)
+        u = rng.standard_normal(n if rows is None else (rows, n)) * spec.basis.eigenvalues**-0.5
+        ev = Evaluation(np.concatenate([u, u], axis=-1), spec)
+        assert ev.diagonal and ev.v_vals is ev.u_vals
+        tables, e = spec.tables, spec.p
+        vals = [tables.evaluate(half) for half in (ev.u, ev.v)]
+        weights = [np.abs(x) ** (e - 1.0) for x in vals]
+        pairings = [tables.pairings(w * x) for w, x in zip(weights, vals)]
+        powers = [tables.integrate(np.abs(x) ** (e + 1.0)) / (e + 1.0) for x in vals]
+        lam = spec.basis.eigenvalues
+        grad = (lam * ev.v - pairings[0] - spec.k.coeffs, lam * ev.u - pairings[1] - spec.h.coeffs)
+        nonlinear = np.asarray(ev.terms[0])
+        assert nonlinear.tobytes() == np.asarray(powers[0] + powers[1]).tobytes()
+        for got, want in zip((*ev.weights, *ev.pairings), (*weights, *pairings)):
+            assert got.tobytes() == want.tobytes()
+        g = ev.gradient()
+        assert g.du.tobytes() == grad[0].tobytes() and g.dv.tobytes() == grad[1].tobytes()
+        # a point off the diagonal, or p != q, computes both halves
+        assert not Evaluation(np.concatenate([u, 2.0 * u], axis=-1), spec).diagonal
+        pq = ProblemSpec.create(BoxDomain(lengths), n, 1.0, 2.5, 3.0)
+        assert not Evaluation(np.concatenate([u, u], axis=-1), pq).diagonal
+
+    @pytest.mark.parametrize(
+        "lengths, n, p",
+        [
+            ((math.pi,), 32, 3.0), ((math.pi,), 40, 3.0), ((math.pi,), 48, 3.0),
+            ((math.pi,), 64, 3.0), ((1.0, 1.3), 130, 3.0), ((math.pi,), 64, 1.5),
+            ((2.0, 1.0, 1.5), 40, 2.2),
+        ],
+    )
+    def test_seeds_at_p_equal_q_lie_on_the_diagonal(self, lengths, n, p):
+        """At p = q the one-mode amplitudes are equal bitwise, s_j = t_j, so
+        the default schedule's seeds have u = v bitwise."""
+        from indefsaddle.solve import _galerkin_amplitudes
+
+        spec = ProblemSpec.create(BoxDomain(lengths), n, 1.0, p, p)
+        for t, s in _galerkin_amplitudes(spec, 6):
+            assert t == s
+        for seed in default_seeds(spec, 6):
+            assert seed.u.coeffs.tobytes() == seed.v.coeffs.tobytes()
+
+    @pytest.mark.parametrize("lengths, n", [((math.pi,), 32), ((1.0, 2.5), 40), ((math.pi,), 130)])
+    def test_step_matches_dense_solves(self, lengths, n, monkeypatch):
+        """The diagonal step [d | d], (L - P) d = r_u, against a dense solve
+        of the assembled 2n x 2n Jacobian: to roundoff densely, and by GMRES
+        (from n = 130, and below it with the crossover moved to 0) to its
+        tolerance times the condition number of I - L^-1 P.  Both halves of
+        the step are the same bits."""
+        from indefsaddle import solve
+
+        forcing = [0.05, -0.02]
+        spec = ProblemSpec.create(BoxDomain(lengths), n, 1.0, 3.0, 3.0, h=forcing, k=forcing)
+        lam = spec.basis.eigenvalues
+        rng = np.random.default_rng(n)
+        crossovers = [solve._KRYLOV_N] + ([0] if n < solve._KRYLOV_N else [])
+        for amplitude in (0.3, 3.0):
+            u = amplitude * lam**-0.5 * rng.standard_normal(n)
+            ev = Evaluation(np.concatenate([u, u]), spec)
+            g = ev.gradient()
+            r = np.concatenate([g.du, g.dv])
+            assert ev.diagonal and g.du.tobytes() == g.dv.tobytes()
+            J = assembled_jacobian(ev.z, spec)
+            want = np.linalg.solve(J, -r)
+            scaled = np.eye(n) + J[:n, :n] / lam  # I - L^-1 P, as J's corner is -P
+            for crossover in crossovers:
+                monkeypatch.setattr(solve, "_KRYLOV_N", crossover)
+                tol = 1e-10 * np.linalg.cond(scaled) if n >= crossover else 1e-12
+                step = solve._newton_step(ev, r, diagonal=True)
+                assert step[:n].tobytes() == step[n:].tobytes()
+                assert np.linalg.norm(step - want) <= tol * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("dims", [1, 2, 3])
+    def test_runs_off_the_diagonal_converge_onto_it(self, dims, monkeypatch):
+        """Random p = q, h = k problems, from the default seeds with v scaled
+        off u: the runs stay on the system, and every converged one ends
+        with u = v to roundoff."""
+        rng = np.random.default_rng(31 + dims)
+        kinds = _step_kinds(monkeypatch)
+        converged = 0
+        for _ in range(3):
+            lengths = tuple(rng.uniform(1.0, 3.0, dims).tolist())
+            p = float(rng.uniform(1.5, 3.5))
+            n = int(rng.integers(12, 60))
+            forcing = rng.uniform(-0.05, 0.05, 3) if rng.random() < 0.5 else None
+            spec = ProblemSpec.create(BoxDomain(lengths), n, 1.0, p, p, h=forcing, k=forcing)
+            seeds = [
+                FieldPair(z.u, z.v * float(rng.uniform(0.7, 1.4)), spec.r)
+                for z in default_seeds(spec, 3) if z.vec.any()
+            ]
+            for result in newton_sweep(seeds, spec):
+                if result.converged:
+                    converged += 1
+                    u, v = result.z.u.coeffs, result.z.v.coeffs
+                    assert np.abs(u - v).max() <= 1e-12 * np.abs(u).max()
+        assert converged >= 6
+        assert kinds and not any(diagonal for _, diagonal in kinds)
+
+    # name -> (lengths, n, p, forcing, seed's modes and amplitudes, or None
+    # for mode 1's default seed); seeds of two parity classes, or forcing of
+    # two, run on the full problem, and the one-mode seeds on their class:
+    # densely below _KRYLOV_N (n or class size) and by GMRES from it on
+    CASES = {
+        "1-D dense": ((math.pi,), 32, 3.0, None, ((1, 2.0), (2, 0.2))),
+        "1-D forced": ((math.pi,), 40, 2.5, [0.05, -0.02], ((1, 2.0),)),
+        "1-D krylov": ((math.pi,), 260, 3.0, None, ((1, 2.0), (2, 0.2))),
+        "1-D class krylov": ((math.pi,), 260, 3.0, [0.05], ((1, 2.0),)),
+        "2-D forced": ((1.0, 2.5), 40, 3.0, [0.05, -0.02], ((1, 3.0),)),
+        "2-D krylov": ((math.pi, math.pi), 200, 3.0, None, ((1, 3.0), (2, 0.1))),
+        "3-D class": ((1.0, 1.3, 2.0), 60, 3.0, None, None),
+    }
+
+    @pytest.mark.parametrize("name", list(CASES))
+    def test_matches_the_sequential_oracle_on_the_full_system(self, name, monkeypatch):
+        """Against the sequential Newton of the oracles on the full system:
+        the same outcome and iterations, energies within 1e-14 relative and
+        coefficients to roundoff; the result has u = v bitwise, and its
+        energy and residual norm are the full problem's at the point."""
+        from indefsaddle import solve
+
+        lengths, n, p, forcing, modes = self.CASES[name]
+        spec = ProblemSpec.create(BoxDomain(lengths), n, 1.0, p, p, h=forcing, k=forcing)
+        seed = default_seeds(spec, 1)[-2]
+        if modes is not None:
+            field = sum(
+                (a * SpectralField.unit(spec.basis, j) for j, a in modes[1:]),
+                modes[0][1] * SpectralField.unit(spec.basis, modes[0][0]),
+            )
+            seed = FieldPair(field, field, 1.0)
+        kinds = _step_kinds(monkeypatch)
+        got = newton_solve(seed, spec)
+        monkeypatch.undo()
+        want = sequential_newton(seed, spec)
+        one_class = (modes is None or len(modes) == 1) and (forcing is None or len(forcing) == 1)
+        size = kinds[0][0] if one_class else spec.n
+        assert (size < spec.n) == one_class
+        assert kinds and set(kinds) == {(size, True)}
+        assert (size >= solve._KRYLOV_N) == ("krylov" in name)
+        assert (got.converged, got.iterations, got.message) == (want.converged, want.iterations, want.message)
+        assert got.converged
+        assert got.z.u.coeffs.tobytes() == got.z.v.coeffs.tobytes()
+        assert abs(got.energy - want.energy) <= 1e-14 * abs(want.energy)
+        assert got.energy == energy(got.z, spec)
+        assert got.residual_norm == residual(got.z, spec).norm() <= 1e-10
+        assert np.abs(got.z.vec - want.z.vec).max() <= 1e-12 * np.abs(want.z.vec).max()
 
 
 class TestNewtonStep:
