@@ -955,7 +955,9 @@ def _projected_ascent(groups, iters: int, cap: int):
     steps, and only rows still running are evaluated.  Groups with the same
     value_grad object share one call while their running rows number at
     most `cap`; past it each group makes its own call, which only decides
-    whether groups merge and never splits a group.  value_grad gives
+    whether groups merge and never splits a group.  (In the level searches
+    only the sphere stages at p = q with r != 1 have such groups: at r = 1
+    their two problems are one, run as one group.)  value_grad gives
     every row the values it gives the row alone, so each row takes the path
     it would take alone.  Returns, per group, the best value, the first in
     start order on ties, and the point that reached it.  A row whose
@@ -1054,7 +1056,9 @@ def _sphere_extremals(
     modes, each with its minimizer, by one stage of projected ascent on the
     negatives from 10 starts each (the warm start, zero-padded, then random
     ones of the seeds `seed` and seed + 1) of at most 300 steps.  At p = q
-    the two problems share one value function."""
+    with r = 1 the two problems are one: its 10 starts are the q problem's,
+    and its minimum is returned for both.  At p = q with r != 1 the two
+    problems share one value function."""
 
     def moment(exponent: float):
         def value_grad(C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -1065,7 +1069,9 @@ def _sphere_extremals(
 
         return value_grad
 
-    problems = ((spec.q, spec.r, warm_q), (spec.p, 2.0 - spec.r, warm_p))
+    problems = [(spec.q, spec.r, warm_q), (spec.p, 2.0 - spec.r, warm_p)]
+    if spec.p == spec.q and spec.r == 1.0:
+        del problems[1]
     moments = {exponent: moment(exponent) for exponent, _, _ in problems}
     groups = []
     for i, (exponent, order, warm_start) in enumerate(problems):
@@ -1074,9 +1080,8 @@ def _sphere_extremals(
         while len(starts) < 10:
             starts.append(rng.standard_normal(active))
         groups.append((moments[exponent], starts, spec.basis.eigenvalues[:active] ** order))
-    return [
-        (-val, np.asarray(c)) for val, c in _projected_ascent(groups, 300, _stack_rows(spec))
-    ]
+    best = _projected_ascent(groups, 300, _stack_rows(spec))
+    return [(-val, np.asarray(c)) for val, c in (best[0], best[-1])]
 
 
 def _gn_constants(spec: ProblemSpec, theta: float, zeta: float, seed: int) -> list[float]:
@@ -1084,8 +1089,9 @@ def _gn_constants(spec: ProblemSpec, theta: float, zeta: float, seed: int) -> li
     truncated span, for the q problem (e = q, o = r, t = theta) and the p
     problem (e = p, o = 2 - r, t = zeta): one stage of gradient ascent of
     the scale-invariant ratios from 10 random starts each (seeds `seed` and
-    seed + 1) of 200 steps.  The problems share one value function where
-    they coincide (p = q, r = 1)."""
+    seed + 1) of 200 steps.  Where the two problems coincide (p = q, r = 1,
+    where theta = zeta) they are one: its 10 starts are the q problem's, and
+    its constant is returned for both."""
 
     def log_ratio(exponent: float, order: float, theta: float):
         weights = spec.basis.eigenvalues**order
@@ -1108,14 +1114,16 @@ def _gn_constants(spec: ProblemSpec, theta: float, zeta: float, seed: int) -> li
 
         return value_grad
 
-    problems = ((spec.q, spec.r, theta), (spec.p, 2.0 - spec.r, zeta))
-    ratios = {problem: log_ratio(*problem) for problem in problems}
+    problems = [(spec.q, spec.r, theta), (spec.p, 2.0 - spec.r, zeta)]
+    if problems[0] == problems[1]:
+        del problems[1]
     groups = []
     for i, problem in enumerate(problems):
         rng = np.random.default_rng(seed + i)
         starts = [rng.standard_normal(spec.n) for _ in range(10)]
-        groups.append((ratios[problem], starts, spec.basis.eigenvalues ** problem[1]))
-    return [max(0.0, val) for val, _ in _projected_ascent(groups, 200, _stack_rows(spec))]
+        groups.append((log_ratio(*problem), starts, spec.basis.eigenvalues ** problem[1]))
+    best = _projected_ascent(groups, 200, _stack_rows(spec))
+    return [max(0.0, best[0][0]), max(0.0, best[-1][0])]
 
 
 def _forcing_size(spec: ProblemSpec) -> float:
@@ -1152,23 +1160,23 @@ def lower_growth_constant(spec: ProblemSpec, seed: int = 0) -> float:
         ) from None
     c1 = _forcing_size(spec)
 
-    def g(x: float) -> float:
+    def g(x, sqrt=math.sqrt):  # at a float, or with np.sqrt at an array
         return (
             x
             - d_q * x ** ((spec.q + 1.0) / 2.0)
             - d_p * x ** ((spec.p + 1.0) / 2.0)
-            - c1 * math.sqrt(x)
+            - c1 * sqrt(x)
         )
 
+    # the grid's argmax by one numpy pass, where powers past the float range
+    # read inf (with numpy's warning) and NaN never wins; the value there
+    # and the refine take g at floats
     grid = np.logspace(-12.0, 6.0, 2000)
-    try:
-        values = [g(x) for x in grid.tolist()]
-    except OverflowError:  # Python's ** raises where numpy's reads inf
-        values = [g(x) for x in grid]
-    best = max(values)
+    values = g(grid, np.sqrt)
+    x0 = float(grid[np.argmax(np.where(np.isnan(values), -math.inf, values))])
+    best = g(x0)
     if best <= 0.0:
         return 0.0
-    x0 = float(grid[int(np.argmax(values))])
     lo, hi = x0 / 10.0, x0 * 10.0
     for _ in range(200):  # golden-section refine
         m1 = lo + 0.381966 * (hi - lo)
@@ -1220,6 +1228,9 @@ def estimate_levels(
     where c_k is the computed minimum of the normalized nonlinear integrals
     over the unit sphere of the first k modes.
     lower: gamma k^(2 alpha) with computed gamma and exact exponent.
+    At p = q with r = 1 the u and v halves pose one problem, so each ascent
+    stage (the constants of gamma, the minima of c_k) climbs it once and
+    uses its result for both.
     A forcing whose size C0 is not finite raises ValueError naming h and k,
     and a bracket value that is not finite raises ValueError naming k and
     field.

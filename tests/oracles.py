@@ -11,12 +11,19 @@ the flattened collocation grid and assembles the solver's residual and
 Jacobian from it directly, with no separable tables and no transforms.
 
 The ascent oracle is the level searches' projected ascent run one start
-and one point at a time, with the per-point power moment it climbs.
+and one point at a time, with the per-point power moment it climbs.  At
+p = q with r = 1 the q and p problems of a stage are one, and the library
+climbs only the q problem's starts; the oracle climbs the one problem it is
+given.
 
 The sampling oracle is the level brackets with their sphere minima climbed
 one start at a time by the ascent oracle, and their samples built and
 evaluated one point at a time, each through the single-point energy
-functions.
+functions.  At p = q with r = 1 it climbs the q sphere problem once and
+uses its minimum and minimizer for the p problem too.  Its lower curve
+constant is the library's; lower_growth_constant_scalar scans that curve
+one grid point at a time in Python floats, against the library's numpy
+scan.
 
 The Newton oracle is the deflated Newton loop with its backtracking run one
 step at a time: each candidate is unpacked into a pair, evaluated alone,
@@ -51,7 +58,7 @@ from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
 from indefsaddle import region, solve
-from indefsaddle.basis import SineBasis, SpectralField, grid_shape
+from indefsaddle.basis import SineBasis, SpectralField, eigenvalue_growth_constant, grid_shape
 from indefsaddle.energy import (
     CutoffConfig,
     DualGradient,
@@ -363,6 +370,55 @@ def sphere_minimum(spec, active, exponent, order, seed, warm_start=None):
     return -val, np.asarray(point)
 
 
+def lower_growth_constant_scalar(spec, seed=0):
+    """solve.lower_growth_constant with its curve g evaluated by Python
+    floats at every point of its log grid: the grid's first maximum, which
+    NaN never takes, is refined by golden section.  A power past the float
+    range, where Python's ** raises OverflowError, reads numpy's inf.  The
+    curve's constants come from the library's solve._gn_constants."""
+    pt = region.PQPoint(p=spec.p, q=spec.q, N=spec.domain.dim)
+    theta, zeta = region.interpolation_exponents(pt, spec.r)
+    c_lam = eigenvalue_growth_constant(spec.basis)
+    s_q, s_p = solve._gn_constants(spec, theta, zeta, seed)
+    d_q = s_q ** (spec.q + 1.0) * c_lam ** (-spec.r * theta * (spec.q + 1.0) / 2.0) / (
+        spec.q + 1.0
+    )
+    d_p = s_p ** (spec.p + 1.0) * c_lam ** (-(2.0 - spec.r) * zeta * (spec.p + 1.0) / 2.0) / (
+        spec.p + 1.0
+    )
+    c1 = _forcing_size(spec)
+
+    def g(x):
+        try:
+            return (
+                x
+                - d_q * x ** ((spec.q + 1.0) / 2.0)
+                - d_p * x ** ((spec.p + 1.0) / 2.0)
+                - c1 * math.sqrt(x)
+            )
+        except OverflowError:
+            return g(np.float64(x))
+
+    grid = np.logspace(-12.0, 6.0, 2000).tolist()
+    x0, top = grid[0], -math.inf
+    for x in grid:
+        value = g(x)
+        if value > top:
+            x0, top = x, value
+    best = g(x0)
+    if best <= 0.0:
+        return 0.0
+    lo, hi = x0 / 10.0, x0 * 10.0
+    for _ in range(200):
+        m1 = lo + 0.381966 * (hi - lo)
+        m2 = hi - 0.381966 * (hi - lo)
+        if g(m1) < g(m2):
+            lo = m1
+        else:
+            hi = m2
+    return max(best, g(0.5 * (lo + hi)))
+
+
 def level_samples(spec, k, radius, samples, seed):
     """The random samples of level k, as sampled_levels draws them: for each,
     its +- eigenvector coordinates scaled to its radius, and the pair."""
@@ -381,7 +437,8 @@ def level_samples(spec, k, radius, samples, seed):
 def sampled_levels(spec, k_max, samples=200, cutoff=None, seed=0):
     """The level brackets of solve.estimate_levels, with the sphere minima
     of sphere_minimum and every sample point built as a pair and evaluated
-    alone, in sample order."""
+    alone, in sample order.  At p = q with r = 1 the p sphere problem is the
+    q problem, climbed once, and its minimum and minimizer serve both."""
     cutoff = cutoff or CutoffConfig.default_for(spec)
     pt = region.PQPoint(p=spec.p, q=spec.q, N=spec.domain.dim)
     _, _, alpha = region.growth_exponents(pt, spec.r)
@@ -396,9 +453,12 @@ def sampled_levels(spec, k_max, samples=200, cutoff=None, seed=0):
         cq, warm_q = sphere_minimum(
             spec, k, spec.q, spec.r, seed=seed + 17 * k, warm_start=warm_q
         )
-        cp, warm_p = sphere_minimum(
-            spec, k, spec.p, 2.0 - spec.r, seed=seed + 17 * k + 1, warm_start=warm_p
-        )
+        if spec.p == spec.q and spec.r == 1.0:  # the p problem is the q problem
+            cp, warm_p = cq, warm_q
+        else:
+            cp, warm_p = sphere_minimum(
+                spec, k, spec.p, 2.0 - spec.r, seed=seed + 17 * k + 1, warm_start=warm_p
+            )
         c_k = min(cq / (spec.q + 1.0), cp / (spec.p + 1.0))
         radius = 2.0 * (1.0 / (2.0 * c_k)) ** (1.0 / (m_exp - 2.0))
         points = []

@@ -1,14 +1,17 @@
 """Output files of fixed configs, compared byte for byte with committed copies.
 
-The committed levels output was written by the program before the energy
-evaluations, the Newton loops and the projected ascents were merged; its
-JSON twin, golden_levels_json, while the level records were still written
-as Python tuples rather than numpy columns.  The
+The committed levels output (p = q = 3, r = 1) and its JSON twin,
+golden_levels_json, were re-pinned once when each ascent stage at p = q
+with r = 1 came to climb its one problem once, from the q problem's
+starts: `lower` then takes the q constant for both terms and moved by
+-3.7e-6 relative, and the radius, ceiling and max_pointwise_excess of
+k = 3 moved at roundoff; `upper` kept its bits.  The
 second levels output, at p = 2, q = 5, was written while every random
-sample was still evaluated; there some samples survive the closed-form
-bound that skips the rest, and they set `upper`, below 0 and below `lower`.
-That is the sampled-supremum defect of ROADMAP item 2, whose ascents re-pin
-this file together with golden_levels.  The four branch outputs were
+sample was still evaluated, and the ascents of p != q kept its bits; there
+some samples survive the closed-form bound that skips the rest, and they
+set `upper`, below 0 and below `lower`.  That is the sampled-supremum
+defect of ROADMAP item 2, whose ascents, with those of item 14, re-pin
+this file together with golden_levels and golden_levels_json.  The four branch outputs were
 re-pinned once their one-mode seeds ran on the seed's parity class of the
 basis, which moved energies and coefficients at roundoff and made the
 coefficients off each class exact zeros; the records, their order and the

@@ -1534,13 +1534,98 @@ class TestLevels:
     def test_lower_curve_powers_past_the_float_range(self, p, q):
         """A power of the lower curve's log grid that leaves the float range
         reads numpy's inf, with numpy's warning, and not Python's
-        OverflowError."""
+        OverflowError; the constant is the scalar curve's, bit for bit."""
+        from oracles import lower_growth_constant_scalar
+
         from indefsaddle.solve import lower_growth_constant
 
         spec = ProblemSpec.create(BoxDomain((math.pi,)), 16, 1.0, p, q)
-        with pytest.warns(RuntimeWarning, match="overflow encountered in scalar power"):
+        with pytest.warns(RuntimeWarning, match="overflow encountered in power"):
             gamma = lower_growth_constant(spec)
         assert 0.0 < gamma < math.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            assert gamma == lower_growth_constant_scalar(spec)
+
+    @pytest.mark.parametrize(
+        "lengths, n, r, p, q, forcing",
+        [
+            ((math.pi,), 32, 1.0, 3.0, 3.0, None),
+            ((math.pi,), 32, 1.0, 3.0, 3.0, 0.05),
+            ((math.pi,), 32, 0.8, 3.0, 3.0, None),
+            ((math.pi,), 32, 1.0, 2.0, 5.0, None),
+            ((1.0,), 8, 4.0 / 3.0, 2.0, 5.0, None),
+            ((math.pi, 2.0), 24, 0.8, 3.0, 2.5, 0.03),
+            ((math.pi, math.pi), 64, 1.0, 3.0, 3.0, 0.045),
+            ((1.0, 1.2, 1.5), 20, 1.2, 1.5, 2.0, None),
+        ],
+    )
+    def test_lower_curve_matches_scalar_scan(self, lengths, n, r, p, q, forcing, seed=3):
+        """The grid scan in numpy finds the maximum that g finds one grid
+        point at a time in Python floats, so the constant keeps its bits,
+        though numpy's powers differ from Python's in the last bit at some
+        points."""
+        from oracles import lower_growth_constant_scalar
+
+        from indefsaddle.solve import lower_growth_constant
+
+        spec = ProblemSpec.create(BoxDomain(lengths), n, r, p, q)
+        if forcing is not None:
+            spec = spec.with_forcing(h=[forcing], k=[forcing])
+        gamma = lower_growth_constant(spec, seed)
+        assert 0.0 < gamma and gamma == lower_growth_constant_scalar(spec, seed)
+
+    def test_lower_curve_argmax_skips_nan(self, monkeypatch):
+        """A q constant of 0 at q = 200 makes 0 * inf = NaN past the float
+        range of x^((q+1)/2), from x of about 1.2e3 on; those grid points
+        never take the maximum, which lies at x of about 3.5, so the refine
+        stays where the powers are finite."""
+        from oracles import lower_growth_constant_scalar
+
+        from indefsaddle import solve
+
+        spec = ProblemSpec.create(BoxDomain((math.pi,)), 16, 1.0, 3.0, 200.0)
+        real = solve._gn_constants
+        monkeypatch.setattr(solve, "_gn_constants", lambda *args: [0.0, real(*args)[1]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            gamma = solve.lower_growth_constant(spec)
+            assert 0.0 < gamma < math.inf
+            assert gamma == lower_growth_constant_scalar(spec)
+
+    @pytest.mark.parametrize(
+        "r, p, q, forcing, samples, want",
+        [
+            (0.8, 3.0, 3.0, 0.05, 50, [
+                (1, 0.7220051300678091, 0.9024773002849439, 4.093306831785953,
+                 8.786911092751374, -0.24014264320026285),
+                (2, 3.3174644208332507, 10.911005365255964, 21.604602983049187,
+                 235.5398953258938, -1.3965831436975478),
+                (3, 8.094817161779362, 58.7313406136865, 57.16962080626082,
+                 1639.8997336464513, -4.215324398544569),
+            ]),
+            (1.0, 2.0, 5.0, None, 200, [
+                (1, 0.8301244626206904, -219.40971375337918, 23.68705056261445,
+                 280.5381821779267, -244.13945481734584),
+                (2, 3.3204978504827616, -219.40971375337918, 1515.9712360073231,
+                 1149084.3942007856, -418.73857709677543),
+                (3, 7.471120163586214, -219.40971375337918, 5174.107512797883,
+                 13385694.276995746, -418.73857709677543),
+            ]),
+        ],
+    )
+    def test_brackets_with_two_problems_per_stage_are_pinned(
+        self, r, p, q, forcing, samples, want
+    ):
+        """Only p = q with r = 1 climbs one problem per ascent stage.  At
+        p = q with r = 0.8 and at (2, 5) each stage climbs two, and the 1-D
+        n = 32 brackets (k_max 3, seed 0) keep the bits that they had when
+        every stage climbed two problems."""
+        spec = ProblemSpec.create(BoxDomain((math.pi,)), n=32, r=r, p=p, q=q)
+        if forcing is not None:
+            spec = spec.with_forcing(h=[forcing], k=[forcing])
+        got = estimate_levels(spec, k_max=3, samples=samples, seed=0)
+        assert [tuple(map(repr, b)) for b in got] == [tuple(map(repr, b)) for b in want]
 
     def test_lower_curve_exponent_exact(self, cubic_spec):
         brackets = estimate_levels(cubic_spec, k_max=5, samples=20, seed=0)
@@ -1772,10 +1857,12 @@ class TestSampleBound:
 
 class TestBatchedAscent:
     """The level searches run their ascents in stages, the q and p problems
-    of one stage as two groups of rows of one stack; every row takes the
+    of one stage as two groups of rows of one stack, or as one group at
+    p = q with r = 1, where the two problems are one; every row takes the
     path the per-start oracle takes alone, bit for bit, a row that has
-    stopped is not evaluated again, and groups of one value function share
-    its calls while their running rows fit energy._stack_rows."""
+    stopped is not evaluated again, and groups of one value function (the
+    sphere stages at p = q with r != 1) share its calls while their running
+    rows fit energy._stack_rows."""
 
     @pytest.fixture
     def moment_calls(self, monkeypatch):
@@ -1874,27 +1961,32 @@ class TestBatchedAscent:
             rows = sum(rows for e, rows in moment_calls if e == exponent)
             assert rows == point_calls.count(exponent)
 
-    def test_shared_stages_match_oracle(self, cubic_spec, moment_calls, point_calls, monkeypatch):
-        """At p = q, r = 1 both groups of a stage climb one function, by one
-        call per step while their rows fit the stack, and by one call per
-        group past it, along the oracle's paths either way."""
+    def test_shared_stages_match_oracle(self, interval, moment_calls, point_calls, monkeypatch):
+        """At p = q with r = 0.8 both groups of a sphere stage climb one
+        function, by one call per step while their rows fit the stack, and
+        by one call per group past it, along the oracle's paths either way;
+        the two ratios of the GN stage differ in their weights and order,
+        and call apart at either stack size."""
         from oracles import sphere_minimum
 
+        from indefsaddle.region import PQPoint, interpolation_exponents
         from indefsaddle.solve import _gn_constants, _sphere_extremals
 
-        spec, active, seed = cubic_spec, 4, 7
+        spec = ProblemSpec.create(interval, n=32, r=0.8, p=3.0, q=3.0)
+        active, seed = 4, 7
+        theta, zeta = interpolation_exponents(PQPoint(3.0, 3.0, 1), spec.r)
         warm_q, warm_p = np.array([1.0, -0.5, 0.0, 0.25]), np.array([0.5, 0.0, -1.0, 0.25])
         want = [
-            sphere_minimum(spec, active, 3.0, 1.0, seed, warm_q),
-            sphere_minimum(spec, active, 3.0, 1.0, seed + 1, warm_p),
+            sphere_minimum(spec, active, 3.0, spec.r, seed, warm_q),
+            sphere_minimum(spec, active, 3.0, 2.0 - spec.r, seed + 1, warm_p),
         ]
-        value_grad, weights = self.gn_ratio(spec, 3.0, 1.0, 0.75)
-        want_gn = [
-            max(0.0, projected_ascent(
-                value_grad, [rng.standard_normal(spec.n) for _ in range(10)], weights, 200
-            )[0])
-            for rng in map(np.random.default_rng, (5, 6))
-        ]
+        want_gn = []
+        for rng, (order, t) in zip(
+            map(np.random.default_rng, (5, 6)), [(spec.r, theta), (2.0 - spec.r, zeta)]
+        ):
+            value_grad, weights = self.gn_ratio(spec, 3.0, order, t)
+            starts = [rng.standard_normal(spec.n) for _ in range(10)]
+            want_gn.append(max(0.0, projected_ascent(value_grad, starts, weights, 200)[0]))
         oracle_rows = len(point_calls)
         energy_module = importlib.import_module("indefsaddle.energy")
         shapes = []  # per stack size: the rows of each call of each stage
@@ -1907,13 +1999,12 @@ class TestBatchedAscent:
                 assert np.array_equal(got_point, point)
             sphere = [rows for _, rows in moment_calls]
             moment_calls.clear()
-            assert _gn_constants(spec, 0.75, 0.75, 5) == want_gn
+            assert _gn_constants(spec, theta, zeta, 5) == want_gn
             shapes.append((sphere, [rows for _, rows in moment_calls]))
         (sphere, gn), (capped_sphere, capped_gn) = shapes
         assert sum(sphere + gn) == sum(capped_sphere + capped_gn) == oracle_rows
-        # one call of all running rows per step (every GN row runs 200 steps)
+        # one call of all running rows per step
         assert sphere[0] == 20 and sphere == sorted(sphere, reverse=True)
-        assert gn == [20] * 201
         # 15 rows a stack: a call per group (10 rows at most) while more
         # than 15 rows run, then one call of them all
         calls = iter(capped_sphere)
@@ -1921,12 +2012,49 @@ class TestBatchedAscent:
             rows = next(calls)
             assert rows == running if running <= 15 else rows + next(calls) == running
         assert next(calls, None) is None and max(capped_sphere) > 10
-        assert capped_gn == [10] * 402
+        # a call per group and step (every GN row runs 200 steps)
+        assert gn == capped_gn == [10] * 402
 
-    def test_levels_call_once_per_step_at_p_equal_q(self, cubic_spec, moment_calls, monkeypatch):
-        """At 1-D n = 32, p = q = 3, r = 1, every step of each of the six
-        stages of estimate_levels makes one call, of the rows of both groups
-        still running: as many rows as the per-start oracle has running."""
+    @pytest.mark.parametrize("lengths, n", [((math.pi,), 32), ((math.pi, 2.0), 24)])
+    def test_one_problem_per_stage_at_p_equal_q_and_r_1(
+        self, lengths, n, moment_calls, point_calls
+    ):
+        """At p = q with r = 1 the q and p problems of a stage are one: the
+        stage climbs the q problem's 10 starts (warm start and seeds) once,
+        and returns its value, and its point, for both, bit for bit the
+        oracle's q problem."""
+        from oracles import sphere_minimum
+
+        from indefsaddle.region import PQPoint, interpolation_exponents
+        from indefsaddle.solve import _gn_constants, _sphere_extremals
+
+        spec = ProblemSpec.create(BoxDomain(lengths), n=n, r=1.0, p=3.0, q=3.0)
+        active, seed = 4, 7
+        warm_q, warm_p = np.array([1.0, -0.5, 0.0, 0.25]), np.array([0.5, 0.0, -1.0, 0.25])
+        val, point = sphere_minimum(spec, active, 3.0, 1.0, seed, warm_q)
+        got = _sphere_extremals(spec, active, seed, warm_q, warm_p)
+        assert len(got) == 2
+        for got_val, got_point in got:
+            assert got_val == val
+            assert np.array_equal(got_point, point)
+        theta, zeta = interpolation_exponents(PQPoint(3.0, 3.0, len(lengths)), 1.0)
+        assert theta == zeta
+        value_grad, weights = self.gn_ratio(spec, 3.0, 1.0, theta)
+        rng = np.random.default_rng(5)
+        starts = [rng.standard_normal(spec.n) for _ in range(10)]
+        want_gn = max(0.0, projected_ascent(value_grad, starts, weights, 200)[0])
+        assert _gn_constants(spec, theta, zeta, 5) == [want_gn, want_gn]
+        # one row evaluated per oracle point of the q problem alone, and no
+        # call of more than its 10 rows
+        assert sum(rows for _, rows in moment_calls) == len(point_calls)
+        assert max(rows for _, rows in moment_calls) == 10
+
+    @staticmethod
+    def staged_levels(spec, moment_calls, monkeypatch):
+        """Run estimate_levels on spec (k_max 5, no samples), and return the
+        start counts of the groups of each ascent stage, and the rows of the
+        calls that the per-start oracle's running rows give, where one call
+        per step serves the groups of one value function."""
         from indefsaddle import solve
 
         real = solve._projected_ascent
@@ -1934,7 +2062,7 @@ class TestBatchedAscent:
 
         def staged(groups, iters, cap):
             mark = len(moment_calls)
-            evaluations = []  # of each start alone, by the oracle
+            evaluations = {}  # of each start alone, by the oracle, per value function
             for value_grad, starts, weights in groups:
                 for start in starts:
                     calls = []
@@ -1945,23 +2073,49 @@ class TestBatchedAscent:
                         return vals[0], grads[0]
 
                     projected_ascent(point, [start], weights, iters)
-                    evaluations.append(len(calls))
+                    evaluations.setdefault(id(value_grad), []).append(len(calls))
             del moment_calls[mark:]
-            stages.append(len(groups))
-            want.extend(sum(e > step for e in evaluations) for step in range(max(evaluations)))
+            stages.append([len(starts) for _, starts, _ in groups])
+            for step in range(max(max(e) for e in evaluations.values())):
+                for e in evaluations.values():
+                    running = sum(n > step for n in e)
+                    if running:
+                        want.append(running)
             return real(groups, iters, cap)
 
         monkeypatch.setattr(solve, "_projected_ascent", staged)
-        estimate_levels(cubic_spec, k_max=5, samples=0)
-        assert stages == [2] * 6
+        estimate_levels(spec, k_max=5, samples=0)
+        return stages, want
+
+    def test_levels_call_once_per_step_at_p_equal_q(self, cubic_spec, moment_calls, monkeypatch):
+        """At 1-D n = 32, p = q = 3, r = 1, each of the six stages of
+        estimate_levels climbs one group of 10 starts, and every step makes
+        one call, of the rows still running: as many rows as the per-start
+        oracle has running."""
+        stages, want = self.staged_levels(cubic_spec, moment_calls, monkeypatch)
+        assert stages == [[10]] * 6
         assert [rows for _, rows in moment_calls] == want
 
+    def test_levels_share_sphere_calls_at_p_equal_q_off_r_1(
+        self, interval, moment_calls, monkeypatch
+    ):
+        """At 1-D n = 32, p = q = 3, r = 0.8, each of the six stages climbs
+        two groups of 10 starts.  The two groups of each sphere stage share
+        one call per step, of the rows of both still running; the GN stage's
+        two ratios make a call each."""
+        spec = ProblemSpec.create(interval, n=32, r=0.8, p=3.0, q=3.0)
+        stages, want = self.staged_levels(spec, moment_calls, monkeypatch)
+        assert stages == [[10, 10]] * 6
+        got = [rows for _, rows in moment_calls]
+        assert got == want
+        assert max(got) == 20
+
     def test_levels_calls_stay_within_the_stack_in_2d(self, moment_calls):
-        """At 2-D n = 64 a stage's 20 rows exceed the stack size, so each
-        group calls alone until they fit."""
+        """At 2-D n = 64, p = q = 3, r = 0.8 the 20 rows of a sphere stage
+        exceed the stack size, so each group calls alone until they fit."""
         from indefsaddle.energy import _stack_rows
 
-        spec = ProblemSpec.create(BoxDomain((math.pi, math.pi)), n=64, r=1.0, p=3.0, q=3.0)
+        spec = ProblemSpec.create(BoxDomain((math.pi, math.pi)), n=64, r=0.8, p=3.0, q=3.0)
         assert _stack_rows(spec) < 10
         estimate_levels(spec, k_max=5, samples=0)
         assert max(rows for _, rows in moment_calls) == 10
