@@ -56,16 +56,15 @@ float range is an error.  A sample is evaluated only where closed-form
 bounds on its energy, from its eigenvector coordinates, cannot rule out
 that it raises a running maximum (in the measured p = q configs, none
 is).  Both extremal problems behind the brackets run through one
-projected-ascent routine, in stages: one stage for the two
-Gagliardo-Nirenberg constants of the lower curve, then one per k for the
-q and p sphere minima that fix the level radius.  A stage advances the
-restarts of both problems at once as the rows of one stack on the grid
-tables, kept as compact arrays of the rows still running, each row on the
-path it takes alone.  Where the two
-problems climb the same function (the sphere minima at p = q, and the
-constants too at r = 1), their rows share one power-moment call per step
-while they fit energy._stack_rows; past it, each problem calls alone, as
-larger shared calls measured slower (see energy._STACK_VALUES).
+Riemannian Newton routine, _ascend, which maximizes a 0-homogeneous
+log-ratio over the unit sphere, in two stages: one for the two
+Gagliardo-Nirenberg constants of the lower curve, and one for the q and p
+sphere minima of every level, which fix the level radii.  A stage
+advances all its starts at once as the rows of one stack, each row with
+its own exponent and weights and on the path it takes alone, and keeps
+only the rows still running; its Hessians are Galerkin matrices on the
+grid tables below _KRYLOV_N (for the sphere minima, the block of the
+first k_max modes), and products on the grid from it on, as in _schur.
 """
 
 from __future__ import annotations
@@ -91,6 +90,7 @@ from .energy import (
     Evaluation,
     ProblemSpec,
     _check_point,
+    _STACK_VALUES,
     _stack_rows,
     bump,
     energy_gradient,
@@ -941,189 +941,448 @@ def continuation(
 # ---------------------------------------------------------------------------
 
 
-def _projected_ascent(groups, iters: int, cap: int):
-    """Maximize each group's value over its unit weighted sphere
-    sum_k weights_k c_k^2 = 1, all groups as one stage.
+# the level ascents' cap on Newton steps per start
+_ASCENT_STEPS = 100
 
-    A group is (value_grad, starts, weights); value_grad(C) returns the
-    values and ascent directions at the rows of C, and all starts have one
-    length.  The starts of every group advance together as the rows of one
-    stack, each with its group's weights: a step along the gradient,
-    retracted onto the sphere, is accepted when it raises the row's value;
-    the row's step (first 0.5) then grows by 1.3 up to 10, and is halved
-    otherwise.  A row stops when its step falls below 1e-12 or after `iters`
-    steps, and only rows still running are evaluated.  Groups with the same
-    value_grad object share one call while their running rows number at
-    most `cap`; past it each group makes its own call, which only decides
-    whether groups merge and never splits a group.  (In the level searches
-    only the sphere stages at p = q with r != 1 have such groups: at r = 1
-    their two problems are one, run as one group.)  value_grad gives
-    every row the values it gives the row alone, so each row takes the path
-    it would take alone.  Returns, per group, the best value, the first in
-    start order on ties, and the point that reached it.  A row whose
-    weighted norm is 0 or overflows has no point on the sphere, and raises
-    ValueError.
-    """
-    counts = [len(starts) for _, starts, _ in groups]
-    owner = np.repeat(np.arange(len(groups)), counts)
-    sharing: dict[int, list[int]] = {}  # the groups of each value function
-    for g, (fn, _, _) in enumerate(groups):
-        sharing.setdefault(id(fn), []).append(g)
-    shares = np.empty(len(groups), dtype=int)  # each group's entry of sharing
-    for i, gs in enumerate(sharing.values()):
-        shares[gs] = i
-    W = np.repeat(np.array([weights for _, _, weights in groups], dtype=float), counts, axis=0)
+_EPS, _TINY = float(np.finfo(float).eps), float(np.finfo(float).tiny)
 
-    def normalize(C: np.ndarray, W: np.ndarray) -> np.ndarray:
-        with np.errstate(over="ignore"):
-            norms = np.sqrt(_row_dots(W * C, C))
-        if ((norms == 0.0) | (norms == math.inf)).any():  # a NaN row fails later
-            raise ValueError("projected ascent: a step's weighted norm is 0 or overflows")
-        return C / norms[:, None]
 
-    def plan(owner: np.ndarray) -> list:
-        """The calls of one step of the rows of these owners: (value
-        function, row indices)."""
-        calls, share = [], shares[owner]
-        for i, gs in enumerate(sharing.values()):
-            at = np.flatnonzero(share == i)
-            parts = [at] if len(at) <= cap else [np.flatnonzero(owner == g) for g in gs]
-            calls += [(groups[gs[0]][0], part) for part in parts if len(part)]
-        return calls
+class _Modes:
+    """The first m modes of a problem on its grid tables: the grid values of
+    coefficient rows, the pairings of grid values with each mode and, below
+    _KRYLOV_N, the Galerkin matrices of a stack of grid multipliers.  All n
+    modes read the tables (basis.GridTables.galerkin_stack); fewer, below
+    _KRYLOV_N, read the modes' own grid values, an m x points matrix, so
+    that a Galerkin matrix is built as its m x m block only; from _KRYLOV_N
+    on, rows are zero-padded to the basis, pairings are cut to m modes, and
+    no matrix is built."""
 
-    def evaluate(calls: list, C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The values and ascent directions at the points C."""
-        if len(calls) == 1 and len(calls[0][1]) == len(C):  # one call of every row
-            return calls[0][0](C)
-        vals, grads = np.empty(len(C)), np.empty_like(C)
-        for fn, part in calls:
-            vals[part], grads[part] = fn(C[part])
-        return vals, grads
-
-    # every row's point and value, written back when the row stops
-    C = normalize(np.array([c for _, starts, _ in groups for c in starts], dtype=float), W)
-    calls = plan(owner)
-    vals, grads = evaluate(calls, C)
-    # the running rows: their indices and owners, points, values, directions,
-    # steps and weights; all start together, so one count of steps serves
-    rows, own, Cr, Vr, Gr, Wr = np.arange(len(C)), owner, C, vals, grads, W
-    steps, taken = np.full(len(C), 0.5), 0
-    while len(rows):
-        cand = normalize(Cr + steps[:, None] * Gr, Wr)
-        cand_vals, cand_grads = evaluate(calls, cand)
-        up = cand_vals > Vr + 1e-16
-        Cr = np.where(up[:, None], cand, Cr)
-        Vr = np.where(up, cand_vals, Vr)
-        Gr = np.where(up[:, None], cand_grads, Gr)
-        steps = np.where(up, np.minimum(steps * 1.3, 10.0), steps * 0.5)
-        taken += 1
-        going = (steps >= 1e-12) & (taken < iters)
-        if not going.all():
-            done = ~going
-            C[rows[done]], vals[rows[done]] = Cr[done], Vr[done]
-            rows, own, Cr, Vr, Gr, Wr, steps = (
-                x[going] for x in (rows, own, Cr, Vr, Gr, Wr, steps)
+    def __init__(self, spec: ProblemSpec, m: int):
+        self.tables, self.m, self.n = spec.tables, m, spec.n
+        self.dense = m < _KRYLOV_N
+        self.grid = grid_shape(spec.basis, spec.oversample)
+        self.phi = None
+        if self.dense and m < spec.n:
+            self.phi = self.tables.evaluate(np.eye(m, spec.n)).reshape(m, -1)
+            # the products phi_k phi_l on the grid, where they take at most
+            # 16 _STACK_VALUES values (1 MB), so that a Galerkin block is one
+            # product with no m x points array per row
+            points = self.phi.shape[1]
+            self.pairs = (
+                (self.phi[:, None, :] * self.phi[None, :, :]).reshape(m * m, points).T
+                if m * m * points <= 16 * _STACK_VALUES else None
             )
-            calls = plan(own)
+
+    def evaluate(self, C: np.ndarray) -> np.ndarray:
+        if self.phi is not None:
+            return np.matmul(C, self.phi).reshape(len(C), *self.grid)
+        if self.m < self.n:
+            C = np.concatenate([C, np.zeros((len(C), self.n - self.m))], axis=1)
+        return self.tables.evaluate(C)
+
+    def pairings(self, V: np.ndarray) -> np.ndarray:
+        if self.phi is not None:
+            return self.tables.weight * np.matmul(V.reshape(len(V), -1), self.phi.T)
+        return self.tables.pairings(V)[:, : self.m]
+
+    def galerkin(self, V: np.ndarray) -> np.ndarray:
+        if self.phi is None:
+            return self.tables.galerkin_stack(V)
+        V, (m, points) = V.reshape(len(V), -1), self.phi.shape
+        if self.pairs is not None:
+            return (self.tables.weight * np.matmul(V, self.pairs)).reshape(len(V), m, m)
+        # in row chunks of at most 16 _STACK_VALUES products
+        size = max(1, 16 * _STACK_VALUES // (m * points))
+        return self.tables.weight * np.concatenate([
+            np.matmul(self.phi * V[i : i + size, None, :], self.phi.T) for i in range(0, len(V), size)
+        ])
+
+
+class _Rows:
+    """The rows of a stage of _ascend, each with its log-ratio f(c) = a log
+    M(c) - sum_i b_i log Q_i(c), where M(c) = int |w|^(e+1) of the field w
+    of coefficients c and Q_i(c) = sum_k w_ik c_k^2: the row parameters,
+    shaped to broadcast, with `value` and `curvature` at unit rows."""
+
+    def __init__(self, modes: _Modes, e, a, B, W, mask):
+        self.modes, self.a, self.B, self.W, self.mask = modes, a, B, W, mask
+        grid = (-1,) + (1,) * len(modes.grid)
+        self.low_power, self.high = (e - 1.0).reshape(grid), (e + 1.0).reshape(grid)
+        self.hess_weight = (e * (e + 1.0)).reshape(grid)
+        ones = np.ones((len(a), 1))
+        # the signs of A0's rank-one terms (see curvature)
+        self.s = np.concatenate([a[:, None], -4.0 * B, ones, -ones], axis=1)
+
+    def take(self, keep) -> "_Rows":
+        new = object.__new__(_Rows)
+        new.__dict__.update((k, v if k == "modes" else v[keep]) for k, v in vars(self).items())
+        return new
+
+    def active(self, D: np.ndarray) -> tuple:
+        """The least and largest |.| of D over each row's active modes."""
+        return np.where(self.mask, D, math.inf).min(axis=1), np.where(self.mask, np.abs(D), 0.0).max(axis=1)
+
+    def value(self, C: np.ndarray):
+        """f at the unit rows C, a few ulps of its terms (the size of its
+        roundoff), and the grid values, |w|^(e-1), M and Q behind them."""
+        vals = self.modes.evaluate(C)
+        size = np.abs(vals)
+        low = size**self.low_power
+        size *= size
+        size *= low  # |w|^(e+1), in place
+        M = self.modes.tables.integrate(size)
+        if not ((M > 0.0) & (M < math.inf)).all():  # a power past the float range
+            raise ValueError("coefficients must be finite")
+        Q = np.matmul(self.W, (C * C)[:, :, None])[:, :, 0]
+        log_m, log_q = self.a * np.log(M), self.B * np.log(Q)
+        f = log_m - log_q.sum(axis=1)
+        tol = 8.0 * _EPS * (np.abs(log_m) + np.abs(log_q).sum(axis=1))
+        return f, tol, (vals, low, M, Q)
+
+    def curvature(self, C: np.ndarray, at: tuple) -> dict:
+        """The tangent gradient g of f at the unit rows C and its Hessian
+        H = (a/M) H_M + sum_j s_j u_j u_j^T - diag(D): H_M is the Galerkin
+        matrix of hw = e (e+1) |w|^(e-1), the u_j are grad M / M and the
+        w_i c / Q_i with s = (-a, 4 b_i), and D = 2 sum_i b_i w_i / Q_i.
+        Below _KRYLOV_N as A0 = c c^T - P H P = (c - g)(c - g)^T - g g^T
+        - H, P = I - c c^T (f is 0-homogeneous, so H c = -g); from it on,
+        as its terms, for `hess`; with `top`, a bound on H's eigenvalues.
+        `at` is what value gave with C; its |w|^(e-1) becomes hw."""
+        vals, low, M, Q = at
+        vals = vals * low
+        vals *= self.high  # (e+1) |w|^(e-1) w
+        gM = self.modes.pairings(vals) / M[:, None]
+        del vals
+        if not np.isfinite(gM).all():
+            raise ValueError("coefficients must be finite")
+        V = self.W * (C[:, None, :] / Q[:, :, None])  # the w_i c / Q_i
+        g = self.a[:, None] * gM - 2.0 * np.matmul(self.B[:, None, :], V)[:, 0, :]
+        g -= _row_dots(g, C)[:, None] * C
+        g *= self.mask
+        D = 2.0 * np.matmul((self.B / Q)[:, None, :], self.W)[:, 0, :]
+        hw, aM = low, self.a / M
+        hw *= self.hess_weight  # e (e+1) |w|^(e-1), in at's place
+        # a bound on H's largest eigenvalue, above which the shifted system
+        # is definite: H_M lies below max(hw) I, the modes being orthonormal
+        # in the quadrature, and each other term is semidefinite or diagonal
+        top = (
+            np.maximum(aM, 0.0) * hw.reshape(len(C), -1).max(axis=1)
+            + np.maximum(-self.a, 0.0) * _row_dots(gM, gM)
+            + 4.0 * (np.maximum(self.B, 0.0) * (V * V).sum(axis=2)).sum(axis=1)
+            - self.active(D)[0]
+        )
+        if not self.modes.dense:
+            U = np.concatenate([gM[:, None, :], V], axis=1)
+            return dict(g=g, D=D, top=top, hw=hw, aM=aM, U=U)
+        U = np.concatenate([gM[:, None, :], V, (C - g)[:, None, :], g[:, None, :]], axis=1)
+        A0 = np.matmul(U.swapaxes(1, 2) * self.s[:, None, :], U)
+        HM = self.modes.galerkin(hw)
+        HM *= aM[:, None, None]
+        A0 -= HM
+        diag = np.arange(C.shape[1])
+        A0[:, diag, diag] += D
+        if not self.mask.all():  # the identity off the active modes
+            A0 *= self.mask[:, :, None] & self.mask[:, None, :]
+            A0[:, diag, diag] += ~self.mask
+        return dict(g=g, D=D, top=top, A0=A0)
+
+    def hess(self, cv: dict, X: np.ndarray, at) -> np.ndarray:
+        """H x for the rows x of X, at the rows `at` of the curvature cv."""
+        U, s = cv["U"][at], -self.s[at, :-2]  # s_j = (-a, 4 b_i)
+        HX = cv["aM"][at, None] * self.modes.pairings(cv["hw"][at] * self.modes.evaluate(X))
+        HX += np.matmul((s * np.matmul(U, X[:, :, None])[:, :, 0])[:, None, :], U)[:, 0, :]
+        HX -= cv["D"][at] * X
+        return HX * self.mask[at]
+
+
+def _unit_rows(C: np.ndarray) -> np.ndarray:
+    """The rows of C over their Euclidean norms; a row whose norm is 0 or
+    not finite has no point on the sphere, and raises ValueError."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = np.sqrt(_row_dots(C, C))
+    if not ((norms > 0.0) & (norms < math.inf)).all():
+        raise ValueError("level ascent: a start's norm is 0 or not finite")
+    return C / norms[:, None]
+
+
+def _shifted_steps(rows: _Rows, C, cv: dict, mu: np.ndarray, floor: np.ndarray):
+    """Each row's step d of (P (mu I - H) P + c c^T) d = g with its shift
+    mu raised, to at least `floor` and then by 4 at a time, until the
+    matrix is positive definite: by Cholesky below _KRYLOV_N, and from it
+    on by conjugate gradients that meet no direction of nonpositive
+    curvature.  Returns the steps and the shifts."""
+    mu, todo, d = mu.copy(), np.arange(len(C)), np.empty_like(C)
+    diag = np.arange(C.shape[1])
+    while len(todo):
+        if rows.modes.dense:
+            every = len(todo) == len(C)
+            c = C if every else C[todo]
+            A = (mu[todo, None] * -c)[:, :, None] * c[:, None, :]  # mu (I - c c^T)
+            A[:, diag, diag] += mu[todo, None]
+            A += cv["A0"] if every else cv["A0"][todo]
+            ok = _definite(A)
+            if ok.all():
+                d[todo] = np.linalg.solve(A, (cv["g"] if every else cv["g"][todo])[:, :, None])[:, :, 0]
+            elif ok.any():
+                d[todo[ok]] = np.linalg.solve(A[ok], cv["g"][todo[ok], :, None])[:, :, 0]
+        else:
+            step, ok = _cg_steps(rows, C, cv, todo, mu[todo])
+            d[todo[ok]] = step[ok]
+        todo = todo[~ok]
+        mu[todo] = np.maximum(4.0 * mu[todo], floor[todo])
+    return d, mu
+
+
+def _definite(A: np.ndarray) -> np.ndarray:
+    """Which matrices of the stack A Cholesky accepts."""
+    ok = np.ones(len(A), dtype=bool)
+    try:
+        np.linalg.cholesky(A)
+    except np.linalg.LinAlgError:
+        for i, row in enumerate(A):
+            try:
+                np.linalg.cholesky(row)
+            except np.linalg.LinAlgError:
+                ok[i] = False
+    return ok
+
+
+def _cg_steps(rows: _Rows, C, cv: dict, at, mu):
+    """The steps of the rows `at` by conjugate gradients with Hessian
+    products on the grid, preconditioned by the diagonal mu + |D| + |a/M|
+    mean(hw) + 1, which bounds that of the matrix."""
+
+    def op(X, some):
+        c = C[at[some]]
+        cx = _row_dots(X, c)[:, None]
+        HX = rows.hess(cv, X - cx * c, at[some])
+        HX -= _row_dots(HX, c)[:, None] * c
+        return mu[some, None] * (X - cx * c) - HX + cx * c
+
+    hw = cv["hw"][at]
+    mean = hw.reshape(len(hw), -1).mean(axis=1)
+    diag = mu[:, None] + np.abs(cv["D"][at]) + np.abs(cv["aM"][at] * mean)[:, None] + 1.0
+    return _stacked_cg(op, cv["g"][at], diag)
+
+
+def _stacked_cg(op, B: np.ndarray, diag: np.ndarray):
+    """x with |op(x) - b| <= min(1e-3, |b|) |b| for each row b of B (a
+    forcing term that keeps Newton's convergence superlinear, Eisenstat &
+    Walker 1996), by conjugate gradients preconditioned by `diag`, the rows
+    in one stack; op(X, rows) applies the operator of those rows.  A row
+    fails on a direction of nonpositive curvature; after B.shape[1]
+    iterations it keeps its iterate.  Returns X and which rows did not
+    fail."""
+    X, R = np.zeros_like(B), B.copy()
+    size = np.sqrt(_row_dots(B, B))
+    limit = np.minimum(1e-3, size) * size
+    ok = size <= limit
+    going = np.flatnonzero(~ok)
+    Z = R[going] / diag[going]
+    P, rz = Z, _row_dots(R[going], Z)
+    for _ in range(B.shape[1]):
+        if not len(going):
+            break
+        AP = op(P, going)
+        pap = _row_dots(P, AP)
+        curved = pap > 0.0
+        alpha = np.where(curved, rz / np.where(curved, pap, 1.0), 0.0)
+        X[going] += alpha[:, None] * P
+        R[going] -= alpha[:, None] * AP
+        done = np.sqrt(_row_dots(R[going], R[going])) <= limit[going]
+        ok[going[done & curved]] = True
+        keep = curved & ~done
+        going, P, rz = going[keep], P[keep], rz[keep]
+        Z = R[going] / diag[going]
+        rz_new = _row_dots(R[going], Z)
+        P = Z + (rz_new / rz)[:, None] * P
+        rz = rz_new
+    ok[going] = True  # out of iterations, on a definite Krylov space
+    return X, ok
+
+
+class _Group(NamedTuple):
+    """One problem of an ascent stage: the log-ratio's e, a and terms
+    [(b_i, w_i)] (each w_i of the stage's length m), its starts, on the
+    first `active` modes, and `warm`: the index of an earlier group whose
+    best point is this group's first start, which runs once that group's
+    rows have all stopped, or None."""
+
+    e: float
+    a: float
+    terms: list
+    starts: list
+    active: int
+    warm: int | None = None
+
+
+def _ascend(spec: ProblemSpec, m: int, groups: list[_Group]):
+    """Maximize f(c) = a log M(c) - sum_i b_i log(sum_k w_ik c_k^2) over the
+    unit sphere of the first `active` coordinates of R^m, M(c) = int
+    |w|^(e+1) of the field w of coefficients c on the first m modes, from
+    each group's starts (see _Group).  The starts of all groups advance as
+    the rows of one stack, each on its own path (see _Rows), and a warm
+    start joins the stack when the group it comes from is done.  f is
+    0-homogeneous, so its Euclidean gradient is tangent to the sphere, and
+    the sphere can be Euclidean whatever the weights.
+
+    Each iteration is a Riemannian Newton step (Absil, Mahony & Sepulchre,
+    Optimization Algorithms on Matrix Manifolds, 2008): the shifted
+    tangent system (P (mu I - H) P + c c^T) d = g, P = I - c c^T, whose
+    shift mu is raised until the matrix is positive definite (see
+    _shifted_steps) and the retracted step (c + d)/|c + d| raises f, each
+    refusal raising it by 4 (to at least 1e-6 max |D|, see _Rows).  A row
+    starts at a quarter of a bound on H's eigenvalues, and the gain of a
+    step over its model's, (g.d + mu |d|^2)/2, sets the next shift: below
+    0.01 it is raised, above 0.25 halved.  A row stops when its Newton
+    decrement g.d falls to a few ulps of the terms of f, or after
+    _ASCENT_STEPS steps.
+
+    Returns per group the best f, the first in start order on ties, the
+    point that reached it, and how many of its rows the step cap stopped.
+    A start whose norm is 0 or not finite raises ValueError, and so does a
+    moment or gradient that is not finite."""
+    counts = [len(g.starts) + (g.warm is not None) for g in groups]
+    owner = np.repeat(np.arange(len(groups)), counts)
+
+    def stack(values):
+        return np.repeat(np.asarray(values, dtype=float), counts, axis=0)
+
+    every = _Rows(  # every row's parameters; a warm start holds its group's first row
+        _Modes(spec, m), stack([g.e for g in groups]), stack([g.a for g in groups]),
+        stack([[b for b, _ in g.terms] for g in groups]),
+        stack([[w for _, w in g.terms] for g in groups]),
+        np.arange(m) < np.repeat([g.active for g in groups], counts)[:, None],
+    )
+    first = np.cumsum([0] + counts[:-1])
+    points = np.zeros((len(owner), m))
+    for g, count, start in zip(groups, counts, first):
+        at = start + (g.warm is not None)
+        for i, c in enumerate(g.starts):
+            points[at + i, : len(c)] = c
+    values = np.full(len(owner), -math.inf)  # every row's, written back when it stops
+    capped, done = np.zeros(len(owner), dtype=bool), np.zeros(len(owner), dtype=bool)
+    waiting = {start: g.warm for g, start in zip(groups, first) if g.warm is not None}
+    index = np.array([i for i in range(len(owner)) if i not in waiting], dtype=int)
+    rows = every.take(index)
+    C = _unit_rows(points[index])
+    f, tol, at = rows.value(C)
+    cv = rows.curvature(C, at)
+    mu = 0.25 * np.maximum(cv["top"], 0.0)
+    del at
+    steps = np.zeros(len(index), dtype=int)
+    while len(index):
+        floor = 1e-6 * rows.active(cv["D"])[1] + _TINY
+        d, mu = _shifted_steps(rows, C, cv, mu, floor)
+        gd = _row_dots(cv["g"], d)
+        stop = gd <= tol
+        rho = np.zeros(len(C))  # each taken step's gain over its model's
+        trial = np.flatnonzero(~stop)
+        if len(trial):
+            some = rows.take(trial) if len(trial) < len(C) else rows
+            new = _unit_rows(C[trial] + d[trial])
+            new_f, new_tol, new_at = some.value(new)
+            up = new_f > f[trial]
+            taken = trial[up]
+            if len(taken) == len(C):  # every row steps
+                rho = (new_f - f) / (0.5 * (gd + mu * _row_dots(d, d)))
+                cv = rows.curvature(new, new_at)
+                C, f, tol = new, new_f, new_tol
+                steps += 1
+            elif len(taken):
+                # the model's gain, g.d + d.(P H P) d / 2 where A d = g
+                model = 0.5 * (gd[taken] + mu[taken] * _row_dots(d[taken], d[taken]))
+                rho[taken] = (new_f[up] - f[taken]) / model
+                new_at = tuple(x[up] for x in new_at)
+                took = some.take(up).curvature(new[up], new_at)
+                for key, value in took.items():
+                    cv[key][taken] = value
+                C[taken], f[taken], tol[taken] = new[up], new_f[up], new_tol[up]
+                steps[taken] += 1
+            del new_at
+        mu = np.where(rho < 0.01, np.maximum(4.0 * mu, floor), np.where(rho > 0.25, 0.5 * mu, mu))
+        stop |= steps >= _ASCENT_STEPS
+        if not stop.any():
+            continue
+        out = index[stop]
+        points[out], values[out], capped[out] = C[stop], f[stop], ~(gd[stop] <= tol[stop])
+        done[out] = True
+        keep = ~stop
+        index, mu, steps, C, f, tol = (x[keep] for x in (index, mu, steps, C, f, tol))
+        cv = {key: value[keep] for key, value in cv.items()}
+        # the warm starts whose groups of origin are now done
+        ready = [i for i, g in waiting.items() if done[owner == g].all()]
+        if ready:
+            for i in ready:
+                g = waiting.pop(i)
+                rows_g = np.flatnonzero(owner == g)
+                points[i] = points[rows_g[int(np.argmax(values[rows_g]))]]
+            joined = np.array(ready, dtype=int)
+            some = every.take(joined)
+            new = _unit_rows(points[joined])
+            new_f, new_tol, new_at = some.value(new)
+            took = some.curvature(new, new_at)
+            index = np.concatenate([index, joined])
+            C, f, tol = np.concatenate([C, new]), np.concatenate([f, new_f]), np.concatenate([tol, new_tol])
+            cv = {key: np.concatenate([value, took[key]]) for key, value in cv.items()}
+            mu = np.concatenate([mu, 0.25 * np.maximum(took["top"], 0.0)])
+            steps = np.concatenate([steps, np.zeros(len(joined), dtype=int)])
+        rows = every.take(index)
     best = []
-    for g in range(len(groups)):
-        best_val, best_c = -math.inf, None
-        for val, c in zip(vals[owner == g].tolist(), C[owner == g]):
-            if val > best_val:
-                best_val, best_c = val, c
-        best.append((best_val, best_c))
+    for start, count in zip(first, counts):
+        i = start + int(np.argmax(values[start : start + count]))  # the first of ties
+        best.append((float(values[i]), points[i], int(capped[start : start + count].sum())))
     return best
 
 
-def _power_moment(spec: ProblemSpec, coeffs: np.ndarray, exponent: float):
-    """int |w|^(exponent+1) and its gradient in the coefficients of w, for
-    each row w of the (rows, n) stack."""
-    tables = spec.tables
-    vals = tables.evaluate(coeffs)
-    size = np.abs(vals)
-    val = tables.integrate(size ** (exponent + 1.0))
-    pair = tables.pairings((exponent + 1.0) * size ** (exponent - 1.0) * vals)
-    if not np.isfinite(pair).all():
-        raise ValueError("coefficients must be finite")
-    return val, pair
-
-
-def _sphere_extremals(
-    spec: ProblemSpec, active: int, seed: int, warm_q: np.ndarray | None, warm_p: np.ndarray | None
-) -> list[tuple[float, np.ndarray]]:
-    """The minima of int |u|^(q+1) over the unit r-norm sphere and of
-    int |v|^(p+1) over the unit (2-r)-norm sphere of the first `active`
-    modes, each with its minimizer, by one stage of projected ascent on the
-    negatives from 10 starts each (the warm start, zero-padded, then random
-    ones of the seeds `seed` and seed + 1) of at most 300 steps.  At p = q
-    with r = 1 the two problems are one: its 10 starts are the q problem's,
-    and its minimum is returned for both.  At p = q with r != 1 the two
-    problems share one value function."""
-
-    def moment(exponent: float):
-        def value_grad(C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            coeffs = np.zeros((len(C), spec.n))
-            coeffs[:, :active] = C
-            val, pair = _power_moment(spec, coeffs, exponent)
-            return -val, -pair[:, :active]
-
-        return value_grad
-
-    problems = [(spec.q, spec.r, warm_q), (spec.p, 2.0 - spec.r, warm_p)]
+def _sphere_extremals(spec: ProblemSpec, k_max: int, seed: int) -> list[list[tuple[float, np.ndarray]]]:
+    """For k = 1..k_max, the logs of the minima of int |u|^(q+1) over the
+    unit r-norm sphere and of int |v|^(p+1) over the unit (2-r)-norm sphere
+    of the first k modes, each with a minimizer (of unit Euclidean norm:
+    the ratio below is scale-free), by _ascend of -log M + ((e+1)/2) log
+    sum_k lambda_k^o c_k^2 on the k_max x k_max block, one group per k and
+    problem, from 10 starts each: at k > 1 the warm start, level k-1's
+    minimizer, then random ones of the seeds seed + 17 k and seed + 17 k +
+    1.  All levels run as one stack, each warm start from when its level
+    k-1 is done.  At p = q with r = 1 the two problems are one: its starts
+    are the q problem's, and its minimum is returned for both."""
+    problems = [(spec.q, spec.r), (spec.p, 2.0 - spec.r)]
     if spec.p == spec.q and spec.r == 1.0:
         del problems[1]
-    moments = {exponent: moment(exponent) for exponent, _, _ in problems}
     groups = []
-    for i, (exponent, order, warm_start) in enumerate(problems):
-        rng = np.random.default_rng(seed + i)
-        starts = [] if warm_start is None else [np.pad(warm_start, (0, active - len(warm_start)))]
-        while len(starts) < 10:
-            starts.append(rng.standard_normal(active))
-        groups.append((moments[exponent], starts, spec.basis.eigenvalues[:active] ** order))
-    best = _projected_ascent(groups, 300, _stack_rows(spec))
-    return [(-val, np.asarray(c)) for val, c in (best[0], best[-1])]
+    for k in range(1, k_max + 1):
+        for i, (exponent, order) in enumerate(problems):
+            rng = np.random.default_rng(seed + 17 * k + i)
+            warm = None if k == 1 else len(groups) - len(problems)
+            starts = [rng.standard_normal(k) for _ in range(10 - (warm is not None))]
+            weights = spec.basis.eigenvalues[:k_max] ** order
+            groups.append(_Group(exponent, -1.0, [(-(exponent + 1.0) / 2.0, weights)], starts, k, warm))
+    best = _ascend(spec, k_max, groups)
+    per_level = [best[i : i + len(problems)] for i in range(0, len(best), len(problems))]
+    return [[(-f, c) for f, c, _ in (level[0], level[-1])] for level in per_level]
 
 
 def _gn_constants(spec: ProblemSpec, theta: float, zeta: float, seed: int) -> list[float]:
-    """Best constants S of |w|_{e+1} <= S |w|_2^t |w|_o^(1-t) over the
-    truncated span, for the q problem (e = q, o = r, t = theta) and the p
-    problem (e = p, o = 2 - r, t = zeta): one stage of gradient ascent of
-    the scale-invariant ratios from 10 random starts each (seeds `seed` and
-    seed + 1) of 200 steps.  Where the two problems coincide (p = q, r = 1,
-    where theta = zeta) they are one: its 10 starts are the q problem's, and
-    its constant is returned for both."""
-
-    def log_ratio(exponent: float, order: float, theta: float):
-        weights = spec.basis.eigenvalues**order
-
-        def value_grad(C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            num_int, pair = _power_moment(spec, C, exponent)
-            l2sq = _row_dots(C, C)
-            sobsq = _row_dots(weights * C, C)
-            ratio = np.array([
-                num ** (1.0 / (exponent + 1.0))
-                / (math.sqrt(l2) ** theta * math.sqrt(sob) ** (1.0 - theta))
-                for num, l2, sob in zip(num_int.tolist(), l2sq.tolist(), sobsq.tolist())
-            ])
-            # ascend along the gradient of log ratio
-            return ratio, (
-                pair / ((exponent + 1.0) * num_int)[:, None]
-                - theta * C / l2sq[:, None]
-                - (1.0 - theta) * weights * C / sobsq[:, None]
-            )
-
-        return value_grad
-
+    """The logs of the best constants S of |w|_{e+1} <= S |w|_2^t
+    |w|_o^(1-t) over the truncated span, for the q problem (e = q, o = r,
+    t = theta) and the p problem (e = p, o = 2 - r, t = zeta): one stage of
+    _ascend of log S(c) = log M / (e+1) - (t/2) log |c|^2 - ((1-t)/2) log
+    sum_k lambda_k^o c_k^2 from 10 random starts each (seeds `seed` and
+    seed + 1).  Where the two problems coincide (p = q, r = 1, where theta
+    = zeta) they are one: its 10 starts are the q problem's, and its
+    constant is returned for both."""
     problems = [(spec.q, spec.r, theta), (spec.p, 2.0 - spec.r, zeta)]
     if problems[0] == problems[1]:
         del problems[1]
+    ones = np.ones(spec.n)
     groups = []
-    for i, problem in enumerate(problems):
+    for i, (exponent, order, t) in enumerate(problems):
         rng = np.random.default_rng(seed + i)
         starts = [rng.standard_normal(spec.n) for _ in range(10)]
-        groups.append((log_ratio(*problem), starts, spec.basis.eigenvalues ** problem[1]))
-    best = _projected_ascent(groups, 200, _stack_rows(spec))
-    return [max(0.0, best[0][0]), max(0.0, best[-1][0])]
+        terms = [(t / 2.0, ones), ((1.0 - t) / 2.0, spec.basis.eigenvalues**order)]
+        groups.append(_Group(exponent, 1.0 / (exponent + 1.0), terms, starts, spec.n))
+    best = _ascend(spec, spec.n, groups)
+    return [best[0][0], best[-1][0]]
 
 
 def _forcing_size(spec: ProblemSpec) -> float:
@@ -1141,32 +1400,39 @@ def lower_growth_constant(spec: ProblemSpec, seed: int = 0) -> float:
 
     Assembled from computed truncation data: interpolation constants on the
     truncated span, the eigenvalue growth constant of the box, and the
-    forcing size.  Conservative by construction; the exponent is exact.
+    forcing size.  gamma is the maximum of g(x) = x - d_q x^((q+1)/2) -
+    d_p x^((p+1)/2) - C0 sqrt(x), where d_e grows with the Gagliardo-
+    Nirenberg constant of its half; those constants are suprema, computed
+    to convergence (see _ascend), so gamma is conservative by construction.
+    The exponent is exact.  The coefficients are formed in logs and g is
+    scanned in y = x / x_s, where x_s is the first x at which a power term
+    reaches x, so that a dilation of the box, which scales x, leaves the
+    scanned curve unchanged.
     """
     pt = region.PQPoint(p=spec.p, q=spec.q, N=spec.domain.dim)
     theta, zeta = region.interpolation_exponents(pt, spec.r)
     c_lam = eigenvalue_growth_constant(spec.basis)
-    s_q, s_p = _gn_constants(spec, theta, zeta, seed)
+    log_lam = math.log(c_lam)
+    log_sq, log_sp = _gn_constants(spec, theta, zeta, seed)
+    q, p, r = spec.q, spec.p, spec.r
+    log_dq = (q + 1.0) * log_sq - r * theta * (q + 1.0) / 2.0 * log_lam - math.log(q + 1.0)
+    log_dp = (p + 1.0) * log_sp - (2.0 - r) * zeta * (p + 1.0) / 2.0 * log_lam - math.log(p + 1.0)
+    log_xs = min(-2.0 * log_dq / (q - 1.0), -2.0 * log_dp / (p - 1.0))
+    if not math.isfinite(log_xs):  # no power term
+        log_xs = 0.0
+    d_q = math.exp(log_dq + (q - 1.0) / 2.0 * log_xs)  # at most 1
+    d_p = math.exp(log_dp + (p - 1.0) / 2.0 * log_xs)
+    c0 = _forcing_size(spec)
+    overflow = ValueError(
+        f"lower growth constant leaves the float range at eigenvalue growth constant {c_lam}"
+    )
     try:
-        d_q = s_q ** (spec.q + 1.0) * c_lam ** (-spec.r * theta * (spec.q + 1.0) / 2.0) / (
-            spec.q + 1.0
-        )
-        d_p = s_p ** (spec.p + 1.0) * c_lam ** (
-            -(2.0 - spec.r) * zeta * (spec.p + 1.0) / 2.0
-        ) / (spec.p + 1.0)
+        c1 = math.exp(math.log(c0) - log_xs / 2.0) if c0 > 0.0 else 0.0
     except OverflowError:
-        raise ValueError(
-            f"lower growth curve coefficients overflow at eigenvalue growth constant {c_lam}"
-        ) from None
-    c1 = _forcing_size(spec)
+        raise overflow from None
 
     def g(x, sqrt=math.sqrt):  # at a float, or with np.sqrt at an array
-        return (
-            x
-            - d_q * x ** ((spec.q + 1.0) / 2.0)
-            - d_p * x ** ((spec.p + 1.0) / 2.0)
-            - c1 * sqrt(x)
-        )
+        return x - d_q * x ** ((q + 1.0) / 2.0) - d_p * x ** ((p + 1.0) / 2.0) - c1 * sqrt(x)
 
     # the grid's argmax by one numpy pass, where powers past the float range
     # read inf (with numpy's warning) and NaN never wins; the value there
@@ -1178,14 +1444,21 @@ def lower_growth_constant(spec: ProblemSpec, seed: int = 0) -> float:
     if best <= 0.0:
         return 0.0
     lo, hi = x0 / 10.0, x0 * 10.0
-    for _ in range(200):  # golden-section refine
+    for _ in range(200):  # golden-section refine, to its fixed point
         m1 = lo + 0.381966 * (hi - lo)
         m2 = hi - 0.381966 * (hi - lo)
         if g(m1) < g(m2):
+            if m1 == lo:  # lo only rises and hi only falls: a repeat
+                break
             lo = m1
         else:
+            if m2 == hi:
+                break
             hi = m2
-    return max(best, g(0.5 * (lo + hi)))
+    try:
+        return math.exp(log_xs + math.log(max(best, g(0.5 * (lo + hi)))))
+    except OverflowError:
+        raise overflow from None
 
 
 # the margin of the sample bounds, relative to |z|^2 + C0 |z| + 1; the
@@ -1226,8 +1499,10 @@ def estimate_levels(
     evaluating every sample.
     R_k solves R^2/2 = c_k R^m (m = min(p,q)+1) with a safety factor 2,
     where c_k is the computed minimum of the normalized nonlinear integrals
-    over the unit sphere of the first k modes.
-    lower: gamma k^(2 alpha) with computed gamma and exact exponent.
+    over the unit sphere of the first k modes (see _sphere_extremals),
+    formed in logs.
+    lower: gamma k^(2 alpha) with computed gamma and exact exponent (see
+    lower_growth_constant).
     At p = q with r = 1 the u and v halves pose one problem, so each ascent
     stage (the constants of gamma, the minima of c_k) climbs it once and
     uses its result for both.
@@ -1256,13 +1531,13 @@ def estimate_levels(
     m_exp = min(spec.p, spec.q) + 1.0
     weights = _weights(spec.basis, spec.r)
     brackets: list[LevelBracket] = []
-    warm_q = warm_p = None
+    minima = _sphere_extremals(spec, k_max, seed)
     prev_best_point: np.ndarray | None = None
     for k in range(1, k_max + 1):
-        (cq, warm_q), (cp, warm_p) = _sphere_extremals(spec, k, seed + 17 * k, warm_q, warm_p)
-        c_k = min(cq / (spec.q + 1.0), cp / (spec.p + 1.0))
-        try:
-            radius = 2.0 * (1.0 / (2.0 * c_k)) ** (1.0 / (m_exp - 2.0))
+        (log_cq, _), (log_cp, _) = minima[k - 1]
+        log_ck = min(log_cq - math.log(spec.q + 1.0), log_cp - math.log(spec.p + 1.0))
+        try:  # 2 (1/(2 c_k))^(1/(m-2))
+            radius = 2.0 * math.exp(-(math.log(2.0) + log_ck) / (m_exp - 2.0))
         except OverflowError:
             raise ValueError(
                 f"level radius (1/(2 c_k))^(1/(m-2)) overflows at k={k}, m - 2 = {m_exp - 2.0}"

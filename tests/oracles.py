@@ -10,20 +10,19 @@ The dense oracle builds the full evaluation matrix S[j, k] = phi_k(x_j) on
 the flattened collocation grid and assembles the solver's residual and
 Jacobian from it directly, with no separable tables and no transforms.
 
-The ascent oracle is the level searches' projected ascent run one start
-and one point at a time, with the per-point power moment it climbs.  At
-p = q with r = 1 the q and p problems of a stage are one, and the library
-climbs only the q problem's starts; the oracle climbs the one problem it is
-given.
+The ascent oracle is the first-order projected ascent that the level
+searches ran before their Newton steps, with its step constants, every
+start a row of one stack on its own path; it is the reference that the
+Newton steps' Gagliardo-Nirenberg constants (gn_constant) and sphere
+minima (sphere_minimum, which climbs the scale-free ratio, whose gradient
+is tangent to the weighted sphere) are checked against.
 
-The sampling oracle is the level brackets with their sphere minima climbed
-one start at a time by the ascent oracle, and their samples built and
+The sampling oracle is the level brackets with their samples built and
 evaluated one point at a time, each through the single-point energy
-functions.  At p = q with r = 1 it climbs the q sphere problem once and
-uses its minimum and minimizer for the p problem too.  Its lower curve
-constant is the library's; lower_growth_constant_scalar scans that curve
-one grid point at a time in Python floats, against the library's numpy
-scan.
+functions.  Its sphere minima and lower curve constant are the library's;
+lower_growth_constant_scalar scans that curve one grid point at a time in
+Python floats, against the library's numpy scan, for all 200 iterations
+of its golden-section refine.
 
 The Newton oracle is the deflated Newton loop with its backtracking run one
 step at a time: each candidate is unpacked into a pair, evaluated alone,
@@ -224,42 +223,68 @@ def dense_jacobian(z, spec) -> np.ndarray:
 
 
 def projected_ascent(value_grad, starts, weights, iters):
-    """Maximize value_grad(c)[0] over the unit weighted sphere, one start at a
-    time: the step (first 0.5) grows by 1.3 up to 10 on an accepted step and
-    is halved otherwise, down to 1e-12.  Returns the first best value in
-    start order and the point that reached it."""
+    """The first-order ascent that the level searches ran before their
+    Newton steps: maximize value_grad(C)[0] over the unit weighted sphere
+    sum_k weights_k c_k^2 = 1, every start as a row of one stack, each row
+    with its own step (first 0.5), which grows by 1.3 up to 10 on a step
+    that raises the row's value and is halved otherwise; a row stops when
+    its step falls below 1e-12 or after `iters` steps.  value_grad(C) gives
+    the values and ascent directions at the rows of C.  Returns the first
+    best value in start order and the point that reached it."""
 
-    def normalize(c):
-        return c / math.sqrt(float(np.dot(weights * c, c)))
+    def normalize(C):
+        return C / np.sqrt(np.einsum("ij,ij->i", weights * C, C))[:, None]
 
-    best_val = -math.inf
-    best_c = None
-    for c0 in starts:
-        c = normalize(c0)
-        val, grad = value_grad(c)
-        step = 0.5
-        for _ in range(iters):
-            cand = normalize(c + step * grad)
-            cand_val, cand_grad = value_grad(cand)
-            if cand_val > val + 1e-16:
-                c, val, grad = cand, cand_val, cand_grad
-                step = min(step * 1.3, 10.0)
-            else:
-                step *= 0.5
-                if step < 1e-12:
-                    break
-        if val > best_val:
-            best_val = val
-            best_c = c
-    return best_val, best_c
+    C = normalize(np.array(starts, dtype=float))
+    vals, grads = value_grad(C)
+    steps = np.full(len(C), 0.5)
+    going = np.ones(len(C), dtype=bool)
+    for _ in range(iters):
+        if not going.any():
+            break
+        cand = normalize(C[going] + steps[going, None] * grads[going])
+        cand_vals, cand_grads = value_grad(cand)
+        up = cand_vals > vals[going] + 1e-16
+        rows = np.flatnonzero(going)
+        C[rows[up]], vals[rows[up]], grads[rows[up]] = cand[up], cand_vals[up], cand_grads[up]
+        steps[rows] = np.where(up, np.minimum(steps[rows] * 1.3, 10.0), steps[rows] * 0.5)
+        going[rows] = steps[rows] >= 1e-12
+    best = int(np.argmax(vals))  # the first of ties
+    return float(vals[best]), C[best]
 
 
 def power_moment(spec, coeffs, exponent):
-    """int |w|^(exponent+1) and its coefficient gradient at one point w."""
+    """int |w|^(exponent+1) and its coefficient gradient at each row w of a
+    stack, with the uniform-weight quadrature of grid_quadrature."""
     vals = spec.tables.evaluate(coeffs)
-    val = grid_quadrature(np.abs(vals) ** (exponent + 1.0), spec.domain)
+    axes = tuple(range(1, vals.ndim))
+    h = math.prod(L / (G + 1) for L, G in zip(spec.domain.lengths, vals.shape[1:]))
+    val = h * (np.abs(vals) ** (exponent + 1.0)).sum(axis=axes)
     pair = spec.tables.pairings((exponent + 1.0) * np.abs(vals) ** (exponent - 1.0) * vals)
     return val, pair
+
+
+def gn_constant(spec, exponent, order, theta, seed, iters):
+    """The best constant S of |w|_{e+1} <= S |w|_2^t |w|_o^(1-t) (e =
+    exponent, o = order, t = theta) over the truncated span, by
+    projected_ascent of the ratio from the 10 random starts of the seed, of
+    at most `iters` steps."""
+    weights = spec.basis.eigenvalues**order
+
+    def value_grad(C):
+        num, pair = power_moment(spec, C, exponent)
+        l2 = np.einsum("ij,ij->i", C, C)
+        sob = np.einsum("ij,ij->i", weights * C, C)
+        ratio = num ** (1.0 / (exponent + 1.0)) / (l2 ** (theta / 2.0) * sob ** ((1.0 - theta) / 2.0))
+        return ratio, (
+            pair / ((exponent + 1.0) * num)[:, None]
+            - theta * C / l2[:, None]
+            - (1.0 - theta) * weights * C / sob[:, None]
+        )
+
+    rng = np.random.default_rng(seed)
+    starts = [rng.standard_normal(spec.n) for _ in range(10)]
+    return projected_ascent(value_grad, starts, weights, iters)
 
 
 def deflation(z_vec, known_vecs, metric):
@@ -348,15 +373,21 @@ def sequential_newton(z0, spec, config=None, known=None) -> SolveResult:
 def sphere_minimum(spec, active, exponent, order, seed, warm_start=None):
     """The minimum of int |w|^(exponent+1) over the unit order-norm sphere of
     the first `active` modes, and its minimizer, by projected_ascent on the
-    negative power_moment, one start at a time: the warm start, zero-padded
-    to `active` modes, then random ones of the seed, 10 in all, of at most
-    300 steps each."""
+    negative of the scale-free ratio M(c) / Q(c)^((e+1)/2), M the
+    power_moment and Q = sum_k lambda_k^order c_k^2, which is M on the
+    sphere: its gradient is tangent to the weighted sphere, where that of
+    -M is not.  From the warm start, zero-padded to `active` modes, then
+    random ones of the seed, 10 in all, of at most 300 steps each."""
+    weights = spec.basis.eigenvalues[:active] ** order
+    half = (exponent + 1.0) / 2.0
 
-    def value_grad(c):
-        coeffs = np.zeros(spec.n)
-        coeffs[:active] = c
+    def value_grad(C):
+        coeffs = np.zeros((len(C), spec.n))
+        coeffs[:, :active] = C
         val, pair = power_moment(spec, coeffs, exponent)
-        return -val, -pair[:active]
+        Q = np.einsum("ij,ij->i", weights * C, C)
+        ratio = val * Q**-half
+        return -ratio, -(pair[:, :active] * (Q**-half)[:, None] - (2.0 * half * ratio / Q)[:, None] * weights * C)
 
     rng = np.random.default_rng(seed)
     starts = []
@@ -365,37 +396,36 @@ def sphere_minimum(spec, active, exponent, order, seed, warm_start=None):
         starts[0][: len(warm_start)] = warm_start
     while len(starts) < 10:
         starts.append(rng.standard_normal(active))
-    weights = spec.basis.eigenvalues[:active] ** order
     val, point = projected_ascent(value_grad, starts, weights, 300)
     return -val, np.asarray(point)
 
 
 def lower_growth_constant_scalar(spec, seed=0):
-    """solve.lower_growth_constant with its curve g evaluated by Python
-    floats at every point of its log grid: the grid's first maximum, which
-    NaN never takes, is refined by golden section.  A power past the float
-    range, where Python's ** raises OverflowError, reads numpy's inf.  The
-    curve's constants come from the library's solve._gn_constants."""
+    """solve.lower_growth_constant with its curve evaluated by Python floats
+    at every point of its log grid: the grid's first maximum, which NaN
+    never takes, is refined by golden section, for all 200 iterations.  A
+    power past the float range, where Python's ** raises OverflowError,
+    reads numpy's inf.  The curve's constants are formed as the library
+    forms them, in logs from the logs of solve._gn_constants, and scanned
+    in y = x / x_s."""
     pt = region.PQPoint(p=spec.p, q=spec.q, N=spec.domain.dim)
     theta, zeta = region.interpolation_exponents(pt, spec.r)
-    c_lam = eigenvalue_growth_constant(spec.basis)
-    s_q, s_p = solve._gn_constants(spec, theta, zeta, seed)
-    d_q = s_q ** (spec.q + 1.0) * c_lam ** (-spec.r * theta * (spec.q + 1.0) / 2.0) / (
-        spec.q + 1.0
-    )
-    d_p = s_p ** (spec.p + 1.0) * c_lam ** (-(2.0 - spec.r) * zeta * (spec.p + 1.0) / 2.0) / (
-        spec.p + 1.0
-    )
-    c1 = _forcing_size(spec)
+    log_lam = math.log(eigenvalue_growth_constant(spec.basis))
+    log_sq, log_sp = solve._gn_constants(spec, theta, zeta, seed)
+    q, p, r = spec.q, spec.p, spec.r
+    log_dq = (q + 1.0) * log_sq - r * theta * (q + 1.0) / 2.0 * log_lam - math.log(q + 1.0)
+    log_dp = (p + 1.0) * log_sp - (2.0 - r) * zeta * (p + 1.0) / 2.0 * log_lam - math.log(p + 1.0)
+    log_xs = min(-2.0 * log_dq / (q - 1.0), -2.0 * log_dp / (p - 1.0))
+    if not math.isfinite(log_xs):
+        log_xs = 0.0
+    d_q = math.exp(log_dq + (q - 1.0) / 2.0 * log_xs)
+    d_p = math.exp(log_dp + (p - 1.0) / 2.0 * log_xs)
+    c0 = _forcing_size(spec)
+    c1 = math.exp(math.log(c0) - log_xs / 2.0) if c0 > 0.0 else 0.0
 
     def g(x):
         try:
-            return (
-                x
-                - d_q * x ** ((spec.q + 1.0) / 2.0)
-                - d_p * x ** ((spec.p + 1.0) / 2.0)
-                - c1 * math.sqrt(x)
-            )
+            return x - d_q * x ** ((q + 1.0) / 2.0) - d_p * x ** ((p + 1.0) / 2.0) - c1 * math.sqrt(x)
         except OverflowError:
             return g(np.float64(x))
 
@@ -416,7 +446,7 @@ def lower_growth_constant_scalar(spec, seed=0):
             lo = m1
         else:
             hi = m2
-    return max(best, g(0.5 * (lo + hi)))
+    return math.exp(log_xs + math.log(max(best, g(0.5 * (lo + hi)))))
 
 
 def level_samples(spec, k, radius, samples, seed):
@@ -435,10 +465,11 @@ def level_samples(spec, k, radius, samples, seed):
 
 
 def sampled_levels(spec, k_max, samples=200, cutoff=None, seed=0):
-    """The level brackets of solve.estimate_levels, with the sphere minima
-    of sphere_minimum and every sample point built as a pair and evaluated
-    alone, in sample order.  At p = q with r = 1 the p sphere problem is the
-    q problem, climbed once, and its minimum and minimizer serve both."""
+    """The level brackets of solve.estimate_levels, with every sample point
+    built as a pair and evaluated alone, in sample order.  The sphere
+    minima behind each radius are the library's solve._sphere_extremals,
+    as its lower curve constant is the library's (both are checked against
+    the first-order ascent in test_solver)."""
     cutoff = cutoff or CutoffConfig.default_for(spec)
     pt = region.PQPoint(p=spec.p, q=spec.q, N=spec.domain.dim)
     _, _, alpha = region.growth_exponents(pt, spec.r)
@@ -446,21 +477,13 @@ def sampled_levels(spec, k_max, samples=200, cutoff=None, seed=0):
     c0 = _forcing_size(spec)
     m_exp = min(spec.p, spec.q) + 1.0
     brackets = []
-    warm_q = warm_p = None
+    minima = solve._sphere_extremals(spec, k_max, seed)
     prev_best_point = None
     prev_upper = -math.inf
     for k in range(1, k_max + 1):
-        cq, warm_q = sphere_minimum(
-            spec, k, spec.q, spec.r, seed=seed + 17 * k, warm_start=warm_q
-        )
-        if spec.p == spec.q and spec.r == 1.0:  # the p problem is the q problem
-            cp, warm_p = cq, warm_q
-        else:
-            cp, warm_p = sphere_minimum(
-                spec, k, spec.p, 2.0 - spec.r, seed=seed + 17 * k + 1, warm_start=warm_p
-            )
-        c_k = min(cq / (spec.q + 1.0), cp / (spec.p + 1.0))
-        radius = 2.0 * (1.0 / (2.0 * c_k)) ** (1.0 / (m_exp - 2.0))
+        (log_cq, _), (log_cp, _) = minima[k - 1]
+        log_ck = min(log_cq - math.log(spec.q + 1.0), log_cp - math.log(spec.p + 1.0))
+        radius = 2.0 * math.exp(-(math.log(2.0) + log_ck) / (m_exp - 2.0))
         points = []
         if prev_best_point is not None:
             points.append(prev_best_point)

@@ -354,12 +354,14 @@ class TestCommands:
             # side lengths whose (pi/L)^2 overflows, or underflows to 0
             ("solve", {"lengths": [1e-300]}, {}, "give eigenvalues above the float range"),
             ("solve", {"lengths": [1e300]}, {}, "give eigenvalues below the float range"),
-            # in range, but the level brackets' growth constants leave it
-            ("levels", {"lengths": [1e150], "n": 8}, {},
-             "error: lower growth curve coefficients overflow at eigenvalue growth "
-             "constant 9.869604401089357e-300"),
+            # in range, but the level brackets leave it: levels scale as
+            # L^-3 here, so gamma is 8.7e449 on [1e-150], and on [1e-80]
+            # the sample energies overflow in their grid powers
+            ("levels", {"lengths": [1e-150], "n": 8}, {},
+             "error: lower growth constant leaves the float range at eigenvalue growth "
+             "constant 9.869604401089357e+300"),
             ("levels", {"lengths": [1e-80], "n": 8}, {},
-             "error: projected ascent: a step's weighted norm is 0 or overflows"),
+             "error: level bracket at k=1: upper is not finite (-inf)"),
             # each level draws every sample, so the count bounds the run time
             ("levels", {"n": 8}, {"levels": {"samples": 10**6 + 1}},
              "levels section: field 'samples' must be at most 1000000, got 1000001"),

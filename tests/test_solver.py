@@ -40,7 +40,6 @@ from oracles import (
     grid_data,
     grid_points,
     power_moment,
-    projected_ascent,
     sampled_levels,
     sequential_newton,
     shooting_solution,
@@ -132,7 +131,9 @@ def test_tables_match_dense_oracle(lengths, oversample):
 
 
 def test_gathers_are_built_by_the_first_jacobian():
-    """Work that needs no Jacobian never holds the 2^d gather-index arrays."""
+    """Work that needs no Galerkin matrix never holds the 2^d gather-index
+    arrays: the Newton operator needs them, and so do the level searches'
+    Newton steps on the full basis."""
     from indefsaddle import solve
 
     spec = ProblemSpec.create(BoxDomain((1.0, 2.5)), n=12, r=1.0, p=3.0, q=3.0, h=[0.05])
@@ -140,10 +141,12 @@ def test_gathers_are_built_by_the_first_jacobian():
     z = FieldPair(mode, 2.0 * mode, spec.r)
     verify_critical(z, spec)
     energy(z, spec)
-    estimate_levels(spec, k_max=2, samples=5)
     assert "gathers" not in vars(spec.tables)
     solve._schur(Evaluation.at(z, spec))  # the Newton operator, as matrices at this n
     assert len(spec.tables.gathers) == 4
+    levels = ProblemSpec.create(BoxDomain((1.0, 2.5)), n=12, r=1.0, p=3.0, q=3.0)
+    estimate_levels(levels, k_max=2, samples=5)
+    assert len(levels.tables.gathers) == 4
 
 
 @pytest.mark.parametrize("lengths, n", [((math.pi,), 64), ((math.pi,), 127), ((1.0, 2.5), 40), ((1.0, 1.3, 2.0), 30)])
@@ -1597,20 +1600,20 @@ class TestLevels:
         "r, p, q, forcing, samples, want",
         [
             (0.8, 3.0, 3.0, 0.05, 50, [
-                (1, 0.7220051300678091, 0.9024773002849439, 4.093306831785953,
+                (1, 0.7197541360174309, 0.9024773002849439, 4.093306831785953,
                  8.786911092751374, -0.24014264320026285),
-                (2, 3.3174644208332507, 10.911005365255964, 21.604602983049187,
-                 235.5398953258938, -1.3965831436975478),
-                (3, 8.094817161779362, 58.7313406136865, 57.16962080626082,
-                 1639.8997336464513, -4.215324398544569),
+                (2, 3.3071215681821404, 10.91100536525597, 21.604602983049197,
+                 235.53989532589407, -1.3965831436975478),
+                (3, 8.069579965378344, 58.731340613686505, 57.169620806260816,
+                 1639.899733646451, -4.215324398544576),
             ]),
             (1.0, 2.0, 5.0, None, 200, [
-                (1, 0.8301244626206904, -219.40971375337918, 23.68705056261445,
-                 280.5381821779267, -244.13945481734584),
-                (2, 3.3204978504827616, -219.40971375337918, 1515.9712360073231,
-                 1149084.3942007856, -418.73857709677543),
-                (3, 7.471120163586214, -219.40971375337918, 5174.107512797883,
-                 13385694.276995746, -418.73857709677543),
+                (1, 0.829347873413595, -219.40971375337938, 23.687050562614456,
+                 280.5381821779269, -244.1394548173462),
+                (2, 3.31739149365438, -219.40971375337938, 1515.9712360073233,
+                 1149084.3942007858, -418.73857709677577),
+                (3, 7.464130860722355, -219.40971375337938, 17267.85986014594,
+                 149089492.0748197, -418.73857709677577),
             ]),
         ],
     )
@@ -1618,14 +1621,51 @@ class TestLevels:
         self, r, p, q, forcing, samples, want
     ):
         """Only p = q with r = 1 climbs one problem per ascent stage.  At
-        p = q with r = 0.8 and at (2, 5) each stage climbs two, and the 1-D
-        n = 32 brackets (k_max 3, seed 0) keep the bits that they had when
-        every stage climbed two problems."""
+        p = q with r = 0.8 and at (2, 5) each stage climbs two; the 1-D
+        n = 32 brackets (k_max 3, seed 0) are pinned as the Newton-step
+        ascents give them."""
         spec = ProblemSpec.create(BoxDomain((math.pi,)), n=32, r=r, p=p, q=q)
         if forcing is not None:
             spec = spec.with_forcing(h=[forcing], k=[forcing])
         got = estimate_levels(spec, k_max=3, samples=samples, seed=0)
         assert [tuple(map(repr, b)) for b in got] == [tuple(map(repr, b)) for b in want]
+
+    @pytest.mark.parametrize("scale", [1e-80, 1e-40, 1e40, 1e100, 1e150])
+    def test_rescaled_boxes_are_dilations(self, scale):
+        """On the box of side pi s, solutions are dilations of those on
+        (0, pi): levels, energies and the lower curve scale by s^(N-2-a-b)
+        and radii by its square root, a = 2(p+1)/(pq-1), b = 2(q+1)/(pq-1)
+        (s^-3 and s^-1.5 at N = 1, p = q = 3).  The ascents are scale-free
+        and the lower curve is formed in logs, so gamma follows to 1e-10
+        wherever s^-3 gamma is a normal float, and the brackets run to the
+        end with radii that follow too; at s = 1e150 the levels underflow
+        to 0.  At s = 1e-80 the sample energies overflow (see CHANGES.md),
+        so there the radius is read from the sphere minima."""
+        from indefsaddle import solve
+
+        def spec(length):
+            return ProblemSpec.create(BoxDomain((length,)), 8, 1.0, 3.0, 3.0)
+
+        base, scaled = spec(math.pi), spec(math.pi * scale)
+        gamma = solve.lower_growth_constant(base)
+        want = gamma * scale**-3.0
+        got = solve.lower_growth_constant(scaled)
+        if want > 1e-300:
+            assert got == pytest.approx(want, rel=1e-10)
+        else:
+            assert 0.0 <= got < 1e-300
+        for (log_q, _), (log_base, _) in zip(
+            (level[0] for level in solve._sphere_extremals(scaled, 5, 0)),
+            (level[0] for level in solve._sphere_extremals(base, 5, 0)),
+        ):
+            # c_k scales by s^3, and R_k = 2 (2 c_k / 4)^-1/2 by s^-1.5
+            assert log_q == pytest.approx(log_base + 3.0 * math.log(scale), abs=1e-10 * abs(log_q))
+        if scale == 1e-80:
+            return
+        brackets = estimate_levels(scaled, samples=20)
+        for b, a in zip(brackets, estimate_levels(base, samples=20)):
+            assert all(math.isfinite(x) for x in b)
+            assert b.radius == pytest.approx(a.radius * scale**-1.5, rel=1e-10)
 
     def test_lower_curve_exponent_exact(self, cubic_spec):
         brackets = estimate_levels(cubic_spec, k_max=5, samples=20, seed=0)
@@ -1827,20 +1867,17 @@ class TestSampleBound:
         from indefsaddle import solve
 
         tiny = 1e-308
-        real_extremals, real_minimum = solve._sphere_extremals, oracles.sphere_minimum
+        real_extremals = solve._sphere_extremals
 
-        def extremals(spec, active, seed, warm_q, warm_p):
-            (cq, warm_q), (cp, warm_p) = real_extremals(spec, active, seed, warm_q, warm_p)
-            if active == 2:
-                cq, cp = tiny * (spec.q + 1.0), tiny * (spec.p + 1.0)
-            return [(cq, warm_q), (cp, warm_p)]
-
-        def minimum(spec, active, exponent, order, seed, warm_start=None):
-            val, point = real_minimum(spec, active, exponent, order, seed, warm_start)
-            return (tiny * (exponent + 1.0) if active == 2 else val), point
+        def extremals(spec, k_max, seed):
+            minima = real_extremals(spec, k_max, seed)
+            (_, point_q), (_, point_p) = minima[1]
+            minima[1] = [
+                (math.log(tiny * (spec.q + 1.0)), point_q), (math.log(tiny * (spec.p + 1.0)), point_p)
+            ]
+            return minima
 
         monkeypatch.setattr(solve, "_sphere_extremals", extremals)
-        monkeypatch.setattr(oracles, "sphere_minimum", minimum)
         with warnings.catch_warnings(), np.errstate(all="ignore"):
             warnings.simplefilter("ignore", RuntimeWarning)
             want = sampled_levels(cubic_spec, 3, 50)
@@ -1856,303 +1893,205 @@ class TestSampleBound:
 
 
 class TestBatchedAscent:
-    """The level searches run their ascents in stages, the q and p problems
-    of one stage as two groups of rows of one stack, or as one group at
-    p = q with r = 1, where the two problems are one; every row takes the
-    path the per-start oracle takes alone, bit for bit, a row that has
-    stopped is not evaluated again, and groups of one value function (the
-    sphere stages at p = q with r != 1) share its calls while their running
-    rows fit energy._stack_rows."""
+    """The level searches climb each stage's problems by Riemannian Newton
+    steps (solve._ascend), from the starts, seeds and warm starts that the
+    first-order ascent (oracles.projected_ascent) climbed from: the
+    Gagliardo-Nirenberg constants converge to local maxima at or above what
+    10,000 first-order steps reach, and the sphere minima are the
+    first-order oracle's."""
 
-    @pytest.fixture
-    def moment_calls(self, monkeypatch):
-        """(exponent, rows) of every _power_moment call, in call order."""
+    PI = math.pi
+    # (lengths, n, r, p, q): the GN and sphere checks; the last runs from
+    # solve._KRYLOV_N on, with Hessian products on the grid
+    SPECS = [
+        ((PI,), 32, 1.0, 3.0, 3.0),
+        ((PI, PI), 64, 1.0, 3.0, 3.0),
+        ((PI,), 32, 1.0, 2.0, 5.0),
+        ((PI, PI), 128, 1.0, 3.0, 3.0),
+    ]
+
+    @staticmethod
+    def spec(lengths, n, r, p, q):
+        return ProblemSpec.create(BoxDomain(lengths), n, r, p, q)
+
+    @staticmethod
+    def problems(spec):
+        """The GN problems of spec: (exponent, order, interpolation exponent)."""
+        from indefsaddle.region import PQPoint, interpolation_exponents
+
+        theta, zeta = interpolation_exponents(PQPoint(spec.p, spec.q, spec.domain.dim), spec.r)
+        return theta, zeta, [(spec.q, spec.r, theta), (spec.p, 2.0 - spec.r, zeta)]
+
+    @staticmethod
+    def tangent(spec, exponent, order, t, c):
+        """The tangent gradient of log S at the unit point c, the size of the
+        terms it sums, and the tangent Hessian P H P, dense at every n."""
+        from indefsaddle import solve
+
+        n = spec.n
+        modes = solve._Modes(spec, n)
+        modes.dense = True
+        rows = solve._Rows(
+            modes, np.array([exponent]), np.array([1.0 / (exponent + 1.0)]),
+            np.array([[t / 2.0, (1.0 - t) / 2.0]]),
+            np.array([[np.ones(n), spec.basis.eigenvalues**order]]), np.ones((1, n), dtype=bool),
+        )
+        C = c[None] / np.linalg.norm(c)
+        _, _, at = rows.value(C)
+        cv = rows.curvature(C, at)
+        vals, low, M, Q = at
+        # the two terms that cancel in g: grad M / ((e+1) M) and the weights'
+        moment = np.linalg.norm(modes.pairings(rows.high * low * vals)) / M[0] / (exponent + 1.0)
+        V = rows.W[0] * C[0] / Q[0][:, None]
+        size = moment + np.linalg.norm(2.0 * rows.B[0] @ V)
+        php = C[0][:, None] * C[0][None, :] - cv["A0"][0]  # A0 = c c^T - P H P
+        return cv["g"][0], size, php
+
+    @pytest.mark.parametrize("case", SPECS)
+    def test_gn_constants_converge(self, case):
+        """Each constant is at least the 10,000-step first-order ascent's
+        from the same starts (1e-12 relative), at most 1e-5 above it, and
+        its point is stationary (tangent gradient below 1e-8 of the two
+        terms that cancel in it)
+        and a local maximum (the tangent Hessian's eigenvalues at most
+        roundoff).  From _KRYLOV_N on, 10,000 first-order steps take
+        seconds and stop short of the maximum, so there the reference runs
+        2,000 steps and bounds the constant from below only."""
+        from oracles import gn_constant
+
+        from indefsaddle import solve
+
+        spec = self.spec(*case)
+        theta, zeta, problems = self.problems(spec)
+        seen = {}
+        real = solve._ascend
+
+        def ascend(spec, m, groups):
+            best = real(spec, m, groups)
+            seen.update(points=[c for _, c, _ in best], capped=[k for *_, k in best])
+            return best
+
+        try:
+            solve._ascend = ascend
+            logs = solve._gn_constants(spec, theta, zeta, 0)
+        finally:
+            solve._ascend = real
+        if len(seen["points"]) == 1:  # p = q, r = 1: one problem
+            problems = problems[:1]
+        krylov = spec.n >= solve._KRYLOV_N
+        for i, (exponent, order, t) in enumerate(problems):
+            want = gn_constant(spec, exponent, order, t, i, 2_000 if krylov else 10_000)[0]
+            got = math.exp(logs[i])
+            assert want * (1.0 - 1e-12) <= got <= (math.inf if krylov else want * (1.0 + 1e-5))
+            g, size, php = self.tangent(spec, exponent, order, t, seen["points"][i])
+            assert np.linalg.norm(g) <= 1e-8 * size
+            assert np.linalg.eigvalsh(php).max() <= 1e-10 * np.abs(php).max()
+
+    @pytest.mark.parametrize("case", SPECS)
+    def test_sphere_minima_match_oracle(self, case):
+        """At k = 2..5 each level's sphere minima are the first-order
+        oracle's from the same starts, to 1e-12 relative; the oracle runs
+        from the library's warm starts."""
+        from oracles import sphere_minimum
+
+        spec = self.spec(*case)
+        minima = _sphere_extremals_of(spec, 5, 0)
+        for k in range(2, 6):
+            for i, (exponent, order) in enumerate([(spec.q, spec.r), (spec.p, 2.0 - spec.r)]):
+                log_c, _ = minima[k - 1][i]
+                warm = minima[k - 2][i][1][: k - 1]
+                want, _ = sphere_minimum(spec, k, exponent, order, 17 * k + i, warm)
+                assert math.exp(log_c) == pytest.approx(want, rel=1e-12)
+
+    def test_one_mode_sphere_takes_no_step(self, cubic_spec, monkeypatch):
+        """At k = 1 the sphere is two points: the stage evaluates its 10
+        starts once, as one stack, and takes no step."""
         from indefsaddle import solve
 
         calls = []
-        real = solve._power_moment
+        real = solve._Rows.value
 
-        def counting(spec, coeffs, exponent):
-            calls.append((exponent, len(coeffs)))
-            return real(spec, coeffs, exponent)
+        def value(self, C):
+            calls.append(len(C))
+            return real(self, C)
 
-        monkeypatch.setattr(solve, "_power_moment", counting)
-        return calls
-
-    @pytest.fixture
-    def point_calls(self, monkeypatch):
-        """The exponent of every oracles.power_moment call, in call order."""
-        import oracles
-
-        calls = []
-        real = oracles.power_moment
-
-        def counting(spec, coeffs, exponent):
-            calls.append(exponent)
-            return real(spec, coeffs, exponent)
-
-        monkeypatch.setattr(oracles, "power_moment", counting)
-        return calls
-
-    @staticmethod
-    def gn_ratio(spec, exponent, order, theta):
-        """The ratio that _gn_constants climbs, at one point, and its weights."""
-        import oracles
-
-        weights = spec.basis.eigenvalues**order
-
-        def value_grad(c):
-            num_int, pair = oracles.power_moment(spec, c, exponent)
-            l2sq = float(np.dot(c, c))
-            sobsq = float(np.dot(weights * c, c))
-            ratio = num_int ** (1.0 / (exponent + 1.0)) / (
-                math.sqrt(l2sq) ** theta * math.sqrt(sobsq) ** (1.0 - theta)
-            )
-            return ratio, (
-                pair / ((exponent + 1.0) * num_int)
-                - theta * c / l2sq
-                - (1.0 - theta) * weights * c / sobsq
-            )
-
-        return value_grad, weights
+        monkeypatch.setattr(solve._Rows, "value", value)
+        [[(log_c, point), _]] = solve._sphere_extremals(cubic_spec, 1, 0)
+        assert calls == [10]
+        assert abs(point[0]) == 1.0
+        moment = power_moment(cubic_spec, np.eye(1, cubic_spec.n), 3.0)[0][0]
+        assert math.exp(log_c) == pytest.approx(moment * cubic_spec.basis.eigenvalues[0] ** -2, rel=1e-12)
 
     @pytest.mark.parametrize("lengths, n", [((math.pi,), 32), ((math.pi, 2.0), 24)])
-    def test_sphere_extremal_matches_oracle(self, lengths, n, moment_calls, point_calls):
-        """A mixed stage, whose p group's rows all stop before the q group's."""
+    def test_sphere_extremal_matches_oracle(self, lengths, n):
+        """A mixed stage, p != q and r != 1: the q and p minima of each
+        level, in one stack with their own weights, are the first-order
+        oracle's."""
         from oracles import sphere_minimum
-
-        from indefsaddle.solve import _sphere_extremals
 
         spec = ProblemSpec.create(BoxDomain(lengths), n=n, r=0.8, p=3.0, q=2.5)
-        active, seed = 4, 7
-        warm_q, warm_p = np.array([1.0, -0.5, 0.0, 0.25]), np.array([0.5, 0.0, -1.0, 0.25])
-        got = _sphere_extremals(spec, active, seed, warm_q, warm_p)
-        want = [
-            sphere_minimum(spec, active, spec.q, spec.r, seed, warm_q),
-            sphere_minimum(spec, active, spec.p, 2.0 - spec.r, seed + 1, warm_p),
-        ]
-        for (got_val, got_point), (val, point) in zip(got, want):
-            assert got_val == val
-            assert np.array_equal(got_point, point)
-        for exponent in (spec.q, spec.p):  # one row evaluated per oracle point
-            rows = sum(rows for e, rows in moment_calls if e == exponent)
-            assert rows == point_calls.count(exponent)
-        # the groups call apart, and the q group calls on after the last
-        # rows of the p group have stopped
-        assert all(rows <= 10 for _, rows in moment_calls)
-        last_p = max(i for i, (e, _) in enumerate(moment_calls) if e == spec.p)
-        assert last_p < len(moment_calls) - 1
+        minima = _sphere_extremals_of(spec, 4, 7)
+        for k in (2, 4):
+            for i, (exponent, order) in enumerate([(spec.q, spec.r), (spec.p, 2.0 - spec.r)]):
+                warm = minima[k - 2][i][1][: k - 1]
+                want, _ = sphere_minimum(spec, k, exponent, order, 7 + 17 * k + i, warm)
+                assert math.exp(minima[k - 1][i][0]) == pytest.approx(want, rel=1e-12)
 
     @pytest.mark.parametrize("lengths, n", [((math.pi,), 32), ((math.pi, 2.0), 24)])
-    def test_gn_constant_matches_oracle(self, lengths, n, moment_calls, point_calls):
-        """A mixed stage of two different ratios."""
-        from indefsaddle.solve import _gn_constants
+    def test_gn_constant_matches_oracle(self, lengths, n):
+        """A mixed stage of two different ratios: each constant is at least
+        the 200-step first-order ascent's, the old library's (to 1e-12
+        relative)."""
+        from oracles import gn_constant
+
+        from indefsaddle import solve
 
         spec = ProblemSpec.create(BoxDomain(lengths), n=n, r=0.8, p=3.0, q=2.5)
-        theta, zeta, seed = 0.6, 0.4, 5
-        want = []
-        for i, problem in enumerate([(spec.q, spec.r, theta), (spec.p, 2.0 - spec.r, zeta)]):
-            value_grad, weights = self.gn_ratio(spec, *problem)
-            rng = np.random.default_rng(seed + i)
-            starts = [rng.standard_normal(spec.n) for _ in range(10)]
-            want.append(max(0.0, projected_ascent(value_grad, starts, weights, 200)[0]))
-        assert _gn_constants(spec, theta, zeta, seed) == want
-        for exponent in (spec.q, spec.p):  # one row evaluated per oracle point
-            rows = sum(rows for e, rows in moment_calls if e == exponent)
-            assert rows == point_calls.count(exponent)
-
-    def test_shared_stages_match_oracle(self, interval, moment_calls, point_calls, monkeypatch):
-        """At p = q with r = 0.8 both groups of a sphere stage climb one
-        function, by one call per step while their rows fit the stack, and
-        by one call per group past it, along the oracle's paths either way;
-        the two ratios of the GN stage differ in their weights and order,
-        and call apart at either stack size."""
-        from oracles import sphere_minimum
-
-        from indefsaddle.region import PQPoint, interpolation_exponents
-        from indefsaddle.solve import _gn_constants, _sphere_extremals
-
-        spec = ProblemSpec.create(interval, n=32, r=0.8, p=3.0, q=3.0)
-        active, seed = 4, 7
-        theta, zeta = interpolation_exponents(PQPoint(3.0, 3.0, 1), spec.r)
-        warm_q, warm_p = np.array([1.0, -0.5, 0.0, 0.25]), np.array([0.5, 0.0, -1.0, 0.25])
-        want = [
-            sphere_minimum(spec, active, 3.0, spec.r, seed, warm_q),
-            sphere_minimum(spec, active, 3.0, 2.0 - spec.r, seed + 1, warm_p),
-        ]
-        want_gn = []
-        for rng, (order, t) in zip(
-            map(np.random.default_rng, (5, 6)), [(spec.r, theta), (2.0 - spec.r, zeta)]
-        ):
-            value_grad, weights = self.gn_ratio(spec, 3.0, order, t)
-            starts = [rng.standard_normal(spec.n) for _ in range(10)]
-            want_gn.append(max(0.0, projected_ascent(value_grad, starts, weights, 200)[0]))
-        oracle_rows = len(point_calls)
-        energy_module = importlib.import_module("indefsaddle.energy")
-        shapes = []  # per stack size: the rows of each call of each stage
-        for stack in (energy_module._STACK_VALUES, 15 * spec.tables.points):
-            monkeypatch.setattr(energy_module, "_STACK_VALUES", stack)
-            moment_calls.clear()
-            got = _sphere_extremals(spec, active, seed, warm_q, warm_p)
-            for (got_val, got_point), (val, point) in zip(got, want):
-                assert got_val == val
-                assert np.array_equal(got_point, point)
-            sphere = [rows for _, rows in moment_calls]
-            moment_calls.clear()
-            assert _gn_constants(spec, theta, zeta, 5) == want_gn
-            shapes.append((sphere, [rows for _, rows in moment_calls]))
-        (sphere, gn), (capped_sphere, capped_gn) = shapes
-        assert sum(sphere + gn) == sum(capped_sphere + capped_gn) == oracle_rows
-        # one call of all running rows per step
-        assert sphere[0] == 20 and sphere == sorted(sphere, reverse=True)
-        # 15 rows a stack: a call per group (10 rows at most) while more
-        # than 15 rows run, then one call of them all
-        calls = iter(capped_sphere)
-        for running in sphere:
-            rows = next(calls)
-            assert rows == running if running <= 15 else rows + next(calls) == running
-        assert next(calls, None) is None and max(capped_sphere) > 10
-        # a call per group and step (every GN row runs 200 steps)
-        assert gn == capped_gn == [10] * 402
+        theta, zeta, problems = self.problems(spec)
+        got = solve._gn_constants(spec, theta, zeta, 5)
+        for i, (exponent, order, t) in enumerate(problems):
+            want = gn_constant(spec, exponent, order, t, 5 + i, 200)[0]
+            assert want * (1.0 - 1e-12) <= math.exp(got[i])
 
     @pytest.mark.parametrize("lengths, n", [((math.pi,), 32), ((math.pi, 2.0), 24)])
-    def test_one_problem_per_stage_at_p_equal_q_and_r_1(
-        self, lengths, n, moment_calls, point_calls
-    ):
-        """At p = q with r = 1 the q and p problems of a stage are one: the
-        stage climbs the q problem's 10 starts (warm start and seeds) once,
-        and returns its value, and its point, for both, bit for bit the
-        oracle's q problem."""
-        from oracles import sphere_minimum
-
-        from indefsaddle.region import PQPoint, interpolation_exponents
-        from indefsaddle.solve import _gn_constants, _sphere_extremals
+    def test_one_problem_per_stage_at_p_equal_q_and_r_1(self, lengths, n, monkeypatch):
+        """At p = q with r = 1 the q and p problems of a stage are one: each
+        stage climbs the q problem's 10 starts once, and returns its value
+        and point for both halves."""
+        from indefsaddle import solve
 
         spec = ProblemSpec.create(BoxDomain(lengths), n=n, r=1.0, p=3.0, q=3.0)
-        active, seed = 4, 7
-        warm_q, warm_p = np.array([1.0, -0.5, 0.0, 0.25]), np.array([0.5, 0.0, -1.0, 0.25])
-        val, point = sphere_minimum(spec, active, 3.0, 1.0, seed, warm_q)
-        got = _sphere_extremals(spec, active, seed, warm_q, warm_p)
-        assert len(got) == 2
-        for got_val, got_point in got:
-            assert got_val == val
-            assert np.array_equal(got_point, point)
-        theta, zeta = interpolation_exponents(PQPoint(3.0, 3.0, len(lengths)), 1.0)
-        assert theta == zeta
-        value_grad, weights = self.gn_ratio(spec, 3.0, 1.0, theta)
-        rng = np.random.default_rng(5)
-        starts = [rng.standard_normal(spec.n) for _ in range(10)]
-        want_gn = max(0.0, projected_ascent(value_grad, starts, weights, 200)[0])
-        assert _gn_constants(spec, theta, zeta, 5) == [want_gn, want_gn]
-        # one row evaluated per oracle point of the q problem alone, and no
-        # call of more than its 10 rows
-        assert sum(rows for _, rows in moment_calls) == len(point_calls)
-        assert max(rows for _, rows in moment_calls) == 10
+        stages = []
+        real = solve._ascend
 
-    @staticmethod
-    def staged_levels(spec, moment_calls, monkeypatch):
-        """Run estimate_levels on spec (k_max 5, no samples), and return the
-        start counts of the groups of each ascent stage, and the rows of the
-        calls that the per-start oracle's running rows give, where one call
-        per step serves the groups of one value function."""
-        from indefsaddle import solve
+        def ascend(spec, m, groups):
+            stages.append([len(g.starts) + (g.warm is not None) for g in groups])
+            return real(spec, m, groups)
 
-        real = solve._projected_ascent
-        stages, want = [], []
-
-        def staged(groups, iters, cap):
-            mark = len(moment_calls)
-            evaluations = {}  # of each start alone, by the oracle, per value function
-            for value_grad, starts, weights in groups:
-                for start in starts:
-                    calls = []
-
-                    def point(c, value_grad=value_grad, calls=calls):
-                        calls.append(1)
-                        vals, grads = value_grad(c[None])
-                        return vals[0], grads[0]
-
-                    projected_ascent(point, [start], weights, iters)
-                    evaluations.setdefault(id(value_grad), []).append(len(calls))
-            del moment_calls[mark:]
-            stages.append([len(starts) for _, starts, _ in groups])
-            for step in range(max(max(e) for e in evaluations.values())):
-                for e in evaluations.values():
-                    running = sum(n > step for n in e)
-                    if running:
-                        want.append(running)
-            return real(groups, iters, cap)
-
-        monkeypatch.setattr(solve, "_projected_ascent", staged)
-        estimate_levels(spec, k_max=5, samples=0)
-        return stages, want
-
-    def test_levels_call_once_per_step_at_p_equal_q(self, cubic_spec, moment_calls, monkeypatch):
-        """At 1-D n = 32, p = q = 3, r = 1, each of the six stages of
-        estimate_levels climbs one group of 10 starts, and every step makes
-        one call, of the rows still running: as many rows as the per-start
-        oracle has running."""
-        stages, want = self.staged_levels(cubic_spec, moment_calls, monkeypatch)
-        assert stages == [[10]] * 6
-        assert [rows for _, rows in moment_calls] == want
-
-    def test_levels_share_sphere_calls_at_p_equal_q_off_r_1(
-        self, interval, moment_calls, monkeypatch
-    ):
-        """At 1-D n = 32, p = q = 3, r = 0.8, each of the six stages climbs
-        two groups of 10 starts.  The two groups of each sphere stage share
-        one call per step, of the rows of both still running; the GN stage's
-        two ratios make a call each."""
-        spec = ProblemSpec.create(interval, n=32, r=0.8, p=3.0, q=3.0)
-        stages, want = self.staged_levels(spec, moment_calls, monkeypatch)
-        assert stages == [[10, 10]] * 6
-        got = [rows for _, rows in moment_calls]
-        assert got == want
-        assert max(got) == 20
-
-    def test_levels_calls_stay_within_the_stack_in_2d(self, moment_calls):
-        """At 2-D n = 64, p = q = 3, r = 0.8 the 20 rows of a sphere stage
-        exceed the stack size, so each group calls alone until they fit."""
-        from indefsaddle.energy import _stack_rows
-
-        spec = ProblemSpec.create(BoxDomain((math.pi, math.pi)), n=64, r=0.8, p=3.0, q=3.0)
-        assert _stack_rows(spec) < 10
-        estimate_levels(spec, k_max=5, samples=0)
-        assert max(rows for _, rows in moment_calls) == 10
-
-    def test_rows_capped_by_iters_match_oracle(self, cubic_spec):
-        """Rows that stop on the step count, not the step size, stop alike;
-        of the exactly tied mirror rows c and -c the first one wins."""
-        from indefsaddle.solve import _power_moment, _projected_ascent
-
-        def rows_value_grad(C):
-            return _power_moment(cubic_spec, C, 3.0)
-
-        def point_value_grad(c):
-            return power_moment(cubic_spec, c, 3.0)
-
-        rng = np.random.default_rng(2)
-        starts = []
-        for _ in range(3):
-            c = rng.standard_normal(cubic_spec.n)
-            starts += [c, -c]
-        weights = cubic_spec.basis.eigenvalues
-        for iters in (1, 3, 8):
-            val, point = projected_ascent(point_value_grad, starts, weights, iters)
-            [(got_val, got_point)] = _projected_ascent(
-                [(rows_value_grad, starts, weights)], iters, len(starts)
-            )
-            assert got_val == val
-            assert np.array_equal(got_point, point)
+        monkeypatch.setattr(solve, "_ascend", ascend)
+        theta, zeta, _ = self.problems(spec)
+        log_q, log_p = solve._gn_constants(spec, theta, zeta, 5)
+        assert log_q == log_p
+        for (log_cq, cq), (log_cp, cp) in solve._sphere_extremals(spec, 4, 7):
+            assert log_cq == log_cp and np.array_equal(cq, cp)
+        assert stages == [[10], [10] * 4]
 
     def test_one_overflowing_row_raises(self, cubic_spec):
-        from indefsaddle.solve import _power_moment
+        """A start whose norm overflows has no point on the sphere."""
+        from indefsaddle import solve
 
-        coeffs = np.zeros((3, cubic_spec.n))
-        coeffs[:, 0] = [1.0, 1e200, 2.0]
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(ValueError, match="coefficients must be finite"):
-                _power_moment(cubic_spec, coeffs, 3.0)
+        starts = np.zeros((3, cubic_spec.n))
+        starts[:, 0] = [1.0, 1e200, 2.0]
+        starts[1, 1] = 1e200
+        group = solve._Group(3.0, -1.0, [(-2.0, cubic_spec.basis.eigenvalues)], list(starts), cubic_spec.n)
+        with pytest.raises(ValueError, match="norm is 0 or not finite"):
+            solve._ascend(cubic_spec, cubic_spec.n, [group])
+
+
+def _sphere_extremals_of(spec, k_max, seed):
+    from indefsaddle import solve
+
+    return solve._sphere_extremals(spec, k_max, seed)
 
 
 class TestVerifyCritical:
