@@ -469,26 +469,6 @@ class GridTables:
         block *= self.block_scale
         return block
 
-    def galerkin_stack(self, values: np.ndarray) -> np.ndarray:
-        """galerkin of a stack of rows, whose cosine moments are contracted
-        and gathered for all rows at once: each matrix is its row's up to
-        roundoff, as the shared calls sum in another order (in 1-D it is
-        galerkin's own)."""
-        if self.slots is None:
-            return self.galerkin(values)
-        lead = values.shape[: values.ndim - len(self.modes)]
-        moments = _contract(values, lead, values.shape[len(lead) :], [t.T for t in self.cosines])
-        moments = moments.reshape(*lead, -1)
-        (_, first), *rest = self.gathers
-        block = moments[..., first]
-        for positive, index in rest:
-            if positive:
-                block += moments[..., index]
-            else:
-                block -= moments[..., index]
-        block *= self.block_scale
-        return block
-
     def _toeplitz_minus_hankel(self, moments: np.ndarray) -> np.ndarray:
         """The 1-D blocks (m_|a-b| - m_(a+b)) * block_scale, for the modes
         a, b of the basis and each row of cosine moments m_0, m_1, ..., bit

@@ -226,6 +226,25 @@ def _value(x):
     return x.item() if x.ndim == 0 else x
 
 
+def _power_integral(tables, vals: np.ndarray, e: float) -> np.ndarray:
+    """The quadrature integral of |vals|^e, one per row.  A row whose powers
+    pass the float range while its values do not is integrated over its
+    largest |value| and the power of that scale added in logs, so that its
+    integral is finite wherever it lies in the float range; every other row
+    keeps the bits of the plain sum."""
+    size = np.abs(vals)
+    with np.errstate(over="ignore"):
+        total = np.asarray(tables.integrate(size**e))
+    over = np.isposinf(total)
+    if not over.any():
+        return total
+    size = size.reshape(*total.shape, -1)
+    top = size.max(axis=-1)
+    with np.errstate(all="ignore"):  # the rows that stay read NaN here
+        scaled = np.log(tables.integrate((size / top[..., None]) ** e)) + e * np.log(top)
+        return np.where(over & np.isfinite(top), np.exp(scaled), total)
+
+
 def _hypot1(e):
     """sqrt(E^2 + 1) elementwise, as |E| from |E| = 2^27 on: there
     fl(E E + 1) = fl(E E), whose root is |E| bit for bit, and E E may overflow."""
@@ -236,13 +255,10 @@ def _hypot1(e):
 
 # 64 KB per float array of one evaluated stack: larger stacks are no faster,
 # and raise the peak RSS of a level search (by 9 MB for 221 rows of 2-D n = 64).
-# The level ascents share a power-moment call between the two problems of a
-# stage only while their rows fit this size.  On a 2-core x86-64 VM, shared
-# 20-row calls in 2-D at n = 64 (arrays of 203 KiB) made that levels command
-# 1.2 times slower: median 0.205 against 0.171 s, slower in 12 of 12
-# alternating pairs of runs.  Whether glibc's 128 KiB mmap threshold is the
-# cause is open: raising it by environment variable removed the slowdown in
-# one series of runs and not in a later one.
+# It bounds the rows of every stack of grid values (_stack_rows): the Newton
+# iterates and the level samples; twice over, the level ascents' chunks of
+# at least 10 starts and the m x m matrices of a chunk of their Newton steps
+# (solve._Rows.powers, solve._Modes.block_rows).
 _STACK_VALUES = 1 << 13
 
 
@@ -318,10 +334,10 @@ class Evaluation:
     def terms(self):
         """The nonlinear part, the forcing-free energy and the forcing pairing."""
         spec, tables = self.spec, self.spec.tables
-        tq = tables.integrate(np.abs(self.u_vals) ** (spec.q + 1.0)) / (spec.q + 1.0)
+        tq = _power_integral(tables, self.u_vals, spec.q + 1.0) / (spec.q + 1.0)
         tp = tq
         if not self.diagonal:
-            tp = tables.integrate(np.abs(self.v_vals) ** (spec.p + 1.0)) / (spec.p + 1.0)
+            tp = _power_integral(tables, self.v_vals, spec.p + 1.0) / (spec.p + 1.0)
         form = _row_dots(spec.basis.eigenvalues * self.u, self.v)
         forcing = _row_dots(spec.k.coeffs, self.u) + _row_dots(spec.h.coeffs, self.v)
         return _value(tq + tp), _value(form - tq - tp), _value(forcing)

@@ -951,7 +951,7 @@ class _Modes:
     """The first m modes of a problem on its grid tables: the grid values of
     coefficient rows, the pairings of grid values with each mode and, below
     _KRYLOV_N, the Galerkin matrices of a stack of grid multipliers.  All n
-    modes read the tables (basis.GridTables.galerkin_stack); fewer, below
+    modes read the tables (basis.GridTables.galerkin); fewer, below
     _KRYLOV_N, read the modes' own grid values, an m x points matrix, so
     that a Galerkin matrix is built as its m x m block only; from _KRYLOV_N
     on, rows are zero-padded to the basis, pairings are cut to m modes, and
@@ -960,18 +960,17 @@ class _Modes:
     def __init__(self, spec: ProblemSpec, m: int):
         self.tables, self.m, self.n = spec.tables, m, spec.n
         self.dense = m < _KRYLOV_N
+        # m x m matrices per chunk of a stack: 16 at m = 32, 4 at m = 64
+        self.block_rows = max(1, 2 * _STACK_VALUES // m**2)
         self.grid = grid_shape(spec.basis, spec.oversample)
         self.phi = None
         if self.dense and m < spec.n:
             self.phi = self.tables.evaluate(np.eye(m, spec.n)).reshape(m, -1)
-            # the products phi_k phi_l on the grid, where they take at most
-            # 16 _STACK_VALUES values (1 MB), so that a Galerkin block is one
-            # product with no m x points array per row
-            points = self.phi.shape[1]
-            self.pairs = (
-                (self.phi[:, None, :] * self.phi[None, :, :]).reshape(m * m, points).T
-                if m * m * points <= 16 * _STACK_VALUES else None
-            )
+            # the products phi_k phi_l on the grid, in blocks of modes k of
+            # at most 16 _STACK_VALUES values (1 MB), kept where one block
+            # holds them all
+            self.block = max(1, 16 * _STACK_VALUES // (m * self.phi.shape[1]))
+            self.pairs = self._pairs(0) if self.block >= m else None
 
     def evaluate(self, C: np.ndarray) -> np.ndarray:
         if self.phi is not None:
@@ -985,24 +984,31 @@ class _Modes:
             return self.tables.weight * np.matmul(V.reshape(len(V), -1), self.phi.T)
         return self.tables.pairings(V)[:, : self.m]
 
+    def _pairs(self, k: int) -> np.ndarray:
+        """The products phi_k phi_l of the block of modes from k, a column each."""
+        phi = self.phi
+        return (phi[k : k + self.block, None, :] * phi[None, :, :]).reshape(-1, phi.shape[1]).T
+
     def galerkin(self, V: np.ndarray) -> np.ndarray:
         if self.phi is None:
-            return self.tables.galerkin_stack(V)
-        V, (m, points) = V.reshape(len(V), -1), self.phi.shape
-        if self.pairs is not None:
-            return (self.tables.weight * np.matmul(V, self.pairs)).reshape(len(V), m, m)
-        # in row chunks of at most 16 _STACK_VALUES products
-        size = max(1, 16 * _STACK_VALUES // (m * points))
-        return self.tables.weight * np.concatenate([
-            np.matmul(self.phi * V[i : i + size, None, :], self.phi.T) for i in range(0, len(V), size)
-        ])
+            return self.tables.galerkin(V)
+        V = V.reshape(len(V), -1)
+        blocks = [
+            np.matmul(V, self._pairs(k) if self.pairs is None else self.pairs)
+            for k in range(0, self.m, self.block)
+        ]
+        return (self.tables.weight * np.concatenate(blocks, axis=1)).reshape(len(V), self.m, self.m)
 
 
 class _Rows:
     """The rows of a stage of _ascend, each with its log-ratio f(c) = a log
     M(c) - sum_i b_i log Q_i(c), where M(c) = int |w|^(e+1) of the field w
     of coefficients c and Q_i(c) = sum_k w_ik c_k^2: the row parameters,
-    shaped to broadcast, with `value` and `curvature` at unit rows."""
+    shaped to broadcast, with `value` and `curvature` at unit rows.  Both
+    synthesize the grid values of a stack in chunks of rows: 10 rows (the
+    starts of one problem) or as many as hold two _STACK_VALUES values
+    (128 KB), whichever is more.  value keeps them for curvature only where
+    one chunk holds the stack."""
 
     def __init__(self, modes: _Modes, e, a, B, W, mask):
         self.modes, self.a, self.B, self.W, self.mask = modes, a, B, W, mask
@@ -1022,22 +1028,32 @@ class _Rows:
         """The least and largest |.| of D over each row's active modes."""
         return np.where(self.mask, D, math.inf).min(axis=1), np.where(self.mask, np.abs(D), 0.0).max(axis=1)
 
+    def powers(self, C: np.ndarray):
+        """For each chunk of the unit rows C: its rows, the grid values w
+        and |w|^(e-1)."""
+        size = max(10, 2 * _STACK_VALUES // self.modes.tables.points)
+        for i in range(0, len(C), size):
+            at = slice(i, i + size)
+            vals = self.modes.evaluate(C[at])
+            yield at, vals, np.abs(vals) ** self.low_power[at]
+
     def value(self, C: np.ndarray):
         """f at the unit rows C, a few ulps of its terms (the size of its
-        roundoff), and the grid values, |w|^(e-1), M and Q behind them."""
-        vals = self.modes.evaluate(C)
-        size = np.abs(vals)
-        low = size**self.low_power
-        size *= size
-        size *= low  # |w|^(e+1), in place
-        M = self.modes.tables.integrate(size)
+        roundoff), and what curvature reads: the M and Q behind them and,
+        for a stack of one chunk, its grid values and |w|^(e-1)."""
+        M, kept = np.empty(len(C)), None
+        for at, vals, low in self.powers(C):
+            size = vals * vals
+            size *= low  # |w|^(e+1)
+            M[at] = self.modes.tables.integrate(size)
+            kept = (vals, low) if len(vals) == len(C) else None
         if not ((M > 0.0) & (M < math.inf)).all():  # a power past the float range
             raise ValueError("coefficients must be finite")
         Q = np.matmul(self.W, (C * C)[:, :, None])[:, :, 0]
         log_m, log_q = self.a * np.log(M), self.B * np.log(Q)
         f = log_m - log_q.sum(axis=1)
         tol = 8.0 * _EPS * (np.abs(log_m) + np.abs(log_q).sum(axis=1))
-        return f, tol, (vals, low, M, Q)
+        return f, tol, (M, Q, kept)
 
     def curvature(self, C: np.ndarray, at: tuple) -> dict:
         """The tangent gradient g of f at the unit rows C and its Hessian
@@ -1047,12 +1063,19 @@ class _Rows:
         Below _KRYLOV_N as A0 = c c^T - P H P = (c - g)(c - g)^T - g g^T
         - H, P = I - c c^T (f is 0-homogeneous, so H c = -g); from it on,
         as its terms, for `hess`; with `top`, a bound on H's eigenvalues.
-        `at` is what value gave with C; its |w|^(e-1) becomes hw."""
-        vals, low, M, Q = at
-        vals = vals * low
-        vals *= self.high  # (e+1) |w|^(e-1) w
-        gM = self.modes.pairings(vals) / M[:, None]
-        del vals
+        `at` is what value gave with C."""
+        M, Q, kept = at
+        aM = self.a / M
+        gM, top_hw, parts = np.empty_like(C), np.empty(len(C)), []
+        for rows, vals, low in [(slice(None), *kept)] if kept else self.powers(C):
+            vals *= low
+            vals *= self.high[rows]  # (e+1) |w|^(e-1) w
+            gM[rows] = self.modes.pairings(vals) / M[rows, None]
+            low *= self.hess_weight[rows]  # e (e+1) |w|^(e-1)
+            top_hw[rows] = low.reshape(len(low), -1).max(axis=1)
+            # H_M below _KRYLOV_N, to become A0 in place; hw from it on
+            parts.append(self.modes.galerkin(low) if self.modes.dense else low)
+        parts = parts[0] if len(parts) == 1 else np.concatenate(parts)
         if not np.isfinite(gM).all():
             raise ValueError("coefficients must be finite")
         V = self.W * (C[:, None, :] / Q[:, :, None])  # the w_i c / Q_i
@@ -1060,25 +1083,24 @@ class _Rows:
         g -= _row_dots(g, C)[:, None] * C
         g *= self.mask
         D = 2.0 * np.matmul((self.B / Q)[:, None, :], self.W)[:, 0, :]
-        hw, aM = low, self.a / M
-        hw *= self.hess_weight  # e (e+1) |w|^(e-1), in at's place
         # a bound on H's largest eigenvalue, above which the shifted system
         # is definite: H_M lies below max(hw) I, the modes being orthonormal
         # in the quadrature, and each other term is semidefinite or diagonal
         top = (
-            np.maximum(aM, 0.0) * hw.reshape(len(C), -1).max(axis=1)
+            np.maximum(aM, 0.0) * top_hw
             + np.maximum(-self.a, 0.0) * _row_dots(gM, gM)
             + 4.0 * (np.maximum(self.B, 0.0) * (V * V).sum(axis=2)).sum(axis=1)
             - self.active(D)[0]
         )
         if not self.modes.dense:
             U = np.concatenate([gM[:, None, :], V], axis=1)
-            return dict(g=g, D=D, top=top, hw=hw, aM=aM, U=U)
+            return dict(g=g, D=D, top=top, hw=parts, aM=aM, U=U)
         U = np.concatenate([gM[:, None, :], V, (C - g)[:, None, :], g[:, None, :]], axis=1)
-        A0 = np.matmul(U.swapaxes(1, 2) * self.s[:, None, :], U)
-        HM = self.modes.galerkin(hw)
-        HM *= aM[:, None, None]
-        A0 -= HM
+        A0 = parts
+        A0 *= -aM[:, None, None]
+        Us, size = U.swapaxes(1, 2) * self.s[:, None, :], self.modes.block_rows
+        for i in range(0, len(C), size):
+            A0[i : i + size] += np.matmul(Us[i : i + size], U[i : i + size])
         diag = np.arange(C.shape[1])
         A0[:, diag, diag] += D
         if not self.mask.all():  # the identity off the active modes
@@ -1108,23 +1130,28 @@ def _unit_rows(C: np.ndarray) -> np.ndarray:
 def _shifted_steps(rows: _Rows, C, cv: dict, mu: np.ndarray, floor: np.ndarray):
     """Each row's step d of (P (mu I - H) P + c c^T) d = g with its shift
     mu raised, to at least `floor` and then by 4 at a time, until the
-    matrix is positive definite: by Cholesky below _KRYLOV_N, and from it
-    on by conjugate gradients that meet no direction of nonpositive
-    curvature.  Returns the steps and the shifts."""
+    matrix is positive definite: below _KRYLOV_N by Cholesky, on chunks of
+    rows.modes.block_rows rows, and from it on by conjugate gradients that
+    meet no direction of nonpositive curvature.
+    Returns the steps and the shifts."""
     mu, todo, d = mu.copy(), np.arange(len(C)), np.empty_like(C)
     diag = np.arange(C.shape[1])
+    size = rows.modes.block_rows
     while len(todo):
         if rows.modes.dense:
-            every = len(todo) == len(C)
-            c = C if every else C[todo]
-            A = (mu[todo, None] * -c)[:, :, None] * c[:, None, :]  # mu (I - c c^T)
-            A[:, diag, diag] += mu[todo, None]
-            A += cv["A0"] if every else cv["A0"][todo]
-            ok = _definite(A)
-            if ok.all():
-                d[todo] = np.linalg.solve(A, (cv["g"] if every else cv["g"][todo])[:, :, None])[:, :, 0]
-            elif ok.any():
-                d[todo[ok]] = np.linalg.solve(A[ok], cv["g"][todo[ok], :, None])[:, :, 0]
+            ok, every = np.empty(len(todo), dtype=bool), len(todo) == len(C)
+            for i in range(0, len(todo), size):
+                at = slice(i, i + size) if every else todo[i : i + size]
+                c = C[at]
+                A = (mu[at, None] * -c)[:, :, None] * c[:, None, :]  # mu (I - c c^T)
+                A[:, diag, diag] += mu[at, None]
+                A += cv["A0"][at]
+                ok[i : i + size] = good = _definite(A)
+                if good.all():
+                    d[at] = np.linalg.solve(A, cv["g"][at, :, None])[:, :, 0]
+                elif good.any():
+                    some = todo[i : i + size][good]
+                    d[some] = np.linalg.solve(A[good], cv["g"][some, :, None])[:, :, 0]
         else:
             step, ok = _cg_steps(rows, C, cv, todo, mu[todo])
             d[todo[ok]] = step[ok]
@@ -1239,7 +1266,8 @@ def _ascend(spec: ProblemSpec, m: int, groups: list[_Group]):
     _ASCENT_STEPS steps.
 
     Returns per group the best f, the first in start order on ties, the
-    point that reached it, and how many of its rows the step cap stopped.
+    point that reached it, and whether that point stopped at the step cap
+    rather than on its decrement (then f is below the local maximum).
     A start whose norm is 0 or not finite raises ValueError, and so does a
     moment or gradient that is not finite."""
     counts = [len(g.starts) + (g.warm is not None) for g in groups]
@@ -1269,7 +1297,6 @@ def _ascend(spec: ProblemSpec, m: int, groups: list[_Group]):
     f, tol, at = rows.value(C)
     cv = rows.curvature(C, at)
     mu = 0.25 * np.maximum(cv["top"], 0.0)
-    del at
     steps = np.zeros(len(index), dtype=int)
     while len(index):
         floor = 1e-6 * rows.active(cv["D"])[1] + _TINY
@@ -1286,6 +1313,7 @@ def _ascend(spec: ProblemSpec, m: int, groups: list[_Group]):
             taken = trial[up]
             if len(taken) == len(C):  # every row steps
                 rho = (new_f - f) / (0.5 * (gd + mu * _row_dots(d, d)))
+                cv = None  # freed before the new one is built
                 cv = rows.curvature(new, new_at)
                 C, f, tol = new, new_f, new_tol
                 steps += 1
@@ -1293,13 +1321,13 @@ def _ascend(spec: ProblemSpec, m: int, groups: list[_Group]):
                 # the model's gain, g.d + d.(P H P) d / 2 where A d = g
                 model = 0.5 * (gd[taken] + mu[taken] * _row_dots(d[taken], d[taken]))
                 rho[taken] = (new_f[up] - f[taken]) / model
-                new_at = tuple(x[up] for x in new_at)
+                M, Q, kept = new_at
+                new_at = M[up], Q[up], kept and (kept[0][up], kept[1][up])
                 took = some.take(up).curvature(new[up], new_at)
                 for key, value in took.items():
                     cv[key][taken] = value
                 C[taken], f[taken], tol[taken] = new[up], new_f[up], new_tol[up]
                 steps[taken] += 1
-            del new_at
         mu = np.where(rho < 0.01, np.maximum(4.0 * mu, floor), np.where(rho > 0.25, 0.5 * mu, mu))
         stop |= steps >= _ASCENT_STEPS
         if not stop.any():
@@ -1331,7 +1359,7 @@ def _ascend(spec: ProblemSpec, m: int, groups: list[_Group]):
     best = []
     for start, count in zip(first, counts):
         i = start + int(np.argmax(values[start : start + count]))  # the first of ties
-        best.append((float(values[i]), points[i], int(capped[start : start + count].sum())))
+        best.append((float(values[i]), points[i], bool(capped[i])))
     return best
 
 
@@ -1370,7 +1398,9 @@ def _gn_constants(spec: ProblemSpec, theta: float, zeta: float, seed: int) -> li
     sum_k lambda_k^o c_k^2 from 10 random starts each (seeds `seed` and
     seed + 1).  Where the two problems coincide (p = q, r = 1, where theta
     = zeta) they are one: its 10 starts are the q problem's, and its
-    constant is returned for both."""
+    constant is returned for both.  A constant whose best start stopped at
+    the step cap is below the local maximum: in 1-D from _KRYLOV_N on
+    every start does (see lower_growth_constant)."""
     problems = [(spec.q, spec.r, theta), (spec.p, 2.0 - spec.r, zeta)]
     if problems[0] == problems[1]:
         del problems[1]
@@ -1402,8 +1432,13 @@ def lower_growth_constant(spec: ProblemSpec, seed: int = 0) -> float:
     truncated span, the eigenvalue growth constant of the box, and the
     forcing size.  gamma is the maximum of g(x) = x - d_q x^((q+1)/2) -
     d_p x^((p+1)/2) - C0 sqrt(x), where d_e grows with the Gagliardo-
-    Nirenberg constant of its half; those constants are suprema, computed
-    to convergence (see _ascend), so gamma is conservative by construction.
+    Nirenberg constant of its half.  Those constants are suprema, and where
+    each stage's best start stops on its Newton decrement (see _ascend)
+    they are converged local maxima, so gamma is conservative by
+    construction: in every checked config below _KRYLOV_N, and in 2-D at
+    _KRYLOV_N.  In 1-D from _KRYLOV_N on the truncated maximizer lies on a
+    ridge, every start stops at the step cap with S still rising by about
+    1e-12 a step, and gamma is that little too large.
     The exponent is exact.  The coefficients are formed in logs and g is
     scanned in y = x / x_s, where x_s is the first x at which a power term
     reaches x, so that a dilation of the box, which scales x, leaves the

@@ -355,13 +355,13 @@ class TestCommands:
             ("solve", {"lengths": [1e-300]}, {}, "give eigenvalues above the float range"),
             ("solve", {"lengths": [1e300]}, {}, "give eigenvalues below the float range"),
             # in range, but the level brackets leave it: levels scale as
-            # L^-3 here, so gamma is 8.7e449 on [1e-150], and on [1e-80]
-            # the sample energies overflow in their grid powers
+            # L^-3 here, so gamma is 8.7e449 on [1e-150], and on [2e-102]
+            # the level-2 ceiling (5e308) overflows while gamma does not
             ("levels", {"lengths": [1e-150], "n": 8}, {},
              "error: lower growth constant leaves the float range at eigenvalue growth "
              "constant 9.869604401089357e+300"),
-            ("levels", {"lengths": [1e-80], "n": 8}, {},
-             "error: level bracket at k=1: upper is not finite (-inf)"),
+            ("levels", {"lengths": [2e-102], "n": 8}, {},
+             "error: level bracket at k=2: ceiling is not finite (inf)"),
             # each level draws every sample, so the count bounds the run time
             ("levels", {"n": 8}, {"levels": {"samples": 10**6 + 1}},
              "levels section: field 'samples' must be at most 1000000, got 1000001"),
@@ -393,6 +393,22 @@ class TestCommands:
         else:
             assert any(line.startswith("config error:") and message in line for line in errors)
         assert not list(tmp_path.glob("out*"))
+
+    @pytest.mark.parametrize("scale", [1e-80, 1e150])
+    def test_rescaled_boxes_exit_zero(self, tmp_path, scale):
+        """The n = 8 box (0, pi) rescaled by 1e-80 and 1e150 runs to the
+        end with finite brackets and no RuntimeWarning: levels of about
+        1e240 there, whose sample energies pass the overflow of their grid
+        powers, and of about 1e-450 here, which underflow to 0."""
+        problem = {"lengths": [math.pi * scale], "n": 8, "p": 3, "q": 3}
+        cfg = write_config(tmp_path, "box.json", {"command": "levels", "problem": problem})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["levels", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        with open(tmp_path / "out.csv", newline="") as handle:
+            rows = list(csv.DictReader(handle))
+        assert len(rows) == 5
+        assert all(math.isfinite(float(value)) for row in rows for value in row.values())
 
     @pytest.mark.parametrize("name, value", [("damping", 0.5), ("min_step", 1e-12)])
     def test_line_search_settings_are_unknown_fields(self, tmp_path, capsys, name, value):

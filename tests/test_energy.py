@@ -364,6 +364,21 @@ class TestEvaluation:
             assert np.array_equal(g_minus.du, -g.du)
             assert np.array_equal(g_minus.dv, -g.dv)
 
+    def test_power_integrals_past_the_overflow_of_their_grid_powers(self):
+        """On the box (0, pi s), s = 1e-80, the modes are s^-1/2 = 1e40 on
+        the grid: coefficients of size 1e40 give grid values near 1e80,
+        whose 4th powers overflow, while their integrals, with the
+        quadrature weight near 1e-81, are near 1e240.  The nonlinear term is
+        the unit box's times 1e160 s^-1 to 1e-12, and a row that does not
+        overflow keeps the bits of its own evaluation."""
+        spec = ProblemSpec.create(BoxDomain((math.pi * 1e-80,)), n=12, r=1.0, p=3.0, q=3.0)
+        unit = ProblemSpec.create(BoxDomain((math.pi,)), n=12, r=1.0, p=3.0, q=3.0)
+        vec = random_pair(unit, np.random.default_rng(5)).vec
+        stack = Evaluation(np.array([vec, 1e40 * vec]), spec)
+        nonlinear = stack.terms[0]
+        assert _bits(nonlinear[0]) == _bits(Evaluation(vec, spec).terms[0])
+        assert nonlinear[1] == pytest.approx(Evaluation(vec, unit).terms[0] * 1e240, rel=1e-12)
+
     def test_mirrored_energy_is_the_energy_at_minus_z(self, forced_spec):
         # the deviation check reads J(-z) from the evaluation of z
         cutoff = CutoffConfig(0.5)

@@ -10,8 +10,15 @@ second levels output, at p = 2, q = 5, was written while every random
 sample was still evaluated, and the ascents of p != q kept its bits; there
 some samples survive the closed-form bound that skips the rest, and they
 set `upper`, below 0 and below `lower`.  That is the sampled-supremum
-defect of ROADMAP item 2, whose ascents, with those of item 14, re-pin
-this file together with golden_levels and golden_levels_json.  The four branch outputs were
+defect of ROADMAP item 2, whose upper ascent re-pins this file together
+with golden_levels and golden_levels_json.  All three level outputs were
+re-pinned once when the level ascents became Riemannian Newton steps
+(ROADMAP item 14): `lower` fell by 0.07% (p = q = 3) and 0.09% (2, 5) to
+the converged Gagliardo-Nirenberg constants, the (2, 5) radius and
+ceiling of k = 3 rose because the p = 2 sphere minimum, which the
+first-order ascent had stopped above, is 3.34 times lower, and the other
+moved values moved at roundoff.
+The four branch outputs were
 re-pinned once their one-mode seeds ran on the seed's parity class of the
 basis, which moved energies and coefficients at roundoff and made the
 coefficients off each class exact zeros; the records, their order and the

@@ -1638,9 +1638,9 @@ class TestLevels:
         (s^-3 and s^-1.5 at N = 1, p = q = 3).  The ascents are scale-free
         and the lower curve is formed in logs, so gamma follows to 1e-10
         wherever s^-3 gamma is a normal float, and the brackets run to the
-        end with radii that follow too; at s = 1e150 the levels underflow
-        to 0.  At s = 1e-80 the sample energies overflow (see CHANGES.md),
-        so there the radius is read from the sphere minima."""
+        end with radii that follow too, the sample energies of s = 1e-80
+        (about 1e240) integrated past the overflow of their grid powers; at
+        s = 1e150 the levels (about 1e-450) underflow to 0."""
         from indefsaddle import solve
 
         def spec(length):
@@ -1660,12 +1660,12 @@ class TestLevels:
         ):
             # c_k scales by s^3, and R_k = 2 (2 c_k / 4)^-1/2 by s^-1.5
             assert log_q == pytest.approx(log_base + 3.0 * math.log(scale), abs=1e-10 * abs(log_q))
-        if scale == 1e-80:
-            return
         brackets = estimate_levels(scaled, samples=20)
         for b, a in zip(brackets, estimate_levels(base, samples=20)):
             assert all(math.isfinite(x) for x in b)
             assert b.radius == pytest.approx(a.radius * scale**-1.5, rel=1e-10)
+            if want > 1e-300:
+                assert b.lower == pytest.approx(a.lower * scale**-3.0, rel=1e-10)
 
     def test_lower_curve_exponent_exact(self, cubic_spec):
         brackets = estimate_levels(cubic_spec, k_max=5, samples=20, seed=0)
@@ -1939,7 +1939,9 @@ class TestBatchedAscent:
         C = c[None] / np.linalg.norm(c)
         _, _, at = rows.value(C)
         cv = rows.curvature(C, at)
-        vals, low, M, Q = at
+        M, Q, _ = at
+        vals = modes.evaluate(C)
+        low = np.abs(vals) ** rows.low_power
         # the two terms that cancel in g: grad M / ((e+1) M) and the weights'
         moment = np.linalg.norm(modes.pairings(rows.high * low * vals)) / M[0] / (exponent + 1.0)
         V = rows.W[0] * C[0] / Q[0][:, None]
@@ -1952,9 +1954,9 @@ class TestBatchedAscent:
         """Each constant is at least the 10,000-step first-order ascent's
         from the same starts (1e-12 relative), at most 1e-5 above it, and
         its point is stationary (tangent gradient below 1e-8 of the two
-        terms that cancel in it)
-        and a local maximum (the tangent Hessian's eigenvalues at most
-        roundoff).  From _KRYLOV_N on, 10,000 first-order steps take
+        terms that cancel in it) and a local maximum (the tangent Hessian's
+        eigenvalues at most roundoff), and no start of the stage stopped at
+        the step cap.  From _KRYLOV_N on, 10,000 first-order steps take
         seconds and stop short of the maximum, so there the reference runs
         2,000 steps and bounds the constant from below only."""
         from oracles import gn_constant
@@ -1976,6 +1978,7 @@ class TestBatchedAscent:
             logs = solve._gn_constants(spec, theta, zeta, 0)
         finally:
             solve._ascend = real
+        assert seen["capped"] == [False] * len(seen["points"])  # no best point at the step cap
         if len(seen["points"]) == 1:  # p = q, r = 1: one problem
             problems = problems[:1]
         krylov = spec.n >= solve._KRYLOV_N
@@ -1994,14 +1997,32 @@ class TestBatchedAscent:
         from the library's warm starts."""
         from oracles import sphere_minimum
 
+        from indefsaddle import solve
+
         spec = self.spec(*case)
-        minima = _sphere_extremals_of(spec, 5, 0)
+        minima = solve._sphere_extremals(spec, 5, 0)
         for k in range(2, 6):
             for i, (exponent, order) in enumerate([(spec.q, spec.r), (spec.p, 2.0 - spec.r)]):
                 log_c, _ = minima[k - 1][i]
                 warm = minima[k - 2][i][1][: k - 1]
                 want, _ = sphere_minimum(spec, k, exponent, order, 17 * k + i, warm)
                 assert math.exp(log_c) == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("stack_values", [1 << 13, 64])
+    def test_mode_blocks_are_the_galerkin_blocks(self, monkeypatch, stack_values):
+        """The Galerkin blocks of the first m modes of the sphere minima,
+        from the products phi_k phi_l kept once (1 MB at most) or, past
+        that, built per call in blocks of modes, are the leading m x m
+        blocks of the full Galerkin matrices."""
+        from indefsaddle import solve
+
+        monkeypatch.setattr(solve, "_STACK_VALUES", stack_values)
+        spec = ProblemSpec.create(BoxDomain((math.pi, 2.0)), 24, 1.0, 3.0, 3.0)
+        modes = solve._Modes(spec, 5)
+        assert (modes.pairs is None) == (stack_values == 64)
+        V = np.abs(np.random.default_rng(3).standard_normal((7, *modes.grid)))
+        want = spec.tables.galerkin(V)[:, :5, :5]
+        assert np.abs(modes.galerkin(V) - want).max() <= 1e-13 * np.abs(want).max()
 
     def test_one_mode_sphere_takes_no_step(self, cubic_spec, monkeypatch):
         """At k = 1 the sphere is two points: the stage evaluates its 10
@@ -2029,8 +2050,10 @@ class TestBatchedAscent:
         oracle's."""
         from oracles import sphere_minimum
 
+        from indefsaddle import solve
+
         spec = ProblemSpec.create(BoxDomain(lengths), n=n, r=0.8, p=3.0, q=2.5)
-        minima = _sphere_extremals_of(spec, 4, 7)
+        minima = solve._sphere_extremals(spec, 4, 7)
         for k in (2, 4):
             for i, (exponent, order) in enumerate([(spec.q, spec.r), (spec.p, 2.0 - spec.r)]):
                 warm = minima[k - 2][i][1][: k - 1]
@@ -2086,12 +2109,6 @@ class TestBatchedAscent:
         group = solve._Group(3.0, -1.0, [(-2.0, cubic_spec.basis.eigenvalues)], list(starts), cubic_spec.n)
         with pytest.raises(ValueError, match="norm is 0 or not finite"):
             solve._ascend(cubic_spec, cubic_spec.n, [group])
-
-
-def _sphere_extremals_of(spec, k_max, seed):
-    from indefsaddle import solve
-
-    return solve._sphere_extremals(spec, k_max, seed)
 
 
 class TestVerifyCritical:
