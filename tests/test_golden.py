@@ -18,6 +18,15 @@ the converged Gagliardo-Nirenberg constants, the (2, 5) radius and
 ceiling of k = 3 rose because the p = 2 sphere minimum, which the
 first-order ascent had stopped above, is 3.34 times lower, and the other
 moved values moved at roundoff.
+Three more level outputs pin paths the 1-D n = 32, k_max 3 ones do not
+reach: golden_levels_2d, the forced 2-D n = 64 command at k_max 5 of
+benchmark workload levels-sampling, whose Newton matrices come in chunks
+of 4 rows and whose sphere minima chain warm starts up to k = 5;
+golden_levels_r08, at p = q with r = 0.8, where each ascent stage climbs
+a q and a p problem as rows of one stack; and golden_levels_krylov, 2-D
+n = 130, whose Gagliardo-Nirenberg steps solve by conjugate gradients.
+They were written before the ascents' per-step array calls were cut,
+and pin that cut to the bit.
 The four branch outputs were
 re-pinned once their one-mode seeds ran on the seed's parity class of the
 basis, which moved energies and coefficients at roundoff and made the
@@ -57,6 +66,9 @@ DATA = Path(__file__).parent / "data"
         ("golden_levels", "levels", ".csv"),
         ("golden_levels_json", "levels", ".json"),
         ("golden_levels_pq", "levels", ".csv"),
+        ("golden_levels_2d", "levels", ".csv"),
+        ("golden_levels_r08", "levels", ".csv"),
+        ("golden_levels_krylov", "levels", ".csv"),
         ("golden_branch", "branch", ".json"),
         ("golden_deflated", "branch", ".json"),
         ("golden_symmetric", "branch", ".json"),
