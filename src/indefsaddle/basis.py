@@ -50,7 +50,6 @@ from functools import cached_property
 from itertools import product
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 
 @dataclass(frozen=True)
@@ -475,16 +474,20 @@ class GridTables:
         for bit the gathers' sum; in a class's moments, at the folded
         indices |a-b|/2 and (a+b)/2.  The i-th mode is i + 1 (modes 1..n) or
         2i + 1 and 2i + 2 (the two classes), so with h = (a_0 + a_0) / fold,
-        2, 1 or 2, the Toeplitz part T[i, j] = e[n-1+j-i] of e = (m_(n-1),
-        ..., m_1, m_0, ..., m_(n-1)) and the Hankel part m[h+i+j] are
-        strided views, so only the difference is written."""
+        2, 1 or 2, the Toeplitz part T[i, j] = e[n-1+j-i] and the Hankel
+        part m[h+i+j] = e[n-1+h+i+j] of e = (m_(n-1), ..., m_1, m_0, m_1,
+        ...) are strided views of e, so only the difference is written.
+        The views are built by the ndarray constructor: as_strided takes
+        about 7 us a view, four times as long."""
         n = self.modes[0]
         h = 2 * int(self.indices[0, 0]) // self.fold
-        lead, step = moments.shape[:-1], moments.strides[-1]
-        e = np.concatenate([moments[..., n - 1 : 0 : -1], moments[..., :n]], axis=-1)
-        toeplitz = as_strided(e[..., n - 1 :], (*lead, n, n), (*e.strides[:-1], -step, step))
-        hankel = as_strided(moments[..., h:], (*lead, n, n), (*moments.strides[:-1], step, step))
-        block = toeplitz - hankel
+        e = np.concatenate([moments[..., n - 1 : 0 : -1], moments], axis=-1)
+        lead, step = e.shape[:-1], e.strides[-1]
+
+        def view(start: int, stride: int) -> np.ndarray:  # e[start + stride i + j]
+            return np.ndarray((*lead, n, n), e.dtype, e, start * step, (*e.strides[:-1], stride * step, step))
+
+        block = view(n - 1, -1) - view(n - 1 + h, 1)
         block *= self.block_scale
         return block
 

@@ -968,7 +968,8 @@ class _Modes:
             self.phi = self.tables.evaluate(np.eye(m, spec.n)).reshape(m, -1)
             # the products phi_k phi_l on the grid, in blocks of modes k of
             # at most 16 _STACK_VALUES values (1 MB), kept where one block
-            # holds them all
+            # holds them all: rebuilt per call, the same bits took 1.02x
+            # (1-D n = 32) and 1.09x (2-D n = 64) the sphere stage's time
             self.block = max(1, 16 * _STACK_VALUES // (m * self.phi.shape[1]))
             self.pairs = self._pairs(0) if self.block >= m else None
 
@@ -1004,9 +1005,10 @@ class _Rows:
     """The rows of a stage of _ascend, each with its log-ratio f(c) = a log
     M(c) - sum_i b_i log Q_i(c), where M(c) = int |w|^(e+1) of the field w
     of coefficients c and Q_i(c) = sum_k w_ik c_k^2: the row parameters,
-    shaped to broadcast, with `value` and `curvature` at unit rows.  Both
-    synthesize the grid values of a stack in chunks of rows: 10 rows (the
-    starts of one problem) or as many as hold two _STACK_VALUES values
+    shaped to broadcast, with `value` and `curvature` at unit rows, and
+    `full` where every row has every mode active, which skips the masks.
+    Both synthesize the grid values of a stack in chunks of rows: 10 rows
+    (the starts of one problem) or as many as hold two _STACK_VALUES values
     (128 KB), whichever is more.  value keeps them for curvature only where
     one chunk holds the stack."""
 
@@ -1018,15 +1020,19 @@ class _Rows:
         ones = np.ones((len(a), 1))
         # the signs of A0's rank-one terms (see curvature)
         self.s = np.concatenate([a[:, None], -4.0 * B, ones, -ones], axis=1)
+        self.full = bool(mask.all())  # every mode active: nothing to mask
 
     def take(self, keep) -> "_Rows":
+        """The rows `keep`, by index or mask."""
+        keep = np.flatnonzero(keep) if keep.dtype == bool else keep
         new = object.__new__(_Rows)
-        new.__dict__.update((k, v if k == "modes" else v[keep]) for k, v in vars(self).items())
+        new.__dict__.update((k, v.take(keep, 0) if isinstance(v, np.ndarray) else v) for k, v in vars(self).items())
+        new.full = self.full or bool(new.mask.all())
         return new
 
-    def active(self, D: np.ndarray) -> tuple:
-        """The least and largest |.| of D over each row's active modes."""
-        return np.where(self.mask, D, math.inf).min(axis=1), np.where(self.mask, np.abs(D), 0.0).max(axis=1)
+    def largest(self, D: np.ndarray) -> np.ndarray:
+        """The largest |D| over each row's active modes."""
+        return np.abs(D if self.full else np.where(self.mask, D, 0.0)).max(axis=1)
 
     def powers(self, C: np.ndarray):
         """For each chunk of the unit rows C: its rows, the grid values w
@@ -1055,15 +1061,16 @@ class _Rows:
         tol = 8.0 * _EPS * (np.abs(log_m) + np.abs(log_q).sum(axis=1))
         return f, tol, (M, Q, kept)
 
-    def curvature(self, C: np.ndarray, at: tuple) -> dict:
+    def curvature(self, C: np.ndarray, at: tuple, top: bool = False) -> dict:
         """The tangent gradient g of f at the unit rows C and its Hessian
         H = (a/M) H_M + sum_j s_j u_j u_j^T - diag(D): H_M is the Galerkin
         matrix of hw = e (e+1) |w|^(e-1), the u_j are grad M / M and the
         w_i c / Q_i with s = (-a, 4 b_i), and D = 2 sum_i b_i w_i / Q_i.
         Below _KRYLOV_N as A0 = c c^T - P H P = (c - g)(c - g)^T - g g^T
         - H, P = I - c c^T (f is 0-homogeneous, so H c = -g); from it on,
-        as its terms, for `hess`; with `top`, a bound on H's eigenvalues.
-        `at` is what value gave with C."""
+        as its terms, for `hess`.  With `top`, for rows that enter the
+        stack, also a bound on H's eigenvalues.  `at` is what value gave
+        with C."""
         M, Q, kept = at
         aM = self.a / M
         gM, top_hw, parts = np.empty_like(C), np.empty(len(C)), []
@@ -1072,7 +1079,8 @@ class _Rows:
             vals *= self.high[rows]  # (e+1) |w|^(e-1) w
             gM[rows] = self.modes.pairings(vals) / M[rows, None]
             low *= self.hess_weight[rows]  # e (e+1) |w|^(e-1)
-            top_hw[rows] = low.reshape(len(low), -1).max(axis=1)
+            if top:
+                top_hw[rows] = low.reshape(len(low), -1).max(axis=1)
             # H_M below _KRYLOV_N, to become A0 in place; hw from it on
             parts.append(self.modes.galerkin(low) if self.modes.dense else low)
         parts = parts[0] if len(parts) == 1 else np.concatenate(parts)
@@ -1081,32 +1089,36 @@ class _Rows:
         V = self.W * (C[:, None, :] / Q[:, :, None])  # the w_i c / Q_i
         g = self.a[:, None] * gM - 2.0 * np.matmul(self.B[:, None, :], V)[:, 0, :]
         g -= _row_dots(g, C)[:, None] * C
-        g *= self.mask
+        if not self.full:
+            g *= self.mask
         D = 2.0 * np.matmul((self.B / Q)[:, None, :], self.W)[:, 0, :]
-        # a bound on H's largest eigenvalue, above which the shifted system
-        # is definite: H_M lies below max(hw) I, the modes being orthonormal
-        # in the quadrature, and each other term is semidefinite or diagonal
-        top = (
-            np.maximum(aM, 0.0) * top_hw
-            + np.maximum(-self.a, 0.0) * _row_dots(gM, gM)
-            + 4.0 * (np.maximum(self.B, 0.0) * (V * V).sum(axis=2)).sum(axis=1)
-            - self.active(D)[0]
-        )
+        cv = dict(g=g, D=D)
+        if top:
+            # H_M lies below max(hw) I, the modes being orthonormal in the
+            # quadrature, and each other term is semidefinite or diagonal
+            least = D if self.full else np.where(self.mask, D, math.inf)
+            cv["top"] = (
+                np.maximum(aM, 0.0) * top_hw
+                + np.maximum(-self.a, 0.0) * _row_dots(gM, gM)
+                + 4.0 * (np.maximum(self.B, 0.0) * (V * V).sum(axis=2)).sum(axis=1)
+                - least.min(axis=1)
+            )
         if not self.modes.dense:
             U = np.concatenate([gM[:, None, :], V], axis=1)
-            return dict(g=g, D=D, top=top, hw=parts, aM=aM, U=U)
+            return dict(cv, hw=parts, aM=aM, U=U)
         U = np.concatenate([gM[:, None, :], V, (C - g)[:, None, :], g[:, None, :]], axis=1)
         A0 = parts
         A0 *= -aM[:, None, None]
         Us, size = U.swapaxes(1, 2) * self.s[:, None, :], self.modes.block_rows
         for i in range(0, len(C), size):
             A0[i : i + size] += np.matmul(Us[i : i + size], U[i : i + size])
-        diag = np.arange(C.shape[1])
-        A0[:, diag, diag] += D
-        if not self.mask.all():  # the identity off the active modes
+        diag = A0.reshape(len(A0), -1)[:, :: C.shape[1] + 1]  # a view: A0 is C-contiguous
+        diag += D
+        if not self.full:  # the identity off the active modes
             A0 *= self.mask[:, :, None] & self.mask[:, None, :]
-            A0[:, diag, diag] += ~self.mask
-        return dict(g=g, D=D, top=top, A0=A0)
+            diag += ~self.mask
+        cv["A0"] = A0
+        return cv
 
     def hess(self, cv: dict, X: np.ndarray, at) -> np.ndarray:
         """H x for the rows x of X, at the rows `at` of the curvature cv."""
@@ -1119,9 +1131,9 @@ class _Rows:
 
 def _unit_rows(C: np.ndarray) -> np.ndarray:
     """The rows of C over their Euclidean norms; a row whose norm is 0 or
-    not finite has no point on the sphere, and raises ValueError."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        norms = np.sqrt(_row_dots(C, C))
+    not finite has no point on the sphere, and raises ValueError (a norm
+    past the float range reads inf under the ascent's errstate)."""
+    norms = np.sqrt(_row_dots(C, C))
     if not ((norms > 0.0) & (norms < math.inf)).all():
         raise ValueError("level ascent: a start's norm is 0 or not finite")
     return C / norms[:, None]
@@ -1135,16 +1147,16 @@ def _shifted_steps(rows: _Rows, C, cv: dict, mu: np.ndarray, floor: np.ndarray):
     meet no direction of nonpositive curvature.
     Returns the steps and the shifts."""
     mu, todo, d = mu.copy(), np.arange(len(C)), np.empty_like(C)
-    diag = np.arange(C.shape[1])
     size = rows.modes.block_rows
-    while len(todo):
+    while True:
         if rows.modes.dense:
             ok, every = np.empty(len(todo), dtype=bool), len(todo) == len(C)
             for i in range(0, len(todo), size):
                 at = slice(i, i + size) if every else todo[i : i + size]
                 c = C[at]
                 A = (mu[at, None] * -c)[:, :, None] * c[:, None, :]  # mu (I - c c^T)
-                A[:, diag, diag] += mu[at, None]
+                diag = A.reshape(len(A), -1)[:, :: C.shape[1] + 1]  # a view, as in curvature
+                diag += mu[at, None]
                 A += cv["A0"][at]
                 ok[i : i + size] = good = _definite(A)
                 if good.all():
@@ -1155,9 +1167,10 @@ def _shifted_steps(rows: _Rows, C, cv: dict, mu: np.ndarray, floor: np.ndarray):
         else:
             step, ok = _cg_steps(rows, C, cv, todo, mu[todo])
             d[todo[ok]] = step[ok]
+        if ok.all():
+            return d, mu
         todo = todo[~ok]
         mu[todo] = np.maximum(4.0 * mu[todo], floor[todo])
-    return d, mu
 
 
 def _definite(A: np.ndarray) -> np.ndarray:
@@ -1243,6 +1256,7 @@ class _Group(NamedTuple):
     warm: int | None = None
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _ascend(spec: ProblemSpec, m: int, groups: list[_Group]):
     """Maximize f(c) = a log M(c) - sum_i b_i log(sum_k w_ik c_k^2) over the
     unit sphere of the first `active` coordinates of R^m, M(c) = int
@@ -1259,11 +1273,13 @@ def _ascend(spec: ProblemSpec, m: int, groups: list[_Group]):
     shift mu is raised until the matrix is positive definite (see
     _shifted_steps) and the retracted step (c + d)/|c + d| raises f, each
     refusal raising it by 4 (to at least 1e-6 max |D|, see _Rows).  A row
-    starts at a quarter of a bound on H's eigenvalues, and the gain of a
-    step over its model's, (g.d + mu |d|^2)/2, sets the next shift: below
-    0.01 it is raised, above 0.25 halved.  A row stops when its Newton
-    decrement g.d falls to a few ulps of the terms of f, or after
-    _ASCENT_STEPS steps.
+    starts at a quarter of a bound on H's eigenvalues, built only where it
+    enters the stack, and the gain of a step over its model's, (g.d + mu
+    |d|^2)/2, sets the next shift: below 0.01 it is raised, above 0.25
+    halved.  A row stops when its Newton decrement g.d falls to a few ulps
+    of the terms of f, or after _ASCENT_STEPS steps.  Every output is the
+    bits of the per-row stack it runs in, so stack order, chunks and the
+    takes and joins between steps are part of the result.
 
     Returns per group the best f, the first in start order on ties, the
     point that reached it, and whether that point stopped at the step cap
@@ -1271,7 +1287,8 @@ def _ascend(spec: ProblemSpec, m: int, groups: list[_Group]):
     A start whose norm is 0 or not finite raises ValueError, and so does a
     moment or gradient that is not finite."""
     counts = [len(g.starts) + (g.warm is not None) for g in groups]
-    owner = np.repeat(np.arange(len(groups)), counts)
+    first = np.cumsum([0] + counts[:-1])
+    spans = [slice(start, start + count) for start, count in zip(first, counts)]  # each group's rows
 
     def stack(values):
         return np.repeat(np.asarray(values, dtype=float), counts, axis=0)
@@ -1282,42 +1299,43 @@ def _ascend(spec: ProblemSpec, m: int, groups: list[_Group]):
         stack([[w for _, w in g.terms] for g in groups]),
         np.arange(m) < np.repeat([g.active for g in groups], counts)[:, None],
     )
-    first = np.cumsum([0] + counts[:-1])
-    points = np.zeros((len(owner), m))
+    points = np.zeros((sum(counts), m))
     for g, count, start in zip(groups, counts, first):
         at = start + (g.warm is not None)
         for i, c in enumerate(g.starts):
             points[at + i, : len(c)] = c
-    values = np.full(len(owner), -math.inf)  # every row's, written back when it stops
-    capped, done = np.zeros(len(owner), dtype=bool), np.zeros(len(owner), dtype=bool)
+    values = np.full(len(points), -math.inf)  # every row's, written back when it stops
+    capped, done = np.zeros(len(points), dtype=bool), np.zeros(len(points), dtype=bool)
     waiting = {start: g.warm for g, start in zip(groups, first) if g.warm is not None}
-    index = np.array([i for i in range(len(owner)) if i not in waiting], dtype=int)
+    index = np.array([i for i in range(len(points)) if i not in waiting], dtype=int)
     rows = every.take(index)
     C = _unit_rows(points[index])
     f, tol, at = rows.value(C)
-    cv = rows.curvature(C, at)
-    mu = 0.25 * np.maximum(cv["top"], 0.0)
-    steps = np.zeros(len(index), dtype=int)
+    cv = rows.curvature(C, at, top=True)
+    mu = 0.25 * np.maximum(cv.pop("top"), 0.0)
+    steps, iteration = np.zeros(len(index), dtype=int), 0
     while len(index):
-        floor = 1e-6 * rows.active(cv["D"])[1] + _TINY
+        iteration += 1
+        floor = 1e-6 * rows.largest(cv["D"]) + _TINY
         d, mu = _shifted_steps(rows, C, cv, mu, floor)
         gd = _row_dots(cv["g"], d)
         stop = gd <= tol
         rho = np.zeros(len(C))  # each taken step's gain over its model's
-        trial = np.flatnonzero(~stop)
-        if len(trial):
-            some = rows.take(trial) if len(trial) < len(C) else rows
-            new = _unit_rows(C[trial] + d[trial])
+        every_row = not stop.any()
+        trial = slice(None) if every_row else np.flatnonzero(~stop)
+        if every_row or len(trial):
+            some = rows if every_row else rows.take(trial)
+            new = _unit_rows(C + d if every_row else C[trial] + d[trial])
             new_f, new_tol, new_at = some.value(new)
             up = new_f > f[trial]
-            taken = trial[up]
-            if len(taken) == len(C):  # every row steps
+            if every_row and up.all():  # every row steps
                 rho = (new_f - f) / (0.5 * (gd + mu * _row_dots(d, d)))
                 cv = None  # freed before the new one is built
                 cv = rows.curvature(new, new_at)
                 C, f, tol = new, new_f, new_tol
                 steps += 1
-            elif len(taken):
+            elif up.any():
+                taken = np.flatnonzero(~stop)[up]
                 # the model's gain, g.d + d.(P H P) d / 2 where A d = g
                 model = 0.5 * (gd[taken] + mu[taken] * _row_dots(d[taken], d[taken]))
                 rho[taken] = (new_f[up] - f[taken]) / model
@@ -1328,28 +1346,31 @@ def _ascend(spec: ProblemSpec, m: int, groups: list[_Group]):
                     cv[key][taken] = value
                 C[taken], f[taken], tol[taken] = new[up], new_f[up], new_tol[up]
                 steps[taken] += 1
-        mu = np.where(rho < 0.01, np.maximum(4.0 * mu, floor), np.where(rho > 0.25, 0.5 * mu, mu))
-        stop |= steps >= _ASCENT_STEPS
+        np.multiply(mu, 0.5, out=mu, where=rho > 0.25)
+        np.maximum(4.0 * mu, floor, out=mu, where=rho < 0.01)
+        if iteration >= _ASCENT_STEPS:  # before, no row has taken as many steps
+            stop |= steps >= _ASCENT_STEPS
+        elif every_row:
+            continue
         if not stop.any():
             continue
         out = index[stop]
         points[out], values[out], capped[out] = C[stop], f[stop], ~(gd[stop] <= tol[stop])
         done[out] = True
-        keep = ~stop
-        index, mu, steps, C, f, tol = (x[keep] for x in (index, mu, steps, C, f, tol))
-        cv = {key: value[keep] for key, value in cv.items()}
+        keep = np.flatnonzero(~stop)
+        index, mu, steps, C, f, tol = (x.take(keep, 0) for x in (index, mu, steps, C, f, tol))
+        cv = {key: value.take(keep, 0) for key, value in cv.items()}
         # the warm starts whose groups of origin are now done
-        ready = [i for i, g in waiting.items() if done[owner == g].all()]
+        ready = [i for i, g in waiting.items() if done[spans[g]].all()]
         if ready:
             for i in ready:
-                g = waiting.pop(i)
-                rows_g = np.flatnonzero(owner == g)
-                points[i] = points[rows_g[int(np.argmax(values[rows_g]))]]
+                span = spans[waiting.pop(i)]
+                points[i] = points[span.start + int(np.argmax(values[span]))]
             joined = np.array(ready, dtype=int)
             some = every.take(joined)
             new = _unit_rows(points[joined])
             new_f, new_tol, new_at = some.value(new)
-            took = some.curvature(new, new_at)
+            took = some.curvature(new, new_at, top=True)
             index = np.concatenate([index, joined])
             C, f, tol = np.concatenate([C, new]), np.concatenate([f, new_f]), np.concatenate([tol, new_tol])
             cv = {key: np.concatenate([value, took[key]]) for key, value in cv.items()}
@@ -1357,8 +1378,8 @@ def _ascend(spec: ProblemSpec, m: int, groups: list[_Group]):
             steps = np.concatenate([steps, np.zeros(len(joined), dtype=int)])
         rows = every.take(index)
     best = []
-    for start, count in zip(first, counts):
-        i = start + int(np.argmax(values[start : start + count]))  # the first of ties
+    for span in spans:
+        i = span.start + int(np.argmax(values[span]))  # the first of ties
         best.append((float(values[i]), points[i], bool(capped[i])))
     return best
 
@@ -1425,6 +1446,7 @@ def _forcing_size(spec: ProblemSpec) -> float:
     )
 
 
+@np.errstate(over="ignore", invalid="ignore")  # quiet, as the level path's
 def lower_growth_constant(spec: ProblemSpec, seed: int = 0) -> float:
     """Constant gamma of the lower level curve gamma k^(2 alpha).
 
@@ -1432,13 +1454,13 @@ def lower_growth_constant(spec: ProblemSpec, seed: int = 0) -> float:
     truncated span, the eigenvalue growth constant of the box, and the
     forcing size.  gamma is the maximum of g(x) = x - d_q x^((q+1)/2) -
     d_p x^((p+1)/2) - C0 sqrt(x), where d_e grows with the Gagliardo-
-    Nirenberg constant of its half.  Those constants are suprema, and where
-    each stage's best start stops on its Newton decrement (see _ascend)
-    they are converged local maxima, so gamma is conservative by
-    construction: in every checked config below _KRYLOV_N, and in 2-D at
-    _KRYLOV_N.  In 1-D from _KRYLOV_N on the truncated maximizer lies on a
-    ridge, every start stops at the step cap with S still rising by about
-    1e-12 a step, and gamma is that little too large.
+    Nirenberg constant of its half.  Those constants are suprema; a stage
+    gives the best local maximum its starts reach, converged where its best
+    start stops on its Newton decrement (see _ascend), and gamma is too
+    large where that lies below the supremum: at 1-D n = 32, p = q = 3 by
+    5.8e-7 relative, starts on mode 1's parity class reaching a higher one.
+    In 1-D from _KRYLOV_N on the truncated maximizer lies on a ridge, every
+    start stops at the step cap with S still rising by about 1e-12 a step.
     The exponent is exact.  The coefficients are formed in logs and g is
     scanned in y = x / x_s, where x_s is the first x at which a power term
     reaches x, so that a dilation of the box, which scales x, leaves the
@@ -1470,8 +1492,8 @@ def lower_growth_constant(spec: ProblemSpec, seed: int = 0) -> float:
         return x - d_q * x ** ((q + 1.0) / 2.0) - d_p * x ** ((p + 1.0) / 2.0) - c1 * sqrt(x)
 
     # the grid's argmax by one numpy pass, where powers past the float range
-    # read inf (with numpy's warning) and NaN never wins; the value there
-    # and the refine take g at floats
+    # read inf and NaN never wins; the value there and the refine take g at
+    # floats
     grid = np.logspace(-12.0, 6.0, 2000)
     values = g(grid, np.sqrt)
     x0 = float(grid[np.argmax(np.where(np.isnan(values), -math.inf, values))])
@@ -1512,6 +1534,7 @@ class LevelBracket(NamedTuple):
     max_pointwise_excess: float
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a float overflow raises ValueError
 def estimate_levels(
     spec: ProblemSpec,
     k_max: int | None = None,
@@ -1619,11 +1642,11 @@ def _level_points(spec, k, radius, prev_best, samples, rng, may_move):
         yield np.array(fixed[start : start + size])
     power = 1.0 / (spec.n + k)
     for start in range(0, samples, size):
-        normals, rads = [], []
-        for _ in range(min(size, samples - start)):
-            normals.append(rng.standard_normal(k + spec.n))
+        draws, rads = np.empty((min(size, samples - start), k + spec.n)), []
+        for row in draws:  # each sample's normals, then its radius: one stream
+            rng.standard_normal(out=row)
             rads.append(radius * rng.random() ** power)  # rng.uniform()'s draw
-        draws, rads = np.array(normals), np.array(rads)
+        rads = np.array(rads)
         a_plus = np.zeros((len(draws), spec.n))
         a_plus[:, :k] = draws[:, :k]
         a_minus = np.ascontiguousarray(draws[:, k:])

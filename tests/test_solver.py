@@ -1509,6 +1509,28 @@ class TestLevels:
         spec = ProblemSpec.create(BoxDomain((math.pi,)), n, 1.0, 3.0, 3.0)
         assert [b.k for b in estimate_levels(spec, samples=0)] == list(range(1, levels + 1))
 
+    @pytest.mark.parametrize("p, q, message", [
+        (1e300, 1e300, "coefficients must be finite"),  # the ascents' powers overflow
+        (3.0, 200.0, "level bracket at k=1: upper is not finite (-inf)"),  # the sample energies do
+    ])
+    def test_float_range_errors_come_without_warnings(self, p, q, message):
+        """Past the float range the library's level path raises its
+        ValueError, and no numpy RuntimeWarning comes before it; at (3, 200)
+        the lower curve alone is finite."""
+        from indefsaddle.solve import lower_growth_constant
+
+        spec = ProblemSpec.create(BoxDomain((math.pi,)), 8, 1.0, p, q)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as raised:
+                estimate_levels(spec)
+            assert str(raised.value) == message
+            if p < 1e300:
+                assert math.isfinite(lower_growth_constant(spec))
+            else:
+                with pytest.raises(ValueError, match=f"^{message}$"):
+                    lower_growth_constant(spec)
+
     def test_samples_set_the_brackets_when_p_and_q_differ(self):
         # at p = 2, q = 5 a random sample beats every fixed eigenvector point,
         # so the samples raise `upper` at every k; both values lie below
@@ -1536,14 +1558,16 @@ class TestLevels:
     @pytest.mark.parametrize("p, q", [(120.0, 3.0), (3.0, 200.0)])
     def test_lower_curve_powers_past_the_float_range(self, p, q):
         """A power of the lower curve's log grid that leaves the float range
-        reads numpy's inf, with numpy's warning, and not Python's
-        OverflowError; the constant is the scalar curve's, bit for bit."""
+        reads numpy's inf, quietly (the level path runs under np.errstate),
+        and not Python's OverflowError; the constant is the scalar curve's,
+        bit for bit."""
         from oracles import lower_growth_constant_scalar
 
         from indefsaddle.solve import lower_growth_constant
 
         spec = ProblemSpec.create(BoxDomain((math.pi,)), 16, 1.0, p, q)
-        with pytest.warns(RuntimeWarning, match="overflow encountered in power"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             gamma = lower_growth_constant(spec)
         assert 0.0 < gamma < math.inf
         with warnings.catch_warnings():
