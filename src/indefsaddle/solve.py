@@ -1126,7 +1126,7 @@ class _Rows:
         HX = cv["aM"][at, None] * self.modes.pairings(cv["hw"][at] * self.modes.evaluate(X))
         HX += np.matmul((s * np.matmul(U, X[:, :, None])[:, :, 0])[:, None, :], U)[:, 0, :]
         HX -= cv["D"][at] * X
-        return HX * self.mask[at]
+        return HX * self.mask[at]  # where every mode is active too: its layout sets later bits
 
 
 def _unit_rows(C: np.ndarray) -> np.ndarray:
@@ -1277,9 +1277,9 @@ def _ascend(spec: ProblemSpec, m: int, groups: list[_Group]):
     enters the stack, and the gain of a step over its model's, (g.d + mu
     |d|^2)/2, sets the next shift: below 0.01 it is raised, above 0.25
     halved.  A row stops when its Newton decrement g.d falls to a few ulps
-    of the terms of f, or after _ASCENT_STEPS steps.  Every output is the
-    bits of the per-row stack it runs in, so stack order, chunks and the
-    takes and joins between steps are part of the result.
+    of the terms of f, or after _ASCENT_STEPS steps.  A row's bits depend
+    on the rows it runs with, so the stack order, the chunks and the takes
+    and joins between steps are part of the result.
 
     Returns per group the best f, the first in start order on ties, the
     point that reached it, and whether that point stopped at the step cap
