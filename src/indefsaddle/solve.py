@@ -1325,7 +1325,7 @@ def _ascend(spec: ProblemSpec, m: int, groups: list[_Group]):
         trial = slice(None) if every_row else np.flatnonzero(~stop)
         if every_row or len(trial):
             some = rows if every_row else rows.take(trial)
-            new = _unit_rows(C + d if every_row else C[trial] + d[trial])
+            new = _unit_rows(C[trial] + d[trial])
             new_f, new_tol, new_at = some.value(new)
             up = new_f > f[trial]
             if every_row and up.all():  # every row steps
@@ -1348,7 +1348,7 @@ def _ascend(spec: ProblemSpec, m: int, groups: list[_Group]):
                 steps[taken] += 1
         np.multiply(mu, 0.5, out=mu, where=rho > 0.25)
         np.maximum(4.0 * mu, floor, out=mu, where=rho < 0.01)
-        if iteration >= _ASCENT_STEPS:  # before, no row has taken as many steps
+        if iteration >= _ASCENT_STEPS:  # no row takes a step more than once an iteration
             stop |= steps >= _ASCENT_STEPS
         elif every_row:
             continue
@@ -1446,7 +1446,7 @@ def _forcing_size(spec: ProblemSpec) -> float:
     )
 
 
-@np.errstate(over="ignore", invalid="ignore")  # quiet, as the level path's
+@np.errstate(over="ignore", invalid="ignore")  # quiet: its grid's overflowing powers read inf
 def lower_growth_constant(spec: ProblemSpec, seed: int = 0) -> float:
     """Constant gamma of the lower level curve gamma k^(2 alpha).
 
@@ -1534,7 +1534,7 @@ class LevelBracket(NamedTuple):
     max_pointwise_excess: float
 
 
-@np.errstate(over="ignore", invalid="ignore")  # a float overflow raises ValueError
+@np.errstate(over="ignore", invalid="ignore")  # quiet: past the float range it raises ValueError
 def estimate_levels(
     spec: ProblemSpec,
     k_max: int | None = None,
