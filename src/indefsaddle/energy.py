@@ -256,9 +256,7 @@ def _hypot1(e):
 # 64 KB per float array of one evaluated stack: larger stacks are no faster,
 # and raise the peak RSS of a level search (by 9 MB for 221 rows of 2-D n = 64).
 # It bounds the rows of every stack of grid values (_stack_rows): the Newton
-# iterates and the level samples; twice over, the level ascents' chunks of
-# at least 10 starts and the m x m matrices of a chunk of their Newton steps
-# (solve._Rows.powers, solve._Modes.block_rows).
+# iterates and the level samples.
 _STACK_VALUES = 1 << 13
 
 

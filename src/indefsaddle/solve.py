@@ -50,21 +50,20 @@ on the seed order nor on roundoff in the energies or the coefficients.  For
 a symmetric problem the residual is exactly odd, and each mirror pair of
 seeds +-z runs once: the second seed's result is the first's mirrored.
 Level brackets combine an upper bound sampled in row stacks over nested
-saddle-geometry balls with a closed-form lower growth curve whose constant
-is assembled from computed embedding data; a bracket value that leaves the
-float range is an error.  A sample is evaluated only where closed-form
-bounds on its energy, from its eigenvector coordinates, cannot rule out
-that it raises a running maximum (in the measured p = q configs, none
-is).  Both extremal problems behind the brackets run through one
-Riemannian Newton routine, _ascend, which maximizes a 0-homogeneous
-log-ratio over the unit sphere, in two stages: one for the two
-Gagliardo-Nirenberg constants of the lower curve, and one for the q and p
-sphere minima of every level, which fix the level radii.  A stage
-advances all its starts at once as the rows of one stack, each row with
-its own exponent and weights and on the path it takes alone, and keeps
-only the rows still running; its Hessians are Galerkin matrices on the
-grid tables below _KRYLOV_N (for the sphere minima, the block of the
-first k_max modes), and products on the grid from it on, as in _schur.
+saddle-geometry balls with a closed-form lower growth curve; a bracket
+value that leaves the float range is an error.  A sample is evaluated only
+where closed-form bounds on its energy, from its eigenvector coordinates,
+cannot rule out that it raises a running maximum (in the measured p = q
+configs, none is).  The constants behind the brackets are certified for
+every truncation, and none is computed by a search.  The lower curve takes
+each half's Gagliardo-Nirenberg constant from above (see _gn_log_constant):
+the sharp order-1 constant of the ground state of -Lap Q + Q = Q^e, in
+closed form in 1-D and from one cached radial solve in 2-D and 3-D, where
+the half's order is 1 or more and e + 1 lies below the H^1-critical
+exponent; Lieb's sharp fractional Sobolev constant elsewhere, where the
+embedding's critical order is at most 1; and none, so that the curve is 0,
+for a 3-D half with e > 5.  Each level radius takes the sphere minima
+from below, by Hölder's inequality (see _sphere_log_bounds).
 """
 
 from __future__ import annotations
@@ -90,7 +89,6 @@ from .energy import (
     Evaluation,
     ProblemSpec,
     _check_point,
-    _STACK_VALUES,
     _stack_rows,
     bump,
     energy_gradient,
@@ -941,499 +939,146 @@ def continuation(
 # ---------------------------------------------------------------------------
 
 
-# the level ascents' cap on Newton steps per start
-_ASCENT_STEPS = 100
-
-_EPS, _TINY = float(np.finfo(float).eps), float(np.finfo(float).tiny)
-
-
-class _Modes:
-    """The first m modes of a problem on its grid tables: the grid values of
-    coefficient rows, the pairings of grid values with each mode and, below
-    _KRYLOV_N, the Galerkin matrices of a stack of grid multipliers.  All n
-    modes read the tables (basis.GridTables.galerkin); fewer, below
-    _KRYLOV_N, read the modes' own grid values, an m x points matrix, so
-    that a Galerkin matrix is built as its m x m block only; from _KRYLOV_N
-    on, rows are zero-padded to the basis, pairings are cut to m modes, and
-    no matrix is built."""
-
-    def __init__(self, spec: ProblemSpec, m: int):
-        self.tables, self.m, self.n = spec.tables, m, spec.n
-        self.dense = m < _KRYLOV_N
-        # m x m matrices per chunk of a stack: 16 at m = 32, 4 at m = 64
-        self.block_rows = max(1, 2 * _STACK_VALUES // m**2)
-        self.grid = grid_shape(spec.basis, spec.oversample)
-        self.phi = None
-        if self.dense and m < spec.n:
-            self.phi = self.tables.evaluate(np.eye(m, spec.n)).reshape(m, -1)
-            # the products phi_k phi_l on the grid, in blocks of modes k of
-            # at most 16 _STACK_VALUES values (1 MB), kept where one block
-            # holds them all: rebuilt per call, the same bits took 1.02x
-            # (1-D n = 32) and 1.09x (2-D n = 64) the sphere stage's time
-            self.block = max(1, 16 * _STACK_VALUES // (m * self.phi.shape[1]))
-            self.pairs = self._pairs(0) if self.block >= m else None
-
-    def evaluate(self, C: np.ndarray) -> np.ndarray:
-        if self.phi is not None:
-            return np.matmul(C, self.phi).reshape(len(C), *self.grid)
-        if self.m < self.n:
-            C = np.concatenate([C, np.zeros((len(C), self.n - self.m))], axis=1)
-        return self.tables.evaluate(C)
-
-    def pairings(self, V: np.ndarray) -> np.ndarray:
-        if self.phi is not None:
-            return self.tables.weight * np.matmul(V.reshape(len(V), -1), self.phi.T)
-        return self.tables.pairings(V)[:, : self.m]
-
-    def _pairs(self, k: int) -> np.ndarray:
-        """The products phi_k phi_l of the block of modes from k, a column each."""
-        phi = self.phi
-        return (phi[k : k + self.block, None, :] * phi[None, :, :]).reshape(-1, phi.shape[1]).T
-
-    def galerkin(self, V: np.ndarray) -> np.ndarray:
-        if self.phi is None:
-            return self.tables.galerkin(V)
-        V = V.reshape(len(V), -1)
-        blocks = [
-            np.matmul(V, self._pairs(k) if self.pairs is None else self.pairs)
-            for k in range(0, self.m, self.block)
-        ]
-        return (self.tables.weight * np.concatenate(blocks, axis=1)).reshape(len(V), self.m, self.m)
-
-
-class _Rows:
-    """The rows of a stage of _ascend, each with its log-ratio f(c) = a log
-    M(c) - sum_i b_i log Q_i(c), where M(c) = int |w|^(e+1) of the field w
-    of coefficients c and Q_i(c) = sum_k w_ik c_k^2: the row parameters,
-    shaped to broadcast, with `value` and `curvature` at unit rows, and
-    `full` where every row has every mode active, which skips the masks.
-    Both synthesize the grid values of a stack in chunks of rows: 10 rows
-    (the starts of one problem) or as many as hold two _STACK_VALUES values
-    (128 KB), whichever is more.  value keeps them for curvature only where
-    one chunk holds the stack."""
-
-    def __init__(self, modes: _Modes, e, a, B, W, mask):
-        self.modes, self.a, self.B, self.W, self.mask = modes, a, B, W, mask
-        grid = (-1,) + (1,) * len(modes.grid)
-        self.low_power, self.high = (e - 1.0).reshape(grid), (e + 1.0).reshape(grid)
-        self.hess_weight = (e * (e + 1.0)).reshape(grid)
-        ones = np.ones((len(a), 1))
-        # the signs of A0's rank-one terms (see curvature)
-        self.s = np.concatenate([a[:, None], -4.0 * B, ones, -ones], axis=1)
-        self.full = bool(mask.all())  # every mode active: nothing to mask
-
-    def take(self, keep) -> "_Rows":
-        """The rows `keep`, by index or mask."""
-        keep = np.flatnonzero(keep) if keep.dtype == bool else keep
-        new = object.__new__(_Rows)
-        new.__dict__.update((k, v.take(keep, 0) if isinstance(v, np.ndarray) else v) for k, v in vars(self).items())
-        new.full = self.full or bool(new.mask.all())
-        return new
-
-    def largest(self, D: np.ndarray) -> np.ndarray:
-        """The largest |D| over each row's active modes."""
-        return np.abs(D if self.full else np.where(self.mask, D, 0.0)).max(axis=1)
-
-    def powers(self, C: np.ndarray):
-        """For each chunk of the unit rows C: its rows, the grid values w
-        and |w|^(e-1)."""
-        size = max(10, 2 * _STACK_VALUES // self.modes.tables.points)
-        for i in range(0, len(C), size):
-            at = slice(i, i + size)
-            vals = self.modes.evaluate(C[at])
-            yield at, vals, np.abs(vals) ** self.low_power[at]
-
-    def value(self, C: np.ndarray):
-        """f at the unit rows C, a few ulps of its terms (the size of its
-        roundoff), and what curvature reads: the M and Q behind them and,
-        for a stack of one chunk, its grid values and |w|^(e-1)."""
-        M, kept = np.empty(len(C)), None
-        for at, vals, low in self.powers(C):
-            size = vals * vals
-            size *= low  # |w|^(e+1)
-            M[at] = self.modes.tables.integrate(size)
-            kept = (vals, low) if len(vals) == len(C) else None
-        if not ((M > 0.0) & (M < math.inf)).all():  # a power past the float range
-            raise ValueError("coefficients must be finite")
-        Q = np.matmul(self.W, (C * C)[:, :, None])[:, :, 0]
-        log_m, log_q = self.a * np.log(M), self.B * np.log(Q)
-        f = log_m - log_q.sum(axis=1)
-        tol = 8.0 * _EPS * (np.abs(log_m) + np.abs(log_q).sum(axis=1))
-        return f, tol, (M, Q, kept)
-
-    def curvature(self, C: np.ndarray, at: tuple, top: bool = False) -> dict:
-        """The tangent gradient g of f at the unit rows C and its Hessian
-        H = (a/M) H_M + sum_j s_j u_j u_j^T - diag(D): H_M is the Galerkin
-        matrix of hw = e (e+1) |w|^(e-1), the u_j are grad M / M and the
-        w_i c / Q_i with s = (-a, 4 b_i), and D = 2 sum_i b_i w_i / Q_i.
-        Below _KRYLOV_N as A0 = c c^T - P H P = (c - g)(c - g)^T - g g^T
-        - H, P = I - c c^T (f is 0-homogeneous, so H c = -g); from it on,
-        as its terms, for `hess`.  With `top`, for rows that enter the
-        stack, also a bound on H's eigenvalues.  `at` is what value gave
-        with C."""
-        M, Q, kept = at
-        aM = self.a / M
-        gM, top_hw, parts = np.empty_like(C), np.empty(len(C)), []
-        for rows, vals, low in [(slice(None), *kept)] if kept else self.powers(C):
-            vals *= low
-            vals *= self.high[rows]  # (e+1) |w|^(e-1) w
-            gM[rows] = self.modes.pairings(vals) / M[rows, None]
-            low *= self.hess_weight[rows]  # e (e+1) |w|^(e-1)
-            if top:
-                top_hw[rows] = low.reshape(len(low), -1).max(axis=1)
-            # H_M below _KRYLOV_N, to become A0 in place; hw from it on
-            parts.append(self.modes.galerkin(low) if self.modes.dense else low)
-        parts = parts[0] if len(parts) == 1 else np.concatenate(parts)
-        if not np.isfinite(gM).all():
-            raise ValueError("coefficients must be finite")
-        V = self.W * (C[:, None, :] / Q[:, :, None])  # the w_i c / Q_i
-        g = self.a[:, None] * gM - 2.0 * np.matmul(self.B[:, None, :], V)[:, 0, :]
-        g -= _row_dots(g, C)[:, None] * C
-        if not self.full:
-            g *= self.mask
-        D = 2.0 * np.matmul((self.B / Q)[:, None, :], self.W)[:, 0, :]
-        cv = dict(g=g, D=D)
-        if top:
-            # H_M lies below max(hw) I, the modes being orthonormal in the
-            # quadrature, and each other term is semidefinite or diagonal
-            least = D if self.full else np.where(self.mask, D, math.inf)
-            cv["top"] = (
-                np.maximum(aM, 0.0) * top_hw
-                + np.maximum(-self.a, 0.0) * _row_dots(gM, gM)
-                + 4.0 * (np.maximum(self.B, 0.0) * (V * V).sum(axis=2)).sum(axis=1)
-                - least.min(axis=1)
+def _gn_log_constant(dim: int, e: float, order: float) -> float | None:
+    """log S of |w|_{e+1} <= S |w|_2^t |w|_o^(1-t) for every w of the
+    Dirichlet span of the box, whatever its truncation: o = order, and
+    1 - t = o_min / o with o_min = dim (1/2 - 1/(e+1)), the order at which
+    the Sobolev embedding into L^(e+1) is critical (region's interpolation
+    exponents).  The spectral norms |w|_o are log-convex in o, so S_o <=
+    S_o' for o_min <= o' <= o, and the constant is:
+    - at o >= 1 with o_min < 1 (e + 1 below the H^1-critical exponent, so
+      always in 1-D and 2-D), the sharp whole-space constant of order 1
+      (extended by zero, w lies in H^1 of the whole space with the same
+      norms), from the ground state of -Lap Q + Q = Q^e (Weinstein, Comm.
+      Math. Phys. 87, 1983): in closed form in 1-D, by one radial solve in
+      2-D and 3-D (see _radial_log_mass);
+    - otherwise, where o_min <= 1, half the log of Lieb's sharp fractional
+      Sobolev constant of order o_min (Lieb, Ann. Math. 118, 1983), which
+      bounds the spectral norm's by Musina & Nazarov (Comm. PDE 39, 2014)
+      for o_min < 1 and is Talenti's at o_min = 1;
+    - None for o_min > 1 (3-D, e > 5): no certified constant is known.
+    The bound is for the exact integral.  At odd integer e the grid
+    quadrature is exact from oversample (e+1)/2 on; at the others the
+    measured grid ratios stay below S* but for roundoff, which the margin
+    below covers."""
+    o = dim * (0.5 - 1.0 / (e + 1.0))
+    log_s = None
+    if order >= 1.0 and o < 1.0:
+        # the ground state's int Q^2, whose Pohozaev identities give int
+        # |grad Q|^2 = o P and int Q^2 = (1 - o) P, P = int Q^(e+1)
+        if dim == 1:  # Q = c sech^b(x/b), b = 2/(e-1), c^(e-1) = (e+1)/2
+            b = 2.0 / (e - 1.0)
+            log_mass = (
+                2.0 * math.log1p((e - 1.0) / 2.0) / (e - 1.0) + math.log(b)
+                + 0.5 * math.log(math.pi) + math.lgamma(b) - math.lgamma(b + 0.5)
             )
-        if not self.modes.dense:
-            U = np.concatenate([gM[:, None, :], V], axis=1)
-            return dict(cv, hw=parts, aM=aM, U=U)
-        U = np.concatenate([gM[:, None, :], V, (C - g)[:, None, :], g[:, None, :]], axis=1)
-        A0 = parts
-        A0 *= -aM[:, None, None]
-        Us, size = U.swapaxes(1, 2) * self.s[:, None, :], self.modes.block_rows
-        for i in range(0, len(C), size):
-            A0[i : i + size] += np.matmul(Us[i : i + size], U[i : i + size])
-        diag = A0.reshape(len(A0), -1)[:, :: C.shape[1] + 1]  # a view: A0 is C-contiguous
-        diag += D
-        if not self.full:  # the identity off the active modes
-            A0 *= self.mask[:, :, None] & self.mask[:, None, :]
-            diag += ~self.mask
-        cv["A0"] = A0
-        return cv
-
-    def hess(self, cv: dict, X: np.ndarray, at) -> np.ndarray:
-        """H x for the rows x of X, at the rows `at` of the curvature cv."""
-        U, s = cv["U"][at], -self.s[at, :-2]  # s_j = (-a, 4 b_i)
-        HX = cv["aM"][at, None] * self.modes.pairings(cv["hw"][at] * self.modes.evaluate(X))
-        HX += np.matmul((s * np.matmul(U, X[:, :, None])[:, :, 0])[:, None, :], U)[:, 0, :]
-        HX -= cv["D"][at] * X
-        return HX * self.mask[at]  # where every mode is active too: its layout sets later bits
-
-
-def _unit_rows(C: np.ndarray) -> np.ndarray:
-    """The rows of C over their Euclidean norms; a row whose norm is 0 or
-    not finite has no point on the sphere, and raises ValueError (a norm
-    past the float range reads inf under the ascent's errstate)."""
-    norms = np.sqrt(_row_dots(C, C))
-    if not ((norms > 0.0) & (norms < math.inf)).all():
-        raise ValueError("level ascent: a start's norm is 0 or not finite")
-    return C / norms[:, None]
-
-
-def _shifted_steps(rows: _Rows, C, cv: dict, mu: np.ndarray, floor: np.ndarray):
-    """Each row's step d of (P (mu I - H) P + c c^T) d = g with its shift
-    mu raised, to at least `floor` and then by 4 at a time, until the
-    matrix is positive definite: below _KRYLOV_N by Cholesky, on chunks of
-    rows.modes.block_rows rows, and from it on by conjugate gradients that
-    meet no direction of nonpositive curvature.
-    Returns the steps and the shifts."""
-    mu, todo, d = mu.copy(), np.arange(len(C)), np.empty_like(C)
-    size = rows.modes.block_rows
-    while True:
-        if rows.modes.dense:
-            ok, every = np.empty(len(todo), dtype=bool), len(todo) == len(C)
-            for i in range(0, len(todo), size):
-                at = slice(i, i + size) if every else todo[i : i + size]
-                c = C[at]
-                A = (mu[at, None] * -c)[:, :, None] * c[:, None, :]  # mu (I - c c^T)
-                diag = A.reshape(len(A), -1)[:, :: C.shape[1] + 1]  # a view, as in curvature
-                diag += mu[at, None]
-                A += cv["A0"][at]
-                ok[i : i + size] = good = _definite(A)
-                if good.all():
-                    d[at] = np.linalg.solve(A, cv["g"][at, :, None])[:, :, 0]
-                elif good.any():
-                    some = todo[i : i + size][good]
-                    d[some] = np.linalg.solve(A[good], cv["g"][some, :, None])[:, :, 0]
         else:
-            step, ok = _cg_steps(rows, C, cv, todo, mu[todo])
-            d[todo[ok]] = step[ok]
-        if ok.all():
-            return d, mu
-        todo = todo[~ok]
-        mu[todo] = np.maximum(4.0 * mu[todo], floor[todo])
+            log_mass = _radial_log_mass(dim, e)
+        if log_mass is not None:
+            log_s = (
+                -(e - 1.0) / (2.0 * (e + 1.0)) * (log_mass - math.log1p(-o))
+                - (1.0 - o) / 2.0 * math.log1p(-o) - o / 2.0 * math.log(o)
+            )
+    if log_s is None and o <= 1.0:
+        log_s = 0.5 * (
+            -2.0 * o * math.log(2.0) - o * math.log(math.pi)
+            + math.lgamma((dim - 2.0 * o) / 2.0) - math.lgamma((dim + 2.0 * o) / 2.0)
+            + 2.0 * o / dim * (math.lgamma(dim) - math.lgamma(dim / 2.0))
+        )
+    # the grid's ratio at solitons projected onto 1-D n >= 64 modes reaches
+    # S* to within 6.7e-16 relative, at odd and other e alike (the roundoff
+    # of its evaluation): the margin 1e-15 covers it
+    return None if log_s is None else log_s + 1e-15
 
 
-def _definite(A: np.ndarray) -> np.ndarray:
-    """Which matrices of the stack A Cholesky accepts."""
-    ok = np.ones(len(A), dtype=bool)
-    try:
-        np.linalg.cholesky(A)
-    except np.linalg.LinAlgError:
-        for i, row in enumerate(A):
-            try:
-                np.linalg.cholesky(row)
-            except np.linalg.LinAlgError:
-                ok[i] = False
-    return ok
+@functools.lru_cache(maxsize=None)
+@np.errstate(all="ignore")
+def _radial_log_mass(dim: int, e: float) -> float | None:
+    """log int Q^2 of the positive radial solution Q of -Lap Q + Q = Q^e in
+    dim dimensions, rounded down by its Pohozaev defect (so that the
+    constant it gives rounds up), or None where the solve does not reach it
+    (a defect above 1e-8, or Q not positive).
 
-
-def _cg_steps(rows: _Rows, C, cv: dict, at, mu):
-    """The steps of the rows `at` by conjugate gradients with Hessian
-    products on the grid, preconditioned by the diagonal mu + |D| + |a/M|
-    mean(hw) + 1, which bounds that of the matrix."""
-
-    def op(X, some):
-        c = C[at[some]]
-        cx = _row_dots(X, c)[:, None]
-        HX = rows.hess(cv, X - cx * c, at[some])
-        HX -= _row_dots(HX, c)[:, None] * c
-        return mu[some, None] * (X - cx * c) - HX + cx * c
-
-    hw = cv["hw"][at]
-    mean = hw.reshape(len(hw), -1).mean(axis=1)
-    diag = mu[:, None] + np.abs(cv["D"][at]) + np.abs(cv["aM"][at] * mean)[:, None] + 1.0
-    return _stacked_cg(op, cv["g"][at], diag)
-
-
-def _stacked_cg(op, B: np.ndarray, diag: np.ndarray):
-    """x with |op(x) - b| <= min(1e-3, |b|) |b| for each row b of B (a
-    forcing term that keeps Newton's convergence superlinear, Eisenstat &
-    Walker 1996), by conjugate gradients preconditioned by `diag`, the rows
-    in one stack; op(X, rows) applies the operator of those rows.  A row
-    fails on a direction of nonpositive curvature; after B.shape[1]
-    iterations it keeps its iterate.  Returns X and which rows did not
-    fail."""
-    X, R = np.zeros_like(B), B.copy()
-    size = np.sqrt(_row_dots(B, B))
-    limit = np.minimum(1e-3, size) * size
-    ok = size <= limit
-    going = np.flatnonzero(~ok)
-    Z = R[going] / diag[going]
-    P, rz = Z, _row_dots(R[going], Z)
-    for _ in range(B.shape[1]):
-        if not len(going):
+    Chebyshev collocation in x on 97 points mapped onto [0, R] by r = w
+    sinh(kappa (1+x)/2), which spaces them evenly in r across the core of
+    width w and in log r along the tail, with Q(R) = 0 and Q'(0) = 0;
+    Petviashvili's iteration from a Gaussian finds the core, w is set to
+    its width sqrt(dim/(Q(0)^(e-1) - 1)) until that settles, and Newton
+    steps polish Q until they stop shrinking.  Within 4e-12 of a shooting
+    solve for e up to 20 in 2-D and up to 4.9 in 3-D, in 1.5-5 ms.  (On
+    129 points OpenBLAS ran the LU and the products on its threads, whose
+    first start took up to 0.6 s in a fresh process on a 2-core VM; on 97
+    it did not.)"""
+    n = 96
+    theta = np.pi * np.arange(n + 1) / n
+    x = np.cos(theta)
+    c = np.ones(n + 1)
+    c[0] = c[n] = 2.0
+    c[1::2] *= -1.0
+    D = np.outer(c, 1.0 / c) / (x[:, None] - x[None, :] + np.eye(n + 1))
+    D -= np.diag(D.sum(axis=1))
+    k = np.arange(1, n // 2 + 1)  # Clenshaw-Curtis weights
+    cc = 1.0 - np.cos(np.outer(theta, 2 * k)) @ (np.where(k < n // 2, 2.0, 1.0) / (4.0 * k * k - 1.0))
+    cc *= np.where(c == 2.0, 1.0, 2.0) / n
+    length = 30.0 + 2.0 / (e - 1.0)
+    w = math.sqrt(2.0 / (e - 1.0))  # the 1-D soliton's core width
+    for _ in range(8):
+        kappa = math.asinh(length / w)
+        s = (1.0 + x[1:]) / 2.0  # x[0] = 1 is r = R, where Q = 0
+        r, dr = w * np.sinh(kappa * s), (w * kappa / 2.0) * np.cosh(kappa * s)
+        D1 = D[1:, 1:] / dr[:, None]
+        L = np.eye(n) - D1 @ D1 - ((dim - 1.0) / r)[:, None] * D1
+        L[-1] = D1[-1]  # the row of r = 0: Q'(0) = 0
+        weights = cc[1:] * dr * r ** (dim - 1)  # 0 at r = 0
+        inverse = np.linalg.inv(L)
+        Q = np.exp(-0.5 * (r / w) ** 2)
+        for _ in range(100):
+            power = np.abs(Q) ** (e - 1.0) * Q
+            power[-1] = 0.0
+            m = (weights * Q * (L @ Q)).sum() / (weights * Q * power).sum()
+            Q = m ** (e / (e - 1.0)) * (inverse @ power)
+            if abs(m - 1.0) < 1e-6:
+                break
+        top = Q[-1] ** (e - 1.0)
+        width = math.sqrt(dim / (top - 1.0)) if np.isfinite(Q).all() and top > 1.0 else w / 10.0
+        if 0.7 < width / w < 1.4:
             break
-        AP = op(P, going)
-        pap = _row_dots(P, AP)
-        curved = pap > 0.0
-        alpha = np.where(curved, rz / np.where(curved, pap, 1.0), 0.0)
-        X[going] += alpha[:, None] * P
-        R[going] -= alpha[:, None] * AP
-        done = np.sqrt(_row_dots(R[going], R[going])) <= limit[going]
-        ok[going[done & curved]] = True
-        keep = curved & ~done
-        going, P, rz = going[keep], P[keep], rz[keep]
-        Z = R[going] / diag[going]
-        rz_new = _row_dots(R[going], Z)
-        P = Z + (rz_new / rz)[:, None] * P
-        rz = rz_new
-    ok[going] = True  # out of iterations, on a definite Krylov space
-    return X, ok
+        w = width
+    else:
+        return None
+    step = math.inf
+    for _ in range(20):
+        slope = e * np.abs(Q) ** (e - 1.0)
+        slope[-1] = 0.0
+        delta = np.linalg.solve(L - np.diag(slope), slope * Q / e - L @ Q)
+        Q += delta
+        if not np.abs(delta).max() < step / 2.0:  # at roundoff
+            break
+        step = np.abs(delta).max()
+    mass = (weights * Q * Q).sum()
+    defect = abs((weights * np.abs(Q) ** (e + 1.0)).sum() * (1.0 - dim * (0.5 - 1.0 / (e + 1.0))) / mass - 1.0)
+    if not (defect <= 1e-8 and Q.min() >= -1e-8 * Q.max()):
+        return None
+    return math.log(2.0 * math.pi ** (dim / 2.0) / math.gamma(dim / 2.0) * mass) - defect
 
 
-class _Group(NamedTuple):
-    """One problem of an ascent stage: the log-ratio's e, a and terms
-    [(b_i, w_i)] (each w_i of the stage's length m), its starts, on the
-    first `active` modes, and `warm`: the index of an earlier group whose
-    best point is this group's first start, which runs once that group's
-    rows have all stopped, or None."""
-
-    e: float
-    a: float
-    terms: list
-    starts: list
-    active: int
-    warm: int | None = None
-
-
-@np.errstate(over="ignore", invalid="ignore")
-def _ascend(spec: ProblemSpec, m: int, groups: list[_Group]):
-    """Maximize f(c) = a log M(c) - sum_i b_i log(sum_k w_ik c_k^2) over the
-    unit sphere of the first `active` coordinates of R^m, M(c) = int
-    |w|^(e+1) of the field w of coefficients c on the first m modes, from
-    each group's starts (see _Group).  The starts of all groups advance as
-    the rows of one stack, each on its own path (see _Rows), and a warm
-    start joins the stack when the group it comes from is done.  f is
-    0-homogeneous, so its Euclidean gradient is tangent to the sphere, and
-    the sphere can be Euclidean whatever the weights.
-
-    Each iteration is a Riemannian Newton step (Absil, Mahony & Sepulchre,
-    Optimization Algorithms on Matrix Manifolds, 2008): the shifted
-    tangent system (P (mu I - H) P + c c^T) d = g, P = I - c c^T, whose
-    shift mu is raised until the matrix is positive definite (see
-    _shifted_steps) and the retracted step (c + d)/|c + d| raises f, each
-    refusal raising it by 4 (to at least 1e-6 max |D|, see _Rows).  A row
-    starts at a quarter of a bound on H's eigenvalues, built only where it
-    enters the stack, and the gain of a step over its model's, (g.d + mu
-    |d|^2)/2, sets the next shift: below 0.01 it is raised, above 0.25
-    halved.  A row stops when its Newton decrement g.d falls to a few ulps
-    of the terms of f, or after _ASCENT_STEPS steps.  A row's bits depend
-    on the rows it runs with, so the stack order, the chunks and the takes
-    and joins between steps are part of the result.
-
-    Returns per group the best f, the first in start order on ties, the
-    point that reached it, and whether that point stopped at the step cap
-    rather than on its decrement (then f is below the local maximum).
-    A start whose norm is 0 or not finite raises ValueError, and so does a
-    moment or gradient that is not finite."""
-    counts = [len(g.starts) + (g.warm is not None) for g in groups]
-    first = np.cumsum([0] + counts[:-1])
-    spans = [slice(start, start + count) for start, count in zip(first, counts)]  # each group's rows
-
-    def stack(values):
-        return np.repeat(np.asarray(values, dtype=float), counts, axis=0)
-
-    every = _Rows(  # every row's parameters; a warm start holds its group's first row
-        _Modes(spec, m), stack([g.e for g in groups]), stack([g.a for g in groups]),
-        stack([[b for b, _ in g.terms] for g in groups]),
-        stack([[w for _, w in g.terms] for g in groups]),
-        np.arange(m) < np.repeat([g.active for g in groups], counts)[:, None],
-    )
-    points = np.zeros((sum(counts), m))
-    for g, count, start in zip(groups, counts, first):
-        at = start + (g.warm is not None)
-        for i, c in enumerate(g.starts):
-            points[at + i, : len(c)] = c
-    values = np.full(len(points), -math.inf)  # every row's, written back when it stops
-    capped, done = np.zeros(len(points), dtype=bool), np.zeros(len(points), dtype=bool)
-    waiting = {start: g.warm for g, start in zip(groups, first) if g.warm is not None}
-    index = np.array([i for i in range(len(points)) if i not in waiting], dtype=int)
-    rows = every.take(index)
-    C = _unit_rows(points[index])
-    f, tol, at = rows.value(C)
-    cv = rows.curvature(C, at, top=True)
-    mu = 0.25 * np.maximum(cv.pop("top"), 0.0)
-    steps, iteration = np.zeros(len(index), dtype=int), 0
-    while len(index):
-        iteration += 1
-        floor = 1e-6 * rows.largest(cv["D"]) + _TINY
-        d, mu = _shifted_steps(rows, C, cv, mu, floor)
-        gd = _row_dots(cv["g"], d)
-        stop = gd <= tol
-        rho = np.zeros(len(C))  # each taken step's gain over its model's
-        every_row = not stop.any()
-        trial = slice(None) if every_row else np.flatnonzero(~stop)
-        if every_row or len(trial):
-            some = rows if every_row else rows.take(trial)
-            new = _unit_rows(C[trial] + d[trial])
-            new_f, new_tol, new_at = some.value(new)
-            up = new_f > f[trial]
-            if every_row and up.all():  # every row steps
-                rho = (new_f - f) / (0.5 * (gd + mu * _row_dots(d, d)))
-                cv = None  # freed before the new one is built
-                cv = rows.curvature(new, new_at)
-                C, f, tol = new, new_f, new_tol
-                steps += 1
-            elif up.any():
-                taken = np.flatnonzero(~stop)[up]
-                # the model's gain, g.d + d.(P H P) d / 2 where A d = g
-                model = 0.5 * (gd[taken] + mu[taken] * _row_dots(d[taken], d[taken]))
-                rho[taken] = (new_f[up] - f[taken]) / model
-                M, Q, kept = new_at
-                new_at = M[up], Q[up], kept and (kept[0][up], kept[1][up])
-                took = some.take(up).curvature(new[up], new_at)
-                for key, value in took.items():
-                    cv[key][taken] = value
-                C[taken], f[taken], tol[taken] = new[up], new_f[up], new_tol[up]
-                steps[taken] += 1
-        np.multiply(mu, 0.5, out=mu, where=rho > 0.25)
-        np.maximum(4.0 * mu, floor, out=mu, where=rho < 0.01)
-        if iteration >= _ASCENT_STEPS:  # no row takes a step more than once an iteration
-            stop |= steps >= _ASCENT_STEPS
-        elif every_row:
-            continue
-        if not stop.any():
-            continue
-        out = index[stop]
-        points[out], values[out], capped[out] = C[stop], f[stop], ~(gd[stop] <= tol[stop])
-        done[out] = True
-        keep = np.flatnonzero(~stop)
-        index, mu, steps, C, f, tol = (x.take(keep, 0) for x in (index, mu, steps, C, f, tol))
-        cv = {key: value.take(keep, 0) for key, value in cv.items()}
-        # the warm starts whose groups of origin are now done
-        ready = [i for i, g in waiting.items() if done[spans[g]].all()]
-        if ready:
-            for i in ready:
-                span = spans[waiting.pop(i)]
-                points[i] = points[span.start + int(np.argmax(values[span]))]
-            joined = np.array(ready, dtype=int)
-            some = every.take(joined)
-            new = _unit_rows(points[joined])
-            new_f, new_tol, new_at = some.value(new)
-            took = some.curvature(new, new_at, top=True)
-            index = np.concatenate([index, joined])
-            C, f, tol = np.concatenate([C, new]), np.concatenate([f, new_f]), np.concatenate([tol, new_tol])
-            cv = {key: np.concatenate([value, took[key]]) for key, value in cv.items()}
-            mu = np.concatenate([mu, 0.25 * np.maximum(took["top"], 0.0)])
-            steps = np.concatenate([steps, np.zeros(len(joined), dtype=int)])
-        rows = every.take(index)
-    best = []
-    for span in spans:
-        i = span.start + int(np.argmax(values[span]))  # the first of ties
-        best.append((float(values[i]), points[i], bool(capped[i])))
-    return best
-
-
-def _sphere_extremals(spec: ProblemSpec, k_max: int, seed: int) -> list[list[tuple[float, np.ndarray]]]:
-    """For k = 1..k_max, the logs of the minima of int |u|^(q+1) over the
-    unit r-norm sphere and of int |v|^(p+1) over the unit (2-r)-norm sphere
-    of the first k modes, each with a minimizer (of unit Euclidean norm:
-    the ratio below is scale-free), by _ascend of -log M + ((e+1)/2) log
-    sum_k lambda_k^o c_k^2 on the k_max x k_max block, one group per k and
-    problem, from 10 starts each: at k > 1 the warm start, level k-1's
-    minimizer, then random ones of the seeds seed + 17 k and seed + 17 k +
-    1.  All levels run as one stack, each warm start from when its level
-    k-1 is done.  At p = q with r = 1 the two problems are one: its starts
-    are the q problem's, and its minimum is returned for both."""
-    problems = [(spec.q, spec.r), (spec.p, 2.0 - spec.r)]
-    if spec.p == spec.q and spec.r == 1.0:
-        del problems[1]
-    groups = []
-    for k in range(1, k_max + 1):
-        for i, (exponent, order) in enumerate(problems):
-            rng = np.random.default_rng(seed + 17 * k + i)
-            warm = None if k == 1 else len(groups) - len(problems)
-            starts = [rng.standard_normal(k) for _ in range(10 - (warm is not None))]
-            weights = spec.basis.eigenvalues[:k_max] ** order
-            groups.append(_Group(exponent, -1.0, [(-(exponent + 1.0) / 2.0, weights)], starts, k, warm))
-    best = _ascend(spec, k_max, groups)
-    per_level = [best[i : i + len(problems)] for i in range(0, len(best), len(problems))]
-    return [[(-f, c) for f, c, _ in (level[0], level[-1])] for level in per_level]
-
-
-def _gn_constants(spec: ProblemSpec, theta: float, zeta: float, seed: int) -> list[float]:
-    """The logs of the best constants S of |w|_{e+1} <= S |w|_2^t
-    |w|_o^(1-t) over the truncated span, for the q problem (e = q, o = r,
-    t = theta) and the p problem (e = p, o = 2 - r, t = zeta): one stage of
-    _ascend of log S(c) = log M / (e+1) - (t/2) log |c|^2 - ((1-t)/2) log
-    sum_k lambda_k^o c_k^2 from 10 random starts each (seeds `seed` and
-    seed + 1).  Where the two problems coincide (p = q, r = 1, where theta
-    = zeta) they are one: its 10 starts are the q problem's, and its
-    constant is returned for both.  A constant whose best start stopped at
-    the step cap is below the local maximum: in 1-D from _KRYLOV_N on
-    every start does (see lower_growth_constant)."""
-    problems = [(spec.q, spec.r, theta), (spec.p, 2.0 - spec.r, zeta)]
-    if problems[0] == problems[1]:
-        del problems[1]
-    ones = np.ones(spec.n)
-    groups = []
-    for i, (exponent, order, t) in enumerate(problems):
-        rng = np.random.default_rng(seed + i)
-        starts = [rng.standard_normal(spec.n) for _ in range(10)]
-        terms = [(t / 2.0, ones), ((1.0 - t) / 2.0, spec.basis.eigenvalues**order)]
-        groups.append(_Group(exponent, 1.0 / (exponent + 1.0), terms, starts, spec.n))
-    best = _ascend(spec, spec.n, groups)
-    return [best[0][0], best[-1][0]]
+def _sphere_log_bounds(spec: ProblemSpec, k_max: int) -> list[float]:
+    """For k = 1..k_max, log c_k: c_k bounds from below the minima of int
+    |u|^(q+1) / (q+1) over the unit r-norm sphere and of int |v|^(p+1) /
+    (p+1) over the unit (2-r)-norm sphere of the first k modes.  On that
+    span |w|_o <= lambda_k^(o/2) |w|_2, and Hölder gives int |w|^(e+1) >=
+    |Omega|^(-(e-1)/2) |w|_2^(e+1), so each minimum is at least
+    |Omega|^(-(e-1)/2) lambda_k^(-o(e+1)/2), formed in logs; the grid's
+    weights sum to less than |Omega| and it integrates w^2 exactly, so the
+    bound holds for the quadrature too."""
+    log_volume = sum(math.log(length) for length in spec.domain.lengths)
+    return [
+        min(
+            -(e - 1.0) / 2.0 * log_volume - o * (e + 1.0) / 2.0 * math.log(lam) - math.log(e + 1.0)
+            for e, o in ((spec.q, spec.r), (spec.p, 2.0 - spec.r))
+        )
+        for lam in spec.basis.eigenvalues[:k_max].tolist()
+    ]
 
 
 def _forcing_size(spec: ProblemSpec) -> float:
@@ -1447,30 +1092,28 @@ def _forcing_size(spec: ProblemSpec) -> float:
 
 
 @np.errstate(over="ignore", invalid="ignore")  # quiet: its grid's overflowing powers read inf
-def lower_growth_constant(spec: ProblemSpec, seed: int = 0) -> float:
+def lower_growth_constant(spec: ProblemSpec) -> float:
     """Constant gamma of the lower level curve gamma k^(2 alpha).
 
-    Assembled from computed truncation data: interpolation constants on the
-    truncated span, the eigenvalue growth constant of the box, and the
-    forcing size.  gamma is the maximum of g(x) = x - d_q x^((q+1)/2) -
-    d_p x^((p+1)/2) - C0 sqrt(x), where d_e grows with the Gagliardo-
-    Nirenberg constant of its half.  Those constants are suprema; a stage
-    gives the best local maximum its starts reach, converged where its best
-    start stops on its Newton decrement (see _ascend), and gamma is too
-    large where that lies below the supremum: at 1-D n = 32, p = q = 3 by
-    5.8e-7 relative, starts on mode 1's parity class reaching a higher one.
-    In 1-D from _KRYLOV_N on the truncated maximizer lies on a ridge, every
-    start stops at the step cap with S still rising by about 1e-12 a step.
-    The exponent is exact.  The coefficients are formed in logs and g is
-    scanned in y = x / x_s, where x_s is the first x at which a power term
-    reaches x, so that a dilation of the box, which scales x, leaves the
-    scanned curve unchanged.
+    Assembled from the Gagliardo-Nirenberg constants of the two halves (see
+    _gn_log_constant), which hold for every truncation, the eigenvalue
+    growth constant of the box, and the forcing size.  gamma is the maximum
+    of g(x) = x - d_q x^((q+1)/2) - d_p x^((p+1)/2) - C0 sqrt(x), where d_e
+    grows with the constant of its half, and 0 where g has no positive
+    maximum or a half has no certified constant (3-D, e > 5).  The exponent
+    is exact.  The coefficients are formed in logs and g is scanned in y =
+    x / x_s, where x_s is the first x at which a power term reaches x, so
+    that a dilation of the box, which scales x, leaves the scanned curve
+    unchanged.
     """
     pt = region.PQPoint(p=spec.p, q=spec.q, N=spec.domain.dim)
     theta, zeta = region.interpolation_exponents(pt, spec.r)
+    log_sq = _gn_log_constant(pt.N, spec.q, spec.r)
+    log_sp = _gn_log_constant(pt.N, spec.p, 2.0 - spec.r)
+    if log_sq is None or log_sp is None:
+        return 0.0
     c_lam = eigenvalue_growth_constant(spec.basis)
     log_lam = math.log(c_lam)
-    log_sq, log_sp = _gn_constants(spec, theta, zeta, seed)
     q, p, r = spec.q, spec.p, spec.r
     log_dq = (q + 1.0) * log_sq - r * theta * (q + 1.0) / 2.0 * log_lam - math.log(q + 1.0)
     log_dp = (p + 1.0) * log_sp - (2.0 - r) * zeta * (p + 1.0) / 2.0 * log_lam - math.log(p + 1.0)
@@ -1489,7 +1132,10 @@ def lower_growth_constant(spec: ProblemSpec, seed: int = 0) -> float:
         raise overflow from None
 
     def g(x, sqrt=math.sqrt):  # at a float, or with np.sqrt at an array
-        return x - d_q * x ** ((q + 1.0) / 2.0) - d_p * x ** ((p + 1.0) / 2.0) - c1 * sqrt(x)
+        try:
+            return x - d_q * x ** ((q + 1.0) / 2.0) - d_p * x ** ((p + 1.0) / 2.0) - c1 * sqrt(x)
+        except OverflowError:  # a refine point's power past the float range
+            raise ValueError("lower growth curve: its powers leave the float range") from None
 
     # the grid's argmax by one numpy pass, where powers past the float range
     # read inf and NaN never wins; the value there and the refine take g at
@@ -1556,14 +1202,11 @@ def estimate_levels(
     the running maxima (see _may_move), so the brackets are those of
     evaluating every sample.
     R_k solves R^2/2 = c_k R^m (m = min(p,q)+1) with a safety factor 2,
-    where c_k is the computed minimum of the normalized nonlinear integrals
-    over the unit sphere of the first k modes (see _sphere_extremals),
-    formed in logs.
-    lower: gamma k^(2 alpha) with computed gamma and exact exponent (see
+    where c_k is a closed-form lower bound on the minima of the normalized
+    nonlinear integrals over the unit sphere of the first k modes (see
+    _sphere_log_bounds), formed in logs.
+    lower: gamma k^(2 alpha) with certified gamma and exact exponent (see
     lower_growth_constant).
-    At p = q with r = 1 the u and v halves pose one problem, so each ascent
-    stage (the constants of gamma, the minima of c_k) climbs it once and
-    uses its result for both.
     A forcing whose size C0 is not finite raises ValueError naming h and k,
     and a bracket value that is not finite raises ValueError naming k and
     field.
@@ -1585,15 +1228,12 @@ def estimate_levels(
         )
     pt = region.PQPoint(p=spec.p, q=spec.q, N=spec.domain.dim)
     _, _, alpha = region.growth_exponents(pt, spec.r)
-    gamma = lower_growth_constant(spec, seed=seed)
+    gamma = lower_growth_constant(spec)
     m_exp = min(spec.p, spec.q) + 1.0
     weights = _weights(spec.basis, spec.r)
     brackets: list[LevelBracket] = []
-    minima = _sphere_extremals(spec, k_max, seed)
     prev_best_point: np.ndarray | None = None
-    for k in range(1, k_max + 1):
-        (log_cq, _), (log_cp, _) = minima[k - 1]
-        log_ck = min(log_cq - math.log(spec.q + 1.0), log_cp - math.log(spec.p + 1.0))
+    for k, log_ck in enumerate(_sphere_log_bounds(spec, k_max), start=1):
         try:  # 2 (1/(2 c_k))^(1/(m-2))
             radius = 2.0 * math.exp(-(math.log(2.0) + log_ck) / (m_exp - 2.0))
         except OverflowError:
@@ -1630,14 +1270,17 @@ def estimate_levels(
 
 def _level_points(spec, k, radius, prev_best, samples, rng, may_move):
     """Level k's points in stacks of energy._stack_rows rows: level k-1's best,
-    the scaled plus eigenvectors, then the samples, each drawn in turn.  Of
-    each stack of samples only the rows where may_move(a_plus, a_minus) holds
-    are built, from their scaled +- eigenvector coordinates."""
+    the plus eigenvectors scaled to 1/4, 3/8, 1/2, 3/4 and 1 of the radius,
+    then the samples, each drawn in turn.  (At p = q = 3 the energy along
+    each such ray peaks at 0.41, 0.33 and 0.27 of the radius in 1-D, 2-D and
+    3-D; 1/4 and 3/8 catch these peaks to within 7%.)  Of each stack of
+    samples only the rows where may_move(a_plus, a_minus) holds are built,
+    from their scaled +- eigenvector coordinates."""
     size = _stack_rows(spec)
     fixed = [] if prev_best is None else [prev_best]
     for j in range(1, k + 1):
         e_plus = coupling_eigenvector(spec.basis, j, +1, spec.r).vec
-        fixed += [e_plus * (frac * radius) for frac in (0.25, 0.5, 0.75, 1.0)]
+        fixed += [e_plus * (frac * radius) for frac in (0.25, 0.375, 0.5, 0.75, 1.0)]
     for start in range(0, len(fixed), size):
         yield np.array(fixed[start : start + size])
     power = 1.0 / (spec.n + k)

@@ -11,15 +11,18 @@ the flattened collocation grid and assembles the solver's residual and
 Jacobian from it directly, with no separable tables and no transforms.
 
 The ascent oracle is the first-order projected ascent that the level
-searches ran before their Newton steps, with its step constants, every
-start a row of one stack on its own path; it is the reference that the
-Newton steps' Gagliardo-Nirenberg constants (gn_constant) and sphere
-minima (sphere_minimum, which climbs the scale-free ratio, whose gradient
-is tangent to the weighted sphere) are checked against.
+searches once ran, with its step constants, every start a row of one stack
+on its own path.  It climbs the truncated Gagliardo-Nirenberg ratio from
+below (gn_constant) and descends to a local sphere minimum from above
+(sphere_minimum, which climbs the scale-free ratio, whose gradient is
+tangent to the weighted sphere), on the grid quadrature: the library's
+certified constants must lie above the first and below the second.  The
+radial oracle shoots for the ground state of -Lap Q + Q = Q^e in 2-D and
+3-D (radial_ground_state_mass), for the library's collocation solve.
 
 The sampling oracle is the level brackets with their samples built and
 evaluated one point at a time, each through the single-point energy
-functions.  Its sphere minima and lower curve constant are the library's;
+functions.  Its sphere bounds and lower curve constant are the library's;
 lower_growth_constant_scalar scans that curve one grid point at a time in
 Python floats, against the library's numpy scan, for all 200 iterations
 of its golden-section refine.
@@ -370,14 +373,14 @@ def sequential_newton(z0, spec, config=None, known=None) -> SolveResult:
     return outcome(config.max_iter, False, "max_iter reached")
 
 
-def sphere_minimum(spec, active, exponent, order, seed, warm_start=None):
+def sphere_minimum(spec, active, exponent, order, seed, warm_start=None, iters=300):
     """The minimum of int |w|^(exponent+1) over the unit order-norm sphere of
     the first `active` modes, and its minimizer, by projected_ascent on the
     negative of the scale-free ratio M(c) / Q(c)^((e+1)/2), M the
     power_moment and Q = sum_k lambda_k^order c_k^2, which is M on the
     sphere: its gradient is tangent to the weighted sphere, where that of
     -M is not.  From the warm start, zero-padded to `active` modes, then
-    random ones of the seed, 10 in all, of at most 300 steps each."""
+    random ones of the seed, 10 in all, of at most `iters` steps each."""
     weights = spec.basis.eigenvalues[:active] ** order
     half = (exponent + 1.0) / 2.0
 
@@ -396,22 +399,25 @@ def sphere_minimum(spec, active, exponent, order, seed, warm_start=None):
         starts[0][: len(warm_start)] = warm_start
     while len(starts) < 10:
         starts.append(rng.standard_normal(active))
-    val, point = projected_ascent(value_grad, starts, weights, 300)
+    val, point = projected_ascent(value_grad, starts, weights, iters)
     return -val, np.asarray(point)
 
 
-def lower_growth_constant_scalar(spec, seed=0):
+def lower_growth_constant_scalar(spec):
     """solve.lower_growth_constant with its curve evaluated by Python floats
     at every point of its log grid: the grid's first maximum, which NaN
     never takes, is refined by golden section, for all 200 iterations.  A
     power past the float range, where Python's ** raises OverflowError,
     reads numpy's inf.  The curve's constants are formed as the library
-    forms them, in logs from the logs of solve._gn_constants, and scanned
-    in y = x / x_s."""
+    forms them, in logs from the logs of solve._gn_log_constant, and
+    scanned in y = x / x_s; with no constant for a half, gamma is 0."""
     pt = region.PQPoint(p=spec.p, q=spec.q, N=spec.domain.dim)
     theta, zeta = region.interpolation_exponents(pt, spec.r)
     log_lam = math.log(eigenvalue_growth_constant(spec.basis))
-    log_sq, log_sp = solve._gn_constants(spec, theta, zeta, seed)
+    log_sq = solve._gn_log_constant(pt.N, spec.q, spec.r)
+    log_sp = solve._gn_log_constant(pt.N, spec.p, 2.0 - spec.r)
+    if log_sq is None or log_sp is None:
+        return 0.0
     q, p, r = spec.q, spec.p, spec.r
     log_dq = (q + 1.0) * log_sq - r * theta * (q + 1.0) / 2.0 * log_lam - math.log(q + 1.0)
     log_dp = (p + 1.0) * log_sp - (2.0 - r) * zeta * (p + 1.0) / 2.0 * log_lam - math.log(p + 1.0)
@@ -467,29 +473,28 @@ def level_samples(spec, k, radius, samples, seed):
 def sampled_levels(spec, k_max, samples=200, cutoff=None, seed=0):
     """The level brackets of solve.estimate_levels, with every sample point
     built as a pair and evaluated alone, in sample order.  The sphere
-    minima behind each radius are the library's solve._sphere_extremals,
+    bounds behind each radius are the library's solve._sphere_log_bounds,
     as its lower curve constant is the library's (both are checked against
     the first-order ascent in test_solver)."""
     cutoff = cutoff or CutoffConfig.default_for(spec)
     pt = region.PQPoint(p=spec.p, q=spec.q, N=spec.domain.dim)
     _, _, alpha = region.growth_exponents(pt, spec.r)
-    gamma = lower_growth_constant(spec, seed=seed)
+    gamma = lower_growth_constant(spec)
     c0 = _forcing_size(spec)
     m_exp = min(spec.p, spec.q) + 1.0
     brackets = []
-    minima = solve._sphere_extremals(spec, k_max, seed)
+    bounds = solve._sphere_log_bounds(spec, k_max)
     prev_best_point = None
     prev_upper = -math.inf
     for k in range(1, k_max + 1):
-        (log_cq, _), (log_cp, _) = minima[k - 1]
-        log_ck = min(log_cq - math.log(spec.q + 1.0), log_cp - math.log(spec.p + 1.0))
+        log_ck = bounds[k - 1]
         radius = 2.0 * math.exp(-(math.log(2.0) + log_ck) / (m_exp - 2.0))
         points = []
         if prev_best_point is not None:
             points.append(prev_best_point)
         for j in range(1, k + 1):
             e_plus = coupling_eigenvector(spec.basis, j, +1, spec.r)
-            for frac in (0.25, 0.5, 0.75, 1.0):
+            for frac in (0.25, 0.375, 0.5, 0.75, 1.0):
                 points.append(e_plus * (frac * radius))
         points += [z for _, _, z in level_samples(spec, k, radius, samples, seed)]
         upper = prev_upper
@@ -510,6 +515,48 @@ def sampled_levels(spec, k_max, samples=200, cutoff=None, seed=0):
         prev_best_point = best_point
         prev_upper = upper
     return brackets
+
+
+def radial_ground_state_mass(N, e):
+    """int Q^2 over R^N of the positive radial solution Q of -Lap Q + Q =
+    Q^e, by shooting from Q(0) = a with scipy's DOP853 (its Taylor start at
+    1e-4 of the core width a^(-(e-1)/2)) and bisecting a to the last bit: a
+    larger a crosses zero, a smaller one turns up.  The mass is integrated
+    along the undershooting trajectory up to its turn, where Q is about the
+    square root of the ulp of a and the rest of the mass about that ulp."""
+
+    def rhs(r, y):
+        q, dq, _ = y
+        return [dq, q - abs(q) ** (e - 1.0) * q - (N - 1.0) / r * dq, q * q * r ** (N - 1.0)]
+
+    def crossing(r, y):
+        return y[0]
+
+    def turning(r, y):
+        return y[1]
+
+    crossing.terminal = turning.terminal = True
+    crossing.direction, turning.direction = -1, 1
+
+    def shoot(a):
+        r0, bend = 1e-4 * min(1.0, a ** (-(e - 1.0) / 2.0)), (a - a**e) / (2.0 * N)  # Q = a + bend r^2 + O(r^4)
+        start = [a + bend * r0 * r0, 2.0 * bend * r0, a * a * r0**N / N]
+        sol = solve_ivp(rhs, [r0, 80.0], start, method="DOP853", rtol=1e-13, atol=1e-30,
+                        events=(crossing, turning))
+        return sol.t_events[0].size > 0, sol.y[2, -1]
+
+    lo, hi = 1.0, 2.0
+    while not shoot(hi)[0]:
+        lo, hi = hi, 2.0 * hi
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        if shoot(mid)[0]:
+            hi = mid
+        else:
+            lo = mid
+    return 2.0 * math.pi ** (N / 2.0) / math.gamma(N / 2.0) * shoot(lo)[1]
 
 
 def scan_rows(N: int, p_grid, q_grid) -> list[region.RegionRow]:

@@ -521,6 +521,14 @@ class TestCommands:
         assert main(["region", "--config", cfg, "--format", "json", "--seed", "4"]) == 0
         assert json.loads((tmp_path / "cfg.json").read_text())["seed"] == 4
 
+    # at p = 1e300 the Newton residual overflows, and in `levels` the lower
+    # curve's powers do, before any sample is evaluated
+    OVERFLOW_ERRORS = {
+        "solve": "error: coefficients must be finite",
+        "branch": "error: coefficients must be finite",
+        "levels": "error: lower growth curve: its powers leave the float range",
+    }
+
     @pytest.mark.parametrize("command", ["solve", "branch", "levels"])
     def test_overflow_exits_one_with_error_line(self, tmp_path, capsys, command):
         config = {
@@ -532,7 +540,7 @@ class TestCommands:
             status = main([command, "--config", cfg, "--out", str(tmp_path / "out")])
         assert status == 1
         errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
-        assert errors == ["error: coefficients must be finite"]
+        assert errors == [self.OVERFLOW_ERRORS[command]]
 
     @pytest.mark.parametrize("command", ["solve", "branch", "levels"])
     def test_overflow_error_line_comes_without_warnings(self, tmp_path, capsys, command):
@@ -545,7 +553,7 @@ class TestCommands:
             warnings.simplefilter("error", RuntimeWarning)
             status = main([command, "--config", cfg, "--out", str(tmp_path / "out")])
         assert status == 1
-        assert capsys.readouterr().err.splitlines() == ["error: coefficients must be finite"]
+        assert capsys.readouterr().err.splitlines() == [self.OVERFLOW_ERRORS[command]]
 
     def test_overflowing_seed_above_the_crossover_exits_one(self, tmp_path, capsys):
         """At n = 128, where Newton's step solves by GMRES, a seed whose

@@ -20,13 +20,18 @@ first-order ascent had stopped above, is 3.34 times lower, and the other
 moved values moved at roundoff.
 Three more level outputs pin paths the 1-D n = 32, k_max 3 ones do not
 reach: golden_levels_2d, the forced 2-D n = 64 command at k_max 5 of
-benchmark workload levels-sampling, whose Newton matrices come in chunks
-of 4 rows and whose sphere minima chain warm starts up to k = 5;
-golden_levels_r08, at p = q with r = 0.8, where each ascent stage climbs
-a q and a p problem as rows of one stack; and golden_levels_krylov, 2-D
-n = 130, whose Gagliardo-Nirenberg steps solve by conjugate gradients.
-They were written before the ascents' per-step array calls were cut,
-and pin that cut to the bit.
+benchmark workload levels-sampling, whose constant comes from the radial
+ground-state solve; golden_levels_r08, at p = q with r = 0.8, where the q
+and p halves take different constants; and golden_levels_krylov, 2-D
+n = 130, past solve._KRYLOV_N.
+All six level outputs were re-pinned once more when the ascents gave way
+to certified constants (ROADMAP item 15): `lower` moved down, to the sharp
+whole-space Gagliardo-Nirenberg constants (-1.8e-6 relative at p = q = 3
+in 1-D, -3.0e-5 at (2, 5), -1.05e-2 in 2-D, and at r = 0.8, whose q half
+takes Lieb's constant, gamma 0.7198 -> 0.4080), every radius grew to the
+Hölder bound's (1.22x in 1-D, 1.5x in 2-D at p = q = 3), and `upper`,
+`ceiling` and `max_pointwise_excess` moved with the radii and the ray
+point added at 3/8 of each.
 The four branch outputs were
 re-pinned once their one-mode seeds ran on the seed's parity class of the
 basis, which moved energies and coefficients at roundoff and made the

@@ -1510,7 +1510,8 @@ class TestLevels:
         assert [b.k for b in estimate_levels(spec, samples=0)] == list(range(1, levels + 1))
 
     @pytest.mark.parametrize("p, q, message", [
-        (1e300, 1e300, "coefficients must be finite"),  # the ascents' powers overflow
+        # the lower curve's powers overflow at its refine
+        (1e300, 1e300, "lower growth curve: its powers leave the float range"),
         (3.0, 200.0, "level bracket at k=1: upper is not finite (-inf)"),  # the sample energies do
     ])
     def test_float_range_errors_come_without_warnings(self, p, q, message):
@@ -1539,8 +1540,8 @@ class TestLevels:
         sampled = estimate_levels(spec, k_max=5, samples=200, seed=0)
         fixed_only = estimate_levels(spec, k_max=5, samples=0, seed=0)
         for a, b in zip(sampled, fixed_only):
-            assert a.upper == pytest.approx(-219.40971375, rel=1e-9)
-            assert b.upper == pytest.approx(-226.60581843, rel=1e-9)
+            assert a.upper == pytest.approx(-2086.13786003, rel=1e-9)
+            assert b.upper == pytest.approx(-55707.19605474, rel=1e-9)
             assert a.lower > 0.0
 
     def test_sample_energies_beyond_the_overflow_of_the_squared_energy(self):
@@ -1587,7 +1588,7 @@ class TestLevels:
             ((1.0, 1.2, 1.5), 20, 1.2, 1.5, 2.0, None),
         ],
     )
-    def test_lower_curve_matches_scalar_scan(self, lengths, n, r, p, q, forcing, seed=3):
+    def test_lower_curve_matches_scalar_scan(self, lengths, n, r, p, q, forcing):
         """The grid scan in numpy finds the maximum that g finds one grid
         point at a time in Python floats, so the constant keeps its bits,
         though numpy's powers differ from Python's in the last bit at some
@@ -1599,21 +1600,23 @@ class TestLevels:
         spec = ProblemSpec.create(BoxDomain(lengths), n, r, p, q)
         if forcing is not None:
             spec = spec.with_forcing(h=[forcing], k=[forcing])
-        gamma = lower_growth_constant(spec, seed)
-        assert 0.0 < gamma and gamma == lower_growth_constant_scalar(spec, seed)
+        gamma = lower_growth_constant(spec)
+        assert 0.0 < gamma and gamma == lower_growth_constant_scalar(spec)
 
     def test_lower_curve_argmax_skips_nan(self, monkeypatch):
-        """A q constant of 0 at q = 200 makes 0 * inf = NaN past the float
-        range of x^((q+1)/2), from x of about 1.2e3 on; those grid points
-        never take the maximum, which lies at x of about 3.5, so the refine
-        stays where the powers are finite."""
+        """A q constant of 0 (log -inf) at q = 200 makes 0 * inf = NaN past
+        the float range of y^((q+1)/2), from y = x / x_s of about 1.2e3 on;
+        those grid points never take the maximum, which lies at y of about
+        0.5, so the refine stays where the powers are finite."""
         from oracles import lower_growth_constant_scalar
 
         from indefsaddle import solve
 
         spec = ProblemSpec.create(BoxDomain((math.pi,)), 16, 1.0, 3.0, 200.0)
-        real = solve._gn_constants
-        monkeypatch.setattr(solve, "_gn_constants", lambda *args: [0.0, real(*args)[1]])
+        real = solve._gn_log_constant
+        monkeypatch.setattr(
+            solve, "_gn_log_constant", lambda dim, e, order: -math.inf if e == 200.0 else real(dim, e, order)
+        )
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             gamma = solve.lower_growth_constant(spec)
@@ -1624,30 +1627,30 @@ class TestLevels:
         "r, p, q, forcing, samples, want",
         [
             (0.8, 3.0, 3.0, 0.05, 50, [
-                (1, 0.7197541360174309, 0.9024773002849439, 4.093306831785953,
-                 8.786911092751374, -0.24014264320026285),
-                (2, 3.3071215681821404, 10.91100536525597, 21.604602983049197,
-                 235.53989532589407, -1.3965831436975478),
-                (3, 8.069579965378344, 58.731340613686505, 57.169620806260816,
-                 1639.899733646451, -4.215324398544576),
+                (1, 0.40800974417502167, 0.8886971659139233, 5.0132565492620005,
+                 13.06769626928537, -0.36121626191384715),
+                (2, 1.874720487826434, 13.610101054907693, 26.460126701940933,
+                 352.71516521157787, -1.0664458223276598),
+                (3, 4.574433257850931, 55.5431989636466, 70.01819988186983,
+                 2458.2759773369253, -8.930724146477312),
             ]),
             (1.0, 2.0, 5.0, None, 200, [
-                (1, 0.829347873413595, -219.40971375337938, 23.687050562614456,
-                 280.5381821779269, -244.1394548173462),
-                (2, 3.31739149365438, -219.40971375337938, 1515.9712360073233,
-                 1149084.3942007858, -418.73857709677577),
-                (3, 7.464130860722355, -219.40971375337938, 17267.85986014594,
-                 149089492.0748197, -418.73857709677577),
+                (1, 0.8293226523491622, -2086.1378600314524, 59.21762640653614,
+                 1753.3636386120431, -3631.9331000375246),
+                (2, 3.317290609396649, -2086.1378600314524, 3789.9280900183117,
+                 7181777.463754924, -3800.251589875249),
+                (3, 7.463903871142461, -2086.1378600314524, 43169.649650364816,
+                 931809325.4676216, -3800.251589875249),
             ]),
         ],
     )
     def test_brackets_with_two_problems_per_stage_are_pinned(
         self, r, p, q, forcing, samples, want
     ):
-        """Only p = q with r = 1 climbs one problem per ascent stage.  At
-        p = q with r = 0.8 and at (2, 5) each stage climbs two; the 1-D
-        n = 32 brackets (k_max 3, seed 0) are pinned as the Newton-step
-        ascents give them."""
+        """Only at p = q with r = 1 do the two halves share their constants.
+        At p = q with r = 0.8 (the q half of order 0.8 takes Lieb's constant,
+        the p half of order 1.2 the soliton's) and at (2, 5) they differ;
+        the 1-D n = 32 brackets (k_max 3, seed 0) are pinned."""
         spec = ProblemSpec.create(BoxDomain((math.pi,)), n=32, r=r, p=p, q=q)
         if forcing is not None:
             spec = spec.with_forcing(h=[forcing], k=[forcing])
@@ -1659,12 +1662,14 @@ class TestLevels:
         """On the box of side pi s, solutions are dilations of those on
         (0, pi): levels, energies and the lower curve scale by s^(N-2-a-b)
         and radii by its square root, a = 2(p+1)/(pq-1), b = 2(q+1)/(pq-1)
-        (s^-3 and s^-1.5 at N = 1, p = q = 3).  The ascents are scale-free
-        and the lower curve is formed in logs, so gamma follows to 1e-10
-        wherever s^-3 gamma is a normal float, and the brackets run to the
-        end with radii that follow too, the sample energies of s = 1e-80
-        (about 1e240) integrated past the overflow of their grid powers; at
-        s = 1e150 the levels (about 1e-450) underflow to 0."""
+        (s^-3 and s^-1.5 at N = 1, p = q = 3).  The Gagliardo-Nirenberg
+        constants do not depend on the box, the Hölder bounds c_k are closed
+        forms in logs, and the lower curve is formed in logs, so gamma
+        follows to 1e-10 wherever s^-3 gamma is a normal float, c_k by s^3 to
+        roundoff, and the brackets run to the end with radii that follow
+        too, the sample energies of s = 1e-80 (about 1e240) integrated past
+        the overflow of their grid powers; at s = 1e150 the levels (about
+        1e-450) underflow to 0."""
         from indefsaddle import solve
 
         def spec(length):
@@ -1678,12 +1683,9 @@ class TestLevels:
             assert got == pytest.approx(want, rel=1e-10)
         else:
             assert 0.0 <= got < 1e-300
-        for (log_q, _), (log_base, _) in zip(
-            (level[0] for level in solve._sphere_extremals(scaled, 5, 0)),
-            (level[0] for level in solve._sphere_extremals(base, 5, 0)),
-        ):
-            # c_k scales by s^3, and R_k = 2 (2 c_k / 4)^-1/2 by s^-1.5
-            assert log_q == pytest.approx(log_base + 3.0 * math.log(scale), abs=1e-10 * abs(log_q))
+        for log_c, log_base in zip(solve._sphere_log_bounds(scaled, 5), solve._sphere_log_bounds(base, 5)):
+            # |Omega|^-1 lambda_k^-2 / 4 scales by s^3, and R_k = 2 (2 c_k)^-1/2 by s^-1.5
+            assert log_c == pytest.approx(log_base + 3.0 * math.log(scale), abs=1e-15 * abs(log_c))
         brackets = estimate_levels(scaled, samples=20)
         for b, a in zip(brackets, estimate_levels(base, samples=20)):
             assert all(math.isfinite(x) for x in b)
@@ -1785,9 +1787,10 @@ class TestSampledLevels:
 
         monkeypatch.setattr(solve, "Evaluation", evaluation)
         got = estimate_levels(spec, k_max=2, samples=20, seed=1)
-        # 4 fixed points and the survivors of the sample stacks of 7, 7 and
-        # 6 rows at k = 1, then 1 + 8 fixed points and no sample at k = 2
-        assert rows == [4, 3, 6, 3, 7, 2]
+        # 5 fixed points and the survivors of the sample stacks of 7, 7 and
+        # 6 rows at k = 1 (all of them), then 1 + 10 fixed points and no
+        # sample at k = 2
+        assert rows == [5, 7, 7, 6, 7, 4]
         assert max(rows) <= 7
         assert list(map(repr, got)) == list(map(repr, sampled_levels(spec, 2, 20, seed=1)))
 
@@ -1828,8 +1831,8 @@ class TestSampleBound:
 
         monkeypatch.setattr(solve, "Evaluation", evaluation)
         got = estimate_levels(spec, k_max=k_max, samples=samples, seed=seed)
-        # level k's fixed points: 4 per plus mode, and level k-1's best
-        fixed = sum(4 * k + (k > 1) for k in range(1, k_max + 1))
+        # level k's fixed points: 5 per plus mode, and level k-1's best
+        fixed = sum(5 * k + (k > 1) for k in range(1, k_max + 1))
         return got, sum(rows) - fixed
 
     @pytest.mark.parametrize("case", CASES)
@@ -1881,27 +1884,23 @@ class TestSampleBound:
             assert _may_move(a_plus, a_minus, c0, upper, excess).tolist() == kept
 
     def test_a_sample_with_no_finite_bound_is_evaluated(self, cubic_spec, monkeypatch):
-        """Sphere minima of 1e-308 at k = 2 put the level radius at 1.4e154,
-        where the squared norms of the fixed points are finite and those of
-        most samples overflow.  Every sample with no finite bound is
+        """A sphere bound of 1e-308 at k = 2 puts the level radius at
+        1.4e154, where the squared norms of the fixed points are finite and
+        those of most samples overflow.  Every sample with no finite bound is
         evaluated; none sets a maximum (their energies are -inf or NaN), and
         the brackets are the oracle's."""
         import oracles
 
         from indefsaddle import solve
 
-        tiny = 1e-308
-        real_extremals = solve._sphere_extremals
+        real_bounds = solve._sphere_log_bounds
 
-        def extremals(spec, k_max, seed):
-            minima = real_extremals(spec, k_max, seed)
-            (_, point_q), (_, point_p) = minima[1]
-            minima[1] = [
-                (math.log(tiny * (spec.q + 1.0)), point_q), (math.log(tiny * (spec.p + 1.0)), point_p)
-            ]
-            return minima
+        def bounds(spec, k_max):
+            logs = real_bounds(spec, k_max)
+            logs[1] = math.log(1e-308)
+            return logs
 
-        monkeypatch.setattr(solve, "_sphere_extremals", extremals)
+        monkeypatch.setattr(solve, "_sphere_log_bounds", bounds)
         with warnings.catch_warnings(), np.errstate(all="ignore"):
             warnings.simplefilter("ignore", RuntimeWarning)
             want = sampled_levels(cubic_spec, 3, 50)
@@ -1916,223 +1915,136 @@ class TestSampleBound:
         assert list(map(repr, got)) == list(map(repr, want))
 
 
-class TestBatchedAscent:
-    """The level searches climb each stage's problems by Riemannian Newton
-    steps (solve._ascend), from the starts, seeds and warm starts that the
-    first-order ascent (oracles.projected_ascent) climbed from: the
-    Gagliardo-Nirenberg constants converge to local maxima at or above what
-    10,000 first-order steps reach, and the sphere minima are the
-    first-order oracle's."""
+class TestCertifiedConstants:
+    """The constants behind the level brackets hold for every truncation.
+    The Gagliardo-Nirenberg constants of `lower` are sharp whole-space
+    constants, which bound the truncated ones from above; the first-order
+    ascent (oracles.gn_constant) climbs those from below.  The radii's c_k
+    are Hölder bounds, below the sphere minima that the first-order descent
+    (oracles.sphere_minimum) reaches from above."""
 
     PI = math.pi
-    # (lengths, n, r, p, q): the GN and sphere checks; the last runs from
-    # solve._KRYLOV_N on, with Hessian products on the grid
-    SPECS = [
-        ((PI,), 32, 1.0, 3.0, 3.0),
-        ((PI, PI), 64, 1.0, 3.0, 3.0),
-        ((PI,), 32, 1.0, 2.0, 5.0),
-        ((PI, PI), 128, 1.0, 3.0, 3.0),
-    ]
+    BOXES = {1: (PI,), 2: (PI, 2.0), 3: (1.0, 1.2, 1.5)}
+    # odd exponents, where the grid quadrature is exact, and others
+    EXPONENTS = [(3.0, 3.0), (2.0, 5.0), (2.5, 1.5), (4.0, 2.0), (9.0, 1.5)]
 
-    @staticmethod
-    def spec(lengths, n, r, p, q):
-        return ProblemSpec.create(BoxDomain(lengths), n, r, p, q)
-
-    @staticmethod
-    def problems(spec):
-        """The GN problems of spec: (exponent, order, interpolation exponent)."""
-        from indefsaddle.region import PQPoint, interpolation_exponents
-
-        theta, zeta = interpolation_exponents(PQPoint(spec.p, spec.q, spec.domain.dim), spec.r)
-        return theta, zeta, [(spec.q, spec.r, theta), (spec.p, 2.0 - spec.r, zeta)]
-
-    @staticmethod
-    def tangent(spec, exponent, order, t, c):
-        """The tangent gradient of log S at the unit point c, the size of the
-        terms it sums, and the tangent Hessian P H P, dense at every n."""
+    @pytest.mark.parametrize("e", [1.5, 2.0, 3.0, 5.0, 9.0])
+    def test_soliton_closed_form_matches_quadrature(self, e):
+        """In 1-D the order-1 constant is the ratio |Q|_{e+1} / (|Q|_2^t
+        |Q'|_2^(1-t)) at the soliton Q = c sech^b(x/b), b = 2/(e-1), c^(e-1)
+        = (e+1)/2: its three integrals by quadrature, with no Pohozaev
+        identity, give the closed form in lgamma to 1e-12."""
         from indefsaddle import solve
 
-        n = spec.n
-        modes = solve._Modes(spec, n)
-        modes.dense = True
-        rows = solve._Rows(
-            modes, np.array([exponent]), np.array([1.0 / (exponent + 1.0)]),
-            np.array([[t / 2.0, (1.0 - t) / 2.0]]),
-            np.array([[np.ones(n), spec.basis.eigenvalues**order]]), np.ones((1, n), dtype=bool),
-        )
-        C = c[None] / np.linalg.norm(c)
-        _, _, at = rows.value(C)
-        cv = rows.curvature(C, at)
-        M, Q, _ = at
-        vals = modes.evaluate(C)
-        low = np.abs(vals) ** rows.low_power
-        # the two terms that cancel in g: grad M / ((e+1) M) and the weights'
-        moment = np.linalg.norm(modes.pairings(rows.high * low * vals)) / M[0] / (exponent + 1.0)
-        V = rows.W[0] * C[0] / Q[0][:, None]
-        size = moment + np.linalg.norm(2.0 * rows.B[0] @ V)
-        php = C[0][:, None] * C[0][None, :] - cv["A0"][0]  # A0 = c c^T - P H P
-        return cv["g"][0], size, php
+        b = 2.0 / (e - 1.0)
+        c = ((e + 1.0) / 2.0) ** (1.0 / (e - 1.0))
 
-    @pytest.mark.parametrize("case", SPECS)
-    def test_gn_constants_converge(self, case):
-        """Each constant is at least the 10,000-step first-order ascent's
-        from the same starts (1e-12 relative), at most 1e-5 above it, and
-        its point is stationary (tangent gradient below 1e-8 of the two
-        terms that cancel in it) and a local maximum (the tangent Hessian's
-        eigenvalues at most roundoff), and no start of the stage stopped at
-        the step cap.  From _KRYLOV_N on, 10,000 first-order steps take
-        seconds and stop short of the maximum, so there the reference runs
-        2,000 steps and bounds the constant from below only."""
-        from oracles import gn_constant
+        def integral(f):  # over the line, where the tail past 80 is below 1e-30
+            return 2.0 * quad(f, 0.0, 80.0, epsabs=0.0, epsrel=1e-13, limit=400)[0]
+
+        o = 0.5 - 1.0 / (e + 1.0)
+        power = integral(lambda x: (c / math.cosh(x / b) ** b) ** (e + 1.0))
+        mass = integral(lambda x: (c / math.cosh(x / b) ** b) ** 2)
+        slope = integral(lambda x: (c * math.tanh(x / b) / math.cosh(x / b) ** b) ** 2)
+        want = math.log(power) / (e + 1.0) - (1.0 - o) / 2.0 * math.log(mass) - o / 2.0 * math.log(slope)
+        got = solve._gn_log_constant(1, e, 1.0)
+        assert got == pytest.approx(want, abs=1e-12)
+        if e == 3.0:
+            assert got == pytest.approx(-0.13732653608351, abs=1e-14)
+
+    @pytest.mark.parametrize("dim, e", [(2, 1.5), (2, 3.0), (3, 3.0), (3, 4.0)])
+    def test_radial_ground_state_matches_shooting(self, dim, e):
+        """The collocation solve's int Q^2 in 2-D and 3-D is the shooting
+        oracle's to 1e-10 relative; at e = 3 the constants are those of a
+        Petviashvili iteration independent of the library (ROADMAP item 15)."""
+        from oracles import radial_ground_state_mass
 
         from indefsaddle import solve
 
-        spec = self.spec(*case)
-        theta, zeta, problems = self.problems(spec)
-        seen = {}
-        real = solve._ascend
+        got = solve._radial_log_mass(dim, e)
+        assert got == pytest.approx(math.log(radial_ground_state_mass(dim, e)), abs=1e-10)
+        if e == 3.0:
+            want = {2: -0.4416295711, 3: -0.8001601374}[dim]
+            assert solve._gn_log_constant(dim, e, 1.0) == pytest.approx(want, abs=1e-10)
 
-        def ascend(spec, m, groups):
-            best = real(spec, m, groups)
-            seen.update(points=[c for _, c, _ in best], capped=[k for *_, k in best])
-            return best
-
-        try:
-            solve._ascend = ascend
-            logs = solve._gn_constants(spec, theta, zeta, 0)
-        finally:
-            solve._ascend = real
-        assert seen["capped"] == [False] * len(seen["points"])  # no best point at the step cap
-        if len(seen["points"]) == 1:  # p = q, r = 1: one problem
-            problems = problems[:1]
-        krylov = spec.n >= solve._KRYLOV_N
-        for i, (exponent, order, t) in enumerate(problems):
-            want = gn_constant(spec, exponent, order, t, i, 2_000 if krylov else 10_000)[0]
-            got = math.exp(logs[i])
-            assert want * (1.0 - 1e-12) <= got <= (math.inf if krylov else want * (1.0 + 1e-5))
-            g, size, php = self.tangent(spec, exponent, order, t, seen["points"][i])
-            assert np.linalg.norm(g) <= 1e-8 * size
-            assert np.linalg.eigvalsh(php).max() <= 1e-10 * np.abs(php).max()
-
-    @pytest.mark.parametrize("case", SPECS)
-    def test_sphere_minima_match_oracle(self, case):
-        """At k = 2..5 each level's sphere minima are the first-order
-        oracle's from the same starts, to 1e-12 relative; the oracle runs
-        from the library's warm starts."""
-        from oracles import sphere_minimum
-
+    def test_lieb_constant_at_order_one_is_talentis(self):
+        """At 3-D e = 5 the embedding is critical at order 1, and Lieb's
+        constant is Talenti's: |w|_6 <= K |grad w|_2, K^2 = (3 pi)^-1
+        (4 / sqrt(pi))^(2/3); an order above 1 takes it too."""
         from indefsaddle import solve
 
-        spec = self.spec(*case)
-        minima = solve._sphere_extremals(spec, 5, 0)
-        for k in range(2, 6):
-            for i, (exponent, order) in enumerate([(spec.q, spec.r), (spec.p, 2.0 - spec.r)]):
-                log_c, _ = minima[k - 1][i]
-                warm = minima[k - 2][i][1][: k - 1]
-                want, _ = sphere_minimum(spec, k, exponent, order, 17 * k + i, warm)
-                assert math.exp(log_c) == pytest.approx(want, rel=1e-12)
+        log_k = 0.5 * (-math.log(3.0 * math.pi) + 2.0 / 3.0 * math.log(4.0 / math.sqrt(math.pi)))
+        for order in (1.0, 1.2):
+            assert solve._gn_log_constant(3, 5.0, order) == pytest.approx(log_k, abs=1e-14)
 
-    @pytest.mark.parametrize("stack_values", [1 << 13, 64])
-    def test_mode_blocks_are_the_galerkin_blocks(self, monkeypatch, stack_values):
-        """The Galerkin blocks of the first m modes of the sphere minima,
-        from the products phi_k phi_l kept once (1 MB at most) or, past
-        that, built per call in blocks of modes, are the leading m x m
-        blocks of the full Galerkin matrices."""
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("n", [24, 130])  # on both sides of solve._KRYLOV_N
+    def test_constants_lie_on_the_certified_side(self, dim, n):
+        """Over exponents and r in {0.6, 0.8, 1, 1.2} (those in the r window),
+        each half's constant lies at or above the truncated ratio that 60
+        first-order steps reach on the grid quadrature, and c_k at or below
+        the minima over the sphere of k = 1 and 3 modes that 60 first-order
+        steps descend to.  The half with no constant is the 3-D one at
+        p = 9, r = 0.6, whose order 1.4 lies above o_min = 1.2 > 1.  In 3-D
+        at n = 130 the sweep runs p = q = 3 only."""
+        from oracles import gn_constant, sphere_minimum
+
+        from indefsaddle import solve
+        from indefsaddle.region import PQPoint, _window, interpolation_exponents
+
+        exponents = self.EXPONENTS[:1] if dim == 3 and n > solve._KRYLOV_N else self.EXPONENTS
+        for (p, q), r in itertools.product(exponents, (0.6, 0.8, 1.0, 1.2)):
+            lo, hi = map(float, _window(p, q, dim))
+            if not lo < r < hi:
+                continue
+            spec = ProblemSpec.create(BoxDomain(self.BOXES[dim]), n, r, p, q)
+            theta, zeta = interpolation_exponents(PQPoint(p, q, dim), r)
+            for e, order, t in ((q, r, theta), (p, 2.0 - r, zeta)):
+                log_s = solve._gn_log_constant(dim, e, order)
+                if log_s is None:
+                    assert (dim, e, order) == (3, 9.0, 1.4)
+                    continue
+                assert gn_constant(spec, e, order, t, 0, 60)[0] <= math.exp(log_s)
+            bounds = solve._sphere_log_bounds(spec, 3)
+            for k in (1, 3):
+                least = min(
+                    sphere_minimum(spec, k, e, order, 17 * k, iters=60)[0] / (e + 1.0)
+                    for e, order in ((q, r), (p, 2.0 - r))
+                )
+                assert math.exp(bounds[k - 1]) <= least
+
+    def test_one_mode_bound_is_two_thirds_of_the_mode(self, cubic_spec):
+        """At k = 1 the sphere is the two points +-phi_1, whose int
+        phi_1^4 / 4 = 3 / (8 pi) on (0, pi) is 1.5 times the bound
+        |Omega|^-1 lambda_1^-2 / 4 at p = q = 3."""
         from indefsaddle import solve
 
-        monkeypatch.setattr(solve, "_STACK_VALUES", stack_values)
-        spec = ProblemSpec.create(BoxDomain((math.pi, 2.0)), 24, 1.0, 3.0, 3.0)
-        modes = solve._Modes(spec, 5)
-        assert (modes.pairs is None) == (stack_values == 64)
-        V = np.abs(np.random.default_rng(3).standard_normal((7, *modes.grid)))
-        want = spec.tables.galerkin(V)[:, :5, :5]
-        assert np.abs(modes.galerkin(V) - want).max() <= 1e-13 * np.abs(want).max()
-
-    def test_one_mode_sphere_takes_no_step(self, cubic_spec, monkeypatch):
-        """At k = 1 the sphere is two points: the stage evaluates its 10
-        starts once, as one stack, and takes no step."""
-        from indefsaddle import solve
-
-        calls = []
-        real = solve._Rows.value
-
-        def value(self, C):
-            calls.append(len(C))
-            return real(self, C)
-
-        monkeypatch.setattr(solve._Rows, "value", value)
-        [[(log_c, point), _]] = solve._sphere_extremals(cubic_spec, 1, 0)
-        assert calls == [10]
-        assert abs(point[0]) == 1.0
+        [log_c] = solve._sphere_log_bounds(cubic_spec, 1)
         moment = power_moment(cubic_spec, np.eye(1, cubic_spec.n), 3.0)[0][0]
-        assert math.exp(log_c) == pytest.approx(moment * cubic_spec.basis.eigenvalues[0] ** -2, rel=1e-12)
+        assert moment == pytest.approx(1.5 / math.pi, rel=1e-14)
+        assert math.exp(log_c) == pytest.approx(moment / 4.0 / 1.5, rel=1e-14)
 
-    @pytest.mark.parametrize("lengths, n", [((math.pi,), 32), ((math.pi, 2.0), 24)])
-    def test_sphere_extremal_matches_oracle(self, lengths, n):
-        """A mixed stage, p != q and r != 1: the q and p minima of each
-        level, in one stack with their own weights, are the first-order
-        oracle's."""
-        from oracles import sphere_minimum
+    def test_3d_half_above_the_critical_exponent_has_no_lower_curve(self, tmp_path):
+        """At 3-D (1, 1.2, 1.5), (p, q) = (8, 2), r = 0.6 the p half's order
+        1.4 lies above o_min = 7/6 > 1, where no certified constant is
+        known: `levels` exits 0 with `lower` 0 at every k, and warns of
+        nothing."""
+        import csv
+        import json
 
-        from indefsaddle import solve
+        from indefsaddle.cli import main
 
-        spec = ProblemSpec.create(BoxDomain(lengths), n=n, r=0.8, p=3.0, q=2.5)
-        minima = solve._sphere_extremals(spec, 4, 7)
-        for k in (2, 4):
-            for i, (exponent, order) in enumerate([(spec.q, spec.r), (spec.p, 2.0 - spec.r)]):
-                warm = minima[k - 2][i][1][: k - 1]
-                want, _ = sphere_minimum(spec, k, exponent, order, 7 + 17 * k + i, warm)
-                assert math.exp(minima[k - 1][i][0]) == pytest.approx(want, rel=1e-12)
-
-    @pytest.mark.parametrize("lengths, n", [((math.pi,), 32), ((math.pi, 2.0), 24)])
-    def test_gn_constant_matches_oracle(self, lengths, n):
-        """A mixed stage of two different ratios: each constant is at least
-        the 200-step first-order ascent's, the old library's (to 1e-12
-        relative)."""
-        from oracles import gn_constant
-
-        from indefsaddle import solve
-
-        spec = ProblemSpec.create(BoxDomain(lengths), n=n, r=0.8, p=3.0, q=2.5)
-        theta, zeta, problems = self.problems(spec)
-        got = solve._gn_constants(spec, theta, zeta, 5)
-        for i, (exponent, order, t) in enumerate(problems):
-            want = gn_constant(spec, exponent, order, t, 5 + i, 200)[0]
-            assert want * (1.0 - 1e-12) <= math.exp(got[i])
-
-    @pytest.mark.parametrize("lengths, n", [((math.pi,), 32), ((math.pi, 2.0), 24)])
-    def test_one_problem_per_stage_at_p_equal_q_and_r_1(self, lengths, n, monkeypatch):
-        """At p = q with r = 1 the q and p problems of a stage are one: each
-        stage climbs the q problem's 10 starts once, and returns its value
-        and point for both halves."""
-        from indefsaddle import solve
-
-        spec = ProblemSpec.create(BoxDomain(lengths), n=n, r=1.0, p=3.0, q=3.0)
-        stages = []
-        real = solve._ascend
-
-        def ascend(spec, m, groups):
-            stages.append([len(g.starts) + (g.warm is not None) for g in groups])
-            return real(spec, m, groups)
-
-        monkeypatch.setattr(solve, "_ascend", ascend)
-        theta, zeta, _ = self.problems(spec)
-        log_q, log_p = solve._gn_constants(spec, theta, zeta, 5)
-        assert log_q == log_p
-        for (log_cq, cq), (log_cp, cp) in solve._sphere_extremals(spec, 4, 7):
-            assert log_cq == log_cp and np.array_equal(cq, cp)
-        assert stages == [[10], [10] * 4]
-
-    def test_one_overflowing_row_raises(self, cubic_spec):
-        """A start whose norm overflows has no point on the sphere."""
-        from indefsaddle import solve
-
-        starts = np.zeros((3, cubic_spec.n))
-        starts[:, 0] = [1.0, 1e200, 2.0]
-        starts[1, 1] = 1e200
-        group = solve._Group(3.0, -1.0, [(-2.0, cubic_spec.basis.eigenvalues)], list(starts), cubic_spec.n)
-        with pytest.raises(ValueError, match="norm is 0 or not finite"):
-            solve._ascend(cubic_spec, cubic_spec.n, [group])
+        config = tmp_path / "levels.json"
+        config.write_text(json.dumps({
+            "command": "levels",
+            "problem": {"lengths": [1.0, 1.2, 1.5], "n": 20, "p": 8.0, "q": 2.0, "r": 0.6},
+        }))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["levels", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+        rows = list(csv.DictReader((tmp_path / "out.csv").open()))
+        assert [row["k"] for row in rows] == ["1", "2", "3", "4", "5"]
+        assert all(float(row["lower"]) == 0.0 for row in rows)
 
 
 class TestVerifyCritical:
