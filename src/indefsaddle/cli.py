@@ -20,8 +20,8 @@ The flags --seed, --format and a non-empty --out are merged into the config
 as seed, format and output before it is checked.  Every config field has one
 JSON type (`_SCHEMA`), and its range is checked by the library type built
 from it (ProblemSpec, NewtonConfig, CutoffConfig) or, for plain integers, by
-`_LEAST` and `_MOST` (estimate_levels and find_branch check the least values
-again for API callers).
+`_LEAST` (estimate_levels and find_branch check the least values again for
+API callers).
 Any type or range error is a config error: one `config error:` line per
 field on stderr, and exit code 1.
 
@@ -114,7 +114,7 @@ _SCHEMA = {
     },
     "solver": {"tol": float, "max_iter": int, "separation": float},
     "cutoff": {"bound_constant": float},
-    "levels": {"k_max": int, "samples": int},
+    "levels": {"k_max": int},
     "branch": {"count": int},
     "solve": {"initial_u": list, "initial_v": list},
     "p_grid": _RANGE,
@@ -123,11 +123,8 @@ _SCHEMA = {
 # required fields, by name: no name is used by two sections
 _REQUIRED = {"command", "lengths", "n", "bound_constant", "start", "stop", "step"}
 # the least value of each integer field that no library type checks; the
-# library calls check k_max, samples and count again, for API callers
-_LEAST = {"seed": 0, "N": 3, "k_max": 1, "samples": 0, "count": 1}
-# the largest value of each integer field whose size sets the run time: each
-# level draws `samples` points (10^5 took 0.3-0.4 s per level at 1-D n = 8)
-_MOST = {"samples": 10**6}
+# library calls check k_max and count again, for API callers
+_LEAST = {"seed": 0, "N": 3, "k_max": 1, "count": 1}
 # the most points a {start, stop, step} range, and a region scan, may have
 _MAX_GRID_POINTS = 10**6
 # the largest truncation n, checked before parsing enumerates the basis.
@@ -172,8 +169,6 @@ def _fields(obj: dict, section: str, errors: list[str]) -> dict:
             errors.append(f"{where}field '{name}' has wrong type {type(value).__name__}")
         elif kind is int and name in _LEAST and value < _LEAST[name]:
             errors.append(f"{where}field '{name}' must be at least {_LEAST[name]}, got {value}")
-        elif kind is int and name in _MOST and value > _MOST[name]:
-            errors.append(f"{where}field '{name}' must be at most {_MOST[name]}, got {value}")
         elif name == "N" and _float(value) == math.inf:  # the region formulas take N as a float
             errors.append(f"{where}field 'N' must lie within the float range")
         elif kind is float:
@@ -473,7 +468,7 @@ def _run_region(cfg: RunConfig) -> tuple[tuple[str, ...], Iterator[list]]:
 
 
 def _run_levels(cfg: RunConfig) -> tuple[tuple[str, ...], list[list]]:
-    brackets = estimate_levels(cfg.problem, cutoff=cfg.cutoff, seed=cfg.seed, **cfg.levels)
+    brackets = estimate_levels(cfg.problem, cutoff=cfg.cutoff, **cfg.levels)
     return LevelBracket._fields, _record_blocks(brackets)
 
 

@@ -254,9 +254,9 @@ def _hypot1(e):
 
 
 # 64 KB per float array of one evaluated stack: larger stacks are no faster,
-# and raise the peak RSS of a level search (by 9 MB for 221 rows of 2-D n = 64).
+# and raise the peak RSS (by 9 MB for one stack of 221 rows of 2-D n = 64).
 # It bounds the rows of every stack of grid values (_stack_rows): the Newton
-# iterates and the level samples.
+# iterates and the fixed points of the level brackets.
 _STACK_VALUES = 1 << 13
 
 

@@ -49,13 +49,12 @@ and groups the converged runs into solutions, so its records depend neither
 on the seed order nor on roundoff in the energies or the coefficients.  For
 a symmetric problem the residual is exactly odd, and each mirror pair of
 seeds +-z runs once: the second seed's result is the first's mirrored.
-Level brackets combine an upper bound sampled in row stacks over nested
-saddle-geometry balls with a closed-form lower growth curve; a bracket
-value that leaves the float range is an error.  A sample is evaluated only
-where closed-form bounds on its energy, from its eigenvector coordinates,
-cannot rule out that it raises a running maximum (in the measured p = q
-configs, none is).  The constants behind the brackets are certified for
-every truncation, and none is computed by a search.  The lower curve takes
+Level brackets combine an upper value over nested saddle-geometry balls,
+the larger of J(0) = 0 and the energies of fixed points on the plus rays
+evaluated in row stacks, with a closed-form lower growth curve; a bracket
+value that leaves the float range is an error.  No point is drawn at
+random.  The constants behind the brackets are certified for every
+truncation, and none is computed by a search.  The lower curve takes
 each half's Gagliardo-Nirenberg constant from above (see _gn_log_constant):
 the sharp order-1 constant of the ground state of -Lap Q + Q = Q^e, in
 closed form in 1-D and from one cached radial solve in 2-D and 3-D, where
@@ -78,7 +77,6 @@ import numpy as np
 from . import region
 from .basis import (
     SpectralField,
-    _row_dots,
     eigenvalue_growth_constant,
     grid_shape,
     sobolev_norm,
@@ -94,7 +92,7 @@ from .energy import (
     energy_gradient,
 )
 from .space import (
-    FieldPair, _metric_dots, _vecs_from_coordinates, _weights, coupling_eigenvector,
+    FieldPair, _metric_dots, _weights, coupling_eigenvector,
 )
 
 residual = energy_gradient  # the system residual, under the solver's name
@@ -1164,11 +1162,6 @@ def lower_growth_constant(spec: ProblemSpec) -> float:
         raise overflow from None
 
 
-# the margin of the sample bounds, relative to |z|^2 + C0 |z| + 1; the
-# roundoff of J, |z| and the bounds is about n eps of that
-_BOUND_MARGIN = 1e-8
-
-
 class LevelBracket(NamedTuple):
     """Bracket for the k-th minimax level; the fields are the CSV columns."""
 
@@ -1184,23 +1177,19 @@ class LevelBracket(NamedTuple):
 def estimate_levels(
     spec: ProblemSpec,
     k_max: int | None = None,
-    samples: int = 200,
     cutoff: CutoffConfig | None = None,
-    seed: int = 0,
 ) -> list[LevelBracket]:
     """Bracket the first k_max minimax levels (by default min(5, n)).
 
-    upper: sampled supremum of the modified energy over the radius-R_k ball
-    of the span of the full minus-eigenspace and the first k plus-modes; the
-    sample set of level k contains the maximizer of level k-1, so the
-    reported sequence is monotone.  max_pointwise_excess is the largest
-    J - (|z|^2/2 + C0 |z|) over the points, against the closed-form ceiling
-    |z|^2/2 + C0 |z| <= ceiling = (1/2 + C0/R_k) R_k^2 of the ball.  Every
-    sample is drawn, but one is evaluated only if the bounds
-    J <= form + C0 |z| and J - (|z|^2/2 + C0 |z|) <= -|a-|^2 on its
-    eigenvector coordinates (a+, a-), plus a margin, do not both lie below
-    the running maxima (see _may_move), so the brackets are those of
-    evaluating every sample.
+    upper: the larger of J(0) = 0 and the largest modified energy J at the
+    fixed points of the radius-R_k ball of the span of the full
+    minus-eigenspace and the first k plus-modes (see _level_points).  z = 0
+    lies in every such ball, and J(0) is exactly 0, as the form, both power
+    terms and the forcing pairing vanish there.  The points of level k
+    contain the maximizer of level k-1, so the reported sequence is
+    monotone.  max_pointwise_excess is the largest J - (|z|^2/2 + C0 |z|)
+    over the evaluated points, against the closed-form ceiling
+    |z|^2/2 + C0 |z| <= ceiling = (1/2 + C0/R_k) R_k^2 of the ball.
     R_k solves R^2/2 = c_k R^m (m = min(p,q)+1) with a safety factor 2,
     where c_k is a closed-form lower bound on the minima of the normalized
     nonlinear integrals over the unit sphere of the first k modes (see
@@ -1217,8 +1206,6 @@ def estimate_levels(
     cutoff = cutoff or CutoffConfig.default_for(spec)
     if k_max > spec.n:
         raise ValueError(f"k_max={k_max} exceeds the truncation {spec.n}")
-    if samples < 0:
-        raise ValueError(f"samples must be at least 0, got {samples}")
     c0 = _forcing_size(spec)
     if not math.isfinite(c0):
         raise ValueError(
@@ -1240,13 +1227,8 @@ def estimate_levels(
             raise ValueError(
                 f"level radius (1/(2 c_k))^(1/(m-2)) overflows at k={k}, m - 2 = {m_exp - 2.0}"
             ) from None
-        rng = np.random.default_rng(seed + 1000 + k)
         upper, best_point, excess = -math.inf, prev_best_point, -math.inf
-
-        def may_move(a_plus, a_minus):  # against the running maxima of each stack
-            return _may_move(a_plus, a_minus, c0, upper, excess)
-
-        for points in _level_points(spec, k, radius, prev_best_point, samples, rng, may_move):
+        for points in _level_points(spec, k, radius, prev_best_point):
             jvals = Evaluation(points, spec).modified_energy(cutoff)
             zn = np.sqrt(_metric_dots(points, points, weights))
             # in point order, as the running max of one point at a time
@@ -1263,19 +1245,17 @@ def estimate_levels(
         for name, value in bracket._asdict().items():
             if not math.isfinite(value):
                 raise ValueError(f"level bracket at k={k}: {name} is not finite ({value})")
-        brackets.append(bracket)
+        brackets.append(bracket._replace(upper=max(upper, 0.0)))  # the floor J(0) = 0
         prev_best_point = best_point
     return brackets
 
 
-def _level_points(spec, k, radius, prev_best, samples, rng, may_move):
+def _level_points(spec, k, radius, prev_best):
     """Level k's points in stacks of energy._stack_rows rows: level k-1's best,
-    the plus eigenvectors scaled to 1/4, 3/8, 1/2, 3/4 and 1 of the radius,
-    then the samples, each drawn in turn.  (At p = q = 3 the energy along
-    each such ray peaks at 0.41, 0.33 and 0.27 of the radius in 1-D, 2-D and
-    3-D; 1/4 and 3/8 catch these peaks to within 7%.)  Of each stack of
-    samples only the rows where may_move(a_plus, a_minus) holds are built,
-    from their scaled +- eigenvector coordinates."""
+    then the plus eigenvectors scaled to 1/4, 3/8, 1/2, 3/4 and 1 of the
+    radius.  (At p = q = 3 the energy along each such ray peaks at 0.41,
+    0.33 and 0.27 of the radius in 1-D, 2-D and 3-D; 1/4 and 3/8 catch these
+    peaks to within 7%.)"""
     size = _stack_rows(spec)
     fixed = [] if prev_best is None else [prev_best]
     for j in range(1, k + 1):
@@ -1283,47 +1263,6 @@ def _level_points(spec, k, radius, prev_best, samples, rng, may_move):
         fixed += [e_plus * (frac * radius) for frac in (0.25, 0.375, 0.5, 0.75, 1.0)]
     for start in range(0, len(fixed), size):
         yield np.array(fixed[start : start + size])
-    power = 1.0 / (spec.n + k)
-    for start in range(0, samples, size):
-        draws, rads = np.empty((min(size, samples - start), k + spec.n)), []
-        for row in draws:  # each sample's normals, then its radius: one stream
-            rng.standard_normal(out=row)
-            rads.append(radius * rng.random() ** power)  # rng.uniform()'s draw
-        rads = np.array(rads)
-        a_plus = np.zeros((len(draws), spec.n))
-        a_plus[:, :k] = draws[:, :k]
-        a_minus = np.ascontiguousarray(draws[:, k:])
-        scale = (rads / np.sqrt(_row_dots(a_plus, a_plus) + _row_dots(a_minus, a_minus)))[:, None]
-        a_plus, a_minus = a_plus * scale, a_minus * scale
-        keep = may_move(a_plus, a_minus)
-        if keep.any():
-            yield _vecs_from_coordinates(spec.basis, spec.r, a_plus[keep], a_minus[keep])
-
-
-def _may_move(a_plus, a_minus, c0: float, upper: float, excess: float) -> np.ndarray:
-    """Which sample rows, given by their +- eigenvector coordinates, a
-    closed-form bound cannot rule out of raising the running maximum `upper`
-    of the modified energy J or `excess` of J - (|z|^2/2 + C0 |z|).
-
-    J = form - tq - tp - psi g with form = (|a+|^2 - |a-|^2)/2, tq, tp >= 0,
-    psi in [0, 1] and |g| <= C0 |z| (_forcing_size), so J <= form + C0 |z|
-    and the excess is at most -|a-|^2.  A row is ruled out only when both
-    bounds plus the margin _BOUND_MARGIN (|z|^2 + C0 |z| + 1), far above
-    their roundoff, lie strictly below the running values.  A non-finite
-    running value rules out nothing, and neither does a non-finite bound: it
-    is NaN or +inf, never -inf, as the margin overflows wherever |a-|^2
-    does, and it compares False.  A ruled-out row lies strictly below both
-    maxima, so skipping it changes neither them nor their ties.
-    """
-    if not (math.isfinite(upper) and math.isfinite(excess)):
-        return np.ones(len(a_plus), dtype=bool)
-    with np.errstate(over="ignore", invalid="ignore"):
-        plus2, minus2 = _row_dots(a_plus, a_plus), _row_dots(a_minus, a_minus)
-        size = np.sqrt(plus2 + minus2)
-        margin = _BOUND_MARGIN * (size * size + c0 * size + 1.0)
-        top = 0.5 * (plus2 - minus2) + c0 * size + margin
-        top_excess = margin - minus2
-    return ~((top < upper) & (top_excess < excess))
 
 
 @dataclass

@@ -20,9 +20,10 @@ certified constants must lie above the first and below the second.  The
 radial oracle shoots for the ground state of -Lap Q + Q = Q^e in 2-D and
 3-D (radial_ground_state_mass), for the library's collocation solve.
 
-The sampling oracle is the level brackets with their samples built and
-evaluated one point at a time, each through the single-point energy
-functions.  Its sphere bounds and lower curve constant are the library's;
+The level oracle (sampled_levels) is the level brackets with their fixed
+points built and evaluated one point at a time, each through the
+single-point energy functions, and `upper` floored at J(0) = 0.  Its sphere
+bounds and lower curve constant are the library's;
 lower_growth_constant_scalar scans that curve one grid point at a time in
 Python floats, against the library's numpy scan, for all 200 iterations
 of its golden-section refine.
@@ -77,7 +78,6 @@ from indefsaddle.solve import (
 from indefsaddle.space import (
     FieldPair,
     coupling_eigenvector,
-    from_eigenvector_coordinates,
     pair_norm,
 )
 
@@ -455,27 +455,12 @@ def lower_growth_constant_scalar(spec):
     return math.exp(log_xs + math.log(max(best, g(0.5 * (lo + hi)))))
 
 
-def level_samples(spec, k, radius, samples, seed):
-    """The random samples of level k, as sampled_levels draws them: for each,
-    its +- eigenvector coordinates scaled to its radius, and the pair."""
-    rng = np.random.default_rng(seed + 1000 + k)
-    dim_total = spec.n + k
-    for _ in range(samples):
-        a_plus = np.zeros(spec.n)
-        a_plus[:k] = rng.standard_normal(k)
-        a_minus = rng.standard_normal(spec.n)
-        norm = math.sqrt(np.dot(a_plus, a_plus) + np.dot(a_minus, a_minus))
-        rad = radius * rng.uniform() ** (1.0 / dim_total)
-        a_plus, a_minus = a_plus * (rad / norm), a_minus * (rad / norm)
-        yield a_plus, a_minus, from_eigenvector_coordinates(spec.basis, spec.r, a_plus, a_minus)
-
-
-def sampled_levels(spec, k_max, samples=200, cutoff=None, seed=0):
-    """The level brackets of solve.estimate_levels, with every sample point
-    built as a pair and evaluated alone, in sample order.  The sphere
-    bounds behind each radius are the library's solve._sphere_log_bounds,
-    as its lower curve constant is the library's (both are checked against
-    the first-order ascent in test_solver)."""
+def sampled_levels(spec, k_max, cutoff=None):
+    """The level brackets of solve.estimate_levels, with every fixed point
+    built as a pair and evaluated alone, in point order, and `upper` floored
+    at J(0) = 0.  The sphere bounds behind each radius are the library's
+    solve._sphere_log_bounds, as its lower curve constant is the library's
+    (both are checked against the first-order ascent in test_solver)."""
     cutoff = cutoff or CutoffConfig.default_for(spec)
     pt = region.PQPoint(p=spec.p, q=spec.q, N=spec.domain.dim)
     _, _, alpha = region.growth_exponents(pt, spec.r)
@@ -496,7 +481,6 @@ def sampled_levels(spec, k_max, samples=200, cutoff=None, seed=0):
             e_plus = coupling_eigenvector(spec.basis, j, +1, spec.r)
             for frac in (0.25, 0.375, 0.5, 0.75, 1.0):
                 points.append(e_plus * (frac * radius))
-        points += [z for _, _, z in level_samples(spec, k, radius, samples, seed)]
         upper = prev_upper
         best_point = prev_best_point
         excess = -math.inf
@@ -509,7 +493,7 @@ def sampled_levels(spec, k_max, samples=200, cutoff=None, seed=0):
                 best_point = z
         ceiling = (0.5 + (c0 / radius if radius > 0 else 0.0)) * radius * radius
         brackets.append(LevelBracket(
-            k=k, lower=gamma * float(k) ** (2.0 * alpha), upper=upper, radius=radius,
+            k=k, lower=gamma * float(k) ** (2.0 * alpha), upper=max(upper, 0.0), radius=radius,
             ceiling=ceiling, max_pointwise_excess=excess,
         ))
         prev_best_point = best_point

@@ -355,7 +355,7 @@ def test_criterion_7_level_brackets(accepted_branch):
     spec, config, branch, _ = accepted_branch
     budget = 30.0
     started = time.perf_counter()
-    brackets = estimate_levels(spec, k_max=5, samples=200, seed=0)
+    brackets = estimate_levels(spec, k_max=5)
     for b in brackets:
         assert b.max_pointwise_excess <= 1e-12  # samplewise ceiling inequality
         assert b.upper <= b.ceiling

@@ -156,6 +156,10 @@ class TestParseConfig:
         with pytest.raises(ConfigError) as err:
             parse_config(json.dumps(bad2))
         assert any("unknown fields" in e and "problem" in e for e in err.value.errors)
+        # the level brackets draw no samples: their former count is unknown
+        with pytest.raises(ConfigError) as err:
+            parse_config(json.dumps(dict(BRANCH_CONFIG, command="levels", levels={"samples": 200})))
+        assert err.value.errors == ["levels section: unknown fields ['samples']"]
 
     def test_type_errors_named_precisely(self):
         bad = dict(REGION_CONFIG, seed="zero")
@@ -252,7 +256,7 @@ class TestCommands:
         config = {
             "command": "levels",
             "problem": BRANCH_CONFIG["problem"],
-            "levels": {"k_max": 3, "samples": 40},
+            "levels": {"k_max": 3},
         }
         cfg = write_config(tmp_path, "levels.json", config)
         out = str(tmp_path / "levels_out")
@@ -260,6 +264,16 @@ class TestCommands:
         lines = (tmp_path / "levels_out.csv").read_text().splitlines()
         assert lines[0].startswith("k,lower,upper")
         assert len(lines) == 4
+
+    def test_levels_files_do_not_depend_on_the_seed(self, tmp_path):
+        """The level brackets draw nothing at random, so two seeds write the
+        same bytes."""
+        config = {"command": "levels", "problem": BRANCH_CONFIG["problem"], "levels": {"k_max": 3}}
+        cfg = write_config(tmp_path, "levels.json", config)
+        for seed in ("0", "12345"):
+            out = str(tmp_path / f"levels_{seed}")
+            assert main(["levels", "--config", cfg, "--seed", seed, "--out", out]) == 0
+        assert (tmp_path / "levels_0.csv").read_bytes() == (tmp_path / "levels_12345.csv").read_bytes()
 
     def test_check_exit_code_and_output(self, tmp_path):
         cfg = write_config(tmp_path, "check.json", {"command": "check", "seed": 0})
@@ -311,7 +325,8 @@ class TestCommands:
             ("branch", {}, {"branch": {"count": "abc"}}, "'count' has wrong type str"),
             ("solve", {}, {"solve": {"initial_u": ["x"]}}, "'initial_u' entries must be numbers"),
             ("solve", {"n": 8}, {"solve": {"initial_v": [1.0] * 9}}, "more than the truncation n = 8"),
-            ("levels", {}, {"levels": {"samples": -5}}, "'samples' must be at least 0"),
+            ("levels", {}, {"levels": {"k_max": 10**400}},
+             "levels section: field 'k_max' must be at most the truncation n = 16, got 1" + "0" * 400),
             ("solve", {}, {"solve": {"continuation_steps": "abc"}}, "unknown fields"),
             ("solve", {"n": 8}, {"solver": {"tol": "1e-3"}}, "'tol' has wrong type str"),
             ("solve", {"n": 8, "r": "1.0"}, {}, "'r' has wrong type str"),
@@ -362,11 +377,12 @@ class TestCommands:
              "constant 9.869604401089357e+300"),
             ("levels", {"lengths": [2e-102], "n": 8}, {},
              "error: level bracket at k=2: ceiling is not finite (inf)"),
-            # each level draws every sample, so the count bounds the run time
-            ("levels", {"n": 8}, {"levels": {"samples": 10**6 + 1}},
-             "levels section: field 'samples' must be at most 1000000, got 1000001"),
+            # the level brackets draw no samples, so their former count is
+            # an unknown field, at any value
             ("levels", {"n": 8}, {"levels": {"samples": 10**400}},
-             "levels section: field 'samples' must be at most 1000000, got 1" + "0" * 400),
+             "levels section: unknown fields ['samples']"),
+            ("levels", {"n": 8}, {"levels": {"k_max": 0}},
+             "levels section: field 'k_max' must be at least 1, got 0"),
             # the first entry at fault names the error
             ("solve", {}, {"solve": {"initial_u": [1, True]}}, "'initial_u' entries must be numbers"),
             ("solve", {}, {"solve": {"initial_v": [math.inf, "x"]}}, "'initial_v' entries must be finite"),
@@ -398,7 +414,7 @@ class TestCommands:
     def test_rescaled_boxes_exit_zero(self, tmp_path, scale):
         """The n = 8 box (0, pi) rescaled by 1e-80 and 1e150 runs to the
         end with finite brackets and no RuntimeWarning: levels of about
-        1e240 there, whose sample energies pass the overflow of their grid
+        1e240 there, whose ray point energies pass the overflow of their grid
         powers, and of about 1e-450 here, which underflow to 0."""
         problem = {"lengths": [math.pi * scale], "n": 8, "p": 3, "q": 3}
         cfg = write_config(tmp_path, "box.json", {"command": "levels", "problem": problem})
@@ -467,7 +483,7 @@ class TestCommands:
     @pytest.mark.parametrize("config", [
         dict(REGION_CONFIG, p_grid=dict(REGION_CONFIG["p_grid"], step=0.5)),
         {"command": "levels", "problem": dict(BRANCH_CONFIG["problem"], n=8),
-         "levels": {"k_max": 3, "samples": 20}},
+         "levels": {"k_max": 3}},
         {"command": "check", "seed": 0},
     ], ids=["region", "levels", "check"])
     @pytest.mark.parametrize("route", ["config", "flag"])
@@ -522,7 +538,7 @@ class TestCommands:
         assert json.loads((tmp_path / "cfg.json").read_text())["seed"] == 4
 
     # at p = 1e300 the Newton residual overflows, and in `levels` the lower
-    # curve's powers do, before any sample is evaluated
+    # curve's powers do, before any level point is evaluated
     OVERFLOW_ERRORS = {
         "solve": "error: coefficients must be finite",
         "branch": "error: coefficients must be finite",
@@ -783,7 +799,7 @@ class TestCsvWriter:
 
     @pytest.mark.parametrize("config", [
         {"command": "levels", "problem": dict(BRANCH_CONFIG["problem"], n=8),
-         "levels": {"k_max": 3, "samples": 20}},
+         "levels": {"k_max": 3}},
         {"command": "check", "seed": 7},
     ], ids=["levels", "check"])
     def test_levels_and_check_json_rows_parse_as_the_csv_cells(self, tmp_path, config):

@@ -7,11 +7,14 @@ starts: `lower` then takes the q constant for both terms and moved by
 -3.7e-6 relative, and the radius, ceiling and max_pointwise_excess of
 k = 3 moved at roundoff; `upper` kept its bits.  The
 second levels output, at p = 2, q = 5, was written while every random
-sample was still evaluated, and the ascents of p != q kept its bits; there
-some samples survive the closed-form bound that skips the rest, and they
-set `upper`, below 0 and below `lower`.  That is the sampled-supremum
-defect of ROADMAP item 2, whose upper ascent re-pins this file together
-with golden_levels and golden_levels_json.  All three level outputs were
+sample was still evaluated, and the ascents of p != q kept its bits.  When
+the random samples were deleted, its `upper` rose to 0.0 at every k, the
+floor J(0) = 0, as every fixed point there lies below 0, and its
+max_pointwise_excess moved to that of the fixed points (-3631.9 and
+-3800.3 to -55816.8); the five other level outputs kept their bytes.
+`upper` 0.0 lies below `lower`: that is the defect of ROADMAP item 2,
+whose upper ascent re-pins this file together with golden_levels and
+golden_levels_json.  All three level outputs were
 re-pinned once when the level ascents became Riemannian Newton steps
 (ROADMAP item 14): `lower` fell by 0.07% (p = q = 3) and 0.09% (2, 5) to
 the converged Gagliardo-Nirenberg constants, the (2, 5) radius and

@@ -145,7 +145,7 @@ def test_gathers_are_built_by_the_first_jacobian():
     solve._schur(Evaluation.at(z, spec))  # the Newton operator, as matrices at this n
     assert len(spec.tables.gathers) == 4
     levels = ProblemSpec.create(BoxDomain((1.0, 2.5)), n=12, r=1.0, p=3.0, q=3.0)
-    estimate_levels(levels, k_max=2, samples=5)
+    estimate_levels(levels, k_max=2)
     assert len(levels.tables.gathers) == 4
 
 
@@ -1496,7 +1496,7 @@ class TestContinuation:
 
 class TestLevels:
     def test_brackets_shape_and_monotonicity(self, cubic_spec):
-        brackets = estimate_levels(cubic_spec, k_max=5, samples=100, seed=0)
+        brackets = estimate_levels(cubic_spec, k_max=5)
         uppers = [b.upper for b in brackets]
         assert uppers == sorted(uppers)
         for b in brackets:
@@ -1507,12 +1507,12 @@ class TestLevels:
     @pytest.mark.parametrize("n, levels", [(4, 4), (8, 5)])
     def test_default_k_max_is_five_or_n(self, n, levels):
         spec = ProblemSpec.create(BoxDomain((math.pi,)), n, 1.0, 3.0, 3.0)
-        assert [b.k for b in estimate_levels(spec, samples=0)] == list(range(1, levels + 1))
+        assert [b.k for b in estimate_levels(spec)] == list(range(1, levels + 1))
 
     @pytest.mark.parametrize("p, q, message", [
         # the lower curve's powers overflow at its refine
         (1e300, 1e300, "lower growth curve: its powers leave the float range"),
-        (3.0, 200.0, "level bracket at k=1: upper is not finite (-inf)"),  # the sample energies do
+        (3.0, 200.0, "level bracket at k=1: upper is not finite (-inf)"),  # the ray points' energies do
     ])
     def test_float_range_errors_come_without_warnings(self, p, q, message):
         """Past the float range the library's level path raises its
@@ -1532,28 +1532,46 @@ class TestLevels:
                 with pytest.raises(ValueError, match=f"^{message}$"):
                     lower_growth_constant(spec)
 
-    def test_samples_set_the_brackets_when_p_and_q_differ(self):
-        # at p = 2, q = 5 a random sample beats every fixed eigenvector point,
-        # so the samples raise `upper` at every k; both values lie below
-        # J(0) = 0 and below `lower` (0.83 at k = 1)
-        spec = ProblemSpec.create(BoxDomain((math.pi,)), n=32, r=1.0, p=2.0, q=5.0)
-        sampled = estimate_levels(spec, k_max=5, samples=200, seed=0)
-        fixed_only = estimate_levels(spec, k_max=5, samples=0, seed=0)
-        for a, b in zip(sampled, fixed_only):
-            assert a.upper == pytest.approx(-2086.13786003, rel=1e-9)
-            assert b.upper == pytest.approx(-55707.19605474, rel=1e-9)
-            assert a.lower > 0.0
+    # `upper` of the brackets when each level also drew 200 random samples
+    # (seed 0), where the fixed points reach J >= 0; no sample raised it
+    # there, and on the rest of the sweep `upper` was below 0
+    DRAWN_UPPER = {
+        (1, 3.0, 3.0, 0.8): [1.0216312047318368, 13.610101054907693, 55.5431989636466],
+        (1, 3.0, 3.0, 1.0): [1.0216312047318368, 16.34609927570939, 82.75212758327876],
+        (1, 3.0, 3.0, 1.2): [1.0216312047318368, 13.610101054907695, 55.543198963646574],
+        (1, 2.5, 3.5, 0.8): [0.9916801687585364] * 3,
+        (1, 2.5, 3.5, 1.0): [0.9916801687585364] * 3,
+        (1, 2.5, 3.5, 1.2): [0.9916801687585364] * 3,
+        (2, 3.0, 3.0, 0.8): [14.879256234668638, 32.33943465231956, 32.33943465231956],
+        (2, 3.0, 3.0, 1.0): [15.602652955920668, 54.28125446048844, 153.3266898712657],
+        (2, 3.0, 3.0, 1.2): [14.879256234668643, 32.33943465231957, 32.33943465231957],
+    }
+
+    @pytest.mark.parametrize("r", [0.8, 1.0, 1.2])
+    @pytest.mark.parametrize("p, q", [(3.0, 3.0), (2.0, 5.0), (2.5, 3.5)])
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_upper_at_least_zero(self, dim, p, q, r):
+        """z = 0 lies in every level ball and J(0) = 0, so `upper` is at
+        least 0.  Where the fixed points reach J >= 0 it keeps the value of
+        the brackets that also drew random samples, bit for bit; elsewhere
+        it is 0.  The boxes are 1-D (0, pi), n = 16 and 2-D pi x 2, n = 20."""
+        lengths, n = {1: ((math.pi,), 16), 2: ((math.pi, 2.0), 20)}[dim]
+        spec = ProblemSpec.create(BoxDomain(lengths), n=n, r=r, p=p, q=q)
+        uppers = [b.upper for b in estimate_levels(spec, k_max=3)]
+        assert all(upper >= 0.0 for upper in uppers)
+        assert uppers == self.DRAWN_UPPER.get((dim, p, q, r), [0.0] * 3)
 
     def test_sample_energies_beyond_the_overflow_of_the_squared_energy(self):
-        # at 2-D p = 1.5, q = 8 the level radii reach 1e24, and sample
-        # energies pass 1.34e154, where the square in the cutoff scale overflows
+        # at 2-D p = 1.5, q = 8 the level radii reach 1e24, and the energies
+        # of the ray points pass 1.34e154, where the square in the cutoff
+        # scale overflows
         from indefsaddle.region import PQPoint, optimal_r
 
         r = optimal_r(PQPoint(1.5, 8.0, 2)).r_star
         spec = ProblemSpec.create(BoxDomain((1.0, 1.3)), n=40, r=r, p=1.5, q=8.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            brackets = estimate_levels(spec, k_max=5, seed=0)
+            brackets = estimate_levels(spec, k_max=5)
         assert [b.k for b in brackets] == [1, 2, 3, 4, 5]
 
     @pytest.mark.parametrize("p, q", [(120.0, 3.0), (3.0, 200.0)])
@@ -1624,9 +1642,9 @@ class TestLevels:
             assert gamma == lower_growth_constant_scalar(spec)
 
     @pytest.mark.parametrize(
-        "r, p, q, forcing, samples, want",
+        "r, p, q, forcing, want",
         [
-            (0.8, 3.0, 3.0, 0.05, 50, [
+            (0.8, 3.0, 3.0, 0.05, [
                 (1, 0.40800974417502167, 0.8886971659139233, 5.0132565492620005,
                  13.06769626928537, -0.36121626191384715),
                 (2, 1.874720487826434, 13.610101054907693, 26.460126701940933,
@@ -1634,27 +1652,25 @@ class TestLevels:
                 (3, 4.574433257850931, 55.5431989636466, 70.01819988186983,
                  2458.2759773369253, -8.930724146477312),
             ]),
-            (1.0, 2.0, 5.0, None, 200, [
-                (1, 0.8293226523491622, -2086.1378600314524, 59.21762640653614,
-                 1753.3636386120431, -3631.9331000375246),
-                (2, 3.317290609396649, -2086.1378600314524, 3789.9280900183117,
-                 7181777.463754924, -3800.251589875249),
-                (3, 7.463903871142461, -2086.1378600314524, 43169.649650364816,
-                 931809325.4676216, -3800.251589875249),
+            (1.0, 2.0, 5.0, None, [
+                (1, 0.8293226523491622, 0.0, 59.21762640653614,
+                 1753.3636386120431, -55816.781282156044),
+                (2, 3.317290609396649, 0.0, 3789.9280900183117,
+                 7181777.463754924, -55816.781282156044),
+                (3, 7.463903871142461, 0.0, 43169.649650364816,
+                 931809325.4676216, -55816.781282156044),
             ]),
         ],
     )
-    def test_brackets_with_two_problems_per_stage_are_pinned(
-        self, r, p, q, forcing, samples, want
-    ):
+    def test_brackets_with_two_problems_per_stage_are_pinned(self, r, p, q, forcing, want):
         """Only at p = q with r = 1 do the two halves share their constants.
         At p = q with r = 0.8 (the q half of order 0.8 takes Lieb's constant,
         the p half of order 1.2 the soliton's) and at (2, 5) they differ;
-        the 1-D n = 32 brackets (k_max 3, seed 0) are pinned."""
+        the 1-D n = 32 brackets (k_max 3) are pinned."""
         spec = ProblemSpec.create(BoxDomain((math.pi,)), n=32, r=r, p=p, q=q)
         if forcing is not None:
             spec = spec.with_forcing(h=[forcing], k=[forcing])
-        got = estimate_levels(spec, k_max=3, samples=samples, seed=0)
+        got = estimate_levels(spec, k_max=3)
         assert [tuple(map(repr, b)) for b in got] == [tuple(map(repr, b)) for b in want]
 
     @pytest.mark.parametrize("scale", [1e-80, 1e-40, 1e40, 1e100, 1e150])
@@ -1667,7 +1683,7 @@ class TestLevels:
         forms in logs, and the lower curve is formed in logs, so gamma
         follows to 1e-10 wherever s^-3 gamma is a normal float, c_k by s^3 to
         roundoff, and the brackets run to the end with radii that follow
-        too, the sample energies of s = 1e-80 (about 1e240) integrated past
+        too, the ray point energies of s = 1e-80 (about 1e240) integrated past
         the overflow of their grid powers; at s = 1e150 the levels (about
         1e-450) underflow to 0."""
         from indefsaddle import solve
@@ -1686,15 +1702,15 @@ class TestLevels:
         for log_c, log_base in zip(solve._sphere_log_bounds(scaled, 5), solve._sphere_log_bounds(base, 5)):
             # |Omega|^-1 lambda_k^-2 / 4 scales by s^3, and R_k = 2 (2 c_k)^-1/2 by s^-1.5
             assert log_c == pytest.approx(log_base + 3.0 * math.log(scale), abs=1e-15 * abs(log_c))
-        brackets = estimate_levels(scaled, samples=20)
-        for b, a in zip(brackets, estimate_levels(base, samples=20)):
+        brackets = estimate_levels(scaled)
+        for b, a in zip(brackets, estimate_levels(base)):
             assert all(math.isfinite(x) for x in b)
             assert b.radius == pytest.approx(a.radius * scale**-1.5, rel=1e-10)
             if want > 1e-300:
                 assert b.lower == pytest.approx(a.lower * scale**-3.0, rel=1e-10)
 
     def test_lower_curve_exponent_exact(self, cubic_spec):
-        brackets = estimate_levels(cubic_spec, k_max=5, samples=20, seed=0)
+        brackets = estimate_levels(cubic_spec, k_max=5)
         lowers = np.array([b.lower for b in brackets])
         assert np.all(lowers > 0.0)
         ks = np.arange(1, 6, dtype=float)
@@ -1704,13 +1720,13 @@ class TestLevels:
 
     def test_computed_energies_below_top_bracket(self, cubic_spec, newton_config):
         branch = find_branch(cubic_spec, count=3, config=newton_config)
-        brackets = estimate_levels(cubic_spec, k_max=5, samples=100, seed=0)
+        brackets = estimate_levels(cubic_spec, k_max=5)
         top = brackets[-1].upper
         for rec in branch.records:
             assert rec.energy < top
 
     def test_lower_below_upper_where_meaningful(self, cubic_spec):
-        brackets = estimate_levels(cubic_spec, k_max=5, samples=100, seed=0)
+        brackets = estimate_levels(cubic_spec, k_max=5)
         for b in brackets:
             assert b.lower <= b.upper
 
@@ -1718,7 +1734,7 @@ class TestLevels:
         # index assignment of computed solutions is heuristic (sorted order),
         # so per-index violations are flagged in the output, not asserted
         branch = find_branch(cubic_spec, count=3, config=newton_config)
-        brackets = estimate_levels(cubic_spec, k_max=3, samples=100, seed=0)
+        brackets = estimate_levels(cubic_spec, k_max=3)
         flagged = [
             (rec.energy, b.k, b.upper)
             for rec, b in zip(branch.records, brackets)
@@ -1726,7 +1742,7 @@ class TestLevels:
         ]
         print(f"per-index bracket comparison: {len(flagged)} flagged of 3")
         for e, k, upper in flagged:
-            print(f"  energy {e:.4f} above sampled upper {upper:.4f} at index {k}")
+            print(f"  energy {e:.4f} above upper {upper:.4f} at index {k}")
 
 
 class TestSampledLevels:
@@ -1738,40 +1754,15 @@ class TestSampledLevels:
         spec = ProblemSpec.create(BoxDomain(lengths), n=n, r=0.9, p=3.0, q=2.5)
         return spec.with_forcing(h=[0.05], k=[0.03, 0.02]) if forced else spec
 
-    @pytest.mark.parametrize("samples", [0, 1, 25])
     @pytest.mark.parametrize("forced", [False, True])
     @pytest.mark.parametrize("lengths, n", [((math.pi,), 16), ((math.pi, 2.0), 20)])
-    def test_matches_point_by_point_oracle(self, lengths, n, forced, samples):
+    def test_matches_point_by_point_oracle(self, lengths, n, forced):
         spec = self.spec(lengths, n, forced)
-        got = estimate_levels(spec, k_max=3, samples=samples, seed=2)
-        assert list(map(repr, got)) == list(map(repr, sampled_levels(spec, 3, samples, seed=2)))
-
-    @pytest.mark.parametrize("forced", [False, True])
-    @pytest.mark.parametrize("lengths, n", [((math.pi,), 16), ((math.pi, 2.0), 20)])
-    def test_samples_match_oracle_where_they_set_the_brackets(
-        self, lengths, n, forced, monkeypatch
-    ):
-        """In place, the fixed points set every bracket.  Moved far into the
-        minus space, their energies fall below every sample's, and the
-        random samples set the brackets."""
-        import oracles
-        from indefsaddle import solve, space
-
-        def moved(basis, rank, sign, r):
-            return 1e3 * space.coupling_eigenvector(basis, rank, -sign, r)
-
-        monkeypatch.setattr(solve, "coupling_eigenvector", moved)
-        monkeypatch.setattr(oracles, "coupling_eigenvector", moved)
-        spec = self.spec(lengths, n, forced)
-        got = estimate_levels(spec, k_max=3, samples=25, seed=2)
-        assert list(map(repr, got)) == list(map(repr, sampled_levels(spec, 3, 25, seed=2)))
-        fixed_only = estimate_levels(spec, k_max=3, samples=0, seed=2)
-        assert all(a.upper > b.upper for a, b in zip(got, fixed_only))
+        got = estimate_levels(spec, k_max=3)
+        assert list(map(repr, got)) == list(map(repr, sampled_levels(spec, 3)))
 
     def test_stacks_capped_by_size(self, monkeypatch):
-        """At p = 2, q = 5 some samples of level 1 survive the bound (see
-        TestSampleBound); their stacks stay within the stack size, as the
-        fixed points' do."""
+        """The fixed points go in stacks within the stack size."""
         from indefsaddle import solve
 
         spec = ProblemSpec.create(BoxDomain((math.pi,)), n=16, r=1.0, p=2.0, q=5.0)
@@ -1786,133 +1777,10 @@ class TestSampledLevels:
             return real(vecs, spec)
 
         monkeypatch.setattr(solve, "Evaluation", evaluation)
-        got = estimate_levels(spec, k_max=2, samples=20, seed=1)
-        # 5 fixed points and the survivors of the sample stacks of 7, 7 and
-        # 6 rows at k = 1 (all of them), then 1 + 10 fixed points and no
-        # sample at k = 2
-        assert rows == [5, 7, 7, 6, 7, 4]
-        assert max(rows) <= 7
-        assert list(map(repr, got)) == list(map(repr, sampled_levels(spec, 2, 20, seed=1)))
-
-
-class TestSampleBound:
-    """estimate_levels evaluates only the samples that the closed-form bounds
-    J <= form + C0 |z| and J - (|z|^2/2 + C0 |z|) <= -|a-|^2 cannot rule
-    out; the skipped ones lie below both running maxima."""
-
-    PI = math.pi
-    # the four configs of benchmark workload levels-sampling (whose forcing is
-    # drawn from [0.03, 0.06]), and two with p != q
-    CASES = [
-        ((PI,), 32, 3.0, 3.0, None),
-        ((PI,), 32, 3.0, 3.0, 0.045),
-        ((PI, PI), 64, 3.0, 3.0, None),
-        ((PI, PI), 64, 3.0, 3.0, 0.045),
-        ((PI,), 32, 2.0, 5.0, None),
-        ((PI,), 32, 2.5, 3.5, None),
-    ]
-
-    @staticmethod
-    def spec(lengths, n, p, q, forcing):
-        spec = ProblemSpec.create(BoxDomain(lengths), n=n, r=1.0, p=p, q=q)
-        return spec if forcing is None else spec.with_forcing(h=[forcing], k=[forcing])
-
-    @staticmethod
-    def sample_rows(monkeypatch, spec, k_max, samples, seed=0):
-        """estimate_levels' brackets, and the number of sample rows it evaluates."""
-        from indefsaddle import solve
-
-        rows = []
-        real = solve.Evaluation
-
-        def evaluation(vecs, spec):
-            rows.append(len(vecs))
-            return real(vecs, spec)
-
-        monkeypatch.setattr(solve, "Evaluation", evaluation)
-        got = estimate_levels(spec, k_max=k_max, samples=samples, seed=seed)
-        # level k's fixed points: 5 per plus mode, and level k-1's best
-        fixed = sum(5 * k + (k > 1) for k in range(1, k_max + 1))
-        return got, sum(rows) - fixed
-
-    @pytest.mark.parametrize("case", CASES)
-    def test_every_sample_obeys_the_bounds(self, case):
-        from oracles import level_samples
-
-        from indefsaddle.energy import CutoffConfig, modified_energy
-        from indefsaddle.solve import _BOUND_MARGIN, _forcing_size
-
-        spec = self.spec(*case)
-        cutoff = CutoffConfig.default_for(spec)
-        c0 = _forcing_size(spec)
-        for bracket in estimate_levels(spec, k_max=5, samples=0):
-            for a_plus, a_minus, z in level_samples(spec, bracket.k, bracket.radius, 200, 0):
-                j, zn = modified_energy(z, spec, cutoff), pair_norm(z)
-                plus2, minus2 = float(a_plus @ a_plus), float(a_minus @ a_minus)
-                margin = _BOUND_MARGIN * (zn * zn + c0 * zn + 1.0)
-                assert j <= 0.5 * (plus2 - minus2) + c0 * zn + margin
-                assert j - (0.5 * zn * zn + c0 * zn) <= -minus2 + margin
-
-    @pytest.mark.parametrize("case", CASES[:4])
-    def test_no_sample_is_evaluated_at_p_equal_q(self, case, monkeypatch):
-        spec = self.spec(*case)
-        _, sampled = self.sample_rows(monkeypatch, spec, 5, 200)
-        assert sampled == 0
-
-    def test_some_samples_are_evaluated_when_p_and_q_differ(self, monkeypatch):
-        spec = self.spec(*self.CASES[4])
-        got, sampled = self.sample_rows(monkeypatch, spec, 3, 200)
-        assert 0 < sampled < 600
-        assert list(map(repr, got)) == list(map(repr, sampled_levels(spec, 3, 200)))
-
-    def test_a_row_is_ruled_out_only_below_both_maxima(self):
-        """Rows (a+, a-) = (1, 0), (0, 1) and (0, 1e200): bounds 3/4 and 0,
-        -1/4 and -1 (each plus a margin of about 2e-8), and NaN."""
-        from indefsaddle.solve import _may_move
-
-        a_plus, a_minus = np.zeros((3, 4)), np.zeros((3, 4))
-        a_plus[0, 0], a_minus[1, 0], a_minus[2, 0] = 1.0, 1.0, 1e200
-        c0 = 0.25
-        for upper, excess, kept in [
-            (1.0, 0.5, [False, False, True]),
-            (0.5, 0.5, [True, False, True]),  # row 0 may raise `upper`
-            (1.0, -0.5, [True, False, True]),  # row 0 may raise the excess
-            (-0.5, -2.0, [True, True, True]),
-            (math.inf, 0.5, [True, True, True]),  # a non-finite running value
-            (1.0, math.inf, [True, True, True]),
-        ]:
-            assert _may_move(a_plus, a_minus, c0, upper, excess).tolist() == kept
-
-    def test_a_sample_with_no_finite_bound_is_evaluated(self, cubic_spec, monkeypatch):
-        """A sphere bound of 1e-308 at k = 2 puts the level radius at
-        1.4e154, where the squared norms of the fixed points are finite and
-        those of most samples overflow.  Every sample with no finite bound is
-        evaluated; none sets a maximum (their energies are -inf or NaN), and
-        the brackets are the oracle's."""
-        import oracles
-
-        from indefsaddle import solve
-
-        real_bounds = solve._sphere_log_bounds
-
-        def bounds(spec, k_max):
-            logs = real_bounds(spec, k_max)
-            logs[1] = math.log(1e-308)
-            return logs
-
-        monkeypatch.setattr(solve, "_sphere_log_bounds", bounds)
-        with warnings.catch_warnings(), np.errstate(all="ignore"):
-            warnings.simplefilter("ignore", RuntimeWarning)
-            want = sampled_levels(cubic_spec, 3, 50)
-            radius = want[1].radius
-            overflowing = sum(
-                not math.isfinite(a_plus @ a_plus + a_minus @ a_minus)
-                for a_plus, a_minus, _ in oracles.level_samples(cubic_spec, 2, radius, 50, 0)
-            )
-            got, sampled = self.sample_rows(monkeypatch, cubic_spec, 3, 50)
-        assert radius > 1e154 and math.isfinite(want[1].ceiling)
-        assert 0 < overflowing == sampled < 50
-        assert list(map(repr, got)) == list(map(repr, want))
+        got = estimate_levels(spec, k_max=3)
+        # 5 fixed points at k = 1, then 1 + 10 and 1 + 15 in stacks of 7
+        assert rows == [5, 7, 4, 7, 7, 2]
+        assert list(map(repr, got)) == list(map(repr, sampled_levels(spec, 3)))
 
 
 class TestCertifiedConstants:
