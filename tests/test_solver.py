@@ -1754,10 +1754,15 @@ class TestSampledLevels:
         spec = ProblemSpec.create(BoxDomain(lengths), n=n, r=0.9, p=3.0, q=2.5)
         return spec.with_forcing(h=[0.05], k=[0.03, 0.02]) if forced else spec
 
+    @pytest.mark.parametrize("rows", [0, 1, 25])
     @pytest.mark.parametrize("forced", [False, True])
     @pytest.mark.parametrize("lengths, n", [((math.pi,), 16), ((math.pi, 2.0), 20)])
-    def test_matches_point_by_point_oracle(self, lengths, n, forced):
+    def test_matches_point_by_point_oracle(self, lengths, n, forced, rows, monkeypatch):
+        """Whatever the stack size: a stack of `rows` grids of values, where
+        0 values round up to one row per stack."""
         spec = self.spec(lengths, n, forced)
+        energy_module = importlib.import_module("indefsaddle.energy")
+        monkeypatch.setattr(energy_module, "_STACK_VALUES", rows * spec.tables.points)
         got = estimate_levels(spec, k_max=3)
         assert list(map(repr, got)) == list(map(repr, sampled_levels(spec, 3)))
 
